@@ -60,7 +60,7 @@ def main() -> int:
     print(f"\nselected solution: k={final.solution.k}, dbi={final.dbi:.4f}")
     print(f"last-window nmi={nmi(last.labels, pred):.4f}  arand={arand(last.labels, pred):.4f}")
     print(f"archive front size {len(state.archive.solutions)}, stored vectors {state.stored_vector_count()}")
-    for proto in final.solution.prototype_matrix():
+    for proto in final.solution.prototypes:
         print("  prototype", np.round(proto, 3).tolist())
     return 0
 

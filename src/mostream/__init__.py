@@ -1,9 +1,7 @@
 """Streaming multi-objective clustering with a bounded-memory tree synopsis."""
 
 from .core import (
-    ClusterSummary,
     ClusteringSolution,
-    DataPoint,
     ObjectiveVector,
     SolutionOrigin,
     StreamConfig,
@@ -14,9 +12,7 @@ from .objectives import ParetoArchive
 from .seeders import SeederParams
 
 __all__ = [
-    "ClusterSummary",
     "ClusteringSolution",
-    "DataPoint",
     "EngineState",
     "FinalSelection",
     "ObjectiveVector",

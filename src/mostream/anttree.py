@@ -6,10 +6,10 @@ one-time support reset, or moves to the most similar child. Similarity is
 1 - distance/D_max with D_max the first window's diameter, so it lives in
 [0, 1] for first-window pairs.
 
-After construction the raw points are replaced by per-node summaries
-(prototype = mean of housed points). Later windows stream through map_point:
-a point is absorbed by the nearest node when it falls inside that node's
-acceptance radius, otherwise it becomes a fresh node under the support.
+After construction the raw points are replaced by a per-node prototype
+(the mean of housed points), count and weight. Later windows stream through
+map_point: a point is absorbed by the nearest node when it falls inside that
+node's acceptance radius, otherwise it becomes a fresh node under the support.
 First-level subtrees double as macro clusters.
 """
 
@@ -22,13 +22,12 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .core import (
-    ClusterSummary,
     ClusteringSolution,
-    DataPoint,
     ObjectiveVector,
     SolutionOrigin,
     WindowBatch,
     merge_prototype,
+    sq_dist,
 )
 
 SUPPORT_ID = 0
@@ -60,14 +59,17 @@ class Thresholds:
 
 @dataclass
 class AntNode:
-    """One tree node. During build it houses raw points; after aggregation
-    only the summary plus acceptance-radius statistics remain."""
+    """One tree node. During build it houses raw coordinate rows; after
+    aggregation only its prototype, decayed count and fading weight plus
+    acceptance-radius statistics remain."""
 
     node_id: int
     parent: Optional[int]
     children: list[int] = field(default_factory=list)
-    points: Optional[list[DataPoint]] = None
-    summary: Optional[ClusterSummary] = None
+    points: Optional[list[np.ndarray]] = None
+    prototype: Optional[np.ndarray] = None
+    count: float = 0.0
+    weight: float = 0.0
     # Acceptance radius state: running mean of absorbed-point distances,
     # seeded with the first-window mean nearest-neighbor distance.
     radius_sum: float = 0.0
@@ -76,10 +78,10 @@ class AntNode:
 
     def anchor(self) -> np.ndarray:
         """Vector this node answers similarity queries with."""
-        if self.summary is not None:
-            return self.summary.prototype
-        assert self.points, "node has neither summary nor points"
-        return self.points[0].coords
+        if self.prototype is not None:
+            return self.prototype
+        assert self.points, "node has neither prototype nor points"
+        return self.points[0]
 
 
 # connect_ant outcomes
@@ -98,7 +100,7 @@ class ResetToSupport:
     """One-time support reset: the displaced subtree's points, to re-insert
     in FIFO order; the incoming ant itself was connected at ``node_id``."""
 
-    displaced: list[DataPoint]
+    displaced: list[np.ndarray]
     node_id: int
 
 
@@ -153,9 +155,9 @@ class TreeSynopsis:
         self._cache_ids = None
         return node
 
-    def _detach(self, node_id: int) -> list[DataPoint]:
+    def _detach(self, node_id: int) -> list[np.ndarray]:
         """Remove a subtree; return its housed points in depth-first order."""
-        out: list[DataPoint] = []
+        out: list[np.ndarray] = []
         parent = self.nodes[node_id].parent
         if parent is not None:
             self.nodes[parent].children.remove(node_id)
@@ -240,9 +242,9 @@ class TreeSynopsis:
         return best
 
     def connect_ant(
-        self, ant: DataPoint, pos: int, thresholds: Thresholds
+        self, ant: np.ndarray, pos: int, thresholds: Thresholds
     ) -> ConnectAction:
-        """One placement attempt for ``ant`` standing at node ``pos``.
+        """One placement attempt for ``ant`` (a coordinate row) at node ``pos``.
 
         Branches: (a) fewer than two children -> connect; (b) exactly two
         children under the support, once per build -> displace the second
@@ -270,7 +272,7 @@ class TreeSynopsis:
             child.points = [ant]
             return ResetToSupport(displaced, child.node_id)
 
-        a_plus, sim_best = self._most_similar_child(pos, ant.coords)
+        a_plus, sim_best = self._most_similar_child(pos, ant)
         t_dissim = self._min_pairwise_child_sim(pos)
         # Fresh thresholds (dissim=0) leave the test untouched; relaxation
         # gradually raises the bar so a wandering ant always lands somewhere.
@@ -285,17 +287,16 @@ class TreeSynopsis:
     # -- aggregation and streaming -----------------------------------------
 
     def aggregate(self) -> None:
-        """Collapse housed points to per-node summaries and drop the raw data."""
+        """Collapse housed points to per-node prototypes and drop the raw data."""
         if self.aggregated:
             return
         for nid, node in self.nodes.items():
             if nid == SUPPORT_ID:
                 continue
             assert node.points, f"node {nid} has no points to aggregate"
-            pts = np.vstack([p.coords for p in node.points])
-            node.summary = ClusterSummary(
-                pts.mean(axis=0), count=float(len(pts)), weight=float(len(pts))
-            )
+            pts = np.vstack(node.points)
+            node.prototype = pts.mean(axis=0)
+            node.count = node.weight = float(len(pts))
             node.points = None
             node.radius_sum = self.base_radius
             node.radius_n = 1
@@ -307,7 +308,7 @@ class TreeSynopsis:
             ids = [nid for nid in self.nodes if nid != SUPPORT_ID]
             self._cache_ids = ids
             self._cache_protos = np.vstack(
-                [self.nodes[nid].summary.prototype for nid in ids]
+                [self.nodes[nid].prototype for nid in ids]
             )
         return self._cache_ids, self._cache_protos
 
@@ -324,8 +325,9 @@ class TreeSynopsis:
             return floor
         return max(floor, node.radius_sum / node.radius_n)
 
-    def map_point(self, point: DataPoint, gamma: float) -> MapOutcome:
-        """Absorb a later-window point or open a new node under the support.
+    def map_point(self, point: np.ndarray, gamma: float) -> MapOutcome:
+        """Absorb a later-window point (a coordinate row) or open a new node
+        under the support.
 
         Every point updates the claimed node's radius statistics whether or
         not it is absorbed, so radii track the local spread: sparse regions
@@ -333,11 +335,11 @@ class TreeSynopsis:
         """
         if not self.aggregated:
             raise RuntimeError("aggregate the tree before streaming points")
-        coords = np.asarray(point.coords, dtype=float)
+        coords = np.asarray(point, dtype=float)
         if coords.shape != (self.dim,):
             raise ValueError("point dimension mismatch")
         ids, protos = self._proto_matrix()
-        dists = np.linalg.norm(protos - coords, axis=1)
+        dists = np.sqrt(sq_dist(protos, coords))
         best = int(np.argmin(dists))
         node = self.nodes[ids[best]]
         dist = float(dists[best])
@@ -345,12 +347,14 @@ class TreeSynopsis:
         node.radius_sum += dist
         node.radius_n += 1
         if accepted:
-            node.summary = merge_prototype(node.summary, coords, 1.0, gamma)
+            node.prototype, node.count = merge_prototype(
+                node.prototype, node.count, coords, 1.0, gamma
+            )
             node.absorbed_this_window += 1.0
-            self._cache_protos[best] = node.summary.prototype
+            self._cache_protos[best] = node.prototype
             return MapOutcome(node.node_id, False, dist)
         fresh = self._new_node(SUPPORT_ID)
-        fresh.summary = ClusterSummary(coords.copy(), count=1.0, weight=0.0)
+        fresh.prototype, fresh.count, fresh.weight = coords.copy(), 1.0, 0.0
         fresh.radius_sum = self.base_radius
         fresh.radius_n = 1
         fresh.absorbed_this_window = 1.0
@@ -367,7 +371,7 @@ class TreeSynopsis:
             return
         for nid, node in self.nodes.items():
             if nid != SUPPORT_ID:
-                node.summary.count *= gamma
+                node.count *= gamma
 
     def fade_and_prune(self, gamma: float, threshold: float) -> int:
         """Window tick: fade node weights by absorbed counts, drop dead leaves.
@@ -379,7 +383,7 @@ class TreeSynopsis:
         for nid, node in self.nodes.items():
             if nid == SUPPORT_ID:
                 continue
-            node.summary.weight = gamma * node.summary.weight + node.absorbed_this_window
+            node.weight = gamma * node.weight + node.absorbed_this_window
             node.absorbed_this_window = 0.0
         removed = 0
         while True:
@@ -388,10 +392,10 @@ class TreeSynopsis:
                 for nid, node in self.nodes.items()
                 if nid != SUPPORT_ID
                 and not node.children
-                and node.summary.weight < threshold
+                and node.weight < threshold
             ]
             if len(self.nodes) - 1 - len(doomed) < 1:
-                doomed.sort(key=lambda nid: (self.nodes[nid].summary.weight, -nid))
+                doomed.sort(key=lambda nid: (self.nodes[nid].weight, -nid))
                 doomed = doomed[:-1]  # spare the heaviest leaf
             if not doomed:
                 break
@@ -410,26 +414,25 @@ class TreeSynopsis:
         roots = self.first_level()
         if not roots:
             raise ValueError("tree has no first-level subtrees")
-        clusters = []
+        protos, counts, weights = [], [], []
         for root in roots:
-            protos, counts, weights = [], [], 0.0
-            for nid in self.subtree_ids(root):
-                s = self.nodes[nid].summary
-                protos.append(s.prototype)
-                counts.append(s.count)
-                weights += s.weight
-            counts = np.asarray(counts)
-            protos = np.vstack(protos)
-            total = counts.sum()
+            nodes = [self.nodes[nid] for nid in self.subtree_ids(root)]
+            rows = np.vstack([n.prototype for n in nodes])
+            sizes = np.asarray([n.count for n in nodes])
+            total = sizes.sum()
             if total > 0:
-                proto = (protos * counts[:, None]).sum(axis=0) / total
+                protos.append((rows * sizes[:, None]).sum(axis=0) / total)
             else:
-                proto = protos.mean(axis=0)
-            clusters.append(
-                ClusterSummary(proto, count=float(total), weight=float(weights))
-            )
+                protos.append(rows.mean(axis=0))
+            counts.append(float(total))
+            weights.append(float(sum(n.weight for n in nodes)))
         return ClusteringSolution(
-            ObjectiveVector(), clusters, SolutionOrigin.ANTTREE, solution_id
+            ObjectiveVector(),
+            np.vstack(protos),
+            SolutionOrigin.ANTTREE,
+            solution_id,
+            counts=counts,
+            weights=weights,
         )
 
 
@@ -443,7 +446,7 @@ def _pairwise_max_distance(data: np.ndarray, block: int = 512) -> float:
     n = len(data)
     for i in range(0, n, block):
         chunk = data[i : i + block]
-        d2 = ((chunk[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_dist(chunk[:, None, :], data[None, :, :])
         best = max(best, float(d2.max()))
     return float(np.sqrt(best))
 
@@ -456,7 +459,7 @@ def mean_nearest_neighbor_distance(data: np.ndarray, block: int = 512) -> float:
     out = np.empty(n)
     for i in range(0, n, block):
         chunk = data[i : i + block]
-        d2 = ((chunk[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_dist(chunk[:, None, :], data[None, :, :])
         for r in range(len(chunk)):
             d2[r, i + r] = np.inf
         out[i : i + len(chunk)] = np.sqrt(d2.min(axis=1))
@@ -468,7 +471,7 @@ def build_initial_tree(window: WindowBatch, l_max: int = 10) -> TreeSynopsis:
     tree = TreeSynopsis(window.dim, l_max)
     tree.sim_scale = _pairwise_max_distance(window.data)
     tree.base_radius = mean_nearest_neighbor_distance(window.data)
-    queue = collections.deque(window.points())
+    queue = collections.deque(window.data)
     guard = 0
     guard_limit = 200 * (len(window) + 10) * (l_max + 10)
     while queue:

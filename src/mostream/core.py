@@ -1,15 +1,17 @@
-"""Shared domain types and per-cluster streaming update rules.
+"""Shared domain types, the distance kernel and the streaming update rules.
 
 Everything downstream (tree synopsis, seeders, evolution, engine) trades in
-these types. The update rules implement the decayed running-mean merge, the
-exponential weight fade with assignment refresh, and staleness pruning.
+these types. A solution keeps its clusters as rows of arrays, and every
+distance in the package goes through ``sq_dist``. The update rules implement
+the decayed running-mean merge, the exponential weight fade with assignment
+refresh, and staleness pruning.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,19 +28,11 @@ class SolutionOrigin(enum.Enum):
 
 
 @dataclass
-class DataPoint:
-    """One observation: feature vector, optional ground-truth label, arrival index."""
-
-    coords: np.ndarray
-    label: Optional[int] = None
-    index: int = 0
-
-
-@dataclass
 class WindowBatch:
     """One window of the stream, stored as a dense (n, d) block.
 
-    ``labels`` is None for unlabeled streams. ``start_index`` is the arrival
+    Every value must be finite: a NaN prototype would win every nearest-node
+    search downstream. ``labels`` is None for unlabeled streams. ``start_index`` is the arrival
     index of the first row; indices are contiguous within a window.
     """
 
@@ -51,6 +45,8 @@ class WindowBatch:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] == 0:
             raise ValueError("window must be a non-empty (n, d) array")
+        if not np.isfinite(self.data).all():
+            raise ValueError("window holds non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if len(self.labels) != len(self.data):
@@ -66,31 +62,6 @@ class WindowBatch:
     @property
     def indices(self) -> np.ndarray:
         return np.arange(self.start_index, self.start_index + len(self))
-
-    def points(self) -> Iterator[DataPoint]:
-        """Iterate rows as DataPoint objects, in arrival order."""
-        for i in range(len(self)):
-            label = None if self.labels is None else int(self.labels[i])
-            yield DataPoint(self.data[i], label, self.start_index + i)
-
-
-@dataclass
-class ClusterSummary:
-    """Prototype vector plus decayed count, fading weight, and the cluster's
-    running contribution to the compactness objective."""
-
-    prototype: np.ndarray
-    count: float = 1.0
-    weight: float = 1.0
-    compactness_acc: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.prototype = np.asarray(self.prototype, dtype=float)
-
-    def copy(self) -> "ClusterSummary":
-        return ClusterSummary(
-            self.prototype.copy(), self.count, self.weight, self.compactness_acc
-        )
 
 
 @dataclass
@@ -110,8 +81,10 @@ class ObjectiveVector:
 
 @dataclass
 class ClusteringSolution:
-    """A full candidate clustering: K cluster summaries plus its objectives.
+    """A full candidate clustering plus its objectives.
 
+    Cluster i is row i of ``prototypes`` (K, d) with decayed count
+    ``counts[i]`` and fading weight ``weights[i]``; both default to 1.
     ``prev_compactness`` is the compactness the solution carried into its
     latest evaluation, before that window's decay-and-fold. Offspring seed
     their compactness from it so a lineage bred within one idle phase pays
@@ -119,29 +92,50 @@ class ClusteringSolution:
     """
 
     objectives: ObjectiveVector
-    clusters: list[ClusterSummary]
+    prototypes: np.ndarray
     origin: SolutionOrigin
     solution_id: int = -1
     prev_compactness: float = 0.0
+    counts: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        self.prototypes = np.asarray(self.prototypes, dtype=float)
+        if self.prototypes.ndim != 2 or len(self.prototypes) == 0:
+            raise ValueError("prototypes must be a non-empty (K, d) array")
+        k = len(self.prototypes)
+        if self.counts is None:
+            self.counts = np.ones(k)
+        if self.weights is None:
+            self.weights = np.ones(k)
+        self.counts = np.asarray(self.counts, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.counts.shape != (k,) or self.weights.shape != (k,):
+            raise ValueError("counts and weights need one entry per prototype")
 
     @property
     def k(self) -> int:
-        return len(self.clusters)
+        return len(self.prototypes)
 
     @property
     def dim(self) -> int:
-        return self.clusters[0].prototype.shape[0]
+        return self.prototypes.shape[1]
 
-    def prototype_matrix(self) -> np.ndarray:
-        return np.vstack([c.prototype for c in self.clusters])
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the clusters ``rows`` selects (indices or a mask), in place."""
+        self.prototypes = self.prototypes[rows]
+        self.counts = self.counts[rows]
+        self.weights = self.weights[rows]
 
     def copy(self) -> "ClusteringSolution":
         return ClusteringSolution(
             self.objectives.copy(),
-            [c.copy() for c in self.clusters],
+            self.prototypes.copy(),
             self.origin,
             self.solution_id,
             self.prev_compactness,
+            self.counts.copy(),
+            self.weights.copy(),
         )
 
 
@@ -179,17 +173,26 @@ class StreamConfig:
 
 
 # ---------------------------------------------------------------------------
-# assignment
+# distances and assignment
+
+
+def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance over the last axis; other axes broadcast,
+    so ``sq_dist(x[:, None, :], y[None, :, :])`` is the (n, m) matrix."""
+    return ((a - b) ** 2).sum(axis=-1)
 
 
 def nearest_cluster(solution: ClusteringSolution, point: np.ndarray) -> int:
-    """Index of the cluster whose prototype is nearest (ties -> lowest index)."""
+    """Index of the cluster whose prototype is nearest (ties -> lowest index).
+
+    Computed independently of ``sq_dist``, so it can referee ``assign_batch``.
+    """
     point = np.asarray(point, dtype=float)
     if point.shape != (solution.dim,):
         raise ValueError(
             f"point has dimension {point.shape}, expected ({solution.dim},)"
         )
-    dists = np.linalg.norm(solution.prototype_matrix() - point, axis=1)
+    dists = np.linalg.norm(solution.prototypes - point, axis=1)
     return int(np.argmin(dists))
 
 
@@ -198,10 +201,8 @@ def assign_batch(solution: ClusteringSolution, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.shape[1] != solution.dim:
         raise ValueError("dimension mismatch between window and solution")
-    protos = solution.prototype_matrix()
     # (n, k) distance matrix; argmin picks the first minimum.
-    d2 = ((data[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(sq_dist(data[:, None, :], solution.prototypes[None, :, :]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,42 +210,46 @@ def assign_batch(solution: ClusteringSolution, data: np.ndarray) -> np.ndarray:
 
 
 def merge_prototype(
-    cluster: ClusterSummary, batch_mean: np.ndarray, batch_count: float, gamma: float
-) -> ClusterSummary:
+    prototype: np.ndarray,
+    count,
+    batch_mean: np.ndarray,
+    batch_count,
+    gamma: float,
+) -> tuple[np.ndarray, np.ndarray]:
     """Fold a batch (mean z, count m) into a cluster with decayed history.
 
     prototype <- (w*n*gamma + z*m) / (n*gamma + m); count <- n*gamma + m.
     With gamma=1 this is the exact running mean over all absorbed points.
+    Takes one cluster (a (d,) row, scalar counts) or several ((K, d) rows,
+    (K,) counts) and returns the new (prototype, count); inputs are unchanged.
     """
-    if batch_count <= 0:
+    if min(np.ravel(batch_count)) <= 0:
         raise ValueError("batch_count must be > 0")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     batch_mean = np.asarray(batch_mean, dtype=float)
-    if batch_mean.shape != cluster.prototype.shape:
+    if batch_mean.shape != np.shape(prototype):
         raise ValueError("batch mean dimension mismatch")
-    faded = cluster.count * gamma
+    faded = count * gamma
     denom = faded + batch_count
-    if denom <= 0:
+    if min(np.ravel(denom)) <= 0:
         raise RuntimeError("non-positive merge denominator")
-    proto = (cluster.prototype * faded + batch_mean * batch_count) / denom
-    out = cluster.copy()
-    out.prototype = proto
-    out.count = denom
-    return out
+    # transposed so (K,) counts scale the rows of a (K, d) block; a no-op
+    # for a single (d,) row with scalar counts
+    proto = ((prototype.T * faded + batch_mean.T * batch_count) / denom).T
+    return proto, denom
 
 
-def fade_weight(
-    cluster: ClusterSummary, gamma: float, assigned: float = 0.0
-) -> ClusterSummary:
-    """One window tick of the weight: weight <- gamma*weight + assigned."""
+def fade_weight(weight, gamma: float, assigned=0.0):
+    """One window tick of the weight: weight <- gamma*weight + assigned.
+
+    Scalars and per-cluster arrays alike; returns the new weight(s).
+    """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    if assigned < 0:
+    if np.any(np.asarray(assigned) < 0):
         raise ValueError("assigned count must be >= 0")
-    out = cluster.copy()
-    out.weight = gamma * cluster.weight + assigned
-    return out
+    return gamma * np.asarray(weight, dtype=float) + assigned
 
 
 def prune_outdated(
@@ -257,12 +262,11 @@ def prune_outdated(
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    kept = [c for c in solution.clusters if c.weight >= threshold]
-    if not kept:
-        best = max(range(solution.k), key=lambda i: (solution.clusters[i].weight, -i))
-        kept = [solution.clusters[best]]
+    kept = solution.weights >= threshold
+    if not kept.any():
+        kept[np.argmax(solution.weights)] = True
     out = solution.copy()
-    out.clusters = [c.copy() for c in kept]
+    out.keep(kept)
     return out
 
 
@@ -272,14 +276,8 @@ def prune_outdated(
 
 def serialize_chromosome(solution: ClusteringSolution) -> np.ndarray:
     """Flat record: [compactness, separateness, proto_1 .. proto_K] (K*d+2 floats)."""
-    parts = [
-        np.array(
-            [solution.objectives.compactness, solution.objectives.separateness],
-            dtype=float,
-        )
-    ]
-    parts.extend(c.prototype for c in solution.clusters)
-    return np.concatenate(parts)
+    head = [solution.objectives.compactness, solution.objectives.separateness]
+    return np.concatenate([np.array(head, dtype=float), solution.prototypes.ravel()])
 
 
 def deserialize_chromosome(
@@ -290,8 +288,7 @@ def deserialize_chromosome(
 ) -> ClusteringSolution:
     """Parse a flat record back into a solution.
 
-    Counts, weights, and accumulators are not carried on the wire; they reset
-    to their defaults (count=1, weight=1, acc=0).
+    Counts and weights are not carried on the wire; they reset to 1.
     """
     record = np.asarray(record, dtype=float)
     if dim < 1:
@@ -300,14 +297,9 @@ def deserialize_chromosome(
         raise ValueError(
             f"record of length {record.size} is not 2 + K*{dim} for any K >= 1"
         )
-    k = (record.size - 2) // dim
-    clusters = [
-        ClusterSummary(record[2 + i * dim : 2 + (i + 1) * dim].copy())
-        for i in range(k)
-    ]
     return ClusteringSolution(
         ObjectiveVector(float(record[0]), float(record[1])),
-        clusters,
+        record[2:].reshape(-1, dim).copy(),
         origin,
         solution_id,
     )

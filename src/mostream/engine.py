@@ -19,7 +19,6 @@ import numpy as np
 from .anttree import TreeSynopsis, build_initial_tree
 from .core import (
     ClusteringSolution,
-    DataPoint,
     ObjectiveVector,
     StreamConfig,
     WindowBatch,
@@ -225,35 +224,24 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # mean), so a window of absorptions composes to the batch update
     # count -> gamma*count + absorbed rather than decaying per point.
     state.tree.decay_counts(cfg.gamma)
-    for i in range(len(window)):
-        state.tree.map_point(
-            DataPoint(window.data[i], None, window.start_index + i), 1.0
-        )
+    for row in window.data:
+        state.tree.map_point(row, 1.0)
 
     # (2) each member absorbs the window: assign, score against window-start
-    # prototypes, then fold the per-cluster batches in
-    updated: list[tuple[ClusteringSolution, np.ndarray]] = []
+    # prototypes, then fold the per-cluster batches into the fed rows;
+    # (3) fade weights, prune what starved (solutions and tree alike)
+    pruned: list[ClusteringSolution] = []
     for member in state.archive:
         clone = member.copy()
         labels = assign_batch(clone, window.data)
         update_compactness(clone, window, labels, cfg.gamma)
-        assigned = np.zeros(clone.k)
-        for ci in range(clone.k):
-            mask = labels == ci
-            m = float(mask.sum())
-            assigned[ci] = m
-            if m > 0:
-                clone.clusters[ci] = merge_prototype(
-                    clone.clusters[ci], window.data[mask].mean(axis=0), m, cfg.gamma
-                )
-        updated.append((clone, assigned))
-
-    # (3) fade weights, prune what starved (solutions and tree alike)
-    pruned: list[ClusteringSolution] = []
-    for clone, assigned in updated:
-        clone.clusters = [
-            fade_weight(c, cfg.gamma, assigned[i]) for i, c in enumerate(clone.clusters)
-        ]
+        assigned = np.bincount(labels, minlength=clone.k).astype(float)
+        fed = np.flatnonzero(assigned)
+        means = np.vstack([window.data[labels == ci].mean(axis=0) for ci in fed])
+        clone.prototypes[fed], clone.counts[fed] = merge_prototype(
+            clone.prototypes[fed], clone.counts[fed], means, assigned[fed], cfg.gamma
+        )
+        clone.weights = fade_weight(clone.weights, cfg.gamma, assigned)
         pruned.append(prune_outdated(clone, cfg.prune_threshold))
     state.tree.fade_and_prune(cfg.gamma, cfg.prune_threshold)
 

@@ -15,7 +15,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClusteringSolution, SolutionOrigin, StreamConfig, WindowBatch
+from .core import (
+    ClusteringSolution,
+    SolutionOrigin,
+    StreamConfig,
+    WindowBatch,
+    sq_dist,
+)
 from .objectives import ParetoArchive, evaluate_solution
 
 
@@ -63,17 +69,21 @@ def crossover(
     if not 1 < i < k_min:
         raise ValueError(f"cut must satisfy 1 < i < {k_min}")
     a, b = (p1, p2) if p1.k <= p2.k else (p2, p1)
-    c1 = ClusteringSolution(
+    head, tail = slice(None, i), slice(i, None)
+    return _splice(a, head, b, tail), _splice(a, tail, b, head)
+
+
+def _splice(
+    a: ClusteringSolution, a_rows: slice, b: ClusteringSolution, b_rows: slice
+) -> ClusteringSolution:
+    """Crossover child: clusters ``a_rows`` of a, then ``b_rows`` of b."""
+    return ClusteringSolution(
         a.objectives.copy(),
-        [c.copy() for c in a.clusters[:i]] + [c.copy() for c in b.clusters[i:]],
+        np.concatenate([a.prototypes[a_rows], b.prototypes[b_rows]]),
         SolutionOrigin.CROSSOVER,
+        counts=np.concatenate([a.counts[a_rows], b.counts[b_rows]]),
+        weights=np.concatenate([a.weights[a_rows], b.weights[b_rows]]),
     )
-    c2 = ClusteringSolution(
-        a.objectives.copy(),
-        [c.copy() for c in a.clusters[i:]] + [c.copy() for c in b.clusters[:i]],
-        SolutionOrigin.CROSSOVER,
-    )
-    return c1, c2
 
 
 def mutate(solution: ClusteringSolution, mu: float, seed: int) -> ClusteringSolution:
@@ -91,19 +101,17 @@ def mutate(solution: ClusteringSolution, mu: float, seed: int) -> ClusteringSolu
     out.solution_id = -1
     d = solution.dim
     n_mut = max(1, round(mu * d))
-    for cluster in out.clusters:
-        positions = rng.choice(d, size=n_mut, replace=False)
-        for pos in positions:
-            rho = rng.uniform(0.0, 1.0)
-            sign = 1.0 if rng.uniform(0.0, 1.0) < 0.5 else -1.0
-            cluster.prototype[pos] += sign * rho * cluster.prototype[pos]
+    for row in out.prototypes:
+        pos = rng.choice(d, size=n_mut, replace=False)
+        # per chosen coordinate: the step fraction, then the sign draw
+        rho, flip = rng.uniform(0.0, 1.0, size=(n_mut, 2)).T
+        row[pos] += np.where(flip < 0.5, 1.0, -1.0) * rho * row[pos]
     return out
 
 
 def prototype_set_distance(a: ClusteringSolution, b: ClusteringSolution) -> float:
     """Symmetric mean nearest-prototype distance between two solutions."""
-    pa, pb = a.prototype_matrix(), b.prototype_matrix()
-    d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    d = np.sqrt(sq_dist(a.prototypes[:, None, :], b.prototypes[None, :, :]))
     return float(0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean()))
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, WindowBatch, assign_batch
+from .core import ClusteringSolution, WindowBatch, assign_batch, sq_dist
 
 INFINITE_DBI = math.inf
 
@@ -114,16 +114,15 @@ def davies_bouldin(
     if assignment is None:
         assignment = assign_batch(solution, window.data)
     assignment = np.asarray(assignment)
-    protos = solution.prototype_matrix()
+    protos = solution.prototypes
+    dists = np.sqrt(sq_dist(window.data, protos[assignment]))
     scatter = np.zeros(k)
     for i in range(k):
         mask = assignment == i
         if not mask.any():
             return INFINITE_DBI
-        scatter[i] = float(
-            np.linalg.norm(window.data[mask] - protos[i], axis=1).mean()
-        )
-    centre_d = np.linalg.norm(protos[:, None, :] - protos[None, :, :], axis=2)
+        scatter[i] = float(dists[mask].mean())
+    centre_d = np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
     worst = np.zeros(k)
     for i in range(k):
         for j in range(k):

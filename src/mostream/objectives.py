@@ -12,7 +12,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch
+from .core import (
+    ClusteringSolution,
+    ObjectiveVector,
+    WindowBatch,
+    assign_batch,
+    sq_dist,
+)
 
 DEFAULT_CAPACITY = 50
 NEIGHBORHOOD_SIZE = 3
@@ -27,19 +33,14 @@ def update_compactness(
     """Fold one window into the compactness objective, in place.
 
     compactness <- gamma * previous + sum_i ||x_i - w_assign(i)||, with the
-    prototypes as they stand at the call (window start). Per-cluster
-    accumulators get the same treatment for reuse by the validity index.
+    prototypes as they stand at the call (window start).
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     assignment = np.asarray(assignment)
     if len(assignment) != len(window):
         raise ValueError("assignment length must match window length")
-    protos = solution.prototype_matrix()
-    dists = np.linalg.norm(window.data - protos[assignment], axis=1)
-    for idx, cluster in enumerate(solution.clusters):
-        contrib = float(dists[assignment == idx].sum())
-        cluster.compactness_acc = gamma * cluster.compactness_acc + contrib
+    dists = np.sqrt(sq_dist(window.data, solution.prototypes[assignment]))
     # offspring inherit the entry value, so the decay is paid once per window
     solution.prev_compactness = float(solution.objectives.compactness)
     value = gamma * solution.objectives.compactness + float(dists.sum())
@@ -51,7 +52,7 @@ def _knn_neighborhood(protos: np.ndarray) -> dict[int, set[int]]:
     k = len(protos)
     if k <= 1:
         return {0: set()} if k else {}
-    d = np.linalg.norm(protos[:, None, :] - protos[None, :, :], axis=2)
+    d = np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
     np.fill_diagonal(d, np.inf)
     out: dict[int, set[int]] = {}
     for i in range(k):
@@ -66,7 +67,7 @@ def _knn_neighborhood(protos: np.ndarray) -> dict[int, set[int]]:
 def default_neighborhood(solution: ClusteringSolution) -> dict[int, set[int]]:
     """Each cluster's neighbors: its 3 nearest clusters by prototype distance
     (everything else when K <= 4)."""
-    return _knn_neighborhood(solution.prototype_matrix())
+    return _knn_neighborhood(solution.prototypes)
 
 
 def separateness(
@@ -90,7 +91,7 @@ def separateness(
             raise ValueError("active cluster indices out of range")
     if len(act) <= 1:
         return 0.0
-    protos = solution.prototype_matrix()
+    protos = solution.prototypes
     if neighborhood is None:
         sub = _knn_neighborhood(protos[act])
         neighborhood = {act[i]: {act[j] for j in nbrs} for i, nbrs in sub.items()}
@@ -121,7 +122,7 @@ def evaluate_solution(
     raw = assign_batch(solution, window.data)
     fed, labels = np.unique(raw, return_inverse=True)
     if fed.size < solution.k:
-        solution.clusters = [solution.clusters[int(i)] for i in fed]
+        solution.keep(fed)
     update_compactness(solution, window, labels, gamma)
     solution.objectives.separateness = separateness(solution)
 
@@ -211,21 +212,12 @@ def crowding_distances(objectives: list[ObjectiveVector]) -> np.ndarray:
     return out
 
 
-def hypervolume(archive: ParetoArchive, reference: ObjectiveVector) -> float:
-    """Area of objective space dominated by the archive, up to ``reference``.
+def _sweep(pts: list[tuple[float, float]], ref: tuple[float, float]) -> float:
+    """Area a sorted non-dominated set of minimized pairs dominates up to ``ref``.
 
-    Works on the both-minimized pair; every member must sit inside the
-    reference box. Empty archive -> 0.
+    Sorted by first component ascending, the second is strictly descending;
+    sweep left to right.
     """
-    if not archive.solutions:
-        return 0.0
-    ref = reference.as_min_pair()
-    pts = sorted(s.objectives.as_min_pair() for s in archive.solutions)
-    for p in pts:
-        if p[0] > ref[0] or p[1] > ref[1]:
-            raise ValueError(f"member {p} outside reference box {ref}")
-    # Non-dominated set sorted by first component ascending has the second
-    # component strictly descending; sweep left to right.
     area = 0.0
     for i, (x, y) in enumerate(pts):
         next_x = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
@@ -233,14 +225,22 @@ def hypervolume(archive: ParetoArchive, reference: ObjectiveVector) -> float:
     return float(area)
 
 
+def hypervolume(archive: ParetoArchive, reference: ObjectiveVector) -> float:
+    """Area of objective space dominated by the archive, up to ``reference``.
+
+    Works on the both-minimized pair; every member must sit inside the
+    reference box. Empty archive -> 0.
+    """
+    ref = reference.as_min_pair()
+    pts = sorted(s.objectives.as_min_pair() for s in archive.solutions)
+    for p in pts:
+        if p[0] > ref[0] or p[1] > ref[1]:
+            raise ValueError(f"member {p} outside reference box {ref}")
+    return _sweep(pts, ref)
+
+
 def hypervolume_in_box(archive: ParetoArchive, reference: ObjectiveVector) -> float:
     """Report-friendly variant: silently ignores members outside the box."""
-    inside = ParetoArchive(capacity=max(1, len(archive)))
     ref = reference.as_min_pair()
-    inside.solutions = [
-        s
-        for s in archive.solutions
-        if s.objectives.as_min_pair()[0] <= ref[0]
-        and s.objectives.as_min_pair()[1] <= ref[1]
-    ]
-    return hypervolume(inside, reference)
+    pairs = (s.objectives.as_min_pair() for s in archive.solutions)
+    return _sweep(sorted(p for p in pairs if p[0] <= ref[0] and p[1] <= ref[1]), ref)

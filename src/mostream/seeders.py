@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ClusterSummary,
     ClusteringSolution,
     ObjectiveVector,
     SolutionOrigin,
     WindowBatch,
+    sq_dist,
 )
 from .objectives import evaluate_solution
 
@@ -64,17 +64,11 @@ def _solution_from_assignment(
     origin: SolutionOrigin,
     gamma: float,
 ) -> ClusteringSolution:
-    clusters = []
-    for i in range(len(centers)):
-        member_count = float((labels == i).sum())
-        clusters.append(
-            ClusterSummary(
-                centers[i].copy(),
-                count=max(member_count, 1.0),
-                weight=max(member_count, 1.0),
-            )
-        )
-    sol = ClusteringSolution(ObjectiveVector(), clusters, origin)
+    members = np.bincount(labels, minlength=len(centers)).astype(float)
+    members = np.maximum(members, 1.0)
+    sol = ClusteringSolution(
+        ObjectiveVector(), centers, origin, counts=members, weights=members.copy()
+    )
     evaluate_solution(sol, window, gamma)
     return sol
 
@@ -88,14 +82,14 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     n = len(data)
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[rng.integers(n)]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    d2 = sq_dist(data, centers[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[i] = data[rng.integers(n)]
         else:
             centers[i] = data[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((data - centers[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dist(data, centers[i]))
     return centers
 
 
@@ -122,7 +116,7 @@ def seed_kmeans(
     centers = _kmeans_pp_init(data, k, rng)
     labels = np.full(len(data), -1)
     for _ in range(100):
-        d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_dist(data[:, None, :], centers[None, :, :])
         new_labels = np.argmin(d2, axis=1)
         used = set()
         for ci in range(k):
@@ -180,7 +174,7 @@ def seed_dbscan(
         raise ValueError("need min_pts >= 1 and radius > 0")
     data = window.data
     n = len(data)
-    d = np.linalg.norm(data[:, None, :] - data[None, :, :], axis=2)
+    d = np.sqrt(sq_dist(data[:, None, :], data[None, :, :]))
     within = d <= radius
     core = within.sum(axis=1) >= min_pts
     core_idx = np.flatnonzero(core)
@@ -252,7 +246,7 @@ def seed_gng(
             x = data[idx]
             signals += 1
             u = np.vstack(units)
-            d2 = ((u - x) ** 2).sum(axis=1)
+            d2 = sq_dist(u, x)
             order = np.argsort(d2, kind="stable")
             s1, s2 = int(order[0]), int(order[1])
             errors[s1] += float(d2[s1])
@@ -307,9 +301,7 @@ def seed_gng(
     comp_of_unit = np.array([roots.index(find(i)) for i in range(m)])
     # assign window points to nearest unit, roll up into components
     u = np.vstack(units)
-    nearest_unit = np.argmin(
-        ((data[:, None, :] - u[None, :, :]) ** 2).sum(axis=2), axis=1
-    )
+    nearest_unit = np.argmin(sq_dist(data[:, None, :], u[None, :, :]), axis=1)
     labels = comp_of_unit[nearest_unit]
     centers = []
     final_labels = np.full(n, -1)

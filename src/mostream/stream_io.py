@@ -208,12 +208,12 @@ def emit_snapshot(state: EngineState, out_dir: str) -> tuple[str, str]:
     with open(tree_path, "w", encoding="utf-8") as fh:
         for nid in sorted(state.tree.nodes):
             node = state.tree.nodes[nid]
-            if node.summary is None:
+            if node.prototype is None:
                 continue
-            coords = ",".join(_fmt(v) for v in node.summary.prototype)
+            coords = ",".join(_fmt(v) for v in node.prototype)
             fh.write(
-                f"{nid},{node.parent},{_fmt(node.summary.count)},"
-                f"{_fmt(node.summary.weight)},{coords}\n"
+                f"{nid},{node.parent},{_fmt(node.count)},"
+                f"{_fmt(node.weight)},{coords}\n"
             )
     archive_path = os.path.join(out_dir, f"archive_{wid:05d}.csv")
     with open(archive_path, "w", encoding="utf-8") as fh:

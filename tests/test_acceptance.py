@@ -13,9 +13,7 @@ import pytest
 
 from mostream.cli import build_parser, manifest_from_args, run
 from mostream.core import (
-    ClusterSummary,
     ClusteringSolution,
-    DataPoint,
     ObjectiveVector,
     SolutionOrigin,
     StreamConfig,
@@ -238,13 +236,13 @@ def test_criterion_7_gamma_one_conservation():
     for nid, node in state.tree.nodes.items():
         if nid != 0:
             # every build node houses exactly one point, so its prototype is it
-            absorbed[nid] = [node.summary.prototype.copy()]
+            absorbed[nid] = [node.prototype.copy()]
 
     original_map = state.tree.map_point
 
     def recording_map(point, gamma):
         out = original_map(point, gamma)
-        absorbed.setdefault(out.node_id, []).append(np.asarray(point.coords, float))
+        absorbed.setdefault(out.node_id, []).append(np.asarray(point, float))
         return out
 
     state.tree.map_point = recording_map
@@ -255,8 +253,8 @@ def test_criterion_7_gamma_one_conservation():
     for nid, chunks in absorbed.items():
         node = state.tree.nodes[nid]
         mean = np.mean(chunks, axis=0)
-        assert node.summary.count == pytest.approx(float(len(chunks)), abs=1e-9)
-        gap = float(np.abs(node.summary.prototype - mean).max())
+        assert node.count == pytest.approx(float(len(chunks)), abs=1e-9)
+        gap = float(np.abs(node.prototype - mean).max())
         worst = max(worst, gap)
         assert gap < 1e-9
     print(
@@ -271,12 +269,8 @@ def test_criterion_7_gamma_one_conservation():
 
 def test_criterion_8_operator_contracts():
     def block_solution(k, base):
-        protos = [np.array([base + j, 0.0]) for j in range(k)]
-        return ClusteringSolution(
-            ObjectiveVector(),
-            [ClusterSummary(p) for p in protos],
-            SolutionOrigin.KMEANS,
-        )
+        protos = np.array([[base + j, 0.0] for j in range(k)])
+        return ClusteringSolution(ObjectiveVector(), protos, SolutionOrigin.KMEANS)
 
     cases = 0
     for ka, kb in itertools.product(range(3, 16), repeat=2):
@@ -285,14 +279,10 @@ def test_criterion_8_operator_contracts():
         for i in range(2, min(ka, kb)):
             c1, c2 = crossover(a, b, i)
             low, high = (a, b) if ka <= kb else (b, a)
-            want1 = [c.prototype[0] for c in low.clusters[:i]] + [
-                c.prototype[0] for c in high.clusters[i:]
-            ]
-            want2 = [c.prototype[0] for c in low.clusters[i:]] + [
-                c.prototype[0] for c in high.clusters[:i]
-            ]
-            assert [c.prototype[0] for c in c1.clusters] == want1
-            assert [c.prototype[0] for c in c2.clusters] == want2
+            want1 = list(low.prototypes[:i, 0]) + list(high.prototypes[i:, 0])
+            want2 = list(low.prototypes[i:, 0]) + list(high.prototypes[:i, 0])
+            assert list(c1.prototypes[:, 0]) == want1
+            assert list(c2.prototypes[:, 0]) == want2
             assert sorted([c1.k, c2.k]) == sorted([ka, kb])
             cases += 1
 
@@ -302,12 +292,12 @@ def test_criterion_8_operator_contracts():
             expected = max(1, round(mu * d))
             sol = ClusteringSolution(
                 ObjectiveVector(),
-                [ClusterSummary(np.arange(1.0, d + 1.0)) for _ in range(4)],
+                np.tile(np.arange(1.0, d + 1.0), (4, 1)),
                 SolutionOrigin.KMEANS,
             )
             out = mutate(sol, mu, seed=1000 * d + int(10 * mu))
-            for before, after in zip(sol.clusters, out.clusters):
-                changed = int((before.prototype != after.prototype).sum())
+            for before, after in zip(sol.prototypes, out.prototypes):
+                changed = int((before != after).sum())
                 assert changed == expected, (mu, d, changed, expected)
             mutation_cases += 1
     print(

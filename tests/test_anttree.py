@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from mostream.core import DataPoint, WindowBatch
+from mostream.core import WindowBatch
 from mostream.anttree import (
     RADIUS_SCALE,
     SUPPORT_ID,
@@ -19,8 +19,8 @@ from mostream.anttree import (
 )
 
 
-def _pt(*coords, index=0):
-    return DataPoint(np.array(coords, dtype=float), None, index)
+def _pt(*coords):
+    return np.array(coords, dtype=float)
 
 
 def _window(rows, wid=0):
@@ -65,7 +65,7 @@ class TestConnectAnt:
         out = tree.connect_ant(_pt(0, 0), SUPPORT_ID, Thresholds())
         assert isinstance(out, Connected)
         assert tree.nodes[out.node_id].parent == SUPPORT_ID
-        assert np.allclose(tree.nodes[out.node_id].points[0].coords, [0, 0])
+        assert np.allclose(tree.nodes[out.node_id].points[0], [0, 0])
         assert tree.node_count() == 1
 
     def test_second_child_connects(self):
@@ -83,7 +83,7 @@ class TestConnectAnt:
         out = tree.connect_ant(_pt(1, 0), SUPPORT_ID, Thresholds())
         assert isinstance(out, ResetToSupport)
         # the second subtree was displaced, the new ant took its place
-        displaced = [tuple(p.coords) for p in out.displaced]
+        displaced = [tuple(p) for p in out.displaced]
         assert displaced == [(6.0, 0.0)]
         assert tree.support_reset_done
         assert len(tree.support.children) == 2
@@ -126,7 +126,7 @@ class TestBuild:
         tree = build_initial_tree(_window([[3.0, 4.0]]))
         assert tree.node_count() == 1
         only = tree.nodes[tree.first_level()[0]]
-        assert np.allclose(only.points[0].coords, [3, 4])
+        assert np.allclose(only.points[0], [3, 4])
 
     def test_identical_pair(self):
         tree = build_initial_tree(_window([[1, 1], [1, 1]]))
@@ -144,8 +144,8 @@ class TestBuild:
                 assert not node.points
                 continue
             assert node.points and len(node.points) == 1
-            housed.append(node.points[0].index)
-        assert sorted(housed) == list(range(30))
+            housed.append(tuple(node.points[0]))
+        assert sorted(housed) == sorted(map(tuple, data))
         assert tree.node_count() == 30
 
     def test_scale_fields_set_from_first_window(self):
@@ -168,9 +168,9 @@ class TestAggregate:
         node = tree._new_node(SUPPORT_ID)
         node.points = [_pt(0, 0), _pt(2, 2)]
         tree.aggregate()
-        assert np.allclose(node.summary.prototype, [1, 1])
-        assert node.summary.count == 2.0
-        assert node.summary.weight == 2.0
+        assert np.allclose(node.prototype, [1, 1])
+        assert node.count == 2.0
+        assert node.weight == 2.0
         assert node.points is None
         assert node.radius_sum == pytest.approx(1.5)
         assert node.radius_n == 1
@@ -178,10 +178,10 @@ class TestAggregate:
     def test_idempotent(self):
         tree = build_initial_tree(_window([[0, 0], [4, 4]]))
         tree.aggregate()
-        before = {nid: n.summary.prototype.copy() for nid, n in tree.nodes.items() if nid}
+        before = {nid: n.prototype.copy() for nid, n in tree.nodes.items() if nid}
         tree.aggregate()
         for nid, proto in before.items():
-            assert np.array_equal(tree.nodes[nid].summary.prototype, proto)
+            assert np.array_equal(tree.nodes[nid].prototype, proto)
 
     def test_no_raw_points_survive(self):
         rng = np.random.default_rng(0)
@@ -205,12 +205,12 @@ class TestMapPoint:
     def test_exact_prototype_is_fixed_point(self):
         tree = self._two_node_tree()
         nid = tree.first_level()[0]
-        proto = tree.nodes[nid].summary.prototype.copy()
-        out = tree.map_point(DataPoint(proto.copy(), None, 0), 0.7)
+        proto = tree.nodes[nid].prototype.copy()
+        out = tree.map_point(proto.copy(), 0.7)
         assert not out.created
         assert out.node_id == nid
         assert out.distance == 0.0
-        assert np.allclose(tree.nodes[nid].summary.prototype, proto)
+        assert np.allclose(tree.nodes[nid].prototype, proto)
 
     def test_boundary_distance_is_accepted(self):
         tree = self._two_node_tree()
@@ -227,8 +227,8 @@ class TestMapPoint:
         assert tree.node_count() == before + 1
         fresh = tree.nodes[out.node_id]
         assert fresh.parent == SUPPORT_ID
-        assert fresh.summary.weight == 0.0
-        assert fresh.summary.count == 1.0
+        assert fresh.weight == 0.0
+        assert fresh.count == 1.0
         assert fresh.absorbed_this_window == 1.0
 
     def test_rejected_claim_still_widens_radius(self):
@@ -247,8 +247,8 @@ class TestMapPoint:
         node = tree.nodes[nid]
         tree.map_point(_pt(-2.0, 0.0), 1.0)
         # gamma=1: mean of (0,0) and (-2,0)
-        assert np.allclose(node.summary.prototype, [-1.0, 0.0])
-        assert node.summary.count == 2.0
+        assert np.allclose(node.prototype, [-1.0, 0.0])
+        assert node.count == 2.0
 
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()
@@ -262,7 +262,7 @@ class TestWindowTick:
         tree.aggregate()
         tree.decay_counts(0.7)
         assert all(
-            n.summary.count == pytest.approx(0.7)
+            n.count == pytest.approx(0.7)
             for nid, n in tree.nodes.items()
             if nid != SUPPORT_ID
         )
@@ -272,7 +272,7 @@ class TestWindowTick:
         tree.aggregate()
         tree.decay_counts(1.0)
         assert all(
-            n.summary.count == 1.0
+            n.count == 1.0
             for nid, n in tree.nodes.items()
             if nid != SUPPORT_ID
         )
@@ -283,7 +283,7 @@ class TestWindowTick:
         nid = tree.first_level()[0]
         tree.nodes[nid].absorbed_this_window = 3.0
         tree.fade_and_prune(0.7, threshold=0.0)
-        assert tree.nodes[nid].summary.weight == pytest.approx(0.7 * 1.0 + 3.0)
+        assert tree.nodes[nid].weight == pytest.approx(0.7 * 1.0 + 3.0)
         assert tree.nodes[nid].absorbed_this_window == 0.0
 
     def test_starved_leaf_pruned_inner_node_waits(self):
@@ -296,8 +296,8 @@ class TestWindowTick:
         x.points = [_pt(0, 0)]
         y.points = [_pt(1, 1)]
         tree.aggregate()
-        x.summary.weight = 0.01
-        y.summary.weight = 0.01
+        x.weight = 0.01
+        y.weight = 0.01
         removed = tree.fade_and_prune(0.7, threshold=0.1)
         assert removed == 1
         assert y.node_id not in tree.nodes
@@ -312,8 +312,8 @@ class TestWindowTick:
         a.points = [_pt(0, 0)]
         b.points = [_pt(5, 5)]
         tree.aggregate()
-        a.summary.weight = 0.01
-        b.summary.weight = 0.02
+        a.weight = 0.01
+        b.weight = 0.02
         tree.fade_and_prune(0.7, threshold=1.0)
         assert set(tree.nodes) == {SUPPORT_ID, b.node_id}
 
@@ -325,8 +325,8 @@ class TestWindowTick:
         a.points = [_pt(0, 0)]
         b.points = [_pt(5, 5)]
         tree.aggregate()
-        a.summary.weight = 0.01
-        b.summary.weight = 0.01
+        a.weight = 0.01
+        b.weight = 0.01
         tree.fade_and_prune(0.7, threshold=1.0)
         assert set(tree.nodes) == {SUPPORT_ID, a.node_id}
 
@@ -384,12 +384,12 @@ class TestMacroClusters:
         a.points = [_pt(0, 0)]
         b.points = [_pt(2, 2)]
         tree.aggregate()
-        a.summary.count = 1.0
-        b.summary.count = 3.0
+        a.count = 1.0
+        b.count = 3.0
         macro = tree.macro_clusters()
         assert macro.k == 1
-        assert np.allclose(macro.clusters[0].prototype, [1.5, 1.5])
-        assert macro.clusters[0].count == 4.0
+        assert np.allclose(macro.prototypes[0], [1.5, 1.5])
+        assert macro.counts[0] == 4.0
 
     def test_one_cluster_per_first_level_subtree(self):
         tree = TreeSynopsis(2)
@@ -406,9 +406,9 @@ class TestMacroClusters:
         a = tree._new_node(SUPPORT_ID)
         a.points = [_pt(4, 0)]
         tree.aggregate()
-        a.summary.count = 0.0
+        a.count = 0.0
         macro = tree.macro_clusters()
-        assert np.allclose(macro.clusters[0].prototype, [4, 0])
+        assert np.allclose(macro.prototypes[0], [4, 0])
 
     def test_empty_tree_rejected(self):
         tree = TreeSynopsis(2)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mostream.core import (
-    ClusterSummary,
     ClusteringSolution,
     ObjectiveVector,
     SolutionOrigin,
@@ -24,11 +23,10 @@ from oracles import exact_mean
 
 
 def _solution(protos, weights=None):
-    clusters = [ClusterSummary(np.asarray(p, float)) for p in protos]
-    if weights is not None:
-        for c, w in zip(clusters, weights):
-            c.weight = w
-    return ClusteringSolution(ObjectiveVector(), clusters, SolutionOrigin.KMEANS, 0)
+    return ClusteringSolution(
+        ObjectiveVector(), np.asarray(protos, float), SolutionOrigin.KMEANS, 0,
+        weights=weights,
+    )
 
 
 class TestWindowBatch:
@@ -48,13 +46,12 @@ class TestWindowBatch:
         w = WindowBatch(np.zeros((4, 2)), 3, start_index=100)
         assert list(w.indices) == [100, 101, 102, 103]
 
-    def test_points_iteration_preserves_order_and_labels(self):
-        data = np.arange(6, dtype=float).reshape(3, 2)
-        w = WindowBatch(data, 0, labels=np.array([5, 6, 7]), start_index=10)
-        pts = list(w.points())
-        assert [p.index for p in pts] == [10, 11, 12]
-        assert [p.label for p in pts] == [5, 6, 7]
-        assert np.array_equal(pts[1].coords, data[1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_row(self, bad):
+        data = np.zeros((3, 2))
+        data[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            WindowBatch(data, 0)
 
 
 class TestNearestCluster:
@@ -105,38 +102,50 @@ class TestNearestCluster:
 
 class TestMergePrototype:
     def test_equal_weight_mean_at_gamma_one(self):
-        c = ClusterSummary(np.array([0.0, 0.0]), count=2.0)
-        out = merge_prototype(c, np.array([2.0, 2.0]), 2.0, 1.0)
-        assert np.allclose(out.prototype, [1.0, 1.0])
-        assert out.count == 4.0
+        proto, count = merge_prototype(
+            np.array([0.0, 0.0]), 2.0, np.array([2.0, 2.0]), 2.0, 1.0
+        )
+        assert np.allclose(proto, [1.0, 1.0])
+        assert count == 4.0
 
     def test_decayed_merge(self):
         # (4*2*0.5 + 1*1) / (2*0.5 + 1) = 5/2
-        c = ClusterSummary(np.array([4.0]), count=2.0)
-        out = merge_prototype(c, np.array([1.0]), 1.0, 0.5)
-        assert np.allclose(out.prototype, [2.5])
-        assert out.count == pytest.approx(2.0)
+        proto, count = merge_prototype(np.array([4.0]), 2.0, np.array([1.0]), 1.0, 0.5)
+        assert np.allclose(proto, [2.5])
+        assert count == pytest.approx(2.0)
 
     def test_fixed_point_when_batch_equals_prototype(self):
-        c = ClusterSummary(np.array([3.0, -1.0]), count=7.0)
-        out = merge_prototype(c, np.array([3.0, -1.0]), 5.0, 0.7)
-        assert np.allclose(out.prototype, c.prototype)
+        row = np.array([3.0, -1.0])
+        proto, _ = merge_prototype(row, 7.0, row.copy(), 5.0, 0.7)
+        assert np.allclose(proto, row)
 
     def test_rejects_nonpositive_batch(self):
-        c = ClusterSummary(np.array([0.0]))
         with pytest.raises(ValueError):
-            merge_prototype(c, np.array([1.0]), 0.0, 0.7)
+            merge_prototype(np.array([0.0]), 1.0, np.array([1.0]), 0.0, 0.7)
 
     def test_rejects_bad_gamma(self):
-        c = ClusterSummary(np.array([0.0]))
         for g in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                merge_prototype(c, np.array([1.0]), 1.0, g)
+                merge_prototype(np.array([0.0]), 1.0, np.array([1.0]), 1.0, g)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            merge_prototype(np.array([0.0]), 1.0, np.array([1.0, 2.0]), 1.0, 0.7)
 
     def test_input_cluster_unchanged(self):
-        c = ClusterSummary(np.array([4.0]), count=2.0)
-        merge_prototype(c, np.array([1.0]), 1.0, 0.5)
-        assert c.prototype[0] == 4.0 and c.count == 2.0
+        protos, counts = np.array([[4.0]]), np.array([2.0])
+        merge_prototype(protos, counts, np.array([[1.0]]), np.array([1.0]), 0.5)
+        assert protos[0, 0] == 4.0 and counts[0] == 2.0
+
+    def test_rows_merge_like_single_clusters(self):
+        rng = np.random.default_rng(4)
+        protos, means = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        counts, sizes = rng.uniform(0.5, 9, 5), rng.integers(1, 20, 5).astype(float)
+        rows, new_counts = merge_prototype(protos, counts, means, sizes, 0.7)
+        for i in range(5):
+            one, n = merge_prototype(protos[i], counts[i], means[i], sizes[i], 0.7)
+            assert np.array_equal(rows[i], one)
+            assert new_counts[i] == n
 
     @given(
         st.lists(
@@ -152,29 +161,32 @@ class TestMergePrototype:
     def test_gamma_one_is_streaming_mean(self, batches):
         """Per-window merging at gamma=1 conserves the exact mean."""
         dim = 1
-        cluster = ClusterSummary(np.array([float(batches[0][0])]), count=1.0)
+        proto, count = np.array([float(batches[0][0])]), 1.0
         everything = [batches[0][0]]
         for batch in batches[1:] or [[0.0]]:
             arr = np.array(batch, float).reshape(-1, dim)
-            cluster = merge_prototype(cluster, arr.mean(axis=0), float(len(arr)), 1.0)
+            proto, count = merge_prototype(
+                proto, count, arr.mean(axis=0), float(len(arr)), 1.0
+            )
             everything.extend(batch)
-        assert cluster.prototype[0] == pytest.approx(
+        assert proto[0] == pytest.approx(
             exact_mean(everything), abs=1e-9, rel=1e-9
         )
 
 
 class TestFadeWeight:
     def test_decay_only(self):
-        c = ClusterSummary(np.array([0.0]), weight=1.0)
-        assert fade_weight(c, 0.7).weight == pytest.approx(0.7)
+        assert fade_weight(1.0, 0.7) == pytest.approx(0.7)
 
     def test_near_zero_gamma_kills_weight(self):
-        c = ClusterSummary(np.array([0.0]), weight=0.5)
-        assert fade_weight(c, 1e-12).weight == pytest.approx(0.0, abs=1e-9)
+        assert fade_weight(0.5, 1e-12) == pytest.approx(0.0, abs=1e-9)
 
     def test_refresh_term_adds_assigned(self):
-        c = ClusterSummary(np.array([0.0]), weight=1.0)
-        assert fade_weight(c, 0.7, assigned=3.0).weight == pytest.approx(3.7)
+        assert fade_weight(1.0, 0.7, assigned=3.0) == pytest.approx(3.7)
+
+    def test_per_cluster_rows(self):
+        out = fade_weight(np.array([1.0, 2.0]), 0.5, np.array([0.0, 3.0]))
+        assert np.allclose(out, [0.5, 4.0])
 
     def test_unfed_cluster_prunes_after_window_seven(self):
         # independent oracle: smallest t with 0.7^t < 0.1
@@ -183,25 +195,23 @@ class TestFadeWeight:
             w *= 0.7
             t += 1
         assert t == 7
-        c = ClusterSummary(np.array([0.0]), weight=1.0)
+        weight = 1.0
         for window in range(1, 8):
-            c = fade_weight(c, 0.7)
+            weight = fade_weight(weight, 0.7)
             if window < 7:
-                assert c.weight >= 0.1
-        assert c.weight < 0.1
+                assert weight >= 0.1
+        assert weight < 0.1
 
     def test_strictly_decreasing_without_feed(self):
-        c = ClusterSummary(np.array([0.0]), weight=2.0)
-        prev = c.weight
+        prev = 2.0
         for _ in range(20):
-            c = fade_weight(c, 0.9)
-            assert c.weight < prev
-            prev = c.weight
+            weight = fade_weight(prev, 0.9)
+            assert weight < prev
+            prev = weight
 
     def test_rejects_negative_assigned(self):
-        c = ClusterSummary(np.array([0.0]))
         with pytest.raises(ValueError):
-            fade_weight(c, 0.7, assigned=-1.0)
+            fade_weight(1.0, 0.7, assigned=-1.0)
 
 
 class TestPruneOutdated:
@@ -217,12 +227,12 @@ class TestPruneOutdated:
         sol = _solution([(0, 0), (1, 1)], weights=[0.01, 0.02])
         out = prune_outdated(sol, 0.1)
         assert out.k == 1
-        assert np.allclose(out.clusters[0].prototype, [1, 1])
+        assert np.allclose(out.prototypes[0], [1, 1])
 
     def test_all_starved_tie_keeps_lowest_index(self):
         sol = _solution([(0, 0), (1, 1)], weights=[0.01, 0.01])
         out = prune_outdated(sol, 0.1)
-        assert np.allclose(out.clusters[0].prototype, [0, 0])
+        assert np.allclose(out.prototypes[0], [0, 0])
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
@@ -233,7 +243,7 @@ class TestChromosome:
     def test_layout(self):
         sol = ClusteringSolution(
             ObjectiveVector(3.0, 1.5),
-            [ClusterSummary(np.array([0.0, 0.0])), ClusterSummary(np.array([1.0, 1.0]))],
+            np.array([[0.0, 0.0], [1.0, 1.0]]),
             SolutionOrigin.KMEANS,
         )
         assert list(serialize_chromosome(sol)) == [3.0, 1.5, 0.0, 0.0, 1.0, 1.0]
@@ -243,7 +253,7 @@ class TestChromosome:
         assert sol.k == 2
         assert sol.objectives.compactness == 3.0
         assert sol.objectives.separateness == 1.5
-        assert np.allclose(sol.prototype_matrix(), [[0, 0], [1, 1]])
+        assert np.allclose(sol.prototypes, [[0, 0], [1, 1]])
 
     def test_arity_error(self):
         with pytest.raises(ValueError):
@@ -260,7 +270,7 @@ class TestChromosome:
             d = int(rng.integers(1, 5))
             sol = ClusteringSolution(
                 ObjectiveVector(float(rng.uniform(0, 50)), float(rng.uniform(0, 50))),
-                [ClusterSummary(rng.normal(size=d)) for _ in range(k)],
+                rng.normal(size=(k, d)),
                 SolutionOrigin.MUTATION,
             )
             rec = serialize_chromosome(sol)
@@ -268,7 +278,7 @@ class TestChromosome:
             assert back.k == sol.k
             assert back.objectives.compactness == sol.objectives.compactness
             assert back.objectives.separateness == sol.objectives.separateness
-            assert np.array_equal(back.prototype_matrix(), sol.prototype_matrix())
+            assert np.array_equal(back.prototypes, sol.prototypes)
             # the record itself round-trips bit-for-bit
             assert np.array_equal(serialize_chromosome(back), rec)
 
@@ -278,11 +288,20 @@ class TestSolutionCopy:
         sol = _solution([(0, 0), (1, 1)])
         sol.prev_compactness = 9.0
         dup = sol.copy()
-        dup.clusters[0].prototype[0] = 99.0
-        dup.clusters.pop()
-        assert sol.k == 2
-        assert sol.clusters[0].prototype[0] == 0.0
+        dup.prototypes[0, 0] = 99.0
+        dup.counts[0] = dup.weights[0] = 5.0
+        dup.keep([0])
+        assert sol.k == 2 and dup.k == 1
+        assert sol.prototypes[0, 0] == 0.0
+        assert sol.counts[0] == sol.weights[0] == 1.0
         assert dup.prev_compactness == 9.0
+
+    def test_rejects_mismatched_counts(self):
+        with pytest.raises(ValueError):
+            ClusteringSolution(
+                ObjectiveVector(), np.zeros((2, 2)), SolutionOrigin.KMEANS,
+                counts=np.ones(3),
+            )
 
 
 class TestStreamConfig:

@@ -177,15 +177,15 @@ class TestFinalize:
         best, dbi = select_best(state.archive, four_blob_window)
         assert sel.dbi == dbi
         assert np.array_equal(
-            sel.solution.prototype_matrix(), best.prototype_matrix()
+            sel.solution.prototypes, best.prototypes
         )
 
     def test_selection_is_detached_copy(self, four_blob_window):
         state = initialize(four_blob_window, StreamConfig())
         sel = finalize(state)
-        sel.solution.clusters[0].prototype[:] = 1e9
+        sel.solution.prototypes[0] = 1e9
         for member in state.archive:
-            assert not np.any(member.prototype_matrix() >= 1e9)
+            assert not np.any(member.prototypes >= 1e9)
 
     def test_assignments_match_solution(self, four_blob_window):
         state = initialize(four_blob_window, StreamConfig())
@@ -263,13 +263,13 @@ class TestGammaOneConservation:
         absorbed = {}
         for nid, node in state.tree.nodes.items():
             if nid != 0:
-                absorbed[nid] = [node.summary.prototype * node.summary.count]
+                absorbed[nid] = [node.prototype * node.count]
 
         original_map = state.tree.map_point
 
         def recording_map(point, gamma):
             out = original_map(point, gamma)
-            absorbed.setdefault(out.node_id, []).append(np.asarray(point.coords, float))
+            absorbed.setdefault(out.node_id, []).append(np.asarray(point, float))
             return out
 
         state.tree.map_point = recording_map
@@ -281,10 +281,10 @@ class TestGammaOneConservation:
                 continue
             node = state.tree.nodes[nid]
             total = np.sum(chunks, axis=0)
-            count = node.summary.count
+            count = node.count
             # every build node houses exactly one point, so chunk count is
             # the number of points this node has ever held
             assert count == pytest.approx(float(len(chunks)))
             assert np.allclose(
-                node.summary.prototype, total / count, atol=1e-9, rtol=0
+                node.prototype, total / count, atol=1e-9, rtol=0
             )

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mostream.core import (
-    ClusterSummary,
     ClusteringSolution,
     ObjectiveVector,
     SolutionOrigin,
@@ -35,7 +34,7 @@ from mostream.seeders import SeederParams, kmeans_sweep
 def _sol(protos, c=0.0, s=0.0, sid=0):
     return ClusteringSolution(
         ObjectiveVector(c, s),
-        [ClusterSummary(np.asarray(p, float)) for p in protos],
+        np.asarray(protos, float),
         SolutionOrigin.KMEANS,
         sid,
     )
@@ -105,8 +104,8 @@ class TestCrossover:
         a = _sol([(1, 1), (2, 2), (3, 3)], sid=1)
         b = _sol([(11, 11), (12, 12), (13, 13), (14, 14)], sid=2)
         c1, c2 = crossover(a, b, 2)
-        assert [p.prototype[0] for p in c1.clusters] == [1, 2, 13, 14]
-        assert [p.prototype[0] for p in c2.clusters] == [3, 11, 12]
+        assert list(c1.prototypes[:, 0]) == [1, 2, 13, 14]
+        assert list(c2.prototypes[:, 0]) == [3, 11, 12]
         assert {c1.k, c2.k} == {3, 4}
         assert c1.origin is SolutionOrigin.CROSSOVER
 
@@ -115,15 +114,17 @@ class TestCrossover:
         b = _sol([(11, 11), (12, 12), (13, 13), (14, 14)], sid=2)
         x1, x2 = crossover(a, b, 2)
         y1, y2 = crossover(b, a, 2)
-        assert np.array_equal(x1.prototype_matrix(), y1.prototype_matrix())
-        assert np.array_equal(x2.prototype_matrix(), y2.prototype_matrix())
+        assert np.array_equal(x1.prototypes, y1.prototypes)
+        assert np.array_equal(x2.prototypes, y2.prototypes)
 
     def test_children_are_deep_copies(self):
         a = _sol([(1, 1), (2, 2), (3, 3)], sid=1)
         b = _sol([(11, 11), (12, 12), (13, 13)], sid=2)
         c1, _ = crossover(a, b, 2)
-        c1.clusters[0].prototype[0] = 99.0
-        assert a.clusters[0].prototype[0] == 1.0
+        c1.prototypes[0, 0] = 99.0
+        c1.counts[0] = c1.weights[0] = 7.0
+        assert a.prototypes[0, 0] == 1.0
+        assert a.counts[0] == a.weights[0] == 1.0
 
     def test_small_parents_rejected(self):
         a = _sol([(1, 1), (2, 2)])
@@ -151,7 +152,7 @@ class TestCrossover:
         assert sorted([c1.k, c2.k]) == sorted([ka, kb])
         # every child prototype came from exactly one parent block
         merged = sorted(
-            [p.prototype[0] for p in c1.clusters] + [p.prototype[0] for p in c2.clusters]
+            list(c1.prototypes[:, 0]) + list(c2.prototypes[:, 0])
         )
         assert merged == sorted(
             [float(j) for j in range(ka)] + [100.0 + j for j in range(kb)]
@@ -167,30 +168,30 @@ class TestMutate:
         protos = [np.arange(1, d + 1, dtype=float) for _ in range(3)]
         sol = _sol(protos)
         out = mutate(sol, mu, seed=5)
-        for before, after in zip(sol.clusters, out.clusters):
-            changed = int((before.prototype != after.prototype).sum())
+        for before, after in zip(sol.prototypes, out.prototypes):
+            changed = int((before != after).sum())
             assert changed == expected
 
     def test_zero_coordinates_are_fixed_points(self):
         sol = _sol([(0.0, 0.0), (0.0, 0.0)])
         out = mutate(sol, 1.0, seed=1)
-        assert np.array_equal(out.prototype_matrix(), sol.prototype_matrix())
+        assert np.array_equal(out.prototypes, sol.prototypes)
 
     def test_step_bounded_by_own_magnitude(self):
         sol = _sol([np.full(6, 8.0)])
         out = mutate(sol, 1.0, seed=3)
-        delta = np.abs(out.clusters[0].prototype - 8.0)
+        delta = np.abs(out.prototypes[0] - 8.0)
         assert (delta <= 8.0).all()
 
     def test_metadata(self):
         sol = _sol([(1.0, 2.0), (3.0, 4.0)], sid=77)
-        sol.clusters[0].count = 5.0
-        sol.clusters[0].weight = 2.5
+        sol.counts[0] = 5.0
+        sol.weights[0] = 2.5
         out = mutate(sol, 0.5, seed=0)
         assert out.origin is SolutionOrigin.MUTATION
         assert out.solution_id == -1
-        assert out.clusters[0].count == 5.0
-        assert out.clusters[0].weight == 2.5
+        assert out.counts[0] == 5.0
+        assert out.weights[0] == 2.5
         # source untouched
         assert sol.origin is SolutionOrigin.KMEANS
 
@@ -198,7 +199,21 @@ class TestMutate:
         sol = _sol([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
         a = mutate(sol, 0.5, seed=11)
         b = mutate(sol, 0.5, seed=11)
-        assert np.array_equal(a.prototype_matrix(), b.prototype_matrix())
+        assert np.array_equal(a.prototypes, b.prototypes)
+
+    @pytest.mark.parametrize("mu,d", [(0.2, 2), (0.5, 7), (1.0, 16)])
+    def test_matches_per_coordinate_draw_order(self, mu, d):
+        # reference: per prototype one choice, then per chosen coordinate a
+        # step draw and a sign draw; replay depends on this order
+        sol = _sol(np.random.default_rng(d).normal(size=(4, d)))
+        want = sol.prototypes.copy()
+        rng = np.random.default_rng(21)
+        for row in want:
+            for pos in rng.choice(d, size=max(1, round(mu * d)), replace=False):
+                rho = rng.uniform(0.0, 1.0)
+                sign = 1.0 if rng.uniform(0.0, 1.0) < 0.5 else -1.0
+                row[pos] += sign * rho * row[pos]
+        assert np.array_equal(mutate(sol, mu, seed=21).prototypes, want)
 
     @pytest.mark.parametrize("mu", [0.0, -0.2, 1.5])
     def test_rate_bounds(self, mu):
@@ -260,7 +275,7 @@ class TestBreed:
         out = breed([parent], snap, cfg, np.random.default_rng(2), _id_counter())
         mutant = out[0]
         dists = np.linalg.norm(
-            snap.data[:, None, :] - mutant.prototype_matrix()[None, :, :], axis=2
+            snap.data[:, None, :] - mutant.prototypes[None, :, :], axis=2
         ).min(axis=1)
         assert mutant.objectives.compactness == pytest.approx(
             cfg.gamma * 5.0 + dists.sum()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mostream.core import (
     ClusteringSolution,
-    ClusterSummary,
     ObjectiveVector,
     SolutionOrigin,
 )
@@ -18,8 +17,7 @@ from oracles import arand_oracle, nmi_oracle
 
 
 def _solution(protos, sol_id=0):
-    clusters = [ClusterSummary(np.asarray(p, dtype=float)) for p in protos]
-    return ClusteringSolution(ObjectiveVector(), clusters,
+    return ClusteringSolution(ObjectiveVector(), np.asarray(protos, dtype=float),
                               SolutionOrigin.KMEANS, sol_id)
 
 

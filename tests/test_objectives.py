@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mostream.core import (
     ClusteringSolution,
-    ClusterSummary,
     ObjectiveVector,
     SolutionOrigin,
     WindowBatch,
@@ -25,8 +24,8 @@ from oracles import hypervolume_raster
 
 
 def _protos(points, sol_id=0, compactness=0.0, sep=0.0):
-    clusters = [ClusterSummary(np.asarray(p, dtype=float)) for p in points]
-    return ClusteringSolution(ObjectiveVector(compactness, sep), clusters,
+    return ClusteringSolution(ObjectiveVector(compactness, sep),
+                              np.asarray(points, dtype=float),
                               SolutionOrigin.KMEANS, sol_id)
 
 
@@ -75,8 +74,7 @@ class TestSeparateness:
         assert separateness(_protos([(2, 2)])) == 0.0
 
     def test_collinear_min_then_mean(self):
-        clusters = [ClusterSummary(np.array([v])) for v in (0.0, 1.0, 10.0)]
-        sol = ClusteringSolution(ObjectiveVector(), clusters,
+        sol = ClusteringSolution(ObjectiveVector(), np.array([[0.0], [1.0], [10.0]]),
                                  SolutionOrigin.KMEANS, 0)
         assert separateness(sol) == pytest.approx(11.0 / 3.0)
 

@@ -52,7 +52,7 @@ class TestSeederParams:
 class TestKMeans:
     def test_recovers_far_triples_exactly(self, triples):
         sol = seed_kmeans(triples, 3, seed=0)
-        got = np.array(sorted(map(tuple, sol.prototype_matrix())))
+        got = np.array(sorted(map(tuple, sol.prototypes)))
         third = 1.0 / 3.0
         want = np.array([[0.0, third], [0.0, 100 + third], [100.0, third]])
         assert np.allclose(got, want)
@@ -62,7 +62,7 @@ class TestKMeans:
         w = _window([[0, 0], [2, 0], [4, 6]])
         sol = seed_kmeans(w, 1, seed=0)
         assert sol.k == 1
-        assert np.allclose(sol.clusters[0].prototype, [2.0, 2.0])
+        assert np.allclose(sol.prototypes[0], [2.0, 2.0])
 
     def test_k_beyond_window_rejected(self):
         w = _window([[0, 0], [1, 1]])
@@ -81,7 +81,7 @@ class TestKMeans:
     def test_deterministic_per_seed(self, triples):
         a = seed_kmeans(triples, 3, seed=9)
         b = seed_kmeans(triples, 3, seed=9)
-        assert np.array_equal(a.prototype_matrix(), b.prototype_matrix())
+        assert np.array_equal(a.prototypes, b.prototypes)
 
     def test_duplicate_heavy_window_collapses_coincident_centers(self):
         # only two distinct values exist, so the re-seeded third center lands
@@ -90,7 +90,7 @@ class TestKMeans:
         for seed in (0, 1, 5):
             sol = seed_kmeans(w, 3, seed=seed)
             assert sol.k == 2
-            assert sorted(float(c.prototype[0]) for c in sol.clusters) == [0.0, 10.0]
+            assert sorted(sol.prototypes[:, 0].tolist()) == [0.0, 10.0]
 
     def test_sweep_yields_one_solution_per_k(self, rng):
         data = rng.normal(size=(40, 2))
@@ -123,7 +123,7 @@ class TestDBScan:
         with caplog.at_level(logging.WARNING):
             sol = seed_dbscan(w, min_pts=3, radius=1.0)
         assert sol.k == 1
-        assert np.allclose(sol.clusters[0].prototype, [25.0, 25.0])
+        assert np.allclose(sol.prototypes[0], [25.0, 25.0])
         assert any("no core points" in r.message for r in caplog.records)
 
     def test_memberships_order_independent(self):
@@ -135,7 +135,7 @@ class TestDBScan:
 
         def partition(window):
             sol = seed_dbscan(window, min_pts=8, radius=2.0)
-            protos = sol.prototype_matrix()
+            protos = sol.prototypes
             from mostream.core import assign_batch
 
             labels = assign_batch(sol, window.data)
@@ -168,7 +168,7 @@ class TestGNG:
         for seed in (0, 1, 7):
             sol = seed_gng(two_blobs, SeederParams(), seed)
             assert sol.k == 2
-            protos = sol.prototype_matrix()
+            protos = sol.prototypes
             protos = protos[np.argsort(protos[:, 0])]
             assert np.allclose(protos[0], [0.0, 0.0], atol=0.2)
             assert np.allclose(protos[1], [12.0, 12.0], atol=0.2)
@@ -185,7 +185,7 @@ class TestGNG:
     def test_deterministic_per_seed(self, two_blobs):
         a = seed_gng(two_blobs, SeederParams(), seed=3)
         b = seed_gng(two_blobs, SeederParams(), seed=3)
-        assert np.array_equal(a.prototype_matrix(), b.prototype_matrix())
+        assert np.array_equal(a.prototypes, b.prototypes)
 
     def test_node_budget_respected(self, two_blobs):
         params = SeederParams(gng_max_nodes=4, gng_insert_every=10)
