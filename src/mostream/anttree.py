@@ -178,7 +178,7 @@ class TreeSynopsis:
         Points farther apart than the first window's diameter give values
         below zero; ordering is what matters there, so no clamping.
         """
-        dist = float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
+        dist = float(np.sqrt(sq_dist(np.asarray(a, float), np.asarray(b, float))))
         if self.sim_scale <= 0.0:
             return 1.0 if dist == 0.0 else 0.0
         return 1.0 - dist / self.sim_scale

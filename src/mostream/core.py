@@ -32,8 +32,9 @@ class WindowBatch:
     """One window of the stream, stored as a dense (n, d) block.
 
     Every value must be finite: a NaN prototype would win every nearest-node
-    search downstream. ``labels`` is None for unlabeled streams. ``start_index`` is the arrival
-    index of the first row; indices are contiguous within a window.
+    search downstream. ``labels`` is None for unlabeled streams.
+    ``start_index`` is the arrival index of the first row; indices are
+    contiguous within a window.
     """
 
     data: np.ndarray

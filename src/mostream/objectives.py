@@ -48,12 +48,17 @@ def update_compactness(
     return value
 
 
-def _knn_neighborhood(protos: np.ndarray) -> dict[int, set[int]]:
-    k = len(protos)
+def _distances(protos: np.ndarray) -> np.ndarray:
+    """(K, K) matrix of prototype-to-prototype distances."""
+    return np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
+
+
+def _knn_neighborhood(d: np.ndarray) -> dict[int, set[int]]:
+    """Each row's nearest other rows of a (K, K) distance matrix."""
+    k = len(d)
     if k <= 1:
         return {0: set()} if k else {}
-    d = np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
-    np.fill_diagonal(d, np.inf)
+    d = np.where(np.eye(k, dtype=bool), np.inf, d)
     out: dict[int, set[int]] = {}
     for i in range(k):
         if k - 1 <= NEIGHBORHOOD_SIZE:
@@ -67,7 +72,7 @@ def _knn_neighborhood(protos: np.ndarray) -> dict[int, set[int]]:
 def default_neighborhood(solution: ClusteringSolution) -> dict[int, set[int]]:
     """Each cluster's neighbors: its 3 nearest clusters by prototype distance
     (everything else when K <= 4)."""
-    return _knn_neighborhood(solution.prototypes)
+    return _knn_neighborhood(_distances(solution.prototypes))
 
 
 def separateness(
@@ -91,9 +96,9 @@ def separateness(
             raise ValueError("active cluster indices out of range")
     if len(act) <= 1:
         return 0.0
-    protos = solution.prototypes
+    d = _distances(solution.prototypes)
     if neighborhood is None:
-        sub = _knn_neighborhood(protos[act])
+        sub = _knn_neighborhood(d[np.ix_(act, act)])
         neighborhood = {act[i]: {act[j] for j in nbrs} for i, nbrs in sub.items()}
     in_act = set(act)
     vals = []
@@ -101,8 +106,7 @@ def separateness(
         nbrs = set(neighborhood.get(i, set())) & in_act - {i}
         if not nbrs:
             raise ValueError(f"cluster {i} has an empty neighborhood")
-        dists = [float(np.linalg.norm(protos[i] - protos[j])) for j in sorted(nbrs)]
-        vals.append(min(dists))
+        vals.append(d[i, sorted(nbrs)].min())
     return float(np.mean(vals))
 
 
