@@ -117,13 +117,22 @@ def _derive_seed(base: int, window_id: int, counter: int) -> int:
 
 
 def _window_report(
-    state: EngineState, window: WindowBatch, elapsed_ms: Optional[float]
+    state: EngineState,
+    window: WindowBatch,
+    elapsed_ms: Optional[float],
+    assignments: Optional[dict[int, np.ndarray]] = None,
 ) -> WindowReport:
-    best, best_dbi = select_best(state.archive, window)
+    """Score and record the window. ``assignments`` maps solution ids to
+    labels already computed on this window, so those members skip a second
+    assignment."""
+    assignments = assignments or {}
+    best, best_dbi = select_best(state.archive, window, assignments)
     best_fit = min(fitness_score(s) for s in state.archive)
     score_nmi = score_arand = None
     if window.labels is not None and len(window) >= 2:
-        pred = assign_batch(best, window.data)
+        pred = assignments.get(best.solution_id)
+        if pred is None:
+            pred = assign_batch(best, window.data)
         score_nmi = nmi(window.labels, pred)
         score_arand = arand(window.labels, pred)
     report = WindowReport(
@@ -246,10 +255,11 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     state.tree.fade_and_prune(cfg.gamma, cfg.prune_threshold)
 
     # (4) separateness reflects the moved/pruned prototypes, counting only
-    # the clusters the window still feeds
+    # the clusters the window still feeds; the labels serve the report too
+    assignments: dict[int, np.ndarray] = {}
     for clone in pruned:
-        held = np.unique(assign_batch(clone, window.data))
-        clone.objectives.separateness = separateness(clone, active=held.tolist())
+        labels = assignments[clone.solution_id] = assign_batch(clone, window.data)
+        clone.objectives.separateness = separateness(clone, active=labels)
 
     # (5) the tree re-offers its macro view as a candidate
     macro = state.tree.macro_clusters(solution_id=-1)
@@ -269,7 +279,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     state.window_id = window.window_id
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return _window_report(state, window, elapsed)
+    return _window_report(state, window, elapsed, assignments)
 
 
 def on_idle(

@@ -101,11 +101,17 @@ def mutate(solution: ClusteringSolution, mu: float, seed: int) -> ClusteringSolu
     out.solution_id = -1
     d = solution.dim
     n_mut = max(1, round(mu * d))
-    for row in out.prototypes:
-        pos = rng.choice(d, size=n_mut, replace=False)
-        # per chosen coordinate: the step fraction, then the sign draw
-        rho, flip = rng.uniform(0.0, 1.0, size=(n_mut, 2)).T
-        row[pos] += np.where(flip < 0.5, 1.0, -1.0) * rho * row[pos]
+    # draws stay in per-prototype order: its coordinates, then per chosen
+    # coordinate the step fraction and the sign draw; one update applies them
+    pos = np.empty((solution.k, n_mut), dtype=np.intp)
+    draws = np.empty((solution.k, n_mut, 2))
+    for i in range(solution.k):
+        pos[i] = rng.choice(d, size=n_mut, replace=False)
+        draws[i] = rng.uniform(0.0, 1.0, size=(n_mut, 2))
+    rho, flip = draws[..., 0], draws[..., 1]
+    rows = np.arange(solution.k)[:, None]
+    old = out.prototypes[rows, pos]
+    out.prototypes[rows, pos] = old + np.where(flip < 0.5, 1.0, -1.0) * rho * old
     return out
 
 

@@ -123,30 +123,30 @@ def davies_bouldin(
             return INFINITE_DBI
         scatter[i] = float(dists[mask].mean())
     centre_d = np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
-    worst = np.zeros(k)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if centre_d[i, j] == 0.0:
-                return INFINITE_DBI
-            worst[i] = max(worst[i], (scatter[i] + scatter[j]) / centre_d[i, j])
-    return float(worst.mean())
+    # an infinite diagonal makes the self ratio 0, the floor of every row max
+    np.fill_diagonal(centre_d, np.inf)
+    if (centre_d == 0.0).any():
+        return INFINITE_DBI
+    ratio = (scatter[:, None] + scatter[None, :]) / centre_d
+    return float(ratio.max(axis=1).mean())
 
 
 def select_best(
-    archive, window: WindowBatch
+    archive, window: WindowBatch, assignments: Optional[dict[int, np.ndarray]] = None
 ) -> tuple[ClusteringSolution, float]:
     """Archive member with the lowest windowed DBI.
 
-    Ties prefer fewer clusters, then the lower solution id. Returns the
-    member and its score.
+    ``assignments`` maps solution ids to labels already computed for this
+    window; members without an entry are assigned here. Ties prefer fewer
+    clusters, then the lower solution id. Returns the member and its score.
     """
     members = list(archive)
     if not members:
         raise ValueError("archive is empty")
+    known = assignments or {}
     scored = [
-        (davies_bouldin(s, window), s.k, s.solution_id, s) for s in members
+        (davies_bouldin(s, window, known.get(s.solution_id)), s.k, s.solution_id, s)
+        for s in members
     ]
     scored.sort(key=lambda t: (t[0], t[1], t[2]))
     best = scored[0]

@@ -2,7 +2,7 @@
 
 Compactness is the decayed sum of point-to-prototype distances (lower is
 better). Separateness is the mean, over clusters, of the distance to the
-nearest neighboring cluster (higher is better). Dominance works on the
+nearest other cluster's prototype (higher is better). Dominance works on the
 both-minimized pair (compactness, -separateness).
 """
 
@@ -16,12 +16,23 @@ from .core import (
     ClusteringSolution,
     ObjectiveVector,
     WindowBatch,
-    assign_batch,
     sq_dist,
 )
 
 DEFAULT_CAPACITY = 50
-NEIGHBORHOOD_SIZE = 3
+
+
+def _fold_compactness(
+    solution: ClusteringSolution, dists: np.ndarray, gamma: float
+) -> float:
+    """compactness <- gamma * previous + sum(dists), in place."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must be in (0, 1]")
+    # offspring inherit the entry value, so the decay is paid once per window
+    solution.prev_compactness = float(solution.objectives.compactness)
+    value = gamma * solution.objectives.compactness + float(dists.sum())
+    solution.objectives.compactness = value
+    return value
 
 
 def update_compactness(
@@ -35,52 +46,17 @@ def update_compactness(
     compactness <- gamma * previous + sum_i ||x_i - w_assign(i)||, with the
     prototypes as they stand at the call (window start).
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
     assignment = np.asarray(assignment)
     if len(assignment) != len(window):
         raise ValueError("assignment length must match window length")
     dists = np.sqrt(sq_dist(window.data, solution.prototypes[assignment]))
-    # offspring inherit the entry value, so the decay is paid once per window
-    solution.prev_compactness = float(solution.objectives.compactness)
-    value = gamma * solution.objectives.compactness + float(dists.sum())
-    solution.objectives.compactness = value
-    return value
-
-
-def _distances(protos: np.ndarray) -> np.ndarray:
-    """(K, K) matrix of prototype-to-prototype distances."""
-    return np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
-
-
-def _knn_neighborhood(d: np.ndarray) -> dict[int, set[int]]:
-    """Each row's nearest other rows of a (K, K) distance matrix."""
-    k = len(d)
-    if k <= 1:
-        return {0: set()} if k else {}
-    d = np.where(np.eye(k, dtype=bool), np.inf, d)
-    out: dict[int, set[int]] = {}
-    for i in range(k):
-        if k - 1 <= NEIGHBORHOOD_SIZE:
-            out[i] = set(range(k)) - {i}
-        else:
-            order = np.argsort(d[i], kind="stable")[:NEIGHBORHOOD_SIZE]
-            out[i] = set(int(j) for j in order)
-    return out
-
-
-def default_neighborhood(solution: ClusteringSolution) -> dict[int, set[int]]:
-    """Each cluster's neighbors: its 3 nearest clusters by prototype distance
-    (everything else when K <= 4)."""
-    return _knn_neighborhood(_distances(solution.prototypes))
+    return _fold_compactness(solution, dists, gamma)
 
 
 def separateness(
-    solution: ClusteringSolution,
-    neighborhood: Optional[dict[int, set[int]]] = None,
-    active: Optional[Sequence[int]] = None,
+    solution: ClusteringSolution, active: Optional[Sequence[int]] = None
 ) -> float:
-    """Mean over clusters of the min distance to a neighboring prototype.
+    """Mean over clusters of the distance to the nearest other prototype.
 
     ``active`` names the clusters that currently hold points; only they
     contribute terms and only they count as neighbors. Memberless clusters
@@ -88,26 +64,17 @@ def separateness(
     otherwise buy unbounded separateness at zero compactness cost. With at
     most one (active) cluster there is nothing to be separate from: 0.
     """
-    if active is None:
-        act = list(range(solution.k))
-    else:
-        act = sorted(set(int(i) for i in active))
-        if act and (act[0] < 0 or act[-1] >= solution.k):
+    protos = solution.prototypes
+    if active is not None:
+        act = np.unique(np.asarray(active, dtype=int))
+        if act.size and (act[0] < 0 or act[-1] >= solution.k):
             raise ValueError("active cluster indices out of range")
-    if len(act) <= 1:
+        protos = protos[act]
+    if len(protos) <= 1:
         return 0.0
-    d = _distances(solution.prototypes)
-    if neighborhood is None:
-        sub = _knn_neighborhood(d[np.ix_(act, act)])
-        neighborhood = {act[i]: {act[j] for j in nbrs} for i, nbrs in sub.items()}
-    in_act = set(act)
-    vals = []
-    for i in act:
-        nbrs = set(neighborhood.get(i, set())) & in_act - {i}
-        if not nbrs:
-            raise ValueError(f"cluster {i} has an empty neighborhood")
-        vals.append(d[i, sorted(nbrs)].min())
-    return float(np.mean(vals))
+    d2 = sq_dist(protos[:, None, :], protos[None, :, :])
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min(axis=1)).mean())
 
 
 def evaluate_solution(
@@ -123,11 +90,15 @@ def evaluate_solution(
     history prefix, so a fresh solution should carry 0 there and an
     offspring its inherited value.
     """
-    raw = assign_batch(solution, window.data)
-    fed, labels = np.unique(raw, return_inverse=True)
-    if fed.size < solution.k:
+    if window.dim != solution.dim:
+        raise ValueError("dimension mismatch between window and solution")
+    # one (n, K) matrix yields the labels and the compactness terms
+    d2 = sq_dist(window.data[:, None, :], solution.prototypes[None, :, :])
+    raw = np.argmin(d2, axis=1)
+    fed = np.bincount(raw, minlength=solution.k) > 0
+    if not fed.all():
         solution.keep(fed)
-    update_compactness(solution, window, labels, gamma)
+    _fold_compactness(solution, np.sqrt(d2[np.arange(len(raw)), raw]), gamma)
     solution.objectives.separateness = separateness(solution)
 
 
@@ -210,9 +181,7 @@ def crowding_distances(objectives: list[ObjectiveVector]) -> np.ndarray:
         span = hi - lo
         if span <= 0:
             continue
-        for rank in range(1, n - 1):
-            i = order[rank]
-            out[i] += (pairs[order[rank + 1], dim] - pairs[order[rank - 1], dim]) / span
+        out[order[1:-1]] += (pairs[order[2:], dim] - pairs[order[:-2], dim]) / span
     return out
 
 

@@ -27,6 +27,8 @@ logger = logging.getLogger(__name__)
 # Standard growing-neural-gas constants not exposed through SeederParams.
 GNG_SPLIT_DECAY = 0.5
 GNG_ERROR_DECAY = 0.995
+# rows per distance block in the density scan: memory O(n * block) floats
+DBSCAN_BLOCK = 512
 
 
 @dataclass
@@ -168,14 +170,18 @@ def seed_dbscan(
     Core points (>= min_pts neighbors within radius, self included) form
     clusters by connectivity; border points join their nearest core point's
     cluster; noise is dropped. When nothing is dense enough the fallback is
-    a single all-points cluster.
+    a single all-points cluster. Distances are taken in row blocks; only
+    the (n, n) bool neighbor mask is held whole.
     """
     if min_pts < 1 or radius <= 0:
         raise ValueError("need min_pts >= 1 and radius > 0")
     data = window.data
     n = len(data)
-    d = np.sqrt(sq_dist(data[:, None, :], data[None, :, :]))
-    within = d <= radius
+    within = np.empty((n, n), dtype=bool)
+    for i in range(0, n, DBSCAN_BLOCK):
+        chunk = data[i : i + DBSCAN_BLOCK]
+        d = np.sqrt(sq_dist(chunk[:, None, :], data[None, :, :]))
+        within[i : i + len(chunk)] = d <= radius
     core = within.sum(axis=1) >= min_pts
     core_idx = np.flatnonzero(core)
     if len(core_idx) == 0:
@@ -204,7 +210,8 @@ def seed_dbscan(
     for i in np.flatnonzero(~core):
         reachable = core_idx[within[i, core_idx]]
         if len(reachable):
-            labels[i] = comp[reachable[np.argmin(d[i, reachable])]]
+            gaps = np.sqrt(sq_dist(data[reachable], data[i]))
+            labels[i] = comp[reachable[np.argmin(gaps)]]
     kept = labels >= 0
     centers = np.vstack(
         [data[kept][labels[kept] == c].mean(axis=0) for c in range(next_comp)]

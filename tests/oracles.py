@@ -72,3 +72,123 @@ def hypervolume_raster(points, reference, cells=2000):
 
 def exact_mean(points):
     return np.mean(np.asarray(points, dtype=float), axis=0)
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the vectorized objective and validity kernels. Distances are
+# the squared differences summed over the last axis, then the square root,
+# so results can be compared with ``==``.
+
+
+def pairwise_distances(points):
+    """(K, K) Euclidean distance matrix."""
+    p = np.asarray(points, dtype=float)
+    return np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1))
+
+
+def knn_neighborhood(points, size=3):
+    """Each row's ``size`` nearest other rows (all others when K - 1 <= size);
+    ties go to the lower index."""
+    d = pairwise_distances(points)
+    out = {}
+    for i in range(len(d)):
+        others = [j for j in range(len(d)) if j != i]
+        if len(others) > size:
+            others = sorted(others, key=lambda j: (d[i, j], j))[:size]
+        out[i] = set(others)
+    return out
+
+
+def separateness_oracle(points, active=None):
+    """Mean over active rows of the smallest distance to one of their three
+    nearest active neighbours; 0 with at most one active row."""
+    points = np.asarray(points, dtype=float)
+    act = sorted(set(range(len(points)) if active is None else map(int, active)))
+    if len(act) <= 1:
+        return 0.0
+    d = pairwise_distances(points)
+    hood = knn_neighborhood(points[act])
+    vals = [min(d[act[i], act[j]] for j in nbrs) for i, nbrs in hood.items()]
+    return float(np.mean(vals))
+
+
+def davies_bouldin_loop(points, prototypes, assignment):
+    """Windowed Davies-Bouldin index by the pairwise double loop; inf for
+    K = 1, an empty cluster or coincident prototypes."""
+    points = np.asarray(points, dtype=float)
+    protos = np.asarray(prototypes, dtype=float)
+    assignment = np.asarray(assignment)
+    k = len(protos)
+    if k <= 1:
+        return math.inf
+    dists = np.sqrt(((points - protos[assignment]) ** 2).sum(axis=-1))
+    scatter = np.zeros(k)
+    for i in range(k):
+        mask = assignment == i
+        if not mask.any():
+            return math.inf
+        scatter[i] = float(dists[mask].mean())
+    centre_d = pairwise_distances(protos)
+    worst = np.zeros(k)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            if centre_d[i, j] == 0.0:
+                return math.inf
+            worst[i] = max(worst[i], (scatter[i] + scatter[j]) / centre_d[i, j])
+    return float(worst.mean())
+
+
+def crowding_loop(pairs):
+    """NSGA-II crowding distance of minimized pairs, one neighbour at a time."""
+    pairs = np.asarray(pairs, dtype=float)
+    n = len(pairs)
+    out = np.zeros(n)
+    if n <= 2:
+        out[:] = np.inf
+        return out
+    for dim in range(pairs.shape[1]):
+        order = np.argsort(pairs[:, dim], kind="stable")
+        out[order[0]] = out[order[-1]] = np.inf
+        span = pairs[order[-1], dim] - pairs[order[0], dim]
+        if span <= 0:
+            continue
+        for rank in range(1, n - 1):
+            i = order[rank]
+            out[i] += (pairs[order[rank + 1], dim] - pairs[order[rank - 1], dim]) / span
+    return out
+
+
+def dbscan_dense_labels(points, min_pts, radius):
+    """Density-scan labels from the full (n, n) distance matrix: cores join
+    by connectivity, a border point takes its nearest reachable core's
+    component, noise is -1. None when no point is a core."""
+    data = np.asarray(points, dtype=float)
+    n = len(data)
+    d = pairwise_distances(data)
+    within = d <= radius
+    core = within.sum(axis=1) >= min_pts
+    if not core.any():
+        return None
+    comp = np.full(n, -1)
+    count = 0
+    for start in np.flatnonzero(core):
+        if comp[start] != -1:
+            continue
+        comp[start] = count
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(within[u] & core):
+                if comp[v] == -1:
+                    comp[v] = count
+                    stack.append(v)
+        count += 1
+    labels = np.where(core, comp, -1)
+    core_idx = np.flatnonzero(core)
+    for i in np.flatnonzero(~core):
+        reachable = core_idx[within[i, core_idx]]
+        if len(reachable):
+            labels[i] = comp[reachable[np.argmin(d[i, reachable])]]
+    return labels

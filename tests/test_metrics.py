@@ -9,11 +9,12 @@ from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
     SolutionOrigin,
+    assign_batch,
 )
 from mostream.metrics import INFINITE_DBI, arand, davies_bouldin, nmi, select_best
 from mostream.stream_io import WindowBatch
 
-from oracles import arand_oracle, nmi_oracle
+from oracles import arand_oracle, davies_bouldin_loop, nmi_oracle
 
 
 def _solution(protos, sol_id=0):
@@ -29,6 +30,9 @@ def _window(points, labels=None):
 
 labelings = st.lists(st.integers(min_value=0, max_value=4),
                      min_size=2, max_size=40)
+# a coarse grid, so coincident prototypes and empty clusters both occur
+grid_rows = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                     min_size=1, max_size=30)
 
 
 class TestNmi:
@@ -126,8 +130,25 @@ class TestDaviesBouldin:
         b = davies_bouldin(_solution([(10.0, 1.0), (0.0, 1.0)]), win)
         assert a == pytest.approx(b)
 
+    @given(grid_rows.filter(lambda r: len(r) <= 8), grid_rows)
+    def test_matches_loop_form(self, protos, points):
+        sol, win = _solution(protos), _window(points)
+        labels = assign_batch(sol, win.data)
+        expected = davies_bouldin_loop(points, protos, labels)
+        assert davies_bouldin(sol, win) == expected
+        assert davies_bouldin(sol, win, labels) == expected
+
 
 class TestSelectBest:
+    def test_known_assignments_give_the_same_pick(self):
+        win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
+        members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
+                   _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
+        known = {1: assign_batch(members[1], win.data)}
+        best, dbi = select_best(members, win, known)
+        ref_best, ref_dbi = select_best(members, win)
+        assert (best.solution_id, dbi) == (ref_best.solution_id, ref_dbi)
+
     def test_single_member(self):
         sol = _solution([(0.0, 0.0), (5.0, 5.0)], sol_id=7)
         win = _window([(0, 0), (5, 5)])

@@ -8,19 +8,31 @@ from mostream.core import (
     ObjectiveVector,
     SolutionOrigin,
     WindowBatch,
+    assign_batch,
 )
 from mostream.objectives import (
     ParetoArchive,
     crowding_distances,
     dominates,
-    default_neighborhood,
+    evaluate_solution,
     hypervolume,
     hypervolume_in_box,
     separateness,
     update_compactness,
 )
 
-from oracles import hypervolume_raster
+from oracles import (
+    crowding_loop,
+    hypervolume_raster,
+    knn_neighborhood,
+    separateness_oracle,
+)
+
+coord = st.integers(-40, 40).map(lambda v: v / 4.0)
+
+
+def _rows(min_size, max_size, dim=2):
+    return st.lists(st.tuples(*[coord] * dim), min_size=min_size, max_size=max_size)
 
 
 def _protos(points, sol_id=0, compactness=0.0, sep=0.0):
@@ -79,10 +91,56 @@ class TestSeparateness:
         assert separateness(sol) == pytest.approx(11.0 / 3.0)
 
     def test_neighborhood_is_three_nearest(self):
-        sol = _protos([(0, 0), (1, 0), (2, 0), (3, 0), (50, 0)])
-        hood = default_neighborhood(sol)
+        hood = knn_neighborhood([(0, 0), (1, 0), (2, 0), (3, 0), (50, 0)])
         assert hood[0] == {1, 2, 3}
         assert all(len(v) == 3 for v in hood.values())
+
+    @given(_rows(1, 12), st.lists(st.integers(0, 11), max_size=12))
+    def test_matches_three_nearest_oracle(self, rows, active):
+        sol = _protos(rows)
+        act = [a for a in active if a < sol.k]
+        assert separateness(sol) == separateness_oracle(rows)
+        assert separateness(sol, act) == separateness_oracle(rows, act)
+
+    @pytest.mark.parametrize("dim", [1, 5, 16])
+    def test_matches_oracle_on_unrounded_floats(self, dim):
+        rg = np.random.default_rng(dim)
+        for k in range(1, 15):
+            rows = rg.normal(scale=3.0, size=(k, dim))
+            active = rg.choice(k, size=max(1, k // 2), replace=False)
+            assert separateness(_protos(rows)) == separateness_oracle(rows)
+            assert separateness(_protos(rows), active) == separateness_oracle(rows, active)
+
+    @given(_rows(1, 6), st.sampled_from([-1, 0, 5]))
+    def test_out_of_range_active_raises(self, rows, bad):
+        with pytest.raises(ValueError):
+            separateness(_protos(rows), [0, bad if bad < 0 else len(rows) + bad])
+
+
+class TestEvaluate:
+    @given(_rows(1, 8), _rows(1, 30), st.sampled_from([0.3, 0.7, 1.0]),
+           st.floats(0.0, 50.0))
+    def test_matches_assign_fold_and_oracle(self, protos, points, gamma, prefix):
+        # a far prototype no window point can reach stays memberless
+        sol = _protos(protos + [(1e3, -1e3)], compactness=prefix)
+        sol.counts = np.arange(1.0, sol.k + 1)
+        ref = sol.copy()
+        win = _window(points)
+        evaluate_solution(sol, win, gamma)
+        fed, labels = np.unique(assign_batch(ref, win.data), return_inverse=True)
+        ref.keep(fed)
+        update_compactness(ref, win, labels, gamma)
+        assert np.array_equal(sol.prototypes, ref.prototypes)
+        assert np.array_equal(sol.counts, ref.counts)
+        assert sol.k < len(protos) + 1
+        assert sol.objectives.compactness == ref.objectives.compactness
+        assert sol.prev_compactness == ref.prev_compactness == prefix
+        assert sol.objectives.separateness == separateness_oracle(ref.prototypes)
+
+    def test_dimension_mismatch_raises(self):
+        win = WindowBatch(np.zeros((3, 3)), 1)
+        with pytest.raises(ValueError):
+            evaluate_solution(_protos([(0, 0), (1, 1)]), win, 0.7)
 
 
 class TestDominates:
@@ -171,6 +229,12 @@ class TestCrowding:
 
     def test_two_or_fewer_all_infinite(self):
         assert np.all(np.isinf(crowding_distances([ObjectiveVector(1, 1)])))
+
+    @given(st.lists(st.tuples(coord, coord), min_size=1, max_size=20))
+    def test_matches_loop_form(self, raw):
+        objs = [ObjectiveVector(c, s) for c, s in raw]
+        expected = crowding_loop([o.as_min_pair() for o in objs])
+        assert np.array_equal(crowding_distances(objs), expected)
 
 
 class TestHypervolume:

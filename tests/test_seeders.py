@@ -5,7 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from mostream.core import SolutionOrigin, WindowBatch
+from mostream.core import ClusteringSolution, ObjectiveVector, SolutionOrigin, WindowBatch
+from mostream.objectives import evaluate_solution
 from mostream.seeders import (
     SeederParams,
     kmeans_sweep,
@@ -13,6 +14,8 @@ from mostream.seeders import (
     seed_gng,
     seed_kmeans,
 )
+
+from oracles import dbscan_dense_labels
 
 
 def _window(rows):
@@ -145,6 +148,45 @@ class TestDBScan:
             return sorted(map(frozenset, groups.values()), key=sorted)
 
         assert partition(WindowBatch(data, 0)) == partition(WindowBatch(data[perm], 0))
+
+    @staticmethod
+    def _blobs():
+        rg = np.random.default_rng(0)
+        centres = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
+        return centres[rg.integers(3, size=1100)] + rg.normal(size=(1100, 2))
+
+    @staticmethod
+    def _lines():
+        # two dense lines on a 1/512 lattice, more than the radius apart;
+        # five border points reach cores of both and sit nearer the first
+        # line, one point is exactly one radius from the first line's end,
+        # and 90 isolated points are noise
+        x = np.concatenate([-1.0 + np.arange(512) / 512.0,
+                            0.9 + np.arange(492) / 512.0,
+                            [0.40, 0.41, 0.42, 0.43, 0.44], [-1.5]])
+        line = np.column_stack([x, np.zeros_like(x)])
+        noise = np.column_stack([10.0 + 3.0 * np.arange(90), np.full(90, 5.0)])
+        data = np.vstack([line, noise])
+        return data[np.random.default_rng(3).permutation(len(data))]
+
+    @pytest.mark.parametrize("shape, min_pts, radius",
+                             [("_blobs", 10, 0.5), ("_lines", 200, 0.5)])
+    def test_blocked_scan_matches_dense_reference(self, shape, min_pts, radius):
+        # 1100 rows span three distance blocks, the last one partial
+        data = getattr(self, shape)()
+        sol = seed_dbscan(WindowBatch(data, 0), min_pts=min_pts, radius=radius)
+        labels = dbscan_dense_labels(data, min_pts, radius)
+        kept = labels >= 0
+        assert 0 < (~kept).sum() < 1100
+        members = np.bincount(labels[kept]).astype(float)
+        centers = np.vstack([data[kept][labels[kept] == c].mean(axis=0)
+                             for c in range(len(members))])
+        ref = ClusteringSolution(ObjectiveVector(), centers, SolutionOrigin.DBSCAN,
+                                 counts=members, weights=members.copy())
+        evaluate_solution(ref, WindowBatch(data[kept], 0), 0.7)
+        assert np.array_equal(sol.prototypes, ref.prototypes)
+        assert np.array_equal(sol.counts, ref.counts)
+        assert sol.objectives == ref.objectives
 
     def test_rejects_bad_params(self):
         w = _window([[0, 0], [1, 1]])
