@@ -9,7 +9,6 @@ from .core import (
 )
 from .engine import EngineState, FinalSelection, WindowReport, run_stream
 from .objectives import ParetoArchive
-from .seeders import SeederParams
 
 __all__ = [
     "ClusteringSolution",
@@ -17,7 +16,6 @@ __all__ = [
     "FinalSelection",
     "ObjectiveVector",
     "ParetoArchive",
-    "SeederParams",
     "SolutionOrigin",
     "StreamConfig",
     "WindowBatch",

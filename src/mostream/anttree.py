@@ -178,9 +178,13 @@ class TreeSynopsis:
         Points farther apart than the first window's diameter give values
         below zero; ordering is what matters there, so no clamping.
         """
-        dist = float(np.sqrt(sq_dist(np.asarray(a, float), np.asarray(b, float))))
+        return float(self._similarities(sq_dist(np.asarray(a, float), np.asarray(b, float))))
+
+    def _similarities(self, d2: np.ndarray) -> np.ndarray:
+        """``similarity`` of every squared distance in ``d2``."""
+        dist = np.sqrt(d2)
         if self.sim_scale <= 0.0:
-            return 1.0 if dist == 0.0 else 0.0
+            return (dist == 0.0).astype(float)
         return 1.0 - dist / self.sim_scale
 
     def neighbors(self, node_id: int) -> set[int]:
@@ -224,22 +228,27 @@ class TreeSynopsis:
 
     # -- construction ------------------------------------------------------
 
+    def _anchors(self, pos: int) -> np.ndarray:
+        return np.array([self.nodes[c].anchor() for c in self.nodes[pos].children])
+
     def _most_similar_child(self, pos: int, coords: np.ndarray) -> tuple[int, float]:
-        best_id, best_sim = -1, -np.inf
-        for cid in self.nodes[pos].children:
-            s = self.similarity(coords, self.nodes[cid].anchor())
-            if s > best_sim or (s == best_sim and cid < best_id):
-                best_id, best_sim = cid, s
-        return best_id, best_sim
+        """The child whose anchor is most similar to ``coords`` (ties -> lowest id)."""
+        sims = self._similarities(sq_dist(self._anchors(pos), coords))
+        top = sims.max()
+        kids = self.nodes[pos].children
+        return min(c for c, s in zip(kids, sims) if s == top), float(top)
 
     def _min_pairwise_child_sim(self, pos: int) -> float:
-        kids = self.nodes[pos].children
-        anchors = [self.nodes[c].anchor() for c in kids]
-        best = np.inf
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                best = min(best, self.similarity(anchors[i], anchors[j]))
-        return best
+        """Least similarity between two children; inf with fewer than two.
+
+        Similarity falls as distance grows, so this is the similarity of the
+        widest pair (the zero diagonal never wins the max).
+        """
+        anchors = self._anchors(pos)
+        if len(anchors) < 2:
+            return np.inf
+        widest = sq_dist(anchors[:, None, :], anchors[None, :, :]).max()
+        return float(self._similarities(widest))
 
     def connect_ant(
         self, ant: np.ndarray, pos: int, thresholds: Thresholds
@@ -325,13 +334,15 @@ class TreeSynopsis:
             return floor
         return max(floor, node.radius_sum / node.radius_n)
 
-    def map_point(self, point: np.ndarray, gamma: float) -> MapOutcome:
+    def map_point(self, point: np.ndarray) -> MapOutcome:
         """Absorb a later-window point (a coordinate row) or open a new node
         under the support.
 
-        Every point updates the claimed node's radius statistics whether or
-        not it is absorbed, so radii track the local spread: sparse regions
-        widen their catchment instead of shedding endless novelty nodes.
+        Absorption is a running mean (the merge at gamma=1); counts age once
+        per window in ``decay_counts`` instead. Every point updates the
+        claimed node's radius statistics whether or not it is absorbed, so
+        radii track the local spread: sparse regions widen their catchment
+        instead of shedding endless novelty nodes.
         """
         if not self.aggregated:
             raise RuntimeError("aggregate the tree before streaming points")
@@ -348,7 +359,7 @@ class TreeSynopsis:
         node.radius_n += 1
         if accepted:
             node.prototype, node.count = merge_prototype(
-                node.prototype, node.count, coords, 1.0, gamma
+                node.prototype, node.count, coords, 1.0, 1.0
             )
             node.absorbed_this_window += 1.0
             self._cache_protos[best] = node.prototype
@@ -460,8 +471,8 @@ def mean_nearest_neighbor_distance(data: np.ndarray, block: int = 512) -> float:
     for i in range(0, n, block):
         chunk = data[i : i + block]
         d2 = sq_dist(chunk[:, None, :], data[None, :, :])
-        for r in range(len(chunk)):
-            d2[r, i + r] = np.inf
+        rows = np.arange(len(chunk))
+        d2[rows, i + rows] = np.inf
         out[i : i + len(chunk)] = np.sqrt(d2.min(axis=1))
     return float(out.mean())
 

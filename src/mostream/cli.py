@@ -10,7 +10,6 @@ from typing import Optional
 
 from .core import StreamConfig
 from .engine import run_stream
-from .seeders import SeederParams
 from .stream_io import (
     emit_assignments,
     emit_reports,
@@ -137,7 +136,6 @@ def run(manifest: RunManifest) -> dict:
     state, final = run_stream(
         batches,
         cfg,
-        seeder_params=SeederParams(),
         deterministic=manifest.deterministic,
         pace=not manifest.deterministic,
         **hooks,

@@ -206,6 +206,18 @@ def assign_batch(solution: ClusteringSolution, data: np.ndarray) -> np.ndarray:
     return np.argmin(sq_dist(data[:, None, :], solution.prototypes[None, :, :]), axis=1)
 
 
+def nearest_prototypes(
+    solution: ClusteringSolution, data: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``assign_batch``'s labels plus each row's distance to its chosen
+    prototype, both read from one (n, K) squared-distance matrix."""
+    if data.shape[1] != solution.dim:
+        raise ValueError("dimension mismatch between window and solution")
+    d2 = sq_dist(data[:, None, :], solution.prototypes[None, :, :])
+    labels = np.argmin(d2, axis=1)
+    return labels, np.sqrt(d2[np.arange(len(labels)), labels])
+
+
 # ---------------------------------------------------------------------------
 # streaming updates
 

@@ -25,6 +25,7 @@ from .core import (
     assign_batch,
     fade_weight,
     merge_prototype,
+    nearest_prototypes,
     prune_outdated,
     serialize_chromosome,
 )
@@ -37,7 +38,7 @@ from .objectives import (
     separateness,
     update_compactness,
 )
-from .seeders import SeederParams, kmeans_sweep, seed_dbscan, seed_gng
+from .seeders import kmeans_sweep, seed_dbscan, seed_gng
 
 GAMMA_ONE_REF_WINDOWS = 100  # reference head-room when gamma=1 disables decay
 
@@ -86,7 +87,6 @@ class EngineState:
     """Everything the stream driver carries between windows."""
 
     cfg: StreamConfig
-    seeder_params: SeederParams
     tree: TreeSynopsis
     archive: ParetoArchive
     window_id: int
@@ -153,12 +153,10 @@ def _window_report(
 def initialize(
     first_window: WindowBatch,
     cfg: StreamConfig,
-    seeder_params: Optional[SeederParams] = None,
     deterministic: bool = True,
 ) -> EngineState:
     """Build the tree, seed the population, breed once, fill the archive."""
     t0 = time.perf_counter()
-    params = seeder_params or SeederParams()
     tree = build_initial_tree(first_window, cfg.l_max)
     tree.aggregate()
 
@@ -166,21 +164,13 @@ def initialize(
     macro = tree.macro_clusters()
     evaluate_solution(macro, first_window, cfg.gamma)
     population.append(macro)
-    if len(first_window) >= params.kmeans_k_min:
-        population.extend(
-            kmeans_sweep(first_window, params, cfg.rng_seed, cfg.gamma)
-        )
-    population.append(
-        seed_dbscan(
-            first_window, params.dbscan_min_pts, params.dbscan_radius, cfg.gamma
-        )
-    )
+    population.extend(kmeans_sweep(first_window, cfg.rng_seed, cfg.gamma))
+    population.append(seed_dbscan(first_window, gamma=cfg.gamma))
     if len(first_window) >= 2:
-        population.append(seed_gng(first_window, params, cfg.rng_seed, cfg.gamma))
+        population.append(seed_gng(first_window, cfg.rng_seed, cfg.gamma))
 
     state = EngineState(
         cfg=cfg,
-        seeder_params=params,
         tree=tree,
         archive=ParetoArchive(),
         window_id=first_window.window_id,
@@ -194,8 +184,7 @@ def initialize(
         sol.solution_id = state.allot_id()
 
     # one breeding pass over the seed population before anything is published
-    parents = sorted(population, key=lambda s: (fitness_score(s), s.solution_id))
-    parents = parents[: cfg.sigma]
+    parents = select_parents(population, cfg.sigma)
     rng = np.random.default_rng(
         _derive_seed(cfg.rng_seed, first_window.window_id, state.idle_counter)
     )
@@ -229,21 +218,22 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     cfg = state.cfg
 
     # (1) stream points through the tree synopsis. Counts age once per
-    # window up front; absorption then merges at gamma=1 (exact running
-    # mean), so a window of absorptions composes to the batch update
-    # count -> gamma*count + absorbed rather than decaying per point.
+    # window up front; absorption is then an exact running mean, so a window
+    # of absorptions composes to the batch update count -> gamma*count +
+    # absorbed rather than decaying per point.
     state.tree.decay_counts(cfg.gamma)
     for row in window.data:
-        state.tree.map_point(row, 1.0)
+        state.tree.map_point(row)
 
-    # (2) each member absorbs the window: assign, score against window-start
-    # prototypes, then fold the per-cluster batches into the fed rows;
+    # (2) each member absorbs the window: one distance matrix against the
+    # window-start prototypes gives the labels and the compactness terms,
+    # then the per-cluster batches fold into the fed rows;
     # (3) fade weights, prune what starved (solutions and tree alike)
     pruned: list[ClusteringSolution] = []
     for member in state.archive:
         clone = member.copy()
-        labels = assign_batch(clone, window.data)
-        update_compactness(clone, window, labels, cfg.gamma)
+        labels, dists = nearest_prototypes(clone, window.data)
+        update_compactness(clone, dists, cfg.gamma)
         assigned = np.bincount(labels, minlength=clone.k).astype(float)
         fed = np.flatnonzero(assigned)
         means = np.vstack([window.data[labels == ci].mean(axis=0) for ci in fed])
@@ -328,7 +318,6 @@ def finalize(state: EngineState) -> FinalSelection:
 def run_stream(
     batches: Iterable[WindowBatch],
     cfg: StreamConfig,
-    seeder_params: Optional[SeederParams] = None,
     deterministic: bool = True,
     pace: bool = False,
     on_report: Optional[Callable[[WindowReport], None]] = None,
@@ -344,7 +333,7 @@ def run_stream(
     state: Optional[EngineState] = None
     for window in batches:
         if state is None:
-            state = initialize(window, cfg, seeder_params, deterministic)
+            state = initialize(window, cfg, deterministic)
             report = state.reports[-1]
         else:
             report = process_window(state, window)

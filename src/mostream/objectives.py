@@ -16,16 +16,22 @@ from .core import (
     ClusteringSolution,
     ObjectiveVector,
     WindowBatch,
+    nearest_prototypes,
     sq_dist,
 )
 
 DEFAULT_CAPACITY = 50
 
 
-def _fold_compactness(
+def update_compactness(
     solution: ClusteringSolution, dists: np.ndarray, gamma: float
 ) -> float:
-    """compactness <- gamma * previous + sum(dists), in place."""
+    """Fold one window into the compactness objective, in place.
+
+    compactness <- gamma * previous + sum(dists), where ``dists`` holds each
+    window point's distance to its assigned prototype as the prototypes
+    stand at window start.
+    """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     # offspring inherit the entry value, so the decay is paid once per window
@@ -33,24 +39,6 @@ def _fold_compactness(
     value = gamma * solution.objectives.compactness + float(dists.sum())
     solution.objectives.compactness = value
     return value
-
-
-def update_compactness(
-    solution: ClusteringSolution,
-    window: WindowBatch,
-    assignment: np.ndarray,
-    gamma: float,
-) -> float:
-    """Fold one window into the compactness objective, in place.
-
-    compactness <- gamma * previous + sum_i ||x_i - w_assign(i)||, with the
-    prototypes as they stand at the call (window start).
-    """
-    assignment = np.asarray(assignment)
-    if len(assignment) != len(window):
-        raise ValueError("assignment length must match window length")
-    dists = np.sqrt(sq_dist(window.data, solution.prototypes[assignment]))
-    return _fold_compactness(solution, dists, gamma)
 
 
 def separateness(
@@ -90,15 +78,11 @@ def evaluate_solution(
     history prefix, so a fresh solution should carry 0 there and an
     offspring its inherited value.
     """
-    if window.dim != solution.dim:
-        raise ValueError("dimension mismatch between window and solution")
-    # one (n, K) matrix yields the labels and the compactness terms
-    d2 = sq_dist(window.data[:, None, :], solution.prototypes[None, :, :])
-    raw = np.argmin(d2, axis=1)
-    fed = np.bincount(raw, minlength=solution.k) > 0
+    labels, dists = nearest_prototypes(solution, window.data)
+    fed = np.bincount(labels, minlength=solution.k) > 0
     if not fed.all():
         solution.keep(fed)
-    _fold_compactness(solution, np.sqrt(d2[np.arange(len(raw)), raw]), gamma)
+    update_compactness(solution, dists, gamma)
     solution.objectives.separateness = separateness(solution)
 
 

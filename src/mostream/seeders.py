@@ -3,13 +3,14 @@
 Three independent routes onto the first window: a k-means sweep, a density
 scan, and a growing neural gas. Each returns solutions with objectives
 already evaluated so the engine can feed them straight into the archive.
-All three are deterministic given (window, parameters, seed).
+All three are deterministic given (window, seed); their settings are the
+module constants below.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,39 +25,23 @@ from .objectives import evaluate_solution
 
 logger = logging.getLogger(__name__)
 
-# Standard growing-neural-gas constants not exposed through SeederParams.
+# k-means sweep: one solution per k in [KMEANS_K_MIN, KMEANS_K_MAX]
+KMEANS_K_MIN = 2
+KMEANS_K_MAX = 15
+# density scan: a core point has DBSCAN_MIN_PTS neighbours (itself included)
+# within DBSCAN_RADIUS; rows per distance block, so memory is O(n * block)
+DBSCAN_MIN_PTS = 20
+DBSCAN_RADIUS = 10.0
+DBSCAN_BLOCK = 512
+# growing neural gas (standard scheme)
+GNG_EPOCHS = 30
+GNG_MAX_NODES = 32
+GNG_EPS_BEST = 0.05
+GNG_EPS_NEIGHBOR = 0.006
+GNG_MAX_EDGE_AGE = 50
+GNG_INSERT_EVERY = 100
 GNG_SPLIT_DECAY = 0.5
 GNG_ERROR_DECAY = 0.995
-# rows per distance block in the density scan: memory O(n * block) floats
-DBSCAN_BLOCK = 512
-
-
-@dataclass
-class SeederParams:
-    """Knobs for the three seeding routes."""
-
-    kmeans_k_min: int = 2
-    kmeans_k_max: int = 15
-    dbscan_min_pts: int = 20
-    dbscan_radius: float = 10.0
-    gng_epochs: int = 30
-    gng_max_nodes: int = 32
-    gng_eps_best: float = 0.05
-    gng_eps_neighbor: float = 0.006
-    gng_max_edge_age: int = 50
-    gng_insert_every: int = 100
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.kmeans_k_min <= self.kmeans_k_max:
-            raise ValueError("need 2 <= kmeans_k_min <= kmeans_k_max")
-        if self.dbscan_min_pts < 1:
-            raise ValueError("dbscan_min_pts must be >= 1")
-        if self.dbscan_radius <= 0:
-            raise ValueError("dbscan_radius must be > 0")
-        if self.gng_epochs < 1:
-            raise ValueError("gng_epochs must be >= 1")
-        if self.gng_max_nodes < 2:
-            raise ValueError("gng_max_nodes must be >= 2")
 
 
 def _solution_from_assignment(
@@ -145,14 +130,41 @@ def seed_kmeans(
 
 
 def kmeans_sweep(
-    window: WindowBatch, params: SeederParams, seed: int, gamma: float = 0.7
+    window: WindowBatch, seed: int, gamma: float = 0.7
 ) -> list[ClusteringSolution]:
-    """One solution per feasible k in [k_min, min(k_max, n)]."""
-    hi = min(params.kmeans_k_max, len(window))
+    """One solution per feasible k in [KMEANS_K_MIN, min(KMEANS_K_MAX, n)]."""
+    hi = min(KMEANS_K_MAX, len(window))
     return [
-        seed_kmeans(window, k, seed + k, gamma)
-        for k in range(params.kmeans_k_min, hi + 1)
+        seed_kmeans(window, k, seed + k, gamma) for k in range(KMEANS_K_MIN, hi + 1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# graph components (density-scan cores, gas edges)
+
+
+def connected_components(
+    adjacent: np.ndarray, nodes: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Component label per node of a symmetric bool adjacency matrix.
+
+    Components are numbered 0, 1, ... in the order of their smallest member
+    index. Only the nodes the bool mask ``nodes`` selects (all by default)
+    join components or carry links; the others are labelled -1.
+    """
+    open_ = np.ones(len(adjacent), dtype=bool) if nodes is None else nodes.copy()
+    labels = np.full(len(adjacent), -1)
+    count = 0
+    for start in np.flatnonzero(open_):
+        if labels[start] >= 0:
+            continue
+        frontier = np.array([start])
+        while frontier.size:
+            labels[frontier] = count
+            open_[frontier] = False
+            frontier = np.flatnonzero(adjacent[frontier].any(axis=0) & open_)
+        count += 1
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +173,8 @@ def kmeans_sweep(
 
 def seed_dbscan(
     window: WindowBatch,
-    min_pts: int = 20,
-    radius: float = 10.0,
+    min_pts: int = DBSCAN_MIN_PTS,
+    radius: float = DBSCAN_RADIUS,
     gamma: float = 0.7,
 ) -> ClusteringSolution:
     """Density clustering with order-independent memberships.
@@ -190,31 +202,16 @@ def seed_dbscan(
         return _solution_from_assignment(
             window, np.zeros(n, dtype=int), centers, SolutionOrigin.DBSCAN, gamma
         )
-    # connected components over core points only
-    comp = np.full(n, -1)
-    next_comp = 0
-    for start in core_idx:
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = next_comp
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(within[u] & core):
-                if comp[v] == -1:
-                    comp[v] = next_comp
-                    stack.append(v)
-        next_comp += 1
-    labels = np.full(n, -1)
-    labels[core_idx] = comp[core_idx]
+    # border points copy a core's label; core labels are never overwritten
+    labels = connected_components(within, core)
     for i in np.flatnonzero(~core):
         reachable = core_idx[within[i, core_idx]]
         if len(reachable):
             gaps = np.sqrt(sq_dist(data[reachable], data[i]))
-            labels[i] = comp[reachable[np.argmin(gaps)]]
+            labels[i] = labels[reachable[np.argmin(gaps)]]
     kept = labels >= 0
     centers = np.vstack(
-        [data[kept][labels[kept] == c].mean(axis=0) for c in range(next_comp)]
+        [data[kept][labels[kept] == c].mean(axis=0) for c in range(labels.max() + 1)]
     )
     sub = WindowBatch(data[kept], window.window_id, start_index=window.start_index)
     return _solution_from_assignment(
@@ -226,103 +223,71 @@ def seed_dbscan(
 # growing neural gas
 
 
-def seed_gng(
-    window: WindowBatch,
-    params: SeederParams,
-    seed: int,
-    gamma: float = 0.7,
-) -> ClusteringSolution:
-    """Grow a unit graph over the window; edge components become clusters.
+def grow_gas(
+    data: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the gas over ``data`` (n >= 2 rows); returns the m units (m, d),
+    their accumulated errors (m,) and the edge ages (m, m), -1 for no edge.
 
-    Classic scheme: per signal the two closest units age/refresh their edges,
-    the winner and its neighbors drift toward the signal, and every
-    ``insert_every`` signals a new unit splits the highest-error region.
+    Classic scheme: per signal the winner's edges age and the edge to the
+    runner-up is refreshed, the winner and its neighbors drift toward the
+    signal, and every ``GNG_INSERT_EVERY`` signals a new unit splits the
+    highest-error unit's edge to its highest-error neighbor (ties -> lowest
+    index). Units live in one preallocated (GNG_MAX_NODES, d) array.
     """
-    data = window.data
     n = len(data)
-    if n < 2:
-        raise ValueError("gng needs at least two points")
     rng = np.random.default_rng(seed)
-    first = rng.choice(n, size=2, replace=False)
-    units = [data[first[0]].copy(), data[first[1]].copy()]
-    errors = [0.0, 0.0]
-    edges: dict[tuple[int, int], int] = {}  # (lo, hi) -> age
+    units = np.empty((GNG_MAX_NODES, data.shape[1]))
+    units[:2] = data[rng.choice(n, size=2, replace=False)]
+    errors = np.zeros(GNG_MAX_NODES)
+    age = np.full((GNG_MAX_NODES, GNG_MAX_NODES), -1)
+    m = 2
     signals = 0
-    for _ in range(params.gng_epochs):
+    for _ in range(GNG_EPOCHS):
         for idx in rng.permutation(n):
             x = data[idx]
             signals += 1
-            u = np.vstack(units)
-            d2 = sq_dist(u, x)
-            order = np.argsort(d2, kind="stable")
-            s1, s2 = int(order[0]), int(order[1])
-            errors[s1] += float(d2[s1])
-            units[s1] = units[s1] + params.gng_eps_best * (x - units[s1])
-            for (a, b) in list(edges):
-                if s1 in (a, b):
-                    edges[(a, b)] += 1
-                    other = b if a == s1 else a
-                    units[other] = units[other] + params.gng_eps_neighbor * (
-                        x - units[other]
-                    )
-            edges[(min(s1, s2), max(s1, s2))] = 0
-            for key, age in list(edges.items()):
-                if age > params.gng_max_edge_age:
-                    del edges[key]
-            if (
-                signals % params.gng_insert_every == 0
-                and len(units) < params.gng_max_nodes
-            ):
-                q = int(np.argmax(errors))
-                nbrs = [
-                    (b if a == q else a)
-                    for (a, b) in edges
-                    if q in (a, b)
-                ]
-                if nbrs:
-                    f = max(nbrs, key=lambda j: errors[j])
-                    units.append(0.5 * (units[q] + units[f]))
-                    errors[q] *= GNG_SPLIT_DECAY
-                    errors[f] *= GNG_SPLIT_DECAY
-                    errors.append(errors[q])
-                    new = len(units) - 1
-                    edges.pop((min(q, f), max(q, f)), None)
-                    edges[(min(q, new), max(q, new))] = 0
-                    edges[(min(f, new), max(f, new))] = 0
-            errors = [e * GNG_ERROR_DECAY for e in errors]
-    # components over surviving edges
-    m = len(units)
-    comp = list(range(m))
+            d2 = sq_dist(units[:m], x)
+            s1 = int(np.argmin(d2))
+            errors[s1] += d2[s1]
+            d2[s1] = np.inf
+            s2 = int(np.argmin(d2))
+            units[s1] += GNG_EPS_BEST * (x - units[s1])
+            # only the winner's edges age, so only its row can expire
+            edges = age[s1]
+            nbrs = np.flatnonzero(edges >= 0)
+            units[nbrs] += GNG_EPS_NEIGHBOR * (x - units[nbrs])
+            edges[nbrs] += 1
+            edges[s2] = 0
+            edges[edges > GNG_MAX_EDGE_AGE] = -1
+            age[:, s1] = edges
+            if signals % GNG_INSERT_EVERY == 0 and m < GNG_MAX_NODES:
+                q = int(np.argmax(errors[:m]))
+                nbrs = np.flatnonzero(age[q] >= 0)
+                if nbrs.size:
+                    f = int(nbrs[np.argmax(errors[nbrs])])
+                    units[m] = 0.5 * (units[q] + units[f])
+                    errors[[q, f]] *= GNG_SPLIT_DECAY
+                    errors[m] = errors[q]
+                    age[q, f] = age[f, q] = -1
+                    age[[q, f], m] = age[m, [q, f]] = 0
+                    m += 1
+            errors[:m] *= GNG_ERROR_DECAY
+    return units[:m], errors[:m], age[:m, :m]
 
-    def find(a: int) -> int:
-        while comp[a] != a:
-            comp[a] = comp[comp[a]]
-            a = comp[a]
-        return a
 
-    for (a, b) in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(i) for i in range(m)})
-    comp_of_unit = np.array([roots.index(find(i)) for i in range(m)])
-    # assign window points to nearest unit, roll up into components
-    u = np.vstack(units)
-    nearest_unit = np.argmin(sq_dist(data[:, None, :], u[None, :, :]), axis=1)
-    labels = comp_of_unit[nearest_unit]
-    centers = []
-    final_labels = np.full(n, -1)
-    next_c = 0
-    for c in range(len(roots)):
-        mask = labels == c
-        if not mask.any():
-            continue
-        centers.append(data[mask].mean(axis=0))
-        final_labels[mask] = next_c
-        next_c += 1
-    if next_c == 0:  # pragma: no cover - every point lands somewhere
-        centers = [data.mean(axis=0)]
-        final_labels[:] = 0
-    return _solution_from_assignment(
-        window, final_labels, np.vstack(centers), SolutionOrigin.GNG, gamma
-    )
+def seed_gng(window: WindowBatch, seed: int, gamma: float = 0.7) -> ClusteringSolution:
+    """Grow a unit graph over the window; edge components become clusters.
+
+    Window points go to their nearest unit and units to their edge
+    component; components no point reaches are dropped.
+    """
+    data = window.data
+    if len(data) < 2:
+        raise ValueError("gng needs at least two points")
+    units, _, age = grow_gas(data, seed)
+    comp = connected_components(age >= 0)
+    nearest = np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)
+    used, labels = np.unique(comp[nearest], return_inverse=True)
+    centers = np.vstack([data[labels == c].mean(axis=0) for c in range(len(used))])
+    return _solution_from_assignment(window, labels, centers, SolutionOrigin.GNG, gamma)

@@ -192,3 +192,85 @@ def dbscan_dense_labels(points, min_pts, radius):
         if len(reachable):
             labels[i] = comp[reachable[np.argmin(d[i, reachable])]]
     return labels
+
+
+def gng_reference(data, seed, epochs=30, max_nodes=32, eps_best=0.05,
+                  eps_neighbor=0.006, max_edge_age=50, insert_every=100,
+                  split_decay=0.5, error_decay=0.995):
+    """Growing-neural-gas clustering with units in a list and edges in a
+    dict, as the seeder first stood. Returns (labels, centers, gas): each
+    point's cluster, the per-cluster means, and the final units, errors and
+    edge ages ((lo, hi) -> age) with the number of unit splits and edge
+    expiries the run went through."""
+    data = np.asarray(data, dtype=float)
+    n = len(data)
+    rng = np.random.default_rng(seed)
+    first = rng.choice(n, size=2, replace=False)
+    units = [data[first[0]].copy(), data[first[1]].copy()]
+    errors = [0.0, 0.0]
+    edges = {}  # (lo, hi) -> age
+    gas = {"splits": 0, "expiries": 0}
+    signals = 0
+    for _ in range(epochs):
+        for idx in rng.permutation(n):
+            x = data[idx]
+            signals += 1
+            u = np.vstack(units)
+            d2 = ((u - x) ** 2).sum(axis=-1)
+            order = np.argsort(d2, kind="stable")
+            s1, s2 = int(order[0]), int(order[1])
+            errors[s1] += float(d2[s1])
+            units[s1] = units[s1] + eps_best * (x - units[s1])
+            for (a, b) in list(edges):
+                if s1 in (a, b):
+                    edges[(a, b)] += 1
+                    other = b if a == s1 else a
+                    units[other] = units[other] + eps_neighbor * (x - units[other])
+            edges[(min(s1, s2), max(s1, s2))] = 0
+            for key, age in list(edges.items()):
+                if age > max_edge_age:
+                    del edges[key]
+                    gas["expiries"] += 1
+            if signals % insert_every == 0 and len(units) < max_nodes:
+                q = int(np.argmax(errors))
+                nbrs = [(b if a == q else a) for (a, b) in edges if q in (a, b)]
+                if nbrs:
+                    f = max(nbrs, key=lambda j: errors[j])
+                    units.append(0.5 * (units[q] + units[f]))
+                    errors[q] *= split_decay
+                    errors[f] *= split_decay
+                    errors.append(errors[q])
+                    new = len(units) - 1
+                    edges.pop((min(q, f), max(q, f)), None)
+                    edges[(min(q, new), max(q, new))] = 0
+                    edges[(min(f, new), max(f, new))] = 0
+                    gas["splits"] += 1
+            errors = [e * error_decay for e in errors]
+    # components over surviving edges by union-find, roots at the smallest index
+    m = len(units)
+    comp = list(range(m))
+
+    def find(a):
+        while comp[a] != a:
+            comp[a] = comp[comp[a]]
+            a = comp[a]
+        return a
+
+    for (a, b) in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            comp[max(ra, rb)] = min(ra, rb)
+    roots = sorted({find(i) for i in range(m)})
+    comp_of_unit = np.array([roots.index(find(i)) for i in range(m)])
+    u = np.vstack(units)
+    gas.update(units=u, errors=np.array(errors), edges=edges)
+    nearest = np.argmin(((data[:, None, :] - u[None, :, :]) ** 2).sum(axis=-1), axis=1)
+    labels = comp_of_unit[nearest]
+    centers = []
+    final = np.full(n, -1)
+    for c in range(len(roots)):
+        mask = labels == c
+        if mask.any():
+            centers.append(data[mask].mean(axis=0))
+            final[mask] = len(centers) - 1
+    return final, np.vstack(centers), gas

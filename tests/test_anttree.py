@@ -121,6 +121,67 @@ class TestConnectAnt:
             tree.connect_ant(_pt(1, 1), SUPPORT_ID, Thresholds())
 
 
+def _loop_most_similar(tree, pos, coords):
+    """Child scan one similarity() call at a time, ties -> lowest id."""
+    best_id, best_sim = -1, -np.inf
+    for cid in tree.nodes[pos].children:
+        s = tree.similarity(coords, tree.nodes[cid].anchor())
+        if s > best_sim or (s == best_sim and cid < best_id):
+            best_id, best_sim = cid, s
+    return best_id, best_sim
+
+
+def _loop_min_pairwise(tree, pos):
+    anchors = [tree.nodes[c].anchor() for c in tree.nodes[pos].children]
+    best = np.inf
+    for i in range(len(anchors)):
+        for j in range(i + 1, len(anchors)):
+            best = min(best, tree.similarity(anchors[i], anchors[j]))
+    return best
+
+
+class TestChildScans:
+    def _fan(self, anchors, sim_scale):
+        """Support children at ``anchors``, listed in reverse id order."""
+        tree = TreeSynopsis(2)
+        tree.sim_scale = sim_scale
+        for row in anchors:
+            tree._new_node(SUPPORT_ID).points = [_pt(*row)]
+        tree.support.children.reverse()
+        return tree
+
+    @pytest.mark.parametrize("sim_scale", [10.0, 0.0])
+    def test_tie_goes_to_lowest_id(self, sim_scale):
+        tree = self._fan([(0, 1), (1, 0), (0, -1), (0, 1)], sim_scale)
+        for query in [(0.0, 0.0), (0.0, 1.0), (5.0, 5.0)]:
+            got = tree._most_similar_child(SUPPORT_ID, _pt(*query))
+            assert got == _loop_most_similar(tree, SUPPORT_ID, _pt(*query))
+        assert tree._most_similar_child(SUPPORT_ID, _pt(0.0, 0.0))[0] == 1
+        assert tree._min_pairwise_child_sim(SUPPORT_ID) == _loop_min_pairwise(
+            tree, SUPPORT_ID)
+
+    def test_single_child_has_no_pairs(self):
+        tree = self._fan([(3, 4)], 10.0)
+        assert tree._min_pairwise_child_sim(SUPPORT_ID) == np.inf
+        assert tree._most_similar_child(SUPPORT_ID, _pt(0.0, 0.0)) == (1, 0.5)
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_match_loops_on_every_built_node(self, dim):
+        rg = np.random.default_rng(dim)
+        data = rg.normal(scale=3.0, size=(150, dim))
+        tree = build_initial_tree(_window(data))
+        queries = rg.normal(scale=3.0, size=(5, dim))
+        checked = 0
+        for nid, node in tree.nodes.items():
+            if len(node.children) < 2:
+                continue
+            checked += 1
+            for q in queries:
+                assert tree._most_similar_child(nid, q) == _loop_most_similar(tree, nid, q)
+            assert tree._min_pairwise_child_sim(nid) == _loop_min_pairwise(tree, nid)
+        assert checked >= 5
+
+
 class TestBuild:
     def test_single_point(self):
         tree = build_initial_tree(_window([[3.0, 4.0]]))
@@ -159,6 +220,14 @@ class TestBuild:
         # nearest-other distances: 1, 1, 4
         assert mean_nearest_neighbor_distance(data) == pytest.approx(2.0)
         assert mean_nearest_neighbor_distance(np.array([[7.0]])) == 0.0
+
+    @pytest.mark.parametrize("block", [7, 50, 512])
+    def test_nearest_neighbor_blocks_match_dense(self, block):
+        data = np.random.default_rng(1).normal(size=(50, 3))
+        d2 = ((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        want = float(np.sqrt(d2.min(axis=1)).mean())
+        assert mean_nearest_neighbor_distance(data, block) == want
 
 
 class TestAggregate:
@@ -200,13 +269,13 @@ class TestMapPoint:
     def test_requires_aggregation(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
         with pytest.raises(RuntimeError):
-            tree.map_point(_pt(0, 0), 0.7)
+            tree.map_point(_pt(0, 0))
 
     def test_exact_prototype_is_fixed_point(self):
         tree = self._two_node_tree()
         nid = tree.first_level()[0]
         proto = tree.nodes[nid].prototype.copy()
-        out = tree.map_point(proto.copy(), 0.7)
+        out = tree.map_point(proto.copy())
         assert not out.created
         assert out.node_id == nid
         assert out.distance == 0.0
@@ -215,14 +284,14 @@ class TestMapPoint:
     def test_boundary_distance_is_accepted(self):
         tree = self._two_node_tree()
         floor = RADIUS_SCALE * tree.base_radius
-        out = tree.map_point(_pt(-floor, 0.0), 0.7)
+        out = tree.map_point(_pt(-floor, 0.0))
         assert not out.created
         assert out.distance == pytest.approx(floor)
 
     def test_far_point_opens_support_child(self):
         tree = self._two_node_tree()
         before = tree.node_count()
-        out = tree.map_point(_pt(500.0, 500.0), 0.7)
+        out = tree.map_point(_pt(500.0, 500.0))
         assert out.created
         assert tree.node_count() == before + 1
         fresh = tree.nodes[out.node_id]
@@ -236,7 +305,7 @@ class TestMapPoint:
         nid = tree.first_level()[0]
         node = tree.nodes[nid]
         n_before, sum_before = node.radius_n, node.radius_sum
-        out = tree.map_point(_pt(-100.0, 0.0), 0.7)
+        out = tree.map_point(_pt(-100.0, 0.0))
         assert out.created
         assert node.radius_n == n_before + 1
         assert node.radius_sum == pytest.approx(sum_before + 100.0)
@@ -245,15 +314,15 @@ class TestMapPoint:
         tree = self._two_node_tree()
         nid = tree.first_level()[0]
         node = tree.nodes[nid]
-        tree.map_point(_pt(-2.0, 0.0), 1.0)
-        # gamma=1: mean of (0,0) and (-2,0)
+        tree.map_point(_pt(-2.0, 0.0))
+        # running mean of (0,0) and (-2,0)
         assert np.allclose(node.prototype, [-1.0, 0.0])
         assert node.count == 2.0
 
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()
         with pytest.raises(ValueError):
-            tree.map_point(_pt(1.0, 2.0, 3.0), 0.7)
+            tree.map_point(_pt(1.0, 2.0, 3.0))
 
 
 class TestWindowTick:

@@ -15,6 +15,7 @@ from mostream.core import (
     fade_weight,
     merge_prototype,
     nearest_cluster,
+    nearest_prototypes,
     prune_outdated,
     serialize_chromosome,
 )
@@ -98,6 +99,20 @@ class TestNearestCluster:
         batch = assign_batch(sol, data)
         single = [nearest_cluster(sol, row) for row in data]
         assert list(batch) == single
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_nearest_prototypes_labels_and_row_distances(self, dim):
+        rng = np.random.default_rng(dim)
+        sol = _solution(rng.normal(size=(6, dim)))
+        data = rng.normal(size=(50, dim))
+        labels, dists = nearest_prototypes(sol, data)
+        assert np.array_equal(labels, assign_batch(sol, data))
+        rows = np.sqrt(((data - sol.prototypes[labels]) ** 2).sum(axis=-1))
+        assert np.array_equal(dists, rows)
+
+    def test_nearest_prototypes_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            nearest_prototypes(_solution([[0.0, 0.0]]), np.zeros((3, 3)))
 
 
 class TestMergePrototype:

@@ -267,8 +267,8 @@ class TestGammaOneConservation:
 
         original_map = state.tree.map_point
 
-        def recording_map(point, gamma):
-            out = original_map(point, gamma)
+        def recording_map(point):
+            out = original_map(point)
             absorbed.setdefault(out.node_id, []).append(np.asarray(point, float))
             return out
 

@@ -28,7 +28,7 @@ from mostream.evolution import (
     select_parents,
 )
 from mostream.objectives import ParetoArchive, hypervolume_in_box
-from mostream.seeders import SeederParams, kmeans_sweep
+from mostream.seeders import kmeans_sweep
 
 
 def _sol(protos, c=0.0, s=0.0, sid=0):
@@ -302,7 +302,7 @@ class TestBreed:
 class TestIdleGeneration:
     def _archive(self, window):
         arch = ParetoArchive(capacity=50)
-        for sol in kmeans_sweep(window, SeederParams(), seed=0):
+        for sol in kmeans_sweep(window, seed=0):
             sol.solution_id = id(sol) % 10_000
             arch.insert(sol)
         return arch
@@ -349,7 +349,7 @@ class TestIdleGeneration:
 
     def test_single_member_archive_still_breeds(self, four_blob_window):
         arch = ParetoArchive(capacity=50)
-        sols = kmeans_sweep(four_blob_window, SeederParams(), seed=0)
+        sols = kmeans_sweep(four_blob_window, seed=0)
         arch.insert(sols[2])  # k=4
         before = len(arch.solutions)
         idle_generation(

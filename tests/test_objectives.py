@@ -45,6 +45,11 @@ def _objsol(compactness, sep, sol_id):
     return _protos([(0.0, 0.0)], sol_id=sol_id, compactness=compactness, sep=sep)
 
 
+def _dists(sol, win, labels):
+    """Row-form distances of each window point to its labelled prototype."""
+    return np.sqrt(((win.data - sol.prototypes[np.asarray(labels)]) ** 2).sum(axis=-1))
+
+
 def _window(points):
     return WindowBatch(window_id=1, start_index=0,
                        data=np.asarray(points, dtype=float).reshape(-1, 2),
@@ -55,7 +60,7 @@ class TestCompactness:
     def test_decayed_accumulation(self):
         sol = _protos([(1.0, 0.0)], compactness=10.0)
         win = _window([(0, 0), (2, 0)])
-        value = update_compactness(sol, win, np.array([0, 0]), gamma=0.7)
+        value = update_compactness(sol, _dists(sol, win, [0, 0]), gamma=0.7)
         assert value == pytest.approx(0.7 * 10 + 2)
         assert sol.objectives.compactness == pytest.approx(9.0)
 
@@ -68,14 +73,14 @@ class TestCompactness:
     def test_points_on_prototypes_contribute_zero(self):
         sol = _protos([(1.0, 0.0), (5.0, 5.0)], compactness=4.0)
         win = _window([(1, 0), (5, 5)])
-        assert update_compactness(sol, win, np.array([0, 1]),
+        assert update_compactness(sol, _dists(sol, win, [0, 1]),
                                   gamma=0.7) == pytest.approx(2.8)
 
     def test_rejects_gamma_out_of_range(self):
         sol = _protos([(0.0, 0.0)])
         win = _window([(1, 1)])
         with pytest.raises(ValueError):
-            update_compactness(sol, win, np.array([0]), gamma=0.0)
+            update_compactness(sol, _dists(sol, win, [0]), gamma=0.0)
 
 
 class TestSeparateness:
@@ -129,7 +134,7 @@ class TestEvaluate:
         evaluate_solution(sol, win, gamma)
         fed, labels = np.unique(assign_batch(ref, win.data), return_inverse=True)
         ref.keep(fed)
-        update_compactness(ref, win, labels, gamma)
+        update_compactness(ref, _dists(ref, win, labels), gamma)
         assert np.array_equal(sol.prototypes, ref.prototypes)
         assert np.array_equal(sol.counts, ref.counts)
         assert sol.k < len(protos) + 1

@@ -5,17 +5,20 @@ import logging
 import numpy as np
 import pytest
 
+from mostream import seeders
 from mostream.core import ClusteringSolution, ObjectiveVector, SolutionOrigin, WindowBatch
 from mostream.objectives import evaluate_solution
 from mostream.seeders import (
-    SeederParams,
+    connected_components,
+    grow_gas,
     kmeans_sweep,
     seed_dbscan,
     seed_gng,
     seed_kmeans,
 )
+from mostream.stream_io import gen_blobs
 
-from oracles import dbscan_dense_labels
+from oracles import dbscan_dense_labels, gng_reference, pairwise_distances
 
 
 def _window(rows):
@@ -31,25 +34,19 @@ def triples():
     return _window(rows)
 
 
-class TestSeederParams:
-    def test_defaults_valid(self):
-        p = SeederParams()
-        assert p.kmeans_k_min == 2 and p.kmeans_k_max == 15
+def _reference_solution(window, labels, centers, origin):
+    """The solution a seeder builds from a finished assignment."""
+    members = np.bincount(labels).astype(float)
+    ref = ClusteringSolution(ObjectiveVector(), centers, origin,
+                             counts=members, weights=members.copy())
+    evaluate_solution(ref, window, 0.7)
+    return ref
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kmeans_k_min": 1},
-            {"kmeans_k_min": 9, "kmeans_k_max": 5},
-            {"dbscan_min_pts": 0},
-            {"dbscan_radius": 0.0},
-            {"gng_epochs": 0},
-            {"gng_max_nodes": 1},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SeederParams(**kwargs)
+
+def _assert_same_solution(sol, ref):
+    assert np.array_equal(sol.prototypes, ref.prototypes)
+    assert np.array_equal(sol.counts, ref.counts)
+    assert sol.objectives == ref.objectives
 
 
 class TestKMeans:
@@ -97,12 +94,12 @@ class TestKMeans:
 
     def test_sweep_yields_one_solution_per_k(self, rng):
         data = rng.normal(size=(40, 2))
-        sols = kmeans_sweep(WindowBatch(data, 0), SeederParams(), seed=0)
+        sols = kmeans_sweep(WindowBatch(data, 0), seed=0)
         assert len(sols) == 14  # k = 2..15
 
     def test_sweep_truncates_to_window_size(self):
         w = _window([[0, 0], [1, 1], [2, 2]])
-        sols = kmeans_sweep(w, SeederParams(), seed=0)
+        sols = kmeans_sweep(w, seed=0)
         assert len(sols) == 2  # k = 2, 3
 
 
@@ -178,15 +175,20 @@ class TestDBScan:
         labels = dbscan_dense_labels(data, min_pts, radius)
         kept = labels >= 0
         assert 0 < (~kept).sum() < 1100
-        members = np.bincount(labels[kept]).astype(float)
         centers = np.vstack([data[kept][labels[kept] == c].mean(axis=0)
-                             for c in range(len(members))])
-        ref = ClusteringSolution(ObjectiveVector(), centers, SolutionOrigin.DBSCAN,
-                                 counts=members, weights=members.copy())
-        evaluate_solution(ref, WindowBatch(data[kept], 0), 0.7)
-        assert np.array_equal(sol.prototypes, ref.prototypes)
-        assert np.array_equal(sol.counts, ref.counts)
-        assert sol.objectives == ref.objectives
+                             for c in range(labels.max() + 1)])
+        ref = _reference_solution(WindowBatch(data[kept], 0), labels[kept], centers,
+                                  SolutionOrigin.DBSCAN)
+        _assert_same_solution(sol, ref)
+
+    def test_defaults_are_the_module_constants(self):
+        rg = np.random.default_rng(4)
+        data = rg.normal(scale=4.0, size=(120, 2))
+        w = WindowBatch(data, 0)
+        _assert_same_solution(
+            seed_dbscan(w),
+            seed_dbscan(w, seeders.DBSCAN_MIN_PTS, seeders.DBSCAN_RADIUS),
+        )
 
     def test_rejects_bad_params(self):
         w = _window([[0, 0], [1, 1]])
@@ -194,6 +196,36 @@ class TestDBScan:
             seed_dbscan(w, min_pts=0)
         with pytest.raises(ValueError):
             seed_dbscan(w, radius=0.0)
+
+
+class TestConnectedComponents:
+    def test_numbered_by_smallest_member(self):
+        adj = np.zeros((6, 6), dtype=bool)
+        for a, b in [(4, 2), (0, 3), (5, 3)]:
+            adj[a, b] = adj[b, a] = True
+        assert connected_components(adj).tolist() == [0, 1, 2, 0, 2, 0]
+
+    def test_masked_nodes_neither_join_nor_link(self):
+        # 0-1-2 is a chain through 1; with 1 masked out, 0 and 2 part ways
+        adj = np.zeros((4, 4), dtype=bool)
+        for a, b in [(0, 1), (1, 2)]:
+            adj[a, b] = adj[b, a] = True
+        nodes = np.array([True, False, True, True])
+        assert connected_components(adj, nodes).tolist() == [0, -1, 1, 2]
+        assert nodes.tolist() == [True, False, True, True]
+
+    @pytest.mark.parametrize("shape, min_pts, radius",
+                             [("_blobs", 10, 0.5), ("_lines", 200, 0.5),
+                              ("_blobs", 3, 0.2)])
+    def test_core_components_match_dense_reference(self, shape, min_pts, radius):
+        data = getattr(TestDBScan, shape)()
+        within = pairwise_distances(data) <= radius
+        core = within.sum(axis=1) >= min_pts
+        ref = dbscan_dense_labels(data, min_pts, radius)
+        comp = connected_components(within, core)
+        assert comp.max() >= 1
+        assert np.array_equal(comp[core], ref[core])
+        assert (comp[~core] == -1).all()
 
 
 class TestGNG:
@@ -208,7 +240,7 @@ class TestGNG:
         # pinned by running the seeder on this fixture: the edge graph splits
         # into exactly two components whose means sit on the blob centers
         for seed in (0, 1, 7):
-            sol = seed_gng(two_blobs, SeederParams(), seed)
+            sol = seed_gng(two_blobs, seed)
             assert sol.k == 2
             protos = sol.prototypes
             protos = protos[np.argsort(protos[:, 0])]
@@ -217,19 +249,70 @@ class TestGNG:
             assert sol.origin is SolutionOrigin.GNG
 
     def test_two_point_window(self):
-        sol = seed_gng(_window([[0.0, 0.0], [5.0, 5.0]]), SeederParams(), seed=0)
+        sol = seed_gng(_window([[0.0, 0.0], [5.0, 5.0]]), seed=0)
         assert 1 <= sol.k <= 2
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
-            seed_gng(_window([[1.0, 1.0]]), SeederParams(), seed=0)
+            seed_gng(_window([[1.0, 1.0]]), seed=0)
 
     def test_deterministic_per_seed(self, two_blobs):
-        a = seed_gng(two_blobs, SeederParams(), seed=3)
-        b = seed_gng(two_blobs, SeederParams(), seed=3)
+        a = seed_gng(two_blobs, seed=3)
+        b = seed_gng(two_blobs, seed=3)
         assert np.array_equal(a.prototypes, b.prototypes)
 
-    def test_node_budget_respected(self, two_blobs):
-        params = SeederParams(gng_max_nodes=4, gng_insert_every=10)
-        sol = seed_gng(two_blobs, params, seed=0)
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(seeders, "GNG_MAX_NODES", 4)
+        monkeypatch.setattr(seeders, "GNG_INSERT_EVERY", 10)
+
+    def test_node_budget_respected(self, two_blobs, small_budget):
+        sol = seed_gng(two_blobs, seed=0)
         assert sol.k <= 4
+
+    @staticmethod
+    def _reference(window, seed):
+        consts = dict(
+            epochs=seeders.GNG_EPOCHS, max_nodes=seeders.GNG_MAX_NODES,
+            eps_best=seeders.GNG_EPS_BEST, eps_neighbor=seeders.GNG_EPS_NEIGHBOR,
+            max_edge_age=seeders.GNG_MAX_EDGE_AGE,
+            insert_every=seeders.GNG_INSERT_EVERY,
+            split_decay=seeders.GNG_SPLIT_DECAY, error_decay=seeders.GNG_ERROR_DECAY,
+        )
+        labels, centers, gas = gng_reference(window.data, seed, **consts)
+        ref = _reference_solution(window, labels, centers, SolutionOrigin.GNG)
+        return ref, gas
+
+    @staticmethod
+    def _assert_same_gas(window, seed, gas):
+        units, errors, age = grow_gas(window.data, seed)
+        assert np.array_equal(units, gas["units"])
+        assert np.array_equal(errors, gas["errors"])
+        want = np.full(age.shape, -1)
+        for (a, b), edge_age in gas["edges"].items():
+            want[a, b] = want[b, a] = edge_age
+        assert np.array_equal(age, want)
+
+    @pytest.mark.parametrize("dim, n, seed", [(2, 300, 0), (2, 300, 7), (16, 200, 7)])
+    def test_matches_list_and_dict_reference(self, dim, n, seed):
+        # overlapping blobs: units split up to the cap and edges expire
+        window = gen_blobs(k=4, per_blob=n // 4, sep=3.0, stddev=1.0,
+                           window_size=n, seed=seed, dim=dim)[0]
+        ref, gas = self._reference(window, seed)
+        assert gas["splits"] == seeders.GNG_MAX_NODES - 2
+        assert gas["expiries"] > 0
+        self._assert_same_gas(window, seed, gas)
+        _assert_same_solution(seed_gng(window, seed), ref)
+
+    def test_matches_reference_on_two_components(self, two_blobs):
+        ref, gas = self._reference(two_blobs, 1)
+        assert ref.k == 2
+        self._assert_same_gas(two_blobs, 1, gas)
+        _assert_same_solution(seed_gng(two_blobs, 1), ref)
+
+    def test_matches_reference_at_node_cap(self, two_blobs, small_budget):
+        for seed in (0, 5):
+            ref, gas = self._reference(two_blobs, seed)
+            assert gas["splits"] == 2
+            self._assert_same_gas(two_blobs, seed, gas)
+            _assert_same_solution(seed_gng(two_blobs, seed), ref)

@@ -1,0 +1,39 @@
+"""Every function the benchmark tracer wraps still exists in the package.
+
+``perfbench/tracer.py`` patches the package by (module, qualified name); a
+renamed or deleted function would only surface when a traced benchmark run
+finds nothing to wrap. Loading the tracer's table here fails the test suite
+instead.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _traced():
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PACKAGE, module.TRACED
+
+
+PACKAGE, TRACED = _traced()
+
+
+def test_table_is_not_empty():
+    assert PACKAGE == "mostream"
+    assert len(TRACED) >= 20
+
+
+@pytest.mark.parametrize("module, qualname", [(m, q) for m, q, _, _ in TRACED])
+def test_traced_name_resolves(module, qualname):
+    target = importlib.import_module(f"{PACKAGE}.{module}")
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    assert callable(target)
