@@ -1,4 +1,4 @@
-"""Tree synopsis built by ant-style insertion, then aggregated to prototypes.
+"""Tree synopsis built by ant-style insertion, kept as one array row per node.
 
 Construction: each point is an ant that walks from an artificial support node
 down the tree. At a node it either connects as a new child, triggers the
@@ -6,18 +6,21 @@ one-time support reset, or moves to the most similar child. Similarity is
 1 - distance/D_max with D_max the first window's diameter, so it lives in
 [0, 1] for first-window pairs.
 
-After construction the raw points are replaced by a per-node prototype
-(the mean of housed points), count and weight. Later windows stream through
-map_point: a point is absorbed by the nearest node when it falls inside that
-node's acceptance radius, otherwise it becomes a fresh node under the support.
-First-level subtrees double as macro clusters.
+Every build node is created holding exactly one point, so its prototype is
+that point and the tree is ready to stream as soon as it is built. Later
+windows stream through map_point: a point is absorbed by the nearest node
+when it falls inside that node's acceptance radius, otherwise it becomes a
+fresh node under the support. First-level subtrees double as macro clusters.
+
+Node ``ids[i]`` lives in row ``i`` of every array in ``COLUMNS``. Rows stay in
+id order, and a child's id is always greater than its parent's, so each
+node's children, read in row order, are in the order they were added.
 """
 
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +35,8 @@ from .core import (
 
 SUPPORT_ID = 0
 
-# Per-attempt relaxation of an ant's tolerance: failing to connect makes the
-# ant easier to place on the next try.
-SIM_RELAX = 0.9
+# Per-attempt relaxation of an ant's dissimilarity tolerance: failing to
+# connect makes the ant easier to place on the next try.
 DISSIM_RELAX = 0.01
 
 # Acceptance-radius floor, in units of the first window's mean
@@ -44,67 +46,11 @@ DISSIM_RELAX = 0.01
 # long-stream node count and first-level width hold steady.
 RADIUS_SCALE = 4.0
 
-
-@dataclass
-class Thresholds:
-    """Per-ant connection tolerances; relaxed after every failed attempt."""
-
-    sim: float = 1.0
-    dissim: float = 0.0
-
-    def relax(self) -> None:
-        self.sim *= SIM_RELAX
-        self.dissim = min(1.0, self.dissim + DISSIM_RELAX)
-
-
-@dataclass
-class AntNode:
-    """One tree node. During build it houses raw coordinate rows; after
-    aggregation only its prototype, decayed count and fading weight plus
-    acceptance-radius statistics remain."""
-
-    node_id: int
-    parent: Optional[int]
-    children: list[int] = field(default_factory=list)
-    points: Optional[list[np.ndarray]] = None
-    prototype: Optional[np.ndarray] = None
-    count: float = 0.0
-    weight: float = 0.0
-    # Acceptance radius state: running mean of absorbed-point distances,
-    # seeded with the first-window mean nearest-neighbor distance.
-    radius_sum: float = 0.0
-    radius_n: int = 0
-    absorbed_this_window: float = 0.0
-
-    def anchor(self) -> np.ndarray:
-        """Vector this node answers similarity queries with."""
-        if self.prototype is not None:
-            return self.prototype
-        assert self.points, "node has neither prototype nor points"
-        return self.points[0]
-
-
-# connect_ant outcomes
-@dataclass
-class Connected:
-    node_id: int
-
-
-@dataclass
-class Moved:
-    node_id: int
-
-
-@dataclass
-class ResetToSupport:
-    """One-time support reset: the displaced subtree's points, to re-insert
-    in FIFO order; the incoming ant itself was connected at ``node_id``."""
-
-    displaced: list[np.ndarray]
-    node_id: int
-
-
-ConnectAction = Union[Connected, Moved, ResetToSupport]
+# Per-node arrays, one row per non-support node.
+COLUMNS = (
+    "ids", "parents", "prototypes", "counts", "weights",
+    "radius_sum", "radius_n", "absorbed",
+)
 
 
 @dataclass
@@ -117,7 +63,13 @@ class MapOutcome:
 
 
 class TreeSynopsis:
-    """Support-rooted tree of cluster summaries with bounded node fan-out."""
+    """Support-rooted tree of cluster summaries with bounded node fan-out.
+
+    ``parents`` holds each node's parent id (``SUPPORT_ID`` for the first
+    level). ``radius_sum``/``radius_n`` are the acceptance-radius running
+    mean, seeded with the first window's mean nearest-neighbor distance, and
+    ``absorbed`` counts this window's absorptions until ``fade_and_prune``.
+    """
 
     def __init__(self, dim: int, l_max: int = 10):
         if dim < 1:
@@ -126,213 +78,130 @@ class TreeSynopsis:
             raise ValueError("l_max must be >= 1")
         self.dim = dim
         self.l_max = l_max
-        self.nodes: dict[int, AntNode] = {
-            SUPPORT_ID: AntNode(SUPPORT_ID, None)
-        }
+        self.ids = np.empty(0, dtype=np.int64)
+        self.parents = np.empty(0, dtype=np.int64)
+        self.prototypes = np.empty((0, dim))
+        self.counts = np.empty(0)
+        self.weights = np.empty(0)
+        self.radius_sum = np.empty(0)
+        self.radius_n = np.empty(0, dtype=np.int64)
+        self.absorbed = np.empty(0)
         self._next_id = 1
         self.sim_scale = 0.0  # first-window diameter
         self.base_radius = 0.0  # first-window mean nearest-neighbor distance
         self.support_reset_done = False
-        self.aggregated = False
-        self._cache_ids: Optional[list[int]] = None
-        self._cache_protos: Optional[np.ndarray] = None
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def support(self) -> AntNode:
-        return self.nodes[SUPPORT_ID]
-
     def node_count(self) -> int:
         """Number of non-support nodes."""
-        return len(self.nodes) - 1
+        return len(self.ids)
 
-    def _new_node(self, parent: int) -> AntNode:
-        node = AntNode(self._next_id, parent)
+    def _add(self, parent: int, prototype: np.ndarray, weight: float, absorbed: float) -> int:
+        """Append a one-point node under ``parent``; returns its id."""
+        nid = self._next_id
         self._next_id += 1
-        self.nodes[node.node_id] = node
-        self.nodes[parent].children.append(node.node_id)
-        self._cache_ids = None
-        return node
+        row = (nid, parent, prototype, 1.0, weight, self.base_radius, 1, absorbed)
+        for name, value in zip(COLUMNS, row):
+            setattr(self, name, np.concatenate((getattr(self, name), [value])))
+        return nid
 
-    def _detach(self, node_id: int) -> list[np.ndarray]:
-        """Remove a subtree; return its housed points in depth-first order."""
-        out: list[np.ndarray] = []
-        parent = self.nodes[node_id].parent
-        if parent is not None:
-            self.nodes[parent].children.remove(node_id)
-        stack = [node_id]
+    def _drop(self, rows) -> None:
+        keep = np.ones(len(self.ids), dtype=bool)
+        keep[rows] = False
+        for name in COLUMNS:
+            setattr(self, name, getattr(self, name)[keep])
+
+    def _children(self) -> dict[int, list[int]]:
+        """Node id -> rows of its children, in id order."""
+        kids = collections.defaultdict(list)
+        for row, parent in enumerate(self.parents.tolist()):
+            kids[parent].append(row)
+        return kids
+
+    def _subtree(self, root: int, kids: dict[int, list[int]]) -> list[int]:
+        """Rows of the subtree at row ``root``, in preorder."""
+        out, stack = [], [root]
         while stack:
-            nid = stack.pop()
-            node = self.nodes.pop(nid)
-            if node.points:
-                out.extend(node.points)
-            # push reversed so children come back in insertion order
-            stack.extend(reversed(node.children))
-        self._cache_ids = None
+            row = stack.pop()
+            out.append(row)
+            stack.extend(reversed(kids[int(self.ids[row])]))
         return out
 
-    def similarity(self, a: np.ndarray, b: np.ndarray) -> float:
-        """1 - distance/D_max; 1.0 for coincident points even when D_max=0.
+    def similarity(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """1 - distance/D_max over the last axis, broadcasting like ``sq_dist``;
+        1.0 for coincident points even when D_max=0.
 
         Points farther apart than the first window's diameter give values
         below zero; ordering is what matters there, so no clamping.
         """
-        return float(self._similarities(sq_dist(np.asarray(a, float), np.asarray(b, float))))
-
-    def _similarities(self, d2: np.ndarray) -> np.ndarray:
-        """``similarity`` of every squared distance in ``d2``."""
-        dist = np.sqrt(d2)
+        dist = np.sqrt(sq_dist(np.asarray(a, float), np.asarray(b, float)))
         if self.sim_scale <= 0.0:
             return (dist == 0.0).astype(float)
         return 1.0 - dist / self.sim_scale
 
-    def neighbors(self, node_id: int) -> set[int]:
-        """Adjacent non-support nodes: the parent (unless support) plus children."""
-        if node_id == SUPPORT_ID:
-            raise ValueError("support has no neighborhood")
-        if node_id not in self.nodes:
-            raise ValueError(f"unknown node {node_id}")
-        node = self.nodes[node_id]
-        out = set(node.children)
-        if node.parent is not None and node.parent != SUPPORT_ID:
-            out.add(node.parent)
-        return out
-
     def first_level(self) -> list[int]:
-        return list(self.support.children)
+        return self.ids[self.parents == SUPPORT_ID].tolist()
 
-    def subtree_ids(self, root_id: int) -> Iterator[int]:
-        stack = [root_id]
-        while stack:
-            nid = stack.pop()
-            yield nid
-            stack.extend(reversed(self.nodes[nid].children))
-
-    def validate(self, strict_support: bool = False) -> None:
-        """Structural audit: single parent, consistent links, fan-out caps."""
-        seen_children: set[int] = set()
-        for nid, node in self.nodes.items():
-            for cid in node.children:
-                if cid in seen_children:
-                    raise AssertionError(f"node {cid} has two parents")
-                seen_children.add(cid)
-                if self.nodes[cid].parent != nid:
-                    raise AssertionError(f"parent link mismatch at {cid}")
-            if nid != SUPPORT_ID or strict_support:
-                if len(node.children) > self.l_max:
-                    raise AssertionError(f"node {nid} exceeds l_max fan-out")
-        orphan = set(self.nodes) - seen_children - {SUPPORT_ID}
-        if orphan:
-            raise AssertionError(f"orphan nodes: {sorted(orphan)}")
+    def validate(self) -> None:
+        """Structural audit: one row per node in every array, ids increasing,
+        every parent an earlier node (so no cycles or orphans), fan-out caps
+        below the support."""
+        n = len(self.ids)
+        for name in COLUMNS:
+            if len(getattr(self, name)) != n:
+                raise AssertionError(f"{name} has {len(getattr(self, name))} rows, not {n}")
+        if self.prototypes.shape != (n, self.dim):
+            raise AssertionError(f"prototypes shape {self.prototypes.shape}")
+        if n and (self.ids[0] <= SUPPORT_ID or np.any(np.diff(self.ids) <= 0)):
+            raise AssertionError("node ids are not increasing positive ids")
+        linked = np.isin(self.parents, self.ids) | (self.parents == SUPPORT_ID)
+        linked &= self.parents < self.ids
+        if not np.all(linked):
+            raise AssertionError(f"orphan nodes: {self.ids[~linked].tolist()}")
+        parents, fan = np.unique(self.parents[self.parents != SUPPORT_ID], return_counts=True)
+        if np.any(fan > self.l_max):
+            raise AssertionError(f"nodes {parents[fan > self.l_max].tolist()} exceed l_max fan-out")
 
     # -- construction ------------------------------------------------------
 
-    def _anchors(self, pos: int) -> np.ndarray:
-        return np.array([self.nodes[c].anchor() for c in self.nodes[pos].children])
-
-    def _most_similar_child(self, pos: int, coords: np.ndarray) -> tuple[int, float]:
-        """The child whose anchor is most similar to ``coords`` (ties -> lowest id)."""
-        sims = self._similarities(sq_dist(self._anchors(pos), coords))
-        top = sims.max()
-        kids = self.nodes[pos].children
-        return min(c for c, s in zip(kids, sims) if s == top), float(top)
-
-    def _min_pairwise_child_sim(self, pos: int) -> float:
-        """Least similarity between two children; inf with fewer than two.
-
-        Similarity falls as distance grows, so this is the similarity of the
-        widest pair (the zero diagonal never wins the max).
-        """
-        anchors = self._anchors(pos)
-        if len(anchors) < 2:
-            return np.inf
-        widest = sq_dist(anchors[:, None, :], anchors[None, :, :]).max()
-        return float(self._similarities(widest))
-
     def connect_ant(
-        self, ant: np.ndarray, pos: int, thresholds: Thresholds
-    ) -> ConnectAction:
+        self, ant: np.ndarray, pos: int, dissim: float
+    ) -> tuple[int, bool, np.ndarray]:
         """One placement attempt for ``ant`` (a coordinate row) at node ``pos``.
 
-        Branches: (a) fewer than two children -> connect; (b) exactly two
-        children under the support, once per build -> displace the second
-        subtree and connect; (c) connect if the ant is dissimilar enough to
-        its closest child, else move toward that child.
+        Returns ``(node_id, placed, displaced)``. Branches: (a) fewer than two
+        children -> connect; (b) exactly two children under the support, once
+        per build -> displace the second subtree and connect; (c) connect if
+        the ant is dissimilar enough to its closest child, else move toward
+        that child (``placed`` False, ``node_id`` the child). ``displaced``
+        holds the points of a displaced subtree, in preorder, to re-insert.
         """
-        if self.aggregated:
-            raise RuntimeError("tree already aggregated; use map_point")
-        node = self.nodes[pos]
-        kids = node.children
-
+        kids = (self.parents == pos).nonzero()[0]
+        nothing = self.prototypes[:0]
         if len(kids) < 2 and len(kids) < self.l_max:
-            child = self._new_node(pos)
-            child.points = [ant]
-            return Connected(child.node_id)
+            return self._add(pos, ant, 1.0, 0.0), True, nothing
 
-        if (
-            pos == SUPPORT_ID
-            and len(kids) == 2
-            and not self.support_reset_done
-        ):
-            displaced = self._detach(kids[1])
+        if pos == SUPPORT_ID and len(kids) == 2 and not self.support_reset_done:
+            rows = self._subtree(kids[1], self._children())
+            displaced = self.prototypes[rows]
+            self._drop(rows)
             self.support_reset_done = True
-            child = self._new_node(pos)
-            child.points = [ant]
-            return ResetToSupport(displaced, child.node_id)
+            return self._add(pos, ant, 1.0, 0.0), True, displaced
 
-        a_plus, sim_best = self._most_similar_child(pos, ant)
-        t_dissim = self._min_pairwise_child_sim(pos)
-        # Fresh thresholds (dissim=0) leave the test untouched; relaxation
-        # gradually raises the bar so a wandering ant always lands somewhere.
-        if sim_best < max(t_dissim, thresholds.dissim) and len(kids) < self.l_max:
-            child = self._new_node(pos)
-            child.points = [ant]
-            return Connected(child.node_id)
+        anchors = self.prototypes[kids]
+        sims = self.similarity(anchors, ant)
+        best = int(sims.argmax())  # ties -> lowest id
+        # Fresh tolerance (dissim=0) leaves the test against the least
+        # pairwise child similarity untouched; relaxation gradually raises
+        # the bar so a wandering ant always lands somewhere.
+        if len(kids) < self.l_max:
+            widest = self.similarity(anchors[:, None, :], anchors[None, :, :]).min()
+            if sims[best] < max(widest, dissim):
+                return self._add(pos, ant, 1.0, 0.0), True, nothing
+        return int(self.ids[kids[best]]), False, nothing
 
-        thresholds.relax()
-        return Moved(a_plus)
-
-    # -- aggregation and streaming -----------------------------------------
-
-    def aggregate(self) -> None:
-        """Collapse housed points to per-node prototypes and drop the raw data."""
-        if self.aggregated:
-            return
-        for nid, node in self.nodes.items():
-            if nid == SUPPORT_ID:
-                continue
-            assert node.points, f"node {nid} has no points to aggregate"
-            pts = np.vstack(node.points)
-            node.prototype = pts.mean(axis=0)
-            node.count = node.weight = float(len(pts))
-            node.points = None
-            node.radius_sum = self.base_radius
-            node.radius_n = 1
-        self.aggregated = True
-        self._cache_ids = None
-
-    def _proto_matrix(self) -> tuple[list[int], np.ndarray]:
-        if self._cache_ids is None:
-            ids = [nid for nid in self.nodes if nid != SUPPORT_ID]
-            self._cache_ids = ids
-            self._cache_protos = np.vstack(
-                [self.nodes[nid].prototype for nid in ids]
-            )
-        return self._cache_ids, self._cache_protos
-
-    def acceptance_radius(self, node: AntNode) -> float:
-        """Running mean of claimed-point distances, floored at a multiple of
-        the base radius.
-
-        The floor keeps long streams from shrinking the radius toward zero
-        (a bare mean of accepted distances is non-increasing); claims from
-        rejected points let sparse regions widen beyond it.
-        """
-        floor = RADIUS_SCALE * self.base_radius
-        if node.radius_n == 0:
-            return floor
-        return max(floor, node.radius_sum / node.radius_n)
+    # -- streaming ---------------------------------------------------------
 
     def map_point(self, point: np.ndarray) -> MapOutcome:
         """Absorb a later-window point (a coordinate row) or open a new node
@@ -342,34 +211,26 @@ class TreeSynopsis:
         per window in ``decay_counts`` instead. Every point updates the
         claimed node's radius statistics whether or not it is absorbed, so
         radii track the local spread: sparse regions widen their catchment
-        instead of shedding endless novelty nodes.
+        instead of shedding endless novelty nodes. The acceptance radius is
+        that running mean of claimed-point distances, floored at
+        ``RADIUS_SCALE`` base radii so long streams cannot shrink it to zero.
         """
-        if not self.aggregated:
-            raise RuntimeError("aggregate the tree before streaming points")
         coords = np.asarray(point, dtype=float)
         if coords.shape != (self.dim,):
             raise ValueError("point dimension mismatch")
-        ids, protos = self._proto_matrix()
-        dists = np.sqrt(sq_dist(protos, coords))
-        best = int(np.argmin(dists))
-        node = self.nodes[ids[best]]
-        dist = float(dists[best])
-        accepted = dist <= self.acceptance_radius(node)
-        node.radius_sum += dist
-        node.radius_n += 1
-        if accepted:
-            node.prototype, node.count = merge_prototype(
-                node.prototype, node.count, coords, 1.0, 1.0
+        dists = np.sqrt(sq_dist(self.prototypes, coords))
+        row = int(np.argmin(dists))
+        dist = float(dists[row])
+        radius = max(RADIUS_SCALE * self.base_radius, self.radius_sum[row] / self.radius_n[row])
+        self.radius_sum[row] += dist
+        self.radius_n[row] += 1
+        if dist <= radius:
+            self.prototypes[row], self.counts[row] = merge_prototype(
+                self.prototypes[row], self.counts[row], coords, 1.0, 1.0
             )
-            node.absorbed_this_window += 1.0
-            self._cache_protos[best] = node.prototype
-            return MapOutcome(node.node_id, False, dist)
-        fresh = self._new_node(SUPPORT_ID)
-        fresh.prototype, fresh.count, fresh.weight = coords.copy(), 1.0, 0.0
-        fresh.radius_sum = self.base_radius
-        fresh.radius_n = 1
-        fresh.absorbed_this_window = 1.0
-        return MapOutcome(fresh.node_id, True, dist)
+            self.absorbed[row] += 1.0
+            return MapOutcome(int(self.ids[row]), False, dist)
+        return MapOutcome(self._add(SUPPORT_ID, coords, 0.0, 1.0), True, dist)
 
     def decay_counts(self, gamma: float) -> None:
         """Age every node count by one window.
@@ -378,65 +239,50 @@ class TreeSynopsis:
         running-mean absorption in map_point this reproduces the batch
         merge rule at window granularity: count -> gamma*count + absorbed.
         """
-        if gamma == 1.0:
-            return
-        for nid, node in self.nodes.items():
-            if nid != SUPPORT_ID:
-                node.count *= gamma
+        if gamma != 1.0:
+            self.counts *= gamma
 
     def fade_and_prune(self, gamma: float, threshold: float) -> int:
         """Window tick: fade node weights by absorbed counts, drop dead leaves.
 
         Only leaves are removed (looped until stable) so links stay valid;
         a starving internal node dies once its subtree has drained. The last
-        non-support node always survives. Returns number of removed nodes.
+        node always survives: the heaviest, ties to the lowest id. Returns
+        the number of removed nodes.
         """
-        for nid, node in self.nodes.items():
-            if nid == SUPPORT_ID:
-                continue
-            node.weight = gamma * node.weight + node.absorbed_this_window
-            node.absorbed_this_window = 0.0
+        self.weights = gamma * self.weights + self.absorbed
+        self.absorbed[:] = 0.0
         removed = 0
         while True:
-            doomed = [
-                nid
-                for nid, node in self.nodes.items()
-                if nid != SUPPORT_ID
-                and not node.children
-                and node.weight < threshold
-            ]
-            if len(self.nodes) - 1 - len(doomed) < 1:
-                doomed.sort(key=lambda nid: (self.nodes[nid].weight, -nid))
-                doomed = doomed[:-1]  # spare the heaviest leaf
-            if not doomed:
-                break
-            for nid in doomed:
-                parent = self.nodes[nid].parent
-                self.nodes[parent].children.remove(nid)
-                del self.nodes[nid]
-                removed += 1
-            self._cache_ids = None
-        return removed
+            leaf = ~np.isin(self.ids, self.parents)
+            doomed = np.flatnonzero(leaf & (self.weights < threshold))
+            if len(doomed) == len(self.ids) > 0:
+                doomed = np.delete(doomed, np.argmax(self.weights))
+            if not len(doomed):
+                return removed
+            self._drop(doomed)
+            removed += len(doomed)
 
     def macro_clusters(self, solution_id: int = -1) -> ClusteringSolution:
-        """One cluster per first-level subtree (count-weighted prototype mean)."""
-        if not self.aggregated:
-            raise RuntimeError("aggregate the tree before reading macro clusters")
-        roots = self.first_level()
-        if not roots:
+        """One cluster per first-level subtree (count-weighted prototype mean).
+
+        Each subtree is summed in preorder, so the float sums do not depend
+        on how the rows are stored.
+        """
+        kids = self._children()
+        if not kids[SUPPORT_ID]:
             raise ValueError("tree has no first-level subtrees")
         protos, counts, weights = [], [], []
-        for root in roots:
-            nodes = [self.nodes[nid] for nid in self.subtree_ids(root)]
-            rows = np.vstack([n.prototype for n in nodes])
-            sizes = np.asarray([n.count for n in nodes])
+        for root in kids[SUPPORT_ID]:
+            rows = self._subtree(root, kids)
+            block, sizes = self.prototypes[rows], self.counts[rows]
             total = sizes.sum()
             if total > 0:
-                protos.append((rows * sizes[:, None]).sum(axis=0) / total)
+                protos.append((block * sizes[:, None]).sum(axis=0) / total)
             else:
-                protos.append(rows.mean(axis=0))
+                protos.append(block.mean(axis=0))
             counts.append(float(total))
-            weights.append(float(sum(n.weight for n in nodes)))
+            weights.append(float(sum(self.weights[rows].tolist())))
         return ClusteringSolution(
             ObjectiveVector(),
             np.vstack(protos),
@@ -478,7 +324,7 @@ def mean_nearest_neighbor_distance(data: np.ndarray, block: int = 512) -> float:
 
 
 def build_initial_tree(window: WindowBatch, l_max: int = 10) -> TreeSynopsis:
-    """Insert every first-window point as an ant; returns the raw (unaggregated) tree."""
+    """Insert every first-window point as an ant; the tree is ready to stream."""
     tree = TreeSynopsis(window.dim, l_max)
     tree.sim_scale = _pairwise_max_distance(window.data)
     tree.base_radius = mean_nearest_neighbor_distance(window.data)
@@ -487,17 +333,14 @@ def build_initial_tree(window: WindowBatch, l_max: int = 10) -> TreeSynopsis:
     guard_limit = 200 * (len(window) + 10) * (l_max + 10)
     while queue:
         ant = queue.popleft()
-        thresholds = Thresholds()
-        pos = SUPPORT_ID
+        pos, dissim = SUPPORT_ID, 0.0
         while True:
             guard += 1
             if guard > guard_limit:  # pragma: no cover - internal fault trap
                 raise RuntimeError("tree construction failed to make progress")
-            action = tree.connect_ant(ant, pos, thresholds)
-            if isinstance(action, Connected):
+            pos, placed, displaced = tree.connect_ant(ant, pos, dissim)
+            if placed:
+                queue.extend(displaced)
                 break
-            if isinstance(action, ResetToSupport):
-                queue.extend(action.displaced)
-                break
-            pos = action.node_id
+            dissim = min(1.0, dissim + DISSIM_RELAX)
     return tree

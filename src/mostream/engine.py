@@ -158,7 +158,6 @@ def initialize(
     """Build the tree, seed the population, breed once, fill the archive."""
     t0 = time.perf_counter()
     tree = build_initial_tree(first_window, cfg.l_max)
-    tree.aggregate()
 
     population: list[ClusteringSolution] = []
     macro = tree.macro_clusters()

@@ -205,16 +205,13 @@ def emit_snapshot(state: EngineState, out_dir: str) -> tuple[str, str]:
     """
     wid = state.window_id
     tree_path = os.path.join(out_dir, f"tree_{wid:05d}.csv")
+    tree = state.tree
     with open(tree_path, "w", encoding="utf-8") as fh:
-        for nid in sorted(state.tree.nodes):
-            node = state.tree.nodes[nid]
-            if node.prototype is None:
-                continue
-            coords = ",".join(_fmt(v) for v in node.prototype)
-            fh.write(
-                f"{nid},{node.parent},{_fmt(node.count)},"
-                f"{_fmt(node.weight)},{coords}\n"
-            )
+        for nid, parent, count, weight, proto in zip(
+            tree.ids.tolist(), tree.parents.tolist(), tree.counts, tree.weights, tree.prototypes
+        ):
+            coords = ",".join(_fmt(v) for v in proto)
+            fh.write(f"{nid},{parent},{_fmt(count)},{_fmt(weight)},{coords}\n")
     archive_path = os.path.join(out_dir, f"archive_{wid:05d}.csv")
     with open(archive_path, "w", encoding="utf-8") as fh:
         for sol in state.archive:

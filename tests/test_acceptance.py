@@ -19,7 +19,7 @@ from mostream.core import (
     StreamConfig,
     WindowBatch,
 )
-from mostream.anttree import build_initial_tree
+from mostream.anttree import COLUMNS, build_initial_tree
 from mostream.engine import initialize, on_idle, process_window, run_stream
 from mostream.evolution import IdleBudget, crossover, mutate
 from mostream.metrics import arand, nmi
@@ -161,9 +161,10 @@ def test_criterion_5_memory_bound_and_flatness():
         if w.window_id > 5:
             bound = state.archive.capacity * 15 + state.tree.node_count()
             assert count <= bound, f"window {w.window_id}: {count} > {bound}"
-        # structural zero-raw-retention audit: the synopsis holds prototype
-        # summaries only, and the engine keeps just the current window
-        assert all(n.points is None for n in state.tree.nodes.values())
+        # structural zero-raw-retention audit: every tree array holds one
+        # row per node, and the engine keeps just the current window
+        tree = state.tree
+        assert all(len(getattr(tree, name)) == tree.node_count() for name in COLUMNS)
         assert state.last_window is w
         assert count == state.tree.node_count() + sum(s.k for s in state.archive)
         stored.append(count)
@@ -208,14 +209,12 @@ def test_criterion_6_tree_adversarial_suite():
         tree = build_initial_tree(WindowBatch(data, 0), l_max=10)
         timings[name] = time.monotonic() - t0
         assert timings[name] < 10.0
-        tree.validate()  # single parent per node, no orphans
-        for nid, node in tree.nodes.items():
-            if nid != 0:
-                assert len(node.children) <= 10
-        housed = sum(
-            len(node.points) for nid, node in tree.nodes.items() if nid != 0
-        )
-        assert housed == 500
+        tree.validate()  # one row per node, no orphans, fan-out <= l_max
+        fan = np.bincount(tree.parents[tree.parents != 0])
+        assert fan.max(initial=0) <= 10
+        # every point housed exactly once: the prototype rows are a
+        # permutation of the input rows
+        assert sorted(map(tuple, tree.prototypes)) == sorted(map(tuple, data))
     shown = {k: round(v, 3) for k, v in timings.items()}
     print(f"\n[PASS] criterion 6: adversarial builds terminate clean, seconds={shown}")
 
@@ -232,29 +231,27 @@ def test_criterion_7_gamma_one_conservation():
     cfg = StreamConfig(gamma=1.0, prune_threshold=0.0, idle_generations_cap=0)
     state = initialize(batches[0], cfg)
 
-    absorbed = {}
-    for nid, node in state.tree.nodes.items():
-        if nid != 0:
-            # every build node houses exactly one point, so its prototype is it
-            absorbed[nid] = [node.prototype.copy()]
+    # every build node houses exactly one point, so its prototype is it
+    tree = state.tree
+    absorbed = {nid: [proto.copy()] for nid, proto in zip(tree.ids.tolist(), tree.prototypes)}
 
-    original_map = state.tree.map_point
+    original_map = tree.map_point
 
     def recording_map(point):
         out = original_map(point)
         absorbed.setdefault(out.node_id, []).append(np.asarray(point, float))
         return out
 
-    state.tree.map_point = recording_map
+    tree.map_point = recording_map
     for w in batches[1:]:
         process_window(state, w)
 
     worst = 0.0
     for nid, chunks in absorbed.items():
-        node = state.tree.nodes[nid]
+        row = tree.ids.tolist().index(nid)
         mean = np.mean(chunks, axis=0)
-        assert node.count == pytest.approx(float(len(chunks)), abs=1e-9)
-        gap = float(np.abs(node.prototype - mean).max())
+        assert tree.counts[row] == pytest.approx(float(len(chunks)), abs=1e-9)
+        gap = float(np.abs(tree.prototypes[row] - mean).max())
         worst = max(worst, gap)
         assert gap < 1e-9
     print(

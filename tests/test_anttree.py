@@ -1,18 +1,18 @@
-"""Tree synopsis: ant-style construction, aggregation, and streaming updates."""
+"""Tree synopsis: ant-style construction, array layout and streaming updates."""
 
+import copy
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mostream.core import WindowBatch
 from mostream.anttree import (
+    COLUMNS,
+    DISSIM_RELAX,
     RADIUS_SCALE,
     SUPPORT_ID,
-    Connected,
-    Moved,
-    ResetToSupport,
-    Thresholds,
     TreeSynopsis,
     build_initial_tree,
     mean_nearest_neighbor_distance,
@@ -27,18 +27,29 @@ def _window(rows, wid=0):
     return WindowBatch(np.asarray(rows, dtype=float), wid)
 
 
-class TestThresholds:
-    def test_relax_moves_both_bounds(self):
-        t = Thresholds()
-        t.relax()
-        assert t.sim == pytest.approx(0.9)
-        assert t.dissim == pytest.approx(0.01)
+def _node(tree, parent, *coords, weight=1.0):
+    """Add a one-point node the way the build does; returns its id."""
+    return tree._add(parent, _pt(*coords), weight, 0.0)
 
-    def test_dissim_saturates_at_one(self):
-        t = Thresholds(dissim=0.999)
-        for _ in range(10):
-            t.relax()
-        assert t.dissim == 1.0
+
+def _fan(anchors, sim_scale, l_max=10):
+    """Support children at ``anchors``, in id order."""
+    tree = TreeSynopsis(2, l_max)
+    tree.sim_scale = sim_scale
+    tree.support_reset_done = True
+    for row in anchors:
+        _node(tree, SUPPORT_ID, *row)
+    return tree
+
+
+def _row(tree, node_id):
+    """Array row of ``node_id``."""
+    return tree.ids.tolist().index(node_id)
+
+
+def _same_rows(a, b):
+    """``a`` and ``b`` hold the same rows, in any order."""
+    return sorted(map(tuple, np.asarray(a))) == sorted(map(tuple, np.asarray(b)))
 
 
 class TestSimilarity:
@@ -58,112 +69,121 @@ class TestSimilarity:
         assert tree.similarity([1, 1], [1, 1]) == 1.0
         assert tree.similarity([1, 1], [1, 2]) == 0.0
 
+    def test_broadcasts_like_sq_dist(self):
+        tree = TreeSynopsis(2)
+        tree.sim_scale = 10.0
+        rows = np.array([[0.0, 0.0], [6.0, 0.0]])
+        sims = tree.similarity(rows[:, None, :], rows[None, :, :])
+        assert np.allclose(sims, [[1.0, 0.4], [0.4, 1.0]])
+
 
 class TestConnectAnt:
     def test_empty_support_connects(self):
         tree = TreeSynopsis(2)
-        out = tree.connect_ant(_pt(0, 0), SUPPORT_ID, Thresholds())
-        assert isinstance(out, Connected)
-        assert tree.nodes[out.node_id].parent == SUPPORT_ID
-        assert np.allclose(tree.nodes[out.node_id].points[0], [0, 0])
+        nid, placed, displaced = tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
+        assert placed and len(displaced) == 0
+        row = _row(tree, nid)
+        assert tree.parents[row] == SUPPORT_ID
+        assert np.array_equal(tree.prototypes[row], [0, 0])
         assert tree.node_count() == 1
 
     def test_second_child_connects(self):
         tree = TreeSynopsis(2)
-        tree.connect_ant(_pt(0, 0), SUPPORT_ID, Thresholds())
-        out = tree.connect_ant(_pt(6, 0), SUPPORT_ID, Thresholds())
-        assert isinstance(out, Connected)
-        assert len(tree.support.children) == 2
+        tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
+        _, placed, _ = tree.connect_ant(_pt(6, 0), SUPPORT_ID, 0.0)
+        assert placed
+        assert len(tree.first_level()) == 2
 
     def test_support_reset_fires_once(self):
         tree = TreeSynopsis(2)
         tree.sim_scale = 10.0
-        tree.connect_ant(_pt(0, 0), SUPPORT_ID, Thresholds())
-        tree.connect_ant(_pt(6, 0), SUPPORT_ID, Thresholds())
-        out = tree.connect_ant(_pt(1, 0), SUPPORT_ID, Thresholds())
-        assert isinstance(out, ResetToSupport)
+        tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
+        tree.connect_ant(_pt(6, 0), SUPPORT_ID, 0.0)
+        nid, placed, displaced = tree.connect_ant(_pt(1, 0), SUPPORT_ID, 0.0)
+        assert placed
         # the second subtree was displaced, the new ant took its place
-        displaced = [tuple(p) for p in out.displaced]
-        assert displaced == [(6.0, 0.0)]
+        assert [tuple(p) for p in displaced] == [(6.0, 0.0)]
         assert tree.support_reset_done
-        assert len(tree.support.children) == 2
+        assert tree.first_level() == [1, nid]
+        _, placed, displaced = tree.connect_ant(_pt(9, 0), SUPPORT_ID, 0.0)
+        assert len(displaced) == 0
+
+    def test_reset_returns_displaced_subtree_in_preorder(self):
+        # support -> 1, 2; 2 -> 3, 5; 3 -> 4
+        tree = TreeSynopsis(2)
+        tree.sim_scale = 10.0
+        _node(tree, SUPPORT_ID, 0, 0)
+        _node(tree, SUPPORT_ID, 2, 0)
+        _node(tree, 2, 3, 0)
+        _node(tree, 3, 4, 0)
+        _node(tree, 2, 5, 0)
+        nid, placed, displaced = tree.connect_ant(_pt(9, 9), SUPPORT_ID, 0.0)
+        assert placed and nid == 6
+        assert displaced[:, 0].tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert tree.ids.tolist() == [1, 6]
+        tree.validate()
 
     def test_dissimilar_ant_connects_at_full_support(self):
         # children at distance 6 with diameter 10: pairwise sim 0.4;
         # an ant 7 away from its closest child scores 0.3 < 0.4 -> connect
-        tree = TreeSynopsis(2)
-        tree.sim_scale = 10.0
-        tree.support_reset_done = True
-        tree.connect_ant(_pt(0, 0), SUPPORT_ID, Thresholds())
-        tree.connect_ant(_pt(6, 0), SUPPORT_ID, Thresholds())
-        out = tree.connect_ant(_pt(13, 0), SUPPORT_ID, Thresholds())
-        assert isinstance(out, Connected)
-        assert len(tree.support.children) == 3
+        tree = _fan([(0, 0), (6, 0)], 10.0)
+        _, placed, _ = tree.connect_ant(_pt(13, 0), SUPPORT_ID, 0.0)
+        assert placed
+        assert len(tree.first_level()) == 3
 
     def test_similar_ant_moves_toward_closest_child(self):
-        tree = TreeSynopsis(2)
-        tree.sim_scale = 10.0
-        tree.support_reset_done = True
-        a = tree.connect_ant(_pt(0, 0), SUPPORT_ID, Thresholds())
-        b = tree.connect_ant(_pt(6, 0), SUPPORT_ID, Thresholds())
-        th = Thresholds()
-        out = tree.connect_ant(_pt(7, 0), SUPPORT_ID, th)
-        assert isinstance(out, Moved)
-        assert out.node_id == b.node_id
-        assert th.sim == pytest.approx(0.9)
-        assert th.dissim == pytest.approx(0.01)
-        assert a.node_id in tree.support.children
+        tree = _fan([(0, 0), (6, 0)], 10.0)
+        nid, placed, displaced = tree.connect_ant(_pt(7, 0), SUPPORT_ID, 0.0)
+        assert not placed and len(displaced) == 0
+        assert nid == 2
+        assert tree.node_count() == 2
 
-    def test_connect_after_aggregate_rejected(self):
-        tree = build_initial_tree(_window([[0, 0], [5, 5]]))
-        tree.aggregate()
-        with pytest.raises(RuntimeError):
-            tree.connect_ant(_pt(1, 1), SUPPORT_ID, Thresholds())
+    def test_relaxed_tolerance_connects(self):
+        # the same ant connects once its tolerance exceeds its similarity 0.9
+        tree = _fan([(0, 0), (6, 0)], 10.0)
+        _, placed, _ = tree.connect_ant(_pt(7, 0), SUPPORT_ID, 0.95)
+        assert placed
+        assert len(tree.first_level()) == 3
+
+    def test_full_node_moves_even_when_dissimilar(self):
+        tree = _fan([(0, 0), (6, 0)], 10.0, l_max=2)
+        nid, placed, _ = tree.connect_ant(_pt(13, 0), SUPPORT_ID, 1.0)
+        assert not placed and nid == 2
 
 
-def _loop_most_similar(tree, pos, coords):
-    """Child scan one similarity() call at a time, ties -> lowest id."""
+def _reference_step(tree, pos, ant, dissim):
+    """connect_ant's branch (c), one similarity() call at a time: the most
+    similar child (ties -> lowest id) and whether the ant connects."""
+    kids = [int(i) for i, p in zip(tree.ids, tree.parents) if p == pos]
+    anchors = {i: tree.prototypes[_row(tree, i)] for i in kids}
     best_id, best_sim = -1, -np.inf
-    for cid in tree.nodes[pos].children:
-        s = tree.similarity(coords, tree.nodes[cid].anchor())
-        if s > best_sim or (s == best_sim and cid < best_id):
+    for cid in kids:
+        s = float(tree.similarity(ant, anchors[cid]))
+        if s > best_sim:
             best_id, best_sim = cid, s
-    return best_id, best_sim
-
-
-def _loop_min_pairwise(tree, pos):
-    anchors = [tree.nodes[c].anchor() for c in tree.nodes[pos].children]
-    best = np.inf
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            best = min(best, tree.similarity(anchors[i], anchors[j]))
-    return best
+    least = np.inf
+    for i, a in enumerate(kids):
+        for b in kids[i + 1 :]:
+            least = min(least, float(tree.similarity(anchors[a], anchors[b])))
+    return best_id, len(kids) < tree.l_max and best_sim < max(least, dissim)
 
 
 class TestChildScans:
-    def _fan(self, anchors, sim_scale):
-        """Support children at ``anchors``, listed in reverse id order."""
-        tree = TreeSynopsis(2)
-        tree.sim_scale = sim_scale
-        for row in anchors:
-            tree._new_node(SUPPORT_ID).points = [_pt(*row)]
-        tree.support.children.reverse()
-        return tree
+    """connect_ant's child scan against one similarity() call at a time."""
 
     @pytest.mark.parametrize("sim_scale", [10.0, 0.0])
     def test_tie_goes_to_lowest_id(self, sim_scale):
-        tree = self._fan([(0, 1), (1, 0), (0, -1), (0, 1)], sim_scale)
-        for query in [(0.0, 0.0), (0.0, 1.0), (5.0, 5.0)]:
-            got = tree._most_similar_child(SUPPORT_ID, _pt(*query))
-            assert got == _loop_most_similar(tree, SUPPORT_ID, _pt(*query))
-        assert tree._most_similar_child(SUPPORT_ID, _pt(0.0, 0.0))[0] == 1
-        assert tree._min_pairwise_child_sim(SUPPORT_ID) == _loop_min_pairwise(
-            tree, SUPPORT_ID)
+        tree = _fan([(0, 1), (1, 0), (0, -1), (0, 1)], sim_scale)
+        for query, want in [((0.0, 0.0), 1), ((0.0, 1.0), 1), ((1.0, 0.0), 2)]:
+            assert _reference_step(tree, SUPPORT_ID, _pt(*query), 0.0)[0] == want
+            nid, placed, _ = copy.deepcopy(tree).connect_ant(_pt(*query), SUPPORT_ID, 0.0)
+            assert (nid, placed) == (want, False)
 
     def test_single_child_has_no_pairs(self):
-        tree = self._fan([(3, 4)], 10.0)
-        assert tree._min_pairwise_child_sim(SUPPORT_ID) == np.inf
-        assert tree._most_similar_child(SUPPORT_ID, _pt(0.0, 0.0)) == (1, 0.5)
+        # no pair to compare, and the node is full at l_max=1: the ant moves
+        tree = _fan([(3, 4)], 10.0, l_max=1)
+        nid, placed, _ = tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
+        assert not placed and nid == 1
 
     @pytest.mark.parametrize("dim", [2, 16])
     def test_match_loops_on_every_built_node(self, dim):
@@ -172,13 +192,20 @@ class TestChildScans:
         tree = build_initial_tree(_window(data))
         queries = rg.normal(scale=3.0, size=(5, dim))
         checked = 0
-        for nid, node in tree.nodes.items():
-            if len(node.children) < 2:
+        for nid in [SUPPORT_ID, *tree.ids.tolist()]:
+            if np.count_nonzero(tree.parents == nid) < 2:
                 continue
             checked += 1
             for q in queries:
-                assert tree._most_similar_child(nid, q) == _loop_most_similar(tree, nid, q)
-            assert tree._min_pairwise_child_sim(nid) == _loop_min_pairwise(tree, nid)
+                for dissim in (0.0, 50 * DISSIM_RELAX):
+                    best, connects = _reference_step(tree, nid, q, dissim)
+                    trial = copy.deepcopy(tree)
+                    got, placed, _ = trial.connect_ant(q, nid, dissim)
+                    assert placed == connects
+                    if placed:
+                        assert got == tree.ids[-1] + 1
+                    else:
+                        assert got == best
         assert checked >= 5
 
 
@@ -186,8 +213,8 @@ class TestBuild:
     def test_single_point(self):
         tree = build_initial_tree(_window([[3.0, 4.0]]))
         assert tree.node_count() == 1
-        only = tree.nodes[tree.first_level()[0]]
-        assert np.allclose(only.points[0], [3, 4])
+        assert tree.first_level() == [1]
+        assert np.array_equal(tree.prototypes[0], [3, 4])
 
     def test_identical_pair(self):
         tree = build_initial_tree(_window([[1, 1], [1, 1]]))
@@ -199,15 +226,8 @@ class TestBuild:
         data = rng.normal(size=(30, 2))
         tree = build_initial_tree(_window(data))
         tree.validate()
-        housed = []
-        for nid, node in tree.nodes.items():
-            if nid == SUPPORT_ID:
-                assert not node.points
-                continue
-            assert node.points and len(node.points) == 1
-            housed.append(tuple(node.points[0]))
-        assert sorted(housed) == sorted(map(tuple, data))
         assert tree.node_count() == 30
+        assert _same_rows(tree.prototypes, data)
 
     def test_scale_fields_set_from_first_window(self):
         data = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -231,55 +251,41 @@ class TestBuild:
 
 
 class TestAggregate:
-    def test_node_mean_and_count(self):
-        tree = TreeSynopsis(2)
-        tree.base_radius = 1.5
-        node = tree._new_node(SUPPORT_ID)
-        node.points = [_pt(0, 0), _pt(2, 2)]
-        tree.aggregate()
-        assert np.allclose(node.prototype, [1, 1])
-        assert node.count == 2.0
-        assert node.weight == 2.0
-        assert node.points is None
-        assert node.radius_sum == pytest.approx(1.5)
-        assert node.radius_n == 1
+    """The build leaves every node aggregated: one point, which is its
+    prototype, with no separate aggregation step."""
 
-    def test_idempotent(self):
-        tree = build_initial_tree(_window([[0, 0], [4, 4]]))
-        tree.aggregate()
-        before = {nid: n.prototype.copy() for nid, n in tree.nodes.items() if nid}
-        tree.aggregate()
-        for nid, proto in before.items():
-            assert np.array_equal(tree.nodes[nid].prototype, proto)
+    def test_node_mean_and_count(self):
+        data = np.random.default_rng(4).normal(size=(40, 3))
+        tree = build_initial_tree(_window(data))
+        assert _same_rows(tree.prototypes, data)  # the mean of one point
+        assert np.all(tree.counts == 1.0)
+        assert np.all(tree.weights == 1.0)
+        assert np.all(tree.radius_sum == tree.base_radius)
+        assert np.all(tree.radius_n == 1)
+        assert np.all(tree.absorbed == 0.0)
+        assert tree.support_reset_done
 
     def test_no_raw_points_survive(self):
-        rng = np.random.default_rng(0)
-        tree = build_initial_tree(_window(rng.normal(size=(50, 3))))
-        tree.aggregate()
-        assert all(node.points is None for node in tree.nodes.values())
+        data = np.random.default_rng(0).normal(size=(50, 3))
+        tree = build_initial_tree(_window(data))
+        assert all(len(getattr(tree, name)) == 50 for name in COLUMNS)
+        assert _same_rows(tree.prototypes, data)
 
 
 class TestMapPoint:
     def _two_node_tree(self):
-        # base_radius 10 -> acceptance floor 40
-        tree = build_initial_tree(_window([[0.0, 0.0], [10.0, 0.0]]))
-        tree.aggregate()
-        return tree
-
-    def test_requires_aggregation(self):
-        tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        with pytest.raises(RuntimeError):
-            tree.map_point(_pt(0, 0))
+        # base_radius 10 -> acceptance floor 40; streams straight from the build
+        return build_initial_tree(_window([[0.0, 0.0], [10.0, 0.0]]))
 
     def test_exact_prototype_is_fixed_point(self):
         tree = self._two_node_tree()
         nid = tree.first_level()[0]
-        proto = tree.nodes[nid].prototype.copy()
+        proto = tree.prototypes[_row(tree, nid)].copy()
         out = tree.map_point(proto.copy())
         assert not out.created
         assert out.node_id == nid
         assert out.distance == 0.0
-        assert np.allclose(tree.nodes[nid].prototype, proto)
+        assert np.allclose(tree.prototypes[_row(tree, nid)], proto)
 
     def test_boundary_distance_is_accepted(self):
         tree = self._two_node_tree()
@@ -294,30 +300,37 @@ class TestMapPoint:
         out = tree.map_point(_pt(500.0, 500.0))
         assert out.created
         assert tree.node_count() == before + 1
-        fresh = tree.nodes[out.node_id]
-        assert fresh.parent == SUPPORT_ID
-        assert fresh.weight == 0.0
-        assert fresh.count == 1.0
-        assert fresh.absorbed_this_window == 1.0
+        row = _row(tree, out.node_id)
+        assert row == before  # appended in id order
+        assert tree.parents[row] == SUPPORT_ID
+        assert tree.weights[row] == 0.0
+        assert tree.counts[row] == 1.0
+        assert tree.absorbed[row] == 1.0
+        assert np.array_equal(tree.prototypes[row], [500.0, 500.0])
 
     def test_rejected_claim_still_widens_radius(self):
         tree = self._two_node_tree()
-        nid = tree.first_level()[0]
-        node = tree.nodes[nid]
-        n_before, sum_before = node.radius_n, node.radius_sum
+        row = _row(tree, tree.first_level()[0])
+        n_before, sum_before = tree.radius_n[row], tree.radius_sum[row]
         out = tree.map_point(_pt(-100.0, 0.0))
         assert out.created
-        assert node.radius_n == n_before + 1
-        assert node.radius_sum == pytest.approx(sum_before + 100.0)
+        assert tree.radius_n[row] == n_before + 1
+        assert tree.radius_sum[row] == pytest.approx(sum_before + 100.0)
+
+    def test_radius_grows_past_floor(self):
+        tree = self._two_node_tree()
+        row = _row(tree, tree.first_level()[0])
+        tree.radius_sum[row], tree.radius_n[row] = 150.0, 3  # mean 50 > floor 40
+        assert not tree.map_point(_pt(-45.0, 0.0)).created
 
     def test_absorption_is_running_merge(self):
         tree = self._two_node_tree()
-        nid = tree.first_level()[0]
-        node = tree.nodes[nid]
+        row = _row(tree, tree.first_level()[0])
         tree.map_point(_pt(-2.0, 0.0))
         # running mean of (0,0) and (-2,0)
-        assert np.allclose(node.prototype, [-1.0, 0.0])
-        assert node.count == 2.0
+        assert np.allclose(tree.prototypes[row], [-1.0, 0.0])
+        assert tree.counts[row] == 2.0
+        assert tree.absorbed[row] == 1.0
 
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()
@@ -328,184 +341,153 @@ class TestMapPoint:
 class TestWindowTick:
     def test_decay_counts(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        tree.aggregate()
         tree.decay_counts(0.7)
-        assert all(
-            n.count == pytest.approx(0.7)
-            for nid, n in tree.nodes.items()
-            if nid != SUPPORT_ID
-        )
+        assert np.allclose(tree.counts, 0.7)
 
     def test_decay_at_gamma_one_is_noop(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        tree.aggregate()
         tree.decay_counts(1.0)
-        assert all(
-            n.count == 1.0
-            for nid, n in tree.nodes.items()
-            if nid != SUPPORT_ID
-        )
+        assert np.all(tree.counts == 1.0)
 
     def test_fade_folds_absorbed_and_resets(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        tree.aggregate()
-        nid = tree.first_level()[0]
-        tree.nodes[nid].absorbed_this_window = 3.0
+        row = _row(tree, tree.first_level()[0])
+        tree.absorbed[row] = 3.0
         tree.fade_and_prune(0.7, threshold=0.0)
-        assert tree.nodes[nid].weight == pytest.approx(0.7 * 1.0 + 3.0)
-        assert tree.nodes[nid].absorbed_this_window == 0.0
+        assert tree.weights[row] == pytest.approx(0.7 * 1.0 + 3.0)
+        assert np.all(tree.absorbed == 0.0)
 
     def test_starved_leaf_pruned_inner_node_waits(self):
         # chain support -> x -> y, both starving: y goes first, x is spared
         # as the last remaining node
         tree = TreeSynopsis(2)
-        tree.base_radius = 1.0
-        x = tree._new_node(SUPPORT_ID)
-        y = tree._new_node(x.node_id)
-        x.points = [_pt(0, 0)]
-        y.points = [_pt(1, 1)]
-        tree.aggregate()
-        x.weight = 0.01
-        y.weight = 0.01
+        x = _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
+        y = _node(tree, x, 1, 1, weight=0.01)
         removed = tree.fade_and_prune(0.7, threshold=0.1)
         assert removed == 1
-        assert y.node_id not in tree.nodes
-        assert x.node_id in tree.nodes
+        assert tree.ids.tolist() == [x]
         tree.validate()
+        assert y not in tree.ids
+
+    def test_prune_cascades_up_a_starved_chain(self):
+        tree = TreeSynopsis(2)
+        keep = _node(tree, SUPPORT_ID, 9, 9, weight=5.0)
+        x = _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
+        _node(tree, x, 1, 1, weight=0.01)
+        assert tree.fade_and_prune(0.7, threshold=0.1) == 2
+        assert tree.ids.tolist() == [keep]
 
     def test_last_node_spared_prefers_heavier(self):
         tree = TreeSynopsis(2)
-        tree.base_radius = 1.0
-        a = tree._new_node(SUPPORT_ID)
-        b = tree._new_node(SUPPORT_ID)
-        a.points = [_pt(0, 0)]
-        b.points = [_pt(5, 5)]
-        tree.aggregate()
-        a.weight = 0.01
-        b.weight = 0.02
+        _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
+        b = _node(tree, SUPPORT_ID, 5, 5, weight=0.02)
         tree.fade_and_prune(0.7, threshold=1.0)
-        assert set(tree.nodes) == {SUPPORT_ID, b.node_id}
+        assert tree.ids.tolist() == [b]
 
     def test_last_node_tie_spares_lowest_id(self):
         tree = TreeSynopsis(2)
-        tree.base_radius = 1.0
-        a = tree._new_node(SUPPORT_ID)
-        b = tree._new_node(SUPPORT_ID)
-        a.points = [_pt(0, 0)]
-        b.points = [_pt(5, 5)]
-        tree.aggregate()
-        a.weight = 0.01
-        b.weight = 0.01
+        a = _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
+        _node(tree, SUPPORT_ID, 5, 5, weight=0.01)
         tree.fade_and_prune(0.7, threshold=1.0)
-        assert set(tree.nodes) == {SUPPORT_ID, a.node_id}
+        assert tree.ids.tolist() == [a]
 
-
-class TestNeighbors:
-    def _chain(self):
-        tree = TreeSynopsis(2)
-        x = tree._new_node(SUPPORT_ID)
-        y = tree._new_node(x.node_id)
-        z = tree._new_node(y.node_id)
-        return tree, x, y, z
-
-    def test_middle_sees_parent_and_child(self):
-        tree, x, y, z = self._chain()
-        assert tree.neighbors(y.node_id) == {x.node_id, z.node_id}
-
-    def test_support_child_omits_support(self):
-        tree, x, y, z = self._chain()
-        assert tree.neighbors(x.node_id) == {y.node_id}
-
-    def test_leaf_sees_parent_only(self):
-        tree, x, y, z = self._chain()
-        assert tree.neighbors(z.node_id) == {y.node_id}
-
-    def test_support_query_rejected(self):
-        tree, *_ = self._chain()
-        with pytest.raises(ValueError):
-            tree.neighbors(SUPPORT_ID)
-
-    def test_unknown_node_rejected(self):
-        tree, *_ = self._chain()
-        with pytest.raises(ValueError):
-            tree.neighbors(999)
-
-    def test_symmetry_on_built_tree(self):
-        rng = np.random.default_rng(11)
-        tree = build_initial_tree(_window(rng.normal(size=(60, 2))))
-        ids = [nid for nid in tree.nodes if nid != SUPPORT_ID]
-        for a in ids:
-            for b in tree.neighbors(a):
-                assert a in tree.neighbors(b)
+    def test_empty_tree_prunes_nothing(self):
+        assert TreeSynopsis(2).fade_and_prune(0.7, threshold=1.0) == 0
 
 
 class TestMacroClusters:
-    def test_requires_aggregation(self):
-        tree = build_initial_tree(_window([[0, 0], [9, 9]]))
-        with pytest.raises(RuntimeError):
-            tree.macro_clusters()
-
     def test_count_weighted_subtree_mean(self):
         tree = TreeSynopsis(2)
-        tree.base_radius = 1.0
-        a = tree._new_node(SUPPORT_ID)
-        b = tree._new_node(a.node_id)
-        a.points = [_pt(0, 0)]
-        b.points = [_pt(2, 2)]
-        tree.aggregate()
-        a.count = 1.0
-        b.count = 3.0
+        a = _node(tree, SUPPORT_ID, 0, 0)
+        _node(tree, a, 2, 2)
+        tree.counts[:] = [1.0, 3.0]
         macro = tree.macro_clusters()
         assert macro.k == 1
         assert np.allclose(macro.prototypes[0], [1.5, 1.5])
         assert macro.counts[0] == 4.0
+        assert macro.weights[0] == 2.0
 
     def test_one_cluster_per_first_level_subtree(self):
         tree = TreeSynopsis(2)
-        tree.base_radius = 1.0
         for i in range(3):
-            node = tree._new_node(SUPPORT_ID)
-            node.points = [_pt(float(i), 0.0)]
-        tree.aggregate()
+            _node(tree, SUPPORT_ID, float(i), 0.0)
         assert tree.macro_clusters().k == 3
+
+    def test_subtrees_follow_their_roots(self):
+        # support -> 1, 2; 1 -> 3; 2 -> 4; 3 -> 5: rows interleave the subtrees
+        tree = TreeSynopsis(1)
+        for parent, x in [(0, 0.0), (0, 10.0), (1, 2.0), (2, 12.0), (3, 4.0)]:
+            _node(tree, parent, x)
+        kids = tree._children()
+        assert tree._subtree(0, kids) == [0, 2, 4]
+        assert tree._subtree(1, kids) == [1, 3]
+        macro = tree.macro_clusters()
+        assert np.allclose(macro.prototypes[:, 0], [2.0, 11.0])
+        assert macro.counts.tolist() == [3.0, 2.0]
 
     def test_zero_total_count_falls_back_to_plain_mean(self):
         tree = TreeSynopsis(2)
-        tree.base_radius = 1.0
-        a = tree._new_node(SUPPORT_ID)
-        a.points = [_pt(4, 0)]
-        tree.aggregate()
-        a.count = 0.0
+        _node(tree, SUPPORT_ID, 4, 0)
+        tree.counts[0] = 0.0
         macro = tree.macro_clusters()
         assert np.allclose(macro.prototypes[0], [4, 0])
 
     def test_empty_tree_rejected(self):
-        tree = TreeSynopsis(2)
-        tree.aggregated = True
         with pytest.raises(ValueError):
-            tree.macro_clusters()
+            TreeSynopsis(2).macro_clusters()
 
 
 class TestValidate:
+    def _chain(self):
+        tree = TreeSynopsis(2)
+        x = _node(tree, SUPPORT_ID, 0, 0)
+        y = _node(tree, x, 1, 0)
+        _node(tree, y, 2, 0)
+        return tree
+
+    def test_chain_is_valid(self):
+        self._chain().validate()
+
     def test_detects_double_parent(self):
-        tree, x, y, z = TestNeighbors()._chain()
-        tree.nodes[x.node_id].children.append(z.node_id)
-        with pytest.raises(AssertionError):
+        tree = self._chain()
+        tree.ids[:] = [1, 2, 2]  # node 2 listed twice, under 1 and under 2
+        with pytest.raises(AssertionError, match="increasing"):
             tree.validate()
 
     def test_detects_orphan(self):
-        tree, x, y, z = TestNeighbors()._chain()
-        tree.nodes[y.node_id].children.remove(z.node_id)
-        with pytest.raises(AssertionError):
+        tree = self._chain()
+        tree._drop([1])  # the middle node goes, its child's parent is gone
+        with pytest.raises(AssertionError, match="orphan"):
+            tree.validate()
+
+    def test_detects_parent_after_child(self):
+        tree = self._chain()
+        tree.parents[0] = 3  # a cycle 1 -> 3 -> 2 -> 1
+        with pytest.raises(AssertionError, match="orphan"):
+            tree.validate()
+
+    def test_detects_unordered_ids(self):
+        tree = self._chain()
+        tree.ids[:] = [1, 3, 2]
+        with pytest.raises(AssertionError, match="increasing"):
+            tree.validate()
+
+    def test_detects_ragged_column(self):
+        tree = self._chain()
+        tree.weights = tree.weights[:2]
+        with pytest.raises(AssertionError, match="weights"):
             tree.validate()
 
     def test_detects_fanout_violation(self):
         tree = TreeSynopsis(2, l_max=2)
-        x = tree._new_node(SUPPORT_ID)
-        for _ in range(3):
-            tree._new_node(x.node_id)
-        with pytest.raises(AssertionError):
+        x = _node(tree, SUPPORT_ID, 0, 0)
+        for i in range(3):
+            _node(tree, x, 1, i)
+        with pytest.raises(AssertionError, match="fan-out"):
             tree.validate()
+
+    def test_support_fanout_is_unbounded(self):
+        _fan([(i, 0) for i in range(5)], 10.0, l_max=2).validate()
 
 
 class TestAdversarial:
@@ -515,8 +497,7 @@ class TestAdversarial:
         tree = build_initial_tree(_window(data))
         assert time.monotonic() - start < 10.0
         tree.validate()
-        housed = sum(len(n.points) for nid, n in tree.nodes.items() if nid)
-        assert housed == 500
+        assert _same_rows(tree.prototypes, data)
 
     def test_distinct_grid_terminates(self):
         g = np.linspace(0.0, 1.0, 500)
@@ -526,6 +507,7 @@ class TestAdversarial:
         assert time.monotonic() - start < 10.0
         tree.validate()
         assert tree.node_count() == 500
+        assert _same_rows(tree.prototypes, data)
 
     def test_interleaved_blobs_terminate(self):
         rng = np.random.default_rng(1)
@@ -538,5 +520,59 @@ class TestAdversarial:
         tree = build_initial_tree(_window(data))
         assert time.monotonic() - start < 10.0
         tree.validate()
-        housed = sum(len(n.points) for nid, n in tree.nodes.items() if nid)
-        assert housed == 500
+        assert _same_rows(tree.prototypes, data)
+
+
+# ---------------------------------------------------------------------------
+# property: the arrays stay one row per node through build, map and prune
+
+
+@st.composite
+def _streams(draw):
+    """Four windows (build + 3 streamed) of 1-60 rows, d 1-4, with duplicate
+    rows and constant features mixed in."""
+    dim = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 60), min_size=4, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])), size=(sum(sizes), dim))
+    if draw(st.booleans()):  # duplicates: draw every row from a small pool
+        data = data[rng.integers(0, max(1, len(data) // 4), len(data))]
+    if draw(st.booleans()):
+        data[:, draw(st.integers(0, dim - 1))] = 3.0
+    if draw(st.booleans()):  # a drifting stream opens nodes every window
+        data += np.repeat(np.arange(4), sizes)[:, None] * 5.0
+    windows = np.split(data, np.cumsum(sizes)[:-1])
+    return (
+        windows,
+        draw(st.sampled_from([1, 2, 3, 10])),
+        draw(st.sampled_from([0.5, 0.7, 1.0])),
+        draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+    )
+
+
+def _check_rows(tree):
+    tree.validate()
+    n = tree.node_count()
+    assert n >= 1
+    assert all(len(getattr(tree, name)) == n for name in COLUMNS)
+    assert np.isfinite(tree.prototypes).all()
+    below = tree.parents[tree.parents != SUPPORT_ID]
+    assert np.bincount(below).max(initial=0) <= tree.l_max
+
+
+@given(_streams())
+def test_arrays_stay_one_row_per_node(stream):
+    windows, l_max, gamma, threshold = stream
+    tree = build_initial_tree(_window(windows[0]), l_max)
+    _check_rows(tree)
+    assert tree.node_count() == len(windows[0])
+    assert _same_rows(tree.prototypes, windows[0])
+    start, created, pruned = tree.node_count(), 0, 0
+    for rows in windows[1:]:
+        tree.decay_counts(gamma)
+        for row in rows:
+            created += tree.map_point(row).created
+            _check_rows(tree)
+        pruned += tree.fade_and_prune(gamma, threshold)
+        _check_rows(tree)
+        assert tree.node_count() == start + created - pruned

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mostream.anttree import COLUMNS
 from mostream.core import StreamConfig, WindowBatch, assign_batch
 from mostream.engine import (
     EngineState,
@@ -58,8 +59,9 @@ class TestInitialize:
 
     def test_tree_aggregated_and_pointless(self, four_blob_window):
         state = initialize(four_blob_window, StreamConfig())
-        assert state.tree.aggregated
-        assert all(n.points is None for n in state.tree.nodes.values())
+        tree = state.tree
+        assert tree.node_count() == len(four_blob_window)
+        assert all(len(getattr(tree, name)) == tree.node_count() for name in COLUMNS)
 
     def test_two_point_window(self):
         w = WindowBatch(np.array([[0.0, 0.0], [8.0, 8.0]]), 0)
@@ -114,7 +116,8 @@ class TestProcessWindow:
         for w in batches[1:]:
             process_window(state, w)
         assert state.last_window is batches[-1]
-        assert all(n.points is None for n in state.tree.nodes.values())
+        tree = state.tree
+        assert all(len(getattr(tree, name)) == tree.node_count() for name in COLUMNS)
 
     def test_hv_reference_frozen_after_init(self):
         batches = _blob_stream(windows=3)
@@ -260,31 +263,32 @@ class TestGammaOneConservation:
         cfg = StreamConfig(gamma=1.0, prune_threshold=0.0, idle_generations_cap=0)
         state = initialize(batches[0], cfg)
 
-        absorbed = {}
-        for nid, node in state.tree.nodes.items():
-            if nid != 0:
-                absorbed[nid] = [node.prototype * node.count]
+        tree = state.tree
+        absorbed = {
+            nid: [proto * count]
+            for nid, proto, count in zip(tree.ids.tolist(), tree.prototypes, tree.counts)
+        }
 
-        original_map = state.tree.map_point
+        original_map = tree.map_point
 
         def recording_map(point):
             out = original_map(point)
             absorbed.setdefault(out.node_id, []).append(np.asarray(point, float))
             return out
 
-        state.tree.map_point = recording_map
+        tree.map_point = recording_map
         for w in batches[1:]:
             process_window(state, w)
 
         for nid, chunks in absorbed.items():
-            if nid not in state.tree.nodes:
+            if nid not in tree.ids:
                 continue
-            node = state.tree.nodes[nid]
+            row = tree.ids.tolist().index(nid)
             total = np.sum(chunks, axis=0)
-            count = node.count
+            count = tree.counts[row]
             # every build node houses exactly one point, so chunk count is
             # the number of points this node has ever held
             assert count == pytest.approx(float(len(chunks)))
             assert np.allclose(
-                node.prototype, total / count, atol=1e-9, rtol=0
+                tree.prototypes[row], total / count, atol=1e-9, rtol=0
             )

@@ -1,17 +1,18 @@
-"""Golden replay: pinned report digests for short seed-7 streams.
+"""Golden replay: pinned report and tree-snapshot digests for seed-7 streams.
 
-A deterministic run must keep producing these exact ``reports.jsonl``
-bytes. A change that moves them has to replace the digest on purpose and
-say in CHANGES.md which bytes moved and why.
+A deterministic run must keep producing these exact ``reports.jsonl`` and
+``tree_*.csv`` bytes. A change that moves them has to replace the digest on
+purpose and say in CHANGES.md which bytes moved and why.
 """
 
 import hashlib
+import os
 
 import pytest
 
 from mostream.core import StreamConfig
-from mostream.engine import run_stream
-from mostream.stream_io import gen_blobs, report_line
+from mostream.engine import initialize, process_window, run_stream
+from mostream.stream_io import emit_snapshot, gen_blobs, report_line
 
 # name -> (blob parameters, window size, window count, digest)
 SHAPES = {
@@ -45,3 +46,47 @@ def test_reports_match_pinned_digest(shape):
     assert len(state.reports) == windows
     text = "".join(report_line(r) + "\n" for r in state.reports)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# name -> (blob parameters, window size, config overrides, digest). The tree
+# never reads the archive, so the streams run without idle generations.
+TREE_SHAPES = {
+    # drift outruns the acceptance radius: novelty nodes open every window
+    # and starved leaves (build nodes included) are pruned
+    "d2-fast-drift": (
+        dict(k=4, per_blob=250, sep=10.0, stddev=0.5, drift=(0.6, 0.2), dim=2),
+        100,
+        {},
+        "3fe93594ea09cc957f492736915e4b80844a2067df6ab15f32e08cb28bb89144",
+    ),
+    # fan-out cap 2: the build's support reset re-queues a point and every
+    # later ant descends through full nodes
+    "d3-lmax2": (
+        dict(k=3, per_blob=60, sep=3.0, stddev=1.0, dim=3),
+        60,
+        dict(l_max=2),
+        "4fe238fb2b9930b19cc51bf5874e0df5dd4e9bd04f8c037f7257aedce9abbbce",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
+def test_tree_snapshots_match_pinned_digest(shape, tmp_path):
+    """Every node's id, parent, count, weight and coordinates, every window."""
+    blobs, window, overrides, digest = TREE_SHAPES[shape]
+    batches = gen_blobs(window_size=window, seed=7, **blobs)
+    cfg = StreamConfig(
+        window_size=window, idle_generations_cap=0, rng_seed=7, **overrides
+    )
+    state = initialize(batches[0], cfg)
+    emit_snapshot(state, str(tmp_path))
+    for w in batches[1:]:
+        process_window(state, w)
+        emit_snapshot(state, str(tmp_path))
+    assert state.tree.support_reset_done
+    names = sorted(f for f in os.listdir(tmp_path) if f.startswith("tree_"))
+    assert len(names) == len(batches)
+    h = hashlib.sha256()
+    for name in names:
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == digest

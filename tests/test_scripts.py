@@ -12,7 +12,6 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 RUNS = {
     "run_blob_demo.py": ["--per-blob", "50", "--idle-gens", "1"],
     "seed_sweep.py": ["--seeds", "1", "--per-blob", "100"],
-    "memory_profile.py": ["--windows", "5"],
 }
 
 
