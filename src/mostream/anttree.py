@@ -12,6 +12,11 @@ windows stream through map_point: a point is absorbed by the nearest node
 when it falls inside that node's acceptance radius, otherwise it becomes a
 fresh node under the support. First-level subtrees double as macro clusters.
 
+First-window row j becomes node id j + 1, with one exception. When n >= 3
+and l_max >= 2, the one-time support reset fires at the third ant and
+displaces only row 1 (the support's second child is still a leaf then), so
+id 2 stays unused and row 1 returns last, as id n + 1.
+
 Node ``ids[i]`` lives in row ``i`` of every array in ``COLUMNS``. Rows stay in
 id order, and a child's id is always greater than its parent's, so each
 node's children, read in row order, are in the order they were added.
@@ -263,7 +268,7 @@ class TreeSynopsis:
             self._drop(doomed)
             removed += len(doomed)
 
-    def macro_clusters(self, solution_id: int = -1) -> ClusteringSolution:
+    def macro_clusters(self) -> ClusteringSolution:
         """One cluster per first-level subtree (count-weighted prototype mean).
 
         Each subtree is summed in preorder, so the float sums do not depend
@@ -287,7 +292,6 @@ class TreeSynopsis:
             ObjectiveVector(),
             np.vstack(protos),
             SolutionOrigin.ANTTREE,
-            solution_id,
             counts=counts,
             weights=weights,
         )

@@ -134,11 +134,7 @@ def run(manifest: RunManifest) -> dict:
     if manifest.snapshots:
         hooks["on_window_end"] = lambda state: emit_snapshot(state, manifest.out_dir)
     state, final = run_stream(
-        batches,
-        cfg,
-        deterministic=manifest.deterministic,
-        pace=not manifest.deterministic,
-        **hooks,
+        batches, cfg, deterministic=manifest.deterministic, **hooks
     )
     emit_reports(state.reports, os.path.join(manifest.out_dir, "reports.jsonl"))
     emit_assignments(final, os.path.join(manifest.out_dir, "assignments.csv"))

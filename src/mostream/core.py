@@ -15,6 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# Largest accepted |value| of a stream coordinate. Squared distances and the
+# hypervolume's products of them stay finite well above it (a 1000-point
+# window keeps every engine output finite up to 1e120); near 1e150 the
+# hypervolume reads about 1e303, and at 1e160 kmeans++ draws from NaN weights.
+MAX_ABS_VALUE = 1e100
+
 
 class SolutionOrigin(enum.Enum):
     """Which pathway produced a solution."""
@@ -31,8 +37,10 @@ class SolutionOrigin(enum.Enum):
 class WindowBatch:
     """One window of the stream, stored as a dense (n, d) block.
 
-    Every value must be finite: a NaN prototype would win every nearest-node
-    search downstream. ``labels`` is None for unlabeled streams.
+    Every value must be finite, with |value| <= ``MAX_ABS_VALUE``: a NaN
+    prototype would win every nearest-node search downstream, and a larger
+    value overflows squared distances. ``labels`` is None for unlabeled
+    streams.
     ``start_index`` is the arrival index of the first row; indices are
     contiguous within a window.
     """
@@ -48,6 +56,8 @@ class WindowBatch:
             raise ValueError("window must be a non-empty (n, d) array")
         if not np.isfinite(self.data).all():
             raise ValueError("window holds non-finite values")
+        if np.abs(self.data).max() > MAX_ABS_VALUE:
+            raise ValueError(f"window holds values beyond +/-{MAX_ABS_VALUE:g}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if len(self.labels) != len(self.data):

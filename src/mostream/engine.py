@@ -11,7 +11,7 @@ report goes out. Idle time between windows runs archive generations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .core import (
     merge_prototype,
     nearest_prototypes,
     prune_outdated,
-    serialize_chromosome,
 )
 from .evolution import IdleBudget, breed, fitness_score, idle_generation, select_parents
 from .metrics import arand, davies_bouldin, nmi, select_best
@@ -58,17 +57,7 @@ class WindowReport:
     elapsed_ms: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "window_id": self.window_id,
-            "archive_size": self.archive_size,
-            "best_dbi": self.best_dbi,
-            "best_fitness": self.best_fitness,
-            "nmi": self.nmi,
-            "arand": self.arand,
-            "hypervolume": self.hypervolume,
-            "stored_vectors": self.stored_vectors,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -79,7 +68,6 @@ class FinalSelection:
     dbi: float
     indices: np.ndarray
     assignments: np.ndarray
-    chromosome: np.ndarray
 
 
 @dataclass
@@ -251,7 +239,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
         clone.objectives.separateness = separateness(clone, active=labels)
 
     # (5) the tree re-offers its macro view as a candidate
-    macro = state.tree.macro_clusters(solution_id=-1)
+    macro = state.tree.macro_clusters()
     macro.objectives.compactness = state.macro_compactness
     evaluate_solution(macro, window, cfg.gamma)
     macro.solution_id = state.allot_id()
@@ -271,29 +259,15 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     return _window_report(state, window, elapsed, assignments)
 
 
-def on_idle(
-    state: EngineState,
-    budget: IdleBudget,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> int:
-    """Run idle generations until the budget, deadline, or caller says stop."""
-    deadline = budget.wall_deadline
-    stop_fn: Optional[Callable[[], bool]] = None
-    if deadline is not None or should_stop is not None:
-
-        def stop_fn() -> bool:
-            if should_stop is not None and should_stop():
-                return True
-            return deadline is not None and time.monotonic() >= deadline
-
+def on_idle(state: EngineState, budget: IdleBudget) -> int:
+    """Run idle generations while the budget allows; a generation cut by the
+    deadline stops between offspring."""
     gens = 0
     while budget.allows():
-        if should_stop is not None and should_stop():
-            break
         seed = _derive_seed(state.cfg.rng_seed, state.window_id, state.idle_counter)
         state.idle_counter += 1
         idle_generation(
-            state.archive, state.last_window, state.cfg, seed, state.allot_id, stop_fn
+            state.archive, state.last_window, state.cfg, seed, state.allot_id, budget.expired
         )
         budget.generations_remaining -= 1
         gens += 1
@@ -310,7 +284,6 @@ def finalize(state: EngineState) -> FinalSelection:
         dbi=dbi,
         indices=window.indices,
         assignments=labels,
-        chromosome=serialize_chromosome(best),
     )
 
 
@@ -318,38 +291,29 @@ def run_stream(
     batches: Iterable[WindowBatch],
     cfg: StreamConfig,
     deterministic: bool = True,
-    pace: bool = False,
-    on_report: Optional[Callable[[WindowReport], None]] = None,
     on_window_end: Optional[Callable[[EngineState], None]] = None,
 ) -> tuple[EngineState, FinalSelection]:
     """Drive a whole stream: initialize, then process/idle per window.
 
     Deterministic mode runs exactly idle_generations_cap generations between
     windows. Wall-clock mode (deterministic=False) runs generations until
-    interval_ms elapses; with pace=True it also sleeps out the remainder to
-    emulate live arrival.
+    interval_ms has elapsed, then reads the next window at once.
+    ``on_window_end`` sees the state after each commit, before idle time;
+    the window's report is ``state.reports[-1]``.
     """
     state: Optional[EngineState] = None
     for window in batches:
         if state is None:
             state = initialize(window, cfg, deterministic)
-            report = state.reports[-1]
         else:
-            report = process_window(state, window)
-        if on_report is not None:
-            on_report(report)
+            process_window(state, window)
         if on_window_end is not None:
             on_window_end(state)
         if deterministic:
             budget = IdleBudget(cfg.idle_generations_cap)
         else:
-            deadline = time.monotonic() + cfg.interval_ms / 1000.0
-            budget = IdleBudget(10**9, deadline)
+            budget = IdleBudget(10**9, time.monotonic() + cfg.interval_ms / 1000.0)
         on_idle(state, budget)
-        if not deterministic and pace:
-            remaining = budget.wall_deadline - time.monotonic()
-            if remaining > 0:
-                time.sleep(remaining)
     if state is None:
         raise ValueError("stream produced no windows")
     return state, finalize(state)

@@ -28,17 +28,17 @@ from .objectives import ParetoArchive, evaluate_solution
 @dataclass
 class IdleBudget:
     """Remaining idle work: a generation runs only if both the counter and
-    the wall deadline (monotonic clock, None = unbounded) allow it."""
+    the wall deadline (monotonic clock, None = unbounded) allow it, and an
+    offspring is scored only while the deadline has not passed."""
 
     generations_remaining: int
     wall_deadline: Optional[float] = None
 
+    def expired(self) -> bool:
+        return self.wall_deadline is not None and time.monotonic() >= self.wall_deadline
+
     def allows(self) -> bool:
-        if self.generations_remaining <= 0:
-            return False
-        if self.wall_deadline is not None and time.monotonic() >= self.wall_deadline:
-            return False
-        return True
+        return self.generations_remaining > 0 and not self.expired()
 
 
 def fitness_score(solution: ClusteringSolution) -> float:
@@ -127,7 +127,7 @@ def breed(
     cfg: StreamConfig,
     rng: np.random.Generator,
     allot_id: Callable[[], int],
-    should_stop: Optional[Callable[[], bool]] = None,
+    expired: Optional[Callable[[], bool]] = None,
 ) -> list[ClusteringSolution]:
     """One round of offspring from an ordered parent list, fully evaluated.
 
@@ -137,7 +137,7 @@ def breed(
     (mutation), taken at its pre-window value: evaluation then applies the
     same single decay-and-fold the parent received, so a lineage bred over
     many generations inside one idle phase does not compound the decay.
-    ``should_stop`` is polled between offspring evaluations.
+    ``expired`` is polled between offspring evaluations.
     """
     offspring: list[ClusteringSolution] = []
     jobs: list[tuple[ClusteringSolution, float]] = []
@@ -157,7 +157,7 @@ def breed(
         mutant = mutate(parent, cfg.mu, int(rng.integers(0, 2**63 - 1)))
         jobs.append((mutant, parent.prev_compactness))
     for child, prefix in jobs:
-        if should_stop is not None and should_stop():
+        if expired is not None and expired():
             break
         child.objectives.compactness = prefix
         child.objectives.separateness = 0.0
@@ -173,11 +173,11 @@ def idle_generation(
     cfg: StreamConfig,
     seed: int,
     allot_id: Callable[[], int],
-    should_stop: Optional[Callable[[], bool]] = None,
+    expired: Optional[Callable[[], bool]] = None,
 ) -> ParetoArchive:
     """One select/crossover/mutate/evaluate/insert cycle on the archive."""
     parents = select_parents(archive, cfg.sigma)
     rng = np.random.default_rng(seed)
-    for child in breed(parents, snapshot, cfg, rng, allot_id, should_stop):
+    for child in breed(parents, snapshot, cfg, rng, allot_id, expired):
         archive.insert(child)
     return archive

@@ -94,12 +94,6 @@ def seed_kmeans(
     if k > len(data):
         raise ValueError(f"k={k} exceeds window size {len(data)}")
     rng = np.random.default_rng(seed)
-    if k == 1:
-        centers = data.mean(axis=0, keepdims=True)
-        labels = np.zeros(len(data), dtype=int)
-        return _solution_from_assignment(
-            window, labels, centers, SolutionOrigin.KMEANS, gamma
-        )
     centers = _kmeans_pp_init(data, k, rng)
     labels = np.full(len(data), -1)
     for _ in range(100):

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import WindowBatch, serialize_chromosome
+from .core import MAX_ABS_VALUE, WindowBatch, serialize_chromosome
 from .engine import EngineState, FinalSelection, WindowReport
 
 logger = logging.getLogger(__name__)
@@ -26,12 +26,12 @@ def load_csv(
     path: str,
     window_size: int,
     label_col: Optional[int] = None,
-    delimiter: str = ",",
 ) -> Iterator[WindowBatch]:
     """Yield consecutive windows from a headerless numeric CSV.
 
-    Rows with non-finite values are skipped (counted, one warning at end of
-    stream). A row with the wrong field count aborts with its line number.
+    Rows with non-finite values, or features beyond +/-``MAX_ABS_VALUE``, are
+    skipped (counted, one warning at end of stream). A row with the wrong
+    field count aborts with its line number.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -62,7 +62,7 @@ def load_csv(
             line = line.strip()
             if not line:
                 continue
-            fields = line.split(delimiter)
+            fields = line.split(",")
             if width is None:
                 width = len(fields)
                 if label_col is not None and not -width <= label_col < width:
@@ -81,7 +81,8 @@ def load_csv(
             else:
                 label_val = None
                 feat = values
-            if not all(math.isfinite(v) for v in feat) or (
+            # the bound test is False for NaN and +/-inf as well
+            if not all(abs(v) <= MAX_ABS_VALUE for v in feat) or (
                 label_val is not None and not math.isfinite(label_val)
             ):
                 skipped += 1
@@ -94,7 +95,7 @@ def load_csv(
     if rows:
         yield flush()
     if skipped:
-        logger.warning("skipped %d rows with non-finite values", skipped)
+        logger.warning("skipped %d rows with non-finite or out-of-range values", skipped)
     if not emitted_any:
         raise ValueError(f"{path}: no usable rows")
 

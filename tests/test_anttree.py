@@ -235,6 +235,28 @@ class TestBuild:
         assert tree.sim_scale == pytest.approx(10.0)
         assert tree.base_radius == pytest.approx(10.0)
 
+    @given(
+        n=st.integers(1, 60),
+        d=st.integers(1, 4),
+        l_max=st.sampled_from([1, 2, 3, 10]),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_support_reset_moves_row_one_to_the_end(self, n, d, l_max, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        if duplicates:
+            data[:] = data[0]
+        tree = build_initial_tree(_window(data), l_max)
+        if n >= 3 and l_max >= 2:
+            ids = [1, *range(3, n + 2)]
+            rows = [0, *range(2, n), 1]
+        else:
+            ids = list(range(1, n + 1))
+            rows = list(range(n))
+        assert tree.ids.tolist() == ids
+        assert np.array_equal(tree.prototypes, data[rows])
+
     def test_mean_nearest_neighbor_distance(self):
         data = np.array([[0.0], [1.0], [5.0]])
         # nearest-other distances: 1, 1, 4

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mostream.core import (
+    MAX_ABS_VALUE,
     ClusteringSolution,
     ObjectiveVector,
     SolutionOrigin,
@@ -52,6 +53,17 @@ class TestWindowBatch:
         data = np.zeros((3, 2))
         data[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
+            WindowBatch(data, 0)
+
+    def test_values_at_the_bound_accepted(self):
+        data = np.array([[MAX_ABS_VALUE, -MAX_ABS_VALUE], [0.0, 1.0]])
+        assert np.array_equal(WindowBatch(data, 0).data, data)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_past_the_bound_rejected(self, sign):
+        data = np.zeros((3, 2))
+        data[2, 1] = sign * np.nextafter(MAX_ABS_VALUE, np.inf)
+        with pytest.raises(ValueError, match="beyond"):
             WindowBatch(data, 0)
 
 

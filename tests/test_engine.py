@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mostream.anttree import COLUMNS
-from mostream.core import StreamConfig, WindowBatch, assign_batch
+from mostream.core import MAX_ABS_VALUE, StreamConfig, WindowBatch, assign_batch
 from mostream.engine import (
     EngineState,
     FinalSelection,
@@ -159,9 +159,33 @@ class TestOnIdle:
         assert on_idle(state, IdleBudget(0)) == 0
         assert chrom == sorted(tuple(serialize_chromosome(s)) for s in state.archive)
 
-    def test_caller_stop_wins(self, four_blob_window):
+    def test_deadline_stops_mid_generation(self, four_blob_window):
+        class ExpiresAfter(IdleBudget):
+            """The deadline passes at the clock's (checks + 1)-th reading."""
+
+            def __init__(self, checks):
+                super().__init__(5)
+                self.checks = checks
+
+            def expired(self):
+                self.checks -= 1
+                return self.checks < 0
+
+        whole = initialize(four_blob_window, StreamConfig())
+        start = whole.next_solution_id
+        on_idle(whole, IdleBudget(1))
+        assert whole.next_solution_id - start > 2
+
         state = initialize(four_blob_window, StreamConfig())
-        assert on_idle(state, IdleBudget(5), should_stop=lambda: True) == 0
+        start = state.next_solution_id
+        # allows() reads the clock once, two offspring are scored after one
+        # reading each, and the fourth reading ends the generation and idle
+        assert on_idle(state, ExpiresAfter(3)) == 1
+        assert state.next_solution_id - start == 2
+        state.archive.validate()
+        for member in state.archive:
+            assert member.k >= 1
+            assert np.isfinite(member.objectives.as_min_pair()).all()
 
 
 class TestFinalize:
@@ -171,7 +195,6 @@ class TestFinalize:
         assert isinstance(sel, FinalSelection)
         assert len(sel.assignments) == len(four_blob_window)
         assert len(sel.indices) == len(four_blob_window)
-        assert len(sel.chromosome) == 2 + sel.solution.k * state.dim
         assert np.isfinite(sel.dbi)
 
     def test_selection_is_archive_best(self, four_blob_window):
@@ -207,7 +230,9 @@ class TestRunStream:
         batches = _blob_stream(windows=4)
         cfg = StreamConfig(idle_generations_cap=2)
         seen = []
-        state, sel = run_stream(batches, cfg, on_report=lambda r: seen.append(r))
+        state, sel = run_stream(
+            batches, cfg, on_window_end=lambda s: seen.append(s.reports[-1])
+        )
         assert [r.window_id for r in seen] == [0, 1, 2, 3]
         assert state.reports == seen
         assert sel.solution.k >= 1
@@ -253,6 +278,38 @@ class TestRunStream:
             assert a.hypervolume == b.hypervolume
             assert a.stored_vectors == b.stored_vectors
             assert a.elapsed_ms is None and b.elapsed_ms is not None
+
+    def test_zero_interval_matches_zero_idle_generations(self):
+        batches = _blob_stream(windows=3)
+        det, det_sel = run_stream(batches, StreamConfig(idle_generations_cap=0))
+        wall, wall_sel = run_stream(
+            batches, StreamConfig(interval_ms=0), deterministic=False
+        )
+        assert [tuple(serialize_chromosome(s)) for s in wall.archive] == [
+            tuple(serialize_chromosome(s)) for s in det.archive
+        ]
+        assert wall.idle_counter == det.idle_counter
+        for a, b in zip(det.reports, wall.reports, strict=True):
+            assert a.elapsed_ms is None and b.elapsed_ms is not None
+            assert {**a.to_dict(), "elapsed_ms": 0} == {**b.to_dict(), "elapsed_ms": 0}
+        assert wall_sel.dbi == det_sel.dbi
+        assert np.array_equal(wall_sel.assignments, det_sel.assignments)
+
+    def test_values_at_the_input_bound_stay_finite(self):
+        batches = [
+            WindowBatch(
+                np.clip(b.data * 2e99, -MAX_ABS_VALUE, MAX_ABS_VALUE),
+                b.window_id, labels=b.labels, start_index=b.start_index,
+            )
+            for b in _blob_stream(windows=3)
+        ]
+        assert max(np.abs(b.data).max() for b in batches) == MAX_ABS_VALUE
+        state, sel = run_stream(batches, StreamConfig(idle_generations_cap=2))
+        for rep in state.reports:
+            assert np.isfinite([rep.hypervolume, rep.best_dbi, rep.best_fitness]).all()
+        for member in state.archive:
+            assert np.isfinite(member.objectives.as_min_pair()).all()
+        assert np.isfinite(sel.dbi)
 
 
 class TestGammaOneConservation:

@@ -54,7 +54,14 @@ class TestIdleBudget:
 
     def test_deadline_gates(self):
         b = IdleBudget(5, wall_deadline=time.monotonic() - 1.0)
+        assert b.expired()
         assert not b.allows()
+
+    def test_no_deadline_never_expires(self):
+        b = IdleBudget(0)
+        assert not b.expired()
+        assert not b.allows()
+        assert not IdleBudget(5, wall_deadline=time.monotonic() + 60.0).expired()
 
 
 class TestFitness:

@@ -4,12 +4,14 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mostream.cli import build_parser, main, manifest_from_args, parse_blob_spec, run
-from mostream.core import StreamConfig
+from mostream.core import MAX_ABS_VALUE, StreamConfig
 from mostream.engine import WindowReport, initialize, run_stream
 from mostream.stream_io import (
     blob_centers,
@@ -74,6 +76,15 @@ class TestLoadCsv:
             batches = list(load_csv(path, window_size=10))
         assert len(batches) == 1 and len(batches[0]) == 2
         assert np.allclose(batches[0].data, [[1, 2], [7, 8]])
+        assert any("skipped 2 rows" in r.message for r in caplog.records)
+
+    def test_rows_past_the_value_bound_skipped(self, tmp_path, caplog):
+        top = MAX_ABS_VALUE
+        past = float(np.nextafter(top, np.inf))
+        path = self._write(tmp_path, f"{top!r},2\n{past!r},4\n5,{-10 * top!r}\n7,{-top!r}\n")
+        with caplog.at_level(logging.WARNING):
+            (batch,) = load_csv(path, window_size=10)
+        assert np.array_equal(batch.data, [[top, 2], [7, -top]])
         assert any("skipped 2 rows" in r.message for r in caplog.records)
 
     def test_blank_lines_ignored(self, tmp_path):
@@ -375,3 +386,19 @@ class TestRunDeterminism:
         a = once(str(tmp_path / "a"))
         b = once(str(tmp_path / "b"))
         assert a == b
+
+    def test_fresh_processes_write_identical_reports(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+
+        def once(out):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mostream.cli", "--blobs", "k=3,per=60",
+                 "--window", "60", "--idle-gens", "1", "--seed", "1", "--out", out],
+                cwd=root, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            return open(os.path.join(out, "reports.jsonl"), "rb").read()
+
+        a = once(str(tmp_path / "a"))
+        assert a and a == once(str(tmp_path / "b"))
