@@ -1,21 +1,23 @@
 """Tree synopsis built by ant-style insertion, kept as one array row per node.
 
-Construction: each point is an ant that walks from an artificial support node
-down the tree. At a node it either connects as a new child, triggers the
-one-time support reset, or moves to the most similar child. Similarity is
-1 - distance/D_max with D_max the first window's diameter, so it lives in
-[0, 1] for first-window pairs.
+Construction: each first-window point is an ant that walks from an
+artificial support node down the tree. At every node ``step`` decides
+whether the ant connects there as a new child or descends into its most
+similar child. Similarity is 1 - distance/D_max with D_max the first
+window's diameter, so it lives in [0, 1] for first-window pairs.
 
-Every build node is created holding exactly one point, so its prototype is
-that point and the tree is ready to stream as soon as it is built. Later
-windows stream through map_point: a point is absorbed by the nearest node
-when it falls inside that node's acceptance radius, otherwise it becomes a
-fresh node under the support. First-level subtrees double as macro clusters.
+The ants go in row order, except that row 1 goes last when n >= 3 and
+l_max >= 2. That is the order of the ant-tree rule's one-time support
+reset, which fires at the third ant, while the support's second child (row
+1) is still a leaf, and sends only that point to the back of the queue. Row
+j becomes node id j + 1, except that then id 2 stays unused and row 1
+becomes id n + 1.
 
-First-window row j becomes node id j + 1, with one exception. When n >= 3
-and l_max >= 2, the one-time support reset fires at the third ant and
-displaces only row 1 (the support's second child is still a leaf then), so
-id 2 stays unused and row 1 returns last, as id n + 1.
+Every build node holds exactly one point, so its prototype is that point
+and the tree is ready to stream as soon as it is built. Later windows
+stream through map_point: a point is absorbed by the nearest node when it
+falls inside that node's acceptance radius, otherwise it becomes a fresh
+node under the support. First-level subtrees double as macro clusters.
 
 Node ``ids[i]`` lives in row ``i`` of every array in ``COLUMNS``. Rows stay in
 id order, and a child's id is always greater than its parent's, so each
@@ -39,6 +41,9 @@ from .core import (
 )
 
 SUPPORT_ID = 0
+
+# ``step`` result for "connect here"; any other result is a child index.
+CONNECT = -1
 
 # Per-attempt relaxation of an ant's dissimilarity tolerance: failing to
 # connect makes the ant easier to place on the next try.
@@ -92,9 +97,7 @@ class TreeSynopsis:
         self.radius_n = np.empty(0, dtype=np.int64)
         self.absorbed = np.empty(0)
         self._next_id = 1
-        self.sim_scale = 0.0  # first-window diameter
         self.base_radius = 0.0  # first-window mean nearest-neighbor distance
-        self.support_reset_done = False
 
     # -- structure ---------------------------------------------------------
 
@@ -133,18 +136,6 @@ class TreeSynopsis:
             stack.extend(reversed(kids[int(self.ids[row])]))
         return out
 
-    def similarity(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """1 - distance/D_max over the last axis, broadcasting like ``sq_dist``;
-        1.0 for coincident points even when D_max=0.
-
-        Points farther apart than the first window's diameter give values
-        below zero; ordering is what matters there, so no clamping.
-        """
-        dist = np.sqrt(sq_dist(np.asarray(a, float), np.asarray(b, float)))
-        if self.sim_scale <= 0.0:
-            return (dist == 0.0).astype(float)
-        return 1.0 - dist / self.sim_scale
-
     def first_level(self) -> list[int]:
         return self.ids[self.parents == SUPPORT_ID].tolist()
 
@@ -167,44 +158,6 @@ class TreeSynopsis:
         parents, fan = np.unique(self.parents[self.parents != SUPPORT_ID], return_counts=True)
         if np.any(fan > self.l_max):
             raise AssertionError(f"nodes {parents[fan > self.l_max].tolist()} exceed l_max fan-out")
-
-    # -- construction ------------------------------------------------------
-
-    def connect_ant(
-        self, ant: np.ndarray, pos: int, dissim: float
-    ) -> tuple[int, bool, np.ndarray]:
-        """One placement attempt for ``ant`` (a coordinate row) at node ``pos``.
-
-        Returns ``(node_id, placed, displaced)``. Branches: (a) fewer than two
-        children -> connect; (b) exactly two children under the support, once
-        per build -> displace the second subtree and connect; (c) connect if
-        the ant is dissimilar enough to its closest child, else move toward
-        that child (``placed`` False, ``node_id`` the child). ``displaced``
-        holds the points of a displaced subtree, in preorder, to re-insert.
-        """
-        kids = (self.parents == pos).nonzero()[0]
-        nothing = self.prototypes[:0]
-        if len(kids) < 2 and len(kids) < self.l_max:
-            return self._add(pos, ant, 1.0, 0.0), True, nothing
-
-        if pos == SUPPORT_ID and len(kids) == 2 and not self.support_reset_done:
-            rows = self._subtree(kids[1], self._children())
-            displaced = self.prototypes[rows]
-            self._drop(rows)
-            self.support_reset_done = True
-            return self._add(pos, ant, 1.0, 0.0), True, displaced
-
-        anchors = self.prototypes[kids]
-        sims = self.similarity(anchors, ant)
-        best = int(sims.argmax())  # ties -> lowest id
-        # Fresh tolerance (dissim=0) leaves the test against the least
-        # pairwise child similarity untouched; relaxation gradually raises
-        # the bar so a wandering ant always lands somewhere.
-        if len(kids) < self.l_max:
-            widest = self.similarity(anchors[:, None, :], anchors[None, :, :]).min()
-            if sims[best] < max(widest, dissim):
-                return self._add(pos, ant, 1.0, 0.0), True, nothing
-        return int(self.ids[kids[best]]), False, nothing
 
     # -- streaming ---------------------------------------------------------
 
@@ -298,53 +251,102 @@ class TreeSynopsis:
 
 
 # ---------------------------------------------------------------------------
-# window-level construction helpers
+# first-window construction
 
 
-def _pairwise_max_distance(data: np.ndarray, block: int = 512) -> float:
-    """Exact diameter, row-blocked to keep memory flat on big first windows."""
-    best = 0.0
+def similarity(a: np.ndarray, b: np.ndarray, diameter: float) -> np.ndarray:
+    """1 - distance/``diameter`` over the last axis, broadcasting like
+    ``sq_dist``; 1.0 for coincident points even when the diameter is 0.
+
+    Points farther apart than the first window's diameter give values below
+    zero; ordering is what matters there, so no clamping.
+    """
+    dist = np.sqrt(sq_dist(np.asarray(a, float), np.asarray(b, float)))
+    if diameter <= 0.0:
+        return (dist == 0.0).astype(float)
+    return 1.0 - dist / diameter
+
+
+def step(
+    children: np.ndarray, ant: np.ndarray, dissim: float, l_max: int, diameter: float
+) -> int:
+    """One move of ``ant`` at a node whose children's prototypes are the
+    rows of ``children``, in id order: ``CONNECT``, or the index of the child
+    to descend into (the most similar one, ties -> lowest id).
+
+    A node with fewer than two children and room under ``l_max`` takes the
+    ant. A node with room also takes it when the best similarity is below
+    the least pairwise child similarity or the tolerance ``dissim``; the
+    walk relaxes ``dissim`` after every move, so a wandering ant lands.
+    """
+    k = len(children)
+    if k < 2 and k < l_max:
+        return CONNECT
+    sims = similarity(children, ant, diameter)
+    best = int(sims.argmax())
+    if k < l_max:
+        widest = similarity(children[:, None, :], children[None, :, :], diameter).min()
+        if sims[best] < max(widest, dissim):
+            return CONNECT
+    return best
+
+
+def window_scales(data: np.ndarray, block: int = 512) -> tuple[float, float]:
+    """(diameter, mean distance from each point to its nearest other point)
+    of ``data``, from one pass over the pairwise distances in row blocks, so
+    memory stays flat on big first windows."""
     n = len(data)
+    widest = 0.0
+    nearest = np.empty(n)
     for i in range(0, n, block):
-        chunk = data[i : i + block]
-        d2 = sq_dist(chunk[:, None, :], data[None, :, :])
-        best = max(best, float(d2.max()))
-    return float(np.sqrt(best))
-
-
-def mean_nearest_neighbor_distance(data: np.ndarray, block: int = 512) -> float:
-    """Mean over points of the distance to their nearest other point."""
-    n = len(data)
-    if n < 2:
-        return 0.0
-    out = np.empty(n)
-    for i in range(0, n, block):
-        chunk = data[i : i + block]
-        d2 = sq_dist(chunk[:, None, :], data[None, :, :])
-        rows = np.arange(len(chunk))
+        d2 = sq_dist(data[i : i + block, None, :], data[None, :, :])
+        widest = max(widest, float(d2.max()))
+        rows = np.arange(len(d2))
         d2[rows, i + rows] = np.inf
-        out[i : i + len(chunk)] = np.sqrt(d2.min(axis=1))
-    return float(out.mean())
+        nearest[i : i + len(d2)] = np.sqrt(d2.min(axis=1))
+    spacing = float(nearest.mean()) if n >= 2 else 0.0
+    return float(np.sqrt(widest)), spacing
 
 
 def build_initial_tree(window: WindowBatch, l_max: int = 10) -> TreeSynopsis:
-    """Insert every first-window point as an ant; the tree is ready to stream."""
+    """Place every first-window point as an ant; the tree is ready to stream.
+
+    The walk keeps child rows in plain lists; the columns are made once at
+    the end, every node holding its one point (count = weight = 1).
+    """
+    n = len(window)
     tree = TreeSynopsis(window.dim, l_max)
-    tree.sim_scale = _pairwise_max_distance(window.data)
-    tree.base_radius = mean_nearest_neighbor_distance(window.data)
-    queue = collections.deque(window.data)
+    diameter, tree.base_radius = window_scales(window.data)
+    row_one_last = n >= 3 and l_max >= 2
+    order = np.r_[0, 2:n, 1] if row_one_last else np.arange(n)
+    ants = window.data[order]
+    parent = np.full(n, -1)  # parent row of each node, -1 for the support
+    kids: list[list[int]] = [[] for _ in range(n + 1)]  # kids[-1]: the support's
     guard = 0
-    guard_limit = 200 * (len(window) + 10) * (l_max + 10)
-    while queue:
-        ant = queue.popleft()
-        pos, dissim = SUPPORT_ID, 0.0
+    guard_limit = 200 * (n + 10) * (l_max + 10)
+    for row, ant in enumerate(ants):
+        pos, dissim = -1, 0.0
         while True:
             guard += 1
             if guard > guard_limit:  # pragma: no cover - internal fault trap
                 raise RuntimeError("tree construction failed to make progress")
-            pos, placed, displaced = tree.connect_ant(ant, pos, dissim)
-            if placed:
-                queue.extend(displaced)
+            child = step(ants[kids[pos]], ant, dissim, l_max, diameter)
+            if child == CONNECT:
                 break
+            pos = kids[pos][child]
             dissim = min(1.0, dissim + DISSIM_RELAX)
+        parent[row] = pos
+        kids[pos].append(row)
+
+    ids = np.arange(1, n + 1)
+    ids[1:] += row_one_last  # id 2 unused
+    tree.ids = ids
+    tree.parents = np.where(parent < 0, SUPPORT_ID, ids[parent])
+    tree.prototypes = ants
+    tree.counts = np.ones(n)
+    tree.weights = np.ones(n)
+    tree.radius_sum = np.full(n, tree.base_radius)
+    tree.radius_n = np.ones(n, dtype=np.int64)
+    tree.absorbed = np.zeros(n)
+    tree._next_id = int(ids[-1]) + 1
     return tree

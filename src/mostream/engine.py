@@ -183,7 +183,7 @@ def initialize(
     horizon = 1.0 / (1.0 - cfg.gamma) if cfg.gamma < 1.0 else GAMMA_ONE_REF_WINDOWS
     state.hv_reference = ObjectiveVector(2.0 * (worst_c + 1.0) * horizon, 0.0)
 
-    for sol in sorted(population, key=lambda s: s.solution_id):
+    for sol in population:  # in id order: ids were allotted in list order
         state.archive.insert(sol)
     elapsed = (time.perf_counter() - t0) * 1000.0
     _window_report(state, first_window, elapsed)

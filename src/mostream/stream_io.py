@@ -31,7 +31,8 @@ def load_csv(
 
     Rows with non-finite values, or features beyond +/-``MAX_ABS_VALUE``, are
     skipped (counted, one warning at end of stream). A row with the wrong
-    field count aborts with its line number.
+    field count, or a finite label that is not a whole number, aborts with
+    its line number.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -77,6 +78,10 @@ def load_csv(
                 raise ValueError(f"line {lineno}: {exc}") from None
             if label_col is not None:
                 label_val = values[label_col]
+                if math.isfinite(label_val) and not label_val.is_integer():
+                    raise ValueError(
+                        f"line {lineno}: label {fields[label_col]} is not a class id"
+                    )
                 feat = [v for i, v in enumerate(values) if i != label_col % width]
             else:
                 label_val = None

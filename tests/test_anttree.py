@@ -1,21 +1,24 @@
 """Tree synopsis: ant-style construction, array layout and streaming updates."""
 
-import copy
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mostream import anttree
 from mostream.core import WindowBatch
 from mostream.anttree import (
     COLUMNS,
+    CONNECT,
     DISSIM_RELAX,
     RADIUS_SCALE,
     SUPPORT_ID,
     TreeSynopsis,
     build_initial_tree,
-    mean_nearest_neighbor_distance,
+    similarity,
+    step,
+    window_scales,
 )
 
 
@@ -28,18 +31,21 @@ def _window(rows, wid=0):
 
 
 def _node(tree, parent, *coords, weight=1.0):
-    """Add a one-point node the way the build does; returns its id."""
+    """Append a one-point node under ``parent``; returns its id."""
     return tree._add(parent, _pt(*coords), weight, 0.0)
 
 
-def _fan(anchors, sim_scale, l_max=10):
+def _fan(anchors, l_max=10):
     """Support children at ``anchors``, in id order."""
     tree = TreeSynopsis(2, l_max)
-    tree.sim_scale = sim_scale
-    tree.support_reset_done = True
     for row in anchors:
         _node(tree, SUPPORT_ID, *row)
     return tree
+
+
+def _kids(*rows):
+    """Child prototypes for ``step`` in 2-d, one row per child, in id order."""
+    return np.array(rows, dtype=float).reshape(len(rows), 2)
 
 
 def _row(tree, node_id):
@@ -54,158 +60,110 @@ def _same_rows(a, b):
 
 class TestSimilarity:
     def test_linear_in_distance(self):
-        tree = TreeSynopsis(2)
-        tree.sim_scale = 10.0
-        assert tree.similarity([0, 0], [6, 0]) == pytest.approx(0.4)
-        assert tree.similarity([0, 0], [0, 0]) == pytest.approx(1.0)
+        assert similarity([0, 0], [6, 0], 10.0) == pytest.approx(0.4)
+        assert similarity([0, 0], [0, 0], 10.0) == pytest.approx(1.0)
 
     def test_beyond_diameter_goes_negative(self):
-        tree = TreeSynopsis(2)
-        tree.sim_scale = 10.0
-        assert tree.similarity([0, 0], [20, 0]) == pytest.approx(-1.0)
+        assert similarity([0, 0], [20, 0], 10.0) == pytest.approx(-1.0)
 
     def test_degenerate_scale(self):
-        tree = TreeSynopsis(2)
-        assert tree.similarity([1, 1], [1, 1]) == 1.0
-        assert tree.similarity([1, 1], [1, 2]) == 0.0
+        assert similarity([1, 1], [1, 1], 0.0) == 1.0
+        assert similarity([1, 1], [1, 2], 0.0) == 0.0
 
     def test_broadcasts_like_sq_dist(self):
-        tree = TreeSynopsis(2)
-        tree.sim_scale = 10.0
         rows = np.array([[0.0, 0.0], [6.0, 0.0]])
-        sims = tree.similarity(rows[:, None, :], rows[None, :, :])
+        sims = similarity(rows[:, None, :], rows[None, :, :], 10.0)
         assert np.allclose(sims, [[1.0, 0.4], [0.4, 1.0]])
 
 
 class TestConnectAnt:
+    """``step``: an ant at one node either connects there or descends."""
+
     def test_empty_support_connects(self):
-        tree = TreeSynopsis(2)
-        nid, placed, displaced = tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
-        assert placed and len(displaced) == 0
-        row = _row(tree, nid)
-        assert tree.parents[row] == SUPPORT_ID
-        assert np.array_equal(tree.prototypes[row], [0, 0])
+        assert step(_kids(), _pt(0, 0), 0.0, 10, 0.0) == CONNECT
+        tree = build_initial_tree(_window([[0.0, 0.0]]))
+        assert tree.parents.tolist() == [SUPPORT_ID]
+        assert np.array_equal(tree.prototypes[0], [0, 0])
         assert tree.node_count() == 1
 
     def test_second_child_connects(self):
-        tree = TreeSynopsis(2)
-        tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
-        _, placed, _ = tree.connect_ant(_pt(6, 0), SUPPORT_ID, 0.0)
-        assert placed
-        assert len(tree.first_level()) == 2
-
-    def test_support_reset_fires_once(self):
-        tree = TreeSynopsis(2)
-        tree.sim_scale = 10.0
-        tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
-        tree.connect_ant(_pt(6, 0), SUPPORT_ID, 0.0)
-        nid, placed, displaced = tree.connect_ant(_pt(1, 0), SUPPORT_ID, 0.0)
-        assert placed
-        # the second subtree was displaced, the new ant took its place
-        assert [tuple(p) for p in displaced] == [(6.0, 0.0)]
-        assert tree.support_reset_done
-        assert tree.first_level() == [1, nid]
-        _, placed, displaced = tree.connect_ant(_pt(9, 0), SUPPORT_ID, 0.0)
-        assert len(displaced) == 0
-
-    def test_reset_returns_displaced_subtree_in_preorder(self):
-        # support -> 1, 2; 2 -> 3, 5; 3 -> 4
-        tree = TreeSynopsis(2)
-        tree.sim_scale = 10.0
-        _node(tree, SUPPORT_ID, 0, 0)
-        _node(tree, SUPPORT_ID, 2, 0)
-        _node(tree, 2, 3, 0)
-        _node(tree, 3, 4, 0)
-        _node(tree, 2, 5, 0)
-        nid, placed, displaced = tree.connect_ant(_pt(9, 9), SUPPORT_ID, 0.0)
-        assert placed and nid == 6
-        assert displaced[:, 0].tolist() == [2.0, 3.0, 4.0, 5.0]
-        assert tree.ids.tolist() == [1, 6]
-        tree.validate()
+        # one child is never compared: even a coincident ant connects
+        for ant in [(6, 0), (0, 0)]:
+            assert step(_kids((0, 0)), _pt(*ant), 0.0, 10, 10.0) == CONNECT
+        tree = build_initial_tree(_window([[0.0, 0.0], [6.0, 0.0]]))
+        assert tree.first_level() == [1, 2]
 
     def test_dissimilar_ant_connects_at_full_support(self):
         # children at distance 6 with diameter 10: pairwise sim 0.4;
         # an ant 7 away from its closest child scores 0.3 < 0.4 -> connect
-        tree = _fan([(0, 0), (6, 0)], 10.0)
-        _, placed, _ = tree.connect_ant(_pt(13, 0), SUPPORT_ID, 0.0)
-        assert placed
-        assert len(tree.first_level()) == 3
+        assert step(_kids((0, 0), (6, 0)), _pt(13, 0), 0.0, 10, 10.0) == CONNECT
 
     def test_similar_ant_moves_toward_closest_child(self):
-        tree = _fan([(0, 0), (6, 0)], 10.0)
-        nid, placed, displaced = tree.connect_ant(_pt(7, 0), SUPPORT_ID, 0.0)
-        assert not placed and len(displaced) == 0
-        assert nid == 2
-        assert tree.node_count() == 2
+        children = _kids((0, 0), (6, 0))
+        before = children.copy()
+        assert step(children, _pt(7, 0), 0.0, 10, 10.0) == 1
+        assert np.array_equal(children, before)
 
     def test_relaxed_tolerance_connects(self):
         # the same ant connects once its tolerance exceeds its similarity 0.9
-        tree = _fan([(0, 0), (6, 0)], 10.0)
-        _, placed, _ = tree.connect_ant(_pt(7, 0), SUPPORT_ID, 0.95)
-        assert placed
-        assert len(tree.first_level()) == 3
+        children = _kids((0, 0), (6, 0))
+        assert step(children, _pt(7, 0), 0.89, 10, 10.0) == 1
+        assert step(children, _pt(7, 0), 0.95, 10, 10.0) == CONNECT
 
     def test_full_node_moves_even_when_dissimilar(self):
-        tree = _fan([(0, 0), (6, 0)], 10.0, l_max=2)
-        nid, placed, _ = tree.connect_ant(_pt(13, 0), SUPPORT_ID, 1.0)
-        assert not placed and nid == 2
+        assert step(_kids((0, 0), (6, 0)), _pt(13, 0), 1.0, 2, 10.0) == 1
 
 
-def _reference_step(tree, pos, ant, dissim):
-    """connect_ant's branch (c), one similarity() call at a time: the most
-    similar child (ties -> lowest id) and whether the ant connects."""
-    kids = [int(i) for i, p in zip(tree.ids, tree.parents) if p == pos]
-    anchors = {i: tree.prototypes[_row(tree, i)] for i in kids}
-    best_id, best_sim = -1, -np.inf
-    for cid in kids:
-        s = float(tree.similarity(ant, anchors[cid]))
+def _reference_step(children, ant, dissim, l_max, diameter):
+    """``step``'s comparison branch, one similarity() call at a time: the
+    most similar child (ties -> lowest index) and whether the ant connects."""
+    best, best_sim = -1, -np.inf
+    for i, child in enumerate(children):
+        s = float(similarity(ant, child, diameter))
         if s > best_sim:
-            best_id, best_sim = cid, s
+            best, best_sim = i, s
     least = np.inf
-    for i, a in enumerate(kids):
-        for b in kids[i + 1 :]:
-            least = min(least, float(tree.similarity(anchors[a], anchors[b])))
-    return best_id, len(kids) < tree.l_max and best_sim < max(least, dissim)
+    for i, a in enumerate(children):
+        for b in children[i + 1 :]:
+            least = min(least, float(similarity(a, b, diameter)))
+    return best, len(children) < l_max and best_sim < max(least, dissim)
 
 
 class TestChildScans:
-    """connect_ant's child scan against one similarity() call at a time."""
+    """``step``'s child scans against one similarity() call at a time."""
 
-    @pytest.mark.parametrize("sim_scale", [10.0, 0.0])
-    def test_tie_goes_to_lowest_id(self, sim_scale):
-        tree = _fan([(0, 1), (1, 0), (0, -1), (0, 1)], sim_scale)
-        for query, want in [((0.0, 0.0), 1), ((0.0, 1.0), 1), ((1.0, 0.0), 2)]:
-            assert _reference_step(tree, SUPPORT_ID, _pt(*query), 0.0)[0] == want
-            nid, placed, _ = copy.deepcopy(tree).connect_ant(_pt(*query), SUPPORT_ID, 0.0)
-            assert (nid, placed) == (want, False)
+    @pytest.mark.parametrize("diameter", [10.0, 0.0])
+    def test_tie_goes_to_lowest_id(self, diameter):
+        children = _kids((0, 1), (1, 0), (0, -1), (0, 1))
+        for query, want in [((0.0, 0.0), 0), ((0.0, 1.0), 0), ((1.0, 0.0), 1)]:
+            assert _reference_step(children, _pt(*query), 0.0, 10, diameter) == (want, False)
+            assert step(children, _pt(*query), 0.0, 10, diameter) == want
 
     def test_single_child_has_no_pairs(self):
         # no pair to compare, and the node is full at l_max=1: the ant moves
-        tree = _fan([(3, 4)], 10.0, l_max=1)
-        nid, placed, _ = tree.connect_ant(_pt(0, 0), SUPPORT_ID, 0.0)
-        assert not placed and nid == 1
+        assert step(_kids((3, 4)), _pt(0, 0), 0.0, 1, 10.0) == 0
+        # a build at l_max=1 is one chain, every ant descending to the end
+        tree = build_initial_tree(_window([[3.0, 4.0], [0.0, 0.0], [9.0, 9.0]]), 1)
+        assert tree.parents.tolist() == [SUPPORT_ID, 1, 2]
 
     @pytest.mark.parametrize("dim", [2, 16])
     def test_match_loops_on_every_built_node(self, dim):
         rg = np.random.default_rng(dim)
         data = rg.normal(scale=3.0, size=(150, dim))
         tree = build_initial_tree(_window(data))
+        diameter = window_scales(data)[0]
         queries = rg.normal(scale=3.0, size=(5, dim))
         checked = 0
         for nid in [SUPPORT_ID, *tree.ids.tolist()]:
-            if np.count_nonzero(tree.parents == nid) < 2:
+            children = tree.prototypes[tree.parents == nid]
+            if len(children) < 2:
                 continue
             checked += 1
             for q in queries:
                 for dissim in (0.0, 50 * DISSIM_RELAX):
-                    best, connects = _reference_step(tree, nid, q, dissim)
-                    trial = copy.deepcopy(tree)
-                    got, placed, _ = trial.connect_ant(q, nid, dissim)
-                    assert placed == connects
-                    if placed:
-                        assert got == tree.ids[-1] + 1
-                    else:
-                        assert got == best
+                    best, connects = _reference_step(children, q, dissim, tree.l_max, diameter)
+                    want = CONNECT if connects else best
+                    assert step(children, q, dissim, tree.l_max, diameter) == want
         assert checked >= 5
 
 
@@ -232,8 +190,9 @@ class TestBuild:
     def test_scale_fields_set_from_first_window(self):
         data = np.array([[0.0, 0.0], [10.0, 0.0]])
         tree = build_initial_tree(_window(data))
-        assert tree.sim_scale == pytest.approx(10.0)
+        assert window_scales(data) == pytest.approx((10.0, 10.0))
         assert tree.base_radius == pytest.approx(10.0)
+        assert np.all(tree.radius_sum == tree.base_radius)
 
     @given(
         n=st.integers(1, 60),
@@ -257,19 +216,42 @@ class TestBuild:
         assert tree.ids.tolist() == ids
         assert np.array_equal(tree.prototypes, data[rows])
 
+    def test_tolerance_relaxes_once_per_move(self, monkeypatch):
+        # at l_max=1 the tree is one chain: ant j descends j nodes, its
+        # tolerance growing by DISSIM_RELAX per move up to 1.0
+        seen = []
+
+        def spy(children, ant, dissim, l_max, diameter):
+            seen.append(dissim)
+            return step(children, ant, dissim, l_max, diameter)
+
+        monkeypatch.setattr(anttree, "step", spy)
+        tree = build_initial_tree(_window(np.arange(120.0)[:, None]), 1)
+        assert tree.parents.tolist() == list(range(120))
+        want, tol = [], 0.0
+        for _ in range(120):
+            want.append(tol)
+            tol = min(1.0, tol + DISSIM_RELAX)
+        for j in range(120):
+            assert seen[: j + 1] == want[: j + 1]
+            del seen[: j + 1]
+        assert not seen and want[-1] == 1.0
+
     def test_mean_nearest_neighbor_distance(self):
         data = np.array([[0.0], [1.0], [5.0]])
-        # nearest-other distances: 1, 1, 4
-        assert mean_nearest_neighbor_distance(data) == pytest.approx(2.0)
-        assert mean_nearest_neighbor_distance(np.array([[7.0]])) == 0.0
+        # diameter 5; nearest-other distances: 1, 1, 4
+        assert window_scales(data) == (5.0, pytest.approx(2.0))
+        assert window_scales(np.array([[7.0]])) == (0.0, 0.0)
 
     @pytest.mark.parametrize("block", [7, 50, 512])
     def test_nearest_neighbor_blocks_match_dense(self, block):
+        """One blocked pass gives the dense diameter and spacing exactly."""
         data = np.random.default_rng(1).normal(size=(50, 3))
         d2 = ((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=-1)
+        diameter = float(np.sqrt(d2.max()))
         np.fill_diagonal(d2, np.inf)
-        want = float(np.sqrt(d2.min(axis=1)).mean())
-        assert mean_nearest_neighbor_distance(data, block) == want
+        spacing = float(np.sqrt(d2.min(axis=1)).mean())
+        assert window_scales(data, block) == (diameter, spacing)
 
 
 class TestAggregate:
@@ -285,7 +267,7 @@ class TestAggregate:
         assert np.all(tree.radius_sum == tree.base_radius)
         assert np.all(tree.radius_n == 1)
         assert np.all(tree.absorbed == 0.0)
-        assert tree.support_reset_done
+        assert tree.ids[:2].tolist() == [1, 3]  # row 1 went last
 
     def test_no_raw_points_survive(self):
         data = np.random.default_rng(0).normal(size=(50, 3))
@@ -509,7 +491,7 @@ class TestValidate:
             tree.validate()
 
     def test_support_fanout_is_unbounded(self):
-        _fan([(i, 0) for i in range(5)], 10.0, l_max=2).validate()
+        _fan([(i, 0) for i in range(5)], l_max=2).validate()
 
 
 class TestAdversarial:

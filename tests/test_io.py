@@ -87,6 +87,18 @@ class TestLoadCsv:
         assert np.array_equal(batch.data, [[top, 2], [7, -top]])
         assert any("skipped 2 rows" in r.message for r in caplog.records)
 
+    def test_fractional_label_fatal_with_line_number(self, tmp_path):
+        path = self._write(tmp_path, "1,2,2\n3,4,2.5\n5,6,3\n")
+        with pytest.raises(ValueError, match="line 2: label 2.5"):
+            list(load_csv(path, window_size=10, label_col=2))
+
+    def test_whole_float_labels_accepted(self, tmp_path, caplog):
+        path = self._write(tmp_path, "1,2,2.0\n3,4,-1e0\n5,6,nan\n7,8,inf\n")
+        with caplog.at_level(logging.WARNING):
+            (batch,) = load_csv(path, window_size=10, label_col=2)
+        assert batch.labels.tolist() == [2, -1]
+        assert any("skipped 2 rows" in r.message for r in caplog.records)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = self._write(tmp_path, "1,2\n\n3,4\n\n")
         (batch,) = load_csv(path, window_size=10)

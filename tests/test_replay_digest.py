@@ -8,6 +8,7 @@ purpose and say in CHANGES.md which bytes moved and why.
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from mostream.core import StreamConfig
@@ -59,8 +60,8 @@ TREE_SHAPES = {
         {},
         "3fe93594ea09cc957f492736915e4b80844a2067df6ab15f32e08cb28bb89144",
     ),
-    # fan-out cap 2: the build's support reset re-queues a point and every
-    # later ant descends through full nodes
+    # fan-out cap 2: the build places row 1 last and every later ant
+    # descends through full nodes
     "d3-lmax2": (
         dict(k=3, per_blob=60, sep=3.0, stddev=1.0, dim=3),
         60,
@@ -79,11 +80,14 @@ def test_tree_snapshots_match_pinned_digest(shape, tmp_path):
         window_size=window, idle_generations_cap=0, rng_seed=7, **overrides
     )
     state = initialize(batches[0], cfg)
+    # the build placed row 1 last: id 2 is unused and row 1 is id n + 1
+    assert state.tree.ids[:2].tolist() == [1, 3]
+    assert state.tree.ids[-1] == window + 1
+    assert np.array_equal(state.tree.prototypes[-1], batches[0].data[1])
     emit_snapshot(state, str(tmp_path))
     for w in batches[1:]:
         process_window(state, w)
         emit_snapshot(state, str(tmp_path))
-    assert state.tree.support_reset_done
     names = sorted(f for f in os.listdir(tmp_path) if f.startswith("tree_"))
     assert len(names) == len(batches)
     h = hashlib.sha256()

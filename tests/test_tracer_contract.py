@@ -1,19 +1,22 @@
-"""Every function the benchmark tracer wraps still exists in the package.
+"""Every function the benchmark tracer wraps still exists in the package,
+and a short traced pass still calls each of them.
 
 ``perfbench/tracer.py`` patches the package by (module, qualified name); a
-renamed or deleted function would only surface when a traced benchmark run
-finds nothing to wrap. Loading the tracer's table here fails the test suite
-instead.
+renamed or deleted function, or one the engine stops calling, would only
+surface when a traced benchmark run finds nothing to wrap or records no
+call. Loading the tracer's table and running one small traced pass here
+fails the test suite instead.
 """
 
 import importlib
 import importlib.util
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mostream.core import WindowBatch
+from mostream.core import StreamConfig, WindowBatch
 from mostream.anttree import build_initial_tree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -53,3 +56,23 @@ def test_tree_facts_are_python_scalars():
     removed = tree.fade_and_prune(0.5, threshold=1.0)
     assert type(removed) is int and removed == 1
     assert type(tree.fade_and_prune(0.5, threshold=0.0)) is int
+
+
+def test_traced_pass_calls_every_traced_function(monkeypatch):
+    """One 3-window idle-drift pass under the tracer, in process: no window
+    fails and the benchmark's coverage guard finds no silent layer."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    with mock.patch.dict(os.environ):  # run.py pins BLAS threads on import
+        run = importlib.import_module("run")
+    harness = importlib.import_module("harness")
+    tracer_mod = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+
+    wl = workloads.WORKLOADS["idle-drift"]
+    cfg = StreamConfig(window_size=wl.window, idle_generations_cap=wl.idle_gens, rng_seed=7)
+    tracer = tracer_mod.Tracer()
+    with tracer:
+        res = harness.run_pass(workloads.make_windows(wl, 7, windows=3), cfg, tracer)
+    assert res.attempted == 3
+    assert res.failed == 0, res.errors
+    assert run.coverage_guard(tracer_mod.summarize(tracer.spans)) == []
