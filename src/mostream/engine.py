@@ -245,9 +245,10 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     macro.solution_id = state.allot_id()
     state.macro_compactness = macro.objectives.compactness
 
-    # (6) re-screen: rebuild the archive from updated members, then the offer
+    # (6) re-screen: rebuild the archive from updated members (already in id
+    # order, as the archive iterates), then the offer
     rebuilt = ParetoArchive(state.archive.capacity)
-    for clone in sorted(pruned, key=lambda s: s.solution_id):
+    for clone in pruned:
         rebuilt.insert(clone)
     rebuilt.insert(macro)
     state.archive = rebuilt

@@ -6,7 +6,8 @@ A stream draws its dimension, scale, decay, idle budget and window sizes
 hold one feature constant. The checks are the ones the benchmark runs on its
 three fixed workloads: a non-dominated archive, K >= 1, finite objectives
 and hypervolume, and a stored-vector count equal to tree nodes plus archive
-prototypes.
+prototypes. The archive must also iterate in increasing ``solution_id``:
+the commit re-screen inserts members in that order.
 """
 
 import math
@@ -50,6 +51,8 @@ def streams(draw):
 
 def _check_archive(state):
     state.archive.validate()
+    ids = [member.solution_id for member in state.archive]
+    assert ids == sorted(ids) and len(set(ids)) == len(ids)
     for member in state.archive:
         assert member.k >= 1
         assert all(math.isfinite(v) for v in member.objectives.as_min_pair())
