@@ -62,7 +62,9 @@ def separateness(
         return 0.0
     d2 = sq_dist(protos[:, None, :], protos[None, :, :])
     np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    nearest = np.sqrt(d2.min(axis=1))
+    # sum / size is exactly .mean(), without its per-call overhead
+    return float(nearest.sum() / nearest.size)
 
 
 def evaluate_solution(
@@ -115,15 +117,17 @@ class ParetoArchive:
 
     def insert(self, candidate: ClusteringSolution) -> bool:
         """Try to add a solution; returns True if it now sits in the archive."""
-        pair = candidate.objectives.as_min_pair()
-        for member in self.solutions:
-            mp = member.objectives.as_min_pair()
-            if dominates(member.objectives, candidate.objectives) or mp == pair:
+        c1, c2 = candidate.objectives.as_min_pair()
+        pairs = [m.objectives.as_min_pair() for m in self.solutions]
+        # a member no worse in both components dominates or duplicates it
+        for m1, m2 in pairs:
+            if m1 <= c1 and m2 <= c2:
                 return False
+        # no member equals it now, so no worse in both means dominated
         self.solutions = [
             m
-            for m in self.solutions
-            if not dominates(candidate.objectives, m.objectives)
+            for m, (m1, m2) in zip(self.solutions, pairs)
+            if not (c1 <= m1 and c2 <= m2)
         ]
         self.solutions.append(candidate)
         self.solutions.sort(key=lambda s: s.solution_id)

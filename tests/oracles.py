@@ -274,3 +274,29 @@ def gng_reference(data, seed, epochs=30, max_nodes=32, eps_best=0.05,
             centers.append(data[mask].mean(axis=0))
             final[mask] = len(centers) - 1
     return final, np.vstack(centers), gas
+
+
+def archive_insert_reference(members, candidate, capacity):
+    """Bounded Pareto archive insert with dominance re-derived for every
+    member pair, as ``ParetoArchive.insert`` first stood. ``members`` are
+    solutions in archive order (anything with ``objectives.as_min_pair()``
+    and ``solution_id``). Returns (accepted, members after the insert)."""
+
+    def dominates(a, b):
+        a1, a2 = a.objectives.as_min_pair()
+        b1, b2 = b.objectives.as_min_pair()
+        return a1 <= b1 and a2 <= b2 and (a1 < b1 or a2 < b2)
+
+    pair = candidate.objectives.as_min_pair()
+    for member in members:
+        if dominates(member, candidate) or member.objectives.as_min_pair() == pair:
+            return False, list(members)
+    kept = [m for m in members if not dominates(candidate, m)]
+    kept.append(candidate)
+    kept.sort(key=lambda s: s.solution_id)
+    if len(kept) > capacity:
+        dist = crowding_loop([s.objectives.as_min_pair() for s in kept])
+        # smallest crowding distance loses; ties evict the newer solution
+        victim = min(range(len(kept)), key=lambda i: (dist[i], -kept[i].solution_id))
+        del kept[victim]
+    return True, kept

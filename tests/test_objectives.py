@@ -22,6 +22,7 @@ from mostream.objectives import (
 )
 
 from oracles import (
+    archive_insert_reference,
     crowding_loop,
     hypervolume_raster,
     knn_neighborhood,
@@ -222,6 +223,21 @@ class TestArchive:
         assert 1 <= len(arc) <= 6
         seen = [s.objectives.as_min_pair() for s in arc]
         assert len(seen) == len(set(seen))
+
+    @given(st.integers(1, 6), st.data())
+    def test_matches_reference_insert_after_every_insert(self, capacity, data):
+        # small integer grids repeat pairs (duplicates) and fill past
+        # capacity (crowding evictions); shuffled ids exercise the id order
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                   min_size=1, max_size=40))
+        ids = data.draw(st.permutations(range(len(pairs))))
+        arc = ParetoArchive(capacity=capacity)
+        want = []
+        for (c, s), sid in zip(pairs, ids):
+            cand = _objsol(float(c), float(s), sid)
+            accepted, want = archive_insert_reference(want, cand, capacity)
+            assert arc.insert(cand) is accepted
+            assert [id(m) for m in arc] == [id(m) for m in want]
 
 
 class TestCrowding:
