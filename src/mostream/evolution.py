@@ -86,30 +86,31 @@ def _splice(
     )
 
 
-def mutate(solution: ClusteringSolution, mu: float, seed: int) -> ClusteringSolution:
-    """Jitter max(1, round(mu*d)) coordinates of every prototype.
+def mutate(
+    solution: ClusteringSolution, mu: float, rng: np.random.Generator
+) -> ClusteringSolution:
+    """Jitter max(1, round(mu*d)) distinct coordinates of every prototype.
 
     Each chosen coordinate moves by a uniform fraction of its own magnitude,
     v <- v +/- rho*v with rho ~ U(0,1), so zeros are fixed points and scale
     is respected. Counts and weights ride along unchanged.
+
+    The randomness comes from two block draws on ``rng``, whatever K is:
+    the chosen coordinates are the first n_mut columns of the row-wise
+    argsort of a (K, d) uniform block, and a (K, n_mut, 2) uniform block
+    holds each chosen coordinate's step fraction and sign draw.
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must be in (0, 1]")
-    rng = np.random.default_rng(seed)
     out = solution.copy()
     out.origin = SolutionOrigin.MUTATION
     out.solution_id = -1
-    d = solution.dim
+    k, d = solution.k, solution.dim
     n_mut = max(1, round(mu * d))
-    # draws stay in per-prototype order: its coordinates, then per chosen
-    # coordinate the step fraction and the sign draw; one update applies them
-    pos = np.empty((solution.k, n_mut), dtype=np.intp)
-    draws = np.empty((solution.k, n_mut, 2))
-    for i in range(solution.k):
-        pos[i] = rng.choice(d, size=n_mut, replace=False)
-        draws[i] = rng.uniform(0.0, 1.0, size=(n_mut, 2))
+    pos = np.argsort(rng.random((k, d)), axis=1)[:, :n_mut]
+    draws = rng.random((k, n_mut, 2))
     rho, flip = draws[..., 0], draws[..., 1]
-    rows = np.arange(solution.k)[:, None]
+    rows = np.arange(k)[:, None]
     old = out.prototypes[rows, pos]
     out.prototypes[rows, pos] = old + np.where(flip < 0.5, 1.0, -1.0) * rho * old
     return out
@@ -139,7 +140,8 @@ def breed(
     (mutation), taken at its pre-window value: evaluation then applies the
     same single decay-and-fold the parent received, so a lineage bred over
     many generations inside one idle phase does not compound the decay.
-    ``expired`` is polled between offspring evaluations.
+    ``rng`` gives the crossover cuts, then each mutant's draws, in parent
+    order. ``expired`` is polled between offspring evaluations.
     """
     offspring: list[ClusteringSolution] = []
     jobs: list[tuple[ClusteringSolution, float]] = []
@@ -156,7 +158,7 @@ def breed(
             )
             jobs.append((child, nearer.prev_compactness))
     for parent in parents:
-        mutant = mutate(parent, cfg.mu, int(rng.integers(0, 2**63 - 1)))
+        mutant = mutate(parent, cfg.mu, rng)
         jobs.append((mutant, parent.prev_compactness))
     for child, prefix in jobs:
         if expired is not None and expired():

@@ -292,7 +292,7 @@ def test_criterion_8_operator_contracts():
                 np.tile(np.arange(1.0, d + 1.0), (4, 1)),
                 SolutionOrigin.KMEANS,
             )
-            out = mutate(sol, mu, seed=1000 * d + int(10 * mu))
+            out = mutate(sol, mu, np.random.default_rng(1000 * d + int(10 * mu)))
             for before, after in zip(sol.prototypes, out.prototypes):
                 changed = int((before != after).sum())
                 assert changed == expected, (mu, d, changed, expected)

@@ -166,6 +166,23 @@ class TestCrossover:
         )
 
 
+class _CountingGenerator:
+    """A Generator that counts the draw calls made on it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+
 class TestMutate:
     @pytest.mark.parametrize(
         "mu,d,expected",
@@ -174,19 +191,19 @@ class TestMutate:
     def test_exact_coordinate_counts(self, mu, d, expected):
         protos = [np.arange(1, d + 1, dtype=float) for _ in range(3)]
         sol = _sol(protos)
-        out = mutate(sol, mu, seed=5)
+        out = mutate(sol, mu, np.random.default_rng(5))
         for before, after in zip(sol.prototypes, out.prototypes):
             changed = int((before != after).sum())
             assert changed == expected
 
     def test_zero_coordinates_are_fixed_points(self):
         sol = _sol([(0.0, 0.0), (0.0, 0.0)])
-        out = mutate(sol, 1.0, seed=1)
+        out = mutate(sol, 1.0, np.random.default_rng(1))
         assert np.array_equal(out.prototypes, sol.prototypes)
 
     def test_step_bounded_by_own_magnitude(self):
         sol = _sol([np.full(6, 8.0)])
-        out = mutate(sol, 1.0, seed=3)
+        out = mutate(sol, 1.0, np.random.default_rng(3))
         delta = np.abs(out.prototypes[0] - 8.0)
         assert (delta <= 8.0).all()
 
@@ -194,7 +211,7 @@ class TestMutate:
         sol = _sol([(1.0, 2.0), (3.0, 4.0)], sid=77)
         sol.counts[0] = 5.0
         sol.weights[0] = 2.5
-        out = mutate(sol, 0.5, seed=0)
+        out = mutate(sol, 0.5, np.random.default_rng(0))
         assert out.origin is SolutionOrigin.MUTATION
         assert out.solution_id == -1
         assert out.counts[0] == 5.0
@@ -204,28 +221,41 @@ class TestMutate:
 
     def test_deterministic_per_seed(self):
         sol = _sol([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
-        a = mutate(sol, 0.5, seed=11)
-        b = mutate(sol, 0.5, seed=11)
+        a = mutate(sol, 0.5, np.random.default_rng(11))
+        b = mutate(sol, 0.5, np.random.default_rng(11))
         assert np.array_equal(a.prototypes, b.prototypes)
 
     @pytest.mark.parametrize("mu,d", [(0.2, 2), (0.5, 7), (1.0, 16)])
-    def test_matches_per_coordinate_draw_order(self, mu, d):
-        # reference: per prototype one choice, then per chosen coordinate a
-        # step draw and a sign draw; replay depends on this order
-        sol = _sol(np.random.default_rng(d).normal(size=(4, d)))
+    def test_matches_block_draw_order(self, mu, d):
+        # reference, one scalar draw at a time: every prototype's d sort keys,
+        # then per prototype and chosen coordinate a step and a sign draw; the
+        # chosen coordinates are the n_mut smallest keys. Replay depends on
+        # this order.
+        k, n_mut = 4, max(1, round(mu * d))
+        sol = _sol(np.random.default_rng(d).normal(size=(k, d)))
         want = sol.prototypes.copy()
         rng = np.random.default_rng(21)
-        for row in want:
-            for pos in rng.choice(d, size=max(1, round(mu * d)), replace=False):
-                rho = rng.uniform(0.0, 1.0)
-                sign = 1.0 if rng.uniform(0.0, 1.0) < 0.5 else -1.0
+        keys = [[rng.random() for _ in range(d)] for _ in range(k)]
+        steps = [[(rng.random(), rng.random()) for _ in range(n_mut)] for _ in range(k)]
+        for row, row_keys, row_steps in zip(want, keys, steps):
+            chosen = sorted(range(d), key=lambda j: row_keys[j])[:n_mut]
+            for pos, (rho, flip) in zip(chosen, row_steps):
+                sign = 1.0 if flip < 0.5 else -1.0
                 row[pos] += sign * rho * row[pos]
-        assert np.array_equal(mutate(sol, mu, seed=21).prototypes, want)
+        assert np.array_equal(mutate(sol, mu, np.random.default_rng(21)).prototypes, want)
+
+    def test_draw_calls_do_not_grow_with_k(self):
+        calls = []
+        for k in (1, 4, 32):
+            rng = _CountingGenerator(k)
+            mutate(_sol(np.ones((k, 5))), 0.4, rng)
+            calls.append(rng.calls)
+        assert calls == [2, 2, 2]
 
     @pytest.mark.parametrize("mu", [0.0, -0.2, 1.5])
     def test_rate_bounds(self, mu):
         with pytest.raises(ValueError):
-            mutate(_sol([(1.0, 1.0)]), mu, seed=0)
+            mutate(_sol([(1.0, 1.0)]), mu, np.random.default_rng(0))
 
 
 class TestPrototypeSetDistance:
@@ -290,6 +320,24 @@ class TestBreed:
         # the inherited prefix is recorded as the mutant's own entry value,
         # so a grandchild bred in the same idle phase reuses it unchanged
         assert mutant.prev_compactness == 5.0
+
+    def test_equally_seeded_generators_give_identical_offspring(self):
+        cfg = StreamConfig()
+        parents = [
+            _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
+            _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
+            _sol([(0.2, 0.1), (10.2, 0.1)], sid=3),
+        ]
+        runs = [
+            breed(parents, self._snapshot(), cfg, np.random.default_rng(9), _id_counter())
+            for _ in range(2)
+        ]
+        assert len(runs[0]) == len(runs[1]) == 5  # 2 crossover children + 3 mutants
+        for a, b in zip(*runs):
+            assert a.origin is b.origin
+            assert a.solution_id == b.solution_id
+            assert np.array_equal(a.prototypes, b.prototypes)
+            assert a.objectives.as_min_pair() == b.objectives.as_min_pair()
 
     def test_lineage_does_not_compound_decay(self):
         cfg = StreamConfig()

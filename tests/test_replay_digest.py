@@ -31,19 +31,19 @@ SHAPES = {
         dict(k=4, per_blob=150, sep=10.0, stddev=0.5, drift=(0.05, 0.02), dim=2),
         100,
         6,
-        "ecd081d95e2a17b00d94c80ef73fe58688fa206e858344323e82b7f1c95c8c3b",
+        "0e17475860ffff5e00f235e64d24b88f9ea28e106b9430d6045af147e4369476",
     ),
     "d16-overlap": (
         dict(k=4, per_blob=150, sep=3.0, stddev=1.0, dim=16),
         100,
         6,
-        "0c1a21df2f9b01b742d6797c9adafb5df46f424c405e80ef8ed72a2d959a19a3",
+        "b75ca580f4b49543e9bf3082d2bd18529959a01b977b74513888f141b4d1923c",
     ),
     "d2-overlap-window1000": (
         dict(k=4, per_blob=750, sep=3.0, stddev=1.0, dim=2),
         1000,
         3,
-        "b2c86f9713282e027bed3831a81382e070e3f16bc6a4ba06277a8f8a5264f9c7",
+        "0293d7b1ce5aaa4212207a3129a1ef29ceb46f0f2187a02adffc41ec4c2d0d53",
     ),
 }
 
