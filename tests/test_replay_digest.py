@@ -15,6 +15,7 @@ from mostream.core import StreamConfig
 from mostream.engine import initialize, process_window, run_stream
 from mostream.stream_io import emit_snapshot, gen_blobs, report_line
 
+
 def _assert_digest(shape, computed, pinned):
     """On a mismatch, print the computed digest so a deliberate re-pin takes
     one run."""
