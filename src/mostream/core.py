@@ -54,6 +54,8 @@ class WindowBatch:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] == 0:
             raise ValueError("window must be a non-empty (n, d) array")
+        if self.data.shape[1] == 0:
+            raise ValueError("window has no feature columns")
         if not np.isfinite(self.data).all():
             raise ValueError("window holds non-finite values")
         if np.abs(self.data).max() > MAX_ABS_VALUE:
@@ -189,8 +191,23 @@ class StreamConfig:
 
 def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance over the last axis; other axes broadcast,
-    so ``sq_dist(x[:, None, :], y[None, :, :])`` is the (n, m) matrix."""
-    return ((a - b) ** 2).sum(axis=-1)
+    so ``sq_dist(x[:, None, :], y[None, :, :])`` is the (n, m) matrix.
+
+    Below 8 coordinates the squared columns are added as whole arrays in
+    coordinate order, the order numpy's last-axis sum uses there, so the
+    result is bit-identical to ``((a - b) ** 2).sum(axis=-1)`` without its
+    per-element reduction cost. From 8 coordinates numpy sums pairwise, and
+    the kernel keeps that sum. Two 1-D rows give a scalar.
+    """
+    sq = a - b
+    sq *= sq
+    d = sq.shape[-1]
+    if d >= 8:
+        return sq.sum(axis=-1)
+    out = sq[..., 0]
+    for j in range(1, d):
+        out = out + sq[..., j]
+    return out[()]
 
 
 def nearest_cluster(solution: ClusteringSolution, point: np.ndarray) -> int:

@@ -214,8 +214,14 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
 
     # (2) each member absorbs the window: one distance matrix against the
     # window-start prototypes gives the labels and the compactness terms,
-    # then the per-cluster batches fold into the fed rows;
+    # then the per-cluster batches fold into the fed rows. One weighted
+    # bincount over (cluster, coordinate) bins sums every batch, adding rows
+    # in window order as a masked mean does for d >= 2 (at d = 1 numpy sums
+    # the single column pairwise, so a mean can differ in the last bit);
     # (3) fade weights, prune what starved (solutions and tree alike)
+    d = window.dim
+    coord = np.arange(d)
+    flat_data = window.data.ravel()
     pruned: list[ClusteringSolution] = []
     for member in state.archive:
         clone = member.copy()
@@ -223,7 +229,9 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
         update_compactness(clone, dists, cfg.gamma)
         assigned = np.bincount(labels, minlength=clone.k).astype(float)
         fed = np.flatnonzero(assigned)
-        means = np.vstack([window.data[labels == ci].mean(axis=0) for ci in fed])
+        bins = (labels[:, None] * d + coord).ravel()
+        sums = np.bincount(bins, weights=flat_data, minlength=clone.k * d)
+        means = sums.reshape(clone.k, d)[fed] / assigned[fed, None]
         clone.prototypes[fed], clone.counts[fed] = merge_prototype(
             clone.prototypes[fed], clone.counts[fed], means, assigned[fed], cfg.gamma
         )

@@ -32,7 +32,7 @@ def load_csv(
     Rows with non-finite values, or features beyond +/-``MAX_ABS_VALUE``, are
     skipped (counted, one warning at end of stream). A row with the wrong
     field count, or a finite label that is not a whole number, aborts with
-    its line number.
+    its line number, as does a first row whose only field is the label.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -68,6 +68,11 @@ def load_csv(
                 width = len(fields)
                 if label_col is not None and not -width <= label_col < width:
                     raise ValueError(f"label column {label_col} out of range")
+                if label_col is not None and width == 1:
+                    raise ValueError(
+                        f"line {lineno}: window has no feature columns "
+                        "(the only field is the label column)"
+                    )
             elif len(fields) != width:
                 raise ValueError(
                     f"line {lineno}: expected {width} fields, got {len(fields)}"

@@ -75,6 +75,33 @@ def exact_mean(points):
 
 
 # ---------------------------------------------------------------------------
+# the distance kernel and a commit's batch means as plain numpy reductions
+
+
+def sq_dist_reference(a, b):
+    """Squared Euclidean distance over the last axis, one numpy sum."""
+    return ((a - b) ** 2).sum(axis=-1)
+
+
+def absorb_window_reference(prototypes, counts, data, gamma):
+    """One member's absorb step with masked batch means: every row of
+    ``data`` joins its nearest prototype (ties -> lowest index), and each fed
+    prototype takes the decayed merge (p*n*gamma + mean*m) / (n*gamma + m)
+    with its batch. Returns the new (prototypes, counts)."""
+    d2 = sq_dist_reference(data[:, None, :], prototypes[None, :, :])
+    labels = np.argmin(d2, axis=1)
+    protos, counts = prototypes.copy(), counts.copy()
+    for ci in np.unique(labels):
+        batch = data[labels == ci]
+        m = float(len(batch))
+        faded = counts[ci] * gamma
+        denom = faded + m
+        protos[ci] = (protos[ci] * faded + batch.mean(axis=0) * m) / denom
+        counts[ci] = denom
+    return protos, counts
+
+
+# ---------------------------------------------------------------------------
 # loop forms of the vectorized objective and validity kernels. Distances are
 # the squared differences summed over the last axis, then the square root,
 # so results can be compared with ``==``.

@@ -19,9 +19,10 @@ from mostream.core import (
     nearest_prototypes,
     prune_outdated,
     serialize_chromosome,
+    sq_dist,
 )
 
-from oracles import exact_mean
+from oracles import exact_mean, sq_dist_reference
 
 
 def _solution(protos, weights=None):
@@ -35,6 +36,10 @@ class TestWindowBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             WindowBatch(np.empty((0, 2)), 0)
+
+    def test_rejects_zero_feature_columns(self):
+        with pytest.raises(ValueError, match="no feature columns"):
+            WindowBatch(np.empty((3, 0)), 0)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -65,6 +70,43 @@ class TestWindowBatch:
         data[2, 1] = sign * np.nextafter(MAX_ABS_VALUE, np.inf)
         with pytest.raises(ValueError, match="beyond"):
             WindowBatch(data, 0)
+
+
+class TestSqDist:
+    """The kernel against one last-axis numpy sum, on both sides of the
+    8-coordinate split and on every broadcast shape the package uses."""
+
+    @staticmethod
+    def _pairs(d, rng):
+        def draw(*shape):
+            # mixed magnitudes, so a different summation order shows up
+            return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+        return [
+            (draw(40, 1, d), draw(1, 7, d)),  # (n, 1, d) - (1, K, d)
+            (draw(7, d), draw(d)),  # (K, d) - (d,)
+            (draw(40, d), draw(40, d)),  # (n, d) - (n, d)
+            (draw(d), draw(d)),  # (d,) - (d,)
+        ]
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_bit_identical_to_last_axis_sum(self, d):
+        for a, b in self._pairs(d, np.random.default_rng(d)):
+            got, want = sq_dist(a, b), sq_dist_reference(a, b)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
+    def test_two_rows_give_a_scalar(self, d):
+        rng = np.random.default_rng(d)
+        assert isinstance(sq_dist(rng.normal(size=d), rng.normal(size=d)), np.float64)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
+    def test_inputs_unmodified(self, d):
+        for a, b in self._pairs(d, np.random.default_rng(d)):
+            a0, b0 = a.copy(), b.copy()
+            sq_dist(a, b)
+            assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 class TestNearestCluster:
@@ -112,7 +154,7 @@ class TestNearestCluster:
         single = [nearest_cluster(sol, row) for row in data]
         assert list(batch) == single
 
-    @pytest.mark.parametrize("dim", [1, 2, 16])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 16])
     def test_nearest_prototypes_labels_and_row_distances(self, dim):
         rng = np.random.default_rng(dim)
         sol = _solution(rng.normal(size=(6, dim)))

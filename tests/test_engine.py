@@ -19,6 +19,8 @@ from mostream.metrics import select_best
 from mostream.core import serialize_chromosome
 from mostream.stream_io import gen_blobs
 
+from oracles import absorb_window_reference
+
 
 def _blob_stream(windows=4, seed=0, k=4, window_size=100):
     per_blob = windows * window_size // k
@@ -143,6 +145,38 @@ class TestProcessWindow:
         rep = process_window(state, batches[1])
         assert 0.0 <= rep.nmi <= 1.0
         assert -0.5 <= rep.arand <= 1.0
+
+
+class TestCommitMeans:
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_merged_prototypes_match_masked_mean_reference(self, dim):
+        # prune_threshold 0 keeps every row, so each surviving member shows
+        # its merged prototypes and counts as they left the absorb step
+        cfg = StreamConfig(window_size=60, prune_threshold=0.0)
+        rng = np.random.default_rng(dim)
+        first, second = (
+            WindowBatch(rng.normal(10.0, 2.0, size=(60, dim)), wid) for wid in (0, 1)
+        )
+        state = initialize(first, cfg)
+        before = {s.solution_id: s.copy() for s in state.archive}
+        process_window(state, second)
+        checked = 0
+        for sol in state.archive:
+            if sol.solution_id not in before:  # the tree's macro offer
+                continue
+            old = before[sol.solution_id]
+            protos, counts = absorb_window_reference(
+                old.prototypes, old.counts, second.data, cfg.gamma
+            )
+            if dim == 1:
+                # numpy's mean sums a lone column pairwise, while the commit
+                # adds rows in window order, so the last bit may differ
+                np.testing.assert_allclose(sol.prototypes, protos, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(sol.prototypes, protos)
+            assert np.array_equal(sol.counts, counts)
+            checked += 1
+        assert checked >= 2
 
 
 class TestOnIdle:

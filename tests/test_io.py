@@ -109,6 +109,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="out of range"):
             list(load_csv(path, window_size=10, label_col=5))
 
+    def test_label_as_only_column_fatal_with_line_number(self, tmp_path):
+        path = self._write(tmp_path, "\n0\n1\n")
+        with pytest.raises(ValueError, match="line 2: window has no feature columns"):
+            list(load_csv(path, window_size=10, label_col=0))
+
     def test_empty_file_fatal(self, tmp_path):
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError, match="no usable rows"):
