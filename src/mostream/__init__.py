@@ -1,12 +1,6 @@
 """Streaming multi-objective clustering with a bounded-memory tree synopsis."""
 
-from .core import (
-    ClusteringSolution,
-    ObjectiveVector,
-    SolutionOrigin,
-    StreamConfig,
-    WindowBatch,
-)
+from .core import ClusteringSolution, ObjectiveVector, StreamConfig, WindowBatch
 from .engine import EngineState, FinalSelection, WindowReport, run_stream
 from .objectives import ParetoArchive
 
@@ -16,7 +10,6 @@ __all__ = [
     "FinalSelection",
     "ObjectiveVector",
     "ParetoArchive",
-    "SolutionOrigin",
     "StreamConfig",
     "WindowBatch",
     "WindowReport",

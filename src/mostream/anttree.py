@@ -4,14 +4,14 @@ Construction: each first-window point is an ant that walks from an
 artificial support node down the tree. At every node ``step`` decides
 whether the ant connects there as a new child or descends into its most
 similar child. Similarity is 1 - distance/D_max with D_max the first
-window's diameter, so it lives in [0, 1] for first-window pairs.
+window's diameter, so it lives in [0, 1] for first-window pairs. A node
+below the support holds at most ``L_MAX`` children; the support has no cap.
 
-The ants go in row order, except that row 1 goes last when n >= 3 and
-l_max >= 2. That is the order of the ant-tree rule's one-time support
-reset, which fires at the third ant, while the support's second child (row
-1) is still a leaf, and sends only that point to the back of the queue. Row
-j becomes node id j + 1, except that then id 2 stays unused and row 1
-becomes id n + 1.
+The ants go in row order, except that row 1 goes last when n >= 3. That is
+the order of the ant-tree rule's one-time support reset, which fires at the
+third ant, while the support's second child (row 1) is still a leaf, and
+sends only that point to the back of the queue. Row j becomes node id
+j + 1, except that then id 2 stays unused and row 1 becomes id n + 1.
 
 Every build node holds exactly one point, so its prototype is that point
 and the tree is ready to stream as soon as it is built. Later windows
@@ -31,16 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ClusteringSolution,
-    ObjectiveVector,
-    SolutionOrigin,
-    WindowBatch,
-    merge_prototype,
-    sq_dist,
-)
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, merge_prototype, sq_dist
 
 SUPPORT_ID = 0
+
+# Most children a node below the support may hold.
+L_MAX = 10
 
 # ``step`` result for "connect here"; any other result is a child index.
 CONNECT = -1
@@ -81,13 +77,10 @@ class TreeSynopsis:
     ``absorbed`` counts this window's absorptions until ``fade_and_prune``.
     """
 
-    def __init__(self, dim: int, l_max: int = 10):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if l_max < 1:
-            raise ValueError("l_max must be >= 1")
         self.dim = dim
-        self.l_max = l_max
         self.ids = np.empty(0, dtype=np.int64)
         self.parents = np.empty(0, dtype=np.int64)
         self.prototypes = np.empty((0, dim))
@@ -136,13 +129,10 @@ class TreeSynopsis:
             stack.extend(reversed(kids[int(self.ids[row])]))
         return out
 
-    def first_level(self) -> list[int]:
-        return self.ids[self.parents == SUPPORT_ID].tolist()
-
     def validate(self) -> None:
         """Structural audit: one row per node in every array, ids increasing,
-        every parent an earlier node (so no cycles or orphans), fan-out caps
-        below the support."""
+        every parent an earlier node (so no cycles or orphans), at most
+        ``L_MAX`` children per node below the support."""
         n = len(self.ids)
         for name in COLUMNS:
             if len(getattr(self, name)) != n:
@@ -156,8 +146,8 @@ class TreeSynopsis:
         if not np.all(linked):
             raise AssertionError(f"orphan nodes: {self.ids[~linked].tolist()}")
         parents, fan = np.unique(self.parents[self.parents != SUPPORT_ID], return_counts=True)
-        if np.any(fan > self.l_max):
-            raise AssertionError(f"nodes {parents[fan > self.l_max].tolist()} exceed l_max fan-out")
+        if np.any(fan > L_MAX):
+            raise AssertionError(f"nodes {parents[fan > L_MAX].tolist()} exceed L_MAX fan-out")
 
     # -- streaming ---------------------------------------------------------
 
@@ -244,7 +234,6 @@ class TreeSynopsis:
         return ClusteringSolution(
             ObjectiveVector(),
             np.vstack(protos),
-            SolutionOrigin.ANTTREE,
             counts=counts,
             weights=weights,
         )
@@ -267,24 +256,22 @@ def similarity(a: np.ndarray, b: np.ndarray, diameter: float) -> np.ndarray:
     return 1.0 - dist / diameter
 
 
-def step(
-    children: np.ndarray, ant: np.ndarray, dissim: float, l_max: int, diameter: float
-) -> int:
+def step(children: np.ndarray, ant: np.ndarray, dissim: float, diameter: float) -> int:
     """One move of ``ant`` at a node whose children's prototypes are the
     rows of ``children``, in id order: ``CONNECT``, or the index of the child
     to descend into (the most similar one, ties -> lowest id).
 
-    A node with fewer than two children and room under ``l_max`` takes the
-    ant. A node with room also takes it when the best similarity is below
+    A node with fewer than two children takes the ant. A node with room
+    under ``L_MAX`` also takes it when the best similarity is below
     the least pairwise child similarity or the tolerance ``dissim``; the
     walk relaxes ``dissim`` after every move, so a wandering ant lands.
     """
     k = len(children)
-    if k < 2 and k < l_max:
+    if k < 2:
         return CONNECT
     sims = similarity(children, ant, diameter)
     best = int(sims.argmax())
-    if k < l_max:
+    if k < L_MAX:
         widest = similarity(children[:, None, :], children[None, :, :], diameter).min()
         if sims[best] < max(widest, dissim):
             return CONNECT
@@ -308,29 +295,29 @@ def window_scales(data: np.ndarray, block: int = 512) -> tuple[float, float]:
     return float(np.sqrt(widest)), spacing
 
 
-def build_initial_tree(window: WindowBatch, l_max: int = 10) -> TreeSynopsis:
+def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     """Place every first-window point as an ant; the tree is ready to stream.
 
     The walk keeps child rows in plain lists; the columns are made once at
     the end, every node holding its one point (count = weight = 1).
     """
     n = len(window)
-    tree = TreeSynopsis(window.dim, l_max)
+    tree = TreeSynopsis(window.dim)
     diameter, tree.base_radius = window_scales(window.data)
-    row_one_last = n >= 3 and l_max >= 2
+    row_one_last = n >= 3
     order = np.r_[0, 2:n, 1] if row_one_last else np.arange(n)
     ants = window.data[order]
     parent = np.full(n, -1)  # parent row of each node, -1 for the support
     kids: list[list[int]] = [[] for _ in range(n + 1)]  # kids[-1]: the support's
     guard = 0
-    guard_limit = 200 * (n + 10) * (l_max + 10)
+    guard_limit = 200 * (n + 10) * (L_MAX + 10)
     for row, ant in enumerate(ants):
         pos, dissim = -1, 0.0
         while True:
             guard += 1
             if guard > guard_limit:  # pragma: no cover - internal fault trap
                 raise RuntimeError("tree construction failed to make progress")
-            child = step(ants[kids[pos]], ant, dissim, l_max, diameter)
+            child = step(ants[kids[pos]], ant, dissim, diameter)
             if child == CONNECT:
                 break
             pos = kids[pos][child]

@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.7, help="decay factor")
     p.add_argument("--mu", type=float, default=0.2, help="mutated coordinate fraction")
     p.add_argument("--sigma", type=int, default=10, help="parents per generation")
-    p.add_argument("--lmax", type=int, default=10, help="max children per tree node")
     p.add_argument("--prune", type=float, default=0.1, help="weight prune threshold")
     p.add_argument("--interval-ms", type=int, default=1000,
                    help="idle interval between windows (wall-clock mode)")
@@ -100,7 +99,6 @@ def manifest_from_args(args: argparse.Namespace) -> RunManifest:
         interval_ms=args.interval_ms,
         idle_generations_cap=args.idle_gens if deterministic else 10,
         rng_seed=args.seed,
-        l_max=args.lmax,
     )
     return RunManifest(
         cfg=cfg,

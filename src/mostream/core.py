@@ -9,9 +9,8 @@ refresh, and staleness pruning.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,17 +19,6 @@ import numpy as np
 # window keeps every engine output finite up to 1e120); near 1e150 the
 # hypervolume reads about 1e303, and at 1e160 kmeans++ draws from NaN weights.
 MAX_ABS_VALUE = 1e100
-
-
-class SolutionOrigin(enum.Enum):
-    """Which pathway produced a solution."""
-
-    ANTTREE = "anttree"
-    KMEANS = "kmeans"
-    DBSCAN = "dbscan"
-    GNG = "gng"
-    CROSSOVER = "crossover"
-    MUTATION = "mutation"
 
 
 @dataclass
@@ -106,7 +94,6 @@ class ClusteringSolution:
 
     objectives: ObjectiveVector
     prototypes: np.ndarray
-    origin: SolutionOrigin
     solution_id: int = -1
     prev_compactness: float = 0.0
     counts: Optional[np.ndarray] = None
@@ -144,7 +131,6 @@ class ClusteringSolution:
         return ClusteringSolution(
             self.objectives.copy(),
             self.prototypes.copy(),
-            self.origin,
             self.solution_id,
             self.prev_compactness,
             self.counts.copy(),
@@ -164,7 +150,6 @@ class StreamConfig:
     interval_ms: int = 1000
     idle_generations_cap: int = 10
     rng_seed: int = 0
-    l_max: int = 10
 
     def __post_init__(self) -> None:
         if self.window_size < 1:
@@ -181,8 +166,6 @@ class StreamConfig:
             raise ValueError("interval_ms must be >= 0")
         if self.idle_generations_cap < 0:
             raise ValueError("idle_generations_cap must be >= 0")
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +191,6 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(1, d):
         out = out + sq[..., j]
     return out[()]
-
-
-def nearest_cluster(solution: ClusteringSolution, point: np.ndarray) -> int:
-    """Index of the cluster whose prototype is nearest (ties -> lowest index).
-
-    Computed independently of ``sq_dist``, so it can referee ``assign_batch``.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (solution.dim,):
-        raise ValueError(
-            f"point has dimension {point.shape}, expected ({solution.dim},)"
-        )
-    dists = np.linalg.norm(solution.prototypes - point, axis=1)
-    return int(np.argmin(dists))
 
 
 def assign_batch(solution: ClusteringSolution, data: np.ndarray) -> np.ndarray:
@@ -292,10 +261,9 @@ def fade_weight(weight, gamma: float, assigned=0.0):
     return gamma * np.asarray(weight, dtype=float) + assigned
 
 
-def prune_outdated(
-    solution: ClusteringSolution, threshold: float
-) -> ClusteringSolution:
-    """Drop clusters with weight < threshold; never return an empty solution.
+def prune_outdated(solution: ClusteringSolution, threshold: float) -> None:
+    """Drop clusters with weight < threshold, in place; never leave the
+    solution empty.
 
     If every cluster falls below the threshold the heaviest one survives
     (ties -> lowest index), so K >= 1 always holds.
@@ -305,9 +273,8 @@ def prune_outdated(
     kept = solution.weights >= threshold
     if not kept.any():
         kept[np.argmax(solution.weights)] = True
-    out = solution.copy()
-    out.keep(kept)
-    return out
+    if not kept.all():
+        solution.keep(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -318,28 +285,3 @@ def serialize_chromosome(solution: ClusteringSolution) -> np.ndarray:
     """Flat record: [compactness, separateness, proto_1 .. proto_K] (K*d+2 floats)."""
     head = [solution.objectives.compactness, solution.objectives.separateness]
     return np.concatenate([np.array(head, dtype=float), solution.prototypes.ravel()])
-
-
-def deserialize_chromosome(
-    record: Sequence[float],
-    dim: int,
-    origin: SolutionOrigin = SolutionOrigin.KMEANS,
-    solution_id: int = -1,
-) -> ClusteringSolution:
-    """Parse a flat record back into a solution.
-
-    Counts and weights are not carried on the wire; they reset to 1.
-    """
-    record = np.asarray(record, dtype=float)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if record.ndim != 1 or record.size < dim + 2 or (record.size - 2) % dim != 0:
-        raise ValueError(
-            f"record of length {record.size} is not 2 + K*{dim} for any K >= 1"
-        )
-    return ClusteringSolution(
-        ObjectiveVector(float(record[0]), float(record[1])),
-        record[2:].reshape(-1, dim).copy(),
-        origin,
-        solution_id,
-    )

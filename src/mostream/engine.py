@@ -77,8 +77,6 @@ class EngineState:
     cfg: StreamConfig
     tree: TreeSynopsis
     archive: ParetoArchive
-    window_id: int
-    dim: int
     last_window: WindowBatch
     hv_reference: ObjectiveVector
     macro_compactness: float = 0.0
@@ -145,7 +143,7 @@ def initialize(
 ) -> EngineState:
     """Build the tree, seed the population, breed once, fill the archive."""
     t0 = time.perf_counter()
-    tree = build_initial_tree(first_window, cfg.l_max)
+    tree = build_initial_tree(first_window)
 
     population: list[ClusteringSolution] = []
     macro = tree.macro_clusters()
@@ -160,8 +158,6 @@ def initialize(
         cfg=cfg,
         tree=tree,
         archive=ParetoArchive(),
-        window_id=first_window.window_id,
-        dim=first_window.dim,
         last_window=first_window,
         hv_reference=ObjectiveVector(),
         macro_compactness=macro.objectives.compactness,
@@ -193,14 +189,15 @@ def initialize(
 def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     """Commit one window: map, absorb, fade, rescore, re-offer, re-screen, report."""
     t0 = time.perf_counter()
-    if window.dim != state.dim:
+    last = state.last_window
+    if window.dim != last.dim:
         raise ValueError(
-            f"window {window.window_id} has dimension {window.dim}, stream is {state.dim}"
+            f"window {window.window_id} has dimension {window.dim}, stream is {last.dim}"
         )
-    if window.window_id != state.window_id + 1:
+    if window.window_id != last.window_id + 1:
         raise ValueError(
             f"window ids must be sequential: got {window.window_id} "
-            f"after {state.window_id}"
+            f"after {last.window_id}"
         )
     cfg = state.cfg
 
@@ -236,7 +233,8 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
             clone.prototypes[fed], clone.counts[fed], means, assigned[fed], cfg.gamma
         )
         clone.weights = fade_weight(clone.weights, cfg.gamma, assigned)
-        pruned.append(prune_outdated(clone, cfg.prune_threshold))
+        prune_outdated(clone, cfg.prune_threshold)
+        pruned.append(clone)
     state.tree.fade_and_prune(cfg.gamma, cfg.prune_threshold)
 
     # (4) separateness reflects the moved/pruned prototypes, counting only
@@ -262,7 +260,6 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     state.archive = rebuilt
 
     # (7) commit and report
-    state.window_id = window.window_id
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
     return _window_report(state, window, elapsed, assignments)
@@ -273,7 +270,9 @@ def on_idle(state: EngineState, budget: IdleBudget) -> int:
     deadline stops between offspring."""
     gens = 0
     while budget.allows():
-        seed = _derive_seed(state.cfg.rng_seed, state.window_id, state.idle_counter)
+        seed = _derive_seed(
+            state.cfg.rng_seed, state.last_window.window_id, state.idle_counter
+        )
         state.idle_counter += 1
         idle_generation(
             state.archive, state.last_window, state.cfg, seed, state.allot_id, budget.expired

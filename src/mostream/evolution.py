@@ -15,13 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    ClusteringSolution,
-    SolutionOrigin,
-    StreamConfig,
-    WindowBatch,
-    sq_dist,
-)
+from .core import ClusteringSolution, StreamConfig, WindowBatch, sq_dist
 from .objectives import ParetoArchive, evaluate_solution
 
 
@@ -80,7 +74,6 @@ def _splice(
     return ClusteringSolution(
         a.objectives.copy(),
         np.concatenate([a.prototypes[a_rows], b.prototypes[b_rows]]),
-        SolutionOrigin.CROSSOVER,
         counts=np.concatenate([a.counts[a_rows], b.counts[b_rows]]),
         weights=np.concatenate([a.weights[a_rows], b.weights[b_rows]]),
     )
@@ -103,7 +96,6 @@ def mutate(
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must be in (0, 1]")
     out = solution.copy()
-    out.origin = SolutionOrigin.MUTATION
     out.solution_id = -1
     k, d = solution.k, solution.dim
     n_mut = max(1, round(mu * d))

@@ -8,7 +8,6 @@ a single window; select_best uses it to pick the archive member to report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,30 +17,20 @@ from .core import ClusteringSolution, WindowBatch, assign_batch, sq_dist
 INFINITE_DBI = math.inf
 
 
-@dataclass
-class ContingencyMatrix:
-    """Cross-tabulation of two labelings of the same items."""
-
-    counts: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    n: int
-
-    @classmethod
-    def from_labels(
-        cls, truth: Sequence[int], predicted: Sequence[int]
-    ) -> "ContingencyMatrix":
-        truth = np.asarray(truth)
-        predicted = np.asarray(predicted)
-        if len(truth) != len(predicted):
-            raise ValueError("label sequences must have equal length")
-        if len(truth) == 0:
-            raise ValueError("label sequences must be non-empty")
-        _, ti = np.unique(truth, return_inverse=True)
-        _, pi = np.unique(predicted, return_inverse=True)
-        counts = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
-        np.add.at(counts, (ti, pi), 1)
-        return cls(counts, counts.sum(axis=1), counts.sum(axis=0), int(len(truth)))
+def _contingency(truth: Sequence[int], predicted: Sequence[int]) -> np.ndarray:
+    """Int cross-tabulation of two labelings of the same items: one row per
+    true class, one column per predicted cluster."""
+    truth = np.asarray(truth)
+    predicted = np.asarray(predicted)
+    if len(truth) != len(predicted):
+        raise ValueError("label sequences must have equal length")
+    if len(truth) == 0:
+        raise ValueError("label sequences must be non-empty")
+    _, ti = np.unique(truth, return_inverse=True)
+    _, pi = np.unique(predicted, return_inverse=True)
+    counts = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
+    np.add.at(counts, (ti, pi), 1)
+    return counts
 
 
 def _entropy(freqs: np.ndarray, n: int) -> float:
@@ -55,20 +44,20 @@ def nmi(truth: Sequence[int], predicted: Sequence[int]) -> float:
 
     Two all-in-one-class partitions agree perfectly by convention: 1.0.
     """
-    cm = ContingencyMatrix.from_labels(truth, predicted)
-    h_t = _entropy(cm.row_sums, cm.n)
-    h_p = _entropy(cm.col_sums, cm.n)
+    table = _contingency(truth, predicted)
+    n = len(truth)
+    row_sums, col_sums = table.sum(axis=1), table.sum(axis=0)
+    h_t = _entropy(row_sums, n)
+    h_p = _entropy(col_sums, n)
     if h_t == 0.0 and h_p == 0.0:
         return 1.0
     mi = 0.0
-    for i in range(cm.counts.shape[0]):
-        for j in range(cm.counts.shape[1]):
-            nij = cm.counts[i, j]
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
+            nij = table[i, j]
             if nij == 0:
                 continue
-            mi += (nij / cm.n) * math.log(
-                nij * cm.n / (cm.row_sums[i] * cm.col_sums[j])
-            )
+            mi += (nij / n) * math.log(nij * n / (row_sums[i] * col_sums[j]))
     # the true value lives in [0, 1]; the MI sum can overshoot by an ulp
     return float(min(1.0, max(0.0, 2.0 * mi / (h_t + h_p))))
 
@@ -79,13 +68,14 @@ def _pairs(x: np.ndarray) -> float:
 
 def arand(truth: Sequence[int], predicted: Sequence[int]) -> float:
     """Adjusted Rand index via pair counting; 0/0 degenerate cases -> 1.0."""
-    cm = ContingencyMatrix.from_labels(truth, predicted)
-    if cm.n < 2:
+    table = _contingency(truth, predicted)
+    n = len(truth)
+    if n < 2:
         raise ValueError("arand needs at least two items")
-    index = _pairs(cm.counts.astype(np.int64))
-    sum_a = _pairs(cm.row_sums)
-    sum_b = _pairs(cm.col_sums)
-    total = cm.n * (cm.n - 1) / 2
+    index = _pairs(table)
+    sum_a = _pairs(table.sum(axis=1))
+    sum_b = _pairs(table.sum(axis=0))
+    total = n * (n - 1) / 2
     expected = sum_a * sum_b / total
     max_index = 0.5 * (sum_a + sum_b)
     denom = max_index - expected

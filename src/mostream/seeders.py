@@ -14,13 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    ClusteringSolution,
-    ObjectiveVector,
-    SolutionOrigin,
-    WindowBatch,
-    sq_dist,
-)
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
 from .objectives import evaluate_solution
 
 logger = logging.getLogger(__name__)
@@ -48,13 +42,12 @@ def _solution_from_assignment(
     window: WindowBatch,
     labels: np.ndarray,
     centers: np.ndarray,
-    origin: SolutionOrigin,
     gamma: float,
 ) -> ClusteringSolution:
     members = np.bincount(labels, minlength=len(centers)).astype(float)
     members = np.maximum(members, 1.0)
     sol = ClusteringSolution(
-        ObjectiveVector(), centers, origin, counts=members, weights=members.copy()
+        ObjectiveVector(), centers, counts=members, weights=members.copy()
     )
     evaluate_solution(sol, window, gamma)
     return sol
@@ -118,9 +111,7 @@ def seed_kmeans(
             mask = labels == ci
             if mask.any():
                 centers[ci] = data[mask].mean(axis=0)
-    return _solution_from_assignment(
-        window, labels, centers, SolutionOrigin.KMEANS, gamma
-    )
+    return _solution_from_assignment(window, labels, centers, gamma)
 
 
 def kmeans_sweep(
@@ -193,9 +184,7 @@ def seed_dbscan(
     if len(core_idx) == 0:
         logger.warning("dbscan found no core points; falling back to one cluster")
         centers = data.mean(axis=0, keepdims=True)
-        return _solution_from_assignment(
-            window, np.zeros(n, dtype=int), centers, SolutionOrigin.DBSCAN, gamma
-        )
+        return _solution_from_assignment(window, np.zeros(n, dtype=int), centers, gamma)
     # border points copy a core's label; core labels are never overwritten
     labels = connected_components(within, core)
     for i in np.flatnonzero(~core):
@@ -208,9 +197,7 @@ def seed_dbscan(
         [data[kept][labels[kept] == c].mean(axis=0) for c in range(labels.max() + 1)]
     )
     sub = WindowBatch(data[kept], window.window_id, start_index=window.start_index)
-    return _solution_from_assignment(
-        sub, labels[kept], centers, SolutionOrigin.DBSCAN, gamma
-    )
+    return _solution_from_assignment(sub, labels[kept], centers, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -284,4 +271,4 @@ def seed_gng(window: WindowBatch, seed: int, gamma: float = 0.7) -> ClusteringSo
     nearest = np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)
     used, labels = np.unique(comp[nearest], return_inverse=True)
     centers = np.vstack([data[labels == c].mean(axis=0) for c in range(len(used))])
-    return _solution_from_assignment(window, labels, centers, SolutionOrigin.GNG, gamma)
+    return _solution_from_assignment(window, labels, centers, gamma)

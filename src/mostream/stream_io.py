@@ -111,18 +111,21 @@ def load_csv(
 
 
 def blob_centers(k: int, sep: float, dim: int = 2) -> np.ndarray:
-    """k centers pairwise at least sep apart (adjacent pairs exactly sep)."""
+    """k centers pairwise at least sep apart (adjacent pairs exactly sep):
+    a regular polygon in the first two coordinates, or a line at dim=1."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if sep <= 0:
         raise ValueError("sep must be > 0")
     if k == 1:
         return np.zeros((1, dim))
+    if dim == 1:
+        return sep * np.arange(k, dtype=float)[:, None]
     radius = sep / (2.0 * math.sin(math.pi / k))
     angles = 2.0 * math.pi * np.arange(k) / k
     centers = np.zeros((k, dim))
     centers[:, 0] = radius * np.cos(angles)
-    centers[:, 1 % dim] = radius * np.sin(angles)
+    centers[:, 1] = radius * np.sin(angles)
     return centers
 
 
@@ -199,11 +202,6 @@ def emit_reports(reports: Sequence[WindowReport], path: str) -> None:
             fh.write(report_line(report) + "\n")
 
 
-def parse_reports(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -214,7 +212,7 @@ def emit_snapshot(state: EngineState, out_dir: str) -> tuple[str, str]:
     Tree rows: node_id,parent_id,count,weight,coord... (support omitted).
     Archive rows: one flat chromosome record per solution.
     """
-    wid = state.window_id
+    wid = state.last_window.window_id
     tree_path = os.path.join(out_dir, f"tree_{wid:05d}.csv")
     tree = state.tree
     with open(tree_path, "w", encoding="utf-8") as fh:

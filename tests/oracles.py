@@ -83,6 +83,13 @@ def sq_dist_reference(a, b):
     return ((a - b) ** 2).sum(axis=-1)
 
 
+def nearest_cluster(prototypes, point):
+    """Row of ``prototypes`` nearest to ``point`` (ties -> lowest index), by
+    ``np.linalg.norm`` rather than the package's kernel."""
+    dists = np.linalg.norm(np.asarray(prototypes, dtype=float) - point, axis=1)
+    return int(np.argmin(dists))
+
+
 def absorb_window_reference(prototypes, counts, data, gamma):
     """One member's absorb step with masked batch means: every row of
     ``data`` joins its nearest prototype (ties -> lowest index), and each fed

@@ -15,7 +15,6 @@ from mostream.cli import build_parser, manifest_from_args, run
 from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
-    SolutionOrigin,
     StreamConfig,
     WindowBatch,
 )
@@ -206,10 +205,10 @@ def test_criterion_6_tree_adversarial_suite():
     timings = {}
     for name, data in suites.items():
         t0 = time.monotonic()
-        tree = build_initial_tree(WindowBatch(data, 0), l_max=10)
+        tree = build_initial_tree(WindowBatch(data, 0))
         timings[name] = time.monotonic() - t0
         assert timings[name] < 10.0
-        tree.validate()  # one row per node, no orphans, fan-out <= l_max
+        tree.validate()  # one row per node, no orphans, fan-out <= L_MAX
         fan = np.bincount(tree.parents[tree.parents != 0])
         assert fan.max(initial=0) <= 10
         # every point housed exactly once: the prototype rows are a
@@ -267,7 +266,7 @@ def test_criterion_7_gamma_one_conservation():
 def test_criterion_8_operator_contracts():
     def block_solution(k, base):
         protos = np.array([[base + j, 0.0] for j in range(k)])
-        return ClusteringSolution(ObjectiveVector(), protos, SolutionOrigin.KMEANS)
+        return ClusteringSolution(ObjectiveVector(), protos)
 
     cases = 0
     for ka, kb in itertools.product(range(3, 16), repeat=2):
@@ -290,7 +289,6 @@ def test_criterion_8_operator_contracts():
             sol = ClusteringSolution(
                 ObjectiveVector(),
                 np.tile(np.arange(1.0, d + 1.0), (4, 1)),
-                SolutionOrigin.KMEANS,
             )
             out = mutate(sol, mu, np.random.default_rng(1000 * d + int(10 * mu)))
             for before, after in zip(sol.prototypes, out.prototypes):

@@ -12,6 +12,7 @@ from mostream.anttree import (
     COLUMNS,
     CONNECT,
     DISSIM_RELAX,
+    L_MAX,
     RADIUS_SCALE,
     SUPPORT_ID,
     TreeSynopsis,
@@ -35,9 +36,9 @@ def _node(tree, parent, *coords, weight=1.0):
     return tree._add(parent, _pt(*coords), weight, 0.0)
 
 
-def _fan(anchors, l_max=10):
+def _fan(anchors):
     """Support children at ``anchors``, in id order."""
-    tree = TreeSynopsis(2, l_max)
+    tree = TreeSynopsis(2)
     for row in anchors:
         _node(tree, SUPPORT_ID, *row)
     return tree
@@ -46,6 +47,11 @@ def _fan(anchors, l_max=10):
 def _kids(*rows):
     """Child prototypes for ``step`` in 2-d, one row per child, in id order."""
     return np.array(rows, dtype=float).reshape(len(rows), 2)
+
+
+def _first_level(tree):
+    """Ids of the support's children, in id order."""
+    return tree.ids[tree.parents == SUPPORT_ID].tolist()
 
 
 def _row(tree, node_id):
@@ -80,7 +86,7 @@ class TestConnectAnt:
     """``step``: an ant at one node either connects there or descends."""
 
     def test_empty_support_connects(self):
-        assert step(_kids(), _pt(0, 0), 0.0, 10, 0.0) == CONNECT
+        assert step(_kids(), _pt(0, 0), 0.0, 0.0) == CONNECT
         tree = build_initial_tree(_window([[0.0, 0.0]]))
         assert tree.parents.tolist() == [SUPPORT_ID]
         assert np.array_equal(tree.prototypes[0], [0, 0])
@@ -89,32 +95,37 @@ class TestConnectAnt:
     def test_second_child_connects(self):
         # one child is never compared: even a coincident ant connects
         for ant in [(6, 0), (0, 0)]:
-            assert step(_kids((0, 0)), _pt(*ant), 0.0, 10, 10.0) == CONNECT
+            assert step(_kids((0, 0)), _pt(*ant), 0.0, 10.0) == CONNECT
         tree = build_initial_tree(_window([[0.0, 0.0], [6.0, 0.0]]))
-        assert tree.first_level() == [1, 2]
+        assert _first_level(tree) == [1, 2]
 
     def test_dissimilar_ant_connects_at_full_support(self):
         # children at distance 6 with diameter 10: pairwise sim 0.4;
         # an ant 7 away from its closest child scores 0.3 < 0.4 -> connect
-        assert step(_kids((0, 0), (6, 0)), _pt(13, 0), 0.0, 10, 10.0) == CONNECT
+        assert step(_kids((0, 0), (6, 0)), _pt(13, 0), 0.0, 10.0) == CONNECT
 
     def test_similar_ant_moves_toward_closest_child(self):
         children = _kids((0, 0), (6, 0))
         before = children.copy()
-        assert step(children, _pt(7, 0), 0.0, 10, 10.0) == 1
+        assert step(children, _pt(7, 0), 0.0, 10.0) == 1
         assert np.array_equal(children, before)
 
     def test_relaxed_tolerance_connects(self):
         # the same ant connects once its tolerance exceeds its similarity 0.9
         children = _kids((0, 0), (6, 0))
-        assert step(children, _pt(7, 0), 0.89, 10, 10.0) == 1
-        assert step(children, _pt(7, 0), 0.95, 10, 10.0) == CONNECT
+        assert step(children, _pt(7, 0), 0.89, 10.0) == 1
+        assert step(children, _pt(7, 0), 0.95, 10.0) == CONNECT
 
     def test_full_node_moves_even_when_dissimilar(self):
-        assert step(_kids((0, 0), (6, 0)), _pt(13, 0), 1.0, 2, 10.0) == 1
+        # L_MAX children 6 apart; the ant is 13 past the last one, so with
+        # room it would connect at any tolerance
+        children = _kids(*[(6.0 * i, 0.0) for i in range(L_MAX)])
+        ant = _pt(6.0 * (L_MAX - 1) + 13.0, 0.0)
+        assert step(children[:-1], ant, 1.0, 10.0) == CONNECT
+        assert step(children, ant, 1.0, 10.0) == L_MAX - 1
 
 
-def _reference_step(children, ant, dissim, l_max, diameter):
+def _reference_step(children, ant, dissim, diameter):
     """``step``'s comparison branch, one similarity() call at a time: the
     most similar child (ties -> lowest index) and whether the ant connects."""
     best, best_sim = -1, -np.inf
@@ -126,7 +137,7 @@ def _reference_step(children, ant, dissim, l_max, diameter):
     for i, a in enumerate(children):
         for b in children[i + 1 :]:
             least = min(least, float(similarity(a, b, diameter)))
-    return best, len(children) < l_max and best_sim < max(least, dissim)
+    return best, len(children) < L_MAX and best_sim < max(least, dissim)
 
 
 class TestChildScans:
@@ -136,15 +147,16 @@ class TestChildScans:
     def test_tie_goes_to_lowest_id(self, diameter):
         children = _kids((0, 1), (1, 0), (0, -1), (0, 1))
         for query, want in [((0.0, 0.0), 0), ((0.0, 1.0), 0), ((1.0, 0.0), 1)]:
-            assert _reference_step(children, _pt(*query), 0.0, 10, diameter) == (want, False)
-            assert step(children, _pt(*query), 0.0, 10, diameter) == want
+            assert _reference_step(children, _pt(*query), 0.0, diameter) == (want, False)
+            assert step(children, _pt(*query), 0.0, diameter) == want
 
     def test_single_child_has_no_pairs(self):
-        # no pair to compare, and the node is full at l_max=1: the ant moves
-        assert step(_kids((3, 4)), _pt(0, 0), 0.0, 1, 10.0) == 0
-        # a build at l_max=1 is one chain, every ant descending to the end
-        tree = build_initial_tree(_window([[3.0, 4.0], [0.0, 0.0], [9.0, 9.0]]), 1)
-        assert tree.parents.tolist() == [SUPPORT_ID, 1, 2]
+        # no pair to compare: the least pairwise similarity stays infinite,
+        # so one child takes the ant at any tolerance, near or far
+        for ant in [(3, 4), (0, 0), (300, 400)]:
+            for dissim in (0.0, 1.0):
+                assert _reference_step(_kids((3, 4)), _pt(*ant), dissim, 10.0) == (0, True)
+                assert step(_kids((3, 4)), _pt(*ant), dissim, 10.0) == CONNECT
 
     @pytest.mark.parametrize("dim", [2, 16])
     def test_match_loops_on_every_built_node(self, dim):
@@ -161,9 +173,9 @@ class TestChildScans:
             checked += 1
             for q in queries:
                 for dissim in (0.0, 50 * DISSIM_RELAX):
-                    best, connects = _reference_step(children, q, dissim, tree.l_max, diameter)
+                    best, connects = _reference_step(children, q, dissim, diameter)
                     want = CONNECT if connects else best
-                    assert step(children, q, dissim, tree.l_max, diameter) == want
+                    assert step(children, q, dissim, diameter) == want
         assert checked >= 5
 
 
@@ -171,7 +183,7 @@ class TestBuild:
     def test_single_point(self):
         tree = build_initial_tree(_window([[3.0, 4.0]]))
         assert tree.node_count() == 1
-        assert tree.first_level() == [1]
+        assert _first_level(tree) == [1]
         assert np.array_equal(tree.prototypes[0], [3, 4])
 
     def test_identical_pair(self):
@@ -197,17 +209,16 @@ class TestBuild:
     @given(
         n=st.integers(1, 60),
         d=st.integers(1, 4),
-        l_max=st.sampled_from([1, 2, 3, 10]),
         duplicates=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_support_reset_moves_row_one_to_the_end(self, n, d, l_max, duplicates, seed):
+    def test_support_reset_moves_row_one_to_the_end(self, n, d, duplicates, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
         if duplicates:
             data[:] = data[0]
-        tree = build_initial_tree(_window(data), l_max)
-        if n >= 3 and l_max >= 2:
+        tree = build_initial_tree(_window(data))
+        if n >= 3:
             ids = [1, *range(3, n + 2)]
             rows = [0, *range(2, n), 1]
         else:
@@ -217,25 +228,34 @@ class TestBuild:
         assert np.array_equal(tree.prototypes, data[rows])
 
     def test_tolerance_relaxes_once_per_move(self, monkeypatch):
-        # at l_max=1 the tree is one chain: ant j descends j nodes, its
-        # tolerance growing by DISSIM_RELAX per move up to 1.0
+        # identical ants never connect at a node with two children, so each
+        # descends a first-child chain that deepens every second ant; every
+        # ant starts at tolerance 0, which grows by DISSIM_RELAX per move up
+        # to 1.0
         seen = []
 
-        def spy(children, ant, dissim, l_max, diameter):
-            seen.append(dissim)
-            return step(children, ant, dissim, l_max, diameter)
+        def spy(children, ant, dissim, diameter):
+            out = step(children, ant, dissim, diameter)
+            seen.append((dissim, out))
+            return out
 
         monkeypatch.setattr(anttree, "step", spy)
-        tree = build_initial_tree(_window(np.arange(120.0)[:, None]), 1)
-        assert tree.parents.tolist() == list(range(120))
+        n = 250
+        build_initial_tree(_window(np.ones((n, 2))))
         want, tol = [], 0.0
-        for _ in range(120):
+        for _ in range(n):
             want.append(tol)
             tol = min(1.0, tol + DISSIM_RELAX)
-        for j in range(120):
-            assert seen[: j + 1] == want[: j + 1]
-            del seen[: j + 1]
-        assert not seen and want[-1] == 1.0
+        walks, walk = [], []
+        for dissim, out in seen:
+            walk.append(dissim)
+            if out == CONNECT:
+                walks.append(walk)
+                walk = []
+        assert len(walks) == n and not walk
+        for walk in walks:
+            assert walk == want[: len(walk)]
+        assert max(map(max, walks)) == 1.0
 
     def test_mean_nearest_neighbor_distance(self):
         data = np.array([[0.0], [1.0], [5.0]])
@@ -283,7 +303,7 @@ class TestMapPoint:
 
     def test_exact_prototype_is_fixed_point(self):
         tree = self._two_node_tree()
-        nid = tree.first_level()[0]
+        nid = _first_level(tree)[0]
         proto = tree.prototypes[_row(tree, nid)].copy()
         out = tree.map_point(proto.copy())
         assert not out.created
@@ -314,7 +334,7 @@ class TestMapPoint:
 
     def test_rejected_claim_still_widens_radius(self):
         tree = self._two_node_tree()
-        row = _row(tree, tree.first_level()[0])
+        row = _row(tree, _first_level(tree)[0])
         n_before, sum_before = tree.radius_n[row], tree.radius_sum[row]
         out = tree.map_point(_pt(-100.0, 0.0))
         assert out.created
@@ -323,13 +343,13 @@ class TestMapPoint:
 
     def test_radius_grows_past_floor(self):
         tree = self._two_node_tree()
-        row = _row(tree, tree.first_level()[0])
+        row = _row(tree, _first_level(tree)[0])
         tree.radius_sum[row], tree.radius_n[row] = 150.0, 3  # mean 50 > floor 40
         assert not tree.map_point(_pt(-45.0, 0.0)).created
 
     def test_absorption_is_running_merge(self):
         tree = self._two_node_tree()
-        row = _row(tree, tree.first_level()[0])
+        row = _row(tree, _first_level(tree)[0])
         tree.map_point(_pt(-2.0, 0.0))
         # running mean of (0,0) and (-2,0)
         assert np.allclose(tree.prototypes[row], [-1.0, 0.0])
@@ -355,7 +375,7 @@ class TestWindowTick:
 
     def test_fade_folds_absorbed_and_resets(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        row = _row(tree, tree.first_level()[0])
+        row = _row(tree, _first_level(tree)[0])
         tree.absorbed[row] = 3.0
         tree.fade_and_prune(0.7, threshold=0.0)
         assert tree.weights[row] == pytest.approx(0.7 * 1.0 + 3.0)
@@ -483,15 +503,17 @@ class TestValidate:
             tree.validate()
 
     def test_detects_fanout_violation(self):
-        tree = TreeSynopsis(2, l_max=2)
+        tree = TreeSynopsis(2)
         x = _node(tree, SUPPORT_ID, 0, 0)
-        for i in range(3):
+        for i in range(L_MAX):
             _node(tree, x, 1, i)
+        tree.validate()
+        _node(tree, x, 1, L_MAX)
         with pytest.raises(AssertionError, match="fan-out"):
             tree.validate()
 
     def test_support_fanout_is_unbounded(self):
-        _fan([(i, 0) for i in range(5)], l_max=2).validate()
+        _fan([(i, 0) for i in range(L_MAX + 2)]).validate()
 
 
 class TestAdversarial:
@@ -548,7 +570,6 @@ def _streams(draw):
     windows = np.split(data, np.cumsum(sizes)[:-1])
     return (
         windows,
-        draw(st.sampled_from([1, 2, 3, 10])),
         draw(st.sampled_from([0.5, 0.7, 1.0])),
         draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
     )
@@ -561,13 +582,13 @@ def _check_rows(tree):
     assert all(len(getattr(tree, name)) == n for name in COLUMNS)
     assert np.isfinite(tree.prototypes).all()
     below = tree.parents[tree.parents != SUPPORT_ID]
-    assert np.bincount(below).max(initial=0) <= tree.l_max
+    assert np.bincount(below).max(initial=0) <= L_MAX
 
 
 @given(_streams())
 def test_arrays_stay_one_row_per_node(stream):
-    windows, l_max, gamma, threshold = stream
-    tree = build_initial_tree(_window(windows[0]), l_max)
+    windows, gamma, threshold = stream
+    tree = build_initial_tree(_window(windows[0]))
     _check_rows(tree)
     assert tree.node_count() == len(windows[0])
     assert _same_rows(tree.prototypes, windows[0])

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
-    SolutionOrigin,
     StreamConfig,
     WindowBatch,
     assign_batch,
@@ -35,7 +34,6 @@ def _sol(protos, c=0.0, s=0.0, sid=0):
     return ClusteringSolution(
         ObjectiveVector(c, s),
         np.asarray(protos, float),
-        SolutionOrigin.KMEANS,
         sid,
     )
 
@@ -114,7 +112,6 @@ class TestCrossover:
         assert list(c1.prototypes[:, 0]) == [1, 2, 13, 14]
         assert list(c2.prototypes[:, 0]) == [3, 11, 12]
         assert {c1.k, c2.k} == {3, 4}
-        assert c1.origin is SolutionOrigin.CROSSOVER
 
     def test_argument_order_irrelevant_for_blocks(self):
         a = _sol([(1, 1), (2, 2), (3, 3)], sid=1)
@@ -212,12 +209,12 @@ class TestMutate:
         sol.counts[0] = 5.0
         sol.weights[0] = 2.5
         out = mutate(sol, 0.5, np.random.default_rng(0))
-        assert out.origin is SolutionOrigin.MUTATION
         assert out.solution_id == -1
         assert out.counts[0] == 5.0
         assert out.weights[0] == 2.5
         # source untouched
-        assert sol.origin is SolutionOrigin.KMEANS
+        assert sol.solution_id == 77
+        assert np.array_equal(sol.prototypes, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_deterministic_per_seed(self):
         sol = _sol([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
@@ -290,7 +287,10 @@ class TestBreed:
         ]
         out = breed(parents, self._snapshot(), cfg, np.random.default_rng(0), _id_counter())
         assert len(out) == 2
-        assert all(o.origin is SolutionOrigin.MUTATION for o in out)
+        # no cut is drawn, so the generator goes straight to the mutants
+        rng = np.random.default_rng(0)
+        for child, parent in zip(out, parents):
+            assert np.array_equal(child.prototypes, mutate(parent, cfg.mu, rng).prototypes)
 
     def test_offspring_fully_evaluated_with_fresh_ids(self):
         cfg = StreamConfig()
@@ -334,7 +334,6 @@ class TestBreed:
         ]
         assert len(runs[0]) == len(runs[1]) == 5  # 2 crossover children + 3 mutants
         for a, b in zip(*runs):
-            assert a.origin is b.origin
             assert a.solution_id == b.solution_id
             assert np.array_equal(a.prototypes, b.prototypes)
             assert a.objectives.as_min_pair() == b.objectives.as_min_pair()

@@ -1,5 +1,6 @@
 """CSV ingestion, blob generation, artifact emission, and the CLI front end."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -21,9 +22,14 @@ from mostream.stream_io import (
     gen_blobs,
     load_csv,
     minmax_wrap,
-    parse_reports,
     report_line,
 )
+
+
+def _parse_reports(path):
+    """The report dicts of a ``reports.jsonl`` file, in window order."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 class TestLoadCsv:
@@ -138,6 +144,17 @@ class TestBlobCenters:
         # adjacent centers sit exactly sep apart on the circle
         assert d.min() == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("dim", range(1, 5))
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_pairwise_at_least_sep_in_every_dim(self, k, dim):
+        centers = blob_centers(k, 10.0, dim)
+        assert centers.shape == (k, dim)
+        d = np.linalg.norm(centers[:, None] - centers[None, :], axis=2)
+        np.fill_diagonal(d, np.inf)
+        assert d.min() >= 10.0 - 1e-9
+        if k >= 2:
+            assert d.min() == pytest.approx(10.0)
+
     def test_high_dim_padding(self):
         centers = blob_centers(3, 4.0, dim=5)
         assert centers.shape == (3, 5)
@@ -240,7 +257,7 @@ class TestReportEmission:
         path = str(tmp_path / "reports.jsonl")
         reports = self._reports()
         emit_reports(reports, path)
-        back = parse_reports(path)
+        back = _parse_reports(path)
         assert back == [r.to_dict() for r in reports]
 
     def test_one_line_per_window(self, tmp_path):
@@ -260,7 +277,8 @@ class TestSnapshots:
             line.split(",") for line in open(tree_path).read().splitlines()
         ]
         assert len(tree_rows) == state.tree.node_count()  # support omitted
-        assert all(len(r) == 4 + state.dim for r in tree_rows)
+        dim = state.last_window.dim
+        assert all(len(r) == 4 + dim for r in tree_rows)
         assert all(int(r[0]) != 0 for r in tree_rows)
         archive_rows = [
             [float(v) for v in line.split(",")]
@@ -268,7 +286,7 @@ class TestSnapshots:
         ]
         assert len(archive_rows) == len(state.archive)
         for row, sol in zip(archive_rows, state.archive):
-            assert len(row) == 2 + sol.k * state.dim
+            assert len(row) == 2 + sol.k * dim
 
     def test_assignments_file(self, tmp_path, four_blob_window):
         from mostream.engine import finalize
@@ -320,15 +338,37 @@ class TestManifest:
         manifest = manifest_from_args(args)
         assert not manifest.deterministic
 
+    # engine flag -> (StreamConfig field, a non-default value)
+    ENGINE_FLAGS = {
+        "--window": ("window_size", "64"),
+        "--gamma": ("gamma", "0.8"),
+        "--mu": ("mu", "0.4"),
+        "--sigma": ("sigma", "6"),
+        "--prune": ("prune_threshold", "0.2"),
+        "--interval-ms": ("interval_ms", "250"),
+        "--idle-gens": ("idle_generations_cap", "2"),
+        "--seed": ("rng_seed", "11"),
+    }
+    RUN_FLAGS = {"-h", "--help", "--input", "--blobs", "--label-col", "--out",
+                 "--snapshots", "--minmax"}
+
     def test_cfg_fields_forwarded(self):
-        args = build_parser().parse_args(
-            ["--blobs", "k=2,per=50", "--window", "64", "--gamma", "0.8",
-             "--mu", "0.4", "--sigma", "6", "--lmax", "7", "--prune", "0.2",
-             "--seed", "11", "--idle-gens", "2"]
-        )
-        cfg = manifest_from_args(args).cfg
-        assert (cfg.window_size, cfg.gamma, cfg.mu, cfg.sigma) == (64, 0.8, 0.4, 6)
-        assert (cfg.l_max, cfg.prune_threshold, cfg.rng_seed) == (7, 0.2, 11)
+        """Every StreamConfig field has exactly one flag and every flag that
+        is not about input or output sets one field."""
+        parser = build_parser()
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert flags - self.RUN_FLAGS == set(self.ENGINE_FLAGS)
+        fields = sorted(field for field, _ in self.ENGINE_FLAGS.values())
+        assert fields == sorted(f.name for f in dataclasses.fields(StreamConfig))
+        argv = ["--blobs", "k=2,per=50"]
+        for flag, (_, value) in self.ENGINE_FLAGS.items():
+            argv += [flag, value]
+        cfg = manifest_from_args(parser.parse_args(argv)).cfg
+        default = StreamConfig()
+        for flag, (field, value) in self.ENGINE_FLAGS.items():
+            want = type(getattr(default, field))(value)
+            assert want != getattr(default, field), flag
+            assert getattr(cfg, field) == want, flag
 
     def test_input_and_blobs_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
@@ -344,7 +384,7 @@ class TestCliMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "windows=4" in out
-        reports = parse_reports(str(tmp_path / "reports.jsonl"))
+        reports = _parse_reports(str(tmp_path / "reports.jsonl"))
         assert [r["window_id"] for r in reports] == [0, 1, 2, 3]
         lines = (tmp_path / "assignments.csv").read_text().splitlines()
         assert lines[0] == "index,cluster"

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mostream.core import (
-    ClusteringSolution,
-    ObjectiveVector,
-    SolutionOrigin,
-    assign_batch,
-)
+from mostream.core import ClusteringSolution, ObjectiveVector, assign_batch
 from mostream.metrics import INFINITE_DBI, arand, davies_bouldin, nmi, select_best
 from mostream.stream_io import WindowBatch
 
@@ -18,8 +13,7 @@ from oracles import arand_oracle, davies_bouldin_loop, nmi_oracle
 
 
 def _solution(protos, sol_id=0):
-    return ClusteringSolution(ObjectiveVector(), np.asarray(protos, dtype=float),
-                              SolutionOrigin.KMEANS, sol_id)
+    return ClusteringSolution(ObjectiveVector(), np.asarray(protos, dtype=float), sol_id)
 
 
 def _window(points, labels=None):

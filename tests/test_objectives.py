@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
-    SolutionOrigin,
     WindowBatch,
     assign_batch,
 )
@@ -38,8 +37,7 @@ def _rows(min_size, max_size, dim=2):
 
 def _protos(points, sol_id=0, compactness=0.0, sep=0.0):
     return ClusteringSolution(ObjectiveVector(compactness, sep),
-                              np.asarray(points, dtype=float),
-                              SolutionOrigin.KMEANS, sol_id)
+                              np.asarray(points, dtype=float), sol_id)
 
 
 def _objsol(compactness, sep, sol_id):
@@ -92,8 +90,7 @@ class TestSeparateness:
         assert separateness(_protos([(2, 2)])) == 0.0
 
     def test_collinear_min_then_mean(self):
-        sol = ClusteringSolution(ObjectiveVector(), np.array([[0.0], [1.0], [10.0]]),
-                                 SolutionOrigin.KMEANS, 0)
+        sol = ClusteringSolution(ObjectiveVector(), np.array([[0.0], [1.0], [10.0]]), 0)
         assert separateness(sol) == pytest.approx(11.0 / 3.0)
 
     def test_neighborhood_is_three_nearest(self):

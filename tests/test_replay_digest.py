@@ -60,24 +60,21 @@ def test_reports_match_pinned_digest(shape):
     _assert_digest(shape, hashlib.sha256(text.encode()).hexdigest(), digest)
 
 
-# name -> (blob parameters, window size, config overrides, digest). The tree
-# never reads the archive, so the streams run without idle generations.
+# name -> (blob parameters, window size, digest). The tree never reads the
+# archive, so the streams run without idle generations.
 TREE_SHAPES = {
     # drift outruns the acceptance radius: novelty nodes open every window
     # and starved leaves (build nodes included) are pruned
     "d2-fast-drift": (
         dict(k=4, per_blob=250, sep=10.0, stddev=0.5, drift=(0.6, 0.2), dim=2),
         100,
-        {},
         "3fe93594ea09cc957f492736915e4b80844a2067df6ab15f32e08cb28bb89144",
     ),
-    # fan-out cap 2: the build places row 1 last and every later ant
-    # descends through full nodes
-    "d3-lmax2": (
+    # three overlapping blobs in three coordinates, one 60-point window each
+    "d3": (
         dict(k=3, per_blob=60, sep=3.0, stddev=1.0, dim=3),
         60,
-        dict(l_max=2),
-        "4fe238fb2b9930b19cc51bf5874e0df5dd4e9bd04f8c037f7257aedce9abbbce",
+        "5329205f2dc2fce6b21ce37e1dc81a9e907411081bc3f09157e5a5b682555f61",
     ),
 }
 
@@ -85,11 +82,9 @@ TREE_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
 def test_tree_snapshots_match_pinned_digest(shape, tmp_path):
     """Every node's id, parent, count, weight and coordinates, every window."""
-    blobs, window, overrides, digest = TREE_SHAPES[shape]
+    blobs, window, digest = TREE_SHAPES[shape]
     batches = gen_blobs(window_size=window, seed=7, **blobs)
-    cfg = StreamConfig(
-        window_size=window, idle_generations_cap=0, rng_seed=7, **overrides
-    )
+    cfg = StreamConfig(window_size=window, idle_generations_cap=0, rng_seed=7)
     state = initialize(batches[0], cfg)
     # the build placed row 1 last: id 2 is unused and row 1 is id n + 1
     assert state.tree.ids[:2].tolist() == [1, 3]

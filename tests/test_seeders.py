@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mostream import seeders
-from mostream.core import ClusteringSolution, ObjectiveVector, SolutionOrigin, WindowBatch
+from mostream.core import ClusteringSolution, ObjectiveVector, WindowBatch
 from mostream.objectives import evaluate_solution
 from mostream.seeders import (
     connected_components,
@@ -34,10 +34,10 @@ def triples():
     return _window(rows)
 
 
-def _reference_solution(window, labels, centers, origin):
+def _reference_solution(window, labels, centers):
     """The solution a seeder builds from a finished assignment."""
     members = np.bincount(labels).astype(float)
-    ref = ClusteringSolution(ObjectiveVector(), centers, origin,
+    ref = ClusteringSolution(ObjectiveVector(), centers,
                              counts=members, weights=members.copy())
     evaluate_solution(ref, window, 0.7)
     return ref
@@ -56,7 +56,6 @@ class TestKMeans:
         third = 1.0 / 3.0
         want = np.array([[0.0, third], [0.0, 100 + third], [100.0, third]])
         assert np.allclose(got, want)
-        assert sol.origin is SolutionOrigin.KMEANS
 
     def test_k_one_is_window_mean(self):
         w = _window([[0, 0], [2, 0], [4, 6]])
@@ -110,7 +109,6 @@ class TestDBScan:
         b = rg.normal(loc=(20.0, 0.0), scale=0.4, size=(30, 2))
         sol = seed_dbscan(WindowBatch(np.vstack([a, b]), 0), min_pts=10, radius=2.0)
         assert sol.k == 2
-        assert sol.origin is SolutionOrigin.DBSCAN
 
     def test_single_dense_cloud(self):
         rg = np.random.default_rng(2)
@@ -177,8 +175,7 @@ class TestDBScan:
         assert 0 < (~kept).sum() < 1100
         centers = np.vstack([data[kept][labels[kept] == c].mean(axis=0)
                              for c in range(labels.max() + 1)])
-        ref = _reference_solution(WindowBatch(data[kept], 0), labels[kept], centers,
-                                  SolutionOrigin.DBSCAN)
+        ref = _reference_solution(WindowBatch(data[kept], 0), labels[kept], centers)
         _assert_same_solution(sol, ref)
 
     def test_defaults_are_the_module_constants(self):
@@ -246,7 +243,6 @@ class TestGNG:
             protos = protos[np.argsort(protos[:, 0])]
             assert np.allclose(protos[0], [0.0, 0.0], atol=0.2)
             assert np.allclose(protos[1], [12.0, 12.0], atol=0.2)
-            assert sol.origin is SolutionOrigin.GNG
 
     def test_two_point_window(self):
         sol = seed_gng(_window([[0.0, 0.0], [5.0, 5.0]]), seed=0)
@@ -280,7 +276,7 @@ class TestGNG:
             split_decay=seeders.GNG_SPLIT_DECAY, error_decay=seeders.GNG_ERROR_DECAY,
         )
         labels, centers, gas = gng_reference(window.data, seed, **consts)
-        ref = _reference_solution(window, labels, centers, SolutionOrigin.GNG)
+        ref = _reference_solution(window, labels, centers)
         return ref, gas
 
     @staticmethod

@@ -84,5 +84,5 @@ def test_invariants_hold_on_random_streams(stream):
     wrong = np.zeros((2, windows[0].dim + 1))
     reports = len(state.reports)
     with pytest.raises(ValueError, match="dimension"):
-        process_window(state, WindowBatch(wrong, state.window_id + 1))
+        process_window(state, WindowBatch(wrong, state.last_window.window_id + 1))
     assert len(state.reports) == reports
