@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, merge_prototype, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
 
 SUPPORT_ID = 0
 
@@ -173,9 +173,9 @@ class TreeSynopsis:
         self.radius_sum[row] += dist
         self.radius_n[row] += 1
         if dist <= radius:
-            self.prototypes[row], self.counts[row] = merge_prototype(
-                self.prototypes[row], self.counts[row], coords, 1.0, 1.0
-            )
+            count = self.counts[row]
+            self.prototypes[row] = (self.prototypes[row] * count + coords) / (count + 1.0)
+            self.counts[row] = count + 1.0
             self.absorbed[row] += 1.0
             return MapOutcome(int(self.ids[row]), False, dist)
         return MapOutcome(self._add(SUPPORT_ID, coords, 0.0, 1.0), True, dist)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import StreamConfig
@@ -18,21 +17,6 @@ from .stream_io import (
     load_csv,
     minmax_wrap,
 )
-
-
-@dataclass
-class RunManifest:
-    """Everything a run needs; identical manifests with deterministic idle
-    replay to identical artifacts."""
-
-    cfg: StreamConfig
-    input_path: Optional[str] = None
-    blobs: Optional[dict] = None
-    label_col: Optional[int] = None
-    out_dir: str = "."
-    snapshots: bool = False
-    minmax: bool = False
-    deterministic: bool = True
 
 
 def parse_blob_spec(spec: str) -> dict:
@@ -88,54 +72,42 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    deterministic = args.idle_gens is not None
-    cfg = StreamConfig(
+def config_from_args(args: argparse.Namespace) -> StreamConfig:
+    """The engine settings the parsed flags name; without ``--idle-gens``
+    the cap keeps its default and the run is paced by the wall clock."""
+    return StreamConfig(
         window_size=args.window,
         gamma=args.gamma,
         mu=args.mu,
         sigma=args.sigma,
         prune_threshold=args.prune,
         interval_ms=args.interval_ms,
-        idle_generations_cap=args.idle_gens if deterministic else 10,
+        idle_generations_cap=10 if args.idle_gens is None else args.idle_gens,
         rng_seed=args.seed,
     )
-    return RunManifest(
-        cfg=cfg,
-        input_path=args.input,
-        blobs=parse_blob_spec(args.blobs) if args.blobs else None,
-        label_col=args.label_col,
-        out_dir=args.out,
-        snapshots=args.snapshots,
-        minmax=args.minmax,
-        deterministic=deterministic,
-    )
 
 
-def run(manifest: RunManifest) -> dict:
-    """Execute a manifest; returns a small summary of the run."""
-    cfg = manifest.cfg
-    if manifest.blobs is not None:
-        batches = iter(
-            gen_blobs(
-                window_size=cfg.window_size, seed=cfg.rng_seed, **manifest.blobs
-            )
-        )
+def run(args: argparse.Namespace) -> dict:
+    """Stream the parsed flags' input and write the artifacts; identical
+    flags with ``--idle-gens`` replay to identical artifacts. Returns a
+    small summary of the run."""
+    cfg = config_from_args(args)
+    if args.blobs:
+        spec = parse_blob_spec(args.blobs)
+        batches = iter(gen_blobs(window_size=cfg.window_size, seed=cfg.rng_seed, **spec))
     else:
-        batches = load_csv(
-            manifest.input_path, cfg.window_size, label_col=manifest.label_col
-        )
-    if manifest.minmax:
+        batches = load_csv(args.input, cfg.window_size, label_col=args.label_col)
+    if args.minmax:
         batches = minmax_wrap(batches)
-    os.makedirs(manifest.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     hooks = {}
-    if manifest.snapshots:
-        hooks["on_window_end"] = lambda state: emit_snapshot(state, manifest.out_dir)
+    if args.snapshots:
+        hooks["on_window_end"] = lambda state: emit_snapshot(state, args.out)
     state, final = run_stream(
-        batches, cfg, deterministic=manifest.deterministic, **hooks
+        batches, cfg, deterministic=args.idle_gens is not None, **hooks
     )
-    emit_reports(state.reports, os.path.join(manifest.out_dir, "reports.jsonl"))
-    emit_assignments(final, os.path.join(manifest.out_dir, "assignments.csv"))
+    emit_reports(state.reports, os.path.join(args.out, "reports.jsonl"))
+    emit_assignments(final, os.path.join(args.out, "assignments.csv"))
     last = state.reports[-1]
     return {
         "windows": len(state.reports),
@@ -150,7 +122,7 @@ def run(manifest: RunManifest) -> dict:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        summary = run(manifest_from_args(args))
+        summary = run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@
 
 Everything downstream (tree synopsis, seeders, evolution, engine) trades in
 these types. A solution keeps its clusters as rows of arrays, and every
-distance in the package goes through ``sq_dist``. The update rules implement
-the decayed running-mean merge, the exponential weight fade with assignment
-refresh, and staleness pruning.
+distance in the package goes through ``sq_dist``. ``assign_batch`` is the one
+nearest-prototype routine: it builds a (window x solution) distance matrix
+and returns each row's label and distance together. The update rules
+implement the decayed running-mean merge of per-cluster batches, the
+exponential weight fade with assignment refresh, and staleness pruning.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ class WindowBatch:
     Every value must be finite, with |value| <= ``MAX_ABS_VALUE``: a NaN
     prototype would win every nearest-node search downstream, and a larger
     value overflows squared distances. ``labels`` is None for unlabeled
-    streams.
+    streams, or one class id per row: a 1-D array whose numeric ids are
+    finite.
     ``start_index`` is the arrival index of the first row; indices are
     contiguous within a window.
     """
@@ -50,8 +53,12 @@ class WindowBatch:
             raise ValueError(f"window holds values beyond +/-{MAX_ABS_VALUE:g}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
-            if len(self.labels) != len(self.data):
-                raise ValueError("labels length must match window length")
+            if self.labels.ndim != 1 or len(self.labels) != len(self.data):
+                raise ValueError("labels must be one entry per window row")
+            # NaN labels would all fall into one class and score as agreement
+            numeric = np.issubdtype(self.labels.dtype, np.number)
+            if numeric and not np.isfinite(self.labels).all():
+                raise ValueError("labels hold non-finite values")
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -193,23 +200,17 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out[()]
 
 
-def assign_batch(solution: ClusteringSolution, data: np.ndarray) -> np.ndarray:
-    """Nearest-cluster index for each row of ``data`` (ties -> lowest index)."""
+def assign_batch(
+    solution: ClusteringSolution, data: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-cluster index for each row of ``data`` (ties -> lowest index)
+    and each row's distance to that prototype, both read from one (n, K)
+    squared-distance matrix."""
     data = np.asarray(data, dtype=float)
     if data.shape[1] != solution.dim:
         raise ValueError("dimension mismatch between window and solution")
-    # (n, k) distance matrix; argmin picks the first minimum.
-    return np.argmin(sq_dist(data[:, None, :], solution.prototypes[None, :, :]), axis=1)
-
-
-def nearest_prototypes(
-    solution: ClusteringSolution, data: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``assign_batch``'s labels plus each row's distance to its chosen
-    prototype, both read from one (n, K) squared-distance matrix."""
-    if data.shape[1] != solution.dim:
-        raise ValueError("dimension mismatch between window and solution")
     d2 = sq_dist(data[:, None, :], solution.prototypes[None, :, :])
+    # argmin picks the first minimum
     labels = np.argmin(d2, axis=1)
     return labels, np.sqrt(d2[np.arange(len(labels)), labels])
 
@@ -219,33 +220,32 @@ def nearest_prototypes(
 
 
 def merge_prototype(
-    prototype: np.ndarray,
-    count,
-    batch_mean: np.ndarray,
-    batch_count,
+    prototypes: np.ndarray,
+    counts: np.ndarray,
+    batch_means: np.ndarray,
+    batch_counts: np.ndarray,
     gamma: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a batch (mean z, count m) into a cluster with decayed history.
+    """Fold per-cluster batches (means z, counts m) into clusters with decayed
+    history.
 
     prototype <- (w*n*gamma + z*m) / (n*gamma + m); count <- n*gamma + m.
     With gamma=1 this is the exact running mean over all absorbed points.
-    Takes one cluster (a (d,) row, scalar counts) or several ((K, d) rows,
-    (K,) counts) and returns the new (prototype, count); inputs are unchanged.
+    Takes (K, d) rows with (K,) counts and returns the new (prototypes,
+    counts); inputs are unchanged.
     """
-    if min(np.ravel(batch_count)) <= 0:
+    if np.any(batch_counts <= 0):
         raise ValueError("batch_count must be > 0")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    batch_mean = np.asarray(batch_mean, dtype=float)
-    if batch_mean.shape != np.shape(prototype):
+    batch_means = np.asarray(batch_means, dtype=float)
+    if batch_means.shape != prototypes.shape:
         raise ValueError("batch mean dimension mismatch")
-    faded = count * gamma
-    denom = faded + batch_count
-    if min(np.ravel(denom)) <= 0:
+    faded = counts * gamma
+    denom = faded + batch_counts
+    if np.any(denom <= 0):
         raise RuntimeError("non-positive merge denominator")
-    # transposed so (K,) counts scale the rows of a (K, d) block; a no-op
-    # for a single (d,) row with scalar counts
-    proto = ((prototype.T * faded + batch_mean.T * batch_count) / denom).T
+    proto = (prototypes * faded[:, None] + batch_means * batch_counts[:, None]) / denom[:, None]
     return proto, denom
 
 

@@ -25,11 +25,10 @@ from .core import (
     assign_batch,
     fade_weight,
     merge_prototype,
-    nearest_prototypes,
     prune_outdated,
 )
 from .evolution import IdleBudget, breed, fitness_score, idle_generation, select_parents
-from .metrics import arand, davies_bouldin, nmi, select_best
+from .metrics import arand, nmi, select_best
 from .objectives import (
     ParetoArchive,
     evaluate_solution,
@@ -106,21 +105,17 @@ def _window_report(
     state: EngineState,
     window: WindowBatch,
     elapsed_ms: Optional[float],
-    assignments: Optional[dict[int, np.ndarray]] = None,
+    nearest: Optional[dict[int, tuple[np.ndarray, np.ndarray]]] = None,
 ) -> WindowReport:
-    """Score and record the window. ``assignments`` maps solution ids to
-    labels already computed on this window, so those members skip a second
-    assignment."""
-    assignments = assignments or {}
-    best, best_dbi = select_best(state.archive, window, assignments)
+    """Score and record the window. ``nearest`` maps solution ids to
+    ``assign_batch`` pairs already computed on this window, so those members
+    skip a second assignment."""
+    best, best_dbi, labels = select_best(state.archive, window, nearest)
     best_fit = min(fitness_score(s) for s in state.archive)
     score_nmi = score_arand = None
     if window.labels is not None and len(window) >= 2:
-        pred = assignments.get(best.solution_id)
-        if pred is None:
-            pred = assign_batch(best, window.data)
-        score_nmi = nmi(window.labels, pred)
-        score_arand = arand(window.labels, pred)
+        score_nmi = nmi(window.labels, labels)
+        score_arand = arand(window.labels, labels)
     report = WindowReport(
         window_id=window.window_id,
         archive_size=len(state.archive),
@@ -222,7 +217,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     pruned: list[ClusteringSolution] = []
     for member in state.archive:
         clone = member.copy()
-        labels, dists = nearest_prototypes(clone, window.data)
+        labels, dists = assign_batch(clone, window.data)
         update_compactness(clone, dists, cfg.gamma)
         assigned = np.bincount(labels, minlength=clone.k).astype(float)
         fed = np.flatnonzero(assigned)
@@ -238,11 +233,12 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     state.tree.fade_and_prune(cfg.gamma, cfg.prune_threshold)
 
     # (4) separateness reflects the moved/pruned prototypes, counting only
-    # the clusters the window still feeds; the labels serve the report too
-    assignments: dict[int, np.ndarray] = {}
+    # the clusters the window still feeds; labels and distances serve the
+    # report too
+    nearest: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for clone in pruned:
-        labels = assignments[clone.solution_id] = assign_batch(clone, window.data)
-        clone.objectives.separateness = separateness(clone, active=labels)
+        pair = nearest[clone.solution_id] = assign_batch(clone, window.data)
+        clone.objectives.separateness = separateness(clone, active=pair[0])
 
     # (5) the tree re-offers its macro view as a candidate
     macro = state.tree.macro_clusters()
@@ -262,7 +258,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # (7) commit and report
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return _window_report(state, window, elapsed, assignments)
+    return _window_report(state, window, elapsed, nearest)
 
 
 def on_idle(state: EngineState, budget: IdleBudget) -> int:
@@ -284,9 +280,8 @@ def on_idle(state: EngineState, budget: IdleBudget) -> int:
 
 def finalize(state: EngineState) -> FinalSelection:
     """Pick the lowest-DBI member on the last window and package it."""
-    best, dbi = select_best(state.archive, state.last_window)
     window = state.last_window
-    labels = assign_batch(best, window.data)
+    best, dbi, labels = select_best(state.archive, window)
     return FinalSelection(
         solution=best.copy(),
         dbi=dbi,

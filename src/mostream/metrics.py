@@ -2,7 +2,9 @@
 
 nmi and arand compare a predicted partition against ground truth through a
 contingency table. davies_bouldin scores one solution against the points of
-a single window; select_best uses it to pick the archive member to report.
+a single window from the labels and point distances of ``assign_batch``;
+select_best uses it to pick the archive member to report and hands back that
+member's labels, so nothing is assigned twice for one report.
 """
 
 from __future__ import annotations
@@ -87,31 +89,30 @@ def arand(truth: Sequence[int], predicted: Sequence[int]) -> float:
 def davies_bouldin(
     solution: ClusteringSolution,
     window: WindowBatch,
-    assignment: Optional[np.ndarray] = None,
+    nearest: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> float:
     """Windowed Davies-Bouldin index: lower is better.
 
     Scatter S_i is the mean distance of this window's assigned points to
-    prototype i. The index is undefined for K=1, for coincident prototypes,
-    and for clusters that received no window points; all three report the
-    +inf sentinel so such solutions rank last in selection. Without the
-    empty-cluster sentinel a solution could shrink its score arbitrarily by
-    parking spare prototypes in unpopulated space.
+    prototype i. ``nearest`` is ``assign_batch(solution, window.data)``
+    when the caller already holds it; otherwise it is computed here. The
+    index is undefined for K=1, for coincident prototypes, and for clusters
+    that received no window points; all three report the +inf sentinel so
+    such solutions rank last in selection. Without the empty-cluster
+    sentinel a solution could shrink its score arbitrarily by parking spare
+    prototypes in unpopulated space.
     """
     k = solution.k
     if k <= 1:
         return INFINITE_DBI
-    if assignment is None:
-        assignment = assign_batch(solution, window.data)
-    assignment = np.asarray(assignment)
-    protos = solution.prototypes
-    dists = np.sqrt(sq_dist(window.data, protos[assignment]))
+    labels, dists = assign_batch(solution, window.data) if nearest is None else nearest
     scatter = np.zeros(k)
     for i in range(k):
-        mask = assignment == i
+        mask = labels == i
         if not mask.any():
             return INFINITE_DBI
         scatter[i] = float(dists[mask].mean())
+    protos = solution.prototypes
     centre_d = np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
     # an infinite diagonal makes the self ratio 0, the floor of every row max
     np.fill_diagonal(centre_d, np.inf)
@@ -122,22 +123,26 @@ def davies_bouldin(
 
 
 def select_best(
-    archive, window: WindowBatch, assignments: Optional[dict[int, np.ndarray]] = None
-) -> tuple[ClusteringSolution, float]:
+    archive,
+    window: WindowBatch,
+    nearest: Optional[dict[int, tuple[np.ndarray, np.ndarray]]] = None,
+) -> tuple[ClusteringSolution, float, np.ndarray]:
     """Archive member with the lowest windowed DBI.
 
-    ``assignments`` maps solution ids to labels already computed for this
-    window; members without an entry are assigned here. Ties prefer fewer
-    clusters, then the lower solution id. Returns the member and its score.
+    ``nearest`` maps solution ids to ``assign_batch`` pairs already computed
+    for this window; members without an entry are assigned here. Ties prefer
+    fewer clusters, then the lower solution id. Returns the member, its
+    score and its labels on the window.
     """
     members = list(archive)
     if not members:
         raise ValueError("archive is empty")
-    known = assignments or {}
-    scored = [
-        (davies_bouldin(s, window, known.get(s.solution_id)), s.k, s.solution_id, s)
-        for s in members
-    ]
-    scored.sort(key=lambda t: (t[0], t[1], t[2]))
-    best = scored[0]
-    return best[3], best[0]
+    known = nearest or {}
+    scored = []
+    for s in members:
+        pair = known.get(s.solution_id)
+        if pair is None:
+            pair = assign_batch(s, window.data)
+        scored.append((davies_bouldin(s, window, pair), s.k, s.solution_id, s, pair[0]))
+    dbi, _, _, best, labels = min(scored, key=lambda t: t[:3])
+    return best, dbi, labels

@@ -12,13 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ClusteringSolution,
-    ObjectiveVector,
-    WindowBatch,
-    nearest_prototypes,
-    sq_dist,
-)
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch, sq_dist
 
 DEFAULT_CAPACITY = 50
 
@@ -80,7 +74,7 @@ def evaluate_solution(
     history prefix, so a fresh solution should carry 0 there and an
     offspring its inherited value.
     """
-    labels, dists = nearest_prototypes(solution, window.data)
+    labels, dists = assign_batch(solution, window.data)
     fed = np.bincount(labels, minlength=solution.k) > 0
     if not fed.all():
         solution.keep(fed)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mostream.cli import build_parser, manifest_from_args, run
+from mostream.cli import build_parser, run
 from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
@@ -125,7 +125,7 @@ def test_criterion_4_blob_quality_ten_seeds():
         last = batches[-1]
         from mostream.core import assign_batch
 
-        pred = assign_batch(final.solution, last.data)
+        pred, _ = assign_batch(final.solution, last.data)
         score_nmi = nmi(last.labels, pred)
         score_arand = arand(last.labels, pred)
         ok = score_nmi >= 0.9 and score_arand >= 0.9
@@ -314,7 +314,7 @@ def test_criterion_9_byte_identical_reports(tmp_path):
 
     def once(out_dir):
         args = build_parser().parse_args(argv_base + ["--out", str(out_dir)])
-        run(manifest_from_args(args))
+        run(args)
         return (out_dir / "reports.jsonl").read_bytes()
 
     first = once(tmp_path / "a")

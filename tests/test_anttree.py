@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mostream import anttree
-from mostream.core import WindowBatch
+from mostream.core import WindowBatch, merge_prototype
 from mostream.anttree import (
     COLUMNS,
     CONNECT,
@@ -355,6 +355,22 @@ class TestMapPoint:
         assert np.allclose(tree.prototypes[row], [-1.0, 0.0])
         assert tree.counts[row] == 2.0
         assert tree.absorbed[row] == 1.0
+
+    def test_absorption_matches_gamma_one_merge(self):
+        """The running mean is ``merge_prototype``'s arithmetic at gamma=1
+        for a one-point batch, bit for bit, also on aged fractional counts."""
+        tree = self._two_node_tree()
+        tree.decay_counts(0.7)
+        for point in np.random.default_rng(3).uniform(-5.0, 5.0, size=(20, 2)):
+            protos, counts = tree.prototypes.copy(), tree.counts.copy()
+            out = tree.map_point(point)
+            assert not out.created
+            row = _row(tree, out.node_id)
+            want, count = merge_prototype(
+                protos[row : row + 1], counts[row : row + 1], point[None, :], np.ones(1), 1.0
+            )
+            assert np.array_equal(tree.prototypes[row], want[0])
+            assert tree.counts[row] == count[0]
 
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()

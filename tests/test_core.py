@@ -13,7 +13,6 @@ from mostream.core import (
     assign_batch,
     fade_weight,
     merge_prototype,
-    nearest_prototypes,
     prune_outdated,
     serialize_chromosome,
     sq_dist,
@@ -44,6 +43,26 @@ class TestWindowBatch:
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError):
             WindowBatch(np.zeros((3, 2)), 0, labels=np.array([1, 2]))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            pytest.param([[0], [1], [1]], id="column"),
+            pytest.param([[0, 1], [1, 0], [1, 1]], id="two-d"),
+            pytest.param([0.0, np.nan, 1.0], id="nan"),
+            pytest.param([np.nan] * 3, id="all-nan"),
+            pytest.param([0.0, np.inf, 1.0], id="inf"),
+            pytest.param([-np.inf, 0.0, 1.0], id="minus-inf"),
+        ],
+    )
+    def test_rejects_bad_labels(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            WindowBatch(np.zeros((3, 2)), 0, labels=np.array(labels))
+
+    @pytest.mark.parametrize("labels", [[0, 1, 1], [0.0, 2.0, 2.0], ["a", "b", "b"]])
+    def test_accepts_one_finite_id_per_row(self, labels):
+        w = WindowBatch(np.zeros((3, 2)), 0, labels=labels)
+        assert w.labels.tolist() == labels
 
     def test_indices_are_contiguous_from_start(self):
         w = WindowBatch(np.zeros((4, 2)), 3, start_index=100)
@@ -107,7 +126,7 @@ class TestSqDist:
 
 def _nearest(sol, point):
     """``assign_batch``'s cluster for one point."""
-    return int(assign_batch(sol, np.asarray(point, dtype=float)[None, :])[0])
+    return int(assign_batch(sol, np.asarray(point, dtype=float)[None, :])[0][0])
 
 
 class TestNearestCluster:
@@ -151,7 +170,7 @@ class TestNearestCluster:
         rng = np.random.default_rng(0)
         sol = _solution(rng.normal(size=(5, 3)))
         data = rng.normal(size=(40, 3))
-        batch = assign_batch(sol, data)
+        batch, _ = assign_batch(sol, data)
         single = [nearest_cluster(sol.prototypes, row) for row in data]
         assert list(batch) == single
 
@@ -160,47 +179,60 @@ class TestNearestCluster:
         rng = np.random.default_rng(dim)
         sol = _solution(rng.normal(size=(6, dim)))
         data = rng.normal(size=(50, dim))
-        labels, dists = nearest_prototypes(sol, data)
-        assert np.array_equal(labels, assign_batch(sol, data))
+        labels, dists = assign_batch(sol, data)
+        assert list(labels) == [nearest_cluster(sol.prototypes, row) for row in data]
         rows = np.sqrt(((data - sol.prototypes[labels]) ** 2).sum(axis=-1))
         assert np.array_equal(dists, rows)
 
     def test_nearest_prototypes_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            nearest_prototypes(_solution([[0.0, 0.0]]), np.zeros((3, 3)))
+            assign_batch(_solution([[0.0, 0.0]]), np.zeros((3, 3)))
+
+
+def _counts(*values):
+    """A (K,) count vector from scalars."""
+    return np.array(values, dtype=float)
 
 
 class TestMergePrototype:
     def test_equal_weight_mean_at_gamma_one(self):
         proto, count = merge_prototype(
-            np.array([0.0, 0.0]), 2.0, np.array([2.0, 2.0]), 2.0, 1.0
+            np.array([[0.0, 0.0]]), _counts(2.0), np.array([[2.0, 2.0]]), _counts(2.0), 1.0
         )
-        assert np.allclose(proto, [1.0, 1.0])
-        assert count == 4.0
+        assert np.allclose(proto, [[1.0, 1.0]])
+        assert count.tolist() == [4.0]
 
     def test_decayed_merge(self):
         # (4*2*0.5 + 1*1) / (2*0.5 + 1) = 5/2
-        proto, count = merge_prototype(np.array([4.0]), 2.0, np.array([1.0]), 1.0, 0.5)
-        assert np.allclose(proto, [2.5])
-        assert count == pytest.approx(2.0)
+        proto, count = merge_prototype(
+            np.array([[4.0]]), _counts(2.0), np.array([[1.0]]), _counts(1.0), 0.5
+        )
+        assert np.allclose(proto, [[2.5]])
+        assert count[0] == pytest.approx(2.0)
 
     def test_fixed_point_when_batch_equals_prototype(self):
-        row = np.array([3.0, -1.0])
-        proto, _ = merge_prototype(row, 7.0, row.copy(), 5.0, 0.7)
+        row = np.array([[3.0, -1.0]])
+        proto, _ = merge_prototype(row, _counts(7.0), row.copy(), _counts(5.0), 0.7)
         assert np.allclose(proto, row)
 
     def test_rejects_nonpositive_batch(self):
         with pytest.raises(ValueError):
-            merge_prototype(np.array([0.0]), 1.0, np.array([1.0]), 0.0, 0.7)
+            merge_prototype(
+                np.zeros((2, 1)), _counts(1.0, 1.0), np.ones((2, 1)), _counts(1.0, 0.0), 0.7
+            )
 
     def test_rejects_bad_gamma(self):
         for g in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                merge_prototype(np.array([0.0]), 1.0, np.array([1.0]), 1.0, g)
+                merge_prototype(
+                    np.array([[0.0]]), _counts(1.0), np.array([[1.0]]), _counts(1.0), g
+                )
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            merge_prototype(np.array([0.0]), 1.0, np.array([1.0, 2.0]), 1.0, 0.7)
+            merge_prototype(
+                np.array([[0.0]]), _counts(1.0), np.array([[1.0, 2.0]]), _counts(1.0), 0.7
+            )
 
     def test_input_cluster_unchanged(self):
         protos, counts = np.array([[4.0]]), np.array([2.0])
@@ -213,9 +245,11 @@ class TestMergePrototype:
         counts, sizes = rng.uniform(0.5, 9, 5), rng.integers(1, 20, 5).astype(float)
         rows, new_counts = merge_prototype(protos, counts, means, sizes, 0.7)
         for i in range(5):
-            one, n = merge_prototype(protos[i], counts[i], means[i], sizes[i], 0.7)
-            assert np.array_equal(rows[i], one)
-            assert new_counts[i] == n
+            one, n = merge_prototype(
+                protos[i : i + 1], counts[i : i + 1], means[i : i + 1], sizes[i : i + 1], 0.7
+            )
+            assert np.array_equal(rows[i], one[0])
+            assert new_counts[i] == n[0]
 
     @given(
         st.lists(
@@ -230,16 +264,15 @@ class TestMergePrototype:
     )
     def test_gamma_one_is_streaming_mean(self, batches):
         """Per-window merging at gamma=1 conserves the exact mean."""
-        dim = 1
-        proto, count = np.array([float(batches[0][0])]), 1.0
+        proto, count = np.array([[float(batches[0][0])]]), _counts(1.0)
         everything = [batches[0][0]]
         for batch in batches[1:] or [[0.0]]:
-            arr = np.array(batch, float).reshape(-1, dim)
+            arr = np.array(batch, float).reshape(-1, 1)
             proto, count = merge_prototype(
-                proto, count, arr.mean(axis=0), float(len(arr)), 1.0
+                proto, count, arr.mean(axis=0, keepdims=True), _counts(len(arr)), 1.0
             )
             everything.extend(batch)
-        assert proto[0] == pytest.approx(
+        assert proto[0, 0] == pytest.approx(
             exact_mean(everything), abs=1e-9, rel=1e-9
         )
 
@@ -254,7 +287,7 @@ class TestFadeWeight:
     def test_refresh_term_adds_assigned(self):
         assert fade_weight(1.0, 0.7, assigned=3.0) == pytest.approx(3.7)
 
-    def test_per_cluster_rows(self):
+    def test_per_cluster_counts(self):
         out = fade_weight(np.array([1.0, 2.0]), 0.5, np.array([0.0, 3.0]))
         assert np.allclose(out, [0.5, 4.0])
 

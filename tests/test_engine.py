@@ -234,7 +234,7 @@ class TestFinalize:
     def test_selection_is_archive_best(self, four_blob_window):
         state = initialize(four_blob_window, StreamConfig())
         sel = finalize(state)
-        best, dbi = select_best(state.archive, four_blob_window)
+        best, dbi, _ = select_best(state.archive, four_blob_window)
         assert sel.dbi == dbi
         assert np.array_equal(
             sel.solution.prototypes, best.prototypes
@@ -251,7 +251,7 @@ class TestFinalize:
         state = initialize(four_blob_window, StreamConfig())
         sel = finalize(state)
         assert np.array_equal(
-            sel.assignments, assign_batch(sel.solution, four_blob_window.data)
+            sel.assignments, assign_batch(sel.solution, four_blob_window.data)[0]
         )
 
 
@@ -282,7 +282,7 @@ class TestRunStream:
     def test_no_idle_budget_preserves_initial_archive(self, four_blob_window):
         cfg = StreamConfig(idle_generations_cap=0)
         state, sel = run_stream([four_blob_window], cfg)
-        best, dbi = select_best(state.archive, four_blob_window)
+        best, dbi, _ = select_best(state.archive, four_blob_window)
         assert sel.dbi == dbi
 
     def test_deterministic_reports_have_no_wall_times(self):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from mostream.cli import build_parser, main, manifest_from_args, parse_blob_spec, run
+from mostream.cli import build_parser, config_from_args, main, parse_blob_spec, run
 from mostream.core import MAX_ABS_VALUE, StreamConfig
 from mostream.engine import WindowReport, initialize, run_stream
 from mostream.stream_io import (
@@ -104,6 +104,13 @@ class TestLoadCsv:
             (batch,) = load_csv(path, window_size=10, label_col=2)
         assert batch.labels.tolist() == [2, -1]
         assert any("skipped 2 rows" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_rows_skipped(self, tmp_path, label):
+        path = self._write(tmp_path, f"1,2,0\n3,4,{label}\n5,6,1\n")
+        (batch,) = load_csv(path, window_size=10, label_col=2)
+        assert batch.labels.ndim == 1 and batch.labels.tolist() == [0, 1]
+        assert np.array_equal(batch.data, [[1, 2], [5, 6]])
 
     def test_blank_lines_ignored(self, tmp_path):
         path = self._write(tmp_path, "1,2\n\n3,4\n\n")
@@ -327,16 +334,24 @@ class TestBlobSpec:
 
 
 class TestManifest:
-    def test_idle_gens_selects_deterministic_mode(self):
-        args = build_parser().parse_args(["--blobs", "k=2,per=50", "--idle-gens", "3"])
-        manifest = manifest_from_args(args)
-        assert manifest.deterministic
-        assert manifest.cfg.idle_generations_cap == 3
+    """The parsed flags are the run's whole manifest."""
 
-    def test_wall_clock_default(self):
-        args = build_parser().parse_args(["--blobs", "k=2,per=50"])
-        manifest = manifest_from_args(args)
-        assert not manifest.deterministic
+    def _reports(self, tmp_path, argv):
+        args = build_parser().parse_args(
+            ["--blobs", "k=2,per=50", "--window", "50", "--out", str(tmp_path)] + argv
+        )
+        run(args)
+        return config_from_args(args), _parse_reports(str(tmp_path / "reports.jsonl"))
+
+    def test_idle_gens_selects_deterministic_mode(self, tmp_path):
+        cfg, reports = self._reports(tmp_path, ["--idle-gens", "3"])
+        assert cfg.idle_generations_cap == 3
+        assert [r["elapsed_ms"] for r in reports] == [None, None]
+
+    def test_wall_clock_default(self, tmp_path):
+        cfg, reports = self._reports(tmp_path, ["--interval-ms", "0"])
+        assert cfg.idle_generations_cap == StreamConfig().idle_generations_cap
+        assert all(r["elapsed_ms"] is not None for r in reports)
 
     # engine flag -> (StreamConfig field, a non-default value)
     ENGINE_FLAGS = {
@@ -363,7 +378,7 @@ class TestManifest:
         argv = ["--blobs", "k=2,per=50"]
         for flag, (_, value) in self.ENGINE_FLAGS.items():
             argv += [flag, value]
-        cfg = manifest_from_args(parser.parse_args(argv)).cfg
+        cfg = config_from_args(parser.parse_args(argv))
         default = StreamConfig()
         for flag, (field, value) in self.ENGINE_FLAGS.items():
             want = type(getattr(default, field))(value)
@@ -437,7 +452,7 @@ class TestRunDeterminism:
                 ["--blobs", "k=3,per=80,sep=10,std=0.5", "--window", "60",
                  "--idle-gens", "2", "--seed", "5", "--out", out]
             )
-            assert run(manifest_from_args(args))["windows"] == 4
+            assert run(args)["windows"] == 4
             return open(os.path.join(out, "reports.jsonl"), "rb").read()
 
         a = once(str(tmp_path / "a"))

@@ -127,10 +127,24 @@ class TestDaviesBouldin:
     @given(grid_rows.filter(lambda r: len(r) <= 8), grid_rows)
     def test_matches_loop_form(self, protos, points):
         sol, win = _solution(protos), _window(points)
-        labels = assign_batch(sol, win.data)
-        expected = davies_bouldin_loop(points, protos, labels)
+        nearest = assign_batch(sol, win.data)
+        expected = davies_bouldin_loop(points, protos, nearest[0])
         assert davies_bouldin(sol, win) == expected
-        assert davies_bouldin(sol, win, labels) == expected
+        assert davies_bouldin(sol, win, nearest) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_form_at_16_coordinates(self, seed):
+        """From 8 coordinates ``sq_dist`` keeps numpy's pairwise sum; the
+        distances taken from ``assign_batch`` still equal the row form."""
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(60, 16)) * 10.0 ** rng.uniform(-3, 3, size=16)
+        protos = points[rng.choice(60, size=4, replace=False)] * 1.01
+        sol, win = _solution(protos), _window(points)
+        nearest = assign_batch(sol, win.data)
+        expected = davies_bouldin_loop(points, protos, nearest[0])
+        assert expected != INFINITE_DBI
+        assert davies_bouldin(sol, win) == expected
+        assert davies_bouldin(sol, win, nearest) == expected
 
 
 class TestSelectBest:
@@ -139,14 +153,23 @@ class TestSelectBest:
         members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
                    _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
         known = {1: assign_batch(members[1], win.data)}
-        best, dbi = select_best(members, win, known)
-        ref_best, ref_dbi = select_best(members, win)
+        best, dbi, _ = select_best(members, win, known)
+        ref_best, ref_dbi, _ = select_best(members, win)
         assert (best.solution_id, dbi) == (ref_best.solution_id, ref_dbi)
+
+    @pytest.mark.parametrize("known_ids", [(), (0,), (1,), (0, 1)])
+    def test_returns_the_best_members_labels(self, known_ids):
+        win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
+        members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
+                   _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
+        known = {i: assign_batch(members[i], win.data) for i in known_ids}
+        best, _, labels = select_best(members, win, known)
+        assert np.array_equal(labels, assign_batch(best, win.data)[0])
 
     def test_single_member(self):
         sol = _solution([(0.0, 0.0), (5.0, 5.0)], sol_id=7)
         win = _window([(0, 0), (5, 5)])
-        best, dbi = select_best([sol], win)
+        best, dbi, _ = select_best([sol], win)
         assert best.solution_id == 7
         assert dbi == 0.0
 
@@ -154,7 +177,7 @@ class TestSelectBest:
         tight = _solution([(0.0, 1.0), (10.0, 1.0)], sol_id=0)
         loose = _solution([(0.0, 2.0), (6.0, 2.0)], sol_id=1)
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2)])
-        best, dbi = select_best([tight, loose], win)
+        best, dbi, _ = select_best([tight, loose], win)
         assert best.solution_id == 0
         assert dbi == pytest.approx(0.2)
 
@@ -166,7 +189,7 @@ class TestSelectBest:
                           (60.0, 60.0), (70.0, 70.0)], sol_id=1)
         three = _solution([(0.0, 0.0), (0.0, 0.0), (9.0, 9.0)], sol_id=4)
         win = _window([(0, 0), (9, 9)])
-        b, dbi = select_best([five, three], win)
+        b, dbi, _ = select_best([five, three], win)
         assert dbi == INFINITE_DBI
         assert b.solution_id == 4
         assert b.k == 3
@@ -175,6 +198,6 @@ class TestSelectBest:
         first = _solution([(0.0, 0.0), (9.0, 9.0)], sol_id=2)
         second = _solution([(0.0, 0.0), (9.0, 9.0)], sol_id=5)
         win = _window([(0, 0), (9, 9)])
-        b, dbi = select_best([second, first], win)
+        b, dbi, _ = select_best([second, first], win)
         assert dbi == 0.0
         assert b.solution_id == 2

@@ -130,7 +130,7 @@ class TestEvaluate:
         ref = sol.copy()
         win = _window(points)
         evaluate_solution(sol, win, gamma)
-        fed, labels = np.unique(assign_batch(ref, win.data), return_inverse=True)
+        fed, labels = np.unique(assign_batch(ref, win.data)[0], return_inverse=True)
         ref.keep(fed)
         update_compactness(ref, _dists(ref, win, labels), gamma)
         assert np.array_equal(sol.prototypes, ref.prototypes)

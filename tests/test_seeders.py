@@ -136,7 +136,7 @@ class TestDBScan:
             protos = sol.prototypes
             from mostream.core import assign_batch
 
-            labels = assign_batch(sol, window.data)
+            labels, _ = assign_batch(sol, window.data)
             groups = {}
             for row, lab in zip(map(tuple, window.data), labels):
                 groups.setdefault(lab, set()).add(row)

@@ -76,3 +76,44 @@ def test_traced_pass_calls_every_traced_function(monkeypatch):
     assert res.attempted == 3
     assert res.failed == 0, res.errors
     assert run.coverage_guard(tracer_mod.summarize(tracer.spans)) == []
+
+
+def test_commit_matrices_and_tree_absorption_are_traced(monkeypatch):
+    """Every (window x member) matrix of a commit is built in the traced
+    ``core.assign_batch``, so the commit's main distance pass shows in the
+    per-layer metrics: step (2) and step (4) each assign every pre-commit
+    archive member. The tree absorbs points with its own running mean, so
+    no ``core.merge_prototype`` span hangs under ``anttree.map_point``."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    harness = importlib.import_module("harness")
+    tracer_mod = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+
+    wl = workloads.WORKLOADS["idle-drift"]
+    cfg = StreamConfig(window_size=wl.window, idle_generations_cap=wl.idle_gens, rng_seed=7)
+    tracer = tracer_mod.Tracer()
+    with tracer:
+        res = harness.run_pass(workloads.make_windows(wl, 7, windows=3), cfg, tracer)
+    assert res.failed == 0, res.errors
+
+    spans = tracer.spans
+    root = list(range(len(spans)))
+    for i, (_, _, _, parent, _, _) in enumerate(spans):
+        if parent >= 0:  # a parent span is recorded before its children
+            root[i] = root[parent]
+    commits = [i for i, s in enumerate(spans) if s[0] == "engine.process_window"]
+    assert len(commits) == 2
+    members_seen = 0
+    for commit in commits:
+        # step (6) re-inserts every pre-commit member, then the macro offer
+        members = sum(s[0] == "objectives.ParetoArchive.insert" and s[3] == commit
+                      for s in spans) - 1
+        assigns = sum(s[0] == "core.assign_batch" and root[i] == commit
+                      for i, s in enumerate(spans))
+        assert members >= 1
+        assert assigns >= 2 * members, (commit, assigns, members)
+        members_seen += members
+    assert members_seen == res.rescreen_before
+    under_map = [s for s in spans if s[0] == "core.merge_prototype" and s[3] >= 0
+                 and spans[s[3]][0] == "anttree.map_point"]
+    assert under_map == []
