@@ -287,7 +287,7 @@ class TestFadeWeight:
     def test_refresh_term_adds_assigned(self):
         assert fade_weight(1.0, 0.7, assigned=3.0) == pytest.approx(3.7)
 
-    def test_per_cluster_counts(self):
+    def test_per_cluster_rows(self):
         out = fade_weight(np.array([1.0, 2.0]), 0.5, np.array([0.0, 3.0]))
         assert np.allclose(out, [0.5, 4.0])
 
