@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, fade_weight, sq_dist
 
 SUPPORT_ID = 0
 
@@ -187,8 +187,7 @@ class TreeSynopsis:
         running-mean absorption in map_point this reproduces the batch
         merge rule at window granularity: count -> gamma*count + absorbed.
         """
-        if gamma != 1.0:
-            self.counts *= gamma
+        self.counts *= gamma
 
     def fade_and_prune(self, gamma: float, threshold: float) -> int:
         """Window tick: fade node weights by absorbed counts, drop dead leaves.
@@ -198,7 +197,7 @@ class TreeSynopsis:
         node always survives: the heaviest, ties to the lowest id. Returns
         the number of removed nodes.
         """
-        self.weights = gamma * self.weights + self.absorbed
+        self.weights = fade_weight(self.weights, gamma, self.absorbed)
         self.absorbed[:] = 0.0
         removed = 0
         while True:

@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval-ms", type=int, default=1000,
                    help="idle interval between windows (wall-clock mode)")
     p.add_argument("--idle-gens", type=int, default=None,
-                   help="fixed generations per window (deterministic mode)")
+                   help="fixed generations per window (replayable); without it "
+                        "idle time is paced by --interval-ms")
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--snapshots", action="store_true",
@@ -73,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> StreamConfig:
-    """The engine settings the parsed flags name; without ``--idle-gens``
-    the cap keeps its default and the run is paced by the wall clock."""
+    """The engine settings the parsed flags name, one field per flag;
+    without ``--idle-gens`` the cap is None and the run is paced by the wall
+    clock."""
     return StreamConfig(
         window_size=args.window,
         gamma=args.gamma,
@@ -82,7 +84,7 @@ def config_from_args(args: argparse.Namespace) -> StreamConfig:
         sigma=args.sigma,
         prune_threshold=args.prune,
         interval_ms=args.interval_ms,
-        idle_generations_cap=10 if args.idle_gens is None else args.idle_gens,
+        idle_generations_cap=args.idle_gens,
         rng_seed=args.seed,
     )
 
@@ -103,9 +105,7 @@ def run(args: argparse.Namespace) -> dict:
     hooks = {}
     if args.snapshots:
         hooks["on_window_end"] = lambda state: emit_snapshot(state, args.out)
-    state, final = run_stream(
-        batches, cfg, deterministic=args.idle_gens is not None, **hooks
-    )
+    state, final = run_stream(batches, cfg, **hooks)
     emit_reports(state.reports, os.path.join(args.out, "reports.jsonl"))
     emit_assignments(final, os.path.join(args.out, "assignments.csv"))
     last = state.reports[-1]

@@ -147,7 +147,14 @@ class ClusteringSolution:
 
 @dataclass
 class StreamConfig:
-    """Engine knobs. gamma=1 disables forgetting (used by conservation checks)."""
+    """Engine knobs. gamma=1 disables forgetting (used by conservation checks).
+
+    ``idle_generations_cap`` picks the run mode. An int runs exactly that
+    many idle generations after each window and reports carry no wall
+    times, so a run replays byte for byte; ``interval_ms`` is not read.
+    None paces the run by the wall clock: idle generations run until
+    ``interval_ms`` has passed, and reports carry ``elapsed_ms``.
+    """
 
     window_size: int = 100
     gamma: float = 0.7
@@ -155,7 +162,7 @@ class StreamConfig:
     sigma: int = 10
     prune_threshold: float = 0.1
     interval_ms: int = 1000
-    idle_generations_cap: int = 10
+    idle_generations_cap: Optional[int] = 10
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -171,7 +178,7 @@ class StreamConfig:
             raise ValueError("prune_threshold must be >= 0")
         if self.interval_ms < 0:
             raise ValueError("interval_ms must be >= 0")
-        if self.idle_generations_cap < 0:
+        if self.idle_generations_cap is not None and self.idle_generations_cap < 0:
             raise ValueError("idle_generations_cap must be >= 0")
 
 

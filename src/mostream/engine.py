@@ -81,7 +81,6 @@ class EngineState:
     macro_compactness: float = 0.0
     next_solution_id: int = 0
     idle_counter: int = 0
-    deterministic: bool = True
     reports: list[WindowReport] = field(default_factory=list)
 
     def allot_id(self) -> int:
@@ -125,17 +124,13 @@ def _window_report(
         arand=score_arand,
         hypervolume=hypervolume_in_box(state.archive, state.hv_reference),
         stored_vectors=state.stored_vector_count(),
-        elapsed_ms=None if state.deterministic else elapsed_ms,
+        elapsed_ms=elapsed_ms if state.cfg.idle_generations_cap is None else None,
     )
     state.reports.append(report)
     return report
 
 
-def initialize(
-    first_window: WindowBatch,
-    cfg: StreamConfig,
-    deterministic: bool = True,
-) -> EngineState:
+def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     """Build the tree, seed the population, breed once, fill the archive."""
     t0 = time.perf_counter()
     tree = build_initial_tree(first_window)
@@ -144,10 +139,10 @@ def initialize(
     macro = tree.macro_clusters()
     evaluate_solution(macro, first_window, cfg.gamma)
     population.append(macro)
-    population.extend(kmeans_sweep(first_window, cfg.rng_seed, cfg.gamma))
-    population.append(seed_dbscan(first_window, gamma=cfg.gamma))
+    population.extend(kmeans_sweep(first_window, cfg.rng_seed))
+    population.append(seed_dbscan(first_window))
     if len(first_window) >= 2:
-        population.append(seed_gng(first_window, cfg.rng_seed, cfg.gamma))
+        population.append(seed_gng(first_window, cfg.rng_seed))
 
     state = EngineState(
         cfg=cfg,
@@ -156,7 +151,6 @@ def initialize(
         last_window=first_window,
         hv_reference=ObjectiveVector(),
         macro_compactness=macro.objectives.compactness,
-        deterministic=deterministic,
     )
     for sol in population:
         sol.solution_id = state.allot_id()
@@ -249,7 +243,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
 
     # (6) re-screen: rebuild the archive from updated members (already in id
     # order, as the archive iterates), then the offer
-    rebuilt = ParetoArchive(state.archive.capacity)
+    rebuilt = ParetoArchive()
     for clone in pruned:
         rebuilt.insert(clone)
     rebuilt.insert(macro)
@@ -293,29 +287,28 @@ def finalize(state: EngineState) -> FinalSelection:
 def run_stream(
     batches: Iterable[WindowBatch],
     cfg: StreamConfig,
-    deterministic: bool = True,
     on_window_end: Optional[Callable[[EngineState], None]] = None,
 ) -> tuple[EngineState, FinalSelection]:
     """Drive a whole stream: initialize, then process/idle per window.
 
-    Deterministic mode runs exactly idle_generations_cap generations between
-    windows. Wall-clock mode (deterministic=False) runs generations until
-    interval_ms has elapsed, then reads the next window at once.
+    With an int ``cfg.idle_generations_cap`` exactly that many generations
+    run between windows. With None, generations run until
+    ``cfg.interval_ms`` has elapsed, then the next window is read at once.
     ``on_window_end`` sees the state after each commit, before idle time;
     the window's report is ``state.reports[-1]``.
     """
     state: Optional[EngineState] = None
     for window in batches:
         if state is None:
-            state = initialize(window, cfg, deterministic)
+            state = initialize(window, cfg)
         else:
             process_window(state, window)
         if on_window_end is not None:
             on_window_end(state)
-        if deterministic:
-            budget = IdleBudget(cfg.idle_generations_cap)
-        else:
+        if cfg.idle_generations_cap is None:
             budget = IdleBudget(10**9, time.monotonic() + cfg.interval_ms / 1000.0)
+        else:
+            budget = IdleBudget(cfg.idle_generations_cap)
         on_idle(state, budget)
     if state is None:
         raise ValueError("stream produced no windows")

@@ -87,25 +87,21 @@ def arand(truth: Sequence[int], predicted: Sequence[int]) -> float:
 
 
 def davies_bouldin(
-    solution: ClusteringSolution,
-    window: WindowBatch,
-    nearest: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    solution: ClusteringSolution, labels: np.ndarray, dists: np.ndarray
 ) -> float:
     """Windowed Davies-Bouldin index: lower is better.
 
-    Scatter S_i is the mean distance of this window's assigned points to
-    prototype i. ``nearest`` is ``assign_batch(solution, window.data)``
-    when the caller already holds it; otherwise it is computed here. The
-    index is undefined for K=1, for coincident prototypes, and for clusters
-    that received no window points; all three report the +inf sentinel so
-    such solutions rank last in selection. Without the empty-cluster
-    sentinel a solution could shrink its score arbitrarily by parking spare
-    prototypes in unpopulated space.
+    ``labels, dists`` is ``assign_batch(solution, window.data)``. Scatter
+    S_i is the mean distance of the window points labelled i to prototype
+    i. The index is undefined for K=1, for coincident prototypes, and for
+    clusters that received no window points; all three report the +inf
+    sentinel so such solutions rank last in selection. Without the
+    empty-cluster sentinel a solution could shrink its score arbitrarily by
+    parking spare prototypes in unpopulated space.
     """
     k = solution.k
     if k <= 1:
         return INFINITE_DBI
-    labels, dists = assign_batch(solution, window.data) if nearest is None else nearest
     scatter = np.zeros(k)
     for i in range(k):
         mask = labels == i
@@ -143,6 +139,6 @@ def select_best(
         pair = known.get(s.solution_id)
         if pair is None:
             pair = assign_batch(s, window.data)
-        scored.append((davies_bouldin(s, window, pair), s.k, s.solution_id, s, pair[0]))
+        scored.append((davies_bouldin(s, *pair), s.k, s.solution_id, s, pair[0]))
     dbi, _, _, best, labels = min(scored, key=lambda t: t[:3])
     return best, dbi, labels

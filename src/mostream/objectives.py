@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch, sq_dist
 
-DEFAULT_CAPACITY = 50
+ARCHIVE_CAPACITY = 50
 
 
 def update_compactness(
@@ -90,17 +90,14 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 class ParetoArchive:
-    """Mutually non-dominated solutions, capacity-bounded.
+    """Mutually non-dominated solutions, at most ``ARCHIVE_CAPACITY`` of them.
 
     Inserts reject dominated or objective-duplicate candidates and evict any
     members the newcomer dominates. On overflow the member with the smallest
     crowding distance goes (objective-space extremes are kept).
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self):
         self.solutions: list[ClusteringSolution] = []
 
     def __len__(self) -> int:
@@ -125,7 +122,7 @@ class ParetoArchive:
         ]
         self.solutions.append(candidate)
         self.solutions.sort(key=lambda s: s.solution_id)
-        if len(self.solutions) > self.capacity:
+        if len(self.solutions) > ARCHIVE_CAPACITY:
             self._evict_most_crowded()
         return True
 
@@ -180,22 +177,12 @@ def _sweep(pts: list[tuple[float, float]], ref: tuple[float, float]) -> float:
     return float(area)
 
 
-def hypervolume(archive: ParetoArchive, reference: ObjectiveVector) -> float:
+def hypervolume_in_box(archive: ParetoArchive, reference: ObjectiveVector) -> float:
     """Area of objective space dominated by the archive, up to ``reference``.
 
-    Works on the both-minimized pair; every member must sit inside the
-    reference box. Empty archive -> 0.
+    Works on the both-minimized pair; members outside the reference box are
+    ignored. Empty archive -> 0.
     """
-    ref = reference.as_min_pair()
-    pts = sorted(s.objectives.as_min_pair() for s in archive.solutions)
-    for p in pts:
-        if p[0] > ref[0] or p[1] > ref[1]:
-            raise ValueError(f"member {p} outside reference box {ref}")
-    return _sweep(pts, ref)
-
-
-def hypervolume_in_box(archive: ParetoArchive, reference: ObjectiveVector) -> float:
-    """Report-friendly variant: silently ignores members outside the box."""
     ref = reference.as_min_pair()
     pairs = (s.objectives.as_min_pair() for s in archive.solutions)
     return _sweep(sorted(p for p in pairs if p[0] <= ref[0] and p[1] <= ref[1]), ref)

@@ -39,17 +39,15 @@ GNG_ERROR_DECAY = 0.995
 
 
 def _solution_from_assignment(
-    window: WindowBatch,
-    labels: np.ndarray,
-    centers: np.ndarray,
-    gamma: float,
+    window: WindowBatch, labels: np.ndarray, centers: np.ndarray
 ) -> ClusteringSolution:
     members = np.bincount(labels, minlength=len(centers)).astype(float)
     members = np.maximum(members, 1.0)
     sol = ClusteringSolution(
         ObjectiveVector(), centers, counts=members, weights=members.copy()
     )
-    evaluate_solution(sol, window, gamma)
+    # fresh compactness is 0, so the decay factor cannot reach the objectives
+    evaluate_solution(sol, window, 1.0)
     return sol
 
 
@@ -73,9 +71,7 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def seed_kmeans(
-    window: WindowBatch, k: int, seed: int, gamma: float = 0.7
-) -> ClusteringSolution:
+def seed_kmeans(window: WindowBatch, k: int, seed: int) -> ClusteringSolution:
     """Lloyd's algorithm with kmeans++ start, at most 100 iterations.
 
     An emptied cluster is re-seeded from the point farthest from its own
@@ -111,17 +107,13 @@ def seed_kmeans(
             mask = labels == ci
             if mask.any():
                 centers[ci] = data[mask].mean(axis=0)
-    return _solution_from_assignment(window, labels, centers, gamma)
+    return _solution_from_assignment(window, labels, centers)
 
 
-def kmeans_sweep(
-    window: WindowBatch, seed: int, gamma: float = 0.7
-) -> list[ClusteringSolution]:
+def kmeans_sweep(window: WindowBatch, seed: int) -> list[ClusteringSolution]:
     """One solution per feasible k in [KMEANS_K_MIN, min(KMEANS_K_MAX, n)]."""
     hi = min(KMEANS_K_MAX, len(window))
-    return [
-        seed_kmeans(window, k, seed + k, gamma) for k in range(KMEANS_K_MIN, hi + 1)
-    ]
+    return [seed_kmeans(window, k, seed + k) for k in range(KMEANS_K_MIN, hi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +152,6 @@ def seed_dbscan(
     window: WindowBatch,
     min_pts: int = DBSCAN_MIN_PTS,
     radius: float = DBSCAN_RADIUS,
-    gamma: float = 0.7,
 ) -> ClusteringSolution:
     """Density clustering with order-independent memberships.
 
@@ -184,7 +175,7 @@ def seed_dbscan(
     if len(core_idx) == 0:
         logger.warning("dbscan found no core points; falling back to one cluster")
         centers = data.mean(axis=0, keepdims=True)
-        return _solution_from_assignment(window, np.zeros(n, dtype=int), centers, gamma)
+        return _solution_from_assignment(window, np.zeros(n, dtype=int), centers)
     # border points copy a core's label; core labels are never overwritten
     labels = connected_components(within, core)
     for i in np.flatnonzero(~core):
@@ -197,7 +188,7 @@ def seed_dbscan(
         [data[kept][labels[kept] == c].mean(axis=0) for c in range(labels.max() + 1)]
     )
     sub = WindowBatch(data[kept], window.window_id, start_index=window.start_index)
-    return _solution_from_assignment(sub, labels[kept], centers, gamma)
+    return _solution_from_assignment(sub, labels[kept], centers)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +248,7 @@ def grow_gas(
     return units[:m], errors[:m], age[:m, :m]
 
 
-def seed_gng(window: WindowBatch, seed: int, gamma: float = 0.7) -> ClusteringSolution:
+def seed_gng(window: WindowBatch, seed: int) -> ClusteringSolution:
     """Grow a unit graph over the window; edge components become clusters.
 
     Window points go to their nearest unit and units to their edge
@@ -271,4 +262,4 @@ def seed_gng(window: WindowBatch, seed: int, gamma: float = 0.7) -> ClusteringSo
     nearest = np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)
     used, labels = np.unique(comp[nearest], return_inverse=True)
     centers = np.vstack([data[labels == c].mean(axis=0) for c in range(len(used))])
-    return _solution_from_assignment(window, labels, centers, gamma)
+    return _solution_from_assignment(window, labels, centers)

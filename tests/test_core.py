@@ -404,6 +404,9 @@ class TestStreamConfig:
         assert cfg.gamma == 0.7
         assert cfg.mu == 0.2
         assert cfg.sigma == 10
+        assert cfg.idle_generations_cap == 10
+        # None selects the wall-clock mode
+        assert StreamConfig(idle_generations_cap=None).idle_generations_cap is None
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -16,6 +16,7 @@ from mostream.engine import (
 )
 from mostream.evolution import IdleBudget
 from mostream.metrics import select_best
+from mostream.objectives import ARCHIVE_CAPACITY
 from mostream.core import serialize_chromosome
 from mostream.stream_io import gen_blobs
 
@@ -33,7 +34,7 @@ def _blob_stream(windows=4, seed=0, k=4, window_size=100):
 class TestInitialize:
     def test_archive_seeded_within_capacity(self, four_blob_window):
         state = initialize(four_blob_window, StreamConfig())
-        assert 1 <= len(state.archive) <= state.archive.capacity
+        assert 1 <= len(state.archive) <= ARCHIVE_CAPACITY
         state.archive.validate()
 
     def test_solution_ids_unique(self, four_blob_window):
@@ -48,10 +49,10 @@ class TestInitialize:
         assert rep.window_id == four_blob_window.window_id
         assert rep.archive_size == len(state.archive)
         assert rep.stored_vectors == state.stored_vector_count()
-        assert rep.elapsed_ms is None  # deterministic mode
+        assert rep.elapsed_ms is None  # fixed idle generations
 
     def test_wall_clock_mode_reports_elapsed(self, four_blob_window):
-        state = initialize(four_blob_window, StreamConfig(), deterministic=False)
+        state = initialize(four_blob_window, StreamConfig(idle_generations_cap=None))
         assert state.reports[0].elapsed_ms is not None
 
     def test_hv_reference_dominates_seed_population(self, four_blob_window):
@@ -292,17 +293,16 @@ class TestRunStream:
 
     def test_wall_clock_matches_deterministic_given_same_generations(self):
         batches = _blob_stream(windows=3)
-        cfg = StreamConfig(idle_generations_cap=3)
 
-        def drive(deterministic):
-            state = initialize(batches[0], cfg, deterministic=deterministic)
+        def drive(cap):
+            state = initialize(batches[0], StreamConfig(idle_generations_cap=cap))
             on_idle(state, IdleBudget(3))
             for w in batches[1:]:
                 process_window(state, w)
                 on_idle(state, IdleBudget(3))
             return state
 
-        det, wall = drive(True), drive(False)
+        det, wall = drive(3), drive(None)
         det_chrom = [tuple(serialize_chromosome(s)) for s in det.archive]
         wall_chrom = [tuple(serialize_chromosome(s)) for s in wall.archive]
         assert det_chrom == wall_chrom
@@ -317,7 +317,7 @@ class TestRunStream:
         batches = _blob_stream(windows=3)
         det, det_sel = run_stream(batches, StreamConfig(idle_generations_cap=0))
         wall, wall_sel = run_stream(
-            batches, StreamConfig(interval_ms=0), deterministic=False
+            batches, StreamConfig(interval_ms=0, idle_generations_cap=None)
         )
         assert [tuple(serialize_chromosome(s)) for s in wall.archive] == [
             tuple(serialize_chromosome(s)) for s in det.archive

@@ -75,7 +75,7 @@ class TestFitness:
 
 class TestSelectParents:
     def _archive(self, objs):
-        arch = ParetoArchive(capacity=50)
+        arch = ParetoArchive()
         for i, (c, s) in enumerate(objs):
             arch.insert(_sol([(float(i), 0.0)], c=c, s=s, sid=i))
         return arch
@@ -93,7 +93,7 @@ class TestSelectParents:
         assert len(select_parents(arch, 10)) == 2
 
     def test_tie_breaks_by_id(self):
-        arch = ParetoArchive(capacity=50)
+        arch = ParetoArchive()
         arch.insert(_sol([(0.0, 0.0)], c=1.0, s=2.0, sid=7))
         arch.insert(_sol([(1.0, 0.0)], c=2.0, s=3.0, sid=3))
         picked = select_parents(arch, 1)
@@ -355,7 +355,7 @@ class TestBreed:
 
 class TestIdleGeneration:
     def _archive(self, window):
-        arch = ParetoArchive(capacity=50)
+        arch = ParetoArchive()
         for sol in kmeans_sweep(window, seed=0):
             sol.solution_id = id(sol) % 10_000
             arch.insert(sol)
@@ -402,7 +402,7 @@ class TestIdleGeneration:
             hv = nxt
 
     def test_single_member_archive_still_breeds(self, four_blob_window):
-        arch = ParetoArchive(capacity=50)
+        arch = ParetoArchive()
         sols = kmeans_sweep(four_blob_window, seed=0)
         arch.insert(sols[2])  # k=4
         before = len(arch.solutions)

@@ -1,6 +1,7 @@
 """CSV ingestion, blob generation, artifact emission, and the CLI front end."""
 
 import dataclasses
+import inspect
 import json
 import logging
 import math
@@ -350,7 +351,7 @@ class TestManifest:
 
     def test_wall_clock_default(self, tmp_path):
         cfg, reports = self._reports(tmp_path, ["--interval-ms", "0"])
-        assert cfg.idle_generations_cap == StreamConfig().idle_generations_cap
+        assert cfg.idle_generations_cap is None
         assert all(r["elapsed_ms"] is not None for r in reports)
 
     # engine flag -> (StreamConfig field, a non-default value)
@@ -384,6 +385,10 @@ class TestManifest:
             want = type(getattr(default, field))(value)
             assert want != getattr(default, field), flag
             assert getattr(cfg, field) == want, flag
+        # the run mode is a config value: the drivers take no mode argument
+        assert list(inspect.signature(run_stream).parameters) == [
+            "batches", "cfg", "on_window_end"]
+        assert list(inspect.signature(initialize).parameters) == ["first_window", "cfg"]
 
     def test_input_and_blobs_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):

@@ -91,37 +91,41 @@ class TestArand:
         assert arand(truth, pred) == pytest.approx(arand(truth, relabeled))
 
 
+def _dbi(sol, win):
+    return davies_bouldin(sol, *assign_batch(sol, win.data))
+
+
 class TestDaviesBouldin:
     def test_two_pair_clusters(self):
         sol = _solution([(0.0, 1.0), (10.0, 1.0)])
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2)])
-        assert davies_bouldin(sol, win) == pytest.approx(0.2)
+        assert _dbi(sol, win) == pytest.approx(0.2)
 
     def test_zero_center_distance_is_infinite(self):
         sol = _solution([(1.0, 1.0), (1.0, 1.0)])
         win = _window([(0, 0), (2, 2)])
-        assert davies_bouldin(sol, win) == INFINITE_DBI
+        assert _dbi(sol, win) == INFINITE_DBI
 
     def test_single_cluster_is_infinite(self):
         sol = _solution([(0.0, 0.0)])
         win = _window([(0, 0), (1, 1)])
-        assert davies_bouldin(sol, win) == INFINITE_DBI
+        assert _dbi(sol, win) == INFINITE_DBI
 
     def test_tight_clusters_score_zero(self):
         sol = _solution([(0.0, 0.0), (5.0, 5.0)])
         win = _window([(0, 0), (0, 0), (5, 5), (5, 5)])
-        assert davies_bouldin(sol, win) == 0.0
+        assert _dbi(sol, win) == 0.0
 
     def test_unfed_cluster_is_infinite(self):
         # a spare prototype in empty space must not improve the score
         sol = _solution([(0.0, 1.0), (10.0, 1.0), (500.0, 500.0)])
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2)])
-        assert davies_bouldin(sol, win) == INFINITE_DBI
+        assert _dbi(sol, win) == INFINITE_DBI
 
     def test_reordering_clusters_keeps_score(self):
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2)])
-        a = davies_bouldin(_solution([(0.0, 1.0), (10.0, 1.0)]), win)
-        b = davies_bouldin(_solution([(10.0, 1.0), (0.0, 1.0)]), win)
+        a = _dbi(_solution([(0.0, 1.0), (10.0, 1.0)]), win)
+        b = _dbi(_solution([(10.0, 1.0), (0.0, 1.0)]), win)
         assert a == pytest.approx(b)
 
     @given(grid_rows.filter(lambda r: len(r) <= 8), grid_rows)
@@ -129,8 +133,7 @@ class TestDaviesBouldin:
         sol, win = _solution(protos), _window(points)
         nearest = assign_batch(sol, win.data)
         expected = davies_bouldin_loop(points, protos, nearest[0])
-        assert davies_bouldin(sol, win) == expected
-        assert davies_bouldin(sol, win, nearest) == expected
+        assert davies_bouldin(sol, *nearest) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_form_at_16_coordinates(self, seed):
@@ -143,8 +146,7 @@ class TestDaviesBouldin:
         nearest = assign_batch(sol, win.data)
         expected = davies_bouldin_loop(points, protos, nearest[0])
         assert expected != INFINITE_DBI
-        assert davies_bouldin(sol, win) == expected
-        assert davies_bouldin(sol, win, nearest) == expected
+        assert davies_bouldin(sol, *nearest) == expected
 
 
 class TestSelectBest:
