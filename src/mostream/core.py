@@ -3,8 +3,12 @@
 Everything downstream (tree synopsis, seeders, evolution, engine) trades in
 these types. A solution keeps its clusters as rows of arrays, and every
 distance in the package goes through ``sq_dist``. ``assign_batch`` is the one
-nearest-prototype routine: it builds a (window x solution) distance matrix
-and returns each row's label and distance together. The update rules
+nearest-prototype routine: for a list of solutions it returns each row's
+label and distance per solution, bit-identical to each solution's own
+(window x solution) ``sq_dist`` matrix. From 8 coordinates one GEMM over the
+stacked prototypes screens the labels under a derived rounding margin, the
+chosen distances still come from ``sq_dist``, and rows the margin cannot
+settle take the exact matrix. The update rules
 implement the decayed running-mean merge of per-cluster batches, the
 exponential weight fade with assignment refresh, and staleness pruning.
 """
@@ -12,7 +16,7 @@ exponential weight fade with assignment refresh, and staleness pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -186,6 +190,14 @@ class StreamConfig:
 # distances and assignment
 
 
+# the matrix form beats the (n, K, d) cube only once its d-wide sums dominate
+SCREEN_MIN_DIM = 8
+# unit roundoff and the smallest subnormal: the screen's relative and
+# absolute (underflow) error units
+_UNIT = 2.0**-53
+_ETA = float(np.finfo(float).smallest_subnormal)
+
+
 def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance over the last axis; other axes broadcast,
     so ``sq_dist(x[:, None, :], y[None, :, :])`` is the (n, m) matrix.
@@ -208,18 +220,100 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def assign_batch(
-    solution: ClusteringSolution, data: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-cluster index for each row of ``data`` (ties -> lowest index)
-    and each row's distance to that prototype, both read from one (n, K)
-    squared-distance matrix."""
+    solutions: Sequence[ClusteringSolution], data: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One ``(labels, dists)`` pair per solution: each row's nearest
+    prototype (ties -> lowest index) and its distance to it.
+
+    Every pair equals the solution's own (n, K) ``sq_dist`` matrix read
+    row by row (its first minimum and the square root of that entry), bit
+    for bit. Below ``SCREEN_MIN_DIM`` coordinates that matrix is built per
+    solution. From there on one GEMM screens the whole stack (see
+    ``_screened``), so only the chosen and the doubtful entries pay the
+    d-wide difference sums.
+    """
     data = np.asarray(data, dtype=float)
-    if data.shape[1] != solution.dim:
-        raise ValueError("dimension mismatch between window and solution")
-    d2 = sq_dist(data[:, None, :], solution.prototypes[None, :, :])
-    # argmin picks the first minimum
+    for sol in solutions:
+        if data.shape[1] != sol.dim:
+            raise ValueError("dimension mismatch between window and solution")
+    if data.shape[1] < SCREEN_MIN_DIM:
+        pairs = (_nearest_exact(sol.prototypes, data) for sol in solutions)
+        return [(labels, np.sqrt(d2)) for labels, d2 in pairs]
+    return _screened([sol.prototypes for sol in solutions], data) if solutions else []
+
+
+def _nearest_exact(
+    protos: np.ndarray, data: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First minimum of each row of the (n, K) ``sq_dist`` matrix, and that
+    squared distance."""
+    d2 = sq_dist(data[:, None, :], protos[None, :, :])
     labels = np.argmin(d2, axis=1)
-    return labels, np.sqrt(d2[np.arange(len(labels)), labels])
+    return labels, d2[np.arange(len(labels)), labels]
+
+
+def _screened(
+    stack: list[np.ndarray], data: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``assign_batch`` for d >= ``SCREEN_MIN_DIM`` over the stacked
+    prototypes of every solution.
+
+    One GEMM gives h_k = |p_k|^2 - 2 x.p_k for every row x and every stacked
+    prototype; each solution's candidate label m is the argmin over its own
+    columns (several solutions are padded to a common K with columns at
+    +inf). The candidate's squared distance c_m = sq_dist(x, p_m) is the
+    very entry the solution's (n, K) matrix holds, since both sum the same
+    last axis. A row keeps m only if every other column of its solution
+    clears the margin, h_k > c_m - |x|^2 + M; otherwise, or if M is not
+    finite, that row's labels come from the exact matrix.
+
+    The bound, with u = 2^-53, g = (d+2)u / (1-(d+2)u), s = |x|^2 +
+    max_k |p_k|^2 over the solution, and E = 2 g s + (d+2) eta, eta the
+    smallest subnormal (each underflowing operation adds at most eta / 2):
+    every computed h_k, every matrix entry c_k and |x|^2 lie within E of
+    their exact values, whatever the BLAS blocking or FMA use, because
+    |x.p| <= |x||p| <= s/2 and (|x| + |p|)^2 <= 2s. For k != m, h_k > c_m -
+    |x|^2 + M then gives the exact D_k > D_m + M - 3E and so c_k > c_m + M -
+    5E. M = 10E (2x slack for rounding M and the right-hand side) makes m
+    the matrix's unique minimum. M is computed as (4s) * 5g, so it turns
+    infinite whenever an intermediate (all below 4s) could overflow.
+    """
+    n, d = data.shape
+    ks = [len(p) for p in stack]
+    count, kmax = len(ks), max(ks)
+    if count == 1:
+        protos = stack[0][None]
+    else:
+        protos = np.zeros((count, kmax, d))
+        for s, p in enumerate(stack):
+            protos[s, : len(p)] = p
+    flat = protos.reshape(count * kmax, d)
+    g = (d + 2) * _UNIT / (1.0 - (d + 2) * _UNIT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = np.einsum("ij,ij->i", flat, flat).reshape(count, kmax)
+        top = pp.max(axis=1)  # zero padding cannot raise it
+        if count > 1:
+            pp[np.arange(kmax) >= np.array(ks)[:, None]] = np.inf
+        h = data @ (flat * -2.0).T
+        h += pp.ravel()
+        h = h.reshape(n, count, kmax)
+        labels = h.argmin(axis=2)
+        c2 = sq_dist(data[:, None, :], flat[labels + np.arange(0, count * kmax, kmax)])
+        xx = np.einsum("ij,ij->i", data, data)
+        margin = xx[:, None] + top
+        margin *= 4.0
+        margin *= 5.0 * g
+        margin += 10.0 * (d + 2) * _ETA
+        cut = c2 - xx[:, None]
+        cut += margin
+        close = h <= cut[:, :, None]
+        # each finite-margin row and solution holds at least its candidate
+        if np.count_nonzero(close) != n * count or not np.isfinite(margin).all():
+            doubtful = (close.sum(axis=2) != 1) | ~np.isfinite(margin)
+            for s in np.flatnonzero(doubtful.any(axis=0)):
+                rows = np.flatnonzero(doubtful[:, s])
+                labels[rows, s], c2[rows, s] = _nearest_exact(stack[s], data[rows])
+    return list(zip(labels.T.copy(), np.sqrt(c2.T, order="C")))
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
 
     population: list[ClusteringSolution] = []
     macro = tree.macro_clusters()
-    evaluate_solution(macro, first_window, cfg.gamma)
+    evaluate_solution(macro, assign_batch([macro], first_window.data)[0], cfg.gamma)
     population.append(macro)
     population.extend(kmeans_sweep(first_window, cfg.rng_seed))
     population.append(seed_dbscan(first_window))
@@ -211,7 +211,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     pruned: list[ClusteringSolution] = []
     for member in state.archive:
         clone = member.copy()
-        labels, dists = assign_batch(clone, window.data)
+        labels, dists = assign_batch([clone], window.data)[0]
         update_compactness(clone, dists, cfg.gamma)
         assigned = np.bincount(labels, minlength=clone.k).astype(float)
         fed = np.flatnonzero(assigned)
@@ -231,13 +231,13 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # report too
     nearest: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for clone in pruned:
-        pair = nearest[clone.solution_id] = assign_batch(clone, window.data)
+        pair = nearest[clone.solution_id] = assign_batch([clone], window.data)[0]
         clone.objectives.separateness = separateness(clone, active=pair[0])
 
     # (5) the tree re-offers its macro view as a candidate
     macro = state.tree.macro_clusters()
     macro.objectives.compactness = state.macro_compactness
-    evaluate_solution(macro, window, cfg.gamma)
+    evaluate_solution(macro, assign_batch([macro], window.data)[0], cfg.gamma)
     macro.solution_id = state.allot_id()
     state.macro_compactness = macro.objectives.compactness
 

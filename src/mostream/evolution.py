@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClusteringSolution, StreamConfig, WindowBatch, sq_dist
+from .core import ClusteringSolution, StreamConfig, WindowBatch, assign_batch, sq_dist
 from .objectives import ParetoArchive, evaluate_solution
 
 
@@ -133,7 +133,10 @@ def breed(
     same single decay-and-fold the parent received, so a lineage bred over
     many generations inside one idle phase does not compound the decay.
     ``rng`` gives the crossover cuts, then each mutant's draws, in parent
-    order. ``expired`` is polled between offspring evaluations.
+    order. All offspring are assigned to the window in one ``assign_batch``
+    call. ``expired`` is polled before that call, so a generation that
+    starts past its deadline does no distance work, and again before each
+    later offspring is scored.
     """
     offspring: list[ClusteringSolution] = []
     jobs: list[tuple[ClusteringSolution, float]] = []
@@ -152,12 +155,15 @@ def breed(
     for parent in parents:
         mutant = mutate(parent, cfg.mu, rng)
         jobs.append((mutant, parent.prev_compactness))
-    for child, prefix in jobs:
-        if expired is not None and expired():
+    if expired is not None and expired():
+        return offspring
+    pairs = assign_batch([child for child, _ in jobs], snapshot.data)
+    for i, ((child, prefix), pair) in enumerate(zip(jobs, pairs)):
+        if i and expired is not None and expired():
             break
         child.objectives.compactness = prefix
         child.objectives.separateness = 0.0
-        evaluate_solution(child, snapshot, cfg.gamma)
+        evaluate_solution(child, pair, cfg.gamma)
         child.solution_id = allot_id()
         offspring.append(child)
     return offspring

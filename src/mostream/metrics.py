@@ -91,7 +91,7 @@ def davies_bouldin(
 ) -> float:
     """Windowed Davies-Bouldin index: lower is better.
 
-    ``labels, dists`` is ``assign_batch(solution, window.data)``. Scatter
+    ``labels, dists`` is the solution's ``assign_batch`` pair. Scatter
     S_i is the mean distance of the window points labelled i to prototype
     i. The index is undefined for K=1, for coincident prototypes, and for
     clusters that received no window points; all three report the +inf
@@ -126,19 +126,19 @@ def select_best(
     """Archive member with the lowest windowed DBI.
 
     ``nearest`` maps solution ids to ``assign_batch`` pairs already computed
-    for this window; members without an entry are assigned here. Ties prefer
-    fewer clusters, then the lower solution id. Returns the member, its
-    score and its labels on the window.
+    for this window; members without an entry are assigned here, all in one
+    call. Ties prefer fewer clusters, then the lower solution id. Returns
+    the member, its score and its labels on the window.
     """
     members = list(archive)
     if not members:
         raise ValueError("archive is empty")
     known = nearest or {}
+    missing = [s for s in members if s.solution_id not in known]
+    fresh = iter(assign_batch(missing, window.data) if missing else ())
     scored = []
     for s in members:
-        pair = known.get(s.solution_id)
-        if pair is None:
-            pair = assign_batch(s, window.data)
+        pair = known[s.solution_id] if s.solution_id in known else next(fresh)
         scored.append((davies_bouldin(s, *pair), s.k, s.solution_id, s, pair[0]))
     dbi, _, _, best, labels = min(scored, key=lambda t: t[:3])
     return best, dbi, labels

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, sq_dist
 
 ARCHIVE_CAPACITY = 50
 
@@ -62,11 +62,15 @@ def separateness(
 
 
 def evaluate_solution(
-    solution: ClusteringSolution, window: WindowBatch, gamma: float
+    solution: ClusteringSolution,
+    pair: tuple[np.ndarray, np.ndarray],
+    gamma: float,
 ) -> None:
     """Refresh both objectives against a window, in place.
 
-    Clusters the window does not feed are dropped first: a memberless
+    ``pair`` is the solution's ``assign_batch`` pair on the window: the
+    labels pick the fed clusters and the distances are the compactness
+    terms. Clusters the window does not feed are dropped first: a memberless
     cluster is no part of the clustering the data sees, and letting it ride
     would poison the validity index while costing nothing in compactness.
     Dropping cannot reassign anyone; a point's nearest prototype is fed by
@@ -74,7 +78,7 @@ def evaluate_solution(
     history prefix, so a fresh solution should carry 0 there and an
     offspring its inherited value.
     """
-    labels, dists = assign_batch(solution, window.data)
+    labels, dists = pair
     fed = np.bincount(labels, minlength=solution.k) > 0
     if not fed.all():
         solution.keep(fed)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch, sq_dist
 from .objectives import evaluate_solution
 
 logger = logging.getLogger(__name__)
@@ -47,7 +47,7 @@ def _solution_from_assignment(
         ObjectiveVector(), centers, counts=members, weights=members.copy()
     )
     # fresh compactness is 0, so the decay factor cannot reach the objectives
-    evaluate_solution(sol, window, 1.0)
+    evaluate_solution(sol, assign_batch([sol], window.data)[0], 1.0)
     return sol
 
 

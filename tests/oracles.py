@@ -83,6 +83,18 @@ def sq_dist_reference(a, b):
     return ((a - b) ** 2).sum(axis=-1)
 
 
+def assign_batch_reference(prototype_sets, data):
+    """One (labels, dists) pair per (K, d) prototype block, each from that
+    block's own (n, K) matrix of last-axis sums: the first minimum of every
+    row and the square root of that entry."""
+    pairs = []
+    for protos in prototype_sets:
+        d2 = sq_dist_reference(data[:, None, :], protos[None, :, :])
+        labels = np.argmin(d2, axis=1)
+        pairs.append((labels, np.sqrt(d2[np.arange(len(data)), labels])))
+    return pairs
+
+
 def nearest_cluster(prototypes, point):
     """Row of ``prototypes`` nearest to ``point`` (ties -> lowest index), by
     ``np.linalg.norm`` rather than the package's kernel."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mostream import core
 from mostream.core import (
     MAX_ABS_VALUE,
     ClusteringSolution,
@@ -18,7 +19,7 @@ from mostream.core import (
     sq_dist,
 )
 
-from oracles import exact_mean, nearest_cluster, sq_dist_reference
+from oracles import assign_batch_reference, exact_mean, nearest_cluster, sq_dist_reference
 
 
 def _solution(protos, weights=None):
@@ -126,7 +127,7 @@ class TestSqDist:
 
 def _nearest(sol, point):
     """``assign_batch``'s cluster for one point."""
-    return int(assign_batch(sol, np.asarray(point, dtype=float)[None, :])[0][0])
+    return int(assign_batch([sol], np.asarray(point, dtype=float)[None, :])[0][0][0])
 
 
 class TestNearestCluster:
@@ -170,7 +171,7 @@ class TestNearestCluster:
         rng = np.random.default_rng(0)
         sol = _solution(rng.normal(size=(5, 3)))
         data = rng.normal(size=(40, 3))
-        batch, _ = assign_batch(sol, data)
+        [(batch, _)] = assign_batch([sol], data)
         single = [nearest_cluster(sol.prototypes, row) for row in data]
         assert list(batch) == single
 
@@ -179,14 +180,139 @@ class TestNearestCluster:
         rng = np.random.default_rng(dim)
         sol = _solution(rng.normal(size=(6, dim)))
         data = rng.normal(size=(50, dim))
-        labels, dists = assign_batch(sol, data)
+        [(labels, dists)] = assign_batch([sol], data)
         assert list(labels) == [nearest_cluster(sol.prototypes, row) for row in data]
         rows = np.sqrt(((data - sol.prototypes[labels]) ** 2).sum(axis=-1))
         assert np.array_equal(dists, rows)
 
     def test_nearest_prototypes_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            assign_batch(_solution([[0.0, 0.0]]), np.zeros((3, 3)))
+            assign_batch([_solution([[0.0, 0.0]])], np.zeros((3, 3)))
+
+
+def _same_bits(got, want):
+    """Pairs equal bit for bit: same labels, same distance bytes."""
+    assert len(got) == len(want)
+    for (g_labels, g_dists), (w_labels, w_dists) in zip(got, want):
+        assert np.array_equal(g_labels, w_labels)
+        assert g_dists.dtype == w_dists.dtype
+        assert g_dists.tobytes() == w_dists.tobytes()
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Records (K, rows) for every call of the exact (n, K) matrix."""
+    seen = []
+    exact = core._nearest_exact
+
+    def counting(protos, data):
+        seen.append((len(protos), len(data)))
+        return exact(protos, data)
+
+    monkeypatch.setattr(core, "_nearest_exact", counting)
+    return seen
+
+
+def _stack_check(stack, data):
+    sols = [_solution(p) for p in stack]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = assign_batch_reference([s.prototypes for s in sols], data)
+    _same_bits(assign_batch(sols, data), want)
+
+
+class TestAssignBatch:
+    """Every pair against each solution's own (n, K) matrix, bit for bit,
+    on both sides of the screen's dimension split."""
+
+    @pytest.mark.parametrize("d", [8, 9, 16])
+    def test_equidistant_points_take_the_lowest_index(self, d, exact_rows):
+        # rows 0 and 1 sit exactly halfway between two prototypes
+        step = np.ones(d)
+        protos = np.stack([step, -step, 40.0 * step])
+        data = np.stack([np.zeros(d), np.zeros(d), 39.0 * step, step])
+        got = assign_batch([_solution(protos), _solution(protos[[1, 0, 2]])], data)
+        for labels, _ in got:
+            assert labels.tolist() == [0, 0, 2, labels[3]]
+        assert got[0][0][3] == 0 and got[1][0][3] == 1
+        _stack_check([protos, protos[[1, 0, 2]]], data)
+        # the tied rows, and only they, went to the exact matrix
+        assert exact_rows and all(rows <= 2 for _, rows in exact_rows)
+        assert sum(rows for _, rows in exact_rows) >= 2 * 2
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_duplicate_prototypes(self, d, exact_rows):
+        rng = np.random.default_rng(d)
+        base = rng.normal(size=(3, d))
+        protos = base[[0, 1, 0, 2, 1]]
+        data = rng.normal(size=(40, d))
+        _stack_check([protos, base], data)
+        labels = assign_batch([_solution(protos)], data)[0][0]
+        assert set(labels.tolist()) <= {0, 1, 3}
+        assert exact_rows
+
+    @pytest.mark.parametrize("d", [2, 8, 17])
+    def test_ragged_stack(self, d):
+        rng = np.random.default_rng(d)
+        stack = [rng.normal(size=(k, d)) for k in (1, 3, 7, 2, 5)]
+        _stack_check(stack, rng.normal(size=(60, d)))
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_near_ties_on_a_decimal_grid(self, d, exact_rows):
+        # multiples of 0.1 are inexact, so the two forms round near-equal
+        # distances apart; a screen without its margin fails here
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            data = rng.integers(-3, 4, size=(100, d)) * 0.1
+            protos = rng.integers(-3, 4, size=(6, d)) * 0.1
+            _stack_check([protos, protos[::-1]], data)
+        assert exact_rows
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_values_at_the_input_bound(self, d):
+        rng = np.random.default_rng(d)
+        signs = lambda *shape: rng.choice([-1.0, 1.0], size=shape)  # noqa: E731
+        data = MAX_ABS_VALUE * signs(30, d)
+        stack = [MAX_ABS_VALUE * signs(4, d), MAX_ABS_VALUE * rng.uniform(-1, 1, (6, d))]
+        _stack_check(stack, data)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_overflowing_prototype_norms_take_the_exact_matrix(self, d, exact_rows):
+        rng = np.random.default_rng(d)
+        data = rng.normal(size=(20, d))
+        huge = rng.normal(size=(3, d))
+        huge[1] *= 1e200  # |p|^2 overflows
+        tame = rng.normal(size=(4, d))
+        _stack_check([tame, huge], data)
+        exact_rows.clear()
+        assign_batch([_solution(tame), _solution(huge)], data)
+        assert (3, 20) in exact_rows
+        assert all(k == 3 for k, _ in exact_rows)
+
+    @pytest.mark.parametrize("d", [7, 8, 9])
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_dimension_split_and_one_row_windows(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        stack = [rng.normal(size=(k, d)) for k in (1, 4, 6)]
+        _stack_check(stack, rng.normal(size=(n, d)))
+
+    def test_empty_stack(self):
+        assert assign_batch([], np.zeros((3, 8))) == []
+
+    @given(st.data())
+    def test_random_stacks_match_the_reference(self, data):
+        d = data.draw(st.sampled_from([1, 2, 7, 8, 9, 16, 17]))
+        n = data.draw(st.integers(1, 30))
+        scale = 10.0 ** data.draw(st.integers(-3, 50))
+        # a small integer grid makes ties and duplicate prototypes common
+        grid = st.integers(-3, 3).map(float)
+        rows = lambda size: st.lists(st.lists(grid, min_size=d, max_size=d),  # noqa: E731
+                                     min_size=size[0], max_size=size[1])
+        # a far common offset makes the matrix form's rounding coarse
+        shift = 10.0 ** data.draw(st.integers(-3, 12)) * data.draw(st.sampled_from([0, 1]))
+        points = np.array(data.draw(rows((n, n)))) * scale + shift
+        stack = [np.array(b) * scale + shift
+                 for b in data.draw(st.lists(rows((1, 6)), min_size=1, max_size=5))]
+        _stack_check(stack, points)
 
 
 def _counts(*values):

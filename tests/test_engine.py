@@ -252,7 +252,7 @@ class TestFinalize:
         state = initialize(four_blob_window, StreamConfig())
         sel = finalize(state)
         assert np.array_equal(
-            sel.assignments, assign_batch(sel.solution, four_blob_window.data)[0]
+            sel.assignments, assign_batch([sel.solution], four_blob_window.data)[0][0]
         )
 
 

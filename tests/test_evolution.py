@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mostream import evolution
 from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
@@ -337,6 +338,35 @@ class TestBreed:
             assert a.solution_id == b.solution_id
             assert np.array_equal(a.prototypes, b.prototypes)
             assert a.objectives.as_min_pair() == b.objectives.as_min_pair()
+
+    def test_offspring_scored_in_one_assign_call(self, monkeypatch):
+        calls = []
+
+        def counting(solutions, data):
+            calls.append(len(solutions))
+            return assign_batch(solutions, data)
+
+        monkeypatch.setattr(evolution, "assign_batch", counting)
+        parents = [
+            _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
+            _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
+        ]
+        out = breed(parents, self._snapshot(), StreamConfig(),
+                    np.random.default_rng(1), _id_counter())
+        assert calls == [len(out)] == [4]
+
+    def test_expired_budget_does_no_distance_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evolution, "assign_batch", lambda *args: calls.append(args))
+        parents = [
+            _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
+            _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
+        ]
+        budget = IdleBudget(5, wall_deadline=time.monotonic() - 1.0)
+        out = breed(parents, self._snapshot(), StreamConfig(),
+                    np.random.default_rng(1), _id_counter(), budget.expired)
+        assert out == []
+        assert calls == []
 
     def test_lineage_does_not_compound_decay(self):
         cfg = StreamConfig()

@@ -92,7 +92,7 @@ class TestArand:
 
 
 def _dbi(sol, win):
-    return davies_bouldin(sol, *assign_batch(sol, win.data))
+    return davies_bouldin(sol, *assign_batch([sol], win.data)[0])
 
 
 class TestDaviesBouldin:
@@ -131,7 +131,7 @@ class TestDaviesBouldin:
     @given(grid_rows.filter(lambda r: len(r) <= 8), grid_rows)
     def test_matches_loop_form(self, protos, points):
         sol, win = _solution(protos), _window(points)
-        nearest = assign_batch(sol, win.data)
+        [nearest] = assign_batch([sol], win.data)
         expected = davies_bouldin_loop(points, protos, nearest[0])
         assert davies_bouldin(sol, *nearest) == expected
 
@@ -143,7 +143,7 @@ class TestDaviesBouldin:
         points = rng.normal(size=(60, 16)) * 10.0 ** rng.uniform(-3, 3, size=16)
         protos = points[rng.choice(60, size=4, replace=False)] * 1.01
         sol, win = _solution(protos), _window(points)
-        nearest = assign_batch(sol, win.data)
+        [nearest] = assign_batch([sol], win.data)
         expected = davies_bouldin_loop(points, protos, nearest[0])
         assert expected != INFINITE_DBI
         assert davies_bouldin(sol, *nearest) == expected
@@ -154,7 +154,7 @@ class TestSelectBest:
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
         members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
                    _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
-        known = {1: assign_batch(members[1], win.data)}
+        known = {1: assign_batch([members[1]], win.data)[0]}
         best, dbi, _ = select_best(members, win, known)
         ref_best, ref_dbi, _ = select_best(members, win)
         assert (best.solution_id, dbi) == (ref_best.solution_id, ref_dbi)
@@ -164,9 +164,9 @@ class TestSelectBest:
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
         members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
                    _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
-        known = {i: assign_batch(members[i], win.data) for i in known_ids}
+        known = {i: assign_batch([members[i]], win.data)[0] for i in known_ids}
         best, _, labels = select_best(members, win, known)
-        assert np.array_equal(labels, assign_batch(best, win.data)[0])
+        assert np.array_equal(labels, assign_batch([best], win.data)[0][0])
 
     def test_single_member(self):
         sol = _solution([(0.0, 0.0), (5.0, 5.0)], sol_id=7)

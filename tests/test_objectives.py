@@ -136,8 +136,8 @@ class TestEvaluate:
         sol.counts = np.arange(1.0, sol.k + 1)
         ref = sol.copy()
         win = _window(points)
-        evaluate_solution(sol, win, gamma)
-        fed, labels = np.unique(assign_batch(ref, win.data)[0], return_inverse=True)
+        evaluate_solution(sol, assign_batch([sol], win.data)[0], gamma)
+        fed, labels = np.unique(assign_batch([ref], win.data)[0][0], return_inverse=True)
         ref.keep(fed)
         update_compactness(ref, _dists(ref, win, labels), gamma)
         assert np.array_equal(sol.prototypes, ref.prototypes)
@@ -150,7 +150,8 @@ class TestEvaluate:
     def test_dimension_mismatch_raises(self):
         win = WindowBatch(np.zeros((3, 3)), 1)
         with pytest.raises(ValueError):
-            evaluate_solution(_protos([(0, 0), (1, 1)]), win, 0.7)
+            sol = _protos([(0, 0), (1, 1)])
+            evaluate_solution(sol, assign_batch([sol], win.data)[0], 0.7)
 
 
 class TestDominates:
@@ -218,13 +219,25 @@ class TestArchive:
         assert (1.0, -3.0) in pairs
         assert (4.0, -9.0) in pairs
 
-    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    @given(st.permutations(range(9)),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                     min_size=1, max_size=40))
-    def test_invariant_after_any_insert_sequence(self, pairs):
+    def test_invariant_after_any_insert_sequence(self, staircase, pairs):
+        # nine mutually non-dominated members overfill the archive, so every
+        # example runs the crowding eviction before the drawn inserts
+        evictions = []
+        evict = ParetoArchive._evict_most_crowded
+
+        def counting(archive):
+            evictions.append(len(archive))
+            evict(archive)
+
         arc = ParetoArchive()
-        with _capacity(6):
-            for i, (c, s) in enumerate(pairs):
+        steps = [(float(i), float(i)) for i in staircase]
+        with _capacity(6), mock.patch.object(ParetoArchive, "_evict_most_crowded", counting):
+            for i, (c, s) in enumerate(steps + pairs):
                 arc.insert(_objsol(float(c), float(s), i))
+        assert len(evictions) >= 3
         arc.validate()
         assert 1 <= len(arc) <= 6
         seen = [s.objectives.as_min_pair() for s in arc]

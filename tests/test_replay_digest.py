@@ -7,6 +7,8 @@ purpose and say in CHANGES.md which bytes moved and why.
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +60,35 @@ def test_reports_match_pinned_digest(shape):
     assert len(state.reports) == windows
     text = "".join(report_line(r) + "\n" for r in state.reports)
     _assert_digest(shape, hashlib.sha256(text.encode()).hexdigest(), digest)
+
+
+# one run of a SHAPES stream, printing its report digest
+_REPLAY = """
+import hashlib
+from mostream.core import StreamConfig
+from mostream.engine import run_stream
+from mostream.stream_io import gen_blobs, report_line
+
+blobs, window = {blobs!r}, {window!r}
+state, _ = run_stream(gen_blobs(window_size=window, seed=7, **blobs),
+                      StreamConfig(window_size=window, idle_generations_cap=5, rng_seed=7))
+text = "".join(report_line(r) + "\\n" for r in state.reports)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_d16_digest_holds_with_two_blas_threads():
+    """From 8 coordinates nearest prototypes are screened through a BLAS
+    GEMM, whose blocking and threading change its last bits. The CLI pins no
+    BLAS threads, so a fresh process with two must give the pinned bytes."""
+    blobs, window, _, digest = SHAPES["d16-overlap"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _REPLAY.format(blobs=blobs, window=window)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    _assert_digest("d16-overlap, two BLAS threads", out.stdout.strip(), digest)
 
 
 # name -> (blob parameters, window size, digest). The tree never reads the

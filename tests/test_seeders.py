@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mostream import seeders
-from mostream.core import ClusteringSolution, ObjectiveVector, WindowBatch
+from mostream.core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch
 from mostream.objectives import evaluate_solution
 from mostream.seeders import (
     connected_components,
@@ -39,7 +39,7 @@ def _reference_solution(window, labels, centers):
     members = np.bincount(labels).astype(float)
     ref = ClusteringSolution(ObjectiveVector(), centers,
                              counts=members, weights=members.copy())
-    evaluate_solution(ref, window, 0.7)
+    evaluate_solution(ref, assign_batch([ref], window.data)[0], 0.7)
     return ref
 
 
@@ -134,9 +134,7 @@ class TestDBScan:
         def partition(window):
             sol = seed_dbscan(window, min_pts=8, radius=2.0)
             protos = sol.prototypes
-            from mostream.core import assign_batch
-
-            labels, _ = assign_batch(sol, window.data)
+            [(labels, _)] = assign_batch([sol], window.data)
             groups = {}
             for row, lab in zip(map(tuple, window.data), labels):
                 groups.setdefault(lab, set()).add(row)
