@@ -205,16 +205,23 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Below 8 coordinates the squared columns are added as whole arrays in
     coordinate order, the order numpy's last-axis sum uses there, so the
     result is bit-identical to ``((a - b) ** 2).sum(axis=-1)`` without its
-    per-element reduction cost. From 8 coordinates numpy sums pairwise, and
-    the kernel keeps that sum. Two 1-D rows give a scalar.
+    per-element reduction cost. The difference is taken into a Fortran-order
+    buffer there, so each coordinate's column is one contiguous run and the
+    subtraction's inner loop spans all rows rather than d elements. Only the
+    temporary's memory order changes: every entry is still (a_0 - b_0)^2 +
+    (a_1 - b_1)^2 + ... in coordinate order, with the same IEEE operations.
+    From 8 coordinates numpy sums pairwise over a contiguous last axis, so
+    the kernel keeps the C-order difference and that sum; a Fortran buffer
+    would make the sum sequential and move bits. Two 1-D rows give a scalar.
     """
-    sq = a - b
-    sq *= sq
-    d = sq.shape[-1]
-    if d >= 8:
+    if a.shape[-1] >= 8 or b.shape[-1] >= 8:
+        sq = a - b
+        sq *= sq
         return sq.sum(axis=-1)
+    sq = np.subtract(a, b, order="F")
+    sq *= sq
     out = sq[..., 0]
-    for j in range(1, d):
+    for j in range(1, sq.shape[-1]):
         out = out + sq[..., j]
     return out[()]
 

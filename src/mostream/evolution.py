@@ -108,12 +108,36 @@ def mutate(
     return out
 
 
-def prototype_set_distance(a: ClusteringSolution, b: ClusteringSolution) -> float:
-    """Symmetric mean nearest-prototype distance between two solutions."""
-    d = np.sqrt(sq_dist(a.prototypes[:, None, :], b.prototypes[None, :, :]))
-    rows, cols = d.min(axis=1), d.min(axis=0)
-    # sum / size is exactly .mean(), without its per-call overhead
-    return float(0.5 * (rows.sum() / rows.size + cols.sum() / cols.size))
+def _parent_distances(
+    children: tuple[ClusteringSolution, ClusteringSolution],
+    parents: tuple[ClusteringSolution, ClusteringSolution],
+) -> list[list[float]]:
+    """Symmetric mean nearest-prototype distance of each crossover child
+    (row) to each parent (column).
+
+    All four come from one (K_c1 + K_c2, K_1 + K_2) block of ``sq_dist``
+    roots: each child/parent pair reads its row and column minima from its
+    own segment. Every entry, minimum and sum is the one the pair's own
+    (K, K') matrix gives, so each distance is bit for bit the same.
+    """
+    kc, kp = children[0].k, parents[0].k
+    block = np.sqrt(
+        sq_dist(
+            np.concatenate([c.prototypes for c in children])[:, None, :],
+            np.concatenate([p.prototypes for p in parents])[None, :, :],
+        )
+    )
+    row_min = np.minimum.reduceat(block, [0, kp], axis=1)  # (child rows, parent)
+    col_min = np.minimum.reduceat(block, [0, kc], axis=0)  # (child, parent columns)
+    child_rows = (slice(None, kc), slice(kc, None))
+    parent_cols = (slice(None, kp), slice(kp, None))
+    dists = [[0.0, 0.0], [0.0, 0.0]]
+    for i, rs in enumerate(child_rows):
+        for j, cs in enumerate(parent_cols):
+            rows, cols = row_min[rs, j], col_min[i, cs]
+            # sum / size is exactly .mean(), without its per-call overhead
+            dists[i][j] = float(0.5 * (rows.sum() / rows.size + cols.sum() / cols.size))
+    return dists
 
 
 def breed(
@@ -146,11 +170,9 @@ def breed(
         if k_min < 3:
             continue
         cut = int(rng.integers(2, k_min))
-        c1, c2 = crossover(p1, p2, cut)
-        for child in (c1, c2):
-            nearer = min(
-                (p1, p2), key=lambda p: (prototype_set_distance(child, p), p.solution_id)
-            )
+        children = crossover(p1, p2, cut)
+        for child, (d1, d2) in zip(children, _parent_distances(children, (p1, p2))):
+            nearer = p1 if (d1, p1.solution_id) <= (d2, p2.solution_id) else p2
             jobs.append((child, nearer.prev_compactness))
     for parent in parents:
         mutant = mutate(parent, cfg.mu, rng)

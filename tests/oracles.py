@@ -95,6 +95,14 @@ def assign_batch_reference(prototype_sets, data):
     return pairs
 
 
+def prototype_set_distance(a, b):
+    """Symmetric mean nearest-prototype distance between two solutions, from
+    their own (K, K') matrix of last-axis sums: the mean of the row minima
+    and the mean of the column minima, averaged."""
+    d = np.sqrt(sq_dist_reference(a.prototypes[:, None, :], b.prototypes[None, :, :]))
+    return float(0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean()))
+
+
 def nearest_cluster(prototypes, point):
     """Row of ``prototypes`` nearest to ``point`` (ties -> lowest index), by
     ``np.linalg.norm`` rather than the package's kernel."""

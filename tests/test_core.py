@@ -112,6 +112,36 @@ class TestSqDist:
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def _layouts(d, rng):
+        """Large broadcasts, non-contiguous inputs and a length-1 last axis."""
+
+        def draw(*shape):
+            return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+        wide = draw(60, 2 * d)
+        return [
+            (draw(1000, 1, d), draw(1, 10, d)),
+            (draw(1000, d), draw(d)),
+            (np.asfortranarray(draw(50, d)), draw(d)),  # Fortran order
+            (np.asfortranarray(draw(30, 1, d)), np.asfortranarray(draw(1, 9, d))),
+            (wide[::2, ::2], wide[1::2, 1::2]),  # strided rows and columns
+            (draw(d, 40).T, draw(d)),  # transposed
+            (draw(d, 12).T[:, None, :], draw(d, 5).T[None, :, :]),
+            (draw(40, 1), draw(d)),  # last axis 1 against d
+            (draw(d), draw(40, 1)),
+            (draw(30, 1, 1), draw(1, 8, d)),
+            (draw(1), draw(d)),
+        ]
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_large_strided_and_broadcast_inputs(self, d):
+        for a, b in self._layouts(d, np.random.default_rng(100 + d)):
+            got, want = sq_dist(a, b), sq_dist_reference(a, b)
+            assert np.shape(got) == np.shape(want)
+            assert np.isscalar(got) == np.isscalar(want)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
     def test_two_rows_give_a_scalar(self, d):
         rng = np.random.default_rng(d)

@@ -24,11 +24,12 @@ from mostream.evolution import (
     fitness_score,
     idle_generation,
     mutate,
-    prototype_set_distance,
     select_parents,
 )
 from mostream.objectives import ParetoArchive, hypervolume_in_box
 from mostream.seeders import kmeans_sweep
+
+from oracles import prototype_set_distance
 
 
 def _sol(protos, c=0.0, s=0.0, sid=0):
@@ -272,6 +273,51 @@ class TestPrototypeSetDistance:
         assert prototype_set_distance(a, b) == pytest.approx(
             prototype_set_distance(b, a)
         )
+
+
+class TestParentDistances:
+    """``breed``'s one-block child/parent distances against the reference's
+    own (K, K') matrix per pair, bit for bit."""
+
+    @staticmethod
+    def _pair(rng, d, ka, kb):
+        def draw(k):
+            # mixed magnitudes, so a different summation order shows up
+            return rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4, size=(k, d))
+
+        p1, p2 = _sol(draw(ka), sid=1), _sol(draw(kb), sid=2)
+        return crossover(p1, p2, int(rng.integers(2, min(ka, kb)))), (p1, p2)
+
+    @staticmethod
+    def _check(children, parents):
+        got = evolution._parent_distances(children, parents)
+        for i, child in enumerate(children):
+            for j, parent in enumerate(parents):
+                assert got[i][j] == prototype_set_distance(child, parent)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_random_pairs_match_the_reference(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(150):
+            ka, kb = rng.integers(3, 21, size=2)
+            self._check(*self._pair(rng, d, ka, kb))
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_equal_distance_parents_go_to_the_lower_id(self, d):
+        rng = np.random.default_rng(100 + d)
+        protos = rng.normal(size=(int(rng.integers(3, 12)), d))
+        snapshot = WindowBatch(rng.normal(size=(20, d)), 0)
+        for first, second in [(1, 2), (2, 1)]:
+            parents = [_sol(protos, sid=first), _sol(protos, sid=second)]
+            parents[0].prev_compactness, parents[1].prev_compactness = 10.0 * first, 10.0 * second
+            children = crossover(*parents, 2)
+            dists = evolution._parent_distances(children, tuple(parents))
+            self._check(children, tuple(parents))
+            assert all(row[0] == row[1] for row in dists)
+            out = breed(parents, snapshot, StreamConfig(),
+                        np.random.default_rng(0), _id_counter())
+            # the children inherit the id-1 parent's history, mutants their own
+            assert [o.prev_compactness for o in out] == [10.0, 10.0, 10.0 * first, 10.0 * second]
 
 
 class TestBreed:

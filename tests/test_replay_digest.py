@@ -36,6 +36,13 @@ SHAPES = {
         6,
         "0e17475860ffff5e00f235e64d24b88f9ea28e106b9430d6045af147e4369476",
     ),
+    # 3 <= d < 8: every column-order kernel path below the screen
+    "d5-overlap": (
+        dict(k=4, per_blob=150, sep=3.0, stddev=1.0, dim=5),
+        100,
+        6,
+        "339247da125f8d2367e5c2c03c8ea86c509085a5ecd14146c41eb931c52da715",
+    ),
     "d16-overlap": (
         dict(k=4, per_blob=150, sep=3.0, stddev=1.0, dim=16),
         100,
