@@ -52,6 +52,9 @@ DISSIM_RELAX = 0.01
 # long-stream node count and first-level width hold steady.
 RADIUS_SCALE = 4.0
 
+# Rows per distance block of ``window_scales``, so memory is O(n * block).
+SCALES_BLOCK = 512
+
 # Per-node arrays, one row per non-support node.
 COLUMNS = (
     "ids", "parents", "prototypes", "counts", "weights",
@@ -277,15 +280,15 @@ def step(children: np.ndarray, ant: np.ndarray, dissim: float, diameter: float) 
     return best
 
 
-def window_scales(data: np.ndarray, block: int = 512) -> tuple[float, float]:
+def window_scales(data: np.ndarray) -> tuple[float, float]:
     """(diameter, mean distance from each point to its nearest other point)
     of ``data``, from one pass over the pairwise distances in row blocks, so
     memory stays flat on big first windows."""
     n = len(data)
     widest = 0.0
     nearest = np.empty(n)
-    for i in range(0, n, block):
-        d2 = sq_dist(data[i : i + block, None, :], data[None, :, :])
+    for i in range(0, n, SCALES_BLOCK):
+        d2 = sq_dist(data[i : i + SCALES_BLOCK, None, :], data[None, :, :])
         widest = max(widest, float(d2.max()))
         rows = np.arange(len(d2))
         d2[rows, i + rows] = np.inf

@@ -184,6 +184,8 @@ class StreamConfig:
             raise ValueError("interval_ms must be >= 0")
         if self.idle_generations_cap is not None and self.idle_generations_cap < 0:
             raise ValueError("idle_generations_cap must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------

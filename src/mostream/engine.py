@@ -3,9 +3,10 @@
 The first window builds the tree synopsis and seeds the archive through
 multiple clustering routes plus one breeding pass. Every later window flows
 through a fixed pipeline: points map into the tree, each archive member
-absorbs the window and fades, objectives refresh, the tree's macro view is
-re-offered, and the archive is re-screened for dominance before the window
-report goes out. Idle time between windows runs archive generations.
+absorbs the window and fades, the members are rescored in one pass together
+with the tree's re-offered macro view, and the archive is re-screened for
+dominance before the window report goes out. Idle time between windows runs
+archive generations.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _window_report(
     """Score and record the window. ``nearest`` maps solution ids to
     ``assign_batch`` pairs already computed on this window, so those members
     skip a second assignment."""
-    best, best_dbi, labels = select_best(state.archive, window, nearest)
+    _, best_dbi, labels = select_best(state.archive, window, nearest)
     best_fit = min(fitness_score(s) for s in state.archive)
     score_nmi = score_arand = None
     if window.labels is not None and len(window) >= 2:
@@ -176,7 +177,8 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
 
 
 def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
-    """Commit one window: map, absorb, fade, rescore, re-offer, re-screen, report."""
+    """Commit one window: map, absorb, fade, rescore with the macro offer,
+    re-screen, report."""
     t0 = time.perf_counter()
     last = state.last_window
     if window.dim != last.dim:
@@ -198,20 +200,19 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     for row in window.data:
         state.tree.map_point(row)
 
-    # (2) each member absorbs the window: one distance matrix against the
-    # window-start prototypes gives the labels and the compactness terms,
-    # then the per-cluster batches fold into the fed rows. One weighted
-    # bincount over (cluster, coordinate) bins sums every batch, adding rows
-    # in window order as a masked mean does for d >= 2 (at d = 1 numpy sums
-    # the single column pairwise, so a mean can differ in the last bit);
-    # (3) fade weights, prune what starved (solutions and tree alike)
+    # (2) each member absorbs the window: one assign_batch call over every
+    # copy, against the window-start prototypes, gives each member's labels
+    # and compactness terms; then the per-cluster batches fold into the fed
+    # rows. One weighted bincount over (cluster, coordinate) bins sums every
+    # batch, adding rows in window order as a masked mean does for d >= 2
+    # (at d = 1 numpy sums the single column pairwise, so a mean can differ
+    # in the last bit); (3) fade weights, prune what starved (solutions and
+    # tree alike)
     d = window.dim
     coord = np.arange(d)
     flat_data = window.data.ravel()
-    pruned: list[ClusteringSolution] = []
-    for member in state.archive:
-        clone = member.copy()
-        labels, dists = assign_batch([clone], window.data)[0]
+    clones = [member.copy() for member in state.archive]
+    for clone, (labels, dists) in zip(clones, assign_batch(clones, window.data)):
         update_compactness(clone, dists, cfg.gamma)
         assigned = np.bincount(labels, minlength=clone.k).astype(float)
         fed = np.flatnonzero(assigned)
@@ -223,35 +224,35 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
         )
         clone.weights = fade_weight(clone.weights, cfg.gamma, assigned)
         prune_outdated(clone, cfg.prune_threshold)
-        pruned.append(clone)
     state.tree.fade_and_prune(cfg.gamma, cfg.prune_threshold)
 
-    # (4) separateness reflects the moved/pruned prototypes, counting only
-    # the clusters the window still feeds; labels and distances serve the
-    # report too
-    nearest: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for clone in pruned:
-        pair = nearest[clone.solution_id] = assign_batch([clone], window.data)[0]
-        clone.objectives.separateness = separateness(clone, active=pair[0])
-
-    # (5) the tree re-offers its macro view as a candidate
+    # (4) rescore: one assign_batch call over the moved/pruned members and
+    # the tree's macro view, re-offered as a candidate. A member's
+    # separateness counts only the clusters the window still feeds; its
+    # labels and distances serve the report too. The macro offer takes the
+    # commit's last id.
     macro = state.tree.macro_clusters()
     macro.objectives.compactness = state.macro_compactness
-    evaluate_solution(macro, assign_batch([macro], window.data)[0], cfg.gamma)
+    *pairs, macro_pair = assign_batch(clones + [macro], window.data)
+    for clone, (labels, _) in zip(clones, pairs):
+        fed = np.bincount(labels, minlength=clone.k) > 0
+        clone.objectives.separateness = separateness(clone.prototypes[fed])
+    evaluate_solution(macro, macro_pair, cfg.gamma)
     macro.solution_id = state.allot_id()
     state.macro_compactness = macro.objectives.compactness
 
-    # (6) re-screen: rebuild the archive from updated members (already in id
+    # (5) re-screen: rebuild the archive from updated members (already in id
     # order, as the archive iterates), then the offer
     rebuilt = ParetoArchive()
-    for clone in pruned:
+    for clone in clones:
         rebuilt.insert(clone)
     rebuilt.insert(macro)
     state.archive = rebuilt
 
-    # (7) commit and report
+    # (6) commit and report
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
+    nearest = {clone.solution_id: pair for clone, pair in zip(clones, pairs)}
     return _window_report(state, window, elapsed, nearest)
 
 

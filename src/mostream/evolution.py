@@ -198,10 +198,9 @@ def idle_generation(
     seed: int,
     allot_id: Callable[[], int],
     expired: Optional[Callable[[], bool]] = None,
-) -> ParetoArchive:
+) -> None:
     """One select/crossover/mutate/evaluate/insert cycle on the archive."""
     parents = select_parents(archive, cfg.sigma)
     rng = np.random.default_rng(seed)
     for child in breed(parents, snapshot, cfg, rng, allot_id, expired):
         archive.insert(child)
-    return archive

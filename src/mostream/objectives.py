@@ -8,8 +8,6 @@ both-minimized pair (compactness, -separateness).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .core import ClusteringSolution, ObjectiveVector, sq_dist
@@ -35,23 +33,15 @@ def update_compactness(
     return value
 
 
-def separateness(
-    solution: ClusteringSolution, active: Optional[Sequence[int]] = None
-) -> float:
-    """Mean over clusters of the distance to the nearest other prototype.
+def separateness(protos: np.ndarray) -> float:
+    """Mean over the (K, d) prototype block of each row's distance to its
+    nearest other row.
 
-    ``active`` names the clusters that currently hold points; only they
-    contribute terms and only they count as neighbors. Memberless clusters
-    must stay out of the mean: a prototype parked far from the data would
-    otherwise buy unbounded separateness at zero compactness cost. With at
-    most one (active) cluster there is nothing to be separate from: 0.
+    Callers pass only the clusters that currently hold points: a prototype
+    parked far from the data would otherwise buy unbounded separateness at
+    zero compactness cost. With at most one row there is nothing to be
+    separate from: 0.
     """
-    protos = solution.prototypes
-    if active is not None:
-        act = np.unique(np.asarray(active, dtype=int))
-        if act.size and (act[0] < 0 or act[-1] >= solution.k):
-            raise ValueError("active cluster indices out of range")
-        protos = protos[act]
     if len(protos) <= 1:
         return 0.0
     d2 = sq_dist(protos[:, None, :], protos[None, :, :])
@@ -83,7 +73,7 @@ def evaluate_solution(
     if not fed.all():
         solution.keep(fed)
     update_compactness(solution, dists, gamma)
-    solution.objectives.separateness = separateness(solution)
+    solution.objectives.separateness = separateness(solution.prototypes)
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:

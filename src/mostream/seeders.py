@@ -148,29 +148,23 @@ def connected_components(
 # density scan
 
 
-def seed_dbscan(
-    window: WindowBatch,
-    min_pts: int = DBSCAN_MIN_PTS,
-    radius: float = DBSCAN_RADIUS,
-) -> ClusteringSolution:
+def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     """Density clustering with order-independent memberships.
 
-    Core points (>= min_pts neighbors within radius, self included) form
-    clusters by connectivity; border points join their nearest core point's
-    cluster; noise is dropped. When nothing is dense enough the fallback is
-    a single all-points cluster. Distances are taken in row blocks; only
-    the (n, n) bool neighbor mask is held whole.
+    Core points (>= ``DBSCAN_MIN_PTS`` neighbors within ``DBSCAN_RADIUS``,
+    self included) form clusters by connectivity; border points join their
+    nearest core point's cluster; noise is dropped. When nothing is dense
+    enough the fallback is a single all-points cluster. Distances are taken
+    in row blocks; only the (n, n) bool neighbor mask is held whole.
     """
-    if min_pts < 1 or radius <= 0:
-        raise ValueError("need min_pts >= 1 and radius > 0")
     data = window.data
     n = len(data)
     within = np.empty((n, n), dtype=bool)
     for i in range(0, n, DBSCAN_BLOCK):
         chunk = data[i : i + DBSCAN_BLOCK]
         d = np.sqrt(sq_dist(chunk[:, None, :], data[None, :, :]))
-        within[i : i + len(chunk)] = d <= radius
-    core = within.sum(axis=1) >= min_pts
+        within[i : i + len(chunk)] = d <= DBSCAN_RADIUS
+    core = within.sum(axis=1) >= DBSCAN_MIN_PTS
     core_idx = np.flatnonzero(core)
     if len(core_idx) == 0:
         logger.warning("dbscan found no core points; falling back to one cluster")

@@ -264,14 +264,15 @@ class TestBuild:
         assert window_scales(np.array([[7.0]])) == (0.0, 0.0)
 
     @pytest.mark.parametrize("block", [7, 50, 512])
-    def test_nearest_neighbor_blocks_match_dense(self, block):
+    def test_nearest_neighbor_blocks_match_dense(self, block, monkeypatch):
         """One blocked pass gives the dense diameter and spacing exactly."""
+        monkeypatch.setattr(anttree, "SCALES_BLOCK", block)
         data = np.random.default_rng(1).normal(size=(50, 3))
         d2 = ((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=-1)
         diameter = float(np.sqrt(d2.max()))
         np.fill_diagonal(d2, np.inf)
         spacing = float(np.sqrt(d2.min(axis=1)).mean())
-        assert window_scales(data, block) == (diameter, spacing)
+        assert window_scales(data) == (diameter, spacing)
 
 
 class TestAggregate:

@@ -576,6 +576,7 @@ class TestStreamConfig:
             {"prune_threshold": -0.1},
             {"interval_ms": -1},
             {"idle_generations_cap": -1},
+            {"rng_seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

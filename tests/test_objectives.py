@@ -89,42 +89,44 @@ class TestCompactness:
             update_compactness(sol, _dists(sol, win, [0]), gamma=0.0)
 
 
+def _fed(k, labels):
+    """The fed-cluster mask a commit takes from a member's window labels."""
+    return np.bincount(np.asarray(labels, dtype=int), minlength=k) > 0
+
+
 class TestSeparateness:
     def test_two_prototypes(self):
-        assert separateness(_protos([(0, 0), (3, 4)])) == pytest.approx(5.0)
+        assert separateness(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
 
     def test_single_cluster_is_zero(self):
-        assert separateness(_protos([(2, 2)])) == 0.0
+        assert separateness(np.array([[2.0, 2.0]])) == 0.0
+        assert separateness(np.empty((0, 2))) == 0.0
 
     def test_collinear_min_then_mean(self):
-        sol = ClusteringSolution(ObjectiveVector(), np.array([[0.0], [1.0], [10.0]]), 0)
-        assert separateness(sol) == pytest.approx(11.0 / 3.0)
+        assert separateness(np.array([[0.0], [1.0], [10.0]])) == pytest.approx(11.0 / 3.0)
 
     def test_neighborhood_is_three_nearest(self):
         hood = knn_neighborhood([(0, 0), (1, 0), (2, 0), (3, 0), (50, 0)])
         assert hood[0] == {1, 2, 3}
         assert all(len(v) == 3 for v in hood.values())
 
-    @given(_rows(1, 12), st.lists(st.integers(0, 11), max_size=12))
-    def test_matches_three_nearest_oracle(self, rows, active):
-        sol = _protos(rows)
-        act = [a for a in active if a < sol.k]
-        assert separateness(sol) == separateness_oracle(rows)
-        assert separateness(sol, act) == separateness_oracle(rows, act)
+    @given(_rows(1, 12), st.lists(st.integers(0, 11), max_size=30))
+    def test_matches_three_nearest_oracle(self, rows, labels):
+        # labels repeat and leave clusters memberless, as a window's do
+        protos = np.asarray(rows, dtype=float)
+        labels = [lab for lab in labels if lab < len(rows)]
+        assert separateness(protos) == separateness_oracle(rows)
+        fed = _fed(len(rows), labels)
+        assert separateness(protos[fed]) == separateness_oracle(rows, labels)
 
     @pytest.mark.parametrize("dim", [1, 5, 16])
     def test_matches_oracle_on_unrounded_floats(self, dim):
         rg = np.random.default_rng(dim)
         for k in range(1, 15):
             rows = rg.normal(scale=3.0, size=(k, dim))
-            active = rg.choice(k, size=max(1, k // 2), replace=False)
-            assert separateness(_protos(rows)) == separateness_oracle(rows)
-            assert separateness(_protos(rows), active) == separateness_oracle(rows, active)
-
-    @given(_rows(1, 6), st.sampled_from([-1, 0, 5]))
-    def test_out_of_range_active_raises(self, rows, bad):
-        with pytest.raises(ValueError):
-            separateness(_protos(rows), [0, bad if bad < 0 else len(rows) + bad])
+            labels = rg.integers(0, k, size=max(1, k // 2))
+            assert separateness(rows) == separateness_oracle(rows)
+            assert separateness(rows[_fed(k, labels)]) == separateness_oracle(rows, labels)
 
 
 class TestEvaluate:

@@ -102,29 +102,41 @@ class TestKMeans:
         assert len(sols) == 2  # k = 2, 3
 
 
+@pytest.fixture
+def dbscan(monkeypatch):
+    """``seed_dbscan`` with its density constants set for the test."""
+
+    def run(window, min_pts, radius):
+        monkeypatch.setattr(seeders, "DBSCAN_MIN_PTS", min_pts)
+        monkeypatch.setattr(seeders, "DBSCAN_RADIUS", radius)
+        return seed_dbscan(window)
+
+    return run
+
+
 class TestDBScan:
-    def test_two_far_blobs(self):
+    def test_two_far_blobs(self, dbscan):
         rg = np.random.default_rng(5)
         a = rg.normal(loc=(0.0, 0.0), scale=0.4, size=(30, 2))
         b = rg.normal(loc=(20.0, 0.0), scale=0.4, size=(30, 2))
-        sol = seed_dbscan(WindowBatch(np.vstack([a, b]), 0), min_pts=10, radius=2.0)
+        sol = dbscan(WindowBatch(np.vstack([a, b]), 0), 10, 2.0)
         assert sol.k == 2
 
-    def test_single_dense_cloud(self):
+    def test_single_dense_cloud(self, dbscan):
         rg = np.random.default_rng(2)
         data = rg.normal(scale=0.5, size=(50, 2))
-        sol = seed_dbscan(WindowBatch(data, 0), min_pts=10, radius=2.0)
+        sol = dbscan(WindowBatch(data, 0), 10, 2.0)
         assert sol.k == 1
 
-    def test_sparse_window_falls_back_to_one_cluster(self, caplog):
+    def test_sparse_window_falls_back_to_one_cluster(self, caplog, dbscan):
         w = _window([[0, 0], [50, 0], [0, 50], [50, 50]])
         with caplog.at_level(logging.WARNING):
-            sol = seed_dbscan(w, min_pts=3, radius=1.0)
+            sol = dbscan(w, 3, 1.0)
         assert sol.k == 1
         assert np.allclose(sol.prototypes[0], [25.0, 25.0])
         assert any("no core points" in r.message for r in caplog.records)
 
-    def test_memberships_order_independent(self):
+    def test_memberships_order_independent(self, dbscan):
         rg = np.random.default_rng(8)
         a = rg.normal(loc=(0.0, 0.0), scale=0.4, size=(25, 2))
         b = rg.normal(loc=(15.0, 0.0), scale=0.4, size=(25, 2))
@@ -132,7 +144,7 @@ class TestDBScan:
         perm = rg.permutation(len(data))
 
         def partition(window):
-            sol = seed_dbscan(window, min_pts=8, radius=2.0)
+            sol = dbscan(window, 8, 2.0)
             protos = sol.prototypes
             [(labels, _)] = assign_batch([sol], window.data)
             groups = {}
@@ -164,10 +176,10 @@ class TestDBScan:
 
     @pytest.mark.parametrize("shape, min_pts, radius",
                              [("_blobs", 10, 0.5), ("_lines", 200, 0.5)])
-    def test_blocked_scan_matches_dense_reference(self, shape, min_pts, radius):
+    def test_blocked_scan_matches_dense_reference(self, dbscan, shape, min_pts, radius):
         # 1100 rows span three distance blocks, the last one partial
         data = getattr(self, shape)()
-        sol = seed_dbscan(WindowBatch(data, 0), min_pts=min_pts, radius=radius)
+        sol = dbscan(WindowBatch(data, 0), min_pts, radius)
         labels = dbscan_dense_labels(data, min_pts, radius)
         kept = labels >= 0
         assert 0 < (~kept).sum() < 1100
@@ -175,22 +187,6 @@ class TestDBScan:
                              for c in range(labels.max() + 1)])
         ref = _reference_solution(WindowBatch(data[kept], 0), labels[kept], centers)
         _assert_same_solution(sol, ref)
-
-    def test_defaults_are_the_module_constants(self):
-        rg = np.random.default_rng(4)
-        data = rg.normal(scale=4.0, size=(120, 2))
-        w = WindowBatch(data, 0)
-        _assert_same_solution(
-            seed_dbscan(w),
-            seed_dbscan(w, seeders.DBSCAN_MIN_PTS, seeders.DBSCAN_RADIUS),
-        )
-
-    def test_rejects_bad_params(self):
-        w = _window([[0, 0], [1, 1]])
-        with pytest.raises(ValueError):
-            seed_dbscan(w, min_pts=0)
-        with pytest.raises(ValueError):
-            seed_dbscan(w, radius=0.0)
 
 
 class TestConnectedComponents:

@@ -11,11 +11,13 @@ fails the test suite instead.
 import importlib
 import importlib.util
 import os
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from mostream import core
 from mostream.core import StreamConfig, WindowBatch
 from mostream.anttree import build_initial_tree
 
@@ -81,9 +83,11 @@ def test_traced_pass_calls_every_traced_function(monkeypatch):
 def test_commit_matrices_and_tree_absorption_are_traced(monkeypatch):
     """Every (window x member) matrix of a commit is built in the traced
     ``core.assign_batch``, so the commit's main distance pass shows in the
-    per-layer metrics: step (2) and step (4) each assign every pre-commit
-    archive member. The tree absorbs points with its own running mean, so
-    no ``core.merge_prototype`` span hangs under ``anttree.map_point``."""
+    per-layer metrics. Before its report a commit makes exactly two calls:
+    the first holds every pre-commit archive member, the second those
+    members plus the macro offer. The tree absorbs points with its own
+    running mean, so no ``core.merge_prototype`` span hangs under
+    ``anttree.map_point``."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     harness = importlib.import_module("harness")
     tracer_mod = importlib.import_module("tracer")
@@ -92,6 +96,18 @@ def test_commit_matrices_and_tree_absorption_are_traced(monkeypatch):
     wl = workloads.WORKLOADS["idle-drift"]
     cfg = StreamConfig(window_size=wl.window, idle_generations_cap=wl.idle_gens, rng_seed=7)
     tracer = tracer_mod.Tracer()
+    # record each call's list length by the index of the span the tracer
+    # opens for it; the tracer wraps this recorder in every module
+    sizes = {}
+    assign_batch = core.assign_batch
+
+    def recording(solutions, data):
+        sizes[len(tracer.spans) - 1] = len(solutions)
+        return assign_batch(solutions, data)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mostream") and getattr(mod, "assign_batch", None) is assign_batch:
+            monkeypatch.setattr(mod, "assign_batch", recording)
     with tracer:
         res = harness.run_pass(workloads.make_windows(wl, 7, windows=3), cfg, tracer)
     assert res.failed == 0, res.errors
@@ -105,13 +121,15 @@ def test_commit_matrices_and_tree_absorption_are_traced(monkeypatch):
     assert len(commits) == 2
     members_seen = 0
     for commit in commits:
-        # step (6) re-inserts every pre-commit member, then the macro offer
+        # step (5) re-inserts every pre-commit member, then the macro offer
         members = sum(s[0] == "objectives.ParetoArchive.insert" and s[3] == commit
                       for s in spans) - 1
-        assigns = sum(s[0] == "core.assign_batch" and root[i] == commit
-                      for i, s in enumerate(spans))
+        report = next(i for i, s in enumerate(spans)
+                      if s[0] == "metrics.select_best" and root[i] == commit)
+        calls = [sizes[i] for i, s in enumerate(spans[:report])
+                 if s[0] == "core.assign_batch" and root[i] == commit]
         assert members >= 1
-        assert assigns >= 2 * members, (commit, assigns, members)
+        assert calls == [members, members + 1], (commit, calls, members)
         members_seen += members
     assert members_seen == res.rescreen_before
     under_map = [s for s in spans if s[0] == "core.merge_prototype" and s[3] >= 0
