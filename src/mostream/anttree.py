@@ -281,19 +281,25 @@ def step(children: np.ndarray, ant: np.ndarray, dissim: float, diameter: float) 
 
 
 def window_scales(data: np.ndarray) -> tuple[float, float]:
-    """(diameter, mean distance from each point to its nearest other point)
-    of ``data``, from one pass over the pairwise distances in row blocks, so
-    memory stays flat on big first windows."""
-    n = len(data)
+    """(diameter, mean distance from each point to its nearest distinct
+    point) of ``data``, from one pass over the pairwise distances in row
+    blocks, so memory stays flat on big first windows.
+
+    A point's own row and its duplicates (squared distance 0) are no
+    neighbours: a first window with repeated rows keeps the spacing of its
+    distinct points instead of reading 0 for every duplicate. A window whose
+    points all coincide has no distinct pair, and its spacing is 0, as for a
+    single point.
+    """
     widest = 0.0
-    nearest = np.empty(n)
-    for i in range(0, n, SCALES_BLOCK):
+    nearest = np.empty(len(data))
+    for i in range(0, len(data), SCALES_BLOCK):
         d2 = sq_dist(data[i : i + SCALES_BLOCK, None, :], data[None, :, :])
         widest = max(widest, float(d2.max()))
-        rows = np.arange(len(d2))
-        d2[rows, i + rows] = np.inf
+        d2[d2 == 0.0] = np.inf
         nearest[i : i + len(d2)] = np.sqrt(d2.min(axis=1))
-    spacing = float(nearest.mean()) if n >= 2 else 0.0
+    nearest = nearest[np.isfinite(nearest)]
+    spacing = float(nearest.mean()) if len(nearest) else 0.0
     return float(np.sqrt(widest)), spacing
 
 

@@ -257,7 +257,7 @@ def _nearest_exact(
     """First minimum of each row of the (n, K) ``sq_dist`` matrix, and that
     squared distance."""
     d2 = sq_dist(data[:, None, :], protos[None, :, :])
-    labels = np.argmin(d2, axis=1)
+    labels = d2.argmin(axis=1)
     return labels, d2[np.arange(len(labels)), labels]
 
 

@@ -138,7 +138,7 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
 
     population: list[ClusteringSolution] = []
     macro = tree.macro_clusters()
-    evaluate_solution(macro, assign_batch([macro], first_window.data)[0], cfg.gamma)
+    evaluate_solution([macro], assign_batch([macro], first_window.data), cfg.gamma)
     population.append(macro)
     population.extend(kmeans_sweep(first_window, cfg.rng_seed))
     population.append(seed_dbscan(first_window))
@@ -228,16 +228,19 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
 
     # (4) rescore: one assign_batch call over the moved/pruned members and
     # the tree's macro view, re-offered as a candidate. A member's
-    # separateness counts only the clusters the window still feeds; its
-    # labels and distances serve the report too. The macro offer takes the
-    # commit's last id.
+    # separateness counts only the clusters the window still feeds, and one
+    # separateness call scores every member; their labels and distances
+    # serve the report too. The macro offer takes the commit's last id.
     macro = state.tree.macro_clusters()
     macro.objectives.compactness = state.macro_compactness
     *pairs, macro_pair = assign_batch(clones + [macro], window.data)
-    for clone, (labels, _) in zip(clones, pairs):
-        fed = np.bincount(labels, minlength=clone.k) > 0
-        clone.objectives.separateness = separateness(clone.prototypes[fed])
-    evaluate_solution(macro, macro_pair, cfg.gamma)
+    fed_rows = [
+        clone.prototypes[np.bincount(labels, minlength=clone.k) > 0]
+        for clone, (labels, _) in zip(clones, pairs)
+    ]
+    for clone, value in zip(clones, separateness(fed_rows)):
+        clone.objectives.separateness = value
+    evaluate_solution([macro], [macro_pair], cfg.gamma)
     macro.solution_id = state.allot_id()
     state.macro_compactness = macro.objectives.compactness
 

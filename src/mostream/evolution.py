@@ -3,15 +3,17 @@
 While the stream is quiet the engine breeds archive members: the best
 sigma solutions by scalar fitness pair off for single-point crossover over
 cluster blocks, and every parent also yields a coordinate-jitter mutant.
-Offspring are scored against the latest window snapshot and offered to the
-archive; dominated ones simply vanish.
+A generation is a handful of stacked passes: one random draw mutates every
+parent, and all offspring are assigned to the latest window snapshot and
+scored in one call each. They are then offered to the archive; dominated
+ones simply vanish.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,31 +82,58 @@ def _splice(
 
 
 def mutate(
-    solution: ClusteringSolution, mu: float, rng: np.random.Generator
-) -> ClusteringSolution:
-    """Jitter max(1, round(mu*d)) distinct coordinates of every prototype.
+    parents: Sequence[ClusteringSolution], mu: float, rng: np.random.Generator
+) -> list[ClusteringSolution]:
+    """One mutant per parent: jitter max(1, round(mu*d)) distinct coordinates
+    of every prototype.
 
     Each chosen coordinate moves by a uniform fraction of its own magnitude,
     v <- v +/- rho*v with rho ~ U(0,1), so zeros are fixed points and scale
     is respected. Counts and weights ride along unchanged.
 
-    The randomness comes from two block draws on ``rng``, whatever K is:
-    the chosen coordinates are the first n_mut columns of the row-wise
-    argsort of a (K, d) uniform block, and a (K, n_mut, 2) uniform block
-    holds each chosen coordinate's step fraction and sign draw.
+    The randomness is one ``rng.random`` draw per call, whatever the parents'
+    K values. Read in parent order, each parent's slice holds a (K, d) key
+    block, then a (K, n_mut, 2) step block: the chosen coordinates are the
+    first n_mut columns of the row-wise argsort of the keys, and each chosen
+    coordinate takes a step fraction and a sign draw. That is the stream two
+    block draws per parent would give, and one argsort runs over the stacked
+    (sum K, d) keys. The mutants' prototypes are row ranges of that one
+    stacked array; like every bred solution, they are not written in place
+    (a commit merges into copies).
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must be in (0, 1]")
-    out = solution.copy()
-    out.solution_id = -1
-    k, d = solution.k, solution.dim
+    if not parents:
+        return []
+    d = parents[0].dim
     n_mut = max(1, round(mu * d))
-    pos = np.argsort(rng.random((k, d)), axis=1)[:, :n_mut]
-    draws = rng.random((k, n_mut, 2))
-    rho, flip = draws[..., 0], draws[..., 1]
-    rows = np.arange(k)[:, None]
-    old = out.prototypes[rows, pos]
-    out.prototypes[rows, pos] = old + np.where(flip < 0.5, 1.0, -1.0) * rho * old
+    ks = [p.k for p in parents]
+    draws = rng.random(sum(ks) * (d + 2 * n_mut))
+    keys, steps, at = [], [], 0
+    for k in ks:
+        keys.append(draws[at : at + k * d])
+        at += k * d
+        steps.append(draws[at : at + k * 2 * n_mut])
+        at += k * 2 * n_mut
+    pos = np.argsort(np.concatenate(keys).reshape(-1, d), axis=1)[:, :n_mut]
+    steps = np.concatenate(steps).reshape(-1, n_mut, 2)
+    rho, flip = steps[..., 0], steps[..., 1]
+    protos = np.concatenate([p.prototypes for p in parents])
+    rows = np.arange(len(protos))[:, None]
+    old = protos[rows, pos]
+    protos[rows, pos] = old + np.where(flip < 0.5, 1.0, -1.0) * rho * old
+    out, at = [], 0
+    for p in parents:
+        out.append(
+            ClusteringSolution(
+                p.objectives.copy(),
+                protos[at : at + p.k],
+                prev_compactness=p.prev_compactness,
+                counts=p.counts.copy(),
+                weights=p.weights.copy(),
+            )
+        )
+        at += p.k
     return out
 
 
@@ -135,8 +164,9 @@ def _parent_distances(
     for i, rs in enumerate(child_rows):
         for j, cs in enumerate(parent_cols):
             rows, cols = row_min[rs, j], col_min[i, cs]
-            # sum / size is exactly .mean(), without its per-call overhead
-            dists[i][j] = float(0.5 * (rows.sum() / rows.size + cols.sum() / cols.size))
+            # add.reduce / size is exactly .mean(), without its per-call overhead
+            mean_rows = np.add.reduce(rows) / rows.size
+            dists[i][j] = float(0.5 * (mean_rows + np.add.reduce(cols) / cols.size))
     return dists
 
 
@@ -156,13 +186,14 @@ def breed(
     (mutation), taken at its pre-window value: evaluation then applies the
     same single decay-and-fold the parent received, so a lineage bred over
     many generations inside one idle phase does not compound the decay.
-    ``rng`` gives the crossover cuts, then each mutant's draws, in parent
-    order. All offspring are assigned to the window in one ``assign_batch``
-    call. ``expired`` is polled before that call, so a generation that
-    starts past its deadline does no distance work, and again before each
-    later offspring is scored.
+    ``rng`` gives the crossover cuts, then one ``mutate`` draw for every
+    mutant. All offspring are assigned to the window in one ``assign_batch``
+    call and scored in one ``evaluate_solution`` call. ``expired`` is polled
+    before that work, so a generation that starts past its deadline does no
+    distance work, and again before each later offspring takes its id: a
+    generation cut there has scored all its offspring and keeps the ones
+    before the cut, so it overruns its deadline by at most its own scoring.
     """
-    offspring: list[ClusteringSolution] = []
     jobs: list[tuple[ClusteringSolution, float]] = []
     for j in range(0, len(parents) - 1, 2):
         p1, p2 = parents[j], parents[j + 1]
@@ -174,18 +205,19 @@ def breed(
         for child, (d1, d2) in zip(children, _parent_distances(children, (p1, p2))):
             nearer = p1 if (d1, p1.solution_id) <= (d2, p2.solution_id) else p2
             jobs.append((child, nearer.prev_compactness))
-    for parent in parents:
-        mutant = mutate(parent, cfg.mu, rng)
+    for mutant, parent in zip(mutate(parents, cfg.mu, rng), parents):
         jobs.append((mutant, parent.prev_compactness))
     if expired is not None and expired():
-        return offspring
-    pairs = assign_batch([child for child, _ in jobs], snapshot.data)
-    for i, ((child, prefix), pair) in enumerate(zip(jobs, pairs)):
-        if i and expired is not None and expired():
-            break
+        return []
+    children = [child for child, _ in jobs]
+    for child, prefix in jobs:
         child.objectives.compactness = prefix
         child.objectives.separateness = 0.0
-        evaluate_solution(child, pair, cfg.gamma)
+    evaluate_solution(children, assign_batch(children, snapshot.data), cfg.gamma)
+    offspring: list[ClusteringSolution] = []
+    for i, child in enumerate(children):
+        if i and expired is not None and expired():
+            break
         child.solution_id = allot_id()
         offspring.append(child)
     return offspring

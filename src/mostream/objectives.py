@@ -8,6 +8,10 @@ both-minimized pair (compactness, -separateness).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
+from typing import Sequence
+
 import numpy as np
 
 from .core import ClusteringSolution, ObjectiveVector, sq_dist
@@ -33,47 +37,82 @@ def update_compactness(
     return value
 
 
-def separateness(protos: np.ndarray) -> float:
-    """Mean over the (K, d) prototype block of each row's distance to its
-    nearest other row.
+def separateness(blocks: Sequence[np.ndarray]) -> list[float]:
+    """For each (K, d) prototype block, the mean over its rows of each row's
+    distance to its nearest other row.
 
     Callers pass only the clusters that currently hold points: a prototype
     parked far from the data would otherwise buy unbounded separateness at
-    zero compactness cost. With at most one row there is nothing to be
+    zero compactness cost. A block with at most one row has nothing to be
     separate from: 0.
+
+    Every block with K >= 2 is padded to kmax rows, and each of their
+    sum-K rows is set against its own padded block: one (sum K, kmax)
+    ``sq_dist`` block, with the padding columns and the row's own column at
+    +inf. Each entry and each row minimum is the one the block's own (K, K)
+    matrix gives, and each mean sums exactly the block's K row minima
+    (numpy's pairwise sum depends on the length, so nothing else enters
+    it): every value is bit for bit the single-block one.
     """
-    if len(protos) <= 1:
-        return 0.0
-    d2 = sq_dist(protos[:, None, :], protos[None, :, :])
-    np.fill_diagonal(d2, np.inf)
+    out = [0.0] * len(blocks)
+    multi = [i for i, block in enumerate(blocks) if len(block) > 1]
+    if not multi:
+        return out
+    ks = [len(blocks[i]) for i in multi]
+    kmax = max(ks)
+    padded = np.zeros((len(multi), kmax, blocks[multi[0]].shape[1]))
+    for rows, i, k in zip(padded, multi, ks):
+        rows[:k] = blocks[i]
+    # each stacked row's block and its index within that block
+    sizes = np.array(ks)
+    owner = np.repeat(np.arange(len(ks)), sizes)
+    own = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    d2 = sq_dist(padded[owner, own][:, None, :], padded[owner])
+    cols = np.arange(kmax)
+    d2[(cols >= sizes[owner][:, None]) | (cols == own[:, None])] = np.inf
     nearest = np.sqrt(d2.min(axis=1))
-    # sum / size is exactly .mean(), without its per-call overhead
-    return float(nearest.sum() / nearest.size)
+    at = 0
+    for i, k in zip(multi, ks):
+        # add.reduce / k is exactly .mean() of the block's own K minima,
+        # without the method wrappers' per-call overhead
+        out[i] = float(np.add.reduce(nearest[at : at + k]) / k)
+        at += k
+    return out
 
 
 def evaluate_solution(
-    solution: ClusteringSolution,
-    pair: tuple[np.ndarray, np.ndarray],
+    solutions: Sequence[ClusteringSolution],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     gamma: float,
 ) -> None:
-    """Refresh both objectives against a window, in place.
+    """Refresh both objectives of every solution against a window, in place.
 
-    ``pair`` is the solution's ``assign_batch`` pair on the window: the
+    ``pairs`` holds each solution's ``assign_batch`` pair on the window: the
     labels pick the fed clusters and the distances are the compactness
     terms. Clusters the window does not feed are dropped first: a memberless
     cluster is no part of the clustering the data sees, and letting it ride
     would poison the validity index while costing nothing in compactness.
     Dropping cannot reassign anyone; a point's nearest prototype is fed by
-    that very point. Treats the current compactness value as the decayed
+    that very point. Treats each current compactness value as the decayed
     history prefix, so a fresh solution should carry 0 there and an
-    offspring its inherited value.
+    offspring its inherited value. All pairs come from one window, so one
+    bincount over the stacked labels finds every solution's fed clusters,
+    and one ``separateness`` call scores every solution.
     """
-    labels, dists = pair
-    fed = np.bincount(labels, minlength=solution.k) > 0
-    if not fed.all():
-        solution.keep(fed)
-    update_compactness(solution, dists, gamma)
-    solution.objectives.separateness = separateness(solution.prototypes)
+    if not solutions:
+        return
+    ks = np.array([solution.k for solution in solutions])
+    starts = np.cumsum(ks) - ks
+    labels = np.stack([labels for labels, _ in pairs]) + starts[:, None]
+    fed = np.bincount(labels.ravel(), minlength=int(ks.sum())) > 0
+    whole = np.logical_and.reduceat(fed, starts).tolist()
+    for solution, (_, dists), start, k, all_fed in zip(solutions, pairs, starts, ks, whole):
+        if not all_fed:
+            solution.keep(fed[start : start + k])
+        update_compactness(solution, dists, gamma)
+    values = separateness([solution.prototypes for solution in solutions])
+    for solution, value in zip(solutions, values):
+        solution.objectives.separateness = value
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -89,10 +128,16 @@ class ParetoArchive:
     Inserts reject dominated or objective-duplicate candidates and evict any
     members the newcomer dominates. On overflow the member with the smallest
     crowding distance goes (objective-space extremes are kept).
+
+    ``min_pairs[i]`` is member i's ``as_min_pair()``, taken once at insert;
+    dominance, crowding and the hypervolume read it. Members are never
+    written after insert (a commit rebuilds the archive from re-scored
+    clones), so the stored pair stays the member's own.
     """
 
     def __init__(self):
         self.solutions: list[ClusteringSolution] = []
+        self.min_pairs: list[tuple[float, float]] = []
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -102,32 +147,34 @@ class ParetoArchive:
 
     def insert(self, candidate: ClusteringSolution) -> bool:
         """Try to add a solution; returns True if it now sits in the archive."""
-        c1, c2 = candidate.objectives.as_min_pair()
-        pairs = [m.objectives.as_min_pair() for m in self.solutions]
+        pair = candidate.objectives.as_min_pair()
+        c1, c2 = pair
         # a member no worse in both components dominates or duplicates it
-        for m1, m2 in pairs:
+        for m1, m2 in self.min_pairs:
             if m1 <= c1 and m2 <= c2:
                 return False
         # no member equals it now, so no worse in both means dominated
-        self.solutions = [
-            m
-            for m, (m1, m2) in zip(self.solutions, pairs)
-            if not (c1 <= m1 and c2 <= m2)
-        ]
-        self.solutions.append(candidate)
-        self.solutions.sort(key=lambda s: s.solution_id)
+        kept = [i for i, (m1, m2) in enumerate(self.min_pairs) if not (c1 <= m1 and c2 <= m2)]
+        if len(kept) < len(self.solutions):
+            self.solutions = [self.solutions[i] for i in kept]
+            self.min_pairs = [self.min_pairs[i] for i in kept]
+        # members stay in id order; a repeated id goes after its equals
+        at = bisect_right(self.solutions, candidate.solution_id, key=attrgetter("solution_id"))
+        self.solutions.insert(at, candidate)
+        self.min_pairs.insert(at, pair)
         if len(self.solutions) > ARCHIVE_CAPACITY:
             self._evict_most_crowded()
         return True
 
     def _evict_most_crowded(self) -> None:
-        dist = crowding_distances([s.objectives for s in self.solutions])
+        dist = crowding_distances(self.min_pairs)
         # smallest crowding distance loses; ties evict the newer solution
         victim = min(
             range(len(self.solutions)),
             key=lambda i: (dist[i], -self.solutions[i].solution_id),
         )
         del self.solutions[victim]
+        del self.min_pairs[victim]
 
     def validate(self) -> None:
         """Pairwise non-dominance audit (test hook)."""
@@ -139,14 +186,15 @@ class ParetoArchive:
                     )
 
 
-def crowding_distances(objectives: list[ObjectiveVector]) -> np.ndarray:
-    """NSGA-II crowding distance over the two minimized components."""
-    n = len(objectives)
+def crowding_distances(pairs: Sequence[tuple[float, float]]) -> np.ndarray:
+    """NSGA-II crowding distance over both-minimized (compactness,
+    -separateness) pairs."""
+    n = len(pairs)
     out = np.zeros(n)
     if n <= 2:
         out[:] = np.inf
         return out
-    pairs = np.array([o.as_min_pair() for o in objectives])
+    pairs = np.array(pairs, dtype=float)
     for dim in range(pairs.shape[1]):
         order = np.argsort(pairs[:, dim], kind="stable")
         lo, hi = pairs[order[0], dim], pairs[order[-1], dim]
@@ -178,5 +226,5 @@ def hypervolume_in_box(archive: ParetoArchive, reference: ObjectiveVector) -> fl
     ignored. Empty archive -> 0.
     """
     ref = reference.as_min_pair()
-    pairs = (s.objectives.as_min_pair() for s in archive.solutions)
-    return _sweep(sorted(p for p in pairs if p[0] <= ref[0] and p[1] <= ref[1]), ref)
+    inside = (p for p in archive.min_pairs if p[0] <= ref[0] and p[1] <= ref[1])
+    return _sweep(sorted(inside), ref)

@@ -38,17 +38,23 @@ GNG_SPLIT_DECAY = 0.5
 GNG_ERROR_DECAY = 0.995
 
 
-def _solution_from_assignment(
-    window: WindowBatch, labels: np.ndarray, centers: np.ndarray
-) -> ClusteringSolution:
-    members = np.bincount(labels, minlength=len(centers)).astype(float)
-    members = np.maximum(members, 1.0)
-    sol = ClusteringSolution(
-        ObjectiveVector(), centers, counts=members, weights=members.copy()
-    )
+def _scored(
+    window: WindowBatch, assignments: list[tuple[np.ndarray, np.ndarray]]
+) -> list[ClusteringSolution]:
+    """One solution per finished ``(labels, centers)`` assignment, all scored
+    on the window by one ``assign_batch`` and one ``evaluate_solution`` call."""
+    solutions = []
+    for labels, centers in assignments:
+        members = np.bincount(labels, minlength=len(centers)).astype(float)
+        members = np.maximum(members, 1.0)
+        solutions.append(
+            ClusteringSolution(
+                ObjectiveVector(), centers, counts=members, weights=members.copy()
+            )
+        )
     # fresh compactness is 0, so the decay factor cannot reach the objectives
-    evaluate_solution(sol, assign_batch([sol], window.data)[0], 1.0)
-    return sol
+    evaluate_solution(solutions, assign_batch(solutions, window.data), 1.0)
+    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +77,9 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def seed_kmeans(window: WindowBatch, k: int, seed: int) -> ClusteringSolution:
-    """Lloyd's algorithm with kmeans++ start, at most 100 iterations.
+def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm with kmeans++ start, at most 100 iterations; returns
+    the final (labels, centers).
 
     An emptied cluster is re-seeded from the point farthest from its own
     center, so K stays exactly k.
@@ -107,13 +114,20 @@ def seed_kmeans(window: WindowBatch, k: int, seed: int) -> ClusteringSolution:
             mask = labels == ci
             if mask.any():
                 centers[ci] = data[mask].mean(axis=0)
-    return _solution_from_assignment(window, labels, centers)
+    return labels, centers
+
+
+def seed_kmeans(window: WindowBatch, k: int, seed: int) -> ClusteringSolution:
+    """The scored k-means solution with exactly k centers (see ``_lloyd``);
+    evaluation then drops any center the window does not feed."""
+    return _scored(window, [_lloyd(window, k, seed)])[0]
 
 
 def kmeans_sweep(window: WindowBatch, seed: int) -> list[ClusteringSolution]:
-    """One solution per feasible k in [KMEANS_K_MIN, min(KMEANS_K_MAX, n)]."""
+    """One solution per feasible k in [KMEANS_K_MIN, min(KMEANS_K_MAX, n)],
+    scored together."""
     hi = min(KMEANS_K_MAX, len(window))
-    return [seed_kmeans(window, k, seed + k) for k in range(KMEANS_K_MIN, hi + 1)]
+    return _scored(window, [_lloyd(window, k, seed + k) for k in range(KMEANS_K_MIN, hi + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +183,7 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     if len(core_idx) == 0:
         logger.warning("dbscan found no core points; falling back to one cluster")
         centers = data.mean(axis=0, keepdims=True)
-        return _solution_from_assignment(window, np.zeros(n, dtype=int), centers)
+        return _scored(window, [(np.zeros(n, dtype=int), centers)])[0]
     # border points copy a core's label; core labels are never overwritten
     labels = connected_components(within, core)
     for i in np.flatnonzero(~core):
@@ -182,7 +196,7 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
         [data[kept][labels[kept] == c].mean(axis=0) for c in range(labels.max() + 1)]
     )
     sub = WindowBatch(data[kept], window.window_id, start_index=window.start_index)
-    return _solution_from_assignment(sub, labels[kept], centers)
+    return _scored(sub, [(labels[kept], centers)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,4 +270,4 @@ def seed_gng(window: WindowBatch, seed: int) -> ClusteringSolution:
     nearest = np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)
     used, labels = np.unique(comp[nearest], return_inverse=True)
     centers = np.vstack([data[labels == c].mean(axis=0) for c in range(len(used))])
-    return _solution_from_assignment(window, labels, centers)
+    return _scored(window, [(labels, centers)])[0]

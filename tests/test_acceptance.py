@@ -299,7 +299,7 @@ def test_criterion_8_operator_contracts():
                 ObjectiveVector(),
                 np.tile(np.arange(1.0, d + 1.0), (4, 1)),
             )
-            out = mutate(sol, mu, np.random.default_rng(1000 * d + int(10 * mu)))
+            [out] = mutate([sol], mu, np.random.default_rng(1000 * d + int(10 * mu)))
             for before, after in zip(sol.prototypes, out.prototypes):
                 changed = int((before != after).sum())
                 assert changed == expected, (mu, d, changed, expected)

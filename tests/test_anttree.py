@@ -263,6 +263,38 @@ class TestBuild:
         assert window_scales(data) == (5.0, pytest.approx(2.0))
         assert window_scales(np.array([[7.0]])) == (0.0, 0.0)
 
+    def test_duplicate_rows_keep_the_distinct_spacing(self):
+        # every row doubled: duplicates are no neighbours, so the spacing
+        # is the undoubled window's rather than 0
+        data = np.random.default_rng(5).normal(scale=3.0, size=(50, 2))
+        diameter, spacing = window_scales(data)
+        doubled = np.repeat(data, 2, axis=0)
+        assert window_scales(doubled) == (diameter, pytest.approx(spacing, rel=1e-12))
+        assert build_initial_tree(_window(doubled)).base_radius == pytest.approx(spacing)
+
+    def test_coincident_window_has_zero_spacing(self):
+        assert window_scales(np.full((6, 3), 2.5)) == (0.0, 0.0)
+        assert window_scales(np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 5.0]])) == (5.0, 5.0)
+
+    def test_doubled_first_window_does_not_inflate_the_tree(self):
+        # the same stream after a doubled and an undoubled first window: a
+        # zero acceptance radius let every later point open a node (677
+        # nodes against 58 over 29 windows before the fix)
+        rng = np.random.default_rng(5)
+        first = rng.normal(scale=3.0, size=(50, 2))
+        later = [rng.normal(scale=3.0, size=(100, 2)) for _ in range(29)]
+        counts = []
+        for data in (first, np.repeat(first, 2, axis=0)):
+            tree = build_initial_tree(_window(data))
+            for window in later:
+                tree.decay_counts(0.7)
+                for row in window:
+                    tree.map_point(row)
+                tree.fade_and_prune(0.7, 0.1)
+            counts.append(tree.node_count())
+        plain, doubled = counts
+        assert doubled <= 2 * plain
+
     @pytest.mark.parametrize("block", [7, 50, 512])
     def test_nearest_neighbor_blocks_match_dense(self, block, monkeypatch):
         """One blocked pass gives the dense diameter and spacing exactly."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mostream import evolution
+from mostream import evolution, objectives
 from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
@@ -190,19 +190,19 @@ class TestMutate:
     def test_exact_coordinate_counts(self, mu, d, expected):
         protos = [np.arange(1, d + 1, dtype=float) for _ in range(3)]
         sol = _sol(protos)
-        out = mutate(sol, mu, np.random.default_rng(5))
+        [out] = mutate([sol], mu, np.random.default_rng(5))
         for before, after in zip(sol.prototypes, out.prototypes):
             changed = int((before != after).sum())
             assert changed == expected
 
     def test_zero_coordinates_are_fixed_points(self):
         sol = _sol([(0.0, 0.0), (0.0, 0.0)])
-        out = mutate(sol, 1.0, np.random.default_rng(1))
+        [out] = mutate([sol], 1.0, np.random.default_rng(1))
         assert np.array_equal(out.prototypes, sol.prototypes)
 
     def test_step_bounded_by_own_magnitude(self):
         sol = _sol([np.full(6, 8.0)])
-        out = mutate(sol, 1.0, np.random.default_rng(3))
+        [out] = mutate([sol], 1.0, np.random.default_rng(3))
         delta = np.abs(out.prototypes[0] - 8.0)
         assert (delta <= 8.0).all()
 
@@ -210,7 +210,7 @@ class TestMutate:
         sol = _sol([(1.0, 2.0), (3.0, 4.0)], sid=77)
         sol.counts[0] = 5.0
         sol.weights[0] = 2.5
-        out = mutate(sol, 0.5, np.random.default_rng(0))
+        [out] = mutate([sol], 0.5, np.random.default_rng(0))
         assert out.solution_id == -1
         assert out.counts[0] == 5.0
         assert out.weights[0] == 2.5
@@ -220,41 +220,75 @@ class TestMutate:
 
     def test_deterministic_per_seed(self):
         sol = _sol([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
-        a = mutate(sol, 0.5, np.random.default_rng(11))
-        b = mutate(sol, 0.5, np.random.default_rng(11))
+        [a] = mutate([sol], 0.5, np.random.default_rng(11))
+        [b] = mutate([sol], 0.5, np.random.default_rng(11))
         assert np.array_equal(a.prototypes, b.prototypes)
+
+    @staticmethod
+    def _one_at_a_time(parents, mu, rng):
+        """Reference, one scalar draw at a time and one parent after another:
+        every prototype's d sort keys, then per prototype and chosen
+        coordinate a step and a sign draw; the chosen coordinates are the
+        n_mut smallest keys. Replay depends on this order."""
+        out = []
+        for parent in parents:
+            k, d = parent.prototypes.shape
+            n_mut = max(1, round(mu * d))
+            want = parent.prototypes.copy()
+            keys = [[rng.random() for _ in range(d)] for _ in range(k)]
+            steps = [[(rng.random(), rng.random()) for _ in range(n_mut)] for _ in range(k)]
+            for row, row_keys, row_steps in zip(want, keys, steps):
+                chosen = sorted(range(d), key=lambda j: row_keys[j])[:n_mut]
+                for pos, (rho, flip) in zip(chosen, row_steps):
+                    sign = 1.0 if flip < 0.5 else -1.0
+                    row[pos] += sign * rho * row[pos]
+            out.append(want)
+        return out
 
     @pytest.mark.parametrize("mu,d", [(0.2, 2), (0.5, 7), (1.0, 16)])
     def test_matches_block_draw_order(self, mu, d):
-        # reference, one scalar draw at a time: every prototype's d sort keys,
-        # then per prototype and chosen coordinate a step and a sign draw; the
-        # chosen coordinates are the n_mut smallest keys. Replay depends on
-        # this order.
-        k, n_mut = 4, max(1, round(mu * d))
-        sol = _sol(np.random.default_rng(d).normal(size=(k, d)))
-        want = sol.prototypes.copy()
-        rng = np.random.default_rng(21)
-        keys = [[rng.random() for _ in range(d)] for _ in range(k)]
-        steps = [[(rng.random(), rng.random()) for _ in range(n_mut)] for _ in range(k)]
-        for row, row_keys, row_steps in zip(want, keys, steps):
-            chosen = sorted(range(d), key=lambda j: row_keys[j])[:n_mut]
-            for pos, (rho, flip) in zip(chosen, row_steps):
-                sign = 1.0 if flip < 0.5 else -1.0
-                row[pos] += sign * rho * row[pos]
-        assert np.array_equal(mutate(sol, mu, np.random.default_rng(21)).prototypes, want)
+        sol = _sol(np.random.default_rng(d).normal(size=(4, d)))
+        [want] = self._one_at_a_time([sol], mu, np.random.default_rng(21))
+        [out] = mutate([sol], mu, np.random.default_rng(21))
+        assert np.array_equal(out.prototypes, want)
 
-    def test_draw_calls_do_not_grow_with_k(self):
+    @pytest.mark.parametrize("mu,d", [(0.2, 1), (0.2, 2), (0.5, 7), (0.3, 8), (1.0, 16)])
+    def test_parents_of_mixed_k_match_one_parent_at_a_time(self, mu, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(20):
+            ks = rng.integers(1, 16, size=int(rng.integers(1, 12)))
+            parents = [_sol(rng.normal(size=(int(k), d)) * 10.0, sid=i) for i, k in enumerate(ks)]
+            before = [p.prototypes.copy() for p in parents]
+            seed = int(rng.integers(1 << 30))
+            want = self._one_at_a_time(parents, mu, np.random.default_rng(seed))
+            rest = np.random.default_rng(seed)
+            out = mutate(parents, mu, rest)
+            assert [o.prototypes.shape for o in out] == [w.shape for w in want]
+            for o, w in zip(out, want):
+                assert np.array_equal(o.prototypes, w)
+            # the generator stands where the reference left it
+            ref = np.random.default_rng(seed)
+            self._one_at_a_time(parents, mu, ref)
+            assert rest.random() == ref.random()
+            for p, b in zip(parents, before):
+                assert np.array_equal(p.prototypes, b)
+
+    def test_one_draw_per_generation(self):
         calls = []
-        for k in (1, 4, 32):
-            rng = _CountingGenerator(k)
-            mutate(_sol(np.ones((k, 5))), 0.4, rng)
+        for ks in ([1], [4], [32], [3, 7, 1, 15], [2] * 10):
+            rng = _CountingGenerator(len(ks))
+            out = mutate([_sol(np.ones((k, 5))) for k in ks], 0.4, rng)
+            assert [o.k for o in out] == ks
             calls.append(rng.calls)
-        assert calls == [2, 2, 2]
+        assert calls == [1] * 5
+        rng = _CountingGenerator(0)
+        assert mutate([], 0.4, rng) == []
+        assert rng.calls == 0
 
     @pytest.mark.parametrize("mu", [0.0, -0.2, 1.5])
     def test_rate_bounds(self, mu):
         with pytest.raises(ValueError):
-            mutate(_sol([(1.0, 1.0)]), mu, np.random.default_rng(0))
+            mutate([_sol([(1.0, 1.0)])], mu, np.random.default_rng(0))
 
 
 class TestPrototypeSetDistance:
@@ -335,9 +369,9 @@ class TestBreed:
         out = breed(parents, self._snapshot(), cfg, np.random.default_rng(0), _id_counter())
         assert len(out) == 2
         # no cut is drawn, so the generator goes straight to the mutants
-        rng = np.random.default_rng(0)
-        for child, parent in zip(out, parents):
-            assert np.array_equal(child.prototypes, mutate(parent, cfg.mu, rng).prototypes)
+        want = mutate(parents, cfg.mu, np.random.default_rng(0))
+        for child, mutant in zip(out, want):
+            assert np.array_equal(child.prototypes, mutant.prototypes)
 
     def test_offspring_fully_evaluated_with_fresh_ids(self):
         cfg = StreamConfig()
@@ -400,6 +434,46 @@ class TestBreed:
         out = breed(parents, self._snapshot(), StreamConfig(),
                     np.random.default_rng(1), _id_counter())
         assert calls == [len(out)] == [4]
+
+    def test_offspring_scored_in_one_evaluate_call(self, monkeypatch):
+        calls = []
+        evaluate, sep = evolution.evaluate_solution, objectives.separateness
+
+        def counting_evaluate(solutions, pairs, gamma):
+            calls.append(("evaluate", len(solutions)))
+            return evaluate(solutions, pairs, gamma)
+
+        def counting_separateness(blocks):
+            calls.append(("separateness", len(blocks)))
+            return sep(blocks)
+
+        monkeypatch.setattr(evolution, "evaluate_solution", counting_evaluate)
+        monkeypatch.setattr(objectives, "separateness", counting_separateness)
+        parents = [
+            _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
+            _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
+        ]
+        out = breed(parents, self._snapshot(), StreamConfig(),
+                    np.random.default_rng(1), _id_counter())
+        assert calls == [("evaluate", 4), ("separateness", 4)]
+        assert len(out) == 4
+
+    def test_deadline_between_offspring_keeps_the_ones_before_it(self):
+        # polls: before the scoring pass, then before the 2nd, 3rd, ...
+        # offspring takes its id; the third poll finds the deadline passed
+        polls = iter([False, False, True])
+        parents = [
+            _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
+            _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
+        ]
+        full = breed(parents, self._snapshot(), StreamConfig(),
+                     np.random.default_rng(1), _id_counter())
+        cut = breed(parents, self._snapshot(), StreamConfig(),
+                    np.random.default_rng(1), _id_counter(), lambda: next(polls))
+        assert [o.solution_id for o in cut] == [1000, 1001]
+        for a, b in zip(cut, full):
+            assert np.array_equal(a.prototypes, b.prototypes)
+            assert a.objectives == b.objectives
 
     def test_expired_budget_does_no_distance_work(self, monkeypatch):
         calls = []

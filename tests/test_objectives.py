@@ -96,14 +96,14 @@ def _fed(k, labels):
 
 class TestSeparateness:
     def test_two_prototypes(self):
-        assert separateness(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
+        assert separateness([np.array([[0.0, 0.0], [3.0, 4.0]])]) == [pytest.approx(5.0)]
 
     def test_single_cluster_is_zero(self):
-        assert separateness(np.array([[2.0, 2.0]])) == 0.0
-        assert separateness(np.empty((0, 2))) == 0.0
+        assert separateness([np.array([[2.0, 2.0]]), np.empty((0, 2))]) == [0.0, 0.0]
+        assert separateness([]) == []
 
     def test_collinear_min_then_mean(self):
-        assert separateness(np.array([[0.0], [1.0], [10.0]])) == pytest.approx(11.0 / 3.0)
+        assert separateness([np.array([[0.0], [1.0], [10.0]])]) == [pytest.approx(11.0 / 3.0)]
 
     def test_neighborhood_is_three_nearest(self):
         hood = knn_neighborhood([(0, 0), (1, 0), (2, 0), (3, 0), (50, 0)])
@@ -115,18 +115,39 @@ class TestSeparateness:
         # labels repeat and leave clusters memberless, as a window's do
         protos = np.asarray(rows, dtype=float)
         labels = [lab for lab in labels if lab < len(rows)]
-        assert separateness(protos) == separateness_oracle(rows)
         fed = _fed(len(rows), labels)
-        assert separateness(protos[fed]) == separateness_oracle(rows, labels)
+        assert separateness([protos, protos[fed]]) == [
+            separateness_oracle(rows), separateness_oracle(rows, labels)
+        ]
 
     @pytest.mark.parametrize("dim", [1, 5, 16])
     def test_matches_oracle_on_unrounded_floats(self, dim):
         rg = np.random.default_rng(dim)
+        blocks, want = [], []
         for k in range(1, 15):
             rows = rg.normal(scale=3.0, size=(k, dim))
             labels = rg.integers(0, k, size=max(1, k // 2))
-            assert separateness(rows) == separateness_oracle(rows)
-            assert separateness(rows[_fed(k, labels)]) == separateness_oracle(rows, labels)
+            blocks += [rows, rows[_fed(k, labels)]]
+            want += [separateness_oracle(rows), separateness_oracle(rows, labels)]
+        assert separateness(blocks) == want
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 16])
+    def test_stacked_blocks_match_oracle_one_by_one(self, dim):
+        # one call over blocks of mixed K pads them to one (count, kmax, kmax)
+        # block; K = 1 blocks, duplicate rows and mixed magnitudes included
+        rg = np.random.default_rng(50 + dim)
+        for _ in range(30):
+            blocks = []
+            for k in rg.integers(1, 20, size=int(rg.integers(1, 25))):
+                scale = 10.0 ** rg.integers(-3, 4, size=(int(k), dim))
+                rows = rg.normal(size=(int(k), dim)) * scale
+                if k > 2 and rg.random() < 0.3:
+                    rows[-1] = rows[0]
+                blocks.append(rows)
+            got = separateness(blocks)
+            assert got == [separateness_oracle(rows) for rows in blocks]
+            assert got == [separateness([rows])[0] for rows in blocks]
+            assert all(type(v) is float for v in got)
 
 
 class TestEvaluate:
@@ -138,7 +159,7 @@ class TestEvaluate:
         sol.counts = np.arange(1.0, sol.k + 1)
         ref = sol.copy()
         win = _window(points)
-        evaluate_solution(sol, assign_batch([sol], win.data)[0], gamma)
+        evaluate_solution([sol], assign_batch([sol], win.data), gamma)
         fed, labels = np.unique(assign_batch([ref], win.data)[0][0], return_inverse=True)
         ref.keep(fed)
         update_compactness(ref, _dists(ref, win, labels), gamma)
@@ -149,11 +170,34 @@ class TestEvaluate:
         assert sol.prev_compactness == ref.prev_compactness == prefix
         assert sol.objectives.separateness == separateness_oracle(ref.prototypes)
 
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_one_call_matches_one_solution_at_a_time(self, dim):
+        rg = np.random.default_rng(dim)
+        win = WindowBatch(rg.normal(size=(60, dim)), 1)
+        sols = []
+        for i, k in enumerate(rg.integers(1, 15, size=12)):
+            # far rows stay memberless, so most solutions drop clusters
+            protos = rg.normal(size=(int(k), dim)) * rg.choice([1.0, 50.0], size=(int(k), 1))
+            sols.append(_protos(protos, sol_id=i, compactness=float(rg.uniform(0, 9))))
+        alone = [s.copy() for s in sols]
+        ks = [s.k for s in sols]
+        evaluate_solution(sols, assign_batch(sols, win.data), 0.7)
+        for ref in alone:
+            evaluate_solution([ref], assign_batch([ref], win.data), 0.7)
+        assert any(s.k < k for s, k in zip(sols, ks))
+        for sol, ref in zip(sols, alone):
+            assert np.array_equal(sol.prototypes, ref.prototypes)
+            assert np.array_equal(sol.counts, ref.counts)
+            assert np.array_equal(sol.weights, ref.weights)
+            assert sol.objectives == ref.objectives
+            assert sol.prev_compactness == ref.prev_compactness
+        evaluate_solution([], [], 0.7)
+
     def test_dimension_mismatch_raises(self):
         win = WindowBatch(np.zeros((3, 3)), 1)
         with pytest.raises(ValueError):
             sol = _protos([(0, 0), (1, 1)])
-            evaluate_solution(sol, assign_batch([sol], win.data)[0], 0.7)
+            evaluate_solution([sol], assign_batch([sol], win.data), 0.7)
 
 
 class TestDominates:
@@ -246,6 +290,31 @@ class TestArchive:
         assert len(seen) == len(set(seen))
 
     @given(st.integers(1, 6), st.data())
+    def test_stored_pairs_are_the_members_own(self, capacity, data):
+        # a staircase of capacity + 3 mutually non-dominated members runs the
+        # crowding eviction before the drawn inserts; after every insert each
+        # member's stored pair equals its recomputed one, in member order
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                                   min_size=1, max_size=40))
+        steps = [(float(i), float(i)) for i in range(capacity + 3)]
+        ids = data.draw(st.permutations(range(len(steps) + len(pairs))))
+        evictions = []
+        evict = ParetoArchive._evict_most_crowded
+
+        def counting(archive):
+            evictions.append(len(archive))
+            evict(archive)
+
+        arc = ParetoArchive()
+        evicting = mock.patch.object(ParetoArchive, "_evict_most_crowded", counting)
+        with _capacity(capacity), evicting:
+            for (c, s), sid in zip(steps + pairs, ids):
+                arc.insert(_objsol(float(c), float(s), sid))
+                assert arc.min_pairs == [m.objectives.as_min_pair() for m in arc]
+                assert [m.solution_id for m in arc] == sorted(m.solution_id for m in arc)
+        assert len(evictions) >= 3
+
+    @given(st.integers(1, 6), st.data())
     def test_matches_reference_insert_after_every_insert(self, capacity, data):
         # small integer grids repeat pairs (duplicates) and fill past
         # capacity (crowding evictions); shuffled ids exercise the id order
@@ -266,18 +335,17 @@ class TestCrowding:
     def test_extremes_are_infinite(self):
         objs = [ObjectiveVector(1, 9), ObjectiveVector(2, 7),
                 ObjectiveVector(3, 5)]
-        d = crowding_distances(objs)
+        d = crowding_distances([o.as_min_pair() for o in objs])
         assert d[0] == np.inf and d[2] == np.inf
         assert np.isfinite(d[1])
 
     def test_two_or_fewer_all_infinite(self):
-        assert np.all(np.isinf(crowding_distances([ObjectiveVector(1, 1)])))
+        assert np.all(np.isinf(crowding_distances([(1.0, -1.0)])))
 
     @given(st.lists(st.tuples(coord, coord), min_size=1, max_size=20))
     def test_matches_loop_form(self, raw):
-        objs = [ObjectiveVector(c, s) for c, s in raw]
-        expected = crowding_loop([o.as_min_pair() for o in objs])
-        assert np.array_equal(crowding_distances(objs), expected)
+        pairs = [ObjectiveVector(c, s).as_min_pair() for c, s in raw]
+        assert np.array_equal(crowding_distances(pairs), crowding_loop(pairs))
 
 
 class TestHypervolume:

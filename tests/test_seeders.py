@@ -39,7 +39,7 @@ def _reference_solution(window, labels, centers):
     members = np.bincount(labels).astype(float)
     ref = ClusteringSolution(ObjectiveVector(), centers,
                              counts=members, weights=members.copy())
-    evaluate_solution(ref, assign_batch([ref], window.data)[0], 0.7)
+    evaluate_solution([ref], assign_batch([ref], window.data), 0.7)
     return ref
 
 
@@ -95,6 +95,29 @@ class TestKMeans:
         data = rng.normal(size=(40, 2))
         sols = kmeans_sweep(WindowBatch(data, 0), seed=0)
         assert len(sols) == 14  # k = 2..15
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_sweep_scores_all_solutions_in_one_pass(self, monkeypatch, rng, dim):
+        # one assign_batch and one evaluate_solution call for the whole
+        # sweep, each solution equal to its own seed_kmeans
+        window = WindowBatch(rng.normal(size=(60, dim)), 0)
+        want = [seed_kmeans(window, k, 3 + k) for k in range(2, 16)]
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(solutions, *args):
+                calls.append((name, len(solutions)))
+                return fn(solutions, *args)
+            return wrapper
+
+        monkeypatch.setattr(seeders, "assign_batch", counting("assign", seeders.assign_batch))
+        monkeypatch.setattr(seeders, "evaluate_solution",
+                            counting("evaluate", seeders.evaluate_solution))
+        sols = kmeans_sweep(window, seed=3)
+        assert calls == [("assign", 14), ("evaluate", 14)]
+        for sol, ref in zip(sols, want):
+            _assert_same_solution(sol, ref)
+            assert np.array_equal(sol.weights, ref.weights)
 
     def test_sweep_truncates_to_window_size(self):
         w = _window([[0, 0], [1, 1], [2, 2]])
