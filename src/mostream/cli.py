@@ -11,11 +11,11 @@ from .core import StreamConfig
 from .engine import run_stream
 from .stream_io import (
     emit_assignments,
-    emit_reports,
     emit_snapshot,
     gen_blobs,
     load_csv,
     minmax_wrap,
+    report_line,
 )
 
 
@@ -91,7 +91,8 @@ def config_from_args(args: argparse.Namespace) -> StreamConfig:
 
 def run(args: argparse.Namespace) -> dict:
     """Stream the parsed flags' input and write the artifacts; identical
-    flags with ``--idle-gens`` replay to identical artifacts. Returns a
+    flags with ``--idle-gens`` replay to identical artifacts. Report lines
+    are flushed as windows commit, so a later failure keeps them. Returns a
     small summary of the run."""
     cfg = config_from_args(args)
     if args.blobs:
@@ -102,11 +103,14 @@ def run(args: argparse.Namespace) -> dict:
     if args.minmax:
         batches = minmax_wrap(batches)
     os.makedirs(args.out, exist_ok=True)
-    hooks = {}
-    if args.snapshots:
-        hooks["on_window_end"] = lambda state: emit_snapshot(state, args.out)
-    state, final = run_stream(batches, cfg, **hooks)
-    emit_reports(state.reports, os.path.join(args.out, "reports.jsonl"))
+    with open(os.path.join(args.out, "reports.jsonl"), "w", encoding="utf-8") as reports:
+        def on_window_end(state):
+            reports.write(report_line(state.reports[-1]) + "\n")
+            reports.flush()
+            if args.snapshots:
+                emit_snapshot(state, args.out)
+
+        state, final = run_stream(batches, cfg, on_window_end)
     emit_assignments(final, os.path.join(args.out, "assignments.csv"))
     last = state.reports[-1]
     return {

@@ -28,7 +28,7 @@ from .core import (
     merge_prototype,
     prune_outdated,
 )
-from .evolution import IdleBudget, breed, fitness_score, idle_generation, select_parents
+from .evolution import IdleBudget, breed, fitness_score, select_parents
 from .metrics import arand, nmi, select_best
 from .objectives import (
     ParetoArchive,
@@ -97,8 +97,22 @@ class EngineState:
 
 
 def _derive_seed(base: int, window_id: int, counter: int) -> int:
-    seq = np.random.SeedSequence([base, window_id, counter])
-    return int(seq.generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([base, window_id, counter]).generate_state(1, np.uint64)[0])
+
+
+def _generation(
+    state: EngineState, members: Iterable[ClusteringSolution]
+) -> list[ClusteringSolution]:
+    """One generation bred from ``members`` on the last committed window, by
+    a generator seeded from (run seed, window id, running generation count);
+    the offspring take fresh ids in breeding order."""
+    cfg, window = state.cfg, state.last_window
+    rng = np.random.default_rng(_derive_seed(cfg.rng_seed, window.window_id, state.idle_counter))
+    state.idle_counter += 1
+    offspring = breed(select_parents(members, cfg.sigma), window, cfg, rng)
+    for child in offspring:
+        child.solution_id = state.allot_id()
+    return offspring
 
 
 def _window_report(
@@ -132,18 +146,17 @@ def _window_report(
 
 
 def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
-    """Build the tree, seed the population, breed once, fill the archive."""
+    """Build the tree, seed and score the population, breed once, fill the archive."""
     t0 = time.perf_counter()
     tree = build_initial_tree(first_window)
 
-    population: list[ClusteringSolution] = []
-    macro = tree.macro_clusters()
-    evaluate_solution([macro], assign_batch([macro], first_window.data), cfg.gamma)
-    population.append(macro)
-    population.extend(kmeans_sweep(first_window, cfg.rng_seed))
+    # macro view, k-means sweep, density scan and gas, scored in one pass;
+    # fresh compactness is 0, so gamma cannot reach the seeds' objectives
+    population = [tree.macro_clusters(), *kmeans_sweep(first_window, cfg.rng_seed)]
     population.append(seed_dbscan(first_window))
     if len(first_window) >= 2:
         population.append(seed_gng(first_window, cfg.rng_seed))
+    evaluate_solution(population, assign_batch(population, first_window.data), cfg.gamma)
 
     state = EngineState(
         cfg=cfg,
@@ -151,19 +164,13 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
         archive=ParetoArchive(),
         last_window=first_window,
         hv_reference=ObjectiveVector(),
-        macro_compactness=macro.objectives.compactness,
+        macro_compactness=population[0].objectives.compactness,
     )
     for sol in population:
         sol.solution_id = state.allot_id()
 
     # one breeding pass over the seed population before anything is published
-    parents = select_parents(population, cfg.sigma)
-    rng = np.random.default_rng(
-        _derive_seed(cfg.rng_seed, first_window.window_id, state.idle_counter)
-    )
-    state.idle_counter += 1
-    offspring = breed(parents, first_window, cfg, rng, state.allot_id)
-    population.extend(offspring)
+    population.extend(_generation(state, population))
 
     worst_c = max(s.objectives.compactness for s in population)
     horizon = 1.0 / (1.0 - cfg.gamma) if cfg.gamma < 1.0 else GAMMA_ONE_REF_WINDOWS
@@ -260,17 +267,12 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
 
 
 def on_idle(state: EngineState, budget: IdleBudget) -> int:
-    """Run idle generations while the budget allows; a generation cut by the
-    deadline stops between offspring."""
+    """Run idle generations while the budget allows, each offering all its
+    offspring to the archive; the budget is read only between generations."""
     gens = 0
     while budget.allows():
-        seed = _derive_seed(
-            state.cfg.rng_seed, state.last_window.window_id, state.idle_counter
-        )
-        state.idle_counter += 1
-        idle_generation(
-            state.archive, state.last_window, state.cfg, seed, state.allot_id, budget.expired
-        )
+        for child in _generation(state, state.archive):
+            state.archive.insert(child)
         budget.generations_remaining -= 1
         gens += 1
     return gens

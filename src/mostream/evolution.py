@@ -3,29 +3,29 @@
 While the stream is quiet the engine breeds archive members: the best
 sigma solutions by scalar fitness pair off for single-point crossover over
 cluster blocks, and every parent also yields a coordinate-jitter mutant.
-A generation is a handful of stacked passes: one random draw mutates every
+``breed`` is a handful of stacked passes: one random draw mutates every
 parent, and all offspring are assigned to the latest window snapshot and
-scored in one call each. They are then offered to the archive; dominated
-ones simply vanish.
+scored in one call each. The engine numbers them and offers them to the
+archive; dominated ones simply vanish.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import ClusteringSolution, StreamConfig, WindowBatch, assign_batch, sq_dist
-from .objectives import ParetoArchive, evaluate_solution
+from .objectives import evaluate_solution
 
 
 @dataclass
 class IdleBudget:
-    """Remaining idle work: a generation runs only if both the counter and
-    the wall deadline (monotonic clock, None = unbounded) allow it, and an
-    offspring is scored only while the deadline has not passed."""
+    """Remaining idle work: a generation starts only if both the counter and
+    the wall deadline (monotonic clock, None = unbounded) allow it, and a
+    started generation runs to its end."""
 
     generations_remaining: int
     wall_deadline: Optional[float] = None
@@ -42,12 +42,11 @@ def fitness_score(solution: ClusteringSolution) -> float:
     return solution.objectives.compactness - solution.objectives.separateness
 
 
-def select_parents(archive: ParetoArchive, sigma: int) -> list[ClusteringSolution]:
-    """The min(sigma, |archive|) members with best fitness; ties by id."""
+def select_parents(members: Iterable[ClusteringSolution], sigma: int) -> list[ClusteringSolution]:
+    """The min(sigma, |members|) solutions with best fitness; ties by id."""
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
-    members = sorted(archive, key=lambda s: (fitness_score(s), s.solution_id))
-    return members[:sigma]
+    return sorted(members, key=lambda s: (fitness_score(s), s.solution_id))[:sigma]
 
 
 def crossover(
@@ -171,14 +170,13 @@ def _parent_distances(
 
 
 def breed(
-    parents: list[ClusteringSolution],
+    parents: Sequence[ClusteringSolution],
     snapshot: WindowBatch,
     cfg: StreamConfig,
     rng: np.random.Generator,
-    allot_id: Callable[[], int],
-    expired: Optional[Callable[[], bool]] = None,
 ) -> list[ClusteringSolution]:
-    """One round of offspring from an ordered parent list, fully evaluated.
+    """One round of scored offspring from an ordered parent list, without
+    ids: crossover children in pair order, then one mutant per parent.
 
     Consecutive parents pair for crossover (skipped when either has K < 3);
     every parent also contributes one mutant. The inherited compactness
@@ -188,13 +186,9 @@ def breed(
     many generations inside one idle phase does not compound the decay.
     ``rng`` gives the crossover cuts, then one ``mutate`` draw for every
     mutant. All offspring are assigned to the window in one ``assign_batch``
-    call and scored in one ``evaluate_solution`` call. ``expired`` is polled
-    before that work, so a generation that starts past its deadline does no
-    distance work, and again before each later offspring takes its id: a
-    generation cut there has scored all its offspring and keeps the ones
-    before the cut, so it overruns its deadline by at most its own scoring.
+    call and scored in one ``evaluate_solution`` call.
     """
-    jobs: list[tuple[ClusteringSolution, float]] = []
+    offspring: list[ClusteringSolution] = []
     for j in range(0, len(parents) - 1, 2):
         p1, p2 = parents[j], parents[j + 1]
         k_min = min(p1.k, p2.k)
@@ -204,35 +198,10 @@ def breed(
         children = crossover(p1, p2, cut)
         for child, (d1, d2) in zip(children, _parent_distances(children, (p1, p2))):
             nearer = p1 if (d1, p1.solution_id) <= (d2, p2.solution_id) else p2
-            jobs.append((child, nearer.prev_compactness))
+            child.objectives.compactness = nearer.prev_compactness
+            offspring.append(child)
     for mutant, parent in zip(mutate(parents, cfg.mu, rng), parents):
-        jobs.append((mutant, parent.prev_compactness))
-    if expired is not None and expired():
-        return []
-    children = [child for child, _ in jobs]
-    for child, prefix in jobs:
-        child.objectives.compactness = prefix
-        child.objectives.separateness = 0.0
-    evaluate_solution(children, assign_batch(children, snapshot.data), cfg.gamma)
-    offspring: list[ClusteringSolution] = []
-    for i, child in enumerate(children):
-        if i and expired is not None and expired():
-            break
-        child.solution_id = allot_id()
-        offspring.append(child)
+        mutant.objectives.compactness = parent.prev_compactness
+        offspring.append(mutant)
+    evaluate_solution(offspring, assign_batch(offspring, snapshot.data), cfg.gamma)
     return offspring
-
-
-def idle_generation(
-    archive: ParetoArchive,
-    snapshot: WindowBatch,
-    cfg: StreamConfig,
-    seed: int,
-    allot_id: Callable[[], int],
-    expired: Optional[Callable[[], bool]] = None,
-) -> None:
-    """One select/crossover/mutate/evaluate/insert cycle on the archive."""
-    parents = select_parents(archive, cfg.sigma)
-    rng = np.random.default_rng(seed)
-    for child in breed(parents, snapshot, cfg, rng, allot_id, expired):
-        archive.insert(child)

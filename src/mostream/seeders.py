@@ -1,10 +1,10 @@
 """First-window population seeders.
 
 Three independent routes onto the first window: a k-means sweep, a density
-scan, and a growing neural gas. Each returns solutions with objectives
-already evaluated so the engine can feed them straight into the archive.
-All three are deterministic given (window, seed); their settings are the
-module constants below.
+scan, and a growing neural gas. Each only labels the window's rows and
+returns unscored solutions; the engine scores every seed in one pass. All
+three are deterministic given (window, seed); their settings are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch, sq_dist
-from .objectives import evaluate_solution
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
 
 logger = logging.getLogger(__name__)
 
@@ -38,23 +37,17 @@ GNG_SPLIT_DECAY = 0.5
 GNG_ERROR_DECAY = 0.995
 
 
-def _scored(
-    window: WindowBatch, assignments: list[tuple[np.ndarray, np.ndarray]]
-) -> list[ClusteringSolution]:
-    """One solution per finished ``(labels, centers)`` assignment, all scored
-    on the window by one ``assign_batch`` and one ``evaluate_solution`` call."""
-    solutions = []
-    for labels, centers in assignments:
-        members = np.bincount(labels, minlength=len(centers)).astype(float)
-        members = np.maximum(members, 1.0)
-        solutions.append(
-            ClusteringSolution(
-                ObjectiveVector(), centers, counts=members, weights=members.copy()
-            )
-        )
-    # fresh compactness is 0, so the decay factor cannot reach the objectives
-    evaluate_solution(solutions, assign_batch(solutions, window.data), 1.0)
-    return solutions
+def _solution(
+    data: np.ndarray, labels: np.ndarray, centers: Optional[np.ndarray] = None
+) -> ClusteringSolution:
+    """The unscored solution of one label per row (-1 for none). Each centre
+    is its label's row mean unless ``centers`` holds them; each count and
+    weight is the label's row count, at least 1 (a k-means slot that its
+    re-seeding emptied again may still be fed when the engine scores it)."""
+    if centers is None:
+        centers = np.vstack([data[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
+    members = np.maximum(np.bincount(labels[labels >= 0], minlength=len(centers)), 1.0)
+    return ClusteringSolution(ObjectiveVector(), centers, counts=members, weights=members.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +72,10 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 
 def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with kmeans++ start, at most 100 iterations; returns
-    the final (labels, centers).
+    the final (labels, centers), each fed center its label's row mean.
 
     An emptied cluster is re-seeded from the point farthest from its own
-    center, so K stays exactly k.
+    center; a later re-seed in the same pass can empty it again.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -101,8 +94,7 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
                 continue
             # farthest point from its assigned center takes over the empty slot
             gaps = d2[np.arange(len(data)), new_labels].copy()
-            for u in used:
-                gaps[u] = -1.0
+            gaps[list(used)] = -1.0
             far = int(np.argmax(gaps))
             used.add(far)
             centers[ci] = data[far]
@@ -117,17 +109,11 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return labels, centers
 
 
-def seed_kmeans(window: WindowBatch, k: int, seed: int) -> ClusteringSolution:
-    """The scored k-means solution with exactly k centers (see ``_lloyd``);
-    evaluation then drops any center the window does not feed."""
-    return _scored(window, [_lloyd(window, k, seed)])[0]
-
-
 def kmeans_sweep(window: WindowBatch, seed: int) -> list[ClusteringSolution]:
     """One solution per feasible k in [KMEANS_K_MIN, min(KMEANS_K_MAX, n)],
-    scored together."""
-    hi = min(KMEANS_K_MAX, len(window))
-    return _scored(window, [_lloyd(window, k, seed + k) for k in range(KMEANS_K_MIN, hi + 1)])
+    with Lloyd's k final centers as they are (see ``_lloyd``)."""
+    ks = range(KMEANS_K_MIN, min(KMEANS_K_MAX, len(window)) + 1)
+    return [_solution(window.data, *_lloyd(window, k, seed + k)) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +153,10 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
 
     Core points (>= ``DBSCAN_MIN_PTS`` neighbors within ``DBSCAN_RADIUS``,
     self included) form clusters by connectivity; border points join their
-    nearest core point's cluster; noise is dropped. When nothing is dense
-    enough the fallback is a single all-points cluster. Distances are taken
-    in row blocks; only the (n, n) bool neighbor mask is held whole.
+    nearest core point's cluster; noise joins no cluster, though scoring
+    charges it too. When nothing is dense enough the fallback is a single
+    all-points cluster. Distances are taken in row blocks; only the (n, n)
+    bool neighbor mask is held whole.
     """
     data = window.data
     n = len(data)
@@ -182,8 +169,7 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     core_idx = np.flatnonzero(core)
     if len(core_idx) == 0:
         logger.warning("dbscan found no core points; falling back to one cluster")
-        centers = data.mean(axis=0, keepdims=True)
-        return _scored(window, [(np.zeros(n, dtype=int), centers)])[0]
+        return _solution(data, np.zeros(n, dtype=int))
     # border points copy a core's label; core labels are never overwritten
     labels = connected_components(within, core)
     for i in np.flatnonzero(~core):
@@ -191,12 +177,7 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
         if len(reachable):
             gaps = np.sqrt(sq_dist(data[reachable], data[i]))
             labels[i] = labels[reachable[np.argmin(gaps)]]
-    kept = labels >= 0
-    centers = np.vstack(
-        [data[kept][labels[kept] == c].mean(axis=0) for c in range(labels.max() + 1)]
-    )
-    sub = WindowBatch(data[kept], window.window_id, start_index=window.start_index)
-    return _scored(sub, [(labels[kept], centers)])[0]
+    return _solution(data, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +249,5 @@ def seed_gng(window: WindowBatch, seed: int) -> ClusteringSolution:
     units, _, age = grow_gas(data, seed)
     comp = connected_components(age >= 0)
     nearest = np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)
-    used, labels = np.unique(comp[nearest], return_inverse=True)
-    centers = np.vstack([data[labels == c].mean(axis=0) for c in range(len(used))])
-    return _scored(window, [(labels, centers)])[0]
+    _, labels = np.unique(comp[nearest], return_inverse=True)
+    return _solution(data, labels)

@@ -1,8 +1,11 @@
 """Stream driver: initialization, window commits, idle cycles, finalization."""
 
+import time
+
 import numpy as np
 import pytest
 
+from mostream import engine
 from mostream.anttree import COLUMNS
 from mostream.core import MAX_ABS_VALUE, StreamConfig, WindowBatch, assign_batch
 from mostream.engine import (
@@ -194,33 +197,44 @@ class TestOnIdle:
         assert on_idle(state, IdleBudget(0)) == 0
         assert chrom == sorted(tuple(serialize_chromosome(s)) for s in state.archive)
 
-    def test_deadline_stops_mid_generation(self, four_blob_window):
-        class ExpiresAfter(IdleBudget):
-            """The deadline passes at the clock's (checks + 1)-th reading."""
+    def test_one_generation_at_set_up_then_one_per_budgeted_step(self, four_blob_window):
+        state = initialize(four_blob_window, StreamConfig())
+        assert state.idle_counter == 1
+        on_idle(state, IdleBudget(3))
+        assert state.idle_counter == 4
 
-            def __init__(self, checks):
-                super().__init__(5)
-                self.checks = checks
-
-            def expired(self):
-                self.checks -= 1
-                return self.checks < 0
-
+    def test_deadline_mid_generation_keeps_the_whole_generation(
+        self, four_blob_window, monkeypatch
+    ):
         whole = initialize(four_blob_window, StreamConfig())
         start = whole.next_solution_id
-        on_idle(whole, IdleBudget(1))
-        assert whole.next_solution_id - start > 2
+        assert on_idle(whole, IdleBudget(1)) == 1
+        bred = whole.next_solution_id - start
+        assert bred > 2
+
+        # the wall deadline passes while the first generation breeds
+        budget = IdleBudget(5, wall_deadline=time.monotonic() + 3600.0)
+        generations = []
+
+        def breed_past_deadline(*args):
+            budget.wall_deadline = time.monotonic() - 1.0
+            generations.append(breed(*args))
+            return generations[-1]
 
         state = initialize(four_blob_window, StreamConfig())
-        start = state.next_solution_id
-        # allows() reads the clock once, two offspring are scored after one
-        # reading each, and the fourth reading ends the generation and idle
-        assert on_idle(state, ExpiresAfter(3)) == 1
-        assert state.next_solution_id - start == 2
+        breed = engine.breed
+        monkeypatch.setattr(engine, "breed", breed_past_deadline)
+        assert on_idle(state, budget) == 1
+        [offspring] = generations
+        # every offspring is kept and numbered in breeding order; no other
+        # generation starts
+        assert [o.solution_id for o in offspring] == list(range(start, start + bred))
+        assert state.next_solution_id == whole.next_solution_id
+        assert state.idle_counter == whole.idle_counter
+        assert [tuple(serialize_chromosome(s)) for s in state.archive] == [
+            tuple(serialize_chromosome(s)) for s in whole.archive
+        ]
         state.archive.validate()
-        for member in state.archive:
-            assert member.k >= 1
-            assert np.isfinite(member.objectives.as_min_pair()).all()
 
 
 class TestFinalize:

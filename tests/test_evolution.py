@@ -1,7 +1,6 @@
 """Genetic operators and the idle-time improvement cycle."""
 
 import copy
-import itertools
 import time
 
 import numpy as np
@@ -17,16 +16,16 @@ from mostream.core import (
     assign_batch,
     serialize_chromosome,
 )
+from mostream.engine import EngineState, on_idle
 from mostream.evolution import (
     IdleBudget,
     breed,
     crossover,
     fitness_score,
-    idle_generation,
     mutate,
     select_parents,
 )
-from mostream.objectives import ParetoArchive, hypervolume_in_box
+from mostream.objectives import ParetoArchive, evaluate_solution, hypervolume_in_box
 from mostream.seeders import kmeans_sweep
 
 from oracles import prototype_set_distance
@@ -38,11 +37,6 @@ def _sol(protos, c=0.0, s=0.0, sid=0):
         np.asarray(protos, float),
         sid,
     )
-
-
-def _id_counter(start=1000):
-    it = itertools.count(start)
-    return lambda: next(it)
 
 
 class TestIdleBudget:
@@ -349,7 +343,7 @@ class TestParentDistances:
             self._check(children, tuple(parents))
             assert all(row[0] == row[1] for row in dists)
             out = breed(parents, snapshot, StreamConfig(),
-                        np.random.default_rng(0), _id_counter())
+                        np.random.default_rng(0))
             # the children inherit the id-1 parent's history, mutants their own
             assert [o.prev_compactness for o in out] == [10.0, 10.0, 10.0 * first, 10.0 * second]
 
@@ -366,7 +360,7 @@ class TestBreed:
             _sol([(0.0, 0.0), (10.0, 0.0)], sid=1),
             _sol([(0.1, 0.0), (10.1, 0.0)], sid=2),
         ]
-        out = breed(parents, self._snapshot(), cfg, np.random.default_rng(0), _id_counter())
+        out = breed(parents, self._snapshot(), cfg, np.random.default_rng(0))
         assert len(out) == 2
         # no cut is drawn, so the generator goes straight to the mutants
         want = mutate(parents, cfg.mu, np.random.default_rng(0))
@@ -379,9 +373,10 @@ class TestBreed:
             _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
             _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
         ]
-        out = breed(parents, self._snapshot(), cfg, np.random.default_rng(1), _id_counter())
+        out = breed(parents, self._snapshot(), cfg, np.random.default_rng(1))
         assert len(out) == 4  # 2 crossover children + 2 mutants
-        assert [o.solution_id for o in out] == [1000, 1001, 1002, 1003]
+        # fresh solutions: the engine numbers them in this order
+        assert [o.solution_id for o in out] == [-1] * 4
         assert all(np.isfinite(o.objectives.compactness) for o in out)
 
     def test_mutant_inherits_pre_window_compactness(self):
@@ -390,7 +385,7 @@ class TestBreed:
         parent.prev_compactness = 5.0
         parent.objectives.compactness = 123.0  # post-window value must be ignored
         snap = self._snapshot()
-        out = breed([parent], snap, cfg, np.random.default_rng(2), _id_counter())
+        out = breed([parent], snap, cfg, np.random.default_rng(2))
         mutant = out[0]
         dists = np.linalg.norm(
             snap.data[:, None, :] - mutant.prototypes[None, :, :], axis=2
@@ -410,7 +405,7 @@ class TestBreed:
             _sol([(0.2, 0.1), (10.2, 0.1)], sid=3),
         ]
         runs = [
-            breed(parents, self._snapshot(), cfg, np.random.default_rng(9), _id_counter())
+            breed(parents, self._snapshot(), cfg, np.random.default_rng(9))
             for _ in range(2)
         ]
         assert len(runs[0]) == len(runs[1]) == 5  # 2 crossover children + 3 mutants
@@ -432,7 +427,7 @@ class TestBreed:
             _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
         ]
         out = breed(parents, self._snapshot(), StreamConfig(),
-                    np.random.default_rng(1), _id_counter())
+                    np.random.default_rng(1))
         assert calls == [len(out)] == [4]
 
     def test_offspring_scored_in_one_evaluate_call(self, monkeypatch):
@@ -454,39 +449,9 @@ class TestBreed:
             _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
         ]
         out = breed(parents, self._snapshot(), StreamConfig(),
-                    np.random.default_rng(1), _id_counter())
+                    np.random.default_rng(1))
         assert calls == [("evaluate", 4), ("separateness", 4)]
         assert len(out) == 4
-
-    def test_deadline_between_offspring_keeps_the_ones_before_it(self):
-        # polls: before the scoring pass, then before the 2nd, 3rd, ...
-        # offspring takes its id; the third poll finds the deadline passed
-        polls = iter([False, False, True])
-        parents = [
-            _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
-            _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
-        ]
-        full = breed(parents, self._snapshot(), StreamConfig(),
-                     np.random.default_rng(1), _id_counter())
-        cut = breed(parents, self._snapshot(), StreamConfig(),
-                    np.random.default_rng(1), _id_counter(), lambda: next(polls))
-        assert [o.solution_id for o in cut] == [1000, 1001]
-        for a, b in zip(cut, full):
-            assert np.array_equal(a.prototypes, b.prototypes)
-            assert a.objectives == b.objectives
-
-    def test_expired_budget_does_no_distance_work(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(evolution, "assign_batch", lambda *args: calls.append(args))
-        parents = [
-            _sol([(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)], sid=1),
-            _sol([(0.1, 0.0), (5.0, 5.1), (10.1, 0.0)], sid=2),
-        ]
-        budget = IdleBudget(5, wall_deadline=time.monotonic() - 1.0)
-        out = breed(parents, self._snapshot(), StreamConfig(),
-                    np.random.default_rng(1), _id_counter(), budget.expired)
-        assert out == []
-        assert calls == []
 
     def test_lineage_does_not_compound_decay(self):
         cfg = StreamConfig()
@@ -496,71 +461,64 @@ class TestBreed:
         generation = [parent]
         prefixes = []
         for g in range(4):
-            generation = breed(
-                generation, snap, cfg, np.random.default_rng(g), _id_counter(10 * g)
-            )
+            generation = breed(generation, snap, cfg, np.random.default_rng(g))
             prefixes.append({o.prev_compactness for o in generation})
         assert all(p == {5.0} for p in prefixes)
 
 
 class TestIdleGeneration:
-    def _archive(self, window):
+    """One select/crossover/mutate/evaluate/insert cycle, as ``on_idle``
+    runs it on an archive of scored k-means seeds."""
+
+    @staticmethod
+    def _state(window, solutions, seed=0):
+        """An engine state around an archive of the given seeds, scored on
+        the window. The idle cycle reads no tree."""
+        evaluate_solution(solutions, assign_batch(solutions, window.data), 0.7)
         arch = ParetoArchive()
-        for sol in kmeans_sweep(window, seed=0):
-            sol.solution_id = id(sol) % 10_000
+        for sid, sol in enumerate(solutions):
+            sol.solution_id = sid
             arch.insert(sol)
-        return arch
+        return EngineState(
+            cfg=StreamConfig(rng_seed=seed), tree=None, archive=arch,
+            last_window=window, hv_reference=ObjectiveVector(),
+            next_solution_id=len(solutions),
+        )
 
     def test_deterministic_for_fixed_seed(self, four_blob_window):
         results = []
         for _ in range(2):
-            arch = self._archive(four_blob_window)
-            idle_generation(
-                arch, four_blob_window, StreamConfig(), seed=42, allot_id=_id_counter()
-            )
+            state = self._state(four_blob_window, kmeans_sweep(four_blob_window, seed=0), 42)
+            on_idle(state, IdleBudget(1))
             results.append(
-                sorted(tuple(serialize_chromosome(m)) for m in arch)
+                sorted(tuple(serialize_chromosome(m)) for m in state.archive)
             )
         assert results[0] == results[1]
 
     def test_archive_stays_mutually_nondominated(self, four_blob_window):
-        arch = self._archive(four_blob_window)
-        for g in range(3):
-            idle_generation(
-                arch,
-                four_blob_window,
-                StreamConfig(),
-                seed=g,
-                allot_id=_id_counter(100 * (g + 1)),
-            )
-            arch.validate()
+        state = self._state(four_blob_window, kmeans_sweep(four_blob_window, seed=0))
+        for _ in range(3):
+            on_idle(state, IdleBudget(1))
+            state.archive.validate()
 
     def test_hypervolume_never_drops(self, four_blob_window):
-        arch = self._archive(four_blob_window)
+        state = self._state(four_blob_window, kmeans_sweep(four_blob_window, seed=0))
         ref = ObjectiveVector(1e6, 0.0)
-        hv = hypervolume_in_box(arch, ref)
-        for g in range(5):
-            idle_generation(
-                arch,
-                four_blob_window,
-                StreamConfig(),
-                seed=g,
-                allot_id=_id_counter(100 * (g + 1)),
-            )
-            nxt = hypervolume_in_box(arch, ref)
+        hv = hypervolume_in_box(state.archive, ref)
+        for _ in range(5):
+            on_idle(state, IdleBudget(1))
+            nxt = hypervolume_in_box(state.archive, ref)
             assert nxt >= hv - 1e-12
             hv = nxt
 
     def test_single_member_archive_still_breeds(self, four_blob_window):
-        arch = ParetoArchive()
         sols = kmeans_sweep(four_blob_window, seed=0)
-        arch.insert(sols[2])  # k=4
-        before = len(arch.solutions)
-        idle_generation(
-            arch, four_blob_window, StreamConfig(), seed=0, allot_id=_id_counter()
-        )
+        state = self._state(four_blob_window, [sols[2]])  # k=4
+        before = len(state.archive)
+        assert on_idle(state, IdleBudget(1)) == 1
         # the lone parent yields a mutant; insertion may accept or reject it,
         # but the archive never empties and never breaks dominance
-        assert len(arch.solutions) >= 1
-        arch.validate()
+        assert state.next_solution_id == 2
+        assert len(state.archive) >= 1
+        state.archive.validate()
         assert before == 1

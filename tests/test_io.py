@@ -441,6 +441,26 @@ class TestCliMain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_failing_window_keeps_the_committed_reports(self, tmp_path, capsys):
+        # 500 rows of 2 fields, but line 351 has 3: windows 0-2 commit before
+        # the fourth window's read fails
+        rows = [f"{float(i % 7)!r},{float(i % 5)!r}" for i in range(500)]
+        rows[350] += ",1.0"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join(rows[:300]) + "\n")
+        flags = ["--window", "100", "--idle-gens", "1"]
+        rc = main(["--input", str(bad), "--out", str(tmp_path / "bad")] + flags)
+        assert rc == 2
+        assert "line 351: expected 2 fields, got 3" in capsys.readouterr().err
+        assert main(["--input", str(good), "--out", str(tmp_path / "good")] + flags) == 0
+        got = (tmp_path / "bad" / "reports.jsonl").read_text().splitlines()
+        want = (tmp_path / "good" / "reports.jsonl").read_text().splitlines()
+        assert len(got) == 3
+        assert got == want[:3]
+        assert not (tmp_path / "bad" / "assignments.csv").exists()
+
     def test_bad_config_is_error_exit(self, tmp_path, capsys):
         rc = main(
             ["--blobs", "k=2,per=50", "--gamma", "1.5",

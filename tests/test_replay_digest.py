@@ -49,6 +49,14 @@ SHAPES = {
         6,
         "b75ca580f4b49543e9bf3082d2bd18529959a01b977b74513888f141b4d1923c",
     ),
+    # the first window holds a 13-row blob with no core point: density-scan
+    # noise, which the scan's seed is charged for like every other row
+    "d2-density-noise": (
+        dict(k=4, per_blob=150, sep=30.0, stddev=3.0, dim=2),
+        100,
+        6,
+        "c335b5a5579be5ccd3ffa5bd9d179de798e95bba5933049efada911b9305cd3f",
+    ),
     "d2-overlap-window1000": (
         dict(k=4, per_blob=750, sep=3.0, stddev=1.0, dim=2),
         1000,

@@ -5,16 +5,22 @@ import logging
 import numpy as np
 import pytest
 
-from mostream import seeders
-from mostream.core import ClusteringSolution, ObjectiveVector, WindowBatch, assign_batch
+from mostream import engine, seeders
+from mostream.core import (
+    ClusteringSolution,
+    ObjectiveVector,
+    StreamConfig,
+    WindowBatch,
+    assign_batch,
+)
 from mostream.objectives import evaluate_solution
 from mostream.seeders import (
+    _lloyd,
     connected_components,
     grow_gas,
     kmeans_sweep,
     seed_dbscan,
     seed_gng,
-    seed_kmeans,
 )
 from mostream.stream_io import gen_blobs
 
@@ -49,9 +55,22 @@ def _assert_same_solution(sol, ref):
     assert sol.objectives == ref.objectives
 
 
+def _scored(sol, window):
+    """An unscored seed scored alone on its window, as ``initialize`` scores
+    every seed."""
+    evaluate_solution([sol], assign_batch([sol], window.data), 0.7)
+    return sol
+
+
+def _kmeans(window, k, seed):
+    """The scored k-means seed with exactly k centers, built as the sweep
+    builds each of its solutions."""
+    return _scored(seeders._solution(window.data, *_lloyd(window, k, seed)), window)
+
+
 class TestKMeans:
     def test_recovers_far_triples_exactly(self, triples):
-        sol = seed_kmeans(triples, 3, seed=0)
+        sol = _kmeans(triples, 3, seed=0)
         got = np.array(sorted(map(tuple, sol.prototypes)))
         third = 1.0 / 3.0
         want = np.array([[0.0, third], [0.0, 100 + third], [100.0, third]])
@@ -59,35 +78,36 @@ class TestKMeans:
 
     def test_k_one_is_window_mean(self):
         w = _window([[0, 0], [2, 0], [4, 6]])
-        sol = seed_kmeans(w, 1, seed=0)
+        sol = _kmeans(w, 1, seed=0)
         assert sol.k == 1
         assert np.allclose(sol.prototypes[0], [2.0, 2.0])
 
     def test_k_beyond_window_rejected(self):
         w = _window([[0, 0], [1, 1]])
         with pytest.raises(ValueError, match="exceeds window size"):
-            seed_kmeans(w, 3, seed=0)
+            _lloyd(w, 3, seed=0)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
-            seed_kmeans(_window([[0, 0]]), 0, seed=0)
+            _lloyd(_window([[0, 0]]), 0, seed=0)
 
     def test_objectives_populated(self, triples):
-        sol = seed_kmeans(triples, 3, seed=0)
+        sol = _kmeans(triples, 3, seed=0)
         assert sol.objectives.compactness > 0.0
         assert sol.objectives.separateness > 0.0
 
     def test_deterministic_per_seed(self, triples):
-        a = seed_kmeans(triples, 3, seed=9)
-        b = seed_kmeans(triples, 3, seed=9)
-        assert np.array_equal(a.prototypes, b.prototypes)
+        a = kmeans_sweep(triples, seed=9)
+        b = kmeans_sweep(triples, seed=9)
+        for x, y in zip(a, b, strict=True):
+            assert np.array_equal(x.prototypes, y.prototypes)
 
     def test_duplicate_heavy_window_collapses_coincident_centers(self):
         # only two distinct values exist, so the re-seeded third center lands
         # on a duplicate and the unfed copy is dropped at evaluation
         w = _window([[0.0]] * 4 + [[10.0]] * 4)
         for seed in (0, 1, 5):
-            sol = seed_kmeans(w, 3, seed=seed)
+            sol = _kmeans(w, 3, seed=seed)
             assert sol.k == 2
             assert sorted(sol.prototypes[:, 0].tolist()) == [0.0, 10.0]
 
@@ -97,27 +117,23 @@ class TestKMeans:
         assert len(sols) == 14  # k = 2..15
 
     @pytest.mark.parametrize("dim", [2, 8])
-    def test_sweep_scores_all_solutions_in_one_pass(self, monkeypatch, rng, dim):
-        # one assign_batch and one evaluate_solution call for the whole
-        # sweep, each solution equal to its own seed_kmeans
+    def test_sweep_returns_each_lloyd_run_unscored(self, rng, dim):
+        # each k's solution holds Lloyd's own centers, which are the means of
+        # its labels, with the label counts as counts and weights; scoring is
+        # left to the engine
         window = WindowBatch(rng.normal(size=(60, dim)), 0)
-        want = [seed_kmeans(window, k, 3 + k) for k in range(2, 16)]
-        calls = []
-
-        def counting(name, fn):
-            def wrapper(solutions, *args):
-                calls.append((name, len(solutions)))
-                return fn(solutions, *args)
-            return wrapper
-
-        monkeypatch.setattr(seeders, "assign_batch", counting("assign", seeders.assign_batch))
-        monkeypatch.setattr(seeders, "evaluate_solution",
-                            counting("evaluate", seeders.evaluate_solution))
         sols = kmeans_sweep(window, seed=3)
-        assert calls == [("assign", 14), ("evaluate", 14)]
-        for sol, ref in zip(sols, want):
-            _assert_same_solution(sol, ref)
-            assert np.array_equal(sol.weights, ref.weights)
+        assert [s.k for s in sols] == list(range(2, 16))
+        for sol in sols:
+            labels, centers = _lloyd(window, sol.k, 3 + sol.k)
+            means = np.vstack([window.data[labels == c].mean(axis=0)
+                               for c in range(sol.k)])
+            assert np.array_equal(sol.prototypes, centers)
+            assert np.array_equal(sol.prototypes, means)
+            members = np.bincount(labels, minlength=sol.k).astype(float)
+            assert np.array_equal(sol.counts, members)
+            assert np.array_equal(sol.weights, members)
+            assert sol.objectives == ObjectiveVector()
 
     def test_sweep_truncates_to_window_size(self):
         w = _window([[0, 0], [1, 1], [2, 2]])
@@ -202,13 +218,15 @@ class TestDBScan:
     def test_blocked_scan_matches_dense_reference(self, dbscan, shape, min_pts, radius):
         # 1100 rows span three distance blocks, the last one partial
         data = getattr(self, shape)()
-        sol = dbscan(WindowBatch(data, 0), min_pts, radius)
+        window = WindowBatch(data, 0)
+        sol = _scored(dbscan(window, min_pts, radius), window)
         labels = dbscan_dense_labels(data, min_pts, radius)
         kept = labels >= 0
         assert 0 < (~kept).sum() < 1100
         centers = np.vstack([data[kept][labels[kept] == c].mean(axis=0)
                              for c in range(labels.max() + 1)])
-        ref = _reference_solution(WindowBatch(data[kept], 0), labels[kept], centers)
+        # noise rows join no center or count, but scoring charges every row
+        ref = _reference_solution(window, labels[kept], centers)
         _assert_same_solution(sol, ref)
 
 
@@ -315,17 +333,75 @@ class TestGNG:
         assert gas["splits"] == seeders.GNG_MAX_NODES - 2
         assert gas["expiries"] > 0
         self._assert_same_gas(window, seed, gas)
-        _assert_same_solution(seed_gng(window, seed), ref)
+        _assert_same_solution(_scored(seed_gng(window, seed), window), ref)
 
     def test_matches_reference_on_two_components(self, two_blobs):
         ref, gas = self._reference(two_blobs, 1)
         assert ref.k == 2
         self._assert_same_gas(two_blobs, 1, gas)
-        _assert_same_solution(seed_gng(two_blobs, 1), ref)
+        _assert_same_solution(_scored(seed_gng(two_blobs, 1), two_blobs), ref)
 
     def test_matches_reference_at_node_cap(self, two_blobs, small_budget):
         for seed in (0, 5):
             ref, gas = self._reference(two_blobs, seed)
             assert gas["splits"] == 2
             self._assert_same_gas(two_blobs, seed, gas)
-            _assert_same_solution(seed_gng(two_blobs, seed), ref)
+            _assert_same_solution(_scored(seed_gng(two_blobs, seed), two_blobs), ref)
+
+
+class TestSeedScoring:
+    """``initialize`` scores the macro view and every seeder's solution in
+    one pass; the seeders themselves only label."""
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_initialize_scores_every_seed_in_one_pass(self, monkeypatch, rng, dim):
+        window = WindowBatch(rng.normal(size=(60, dim)) * 3.0, 0)
+        cfg = StreamConfig(rng_seed=3)
+        calls, seeds = [], []
+        assign, evaluate = engine.assign_batch, engine.evaluate_solution
+
+        def counting_assign(solutions, data):
+            calls.append(("assign", len(solutions)))
+            return assign(solutions, data)
+
+        def counting_evaluate(solutions, pairs, gamma):
+            calls.append(("evaluate", len(solutions)))
+            seeds.extend((sol, sol.copy()) for sol in solutions)
+            return evaluate(solutions, pairs, gamma)
+
+        # the engine's own bindings: breeding scores through evolution's
+        monkeypatch.setattr(engine, "assign_batch", counting_assign)
+        monkeypatch.setattr(engine, "evaluate_solution", counting_evaluate)
+        engine.initialize(window, cfg)
+        # macro view, k = 2..15, density scan, gas
+        assert calls == [("assign", 17), ("evaluate", 17)]
+        for sol, unscored in seeds:
+            _assert_same_solution(sol, _scored(unscored, window))
+        # the sweep's seeds against their own Lloyd runs
+        for k, (sol, _) in zip(range(2, 16), seeds[1:15]):
+            ref = _reference_solution(window, *_lloyd(window, k, cfg.rng_seed + k))
+            _assert_same_solution(sol, ref)
+
+    def test_density_noise_rows_count_in_compactness(self, monkeypatch):
+        # a dense cloud and three rows more than DBSCAN_RADIUS from every
+        # other row: the scan leaves those three out of its clusters, yet
+        # the seed's compactness charges them like every other row
+        rg = np.random.default_rng(4)
+        cloud = rg.normal(scale=1.0, size=(60, 2))
+        far = np.array([[100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
+        window = WindowBatch(np.vstack([cloud, far]), 0)
+        kept, scan = [], engine.seed_dbscan
+
+        def keeping(window):
+            kept.append(scan(window))
+            return kept[-1]
+
+        monkeypatch.setattr(engine, "seed_dbscan", keeping)
+        engine.initialize(window, StreamConfig())
+        [sol] = kept
+        assert sol.k == 1
+        assert sol.counts.tolist() == [60.0]
+        gaps = np.linalg.norm(window.data[:, None, :] - sol.prototypes[None, :, :], axis=2)
+        nearest = gaps.min(axis=1)
+        assert sol.objectives.compactness == pytest.approx(nearest.sum(), rel=1e-12)
+        assert sol.objectives.compactness > nearest[:60].sum() + 250.0
