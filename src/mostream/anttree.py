@@ -10,8 +10,7 @@ below the support holds at most ``L_MAX`` children; the support has no cap.
 The ants go in row order, except that row 1 goes last when n >= 3. That is
 the order of the ant-tree rule's one-time support reset, which fires at the
 third ant, while the support's second child (row 1) is still a leaf, and
-sends only that point to the back of the queue. Row j becomes node id
-j + 1, except that then id 2 stays unused and row 1 becomes id n + 1.
+sends only that point to the back of the queue.
 
 Every build node holds exactly one point, so its prototype is that point
 and the tree is ready to stream as soon as it is built. Later windows
@@ -19,14 +18,17 @@ stream through map_point: a point is absorbed by the nearest node when it
 falls inside that node's acceptance radius, otherwise it becomes a fresh
 node under the support. First-level subtrees double as macro clusters.
 
-Node ``ids[i]`` lives in row ``i`` of every array in ``COLUMNS``. Rows stay in
-id order, and a child's id is always greater than its parent's, so each
-node's children, read in row order, are in the order they were added.
+Node ``ids[i]`` lives in row ``i`` of every array in ``COLUMNS``. Rows are in
+preorder: the build lays its nodes out that way, children in the order they
+were added, and numbers them 1..n in row order; map_point appends new
+first-level nodes at the end, and pruning only deletes rows. So ids
+increase down the rows, a parent comes before its children, and every
+first-level subtree is one run of rows starting at a row whose parent is
+the support.
 """
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,26 +118,11 @@ class TreeSynopsis:
         for name in COLUMNS:
             setattr(self, name, getattr(self, name)[keep])
 
-    def _children(self) -> dict[int, list[int]]:
-        """Node id -> rows of its children, in id order."""
-        kids = collections.defaultdict(list)
-        for row, parent in enumerate(self.parents.tolist()):
-            kids[parent].append(row)
-        return kids
-
-    def _subtree(self, root: int, kids: dict[int, list[int]]) -> list[int]:
-        """Rows of the subtree at row ``root``, in preorder."""
-        out, stack = [], [root]
-        while stack:
-            row = stack.pop()
-            out.append(row)
-            stack.extend(reversed(kids[int(self.ids[row])]))
-        return out
-
     def validate(self) -> None:
         """Structural audit: one row per node in every array, ids increasing,
-        every parent an earlier node (so no cycles or orphans), at most
-        ``L_MAX`` children per node below the support."""
+        every parent an earlier node (so no cycles or orphans) in the same
+        first-level run of rows, at most ``L_MAX`` children per node below
+        the support."""
         n = len(self.ids)
         for name in COLUMNS:
             if len(getattr(self, name)) != n:
@@ -148,6 +135,13 @@ class TreeSynopsis:
         linked &= self.parents < self.ids
         if not np.all(linked):
             raise AssertionError(f"orphan nodes: {self.ids[~linked].tolist()}")
+        run = np.cumsum(self.parents == SUPPORT_ID)
+        inner = self.parents != SUPPORT_ID
+        strays = run[inner] != run[np.searchsorted(self.ids, self.parents[inner])]
+        if np.any(strays):
+            raise AssertionError(
+                f"nodes {self.ids[inner][strays].tolist()} lie outside their subtree's run"
+            )
         parents, fan = np.unique(self.parents[self.parents != SUPPORT_ID], return_counts=True)
         if np.any(fan > L_MAX):
             raise AssertionError(f"nodes {parents[fan > L_MAX].tolist()} exceed L_MAX fan-out")
@@ -214,25 +208,21 @@ class TreeSynopsis:
             removed += len(doomed)
 
     def macro_clusters(self) -> ClusteringSolution:
-        """One cluster per first-level subtree (count-weighted prototype mean).
-
-        Each subtree is summed in preorder, so the float sums do not depend
-        on how the rows are stored.
-        """
-        kids = self._children()
-        if not kids[SUPPORT_ID]:
+        """One cluster per first-level subtree (count-weighted prototype mean),
+        each summed over its run of rows, which is the subtree in preorder."""
+        bounds = [*np.flatnonzero(self.parents == SUPPORT_ID).tolist(), len(self.ids)]
+        if len(bounds) < 2:
             raise ValueError("tree has no first-level subtrees")
         protos, counts, weights = [], [], []
-        for root in kids[SUPPORT_ID]:
-            rows = self._subtree(root, kids)
-            block, sizes = self.prototypes[rows], self.counts[rows]
+        for start, stop in zip(bounds, bounds[1:]):
+            block, sizes = self.prototypes[start:stop], self.counts[start:stop]
             total = sizes.sum()
             if total > 0:
                 protos.append((block * sizes[:, None]).sum(axis=0) / total)
             else:
                 protos.append(block.mean(axis=0))
             counts.append(float(total))
-            weights.append(float(sum(self.weights[rows].tolist())))
+            weights.append(float(sum(self.weights[start:stop].tolist())))
         return ClusteringSolution(
             ObjectiveVector(),
             np.vstack(protos),
@@ -306,14 +296,13 @@ def window_scales(data: np.ndarray) -> tuple[float, float]:
 def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     """Place every first-window point as an ant; the tree is ready to stream.
 
-    The walk keeps child rows in plain lists; the columns are made once at
-    the end, every node holding its one point (count = weight = 1).
+    The walk keeps child rows in plain lists; the columns are made once, in
+    preorder, every node holding its one point (count = weight = 1).
     """
     n = len(window)
     tree = TreeSynopsis(window.dim)
     diameter, tree.base_radius = window_scales(window.data)
-    row_one_last = n >= 3
-    order = np.r_[0, 2:n, 1] if row_one_last else np.arange(n)
+    order = np.r_[0, 2:n, 1] if n >= 3 else np.arange(n)
     ants = window.data[order]
     parent = np.full(n, -1)  # parent row of each node, -1 for the support
     kids: list[list[int]] = [[] for _ in range(n + 1)]  # kids[-1]: the support's
@@ -333,15 +322,21 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
         parent[row] = pos
         kids[pos].append(row)
 
-    ids = np.arange(1, n + 1)
-    ids[1:] += row_one_last  # id 2 unused
-    tree.ids = ids
-    tree.parents = np.where(parent < 0, SUPPORT_ID, ids[parent])
-    tree.prototypes = ants
+    preorder, stack = [], kids[-1][::-1]
+    while stack:
+        row = stack.pop()
+        preorder.append(row)
+        stack.extend(reversed(kids[row]))
+    node_id = np.empty(n + 1, dtype=np.int64)  # node_id[-1]: the support's
+    node_id[preorder] = np.arange(1, n + 1)
+    node_id[-1] = SUPPORT_ID
+    tree.ids = np.arange(1, n + 1)
+    tree.parents = node_id[parent[preorder]]
+    tree.prototypes = ants[preorder]
     tree.counts = np.ones(n)
     tree.weights = np.ones(n)
     tree.radius_sum = np.full(n, tree.base_radius)
     tree.radius_n = np.ones(n, dtype=np.int64)
     tree.absorbed = np.zeros(n)
-    tree._next_id = int(ids[-1]) + 1
+    tree._next_id = n + 1
     return tree

@@ -54,17 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--label-col", type=int, default=None,
                    help="column holding ground-truth labels (CSV input)")
-    p.add_argument("--window", type=int, default=100, help="window size")
-    p.add_argument("--gamma", type=float, default=0.7, help="decay factor")
-    p.add_argument("--mu", type=float, default=0.2, help="mutated coordinate fraction")
-    p.add_argument("--sigma", type=int, default=10, help="parents per generation")
-    p.add_argument("--prune", type=float, default=0.1, help="weight prune threshold")
-    p.add_argument("--interval-ms", type=int, default=1000,
+    default = StreamConfig()
+    p.add_argument("--window", type=int, default=default.window_size, help="window size")
+    p.add_argument("--gamma", type=float, default=default.gamma, help="decay factor")
+    p.add_argument("--mu", type=float, default=default.mu, help="mutated coordinate fraction")
+    p.add_argument("--sigma", type=int, default=default.sigma, help="parents per generation")
+    p.add_argument("--prune", type=float, default=default.prune_threshold,
+                   help="weight prune threshold")
+    p.add_argument("--interval-ms", type=int, default=default.interval_ms,
                    help="idle interval between windows (wall-clock mode)")
     p.add_argument("--idle-gens", type=int, default=None,
                    help="fixed generations per window (replayable); without it "
                         "idle time is paced by --interval-ms")
-    p.add_argument("--seed", type=int, default=0, help="run seed")
+    p.add_argument("--seed", type=int, default=default.rng_seed, help="run seed")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--snapshots", action="store_true",
                    help="write per-window tree/archive snapshots")
@@ -94,6 +96,8 @@ def run(args: argparse.Namespace) -> dict:
     flags with ``--idle-gens`` replay to identical artifacts. Report lines
     are flushed as windows commit, so a later failure keeps them. Returns a
     small summary of the run."""
+    if args.blobs and args.label_col is not None:
+        raise ValueError("--label-col needs --input")
     cfg = config_from_args(args)
     if args.blobs:
         spec = parse_blob_spec(args.blobs)

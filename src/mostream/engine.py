@@ -262,7 +262,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # (6) commit and report
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
-    nearest = {clone.solution_id: pair for clone, pair in zip(clones, pairs)}
+    nearest = {s.solution_id: pair for s, pair in zip([*clones, macro], [*pairs, macro_pair])}
     return _window_report(state, window, elapsed, nearest)
 
 

@@ -170,13 +170,15 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     if len(core_idx) == 0:
         logger.warning("dbscan found no core points; falling back to one cluster")
         return _solution(data, np.zeros(n, dtype=int))
-    # border points copy a core's label; core labels are never overwritten
+    # border points copy their nearest core's label (ties -> lowest row), which
+    # is within the radius when any core is; core labels are never overwritten
     labels = connected_components(within, core)
-    for i in np.flatnonzero(~core):
-        reachable = core_idx[within[i, core_idx]]
-        if len(reachable):
-            gaps = np.sqrt(sq_dist(data[reachable], data[i]))
-            labels[i] = labels[reachable[np.argmin(gaps)]]
+    loose = np.flatnonzero(~core)
+    border = loose[within[loose][:, core].any(axis=1)]
+    for i in range(0, len(border), DBSCAN_BLOCK):
+        rows = border[i : i + DBSCAN_BLOCK]
+        gaps = np.sqrt(sq_dist(data[rows, None, :], data[None, core_idx, :]))
+        labels[rows] = labels[core_idx[gaps.argmin(axis=1)]]
     return _solution(data, labels)
 
 

@@ -192,14 +192,8 @@ def minmax_wrap(batches: Iterator[WindowBatch]) -> Iterator[WindowBatch]:
 
 
 def report_line(report: WindowReport) -> str:
+    """One report as a JSON object with sorted keys, without the newline."""
     return json.dumps(report.to_dict(), sort_keys=True)
-
-
-def emit_reports(reports: Sequence[WindowReport], path: str) -> None:
-    """Write one JSON object per line, keys sorted, in window order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(report_line(report) + "\n")
 
 
 def _fmt(value: float) -> str:

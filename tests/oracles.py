@@ -129,6 +129,48 @@ def absorb_window_reference(prototypes, counts, data, gamma):
 
 
 # ---------------------------------------------------------------------------
+# the tree's macro view by walking each first-level subtree
+
+
+def tree_children(parents):
+    """Node id -> rows of its children, in row order (0 is the support)."""
+    kids = {}
+    for row, parent in enumerate(np.asarray(parents).tolist()):
+        kids.setdefault(parent, []).append(row)
+    return kids
+
+
+def subtree_rows(root, ids, kids):
+    """Rows of the subtree at row ``root``, in preorder."""
+    out, stack = [], [root]
+    while stack:
+        row = stack.pop()
+        out.append(row)
+        stack.extend(reversed(kids.get(int(ids[row]), [])))
+    return out
+
+
+def macro_walk_reference(ids, parents, prototypes, counts, weights):
+    """(prototypes, counts, weights) of one cluster per first-level subtree,
+    each summed over its rows in preorder, whatever order the rows are
+    stored in: the count-weighted prototype mean (the plain mean at total
+    count 0), the total count and the weight summed left to right."""
+    kids = tree_children(parents)
+    protos, sums, masses = [], [], []
+    for root in kids.get(0, []):
+        rows = subtree_rows(root, ids, kids)
+        block, sizes = prototypes[rows], counts[rows]
+        total = sizes.sum()
+        if total > 0:
+            protos.append((block * sizes[:, None]).sum(axis=0) / total)
+        else:
+            protos.append(block.mean(axis=0))
+        sums.append(float(total))
+        masses.append(float(sum(weights[rows].tolist())))
+    return np.vstack(protos), np.array(sums), np.array(masses)
+
+
+# ---------------------------------------------------------------------------
 # loop forms of the vectorized objective and validity kernels. Distances are
 # the squared differences summed over the last axis, then the square root,
 # so results can be compared with ``==``.

@@ -21,6 +21,7 @@ from mostream.anttree import (
     step,
     window_scales,
 )
+from oracles import macro_walk_reference, subtree_rows, tree_children
 
 
 def _pt(*coords):
@@ -57,6 +58,23 @@ def _first_level(tree):
 def _row(tree, node_id):
     """Array row of ``node_id``."""
     return tree.ids.tolist().index(node_id)
+
+
+def _preorder(tree):
+    """Rows of every first-level subtree in preorder, subtree after
+    subtree, walked through the parent links."""
+    kids = tree_children(tree.parents)
+    return [row for root in kids.get(SUPPORT_ID, []) for row in subtree_rows(root, tree.ids, kids)]
+
+
+def _assert_macro_matches_walk(tree):
+    macro = tree.macro_clusters()
+    protos, counts, weights = macro_walk_reference(
+        tree.ids, tree.parents, tree.prototypes, tree.counts, tree.weights
+    )
+    assert np.array_equal(macro.prototypes, protos)
+    assert np.array_equal(macro.counts, counts)
+    assert np.array_equal(macro.weights, weights)
 
 
 def _same_rows(a, b):
@@ -217,15 +235,24 @@ class TestBuild:
         data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
         if duplicates:
             data[:] = data[0]
-        tree = build_initial_tree(_window(data))
-        if n >= 3:
-            ids = [1, *range(3, n + 2)]
-            rows = [0, *range(2, n), 1]
-        else:
-            ids = list(range(1, n + 1))
-            rows = list(range(n))
-        assert tree.ids.tolist() == ids
-        assert np.array_equal(tree.prototypes, data[rows])
+        placed = []
+
+        def spy(children, ant, dissim, diameter):
+            out = step(children, ant, dissim, diameter)
+            if out == CONNECT:
+                placed.append(ant)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anttree, "step", spy)
+            tree = build_initial_tree(_window(data))
+        rows = [0, *range(2, n), 1] if n >= 3 else list(range(n))
+        assert np.array_equal(np.array(placed), data[rows])
+        # ids 1..n in row order, rows in preorder
+        assert tree.ids.tolist() == list(range(1, n + 1))
+        assert _preorder(tree) == list(range(n))
+        assert _same_rows(tree.prototypes, data)
+        tree.validate()
 
     def test_tolerance_relaxes_once_per_move(self, monkeypatch):
         # identical ants never connect at a node with two children, so each
@@ -320,7 +347,10 @@ class TestAggregate:
         assert np.all(tree.radius_sum == tree.base_radius)
         assert np.all(tree.radius_n == 1)
         assert np.all(tree.absorbed == 0.0)
-        assert tree.ids[:2].tolist() == [1, 3]  # row 1 went last
+        assert tree.ids.tolist() == list(range(1, 41))
+        # the first ant is the support's first child, the first row in preorder
+        assert tree.parents[0] == SUPPORT_ID
+        assert np.array_equal(tree.prototypes[0], data[0])
 
     def test_no_raw_points_survive(self):
         data = np.random.default_rng(0).normal(size=(50, 3))
@@ -487,16 +517,34 @@ class TestMacroClusters:
         assert tree.macro_clusters().k == 3
 
     def test_subtrees_follow_their_roots(self):
-        # support -> 1, 2; 1 -> 3; 2 -> 4; 3 -> 5: rows interleave the subtrees
+        # support -> 1, 4; 1 -> 2; 2 -> 3; 4 -> 5: each subtree is one run
         tree = TreeSynopsis(1)
-        for parent, x in [(0, 0.0), (0, 10.0), (1, 2.0), (2, 12.0), (3, 4.0)]:
+        for parent, x in [(0, 0.0), (1, 2.0), (2, 4.0), (0, 10.0), (4, 12.0)]:
             _node(tree, parent, x)
-        kids = tree._children()
-        assert tree._subtree(0, kids) == [0, 2, 4]
-        assert tree._subtree(1, kids) == [1, 3]
+        tree.validate()
+        assert _preorder(tree) == [0, 1, 2, 3, 4]
         macro = tree.macro_clusters()
         assert np.allclose(macro.prototypes[:, 0], [2.0, 11.0])
         assert macro.counts.tolist() == [3.0, 2.0]
+        _assert_macro_matches_walk(tree)
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_runs_match_the_subtree_walk_while_streaming(self, dim):
+        """Bit for bit against the preorder walk after the build and after
+        every window of a drifting stream that opens and prunes nodes."""
+        rng = np.random.default_rng(dim)
+        tree = build_initial_tree(_window(rng.normal(scale=3.0, size=(120, dim))))
+        assert np.any(tree.parents != SUPPORT_ID)  # subtrees below the first level
+        _assert_macro_matches_walk(tree)
+        opened = pruned = 0
+        for w in range(1, 8):
+            tree.decay_counts(0.7)
+            for row in rng.normal(scale=3.0, size=(80, dim)) + 4.0 * w:
+                opened += tree.map_point(row).created
+            pruned += tree.fade_and_prune(0.7, 0.5)
+            tree.validate()
+            _assert_macro_matches_walk(tree)
+        assert opened > 0 and pruned > 0
 
     def test_zero_total_count_falls_back_to_plain_mean(self):
         tree = TreeSynopsis(2)
@@ -543,6 +591,14 @@ class TestValidate:
         tree = self._chain()
         tree.ids[:] = [1, 3, 2]
         with pytest.raises(AssertionError, match="increasing"):
+            tree.validate()
+
+    def test_detects_interleaved_subtrees(self):
+        # support -> 1, 2; 1 -> 3; 2 -> 4; 3 -> 5: node 3 sits in node 2's run
+        tree = TreeSynopsis(1)
+        for parent, x in [(0, 0.0), (0, 10.0), (1, 2.0), (2, 12.0), (3, 4.0)]:
+            _node(tree, parent, x)
+        with pytest.raises(AssertionError, match=r"nodes \[3\] lie outside"):
             tree.validate()
 
     def test_detects_ragged_column(self):
@@ -649,4 +705,5 @@ def test_arrays_stay_one_row_per_node(stream):
             _check_rows(tree)
         pruned += tree.fade_and_prune(gamma, threshold)
         _check_rows(tree)
+        _assert_macro_matches_walk(tree)
         assert tree.node_count() == start + created - pruned

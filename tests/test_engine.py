@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from mostream import engine
+from mostream import engine, metrics
 from mostream.anttree import COLUMNS
 from mostream.core import MAX_ABS_VALUE, StreamConfig, WindowBatch, assign_batch
 from mostream.engine import (
@@ -181,6 +181,34 @@ class TestCommitMeans:
             assert np.array_equal(sol.counts, counts)
             checked += 1
         assert checked >= 2
+
+
+class TestCommitAssignments:
+    def test_accepted_offer_is_not_assigned_again(self, monkeypatch):
+        """A commit assigns the window twice: once for the members before the
+        merge, once for the moved members and the tree's macro offer. The
+        report reuses those pairs, the accepted offer's included."""
+        calls = []
+
+        def counting(solutions, data):
+            calls.append(len(solutions))
+            return assign_batch(solutions, data)
+
+        monkeypatch.setattr(engine, "assign_batch", counting)
+        monkeypatch.setattr(metrics, "assign_batch", counting)
+        batches = gen_blobs(k=4, per_blob=150, sep=10.0, stddev=0.5, drift=(0.05, 0.02),
+                            window_size=100, seed=5)
+        state = initialize(batches[0], StreamConfig(idle_generations_cap=2, rng_seed=5))
+        on_idle(state, IdleBudget(2))
+        accepted = 0
+        for window in batches[1:3]:
+            calls.clear()
+            process_window(state, window)
+            offer = state.next_solution_id - 1
+            accepted += offer in [s.solution_id for s in state.archive]
+            assert len(calls) == 2, calls
+            on_idle(state, IdleBudget(2))
+        assert accepted == 2
 
 
 class TestOnIdle:

@@ -18,7 +18,6 @@ from mostream.engine import WindowReport, initialize, run_stream
 from mostream.stream_io import (
     blob_centers,
     emit_assignments,
-    emit_reports,
     emit_snapshot,
     gen_blobs,
     load_csv,
@@ -261,18 +260,9 @@ class TestReportEmission:
         assert parsed["window_id"] == 0
         assert parsed["nmi"] is None
 
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "reports.jsonl")
-        reports = self._reports()
-        emit_reports(reports, path)
-        back = _parse_reports(path)
-        assert back == [r.to_dict() for r in reports]
-
-    def test_one_line_per_window(self, tmp_path):
-        path = str(tmp_path / "reports.jsonl")
-        emit_reports(self._reports(), path)
-        with open(path) as fh:
-            assert len(fh.readlines()) == 2
+    def test_round_trip(self):
+        for r in self._reports():
+            assert json.loads(report_line(r)) == r.to_dict()
 
 
 class TestSnapshots:
@@ -390,6 +380,10 @@ class TestManifest:
             "batches", "cfg", "on_window_end"]
         assert list(inspect.signature(initialize).parameters) == ["first_window", "cfg"]
 
+    def test_defaults_come_from_stream_config(self):
+        args = build_parser().parse_args(["--blobs", "k=2,per=50"])
+        assert config_from_args(args) == StreamConfig(idle_generations_cap=None)
+
     def test_input_and_blobs_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--input", "x.csv", "--blobs", "k=2"])
@@ -460,6 +454,13 @@ class TestCliMain:
         assert len(got) == 3
         assert got == want[:3]
         assert not (tmp_path / "bad" / "assignments.csv").exists()
+
+    def test_label_column_needs_csv_input(self, tmp_path, capsys):
+        rc = main(["--blobs", "k=2,per=50", "--label-col", "7", "--idle-gens", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: --label-col needs --input" in capsys.readouterr().err
+        assert not (tmp_path / "reports.jsonl").exists()
 
     def test_bad_config_is_error_exit(self, tmp_path, capsys):
         rc = main(

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from mostream.core import StreamConfig
@@ -114,13 +113,13 @@ TREE_SHAPES = {
     "d2-fast-drift": (
         dict(k=4, per_blob=250, sep=10.0, stddev=0.5, drift=(0.6, 0.2), dim=2),
         100,
-        "3fe93594ea09cc957f492736915e4b80844a2067df6ab15f32e08cb28bb89144",
+        "f5e8f0902c2983401b8ce09b30dd38fa65bc564a112a364ee4ae163fbed73450",
     ),
     # three overlapping blobs in three coordinates, one 60-point window each
     "d3": (
         dict(k=3, per_blob=60, sep=3.0, stddev=1.0, dim=3),
         60,
-        "5329205f2dc2fce6b21ce37e1dc81a9e907411081bc3f09157e5a5b682555f61",
+        "155f2b402f6604983a37b166a07f1598e3e478bf2f95b30f648efc6e281fae72",
     ),
 }
 
@@ -132,10 +131,9 @@ def test_tree_snapshots_match_pinned_digest(shape, tmp_path):
     batches = gen_blobs(window_size=window, seed=7, **blobs)
     cfg = StreamConfig(window_size=window, idle_generations_cap=0, rng_seed=7)
     state = initialize(batches[0], cfg)
-    # the build placed row 1 last: id 2 is unused and row 1 is id n + 1
-    assert state.tree.ids[:2].tolist() == [1, 3]
-    assert state.tree.ids[-1] == window + 1
-    assert np.array_equal(state.tree.prototypes[-1], batches[0].data[1])
+    # the build numbers its nodes 1..n down its rows, which are in preorder
+    assert state.tree.ids.tolist() == list(range(1, window + 1))
+    state.tree.validate()
     emit_snapshot(state, str(tmp_path))
     for w in batches[1:]:
         process_window(state, w)
