@@ -12,11 +12,14 @@ the order of the ant-tree rule's one-time support reset, which fires at the
 third ant, while the support's second child (row 1) is still a leaf, and
 sends only that point to the back of the queue.
 
-Every build node holds exactly one point, so its prototype is that point
-and the tree is ready to stream as soon as it is built. Later windows
-stream through map_point: a point is absorbed by the nearest node when it
-falls inside that node's acceptance radius, otherwise it becomes a fresh
-node under the support. First-level subtrees double as macro clusters.
+Every build node holds exactly one point, so its prototype is that point,
+its mass 1, and the tree is ready to stream as soon as it is built. Later
+windows stream through map_point: a point is absorbed by the nearest node
+when it falls inside that node's acceptance radius, otherwise it becomes a
+fresh node of mass 1 under the support. A node's one fading mass,
+``weights``, ages once per window before mapping, so after a window it
+reads gamma*previous + absorbed points; it weights the running means and
+decides pruning. First-level subtrees double as macro clusters.
 
 Node ``ids[i]`` lives in row ``i`` of every array in ``COLUMNS``. Rows are in
 preorder: the build lays its nodes out that way, children in the order they
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, fade_weight, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
 
 SUPPORT_ID = 0
 
@@ -58,10 +61,7 @@ RADIUS_SCALE = 4.0
 SCALES_BLOCK = 512
 
 # Per-node arrays, one row per non-support node.
-COLUMNS = (
-    "ids", "parents", "prototypes", "counts", "weights",
-    "radius_sum", "radius_n", "absorbed",
-)
+COLUMNS = ("ids", "parents", "prototypes", "weights", "radius_sum", "radius_n")
 
 
 @dataclass
@@ -77,9 +77,9 @@ class TreeSynopsis:
     """Support-rooted tree of cluster summaries with bounded node fan-out.
 
     ``parents`` holds each node's parent id (``SUPPORT_ID`` for the first
-    level). ``radius_sum``/``radius_n`` are the acceptance-radius running
-    mean, seeded with the first window's mean nearest-neighbor distance, and
-    ``absorbed`` counts this window's absorptions until ``fade_and_prune``.
+    level) and ``weights`` each node's fading mass. ``radius_sum``/
+    ``radius_n`` are the acceptance-radius running mean, seeded with the
+    first window's mean nearest-neighbor distance.
     """
 
     def __init__(self, dim: int):
@@ -89,11 +89,9 @@ class TreeSynopsis:
         self.ids = np.empty(0, dtype=np.int64)
         self.parents = np.empty(0, dtype=np.int64)
         self.prototypes = np.empty((0, dim))
-        self.counts = np.empty(0)
         self.weights = np.empty(0)
         self.radius_sum = np.empty(0)
         self.radius_n = np.empty(0, dtype=np.int64)
-        self.absorbed = np.empty(0)
         self._next_id = 1
         self.base_radius = 0.0  # first-window mean nearest-neighbor distance
 
@@ -103,11 +101,11 @@ class TreeSynopsis:
         """Number of non-support nodes."""
         return len(self.ids)
 
-    def _add(self, parent: int, prototype: np.ndarray, weight: float, absorbed: float) -> int:
-        """Append a one-point node under ``parent``; returns its id."""
+    def _add(self, parent: int, prototype: np.ndarray) -> int:
+        """Append a one-point node of mass 1 under ``parent``; returns its id."""
         nid = self._next_id
         self._next_id += 1
-        row = (nid, parent, prototype, 1.0, weight, self.base_radius, 1, absorbed)
+        row = (nid, parent, prototype, 1.0, self.base_radius, 1)
         for name, value in zip(COLUMNS, row):
             setattr(self, name, np.concatenate((getattr(self, name), [value])))
         return nid
@@ -152,13 +150,14 @@ class TreeSynopsis:
         """Absorb a later-window point (a coordinate row) or open a new node
         under the support.
 
-        Absorption is a running mean (the merge at gamma=1); counts age once
-        per window in ``decay_counts`` instead. Every point updates the
-        claimed node's radius statistics whether or not it is absorbed, so
-        radii track the local spread: sparse regions widen their catchment
-        instead of shedding endless novelty nodes. The acceptance radius is
-        that running mean of claimed-point distances, floored at
-        ``RADIUS_SCALE`` base radii so long streams cannot shrink it to zero.
+        Absorption is a running mean (the merge at gamma=1) weighted by the
+        node's mass, which gains 1; masses age once per window in ``fade``
+        instead. Every point updates the claimed node's radius statistics
+        whether or not it is absorbed, so radii track the local spread:
+        sparse regions widen their catchment instead of shedding endless
+        novelty nodes. The acceptance radius is that running mean of
+        claimed-point distances, floored at ``RADIUS_SCALE`` base radii so
+        long streams cannot shrink it to zero.
         """
         coords = np.asarray(point, dtype=float)
         if coords.shape != (self.dim,):
@@ -170,32 +169,30 @@ class TreeSynopsis:
         self.radius_sum[row] += dist
         self.radius_n[row] += 1
         if dist <= radius:
-            count = self.counts[row]
-            self.prototypes[row] = (self.prototypes[row] * count + coords) / (count + 1.0)
-            self.counts[row] = count + 1.0
-            self.absorbed[row] += 1.0
+            mass = self.weights[row]
+            self.prototypes[row] = (self.prototypes[row] * mass + coords) / (mass + 1.0)
+            self.weights[row] = mass + 1.0
             return MapOutcome(int(self.ids[row]), False, dist)
-        return MapOutcome(self._add(SUPPORT_ID, coords, 0.0, 1.0), True, dist)
+        return MapOutcome(self._add(SUPPORT_ID, coords), True, dist)
 
-    def decay_counts(self, gamma: float) -> None:
-        """Age every node count by one window.
+    def fade(self, gamma: float) -> None:
+        """Age every node mass by one window.
 
         Called before a window's points are mapped. Combined with the
         running-mean absorption in map_point this reproduces the batch
-        merge rule at window granularity: count -> gamma*count + absorbed.
+        merge rule at window granularity: mass -> gamma*mass + absorbed.
         """
-        self.counts *= gamma
+        self.weights *= gamma
 
-    def fade_and_prune(self, gamma: float, threshold: float) -> int:
-        """Window tick: fade node weights by absorbed counts, drop dead leaves.
+    def fade_and_prune(self, threshold: float) -> int:
+        """Window tick, after mapping: drop leaves whose mass fell below
+        ``threshold``.
 
         Only leaves are removed (looped until stable) so links stay valid;
         a starving internal node dies once its subtree has drained. The last
         node always survives: the heaviest, ties to the lowest id. Returns
         the number of removed nodes.
         """
-        self.weights = fade_weight(self.weights, gamma, self.absorbed)
-        self.absorbed[:] = 0.0
         removed = 0
         while True:
             leaf = ~np.isin(self.ids, self.parents)
@@ -208,27 +205,22 @@ class TreeSynopsis:
             removed += len(doomed)
 
     def macro_clusters(self) -> ClusteringSolution:
-        """One cluster per first-level subtree (count-weighted prototype mean),
-        each summed over its run of rows, which is the subtree in preorder."""
+        """One cluster per first-level subtree (mass-weighted prototype mean,
+        and the summed mass), each summed over its run of rows, which is the
+        subtree in preorder."""
         bounds = [*np.flatnonzero(self.parents == SUPPORT_ID).tolist(), len(self.ids)]
         if len(bounds) < 2:
             raise ValueError("tree has no first-level subtrees")
-        protos, counts, weights = [], [], []
+        protos, weights = [], []
         for start, stop in zip(bounds, bounds[1:]):
-            block, sizes = self.prototypes[start:stop], self.counts[start:stop]
-            total = sizes.sum()
+            block, mass = self.prototypes[start:stop], self.weights[start:stop]
+            total = mass.sum()
             if total > 0:
-                protos.append((block * sizes[:, None]).sum(axis=0) / total)
+                protos.append((block * mass[:, None]).sum(axis=0) / total)
             else:
                 protos.append(block.mean(axis=0))
-            counts.append(float(total))
-            weights.append(float(sum(self.weights[start:stop].tolist())))
-        return ClusteringSolution(
-            ObjectiveVector(),
-            np.vstack(protos),
-            counts=counts,
-            weights=weights,
-        )
+            weights.append(float(total))
+        return ClusteringSolution(ObjectiveVector(), np.vstack(protos), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +289,7 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     """Place every first-window point as an ant; the tree is ready to stream.
 
     The walk keeps child rows in plain lists; the columns are made once, in
-    preorder, every node holding its one point (count = weight = 1).
+    preorder, every node holding its one point (mass 1).
     """
     n = len(window)
     tree = TreeSynopsis(window.dim)
@@ -333,10 +325,8 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     tree.ids = np.arange(1, n + 1)
     tree.parents = node_id[parent[preorder]]
     tree.prototypes = ants[preorder]
-    tree.counts = np.ones(n)
     tree.weights = np.ones(n)
     tree.radius_sum = np.full(n, tree.base_radius)
     tree.radius_n = np.ones(n, dtype=np.int64)
-    tree.absorbed = np.zeros(n)
     tree._next_id = n + 1
     return tree

@@ -95,8 +95,9 @@ class ObjectiveVector:
 class ClusteringSolution:
     """A full candidate clustering plus its objectives.
 
-    Cluster i is row i of ``prototypes`` (K, d) with decayed count
-    ``counts[i]`` and fading weight ``weights[i]``; both default to 1.
+    Cluster i is row i of ``prototypes`` (K, d) with fading mass
+    ``weights[i]`` (default 1): the merge's history mass and the pruning
+    weight alike.
     ``prev_compactness`` is the compactness the solution carried into its
     latest evaluation, before that window's decay-and-fold. Offspring seed
     their compactness from it so a lineage bred within one idle phase pays
@@ -107,7 +108,6 @@ class ClusteringSolution:
     prototypes: np.ndarray
     solution_id: int = -1
     prev_compactness: float = 0.0
-    counts: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -115,14 +115,10 @@ class ClusteringSolution:
         if self.prototypes.ndim != 2 or len(self.prototypes) == 0:
             raise ValueError("prototypes must be a non-empty (K, d) array")
         k = len(self.prototypes)
-        if self.counts is None:
-            self.counts = np.ones(k)
-        if self.weights is None:
-            self.weights = np.ones(k)
-        self.counts = np.asarray(self.counts, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.counts.shape != (k,) or self.weights.shape != (k,):
-            raise ValueError("counts and weights need one entry per prototype")
+        weights = np.ones(k) if self.weights is None else self.weights
+        self.weights = np.asarray(weights, dtype=float)
+        if self.weights.shape != (k,):
+            raise ValueError("weights need one entry per prototype")
 
     @property
     def k(self) -> int:
@@ -135,7 +131,6 @@ class ClusteringSolution:
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the clusters ``rows`` selects (indices or a mask), in place."""
         self.prototypes = self.prototypes[rows]
-        self.counts = self.counts[rows]
         self.weights = self.weights[rows]
 
     def copy(self) -> "ClusteringSolution":
@@ -144,7 +139,6 @@ class ClusteringSolution:
             self.prototypes.copy(),
             self.solution_id,
             self.prev_compactness,
-            self.counts.copy(),
             self.weights.copy(),
         )
 
@@ -178,8 +172,8 @@ class StreamConfig:
             raise ValueError("mu must be in (0, 1]")
         if self.sigma < 1:
             raise ValueError("sigma must be >= 1")
-        if self.prune_threshold < 0.0:
-            raise ValueError("prune_threshold must be >= 0")
+        if not 0.0 <= self.prune_threshold < np.inf:
+            raise ValueError("prune_threshold must be finite and >= 0")
         if self.interval_ms < 0:
             raise ValueError("interval_ms must be >= 0")
         if self.idle_generations_cap is not None and self.idle_generations_cap < 0:
@@ -331,7 +325,7 @@ def _screened(
 
 def merge_prototype(
     prototypes: np.ndarray,
-    counts: np.ndarray,
+    weights: np.ndarray,
     batch_means: np.ndarray,
     batch_counts: np.ndarray,
     gamma: float,
@@ -339,10 +333,11 @@ def merge_prototype(
     """Fold per-cluster batches (means z, counts m) into clusters with decayed
     history.
 
-    prototype <- (w*n*gamma + z*m) / (n*gamma + m); count <- n*gamma + m.
-    With gamma=1 this is the exact running mean over all absorbed points.
-    Takes (K, d) rows with (K,) counts and returns the new (prototypes,
-    counts); inputs are unchanged.
+    p <- (p*n*gamma + z*m) / (n*gamma + m) and n <- n*gamma + m, with p a
+    prototype and n its mass before the window (its weight). With gamma=1
+    this is the exact running mean over all absorbed points. Takes (K, d)
+    rows with (K,) masses and returns the new (prototypes, masses); inputs
+    are unchanged.
     """
     if np.any(batch_counts <= 0):
         raise ValueError("batch_count must be > 0")
@@ -351,7 +346,7 @@ def merge_prototype(
     batch_means = np.asarray(batch_means, dtype=float)
     if batch_means.shape != prototypes.shape:
         raise ValueError("batch mean dimension mismatch")
-    faded = counts * gamma
+    faded = weights * gamma
     denom = faded + batch_counts
     if np.any(denom <= 0):
         raise RuntimeError("non-positive merge denominator")

@@ -151,12 +151,17 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     tree = build_initial_tree(first_window)
 
     # macro view, k-means sweep, density scan and gas, scored in one pass;
-    # fresh compactness is 0, so gamma cannot reach the seeds' objectives
+    # fresh compactness is 0, so gamma cannot reach the seeds' objectives.
+    # Each cluster's mass is the rows scoring gives it, taken before
+    # evaluation drops the unfed ones.
     population = [tree.macro_clusters(), *kmeans_sweep(first_window, cfg.rng_seed)]
     population.append(seed_dbscan(first_window))
     if len(first_window) >= 2:
         population.append(seed_gng(first_window, cfg.rng_seed))
-    evaluate_solution(population, assign_batch(population, first_window.data), cfg.gamma)
+    pairs = assign_batch(population, first_window.data)
+    for sol, (labels, _) in zip(population, pairs):
+        sol.weights = np.bincount(labels, minlength=sol.k).astype(float)
+    evaluate_solution(population, pairs, cfg.gamma)
 
     state = EngineState(
         cfg=cfg,
@@ -199,22 +204,23 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
         )
     cfg = state.cfg
 
-    # (1) stream points through the tree synopsis. Counts age once per
+    # (1) stream points through the tree synopsis. Masses age once per
     # window up front; absorption is then an exact running mean, so a window
-    # of absorptions composes to the batch update count -> gamma*count +
+    # of absorptions composes to the batch update mass -> gamma*mass +
     # absorbed rather than decaying per point.
-    state.tree.decay_counts(cfg.gamma)
+    state.tree.fade(cfg.gamma)
     for row in window.data:
         state.tree.map_point(row)
 
     # (2) each member absorbs the window: one assign_batch call over every
     # copy, against the window-start prototypes, gives each member's labels
     # and compactness terms; then the per-cluster batches fold into the fed
-    # rows. One weighted bincount over (cluster, coordinate) bins sums every
-    # batch, adding rows in window order as a masked mean does for d >= 2
-    # (at d = 1 numpy sums the single column pairwise, so a mean can differ
-    # in the last bit); (3) fade weights, prune what starved (solutions and
-    # tree alike)
+    # rows, each with its window-start weight as the history mass. One
+    # weighted bincount over (cluster, coordinate) bins sums every batch,
+    # adding rows in window order as a masked mean does for d >= 2 (at d = 1
+    # numpy sums the single column pairwise, so a mean can differ in the last
+    # bit); (3) fade every weight, fed or not, and prune what starved
+    # (solutions and tree alike)
     d = window.dim
     coord = np.arange(d)
     flat_data = window.data.ravel()
@@ -226,12 +232,12 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
         bins = (labels[:, None] * d + coord).ravel()
         sums = np.bincount(bins, weights=flat_data, minlength=clone.k * d)
         means = sums.reshape(clone.k, d)[fed] / assigned[fed, None]
-        clone.prototypes[fed], clone.counts[fed] = merge_prototype(
-            clone.prototypes[fed], clone.counts[fed], means, assigned[fed], cfg.gamma
+        clone.prototypes[fed], _ = merge_prototype(
+            clone.prototypes[fed], clone.weights[fed], means, assigned[fed], cfg.gamma
         )
         clone.weights = fade_weight(clone.weights, cfg.gamma, assigned)
         prune_outdated(clone, cfg.prune_threshold)
-    state.tree.fade_and_prune(cfg.gamma, cfg.prune_threshold)
+    state.tree.fade_and_prune(cfg.prune_threshold)
 
     # (4) rescore: one assign_batch call over the moved/pruned members and
     # the tree's macro view, re-offered as a candidate. A member's

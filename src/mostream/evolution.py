@@ -75,7 +75,6 @@ def _splice(
     return ClusteringSolution(
         a.objectives.copy(),
         np.concatenate([a.prototypes[a_rows], b.prototypes[b_rows]]),
-        counts=np.concatenate([a.counts[a_rows], b.counts[b_rows]]),
         weights=np.concatenate([a.weights[a_rows], b.weights[b_rows]]),
     )
 
@@ -88,7 +87,7 @@ def mutate(
 
     Each chosen coordinate moves by a uniform fraction of its own magnitude,
     v <- v +/- rho*v with rho ~ U(0,1), so zeros are fixed points and scale
-    is respected. Counts and weights ride along unchanged.
+    is respected. Weights ride along unchanged.
 
     The randomness is one ``rng.random`` draw per call, whatever the parents'
     K values. Read in parent order, each parent's slice holds a (K, d) key
@@ -128,7 +127,6 @@ def mutate(
                 p.objectives.copy(),
                 protos[at : at + p.k],
                 prev_compactness=p.prev_compactness,
-                counts=p.counts.copy(),
                 weights=p.weights.copy(),
             )
         )

@@ -41,13 +41,11 @@ def _solution(
     data: np.ndarray, labels: np.ndarray, centers: Optional[np.ndarray] = None
 ) -> ClusteringSolution:
     """The unscored solution of one label per row (-1 for none). Each centre
-    is its label's row mean unless ``centers`` holds them; each count and
-    weight is the label's row count, at least 1 (a k-means slot that its
-    re-seeding emptied again may still be fed when the engine scores it)."""
+    is its label's row mean unless ``centers`` holds them; the engine sets
+    the masses from the rows scoring gives each centre."""
     if centers is None:
         centers = np.vstack([data[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
-    members = np.maximum(np.bincount(labels[labels >= 0], minlength=len(centers)), 1.0)
-    return ClusteringSolution(ObjectiveVector(), centers, counts=members, weights=members.copy())
+    return ClusteringSolution(ObjectiveVector(), centers)
 
 
 # ---------------------------------------------------------------------------

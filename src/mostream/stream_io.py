@@ -203,18 +203,18 @@ def _fmt(value: float) -> str:
 def emit_snapshot(state: EngineState, out_dir: str) -> tuple[str, str]:
     """Write the tree and archive as of the current window.
 
-    Tree rows: node_id,parent_id,count,weight,coord... (support omitted).
+    Tree rows: node_id,parent_id,weight,coord... (support omitted).
     Archive rows: one flat chromosome record per solution.
     """
     wid = state.last_window.window_id
     tree_path = os.path.join(out_dir, f"tree_{wid:05d}.csv")
     tree = state.tree
     with open(tree_path, "w", encoding="utf-8") as fh:
-        for nid, parent, count, weight, proto in zip(
-            tree.ids.tolist(), tree.parents.tolist(), tree.counts, tree.weights, tree.prototypes
+        for nid, parent, weight, proto in zip(
+            tree.ids.tolist(), tree.parents.tolist(), tree.weights, tree.prototypes
         ):
             coords = ",".join(_fmt(v) for v in proto)
-            fh.write(f"{nid},{parent},{_fmt(count)},{_fmt(weight)},{coords}\n")
+            fh.write(f"{nid},{parent},{_fmt(weight)},{coords}\n")
     archive_path = os.path.join(out_dir, f"archive_{wid:05d}.csv")
     with open(archive_path, "w", encoding="utf-8") as fh:
         for sol in state.archive:

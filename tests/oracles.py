@@ -110,22 +110,25 @@ def nearest_cluster(prototypes, point):
     return int(np.argmin(dists))
 
 
-def absorb_window_reference(prototypes, counts, data, gamma):
-    """One member's absorb step with masked batch means: every row of
-    ``data`` joins its nearest prototype (ties -> lowest index), and each fed
-    prototype takes the decayed merge (p*n*gamma + mean*m) / (n*gamma + m)
-    with its batch. Returns the new (prototypes, counts)."""
+def absorb_window_reference(prototypes, weights, data, gamma):
+    """One member's absorb step with masked batch means and one fading mass:
+    every row of ``data`` joins its nearest prototype (ties -> lowest index),
+    each fed prototype takes the decayed merge (p*n*gamma + mean*m) /
+    (n*gamma + m) with its batch, n its mass before the window, and every
+    mass, fed or not, becomes n*gamma + m. Returns the new (prototypes,
+    weights) and each cluster's row count m."""
     d2 = sq_dist_reference(data[:, None, :], prototypes[None, :, :])
     labels = np.argmin(d2, axis=1)
-    protos, counts = prototypes.copy(), counts.copy()
+    protos, masses = prototypes.copy(), weights * gamma
+    assigned = np.zeros(len(prototypes))
     for ci in np.unique(labels):
         batch = data[labels == ci]
         m = float(len(batch))
-        faded = counts[ci] * gamma
-        denom = faded + m
-        protos[ci] = (protos[ci] * faded + batch.mean(axis=0) * m) / denom
-        counts[ci] = denom
-    return protos, counts
+        faded = weights[ci] * gamma
+        protos[ci] = (protos[ci] * faded + batch.mean(axis=0) * m) / (faded + m)
+        masses[ci] = faded + m
+        assigned[ci] = m
+    return protos, masses, assigned
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +153,23 @@ def subtree_rows(root, ids, kids):
     return out
 
 
-def macro_walk_reference(ids, parents, prototypes, counts, weights):
-    """(prototypes, counts, weights) of one cluster per first-level subtree,
-    each summed over its rows in preorder, whatever order the rows are
-    stored in: the count-weighted prototype mean (the plain mean at total
-    count 0), the total count and the weight summed left to right."""
+def macro_walk_reference(ids, parents, prototypes, weights):
+    """(prototypes, masses) of one cluster per first-level subtree, each
+    summed over its rows in preorder, whatever order the rows are stored in:
+    the mass-weighted prototype mean (the plain mean at total mass 0) and
+    the total mass."""
     kids = tree_children(parents)
-    protos, sums, masses = [], [], []
+    protos, masses = [], []
     for root in kids.get(0, []):
         rows = subtree_rows(root, ids, kids)
-        block, sizes = prototypes[rows], counts[rows]
-        total = sizes.sum()
+        block, mass = prototypes[rows], weights[rows]
+        total = mass.sum()
         if total > 0:
-            protos.append((block * sizes[:, None]).sum(axis=0) / total)
+            protos.append((block * mass[:, None]).sum(axis=0) / total)
         else:
             protos.append(block.mean(axis=0))
-        sums.append(float(total))
-        masses.append(float(sum(weights[rows].tolist())))
-    return np.vstack(protos), np.array(sums), np.array(masses)
+        masses.append(float(total))
+    return np.vstack(protos), np.array(masses)
 
 
 # ---------------------------------------------------------------------------

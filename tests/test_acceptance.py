@@ -258,7 +258,7 @@ def test_criterion_7_gamma_one_conservation():
     for nid, chunks in absorbed.items():
         row = tree.ids.tolist().index(nid)
         mean = np.mean(chunks, axis=0)
-        assert tree.counts[row] == pytest.approx(float(len(chunks)), abs=1e-9)
+        assert tree.weights[row] == pytest.approx(float(len(chunks)), abs=1e-9)
         gap = float(np.abs(tree.prototypes[row] - mean).max())
         worst = max(worst, gap)
         assert gap < 1e-9

@@ -33,8 +33,11 @@ def _window(rows, wid=0):
 
 
 def _node(tree, parent, *coords, weight=1.0):
-    """Append a one-point node under ``parent``; returns its id."""
-    return tree._add(parent, _pt(*coords), weight, 0.0)
+    """Append a one-point node of mass ``weight`` under ``parent``; returns
+    its id."""
+    nid = tree._add(parent, _pt(*coords))
+    tree.weights[-1] = weight
+    return nid
 
 
 def _fan(anchors):
@@ -69,11 +72,8 @@ def _preorder(tree):
 
 def _assert_macro_matches_walk(tree):
     macro = tree.macro_clusters()
-    protos, counts, weights = macro_walk_reference(
-        tree.ids, tree.parents, tree.prototypes, tree.counts, tree.weights
-    )
+    protos, weights = macro_walk_reference(tree.ids, tree.parents, tree.prototypes, tree.weights)
     assert np.array_equal(macro.prototypes, protos)
-    assert np.array_equal(macro.counts, counts)
     assert np.array_equal(macro.weights, weights)
 
 
@@ -314,10 +314,10 @@ class TestBuild:
         for data in (first, np.repeat(first, 2, axis=0)):
             tree = build_initial_tree(_window(data))
             for window in later:
-                tree.decay_counts(0.7)
+                tree.fade(0.7)
                 for row in window:
                     tree.map_point(row)
-                tree.fade_and_prune(0.7, 0.1)
+                tree.fade_and_prune(0.1)
             counts.append(tree.node_count())
         plain, doubled = counts
         assert doubled <= 2 * plain
@@ -342,11 +342,9 @@ class TestAggregate:
         data = np.random.default_rng(4).normal(size=(40, 3))
         tree = build_initial_tree(_window(data))
         assert _same_rows(tree.prototypes, data)  # the mean of one point
-        assert np.all(tree.counts == 1.0)
         assert np.all(tree.weights == 1.0)
         assert np.all(tree.radius_sum == tree.base_radius)
         assert np.all(tree.radius_n == 1)
-        assert np.all(tree.absorbed == 0.0)
         assert tree.ids.tolist() == list(range(1, 41))
         # the first ant is the support's first child, the first row in preorder
         assert tree.parents[0] == SUPPORT_ID
@@ -390,9 +388,7 @@ class TestMapPoint:
         row = _row(tree, out.node_id)
         assert row == before  # appended in id order
         assert tree.parents[row] == SUPPORT_ID
-        assert tree.weights[row] == 0.0
-        assert tree.counts[row] == 1.0
-        assert tree.absorbed[row] == 1.0
+        assert tree.weights[row] == 1.0
         assert np.array_equal(tree.prototypes[row], [500.0, 500.0])
 
     def test_rejected_claim_still_widens_radius(self):
@@ -416,24 +412,23 @@ class TestMapPoint:
         tree.map_point(_pt(-2.0, 0.0))
         # running mean of (0,0) and (-2,0)
         assert np.allclose(tree.prototypes[row], [-1.0, 0.0])
-        assert tree.counts[row] == 2.0
-        assert tree.absorbed[row] == 1.0
+        assert tree.weights[row] == 2.0
 
     def test_absorption_matches_gamma_one_merge(self):
         """The running mean is ``merge_prototype``'s arithmetic at gamma=1
-        for a one-point batch, bit for bit, also on aged fractional counts."""
+        for a one-point batch, bit for bit, also on aged fractional masses."""
         tree = self._two_node_tree()
-        tree.decay_counts(0.7)
+        tree.fade(0.7)
         for point in np.random.default_rng(3).uniform(-5.0, 5.0, size=(20, 2)):
-            protos, counts = tree.prototypes.copy(), tree.counts.copy()
+            protos, masses = tree.prototypes.copy(), tree.weights.copy()
             out = tree.map_point(point)
             assert not out.created
             row = _row(tree, out.node_id)
-            want, count = merge_prototype(
-                protos[row : row + 1], counts[row : row + 1], point[None, :], np.ones(1), 1.0
+            want, mass = merge_prototype(
+                protos[row : row + 1], masses[row : row + 1], point[None, :], np.ones(1), 1.0
             )
             assert np.array_equal(tree.prototypes[row], want[0])
-            assert tree.counts[row] == count[0]
+            assert tree.weights[row] == mass[0]
 
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()
@@ -442,23 +437,43 @@ class TestMapPoint:
 
 
 class TestWindowTick:
-    def test_decay_counts(self):
+    def test_fade_ages_every_mass(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        tree.decay_counts(0.7)
-        assert np.allclose(tree.counts, 0.7)
+        tree.fade(0.7)
+        assert np.allclose(tree.weights, 0.7)
 
     def test_decay_at_gamma_one_is_noop(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        tree.decay_counts(1.0)
-        assert np.all(tree.counts == 1.0)
+        tree.fade(1.0)
+        assert np.all(tree.weights == 1.0)
 
-    def test_fade_folds_absorbed_and_resets(self):
+    def test_prune_does_not_fade(self):
         tree = build_initial_tree(_window([[0, 0], [10, 0]]))
-        row = _row(tree, _first_level(tree)[0])
-        tree.absorbed[row] = 3.0
-        tree.fade_and_prune(0.7, threshold=0.0)
-        assert tree.weights[row] == pytest.approx(0.7 * 1.0 + 3.0)
-        assert np.all(tree.absorbed == 0.0)
+        tree.weights[:] = [0.5, 3.0]
+        assert tree.fade_and_prune(threshold=0.0) == 0
+        assert tree.weights.tolist() == [0.5, 3.0]
+
+    @pytest.mark.parametrize("gamma", [0.7, 1.0])
+    def test_window_mass_is_faded_previous_plus_absorbed(self, gamma):
+        """After a window each surviving node's mass is gamma * its mass
+        before the window + the points ``map_point`` gave it (a new node's
+        previous mass is 0), counted from the outcomes."""
+        rng = np.random.default_rng(11)
+        tree = build_initial_tree(_window(rng.normal(scale=3.0, size=(60, 2))))
+        opened = 0
+        for w in range(1, 6):
+            before = dict(zip(tree.ids.tolist(), tree.weights.tolist()))
+            taken = {}
+            tree.fade(gamma)
+            for row in rng.normal(scale=3.0, size=(80, 2)) + 3.0 * w:
+                out = tree.map_point(row)
+                taken[out.node_id] = taken.get(out.node_id, 0) + 1
+                opened += out.created
+            tree.fade_and_prune(0.1)
+            for nid, mass in zip(tree.ids.tolist(), tree.weights.tolist()):
+                want = gamma * before.get(nid, 0.0) + taken.get(nid, 0)
+                assert mass == pytest.approx(want, rel=1e-12)
+        assert opened > 0
 
     def test_starved_leaf_pruned_inner_node_waits(self):
         # chain support -> x -> y, both starving: y goes first, x is spared
@@ -466,7 +481,7 @@ class TestWindowTick:
         tree = TreeSynopsis(2)
         x = _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
         y = _node(tree, x, 1, 1, weight=0.01)
-        removed = tree.fade_and_prune(0.7, threshold=0.1)
+        removed = tree.fade_and_prune(threshold=0.1)
         assert removed == 1
         assert tree.ids.tolist() == [x]
         tree.validate()
@@ -477,38 +492,36 @@ class TestWindowTick:
         keep = _node(tree, SUPPORT_ID, 9, 9, weight=5.0)
         x = _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
         _node(tree, x, 1, 1, weight=0.01)
-        assert tree.fade_and_prune(0.7, threshold=0.1) == 2
+        assert tree.fade_and_prune(threshold=0.1) == 2
         assert tree.ids.tolist() == [keep]
 
     def test_last_node_spared_prefers_heavier(self):
         tree = TreeSynopsis(2)
         _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
         b = _node(tree, SUPPORT_ID, 5, 5, weight=0.02)
-        tree.fade_and_prune(0.7, threshold=1.0)
+        tree.fade_and_prune(threshold=1.0)
         assert tree.ids.tolist() == [b]
 
     def test_last_node_tie_spares_lowest_id(self):
         tree = TreeSynopsis(2)
         a = _node(tree, SUPPORT_ID, 0, 0, weight=0.01)
         _node(tree, SUPPORT_ID, 5, 5, weight=0.01)
-        tree.fade_and_prune(0.7, threshold=1.0)
+        tree.fade_and_prune(threshold=1.0)
         assert tree.ids.tolist() == [a]
 
     def test_empty_tree_prunes_nothing(self):
-        assert TreeSynopsis(2).fade_and_prune(0.7, threshold=1.0) == 0
+        assert TreeSynopsis(2).fade_and_prune(threshold=1.0) == 0
 
 
 class TestMacroClusters:
-    def test_count_weighted_subtree_mean(self):
+    def test_mass_weighted_subtree_mean(self):
         tree = TreeSynopsis(2)
         a = _node(tree, SUPPORT_ID, 0, 0)
-        _node(tree, a, 2, 2)
-        tree.counts[:] = [1.0, 3.0]
+        _node(tree, a, 2, 2, weight=3.0)
         macro = tree.macro_clusters()
         assert macro.k == 1
         assert np.allclose(macro.prototypes[0], [1.5, 1.5])
-        assert macro.counts[0] == 4.0
-        assert macro.weights[0] == 2.0
+        assert macro.weights[0] == 4.0
 
     def test_one_cluster_per_first_level_subtree(self):
         tree = TreeSynopsis(2)
@@ -525,7 +538,7 @@ class TestMacroClusters:
         assert _preorder(tree) == [0, 1, 2, 3, 4]
         macro = tree.macro_clusters()
         assert np.allclose(macro.prototypes[:, 0], [2.0, 11.0])
-        assert macro.counts.tolist() == [3.0, 2.0]
+        assert macro.weights.tolist() == [3.0, 2.0]
         _assert_macro_matches_walk(tree)
 
     @pytest.mark.parametrize("dim", [1, 2, 16])
@@ -538,10 +551,10 @@ class TestMacroClusters:
         _assert_macro_matches_walk(tree)
         opened = pruned = 0
         for w in range(1, 8):
-            tree.decay_counts(0.7)
+            tree.fade(0.7)
             for row in rng.normal(scale=3.0, size=(80, dim)) + 4.0 * w:
                 opened += tree.map_point(row).created
-            pruned += tree.fade_and_prune(0.7, 0.5)
+            pruned += tree.fade_and_prune(0.5)
             tree.validate()
             _assert_macro_matches_walk(tree)
         assert opened > 0 and pruned > 0
@@ -549,7 +562,7 @@ class TestMacroClusters:
     def test_zero_total_count_falls_back_to_plain_mean(self):
         tree = TreeSynopsis(2)
         _node(tree, SUPPORT_ID, 4, 0)
-        tree.counts[0] = 0.0
+        tree.weights[0] = 0.0
         macro = tree.macro_clusters()
         assert np.allclose(macro.prototypes[0], [4, 0])
 
@@ -699,11 +712,11 @@ def test_arrays_stay_one_row_per_node(stream):
     assert _same_rows(tree.prototypes, windows[0])
     start, created, pruned = tree.node_count(), 0, 0
     for rows in windows[1:]:
-        tree.decay_counts(gamma)
+        tree.fade(gamma)
         for row in rows:
             created += tree.map_point(row).created
             _check_rows(tree)
-        pruned += tree.fade_and_prune(gamma, threshold)
+        pruned += tree.fade_and_prune(threshold)
         _check_rows(tree)
         _assert_macro_matches_walk(tree)
         assert tree.node_count() == start + created - pruned

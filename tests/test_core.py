@@ -540,17 +540,17 @@ class TestSolutionCopy:
         sol.prev_compactness = 9.0
         dup = sol.copy()
         dup.prototypes[0, 0] = 99.0
-        dup.counts[0] = dup.weights[0] = 5.0
+        dup.weights[0] = 5.0
         dup.keep([0])
         assert sol.k == 2 and dup.k == 1
         assert sol.prototypes[0, 0] == 0.0
-        assert sol.counts[0] == sol.weights[0] == 1.0
+        assert sol.weights[0] == 1.0
         assert dup.prev_compactness == 9.0
 
-    def test_rejects_mismatched_counts(self):
+    def test_rejects_mismatched_weights(self):
         with pytest.raises(ValueError):
             ClusteringSolution(
-                ObjectiveVector(), np.zeros((2, 2)), counts=np.ones(3),
+                ObjectiveVector(), np.zeros((2, 2)), weights=np.ones(3),
             )
 
 
@@ -577,6 +577,9 @@ class TestStreamConfig:
             {"interval_ms": -1},
             {"idle_generations_cap": -1},
             {"rng_seed": -1},
+            # weights >= nan never holds, so a NaN threshold would never prune
+            {"prune_threshold": float("nan")},
+            {"prune_threshold": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -155,7 +155,7 @@ class TestCommitMeans:
     @pytest.mark.parametrize("dim", [1, 2, 16])
     def test_merged_prototypes_match_masked_mean_reference(self, dim):
         # prune_threshold 0 keeps every row, so each surviving member shows
-        # its merged prototypes and counts as they left the absorb step
+        # its merged prototypes and faded weights as they left the absorb step
         cfg = StreamConfig(window_size=60, prune_threshold=0.0)
         rng = np.random.default_rng(dim)
         first, second = (
@@ -169,8 +169,8 @@ class TestCommitMeans:
             if sol.solution_id not in before:  # the tree's macro offer
                 continue
             old = before[sol.solution_id]
-            protos, counts = absorb_window_reference(
-                old.prototypes, old.counts, second.data, cfg.gamma
+            protos, weights, _ = absorb_window_reference(
+                old.prototypes, old.weights, second.data, cfg.gamma
             )
             if dim == 1:
                 # numpy's mean sums a lone column pairwise, while the commit
@@ -178,9 +178,45 @@ class TestCommitMeans:
                 np.testing.assert_allclose(sol.prototypes, protos, rtol=1e-12, atol=0)
             else:
                 assert np.array_equal(sol.prototypes, protos)
-            assert np.array_equal(sol.counts, counts)
+            assert np.array_equal(sol.weights, weights)
             checked += 1
         assert checked >= 2
+
+    def test_unfed_cluster_merges_with_its_faded_mass(self):
+        """A cluster the window does not feed still fades, and when a later
+        window feeds it again, that faded mass is its merge history."""
+        cfg = StreamConfig(prune_threshold=0.0)
+        rng = np.random.default_rng(4)
+        corners = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0], [20.0, 20.0]])
+
+        def window(wid, blobs):
+            rows = np.repeat(corners[blobs], 25, axis=0)
+            return WindowBatch(rows + rng.normal(size=rows.shape), wid)
+
+        # window 1 feeds only the two lower blobs, window 2 all four again
+        windows = [window(0, [0, 1, 2, 3]), window(1, [0, 1]), window(2, [0, 1, 2, 3])]
+        state = initialize(windows[0], cfg)
+        snapshots = []
+        for w in windows[1:]:
+            snapshots.append({s.solution_id: s.copy() for s in state.archive})
+            process_window(state, w)
+        first, second = snapshots
+        refed = 0
+        for sol in state.archive:
+            if sol.solution_id not in first or sol.solution_id not in second:
+                continue
+            _, _, unfed = absorb_window_reference(
+                first[sol.solution_id].prototypes, first[sol.solution_id].weights,
+                windows[1].data, cfg.gamma,
+            )
+            old = second[sol.solution_id]
+            protos, weights, fed = absorb_window_reference(
+                old.prototypes, old.weights, windows[2].data, cfg.gamma
+            )
+            assert np.array_equal(sol.prototypes, protos)
+            assert np.array_equal(sol.weights, weights)
+            refed += int(np.count_nonzero((unfed == 0) & (fed > 0)))
+        assert refed >= 1
 
 
 class TestCommitAssignments:
@@ -399,7 +435,7 @@ class TestGammaOneConservation:
         tree = state.tree
         absorbed = {
             nid: [proto * count]
-            for nid, proto, count in zip(tree.ids.tolist(), tree.prototypes, tree.counts)
+            for nid, proto, count in zip(tree.ids.tolist(), tree.prototypes, tree.weights)
         }
 
         original_map = tree.map_point
@@ -418,7 +454,7 @@ class TestGammaOneConservation:
                 continue
             row = tree.ids.tolist().index(nid)
             total = np.sum(chunks, axis=0)
-            count = tree.counts[row]
+            count = tree.weights[row]
             # every build node houses exactly one point, so chunk count is
             # the number of points this node has ever held
             assert count == pytest.approx(float(len(chunks)))

@@ -122,9 +122,9 @@ class TestCrossover:
         b = _sol([(11, 11), (12, 12), (13, 13)], sid=2)
         c1, _ = crossover(a, b, 2)
         c1.prototypes[0, 0] = 99.0
-        c1.counts[0] = c1.weights[0] = 7.0
+        c1.weights[0] = 7.0
         assert a.prototypes[0, 0] == 1.0
-        assert a.counts[0] == a.weights[0] == 1.0
+        assert a.weights[0] == 1.0
 
     def test_small_parents_rejected(self):
         a = _sol([(1, 1), (2, 2)])
@@ -202,11 +202,9 @@ class TestMutate:
 
     def test_metadata(self):
         sol = _sol([(1.0, 2.0), (3.0, 4.0)], sid=77)
-        sol.counts[0] = 5.0
         sol.weights[0] = 2.5
         [out] = mutate([sol], 0.5, np.random.default_rng(0))
         assert out.solution_id == -1
-        assert out.counts[0] == 5.0
         assert out.weights[0] == 2.5
         # source untouched
         assert sol.solution_id == 77

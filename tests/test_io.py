@@ -276,7 +276,7 @@ class TestSnapshots:
         ]
         assert len(tree_rows) == state.tree.node_count()  # support omitted
         dim = state.last_window.dim
-        assert all(len(r) == 4 + dim for r in tree_rows)
+        assert all(len(r) == 3 + dim for r in tree_rows)  # id, parent, weight
         assert all(int(r[0]) != 0 for r in tree_rows)
         archive_rows = [
             [float(v) for v in line.split(",")]
@@ -469,6 +469,15 @@ class TestCliMain:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_prune_threshold_is_error_exit(self, tmp_path, capsys):
+        rc = main(
+            ["--blobs", "k=2,per=50", "--prune", "nan",
+             "--idle-gens", "1", "--out", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "error: prune_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "reports.jsonl").exists()
 
 
 class TestRunDeterminism:

@@ -156,7 +156,7 @@ class TestEvaluate:
     def test_matches_assign_fold_and_oracle(self, protos, points, gamma, prefix):
         # a far prototype no window point can reach stays memberless
         sol = _protos(protos + [(1e3, -1e3)], compactness=prefix)
-        sol.counts = np.arange(1.0, sol.k + 1)
+        sol.weights = np.arange(1.0, sol.k + 1)
         ref = sol.copy()
         win = _window(points)
         evaluate_solution([sol], assign_batch([sol], win.data), gamma)
@@ -164,7 +164,7 @@ class TestEvaluate:
         ref.keep(fed)
         update_compactness(ref, _dists(ref, win, labels), gamma)
         assert np.array_equal(sol.prototypes, ref.prototypes)
-        assert np.array_equal(sol.counts, ref.counts)
+        assert np.array_equal(sol.weights, ref.weights)
         assert sol.k < len(protos) + 1
         assert sol.objectives.compactness == ref.objectives.compactness
         assert sol.prev_compactness == ref.prev_compactness == prefix
@@ -187,7 +187,6 @@ class TestEvaluate:
         assert any(s.k < k for s, k in zip(sols, ks))
         for sol, ref in zip(sols, alone):
             assert np.array_equal(sol.prototypes, ref.prototypes)
-            assert np.array_equal(sol.counts, ref.counts)
             assert np.array_equal(sol.weights, ref.weights)
             assert sol.objectives == ref.objectives
             assert sol.prev_compactness == ref.prev_compactness

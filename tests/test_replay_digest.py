@@ -33,7 +33,7 @@ SHAPES = {
         dict(k=4, per_blob=150, sep=10.0, stddev=0.5, drift=(0.05, 0.02), dim=2),
         100,
         6,
-        "0e17475860ffff5e00f235e64d24b88f9ea28e106b9430d6045af147e4369476",
+        "746b6173c44987136c9484561637aa2cdc7dc2b6609c6c3b24a8005ee19f3f59",
     ),
     # 3 <= d < 8: every column-order kernel path below the screen
     "d5-overlap": (
@@ -113,20 +113,20 @@ TREE_SHAPES = {
     "d2-fast-drift": (
         dict(k=4, per_blob=250, sep=10.0, stddev=0.5, drift=(0.6, 0.2), dim=2),
         100,
-        "f5e8f0902c2983401b8ce09b30dd38fa65bc564a112a364ee4ae163fbed73450",
+        "89da337ea7602f740a61caa8ced6853eca3540267dcf17e23735d0669258adec",
     ),
     # three overlapping blobs in three coordinates, one 60-point window each
     "d3": (
         dict(k=3, per_blob=60, sep=3.0, stddev=1.0, dim=3),
         60,
-        "155f2b402f6604983a37b166a07f1598e3e478bf2f95b30f648efc6e281fae72",
+        "3056065f3d25af608baad081e4e32f828ab24ca10b48235e067cd494a4f7173d",
     ),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
 def test_tree_snapshots_match_pinned_digest(shape, tmp_path):
-    """Every node's id, parent, count, weight and coordinates, every window."""
+    """Every node's id, parent, weight and coordinates, every window."""
     blobs, window, digest = TREE_SHAPES[shape]
     batches = gen_blobs(window_size=window, seed=7, **blobs)
     cfg = StreamConfig(window_size=window, idle_generations_cap=0, rng_seed=7)

@@ -40,26 +40,24 @@ def triples():
     return _window(rows)
 
 
-def _reference_solution(window, labels, centers):
-    """The solution a seeder builds from a finished assignment."""
-    members = np.bincount(labels).astype(float)
-    ref = ClusteringSolution(ObjectiveVector(), centers,
-                             counts=members, weights=members.copy())
-    evaluate_solution([ref], assign_batch([ref], window.data), 0.7)
-    return ref
-
-
 def _assert_same_solution(sol, ref):
     assert np.array_equal(sol.prototypes, ref.prototypes)
-    assert np.array_equal(sol.counts, ref.counts)
+    assert np.array_equal(sol.weights, ref.weights)
     assert sol.objectives == ref.objectives
 
 
 def _scored(sol, window):
     """An unscored seed scored alone on its window, as ``initialize`` scores
-    every seed."""
-    evaluate_solution([sol], assign_batch([sol], window.data), 0.7)
+    every seed: each cluster's mass is the rows scoring gives it."""
+    pairs = assign_batch([sol], window.data)
+    sol.weights = np.bincount(pairs[0][0], minlength=sol.k).astype(float)
+    evaluate_solution([sol], pairs, 0.7)
     return sol
+
+
+def _reference_solution(window, centers):
+    """The scored seed built from a finished assignment's centers."""
+    return _scored(ClusteringSolution(ObjectiveVector(), centers), window)
 
 
 def _kmeans(window, k, seed):
@@ -119,8 +117,7 @@ class TestKMeans:
     @pytest.mark.parametrize("dim", [2, 8])
     def test_sweep_returns_each_lloyd_run_unscored(self, rng, dim):
         # each k's solution holds Lloyd's own centers, which are the means of
-        # its labels, with the label counts as counts and weights; scoring is
-        # left to the engine
+        # its labels, at unit mass; masses and scoring are left to the engine
         window = WindowBatch(rng.normal(size=(60, dim)), 0)
         sols = kmeans_sweep(window, seed=3)
         assert [s.k for s in sols] == list(range(2, 16))
@@ -130,9 +127,7 @@ class TestKMeans:
                                for c in range(sol.k)])
             assert np.array_equal(sol.prototypes, centers)
             assert np.array_equal(sol.prototypes, means)
-            members = np.bincount(labels, minlength=sol.k).astype(float)
-            assert np.array_equal(sol.counts, members)
-            assert np.array_equal(sol.weights, members)
+            assert np.array_equal(sol.weights, np.ones(sol.k))
             assert sol.objectives == ObjectiveVector()
 
     def test_sweep_truncates_to_window_size(self):
@@ -225,8 +220,8 @@ class TestDBScan:
         assert 0 < (~kept).sum() < 1100
         centers = np.vstack([data[kept][labels[kept] == c].mean(axis=0)
                              for c in range(labels.max() + 1)])
-        # noise rows join no center or count, but scoring charges every row
-        ref = _reference_solution(window, labels[kept], centers)
+        # noise rows join no center, but scoring charges every row
+        ref = _reference_solution(window, centers)
         _assert_same_solution(sol, ref)
 
 
@@ -311,8 +306,7 @@ class TestGNG:
             split_decay=seeders.GNG_SPLIT_DECAY, error_decay=seeders.GNG_ERROR_DECAY,
         )
         labels, centers, gas = gng_reference(window.data, seed, **consts)
-        ref = _reference_solution(window, labels, centers)
-        return ref, gas
+        return _reference_solution(window, centers), gas
 
     @staticmethod
     def _assert_same_gas(window, seed, gas):
@@ -379,8 +373,23 @@ class TestSeedScoring:
             _assert_same_solution(sol, _scored(unscored, window))
         # the sweep's seeds against their own Lloyd runs
         for k, (sol, _) in zip(range(2, 16), seeds[1:15]):
-            ref = _reference_solution(window, *_lloyd(window, k, cfg.rng_seed + k))
+            ref = _reference_solution(window, _lloyd(window, k, cfg.rng_seed + k)[1])
             _assert_same_solution(sol, ref)
+
+    def test_seed_masses_are_scoring_row_counts(self):
+        # 200 rows on 12 distinct points: Lloyd's re-seeded centers are exact
+        # rows while coincident means can differ in the last bit, so for
+        # k > 12 Lloyd's labels are not the rows scoring gives each center
+        rg = np.random.default_rng(0)
+        points = rg.normal(size=(12, 2)) * 3.0
+        window = WindowBatch(points[rg.integers(0, 12, size=200)], 0)
+        state = engine.initialize(window, StreamConfig())
+        # ids 0..16 are the seeds: macro view, k = 2..15, density scan, gas
+        seeds = [sol for sol in state.archive if sol.solution_id <= 16]
+        assert any(sol.solution_id in (12, 13, 14) for sol in seeds)  # k = 13..15
+        for sol in seeds:
+            [(labels, _)] = assign_batch([sol], window.data)
+            assert np.array_equal(sol.weights, np.bincount(labels, minlength=sol.k))
 
     def test_density_noise_rows_count_in_compactness(self, monkeypatch):
         # a dense cloud and three rows more than DBSCAN_RADIUS from every
@@ -400,7 +409,7 @@ class TestSeedScoring:
         engine.initialize(window, StreamConfig())
         [sol] = kept
         assert sol.k == 1
-        assert sol.counts.tolist() == [60.0]
+        assert sol.weights.tolist() == [63.0]
         gaps = np.linalg.norm(window.data[:, None, :] - sol.prototypes[None, :, :], axis=2)
         nearest = gaps.min(axis=1)
         assert sol.objectives.compactness == pytest.approx(nearest.sum(), rel=1e-12)

@@ -52,12 +52,13 @@ def test_tree_facts_are_python_scalars():
     """The tracer counts only ``bool``/``int`` info facts, so a numpy scalar
     here would read ``anttree.nodes_opened``/``nodes_pruned`` as 0."""
     tree = build_initial_tree(WindowBatch(np.array([[0.0, 0.0], [1.0, 0.0]]), 0))
+    tree.fade(0.5)
     for point, created in [((0.5, 0.0), False), ((90.0, 90.0), True)]:
         out = tree.map_point(np.array(point))
         assert type(out.created) is bool and out.created is created
-    removed = tree.fade_and_prune(0.5, threshold=1.0)
+    removed = tree.fade_and_prune(threshold=1.0)
     assert type(removed) is int and removed == 1
-    assert type(tree.fade_and_prune(0.5, threshold=0.0)) is int
+    assert type(tree.fade_and_prune(threshold=0.0)) is int
 
 
 def test_traced_pass_calls_every_traced_function(monkeypatch):
