@@ -14,9 +14,10 @@ sends only that point to the back of the queue.
 
 Every build node holds exactly one point, so its prototype is that point,
 its mass 1, and the tree is ready to stream as soon as it is built. Later
-windows stream through map_point: a point is absorbed by the nearest node
-when it falls inside that node's acceptance radius, otherwise it becomes a
-fresh node of mass 1 under the support. A node's one fading mass,
+windows stream through map_window, point by point in effect: a point is
+absorbed by the nearest node when it falls inside that node's acceptance
+radius, otherwise it becomes a fresh node of mass 1 under the support
+(map_point, which opens every new node). A node's one fading mass,
 ``weights``, ages once per window before mapping, so after a window it
 reads gamma*previous + absorbed points; it weights the running means and
 decides pruning. First-level subtrees double as macro clusters.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, nearest_sq, sq_dist
 
 SUPPORT_ID = 0
 
@@ -59,6 +60,13 @@ RADIUS_SCALE = 4.0
 
 # Rows per distance block of ``window_scales``, so memory is O(n * block).
 SCALES_BLOCK = 512
+
+# Window rows per run of ``map_window``. A run pays a fixed cost in numpy
+# calls whatever its length, and a longer run more often stops early at a
+# node clash, wasting the rest of its search.
+RUN = 16
+# _EARLIER[j, i]: row i comes before row j in a run
+_EARLIER = np.tri(RUN, k=-1, dtype=bool)
 
 # Per-node arrays, one row per non-support node.
 COLUMNS = ("ids", "parents", "prototypes", "weights", "radius_sum", "radius_n")
@@ -157,14 +165,15 @@ class TreeSynopsis:
         sparse regions widen their catchment instead of shedding endless
         novelty nodes. The acceptance radius is that running mean of
         claimed-point distances, floored at ``RADIUS_SCALE`` base radii so
-        long streams cannot shrink it to zero.
+        long streams cannot shrink it to zero. The nearest node is the first
+        minimum of the squared distances, as in ``core.assign_batch``.
         """
         coords = np.asarray(point, dtype=float)
         if coords.shape != (self.dim,):
             raise ValueError("point dimension mismatch")
-        dists = np.sqrt(sq_dist(self.prototypes, coords))
-        row = int(np.argmin(dists))
-        dist = float(dists[row])
+        d2 = sq_dist(self.prototypes, coords)
+        row = int(np.argmin(d2))
+        dist = float(np.sqrt(d2[row]))
         radius = max(RADIUS_SCALE * self.base_radius, self.radius_sum[row] / self.radius_n[row])
         self.radius_sum[row] += dist
         self.radius_n[row] += 1
@@ -175,11 +184,58 @@ class TreeSynopsis:
             return MapOutcome(int(self.ids[row]), False, dist)
         return MapOutcome(self._add(SUPPORT_ID, coords), True, dist)
 
+    def map_window(self, block: np.ndarray) -> np.ndarray:
+        """Map the rows of ``block`` in order, exactly as a map_point loop
+        over them would, and return the id of the node each row went to.
+
+        The rows go in runs of ``RUN``. One ``core.nearest_sq`` call finds
+        each run row's nearest node in the tree as the run found it. The
+        run then takes the longest prefix of rows that map_point would
+        place the same way: each row is absorbed by its node, no earlier
+        row of the prefix claimed that node, and no earlier row's moved
+        prototype is nearer to the row than its node (or as near, at a
+        lower row). Those rows are applied at once. The first row that
+        fails goes through map_point, so every new node is opened there,
+        and the next run starts after it.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.dim:
+            raise ValueError("point dimension mismatch")
+        nodes = np.empty(len(block), dtype=np.int64)
+        floor = RADIUS_SCALE * self.base_radius
+        start = 0
+        while start < len(block):
+            run = block[start : start + RUN]
+            m = len(run)
+            rows, d2 = nearest_sq(self.prototypes, run)
+            dist = np.sqrt(d2)
+            mass = self.weights[rows]
+            moved = (self.prototypes[rows] * mass[:, None] + run) / (mass[:, None] + 1.0)
+            # cross[j, i]: run row j's squared distance to row i's moved node
+            cross = sq_dist(run[:, None, :], moved[None, :, :])
+            near = d2[:, None]
+            lower = rows < rows[:, None]
+            clash = (cross < near) | ((cross == near) & lower) | (rows == rows[:, None])
+            ok = dist <= np.maximum(floor, self.radius_sum[rows] / self.radius_n[rows])
+            ok &= ~(clash & _EARLIER[:m, :m]).any(axis=1)
+            take = m if ok.all() else int(ok.argmin())
+            hit = rows[:take]
+            self.prototypes[hit] = moved[:take]
+            self.weights[hit] = mass[:take] + 1.0
+            self.radius_sum[hit] += dist[:take]
+            self.radius_n[hit] += 1
+            nodes[start : start + take] = self.ids[hit]
+            start += take
+            if take < m:
+                nodes[start] = self.map_point(block[start]).node_id
+                start += 1
+        return nodes
+
     def fade(self, gamma: float) -> None:
         """Age every node mass by one window.
 
         Called before a window's points are mapped. Combined with the
-        running-mean absorption in map_point this reproduces the batch
+        running-mean absorption of mapping this reproduces the batch
         merge rule at window granularity: mass -> gamma*mass + absorbed.
         """
         self.weights *= gamma

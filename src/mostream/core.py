@@ -8,7 +8,8 @@ label and distance per solution, bit-identical to each solution's own
 (window x solution) ``sq_dist`` matrix. From 8 coordinates one GEMM over the
 stacked prototypes screens the labels under a derived rounding margin, the
 chosen distances still come from ``sq_dist``, and rows the margin cannot
-settle take the exact matrix. The update rules
+settle take the exact matrix. ``nearest_sq`` is the one-block form the
+tree synopsis maps its windows with, in runs of rows. The update rules
 implement the decayed running-mean merge of per-cluster batches, the
 exponential weight fade with assignment refresh, and staleness pruning.
 """
@@ -188,6 +189,11 @@ class StreamConfig:
 
 # the matrix form beats the (n, K, d) cube only once its d-wide sums dominate
 SCREEN_MIN_DIM = 8
+# Fewest prototype coordinates (K x d) for which ``nearest_sq`` screens one
+# block. The screen's fixed cost is about 30 us whatever K is; timed on
+# 16-row blocks (x86_64 VM, numpy 2.4.6), the exact matrix is cheaper below
+# about 300 coordinates at d=8, 750 at d=5 and 1,200 at d=2.
+SCREEN_MIN_COORDS = 512
 # unit roundoff and the smallest subnormal: the screen's relative and
 # absolute (underflow) error units
 _UNIT = 2.0**-53
@@ -242,7 +248,21 @@ def assign_batch(
     if data.shape[1] < SCREEN_MIN_DIM:
         pairs = (_nearest_exact(sol.prototypes, data) for sol in solutions)
         return [(labels, np.sqrt(d2)) for labels, d2 in pairs]
-    return _screened([sol.prototypes for sol in solutions], data) if solutions else []
+    if not solutions:
+        return []
+    labels, d2 = _screened([sol.prototypes for sol in solutions], data)
+    return list(zip(labels.T.copy(), np.sqrt(d2.T, order="C")))
+
+
+def nearest_sq(protos: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First minimum of each row of the (n, K) ``sq_dist`` matrix of ``data``
+    against one prototype block, and that squared distance: from the matrix
+    itself below ``SCREEN_MIN_COORDS`` prototype coordinates, else from the
+    GEMM screen."""
+    if protos.size < SCREEN_MIN_COORDS:
+        return _nearest_exact(protos, data)
+    labels, d2 = _screened([protos], data)
+    return labels[:, 0], d2[:, 0]
 
 
 def _nearest_exact(
@@ -257,21 +277,24 @@ def _nearest_exact(
 
 def _screened(
     stack: list[np.ndarray], data: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``assign_batch`` for d >= ``SCREEN_MIN_DIM`` over the stacked
-    prototypes of every solution.
+) -> tuple[np.ndarray, np.ndarray]:
+    """First minimum of each row of every (n, K_s) ``sq_dist`` matrix of
+    ``data`` against a prototype block of ``stack``, and that squared
+    distance, as two (n, len(stack)) arrays, from one GEMM over the stacked
+    blocks. Bit for bit each block's own matrix at any d; ``assign_batch``
+    uses it from ``SCREEN_MIN_DIM`` coordinates.
 
     One GEMM gives h_k = |p_k|^2 - 2 x.p_k for every row x and every stacked
-    prototype; each solution's candidate label m is the argmin over its own
-    columns (several solutions are padded to a common K with columns at
-    +inf). The candidate's squared distance c_m = sq_dist(x, p_m) is the
-    very entry the solution's (n, K) matrix holds, since both sum the same
-    last axis. A row keeps m only if every other column of its solution
-    clears the margin, h_k > c_m - |x|^2 + M; otherwise, or if M is not
-    finite, that row's labels come from the exact matrix.
+    prototype; each block's candidate label m is the argmin over its own
+    columns (several blocks are padded to a common K with columns at +inf).
+    The candidate's squared distance c_m = sq_dist(x, p_m) is the very entry
+    the block's (n, K) matrix holds, since both sum the same last axis. A
+    row keeps m only if every other column of its block clears the margin,
+    h_k > c_m - |x|^2 + M; otherwise, or if M is not finite, that row's
+    labels come from the exact matrix.
 
     The bound, with u = 2^-53, g = (d+2)u / (1-(d+2)u), s = |x|^2 +
-    max_k |p_k|^2 over the solution, and E = 2 g s + (d+2) eta, eta the
+    max_k |p_k|^2 over the block, and E = 2 g s + (d+2) eta, eta the
     smallest subnormal (each underflowing operation adds at most eta / 2):
     every computed h_k, every matrix entry c_k and |x|^2 lie within E of
     their exact values, whatever the BLAS blocking or FMA use, because
@@ -310,13 +333,13 @@ def _screened(
         cut = c2 - xx[:, None]
         cut += margin
         close = h <= cut[:, :, None]
-        # each finite-margin row and solution holds at least its candidate
+        # each finite-margin row and block holds at least its candidate
         if np.count_nonzero(close) != n * count or not np.isfinite(margin).all():
             doubtful = (close.sum(axis=2) != 1) | ~np.isfinite(margin)
             for s in np.flatnonzero(doubtful.any(axis=0)):
                 rows = np.flatnonzero(doubtful[:, s])
                 labels[rows, s], c2[rows, s] = _nearest_exact(stack[s], data[rows])
-    return list(zip(labels.T.copy(), np.sqrt(c2.T, order="C")))
+    return labels, c2
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +352,15 @@ def merge_prototype(
     batch_means: np.ndarray,
     batch_counts: np.ndarray,
     gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Fold per-cluster batches (means z, counts m) into clusters with decayed
     history.
 
-    p <- (p*n*gamma + z*m) / (n*gamma + m) and n <- n*gamma + m, with p a
-    prototype and n its mass before the window (its weight). With gamma=1
-    this is the exact running mean over all absorbed points. Takes (K, d)
-    rows with (K,) masses and returns the new (prototypes, masses); inputs
-    are unchanged.
+    p <- (p*n*gamma + z*m) / (n*gamma + m), with p a prototype and n its
+    mass before the window (its weight). With gamma=1 this is the exact
+    running mean over all absorbed points. Takes (K, d) rows with (K,)
+    masses and returns the new prototypes; inputs are unchanged. The new
+    mass n*gamma + m is ``fade_weight(n, gamma, m)``, bit for bit.
     """
     if np.any(batch_counts <= 0):
         raise ValueError("batch_count must be > 0")
@@ -350,8 +373,7 @@ def merge_prototype(
     denom = faded + batch_counts
     if np.any(denom <= 0):
         raise RuntimeError("non-positive merge denominator")
-    proto = (prototypes * faded[:, None] + batch_means * batch_counts[:, None]) / denom[:, None]
-    return proto, denom
+    return (prototypes * faded[:, None] + batch_means * batch_counts[:, None]) / denom[:, None]
 
 
 def fade_weight(weight, gamma: float, assigned=0.0):

@@ -2,7 +2,8 @@
 
 The first window builds the tree synopsis and seeds the archive through
 multiple clustering routes plus one breeding pass. Every later window flows
-through a fixed pipeline: points map into the tree, each archive member
+through a fixed pipeline: points map into the tree (in runs of rows, each
+row placed as the point-by-point rule would), each archive member
 absorbs the window and fades, the members are rescored in one pass together
 with the tree's re-offered macro view, and the archive is re-screened for
 dominance before the window report goes out. Idle time between windows runs
@@ -207,10 +208,11 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # (1) stream points through the tree synopsis. Masses age once per
     # window up front; absorption is then an exact running mean, so a window
     # of absorptions composes to the batch update mass -> gamma*mass +
-    # absorbed rather than decaying per point.
+    # absorbed rather than decaying per point. map_window places the rows in
+    # runs, each on the node a map_point loop would pick; only the row that
+    # ends a run (a node clash or a new node) goes through map_point.
     state.tree.fade(cfg.gamma)
-    for row in window.data:
-        state.tree.map_point(row)
+    state.tree.map_window(window.data)
 
     # (2) each member absorbs the window: one assign_batch call over every
     # copy, against the window-start prototypes, gives each member's labels
@@ -232,7 +234,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
         bins = (labels[:, None] * d + coord).ravel()
         sums = np.bincount(bins, weights=flat_data, minlength=clone.k * d)
         means = sums.reshape(clone.k, d)[fed] / assigned[fed, None]
-        clone.prototypes[fed], _ = merge_prototype(
+        clone.prototypes[fed] = merge_prototype(
             clone.prototypes[fed], clone.weights[fed], means, assigned[fed], cfg.gamma
         )
         clone.weights = fade_weight(clone.weights, cfg.gamma, assigned)

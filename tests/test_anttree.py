@@ -1,19 +1,21 @@
 """Tree synopsis: ant-style construction, array layout and streaming updates."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mostream import anttree
-from mostream.core import WindowBatch, merge_prototype
+from mostream import anttree, core
+from mostream.core import MAX_ABS_VALUE, WindowBatch, fade_weight, merge_prototype
 from mostream.anttree import (
     COLUMNS,
     CONNECT,
     DISSIM_RELAX,
     L_MAX,
     RADIUS_SCALE,
+    RUN,
     SUPPORT_ID,
     TreeSynopsis,
     build_initial_tree,
@@ -424,16 +426,103 @@ class TestMapPoint:
             out = tree.map_point(point)
             assert not out.created
             row = _row(tree, out.node_id)
-            want, mass = merge_prototype(
+            want = merge_prototype(
                 protos[row : row + 1], masses[row : row + 1], point[None, :], np.ones(1), 1.0
             )
             assert np.array_equal(tree.prototypes[row], want[0])
-            assert tree.weights[row] == mass[0]
+            assert tree.weights[row] == fade_weight(masses[row], 1.0, 1.0)
 
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()
         with pytest.raises(ValueError):
             tree.map_point(_pt(1.0, 2.0, 3.0))
+
+
+@st.composite
+def _mapping_case(draw):
+    """(first window, later windows, gamma) on an integer lattice, so
+    distances tie exactly. The first window sits on a grid of eighth units.
+    Later rows are drawn, with repeats, from a small pool: first-window
+    rows, rows on the sixteenth grid between them, and whole-unit rows,
+    which mostly lie beyond the acceptance radius and open nodes. At unit
+    MAX_ABS_VALUE / 2 the pool reaches +/-MAX_ABS_VALUE. At gamma 1 a
+    one-point node moves to a midpoint, still on a lattice, so a moved
+    node can tie a later row's candidate. Windows run from one row to
+    several runs."""
+    d = draw(st.sampled_from([1, 2, 5, 16]))
+    unit = draw(st.sampled_from([1.0, MAX_ABS_VALUE / 2]))
+
+    def lattice(lo, hi, most):
+        coords = st.lists(st.integers(lo, hi), min_size=d, max_size=d)
+        return np.array(draw(st.lists(coords, min_size=1, max_size=most)), dtype=float)
+
+    first = lattice(-4, 4, 12) * (unit / 8)
+    pool = np.vstack([first, lattice(-8, 8, 8) * (unit / 16), lattice(-2, 2, 4) * unit])
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3 * RUN + 5)
+    windows = [pool[rows] for rows in draw(st.lists(picks, min_size=1, max_size=3))]
+    return first, windows, draw(st.sampled_from([0.5, 1.0]))
+
+
+class TestMapWindow:
+    @given(_mapping_case(), st.sampled_from([0, 10**9]))
+    def test_matches_map_point_loop(self, case, screen_min):
+        """map_window leaves every column and returns every node id exactly
+        as a map_point loop over the same rows, with each run's nearest
+        nodes from the GEMM screen (threshold 0) or the exact matrix."""
+        first, windows, gamma = case
+        tree, loop = build_initial_tree(_window(first)), build_initial_tree(_window(first))
+        with mock.patch.object(core, "SCREEN_MIN_COORDS", screen_min):
+            for block in windows:
+                tree.fade(gamma)
+                loop.fade(gamma)
+                nodes = tree.map_window(block)
+                assert nodes.dtype == np.int64
+                assert nodes.tolist() == [loop.map_point(row).node_id for row in block]
+                for name in COLUMNS:
+                    assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
+                tree.fade_and_prune(0.1)
+                loop.fade_and_prune(0.1)
+
+    def test_screen_ties_take_the_exact_path(self, monkeypatch):
+        """Rows equidistant from two nodes leave the screen in doubt; the
+        exact matrix settles them to the lower row, as map_point does."""
+        calls = []
+        exact = core._nearest_exact
+
+        def counting(protos, data):
+            calls.append(len(data))
+            return exact(protos, data)
+
+        monkeypatch.setattr(core, "_nearest_exact", counting)
+        monkeypatch.setattr(core, "SCREEN_MIN_COORDS", 0)
+        first = [[-1.0, 0.0], [1.0, 0.0]]
+        block = np.array([[0.0, 0.0], [0.0, 3.0], [0.0, -2.0]] * 3)
+        tree, loop = build_initial_tree(_window(first)), build_initial_tree(_window(first))
+        nodes = tree.map_window(block)
+        assert nodes.tolist() == [loop.map_point(row).node_id for row in block]
+        assert calls
+        for name in COLUMNS:
+            assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
+
+    @pytest.mark.parametrize("first, later", [(2.0, 2.4), (2.0, 2.5), (3.0, 1.75)])
+    def test_moved_node_decides_a_later_row(self, first, later):
+        """Nodes 1 at 0 and 2 at 4, of mass 1. A first row at 2 ties both,
+        goes to node 1 and moves it to 1; the next row was nearer node 2 as
+        the run started, but goes to node 1 when that is now nearer (2.4)
+        or as near (2.5, the lower row wins). A first row at 3 moves node 2
+        to 3.5, and a row at 1.75 then ties it and stays with node 1."""
+        tree, loop = (build_initial_tree(_window([[0.0], [4.0]])) for _ in range(2))
+        block = np.array([[first], [later]])
+        nodes = tree.map_window(block)
+        assert nodes.tolist() == [loop.map_point(row).node_id for row in block]
+        assert nodes[1] == 1
+        for name in COLUMNS:
+            assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
+
+    def test_dimension_mismatch(self):
+        tree = build_initial_tree(_window([[0.0, 0.0], [10.0, 0.0]]))
+        with pytest.raises(ValueError):
+            tree.map_window(np.array([[1.0, 2.0, 3.0]]))
 
 
 class TestWindowTick:

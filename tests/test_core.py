@@ -352,23 +352,23 @@ def _counts(*values):
 
 class TestMergePrototype:
     def test_equal_weight_mean_at_gamma_one(self):
-        proto, count = merge_prototype(
+        proto = merge_prototype(
             np.array([[0.0, 0.0]]), _counts(2.0), np.array([[2.0, 2.0]]), _counts(2.0), 1.0
         )
         assert np.allclose(proto, [[1.0, 1.0]])
-        assert count.tolist() == [4.0]
+        assert fade_weight(_counts(2.0), 1.0, _counts(2.0)).tolist() == [4.0]
 
     def test_decayed_merge(self):
         # (4*2*0.5 + 1*1) / (2*0.5 + 1) = 5/2
-        proto, count = merge_prototype(
+        proto = merge_prototype(
             np.array([[4.0]]), _counts(2.0), np.array([[1.0]]), _counts(1.0), 0.5
         )
         assert np.allclose(proto, [[2.5]])
-        assert count[0] == pytest.approx(2.0)
+        assert fade_weight(_counts(2.0), 0.5, _counts(1.0))[0] == pytest.approx(2.0)
 
     def test_fixed_point_when_batch_equals_prototype(self):
         row = np.array([[3.0, -1.0]])
-        proto, _ = merge_prototype(row, _counts(7.0), row.copy(), _counts(5.0), 0.7)
+        proto = merge_prototype(row, _counts(7.0), row.copy(), _counts(5.0), 0.7)
         assert np.allclose(proto, row)
 
     def test_rejects_nonpositive_batch(self):
@@ -399,13 +399,17 @@ class TestMergePrototype:
         rng = np.random.default_rng(4)
         protos, means = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         counts, sizes = rng.uniform(0.5, 9, 5), rng.integers(1, 20, 5).astype(float)
-        rows, new_counts = merge_prototype(protos, counts, means, sizes, 0.7)
+        rows = merge_prototype(protos, counts, means, sizes, 0.7)
+        new_counts = fade_weight(counts, 0.7, sizes)
+        # the merge divides by the faded mass, bit for bit
+        folded = protos * (counts * 0.7)[:, None] + means * sizes[:, None]
+        assert np.array_equal(rows, folded / new_counts[:, None])
         for i in range(5):
-            one, n = merge_prototype(
+            one = merge_prototype(
                 protos[i : i + 1], counts[i : i + 1], means[i : i + 1], sizes[i : i + 1], 0.7
             )
             assert np.array_equal(rows[i], one[0])
-            assert new_counts[i] == n[0]
+            assert new_counts[i] == fade_weight(counts[i], 0.7, sizes[i])
 
     @given(
         st.lists(
@@ -424,9 +428,10 @@ class TestMergePrototype:
         everything = [batches[0][0]]
         for batch in batches[1:] or [[0.0]]:
             arr = np.array(batch, float).reshape(-1, 1)
-            proto, count = merge_prototype(
+            proto = merge_prototype(
                 proto, count, arr.mean(axis=0, keepdims=True), _counts(len(arr)), 1.0
             )
+            count = fade_weight(count, 1.0, _counts(len(arr)))
             everything.extend(batch)
         assert proto[0, 0] == pytest.approx(
             exact_mean(everything), abs=1e-9, rel=1e-9

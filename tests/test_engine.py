@@ -438,14 +438,15 @@ class TestGammaOneConservation:
             for nid, proto, count in zip(tree.ids.tolist(), tree.prototypes, tree.weights)
         }
 
-        original_map = tree.map_point
+        original_map = tree.map_window
 
-        def recording_map(point):
-            out = original_map(point)
-            absorbed.setdefault(out.node_id, []).append(np.asarray(point, float))
-            return out
+        def recording_map(block):
+            nodes = original_map(block)
+            for nid, point in zip(nodes.tolist(), block):
+                absorbed.setdefault(nid, []).append(np.asarray(point, float))
+            return nodes
 
-        tree.map_point = recording_map
+        tree.map_window = recording_map
         for w in batches[1:]:
             process_window(state, w)
 

@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mostream import core
+from mostream import core, engine
 from mostream.core import StreamConfig, WindowBatch
 from mostream.anttree import build_initial_tree
 
@@ -136,3 +136,36 @@ def test_commit_matrices_and_tree_absorption_are_traced(monkeypatch):
     under_map = [s for s in spans if s[0] == "core.merge_prototype" and s[3] >= 0
                  and spans[s[3]][0] == "anttree.map_point"]
     assert under_map == []
+
+
+def test_nodes_opened_counts_every_appended_node(monkeypatch):
+    """A window run absorbs most rows without calling ``map_point``, but
+    every node the tree appends is opened by a traced ``map_point`` call.
+    In a traced 3-window idle-drift pass the ``created`` spans, which the
+    benchmark reads as ``anttree.nodes_opened``, equal the growth of the
+    tree's next node id over the commits."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    harness = importlib.import_module("harness")
+    tracer_mod = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+
+    grown = []
+    process_window = engine.process_window
+
+    def recording(state, window):
+        before = state.tree._next_id
+        report = process_window(state, window)
+        grown.append(state.tree._next_id - before)
+        return report
+
+    monkeypatch.setattr(engine, "process_window", recording)
+    wl = workloads.WORKLOADS["idle-drift"]
+    cfg = StreamConfig(window_size=wl.window, idle_generations_cap=wl.idle_gens, rng_seed=7)
+    tracer = tracer_mod.Tracer()
+    with tracer:
+        res = harness.run_pass(workloads.make_windows(wl, 7, windows=3), cfg, tracer)
+    assert res.failed == 0, res.errors
+    assert len(grown) == 2
+    opened = tracer_mod.summarize(tracer.spans)["by_name"]["anttree.map_point"]["true"]
+    assert sum(grown) > 0
+    assert opened == sum(grown)
