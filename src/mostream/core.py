@@ -2,16 +2,18 @@
 
 Everything downstream (tree synopsis, seeders, evolution, engine) trades in
 these types. A solution keeps its clusters as rows of arrays, and every
-distance in the package goes through ``sq_dist``. ``assign_batch`` is the one
-nearest-prototype routine: for a list of solutions it returns each row's
-label and distance per solution, bit-identical to each solution's own
-(window x solution) ``sq_dist`` matrix. From 8 coordinates one GEMM over the
-stacked prototypes screens the labels under a derived rounding margin, the
-chosen distances still come from ``sq_dist``, and rows the margin cannot
-settle take the exact matrix. ``nearest_sq`` is the one-block form the
-tree synopsis maps its windows with, in runs of rows. The update rules
-implement the decayed running-mean merge of per-cluster batches, the
-exponential weight fade with assignment refresh, and staleness pruning.
+distance in the package goes through ``sq_dist``, or through its summation
+``sum_coords`` where the caller keeps the difference (the growing gas).
+``assign_batch`` is the one nearest-prototype routine: for a list of
+solutions it returns each row's label and distance per solution,
+bit-identical to each solution's own (window x solution) ``sq_dist``
+matrix. From 8 coordinates one GEMM over the stacked prototypes screens the
+labels under a derived rounding margin, the chosen distances still come
+from ``sq_dist``, and rows the margin cannot settle take the exact matrix.
+``nearest_sq`` is the one-block form the tree synopsis maps its windows
+with, in runs of rows. The update rules implement the decayed running-mean
+merge of per-cluster batches, the exponential weight fade with assignment
+refresh, and staleness pruning.
 """
 
 from __future__ import annotations
@@ -215,13 +217,24 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     From 8 coordinates numpy sums pairwise over a contiguous last axis, so
     the kernel keeps the C-order difference and that sum; a Fortran buffer
     would make the sum sequential and move bits. Two 1-D rows give a scalar.
+    The sum itself is ``sum_coords``.
     """
     if a.shape[-1] >= 8 or b.shape[-1] >= 8:
         sq = a - b
-        sq *= sq
-        return sq.sum(axis=-1)
-    sq = np.subtract(a, b, order="F")
+    else:
+        sq = np.subtract(a, b, order="F")
     sq *= sq
+    return sum_coords(sq)
+
+
+def sum_coords(sq: np.ndarray) -> np.ndarray:
+    """Sum a squared-difference array over its last axis in ``sq_dist``'s
+    order: below 8 coordinates the columns are added as whole arrays in
+    coordinate order, from 8 numpy's pairwise ``sum(axis=-1)`` (which needs
+    a contiguous last axis to match ``sq_dist``). A 1-D array gives a
+    scalar; below 8 coordinates the result can be a view of ``sq``."""
+    if sq.shape[-1] >= 8:
+        return sq.sum(axis=-1)
     out = sq[..., 0]
     for j in range(1, sq.shape[-1]):
         out = out + sq[..., j]

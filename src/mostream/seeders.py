@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist, sum_coords
 
 logger = logging.getLogger(__name__)
 
@@ -73,37 +73,41 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     the final (labels, centers), each fed center its label's row mean.
 
     An emptied cluster is re-seeded from the point farthest from its own
-    center; a later re-seed in the same pass can empty it again.
+    center; a re-seed that empties a later cluster is caught in the same
+    pass, while a later re-seed can empty an earlier one again.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     data = window.data
-    if k > len(data):
-        raise ValueError(f"k={k} exceeds window size {len(data)}")
+    n = len(data)
+    if k > n:
+        raise ValueError(f"k={k} exceeds window size {n}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(data, k, rng)
-    labels = np.full(len(data), -1)
+    labels = np.full(n, -1)
     for _ in range(100):
         d2 = sq_dist(data[:, None, :], centers[None, :, :])
         new_labels = np.argmin(d2, axis=1)
-        used = set()
-        for ci in range(k):
-            if (new_labels == ci).any():
-                continue
-            # farthest point from its assigned center takes over the empty slot
-            gaps = d2[np.arange(len(data)), new_labels].copy()
-            gaps[list(used)] = -1.0
-            far = int(np.argmax(gaps))
-            used.add(far)
-            centers[ci] = data[far]
-            new_labels[far] = ci
+        sizes = np.bincount(new_labels, minlength=k)
+        if not sizes.all():
+            # farthest point from its assigned center takes over an empty
+            # slot; a row that moved once is not taken again
+            gaps = d2[np.arange(n), new_labels]
+            for ci in range(k):
+                if sizes[ci]:
+                    continue
+                far = int(np.argmax(gaps))
+                gaps[far] = -1.0
+                sizes[new_labels[far]] -= 1
+                sizes[ci] += 1
+                centers[ci] = data[far]
+                new_labels[far] = ci
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for ci in range(k):
-            mask = labels == ci
-            if mask.any():
-                centers[ci] = data[mask].mean(axis=0)
+            if sizes[ci]:
+                centers[ci] = data[labels == ci].mean(axis=0)
     return labels, centers
 
 
@@ -194,47 +198,75 @@ def grow_gas(
     runner-up is refreshed, the winner and its neighbors drift toward the
     signal, and every ``GNG_INSERT_EVERY`` signals a new unit splits the
     highest-error unit's edge to its highest-error neighbor (ties -> lowest
-    index). Units live in one preallocated (GNG_MAX_NODES, d) array.
+    index).
+
+    Units live in one preallocated (GNG_MAX_NODES, d) array. Edges live in
+    one dict per unit, neighbor -> age, so aging and expiry touch only the
+    winner's few edges. A (GNG_MAX_NODES, GNG_MAX_NODES) step-rate matrix
+    mirrors them: ``GNG_EPS_BEST`` on the diagonal, ``GNG_EPS_NEIGHBOR`` per
+    edge, 0 elsewhere. One difference ``x - units`` per signal gives the
+    distances (summed by ``sum_coords``, so they equal ``sq_dist``'s) and,
+    scaled by the winner's rate row, moves the winner and its neighbors in
+    one statement; each unit's move reads only its own position, and the
+    other units take a zero step. That step can turn a -0.0 coordinate into
+    +0.0, which no distance sees; every other bit is as if only the winner
+    and its neighbors moved.
     """
     n = len(data)
+    max_nodes, max_age = GNG_MAX_NODES, GNG_MAX_EDGE_AGE
     rng = np.random.default_rng(seed)
-    units = np.empty((GNG_MAX_NODES, data.shape[1]))
+    units = np.empty((max_nodes, data.shape[1]))
     units[:2] = data[rng.choice(n, size=2, replace=False)]
-    errors = np.zeros(GNG_MAX_NODES)
-    age = np.full((GNG_MAX_NODES, GNG_MAX_NODES), -1)
+    errors = np.zeros(max_nodes)
+    edges: list[dict[int, int]] = [{} for _ in range(max_nodes)]
+    rate = np.diag(np.full(max_nodes, GNG_EPS_BEST))
     m = 2
+    # views of the m live units, their errors and their rate columns
+    live, live_errors, live_rate = units[:m], errors[:m], rate[:, :m, None]
     signals = 0
     for _ in range(GNG_EPOCHS):
-        for idx in rng.permutation(n):
-            x = data[idx]
+        for x in data[rng.permutation(n)]:
             signals += 1
-            d2 = sq_dist(units[:m], x)
-            s1 = int(np.argmin(d2))
+            diff = x - live
+            d2 = sum_coords(diff * diff)
+            s1 = int(d2.argmin())
             errors[s1] += d2[s1]
             d2[s1] = np.inf
-            s2 = int(np.argmin(d2))
-            units[s1] += GNG_EPS_BEST * (x - units[s1])
-            # only the winner's edges age, so only its row can expire
-            edges = age[s1]
-            nbrs = np.flatnonzero(edges >= 0)
-            units[nbrs] += GNG_EPS_NEIGHBOR * (x - units[nbrs])
-            edges[nbrs] += 1
-            edges[s2] = 0
-            edges[edges > GNG_MAX_EDGE_AGE] = -1
-            age[:, s1] = edges
-            if signals % GNG_INSERT_EVERY == 0 and m < GNG_MAX_NODES:
-                q = int(np.argmax(errors[:m]))
-                nbrs = np.flatnonzero(age[q] >= 0)
-                if nbrs.size:
-                    f = int(nbrs[np.argmax(errors[nbrs])])
+            s2 = int(d2.argmin())
+            live += live_rate[s1] * diff
+            # only the winner's edges age, so only they can expire
+            nbrs = edges[s1]
+            for j in list(nbrs):
+                if j == s2:
+                    continue
+                if nbrs[j] < max_age:
+                    nbrs[j] = edges[j][s1] = nbrs[j] + 1
+                else:
+                    del nbrs[j], edges[j][s1]
+                    rate[s1, j] = rate[j, s1] = 0.0
+            if s2 not in nbrs:
+                rate[s1, s2] = rate[s2, s1] = GNG_EPS_NEIGHBOR
+            nbrs[s2] = edges[s2][s1] = 0
+            if signals % GNG_INSERT_EVERY == 0 and m < max_nodes:
+                q = int(live_errors.argmax())
+                if edges[q]:
+                    f = max(sorted(edges[q]), key=errors.item)
                     units[m] = 0.5 * (units[q] + units[f])
-                    errors[[q, f]] *= GNG_SPLIT_DECAY
+                    errors[q] *= GNG_SPLIT_DECAY
+                    errors[f] *= GNG_SPLIT_DECAY
                     errors[m] = errors[q]
-                    age[q, f] = age[f, q] = -1
-                    age[[q, f], m] = age[m, [q, f]] = 0
+                    del edges[q][f], edges[f][q]
+                    edges[q][m] = edges[m][q] = edges[f][m] = edges[m][f] = 0
+                    rate[q, f] = rate[f, q] = 0.0
+                    rate[[q, f], m] = rate[m, [q, f]] = GNG_EPS_NEIGHBOR
                     m += 1
-            errors[:m] *= GNG_ERROR_DECAY
-    return units[:m], errors[:m], age[:m, :m]
+                    live, live_errors, live_rate = units[:m], errors[:m], rate[:, :m, None]
+            live_errors *= GNG_ERROR_DECAY
+    age = np.full((m, m), -1)
+    for a in range(m):
+        for b, edge_age in edges[a].items():
+            age[a, b] = edge_age
+    return units[:m], errors[:m], age
 
 
 def seed_gng(window: WindowBatch, seed: int) -> ClusteringSolution:

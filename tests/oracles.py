@@ -292,6 +292,38 @@ def dbscan_dense_labels(points, min_pts, radius):
     return labels
 
 
+def lloyd_reference(data, centers, iterations=100):
+    """Lloyd's iterations from the given start centers, finding each emptied
+    cluster by a scan of the current labels, as the k-means seeder first
+    stood: the row farthest from its own center, never one already moved
+    this pass, takes the empty slot. Returns (labels, centers)."""
+    data = np.asarray(data, dtype=float)
+    centers = np.array(centers, dtype=float)
+    n, k = len(data), len(centers)
+    labels = np.full(n, -1)
+    for _ in range(iterations):
+        d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        new_labels = np.argmin(d2, axis=1)
+        used = set()
+        for ci in range(k):
+            if (new_labels == ci).any():
+                continue
+            gaps = d2[np.arange(n), new_labels].copy()
+            gaps[list(used)] = -1.0
+            far = int(np.argmax(gaps))
+            used.add(far)
+            centers[ci] = data[far]
+            new_labels[far] = ci
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for ci in range(k):
+            mask = labels == ci
+            if mask.any():
+                centers[ci] = data[mask].mean(axis=0)
+    return labels, centers
+
+
 def gng_reference(data, seed, epochs=30, max_nodes=32, eps_best=0.05,
                   eps_neighbor=0.006, max_edge_age=50, insert_every=100,
                   split_decay=0.5, error_decay=0.995):

@@ -1,17 +1,21 @@
 """First-window seeding routes: k-means sweep, density scan, neural gas."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mostream import engine, seeders
 from mostream.core import (
+    MAX_ABS_VALUE,
     ClusteringSolution,
     ObjectiveVector,
     StreamConfig,
     WindowBatch,
     assign_batch,
+    sq_dist,
 )
 from mostream.objectives import evaluate_solution
 from mostream.seeders import (
@@ -24,7 +28,7 @@ from mostream.seeders import (
 )
 from mostream.stream_io import gen_blobs
 
-from oracles import dbscan_dense_labels, gng_reference, pairwise_distances
+from oracles import dbscan_dense_labels, gng_reference, lloyd_reference, pairwise_distances
 
 
 def _window(rows):
@@ -66,7 +70,28 @@ def _kmeans(window, k, seed):
     return _scored(seeders._solution(window.data, *_lloyd(window, k, seed)), window)
 
 
+@st.composite
+def _duplicate_window(draw):
+    """(rows, k): 2-40 rows drawn from 1-4 distinct lattice rows and k up to
+    the row count, so clusters empty and re-seeds chain within a pass."""
+    d = draw(st.sampled_from([1, 2, 8]))
+    distinct = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=distinct * d, max_size=distinct * d))
+    pool = np.array(cells, dtype=float).reshape(distinct, d)
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=2, max_size=40))
+    return pool[picks], draw(st.integers(1, min(len(picks), 15)))
+
+
 class TestKMeans:
+    @given(case=_duplicate_window(), seed=st.integers(0, 2**16))
+    def test_matches_scan_reference_on_duplicate_windows(self, case, seed):
+        data, k = case
+        start = seeders._kmeans_pp_init(data, k, np.random.default_rng(seed))
+        labels, centers = _lloyd(WindowBatch(data, 0), k, seed)
+        want_labels, want_centers = lloyd_reference(data, start)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert centers.tobytes() == want_centers.tobytes()
+
     def test_recovers_far_triples_exactly(self, triples):
         sol = _kmeans(triples, 3, seed=0)
         got = np.array(sorted(map(tuple, sol.prototypes)))
@@ -255,6 +280,42 @@ class TestConnectedComponents:
         assert (comp[~core] == -1).all()
 
 
+@st.composite
+def _gas_window(draw):
+    """2-24 rows the gas ties on: integer lattices (exact distance ties for
+    winner and runner-up), a few distinct rows repeated, one row repeated,
+    values at +/-MAX_ABS_VALUE, or mixed +0.0/-0.0 coordinates. d covers
+    both sides of the summation switch at 8 coordinates."""
+    d = draw(st.sampled_from([1, 2, 7, 8, 16]))
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["lattice", "repeated", "identical", "huge", "zeros"]))
+    values = {
+        "huge": st.sampled_from([MAX_ABS_VALUE, -MAX_ABS_VALUE, MAX_ABS_VALUE / 2, 0.0]),
+        "zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    }.get(kind, st.integers(-3, 3).map(float))
+
+    def rows(count):
+        cells = draw(st.lists(values, min_size=count * d, max_size=count * d))
+        return np.array(cells).reshape(count, d)
+
+    if kind == "identical":
+        return np.repeat(rows(1), n, axis=0)
+    if kind == "repeated":
+        pool = rows(draw(st.integers(2, 3)))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        return pool[picks]
+    return rows(n)
+
+
+# the module's gas budget, or a small one that splits and expires edges
+# every few signals
+_GAS_BUDGET = st.just({"GNG_MAX_NODES": seeders.GNG_MAX_NODES}) | st.fixed_dictionaries({
+    "GNG_MAX_NODES": st.integers(4, 6),
+    "GNG_INSERT_EVERY": st.just(10),
+    "GNG_MAX_EDGE_AGE": st.just(3),
+})
+
+
 class TestGNG:
     @pytest.fixture
     def two_blobs(self):
@@ -297,26 +358,68 @@ class TestGNG:
         assert sol.k <= 4
 
     @staticmethod
-    def _reference(window, seed):
-        consts = dict(
+    def _oracle(data, seed):
+        """``gng_reference`` run with the module's current constants."""
+        return gng_reference(
+            data, seed,
             epochs=seeders.GNG_EPOCHS, max_nodes=seeders.GNG_MAX_NODES,
             eps_best=seeders.GNG_EPS_BEST, eps_neighbor=seeders.GNG_EPS_NEIGHBOR,
             max_edge_age=seeders.GNG_MAX_EDGE_AGE,
             insert_every=seeders.GNG_INSERT_EVERY,
             split_decay=seeders.GNG_SPLIT_DECAY, error_decay=seeders.GNG_ERROR_DECAY,
         )
-        labels, centers, gas = gng_reference(window.data, seed, **consts)
+
+    @classmethod
+    def _reference(cls, window, seed):
+        labels, centers, gas = cls._oracle(window.data, seed)
         return _reference_solution(window, centers), gas
 
     @staticmethod
     def _assert_same_gas(window, seed, gas):
+        # units compare by value: a zero step may turn a -0.0 into +0.0
         units, errors, age = grow_gas(window.data, seed)
         assert np.array_equal(units, gas["units"])
-        assert np.array_equal(errors, gas["errors"])
+        assert errors.tobytes() == gas["errors"].tobytes()
         want = np.full(age.shape, -1)
         for (a, b), edge_age in gas["edges"].items():
             want[a, b] = want[b, a] = edge_age
+        assert age.tobytes() == want.tobytes()
+
+    def test_split_tie_takes_lowest_index(self):
+        # identical rows: every error stays 0, unit 0 always wins and unit 1
+        # is always runner-up. The first split (signal 10) puts unit 2 on
+        # edges 0-2 and 1-2; the second (signal 20) finds 0's neighbors 2
+        # (older edge) and 1 (refreshed) tied at error 0 and splits 0-1, so
+        # unit 3 joins 0 and 1. Edges of the always-winning unit 0 other
+        # than 0-1 expire by the end; those of 1, 2 and 3 never age.
+        with mock.patch.multiple(seeders, GNG_MAX_NODES=4, GNG_INSERT_EVERY=10):
+            _, errors, age = grow_gas(np.ones((5, 2)), seed=0)
+        assert not errors.any()
+        want = np.full((4, 4), -1)
+        for a, b in [(0, 1), (1, 2), (1, 3)]:
+            want[a, b] = want[b, a] = 0
         assert np.array_equal(age, want)
+
+    @given(data=_gas_window(), seed=st.integers(0, 2**16), budget=_GAS_BUDGET)
+    def test_matches_reference_on_tied_windows(self, data, seed, budget):
+        with mock.patch.multiple(seeders, **budget):
+            _, _, gas = self._oracle(data, seed)
+            self._assert_same_gas(WindowBatch(data, 0), seed, gas)
+
+    @given(data=_gas_window(), seed=st.integers(0, 2**16), budget=_GAS_BUDGET)
+    def test_edge_invariants_on_tied_windows(self, data, seed, budget):
+        with mock.patch.multiple(seeders, **budget):
+            units, _, age = grow_gas(data, seed)
+            sol = seed_gng(WindowBatch(data, 0), seed)
+            max_age = seeders.GNG_MAX_EDGE_AGE
+        assert np.array_equal(age, age.T)
+        assert (np.diag(age) == -1).all()
+        assert ((age >= -1) & (age <= max_age)).all()
+        # seed_gng's clusters are the edge components the window's rows reach
+        comp = connected_components(age >= 0)
+        reached = comp[np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)]
+        means = [data[reached == c].mean(axis=0) for c in np.unique(reached)]
+        assert np.array_equal(sol.prototypes, np.vstack(means))
 
     @pytest.mark.parametrize("dim, n, seed", [(2, 300, 0), (2, 300, 7), (16, 200, 7)])
     def test_matches_list_and_dict_reference(self, dim, n, seed):
