@@ -11,9 +11,12 @@ matrix. From 8 coordinates one GEMM over the stacked prototypes screens the
 labels under a derived rounding margin, the chosen distances still come
 from ``sq_dist``, and rows the margin cannot settle take the exact matrix.
 ``nearest_sq`` is the one-block form the tree synopsis maps its windows
-with, in runs of rows. The update rules implement the decayed running-mean
-merge of per-cluster batches, the exponential weight fade with assignment
-refresh, and staleness pruning.
+with, in runs of rows. ``stack_labels`` lays several solutions' labels on
+one window over their stacked cluster rows, and ``block_gaps`` sets every
+prototype against its own solution's, for the callers that count, fold or
+score every solution at once. The update rules implement the decayed
+running-mean merge of per-cluster batches, the exponential weight fade with
+assignment refresh, and staleness pruning.
 """
 
 from __future__ import annotations
@@ -241,6 +244,26 @@ def sum_coords(sq: np.ndarray) -> np.ndarray:
     return out[()]
 
 
+def block_gaps(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared distances between the rows of each (K, d) block, for all
+    blocks at once: each block is padded to kmax rows and each of the sum-K
+    rows is set against its own padded block, one (sum K, kmax) ``sq_dist``
+    block with the padding columns and the row's own column at +inf. Every
+    other entry is the one the block's own (K, K) matrix holds. Also returns
+    each stacked row's block and its index within that block."""
+    ks = np.array([len(block) for block in blocks])
+    kmax = int(ks.max())
+    padded = np.zeros((len(blocks), kmax, blocks[0].shape[1]))
+    for rows, block, k in zip(padded, blocks, ks):
+        rows[:k] = block
+    owner = np.repeat(np.arange(len(ks)), ks)
+    own = np.arange(len(owner)) - np.repeat(np.cumsum(ks) - ks, ks)
+    d2 = sq_dist(padded[owner, own][:, None, :], padded[owner])
+    cols = np.arange(kmax)
+    d2[(cols >= ks[owner][:, None]) | (cols == own[:, None])] = np.inf
+    return d2, owner, own
+
+
 def assign_batch(
     solutions: Sequence[ClusteringSolution], data: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -265,6 +288,20 @@ def assign_batch(
         return []
     labels, d2 = _screened([sol.prototypes for sol in solutions], data)
     return list(zip(labels.T.copy(), np.sqrt(d2.T, order="C")))
+
+
+def stack_labels(
+    solutions: Sequence[ClusteringSolution],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solutions' ``assign_batch`` labels on one window, on their stacked
+    cluster rows (solution after solution, sum K rows): a (len(solutions),
+    n) array of labels offset by each solution's first row, those first
+    rows, and the count of window rows each stacked row holds."""
+    ks = np.array([sol.k for sol in solutions])
+    starts = np.cumsum(ks) - ks
+    labels = np.stack([labels for labels, _ in pairs]) + starts[:, None]
+    return labels, starts, np.bincount(labels.ravel(), minlength=int(ks.sum()))
 
 
 def nearest_sq(protos: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,11 +3,16 @@
 The first window builds the tree synopsis and seeds the archive through
 multiple clustering routes plus one breeding pass. Every later window flows
 through a fixed pipeline: points map into the tree (in runs of rows, each
-row placed as the point-by-point rule would), each archive member
-absorbs the window and fades, the members are rescored in one pass together
-with the tree's re-offered macro view, and the archive is re-screened for
+row placed as the point-by-point rule would), every archive member absorbs
+the window and fades, the members are rescored in one pass together with
+the tree's re-offered macro view, and the archive is re-screened for
 dominance before the window report goes out. Idle time between windows runs
 archive generations.
+
+The members' absorb, fade and rescore, and the report's validity index, run
+on the stacked cluster rows of the whole archive (``core.stack_labels``):
+one bincount, one merge, one fade and one scoring call per window rather
+than one per member.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .core import (
     fade_weight,
     merge_prototype,
     prune_outdated,
+    stack_labels,
 )
 from .evolution import IdleBudget, breed, fitness_score, select_parents
 from .metrics import arand, nmi, select_best
@@ -114,6 +120,51 @@ def _generation(
     for child in offspring:
         child.solution_id = state.allot_id()
     return offspring
+
+
+def _absorb(
+    members: list[ClusteringSolution], data: np.ndarray, cfg: StreamConfig
+) -> list[ClusteringSolution]:
+    """Each member absorbs the window and fades, returned as pruned clones in
+    member order; the members themselves are not written.
+
+    One assign_batch call, against the window-start prototypes, gives each
+    member's labels and compactness terms. The rest runs on the stacked
+    cluster rows of all members: one bincount gives every batch size and
+    one per coordinate every batch sum, adding rows in window order as a
+    masked mean does for d >= 2 (at d = 1 numpy sums the lone column
+    pairwise, so a mean can differ in the last bit). One merge_prototype
+    call folds every fed row's batch in, with its window-start weight as the
+    history mass, and one fade_weight call fades every weight, fed or not.
+    Each clone then takes its own rows, folds its compactness and prunes
+    what starved.
+    """
+    pairs = assign_batch(members, data)
+    labels, starts, sizes = stack_labels(members, pairs)
+    flat = labels.ravel()
+    assigned = sizes.astype(float)
+    sums = np.column_stack([
+        np.bincount(flat, weights=np.tile(column, len(members)), minlength=len(sizes))
+        for column in data.T
+    ])
+    fed = np.flatnonzero(sizes)
+    protos = np.concatenate([member.prototypes for member in members])
+    weights = np.concatenate([member.weights for member in members])
+    protos[fed] = merge_prototype(
+        protos[fed], weights[fed], sums[fed] / assigned[fed, None], assigned[fed], cfg.gamma
+    )
+    weights = fade_weight(weights, cfg.gamma, assigned)
+    clones = []
+    for member, (_, dists), start in zip(members, pairs, starts.tolist()):
+        rows = slice(start, start + member.k)
+        clone = ClusteringSolution(
+            member.objectives.copy(), protos[rows], member.solution_id,
+            member.prev_compactness, weights[rows],
+        )
+        update_compactness(clone, dists, cfg.gamma)
+        prune_outdated(clone, cfg.prune_threshold)
+        clones.append(clone)
+    return clones
 
 
 def _window_report(
@@ -214,48 +265,30 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     state.tree.fade(cfg.gamma)
     state.tree.map_window(window.data)
 
-    # (2) each member absorbs the window: one assign_batch call over every
-    # copy, against the window-start prototypes, gives each member's labels
-    # and compactness terms; then the per-cluster batches fold into the fed
-    # rows, each with its window-start weight as the history mass. One
-    # weighted bincount over (cluster, coordinate) bins sums every batch,
-    # adding rows in window order as a masked mean does for d >= 2 (at d = 1
-    # numpy sums the single column pairwise, so a mean can differ in the last
-    # bit); (3) fade every weight, fed or not, and prune what starved
-    # (solutions and tree alike)
-    d = window.dim
-    coord = np.arange(d)
-    flat_data = window.data.ravel()
-    clones = [member.copy() for member in state.archive]
-    for clone, (labels, dists) in zip(clones, assign_batch(clones, window.data)):
-        update_compactness(clone, dists, cfg.gamma)
-        assigned = np.bincount(labels, minlength=clone.k).astype(float)
-        fed = np.flatnonzero(assigned)
-        bins = (labels[:, None] * d + coord).ravel()
-        sums = np.bincount(bins, weights=flat_data, minlength=clone.k * d)
-        means = sums.reshape(clone.k, d)[fed] / assigned[fed, None]
-        clone.prototypes[fed] = merge_prototype(
-            clone.prototypes[fed], clone.weights[fed], means, assigned[fed], cfg.gamma
-        )
-        clone.weights = fade_weight(clone.weights, cfg.gamma, assigned)
-        prune_outdated(clone, cfg.prune_threshold)
+    # (2)-(3) every member absorbs the window and fades, on the stacked
+    # cluster rows of the whole archive; then the tree prunes what starved
+    clones = _absorb(list(state.archive), window.data, cfg)
     state.tree.fade_and_prune(cfg.prune_threshold)
 
     # (4) rescore: one assign_batch call over the moved/pruned members and
-    # the tree's macro view, re-offered as a candidate. A member's
-    # separateness counts only the clusters the window still feeds, and one
-    # separateness call scores every member; their labels and distances
-    # serve the report too. The macro offer takes the commit's last id.
+    # the tree's macro view, re-offered as a candidate. One bincount over
+    # their stacked labels finds every fed cluster: a member's separateness
+    # counts only the clusters the window still feeds, and one separateness
+    # call scores every member. Scoring drops the offer's unfed clusters, so
+    # its labels are renumbered onto the rows it keeps. The pairs serve the
+    # report too. The macro offer takes the commit's last id.
     macro = state.tree.macro_clusters()
     macro.objectives.compactness = state.macro_compactness
-    *pairs, macro_pair = assign_batch(clones + [macro], window.data)
-    fed_rows = [
-        clone.prototypes[np.bincount(labels, minlength=clone.k) > 0]
-        for clone, (labels, _) in zip(clones, pairs)
-    ]
-    for clone, value in zip(clones, separateness(fed_rows)):
+    scored = clones + [macro]
+    pairs = assign_batch(scored, window.data)
+    _, starts, sizes = stack_labels(scored, pairs)
+    fed = [sizes[start : start + sol.k] > 0 for sol, start in zip(scored, starts.tolist())]
+    blocks = [clone.prototypes[rows] for clone, rows in zip(clones, fed)]
+    for clone, value in zip(clones, separateness(blocks)):
         clone.objectives.separateness = value
-    evaluate_solution([macro], [macro_pair], cfg.gamma)
+    macro_labels, macro_dists = pairs[-1]
+    evaluate_solution([macro], [pairs[-1]], cfg.gamma)
+    pairs[-1] = ((np.cumsum(fed[-1]) - 1)[macro_labels], macro_dists)
     macro.solution_id = state.allot_id()
     state.macro_compactness = macro.objectives.compactness
 
@@ -270,7 +303,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # (6) commit and report
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
-    nearest = {s.solution_id: pair for s, pair in zip([*clones, macro], [*pairs, macro_pair])}
+    nearest = {s.solution_id: pair for s, pair in zip(scored, pairs)}
     return _window_report(state, window, elapsed, nearest)
 
 

@@ -1,10 +1,11 @@
 """Partition agreement scores and the per-window validity index.
 
 nmi and arand compare a predicted partition against ground truth through a
-contingency table. davies_bouldin scores one solution against the points of
-a single window from the labels and point distances of ``assign_batch``;
-select_best uses it to pick the archive member to report and hands back that
-member's labels, so nothing is assigned twice for one report.
+contingency table. davies_bouldin scores a list of solutions against the
+points of a single window from the labels and point distances of
+``assign_batch``, all on their stacked cluster rows; select_best calls it
+once to pick the archive member to report and hands back that member's
+labels, so nothing is assigned twice for one report.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, WindowBatch, assign_batch, sq_dist
+from .core import ClusteringSolution, WindowBatch, assign_batch, block_gaps, stack_labels
 
 INFINITE_DBI = math.inf
 
@@ -30,9 +31,8 @@ def _contingency(truth: Sequence[int], predicted: Sequence[int]) -> np.ndarray:
         raise ValueError("label sequences must be non-empty")
     _, ti = np.unique(truth, return_inverse=True)
     _, pi = np.unique(predicted, return_inverse=True)
-    counts = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
-    np.add.at(counts, (ti, pi), 1)
-    return counts
+    rows, cols = ti.max() + 1, pi.max() + 1
+    return np.bincount(ti * cols + pi, minlength=rows * cols).reshape(rows, cols)
 
 
 def _entropy(freqs: np.ndarray, n: int) -> float:
@@ -87,35 +87,64 @@ def arand(truth: Sequence[int], predicted: Sequence[int]) -> float:
 
 
 def davies_bouldin(
-    solution: ClusteringSolution, labels: np.ndarray, dists: np.ndarray
-) -> float:
-    """Windowed Davies-Bouldin index: lower is better.
+    solutions: Sequence[ClusteringSolution],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> list[float]:
+    """Windowed Davies-Bouldin index of each solution: lower is better.
 
-    ``labels, dists`` is the solution's ``assign_batch`` pair. Scatter
-    S_i is the mean distance of the window points labelled i to prototype
-    i. The index is undefined for K=1, for coincident prototypes, and for
-    clusters that received no window points; all three report the +inf
-    sentinel so such solutions rank last in selection. Without the
+    ``pairs`` holds each solution's ``assign_batch`` pair on one window.
+    Scatter S_i is the mean distance of the window points labelled i to
+    prototype i. The index is undefined for K=1, for coincident prototypes,
+    and for clusters that received no window points; all three report the
+    +inf sentinel so such solutions rank last in selection. Without the
     empty-cluster sentinel a solution could shrink its score arbitrarily by
     parking spare prototypes in unpopulated space.
+
+    Every solution is scored on the stacked cluster rows of all of them:
+    one bincount over the offset labels gives each cluster's size, and one
+    ``block_gaps`` call every prototype gap, as ``separateness`` takes
+    them. A stable argsort of the stacked labels puts each cluster's
+    distances in one slice, in window order, so ``np.add.reduce`` over the
+    slice divided by the size is bit for bit the masked ``.mean()`` (a
+    bincount or ``reduceat`` sum adds in another order and moves bits).
+    Each index is the exact-length mean of its rows' worst ratios.
     """
-    k = solution.k
-    if k <= 1:
-        return INFINITE_DBI
-    scatter = np.zeros(k)
-    for i in range(k):
-        mask = labels == i
-        if not mask.any():
-            return INFINITE_DBI
-        scatter[i] = float(dists[mask].mean())
-    protos = solution.prototypes
-    centre_d = np.sqrt(sq_dist(protos[:, None, :], protos[None, :, :]))
-    # an infinite diagonal makes the self ratio 0, the floor of every row max
-    np.fill_diagonal(centre_d, np.inf)
-    if (centre_d == 0.0).any():
-        return INFINITE_DBI
-    ratio = (scatter[:, None] + scatter[None, :]) / centre_d
-    return float(ratio.max(axis=1).mean())
+    out = [INFINITE_DBI] * len(solutions)
+    if not solutions:
+        return out
+    labels, starts, sizes = stack_labels(solutions, pairs)
+    ks = np.array([solution.k for solution in solutions])
+    live = np.logical_and.reduceat(sizes > 0, starts) & (ks > 1)
+    if not live.any():
+        return out
+    picked = np.flatnonzero(live).tolist()
+    gap2, owner, own = block_gaps([solutions[i].prototypes for i in picked])
+    gap = np.sqrt(gap2)
+    # coincident prototypes take the sentinel; +inf gaps keep their ratios
+    # finite
+    live_ks = ks[live]
+    coincide = np.logical_or.reduceat((gap == 0.0).any(axis=1), np.cumsum(live_ks) - live_ks)
+    gap[np.repeat(coincide, live_ks)] = np.inf
+    # scatters: every live cluster's distances, each one contiguous slice
+    order = np.argsort(labels[live].ravel(), kind="stable")
+    dists = np.concatenate([pairs[i][1] for i in picked])[order]
+    counts = sizes[np.repeat(live, ks)]
+    sums = np.empty(len(counts))
+    at = 0
+    for row, end in enumerate(np.cumsum(counts).tolist()):
+        sums[row] = np.add.reduce(dists[at:end])
+        at = end
+    scatter = sums / counts
+    # a +inf gap makes the ratio 0, the floor of every row max
+    block = np.zeros((len(picked), gap.shape[1]))
+    block[owner, own] = scatter
+    worst = ((scatter[:, None] + block[owner]) / gap).max(axis=1)
+    at = 0
+    for i, k, bad in zip(picked, live_ks.tolist(), coincide.tolist()):
+        if not bad:
+            out[i] = float(np.add.reduce(worst[at : at + k]) / k)
+        at += k
+    return out
 
 
 def select_best(
@@ -127,8 +156,9 @@ def select_best(
 
     ``nearest`` maps solution ids to ``assign_batch`` pairs already computed
     for this window; members without an entry are assigned here, all in one
-    call. Ties prefer fewer clusters, then the lower solution id. Returns
-    the member, its score and its labels on the window.
+    call, and one ``davies_bouldin`` call scores every member. Ties prefer
+    fewer clusters, then the lower solution id. Returns the member, its
+    score and its labels on the window.
     """
     members = list(archive)
     if not members:
@@ -136,9 +166,10 @@ def select_best(
     known = nearest or {}
     missing = [s for s in members if s.solution_id not in known]
     fresh = iter(assign_batch(missing, window.data) if missing else ())
-    scored = []
-    for s in members:
-        pair = known[s.solution_id] if s.solution_id in known else next(fresh)
-        scored.append((davies_bouldin(s, *pair), s.k, s.solution_id, s, pair[0]))
-    dbi, _, _, best, labels = min(scored, key=lambda t: t[:3])
-    return best, dbi, labels
+    pairs = [known[s.solution_id] if s.solution_id in known else next(fresh) for s in members]
+    scores = davies_bouldin(members, pairs)
+    at = min(
+        range(len(members)),
+        key=lambda i: (scores[i], members[i].k, members[i].solution_id),
+    )
+    return members[at], scores[at], pairs[at][0]

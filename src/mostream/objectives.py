@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, block_gaps, stack_labels
 
 ARCHIVE_CAPACITY = 50
 
@@ -46,33 +46,21 @@ def separateness(blocks: Sequence[np.ndarray]) -> list[float]:
     zero compactness cost. A block with at most one row has nothing to be
     separate from: 0.
 
-    Every block with K >= 2 is padded to kmax rows, and each of their
-    sum-K rows is set against its own padded block: one (sum K, kmax)
-    ``sq_dist`` block, with the padding columns and the row's own column at
-    +inf. Each entry and each row minimum is the one the block's own (K, K)
-    matrix gives, and each mean sums exactly the block's K row minima
-    (numpy's pairwise sum depends on the length, so nothing else enters
-    it): every value is bit for bit the single-block one.
+    The blocks with K >= 2 go through one ``block_gaps`` call. Each entry
+    and each row minimum is the one the block's own (K, K) matrix gives,
+    and each mean sums exactly the block's K row minima (numpy's pairwise
+    sum depends on the length, so nothing else enters it): every value is
+    bit for bit the single-block one.
     """
     out = [0.0] * len(blocks)
     multi = [i for i, block in enumerate(blocks) if len(block) > 1]
     if not multi:
         return out
-    ks = [len(blocks[i]) for i in multi]
-    kmax = max(ks)
-    padded = np.zeros((len(multi), kmax, blocks[multi[0]].shape[1]))
-    for rows, i, k in zip(padded, multi, ks):
-        rows[:k] = blocks[i]
-    # each stacked row's block and its index within that block
-    sizes = np.array(ks)
-    owner = np.repeat(np.arange(len(ks)), sizes)
-    own = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    d2 = sq_dist(padded[owner, own][:, None, :], padded[owner])
-    cols = np.arange(kmax)
-    d2[(cols >= sizes[owner][:, None]) | (cols == own[:, None])] = np.inf
+    d2, _, _ = block_gaps([blocks[i] for i in multi])
     nearest = np.sqrt(d2.min(axis=1))
     at = 0
-    for i, k in zip(multi, ks):
+    for i in multi:
+        k = len(blocks[i])
         # add.reduce / k is exactly .mean() of the block's own K minima,
         # without the method wrappers' per-call overhead
         out[i] = float(np.add.reduce(nearest[at : at + k]) / k)
@@ -101,14 +89,12 @@ def evaluate_solution(
     """
     if not solutions:
         return
-    ks = np.array([solution.k for solution in solutions])
-    starts = np.cumsum(ks) - ks
-    labels = np.stack([labels for labels, _ in pairs]) + starts[:, None]
-    fed = np.bincount(labels.ravel(), minlength=int(ks.sum())) > 0
+    _, starts, sizes = stack_labels(solutions, pairs)
+    fed = sizes > 0
     whole = np.logical_and.reduceat(fed, starts).tolist()
-    for solution, (_, dists), start, k, all_fed in zip(solutions, pairs, starts, ks, whole):
+    for solution, (_, dists), start, all_fed in zip(solutions, pairs, starts, whole):
         if not all_fed:
-            solution.keep(fed[start : start + k])
+            solution.keep(fed[start : start + solution.k])
         update_compactness(solution, dists, gamma)
     values = separateness([solution.prototypes for solution in solutions])
     for solution, value in zip(solutions, values):

@@ -131,6 +131,41 @@ def absorb_window_reference(prototypes, weights, data, gamma):
     return protos, masses, assigned
 
 
+def commit_absorb_reference(members, data, gamma, threshold):
+    """A commit's absorb, fade and prune one member at a time, as the
+    engine's per-member loop first stood. ``members`` are (prototypes,
+    weights, compactness) triples. Every row joins its nearest prototype
+    (``assign_batch_reference``); each member's batch sums come from one
+    weighted bincount over its (cluster, coordinate) bins, rows added in
+    window order; each fed prototype takes the decayed merge (p*n*gamma +
+    mean*m) / (n*gamma + m), every mass becomes gamma*n + m, compactness
+    becomes gamma*c + the sum of the row distances, and clusters whose mass
+    fell below ``threshold`` go (the first heaviest stays when all would).
+    Returns one (prototypes, weights, compactness) triple per member."""
+    d = data.shape[1]
+    coord = np.arange(d)
+    pairs = assign_batch_reference([protos for protos, _, _ in members], data)
+    out = []
+    for (protos, weights, compactness), (labels, dists) in zip(members, pairs):
+        k = len(protos)
+        assigned = np.bincount(labels, minlength=k).astype(float)
+        fed = np.flatnonzero(assigned)
+        bins = (labels[:, None] * d + coord).ravel()
+        sums = np.bincount(bins, weights=data.ravel(), minlength=k * d).reshape(k, d)
+        means = sums[fed] / assigned[fed, None]
+        faded = weights[fed] * gamma
+        merged = protos.copy()
+        merged[fed] = (protos[fed] * faded[:, None] + means * assigned[fed, None]) / (
+            faded + assigned[fed]
+        )[:, None]
+        masses = gamma * weights + assigned
+        kept = masses >= threshold
+        if not kept.any():
+            kept[np.argmax(masses)] = True
+        out.append((merged[kept], masses[kept], gamma * compactness + float(dists.sum())))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the tree's macro view by walking each first-level subtree
 
@@ -365,7 +400,8 @@ def gng_reference(data, seed, epochs=30, max_nodes=32, eps_best=0.05,
                 q = int(np.argmax(errors))
                 nbrs = [(b if a == q else a) for (a, b) in edges if q in (a, b)]
                 if nbrs:
-                    f = max(nbrs, key=lambda j: errors[j])
+                    # ties -> the lowest index, whatever the edge order
+                    f = max(sorted(nbrs), key=lambda j: errors[j])
                     units.append(0.5 * (units[q] + units[f]))
                     errors[q] *= split_decay
                     errors[f] *= split_decay

@@ -4,10 +4,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mostream import engine, metrics
 from mostream.anttree import COLUMNS
-from mostream.core import MAX_ABS_VALUE, StreamConfig, WindowBatch, assign_batch
+from mostream.core import (
+    MAX_ABS_VALUE,
+    ClusteringSolution,
+    ObjectiveVector,
+    StreamConfig,
+    WindowBatch,
+    assign_batch,
+)
 from mostream.engine import (
     EngineState,
     FinalSelection,
@@ -23,7 +31,7 @@ from mostream.objectives import ARCHIVE_CAPACITY
 from mostream.core import serialize_chromosome
 from mostream.stream_io import gen_blobs
 
-from oracles import absorb_window_reference
+from oracles import absorb_window_reference, commit_absorb_reference
 
 
 def _blob_stream(windows=4, seed=0, k=4, window_size=100):
@@ -219,6 +227,71 @@ class TestCommitMeans:
         assert refed >= 1
 
 
+@st.composite
+def _commit_case(draw):
+    """A window and 1-5 members whose prototypes are window rows or lattice
+    points, so K = 1 members, unfed clusters and coincident prototypes all
+    occur; values may sit at +/-MAX_ABS_VALUE, and a large threshold prunes
+    members to one cluster. d covers both sides of the summation switch at
+    8 coordinates."""
+    d = draw(st.sampled_from([1, 2, 7, 8, 16]))
+    scale = draw(st.sampled_from([1.0, MAX_ABS_VALUE]))
+    cell = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+
+    def rows(count):
+        cells = draw(st.lists(cell, min_size=count * d, max_size=count * d))
+        return np.array(cells).reshape(count, d) * scale
+
+    data = rows(draw(st.integers(1, 30)))
+    if draw(st.booleans()):  # break the lattice's ties
+        noise = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=data.shape)
+        data = np.clip(data + 0.1 * scale * noise, -MAX_ABS_VALUE, MAX_ABS_VALUE)
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 6))
+        if draw(st.booleans()):
+            picks = draw(st.lists(st.integers(0, len(data) - 1), min_size=k, max_size=k))
+            protos = data[picks]
+        else:
+            protos = rows(k)
+        weights = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k)))
+        members.append((protos, weights, draw(st.floats(0.0, 1e3))))
+    gamma = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    threshold = draw(st.sampled_from([0.0, 0.1, 2.0, 1e9]))
+    return data, members, gamma, threshold
+
+
+class TestStackedCommit:
+    @given(case=_commit_case())
+    def test_matches_per_member_reference(self, case):
+        """The stacked absorb/fade/prune gives every member the prototypes,
+        weights, compactness and surviving rows of the per-member loop,
+        byte for byte, and leaves the members as they were."""
+        data, members, gamma, threshold = case
+        sols = [
+            ClusteringSolution(ObjectiveVector(c, 0.0), p.copy(), i, weights=w.copy())
+            for i, (p, w, c) in enumerate(members)
+        ]
+        cfg = StreamConfig(gamma=gamma, prune_threshold=threshold)
+        clones = engine._absorb(sols, data, cfg)
+        want = commit_absorb_reference(members, data, gamma, threshold)
+        assert len(clones) == len(want)
+        for sol, clone, (protos, weights, compactness), (p, w, c) in zip(
+            sols, clones, want, members
+        ):
+            assert clone.solution_id == sol.solution_id
+            assert clone.prototypes.shape == protos.shape
+            assert clone.prototypes.tobytes() == protos.tobytes()
+            assert clone.weights.tobytes() == weights.tobytes()
+            assert np.float64(clone.objectives.compactness).tobytes() == (
+                np.float64(compactness).tobytes()
+            )
+            assert clone.prev_compactness == c
+            assert sol.prototypes.tobytes() == p.tobytes()
+            assert sol.weights.tobytes() == w.tobytes()
+            assert sol.objectives.compactness == c
+
+
 class TestCommitAssignments:
     def test_accepted_offer_is_not_assigned_again(self, monkeypatch):
         """A commit assigns the window twice: once for the members before the
@@ -245,6 +318,58 @@ class TestCommitAssignments:
             assert len(calls) == 2, calls
             on_idle(state, IdleBudget(2))
         assert accepted == 2
+
+    def test_offer_pair_follows_dropped_clusters(self, monkeypatch):
+        """Scoring drops the macro offer's unfed clusters; the pair the
+        report reuses must label the rows the offer keeps. On this stream
+        the offer loses a middle cluster and still joins the archive (at
+        windows 4 and 5), and after every commit the reused pairs score as
+        fresh ones do."""
+        dropped_middle = []
+        score = engine.evaluate_solution
+
+        def watching(solutions, pairs, gamma):
+            if len(solutions) == 1:  # the commit's macro offer
+                fed = np.bincount(pairs[0][0], minlength=solutions[0].k) > 0
+                dropped_middle.append(bool((~fed[: np.flatnonzero(fed)[-1]]).any()))
+            score(solutions, pairs, gamma)
+
+        checked = []
+        pick = engine.select_best
+
+        def checking(archive, window, nearest=None):
+            members = list(archive)
+            known = [nearest[s.solution_id] for s in members]
+            fresh = assign_batch(members, window.data)
+            for (a, da), (b, db) in zip(known, fresh):
+                assert a.tobytes() == b.tobytes() and da.tobytes() == db.tobytes()
+            assert metrics.davies_bouldin(members, known) == (
+                metrics.davies_bouldin(members, fresh)
+            )
+            best, dbi, labels = pick(archive, window, nearest)
+            ref_best, ref_dbi, ref_labels = pick(archive, window)
+            assert best is ref_best
+            assert np.float64(dbi).tobytes() == np.float64(ref_dbi).tobytes()
+            assert np.array_equal(labels, ref_labels)
+            checked.append(window.window_id)
+            return best, dbi, labels
+
+        batches = gen_blobs(k=4, per_blob=300, sep=10.0, stddev=0.5,
+                            drift=(0.5, 0.2), window_size=100, seed=8)[:6]
+        cfg = StreamConfig(rng_seed=8)
+        state = initialize(batches[0], cfg)
+        monkeypatch.setattr(engine, "evaluate_solution", watching)
+        monkeypatch.setattr(engine, "select_best", checking)
+        accepted = 0
+        for window in batches[1:]:
+            dropped_middle.clear()
+            on_idle(state, IdleBudget(cfg.idle_generations_cap))
+            process_window(state, window)
+            offer = state.next_solution_id - 1
+            joined = offer in [s.solution_id for s in state.archive]
+            accepted += joined and dropped_middle == [True]
+        assert checked == [1, 2, 3, 4, 5]
+        assert accepted >= 1
 
 
 class TestOnIdle:

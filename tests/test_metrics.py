@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mostream.core import ClusteringSolution, ObjectiveVector, assign_batch
+from mostream.core import MAX_ABS_VALUE, ClusteringSolution, ObjectiveVector, assign_batch
 from mostream.metrics import INFINITE_DBI, arand, davies_bouldin, nmi, select_best
 from mostream.stream_io import WindowBatch
 
@@ -92,7 +92,38 @@ class TestArand:
 
 
 def _dbi(sol, win):
-    return davies_bouldin(sol, *assign_batch([sol], win.data)[0])
+    [score] = davies_bouldin([sol], assign_batch([sol], win.data))
+    return score
+
+
+@st.composite
+def _scored_members(draw):
+    """A window and 1-8 members whose prototypes are window rows or lattice
+    points: K = 1 members, unfed clusters and coincident prototypes all
+    occur, and values may sit at +/-MAX_ABS_VALUE. d covers both sides of
+    the summation switch at 8 coordinates."""
+    d = draw(st.sampled_from([1, 2, 7, 8, 16]))
+    scale = draw(st.sampled_from([1.0, MAX_ABS_VALUE]))
+    cell = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+
+    def rows(count):
+        cells = draw(st.lists(cell, min_size=count * d, max_size=count * d))
+        return np.array(cells).reshape(count, d) * scale
+
+    points = rows(draw(st.integers(1, 40)))
+    if draw(st.booleans()):  # break the lattice's ties
+        noise = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=points.shape)
+        points = np.clip(points + 0.1 * scale * noise, -MAX_ABS_VALUE, MAX_ABS_VALUE)
+    members = []
+    for sol_id in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, 8))
+        if draw(st.booleans()):
+            protos = points[draw(st.lists(st.integers(0, len(points) - 1),
+                                          min_size=k, max_size=k))]
+        else:
+            protos = rows(k)
+        members.append(_solution(protos, sol_id))
+    return points, members
 
 
 class TestDaviesBouldin:
@@ -133,7 +164,42 @@ class TestDaviesBouldin:
         sol, win = _solution(protos), _window(points)
         [nearest] = assign_batch([sol], win.data)
         expected = davies_bouldin_loop(points, protos, nearest[0])
-        assert davies_bouldin(sol, *nearest) == expected
+        assert davies_bouldin([sol], [nearest]) == [expected]
+
+    @given(_scored_members())
+    def test_stacked_matches_loop_form_per_member(self, case):
+        """One stacked call scores every member as the loop form scores it
+        alone, bit for bit."""
+        points, members = case
+        pairs = assign_batch(members, points)
+        expected = [davies_bouldin_loop(points, s.prototypes, labels)
+                    for s, (labels, _) in zip(members, pairs)]
+        assert np.array(davies_bouldin(members, pairs)).tobytes() == (
+            np.array(expected).tobytes()
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 16])
+    def test_stacked_matches_loop_form_on_blobs(self, dim):
+        """Finite scores too: 15 members of K 1-12 on one 100-point window,
+        most of them fed everywhere, one K = 1 and one with a parked
+        prototype."""
+        rng = np.random.default_rng(dim)
+        centres = rng.normal(size=(4, dim)) * 10.0
+        points = np.repeat(centres, 25, axis=0) + rng.normal(size=(100, dim))
+        members = [_solution(points[rng.choice(100, size=k, replace=False)], i)
+                   for i, k in enumerate(rng.integers(2, 13, size=13))]
+        members.append(_solution(points[:1], 13))
+        members.append(_solution(np.vstack([points[:3], np.full((1, dim), 1e6)]), 14))
+        pairs = assign_batch(members, points)
+        got = davies_bouldin(members, pairs)
+        expected = [davies_bouldin_loop(points, s.prototypes, labels)
+                    for s, (labels, _) in zip(members, pairs)]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert got[13] == got[14] == INFINITE_DBI
+        assert sum(math.isfinite(v) for v in got) >= 10
+
+    def test_no_solutions(self):
+        assert davies_bouldin([], []) == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_form_at_16_coordinates(self, seed):
@@ -146,7 +212,7 @@ class TestDaviesBouldin:
         [nearest] = assign_batch([sol], win.data)
         expected = davies_bouldin_loop(points, protos, nearest[0])
         assert expected != INFINITE_DBI
-        assert davies_bouldin(sol, *nearest) == expected
+        assert davies_bouldin([sol], [nearest]) == [expected]
 
 
 class TestSelectBest:

@@ -400,6 +400,17 @@ class TestGNG:
             want[a, b] = want[b, a] = 0
         assert np.array_equal(age, want)
 
+    def test_split_tie_matches_reference(self):
+        """The reference breaks that tie by the lowest index too, so the
+        5-identical-rows run is the same gas byte for byte."""
+        data = np.ones((5, 2))
+        with mock.patch.multiple(seeders, GNG_MAX_NODES=4, GNG_INSERT_EVERY=10):
+            _, _, gas = self._oracle(data, 0)
+            self._assert_same_gas(WindowBatch(data, 0), 0, gas)
+            units, _, _ = grow_gas(data, seed=0)
+        assert units.tobytes() == gas["units"].tobytes()
+        assert sorted(gas["edges"]) == [(0, 1), (1, 2), (1, 3)]
+
     @given(data=_gas_window(), seed=st.integers(0, 2**16), budget=_GAS_BUDGET)
     def test_matches_reference_on_tied_windows(self, data, seed, budget):
         with mock.patch.multiple(seeders, **budget):
