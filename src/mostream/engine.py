@@ -1,7 +1,12 @@
 """Windowed streaming driver.
 
 The first window builds the tree synopsis and seeds the archive through
-multiple clustering routes plus one breeding pass. Every later window flows
+multiple clustering routes plus one breeding pass. The growing gas, the
+largest of those routes and independent of the others until scoring, grows
+in one forked worker process while this process builds the tree and runs
+the k-means sweep and the density scan; its units are then labelled here.
+Where ``os.fork`` is missing or only one CPU is usable the gas grows in
+process, with the same result. Every later window flows
 through a fixed pipeline: points map into the tree (in runs of rows, each
 row placed as the point-by-point rule would), every archive member absorbs
 the window and fades, the members are rescored in one pass together with
@@ -17,6 +22,9 @@ than one per member.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Optional
@@ -44,7 +52,7 @@ from .objectives import (
     separateness,
     update_compactness,
 )
-from .seeders import kmeans_sweep, seed_dbscan, seed_gng
+from .seeders import grow_gas, kmeans_sweep, seed_dbscan, seed_gng
 
 GAMMA_ONE_REF_WINDOWS = 100  # reference head-room when gamma=1 disables decay
 
@@ -197,19 +205,106 @@ def _window_report(
     return report
 
 
+class _Worker:
+    """``fn(*args)`` run in one forked child while the caller goes on.
+
+    The child sends its return value, or the exception it raised, as one
+    pickle through a pipe and leaves by ``os._exit``: it never returns into
+    the caller's stack, runs no atexit handler and flushes no inherited
+    stdio buffer. ``result()`` waits for it and returns or raises what it
+    sent; a child that exits without sending raises ``RuntimeError``.
+    ``close()`` kills and reaps a child still unreaped, so a caller that
+    closes in a ``finally`` leaves no process behind. Where ``os.fork`` is
+    missing or only one CPU is usable, ``result()`` makes the call in
+    process instead.
+
+    The engine starts no thread of its own, and the gas calls no BLAS
+    routine, so the child touches no lock or pool a parent thread could
+    hold at the fork. The child catches everything, interrupts included, so
+    that the parent re-raises it.
+    """
+
+    def __init__(self, fn: Callable, *args) -> None:
+        self._call = (fn, args)
+        self._pid: Optional[int] = None
+        self._pipe = None
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        if not hasattr(os, "fork") or cpus < 2:
+            return
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            self._child(read_fd, write_fd)
+        os.close(write_fd)
+        self._pid, self._pipe = pid, open(read_fd, "rb")
+
+    def _child(self, read_fd: int, write_fd: int) -> None:
+        code = 1
+        try:
+            os.close(read_fd)
+            fn, args = self._call
+            try:
+                payload = (True, fn(*args))
+            except BaseException as exc:
+                payload = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+
+    def result(self):
+        if self._pid is None:
+            fn, args = self._call
+            return fn(*args)
+        data = self._pipe.read()
+        self._pipe.close()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not data:
+            raise RuntimeError(f"worker exited with code {code} without sending a result")
+        sent, value = pickle.loads(data)
+        if not sent:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self._pipe is not None:
+            self._pipe.close()
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
 def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     """Build the tree, seed and score the population, breed once, fill the archive."""
     t0 = time.perf_counter()
-    tree = build_initial_tree(first_window)
-
-    # macro view, k-means sweep, density scan and gas, scored in one pass;
-    # fresh compactness is 0, so gamma cannot reach the seeds' objectives.
-    # Each cluster's mass is the rows scoring gives it, taken before
-    # evaluation drops the unfed ones.
-    population = [tree.macro_clusters(), *kmeans_sweep(first_window, cfg.rng_seed)]
-    population.append(seed_dbscan(first_window))
-    if len(first_window) >= 2:
-        population.append(seed_gng(first_window, cfg.rng_seed))
+    # the gas needs nothing from the other seeders, so it grows in a worker
+    # while they run; its n >= 2 check is made here, before any fork
+    gas = _Worker(grow_gas, first_window.data, cfg.rng_seed) if len(first_window) >= 2 else None
+    try:
+        tree = build_initial_tree(first_window)
+        # macro view, k-means sweep, density scan and gas, scored in one
+        # pass; fresh compactness is 0, so gamma cannot reach the seeds'
+        # objectives. Each cluster's mass is the rows scoring gives it,
+        # taken before evaluation drops the unfed ones.
+        population = [tree.macro_clusters(), *kmeans_sweep(first_window, cfg.rng_seed)]
+        population.append(seed_dbscan(first_window))
+        if gas is not None:
+            population.append(seed_gng(first_window, gas.result()))
+    finally:
+        if gas is not None:
+            gas.close()
     pairs = assign_batch(population, first_window.data)
     for sol, (labels, _) in zip(population, pairs):
         sol.weights = np.bincount(labels, minlength=sol.k).astype(float)
@@ -273,22 +368,25 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # (4) rescore: one assign_batch call over the moved/pruned members and
     # the tree's macro view, re-offered as a candidate. One bincount over
     # their stacked labels finds every fed cluster: a member's separateness
-    # counts only the clusters the window still feeds, and one separateness
-    # call scores every member. Scoring drops the offer's unfed clusters, so
-    # its labels are renumbered onto the rows it keeps. The pairs serve the
-    # report too. The macro offer takes the commit's last id.
+    # counts only the clusters the window still feeds. The offer keeps only
+    # its fed clusters, so its labels are renumbered onto the rows it keeps,
+    # and folds its compactness; then one separateness call scores every
+    # member and the offer. The pairs serve the report too. The macro offer
+    # takes the commit's last id.
     macro = state.tree.macro_clusters()
     macro.objectives.compactness = state.macro_compactness
     scored = clones + [macro]
     pairs = assign_batch(scored, window.data)
     _, starts, sizes = stack_labels(scored, pairs)
     fed = [sizes[start : start + sol.k] > 0 for sol, start in zip(scored, starts.tolist())]
-    blocks = [clone.prototypes[rows] for clone, rows in zip(clones, fed)]
-    for clone, value in zip(clones, separateness(blocks)):
-        clone.objectives.separateness = value
     macro_labels, macro_dists = pairs[-1]
-    evaluate_solution([macro], [pairs[-1]], cfg.gamma)
-    pairs[-1] = ((np.cumsum(fed[-1]) - 1)[macro_labels], macro_dists)
+    if not fed[-1].all():
+        macro.keep(fed[-1])
+        pairs[-1] = ((np.cumsum(fed[-1]) - 1)[macro_labels], macro_dists)
+    update_compactness(macro, macro_dists, cfg.gamma)
+    blocks = [clone.prototypes[rows] for clone, rows in zip(clones, fed)]
+    for sol, value in zip(scored, separateness(blocks + [macro.prototypes])):
+        sol.objectives.separateness = value
     macro.solution_id = state.allot_id()
     state.macro_compactness = macro.objectives.compactness
 

@@ -4,7 +4,10 @@ Three independent routes onto the first window: a k-means sweep, a density
 scan, and a growing neural gas. Each only labels the window's rows and
 returns unscored solutions; the engine scores every seed in one pass. All
 three are deterministic given (window, seed); their settings are the module
-constants below.
+constants below. The gas comes in two steps: ``grow_gas`` grows the units
+and edges from the rows and a seed, and ``seed_gng`` labels the window by
+them. The engine runs ``grow_gas`` in a forked worker while the other
+routes run, and ``seed_gng`` in its own process.
 """
 
 from __future__ import annotations
@@ -213,6 +216,8 @@ def grow_gas(
     and its neighbors moved.
     """
     n = len(data)
+    if n < 2:
+        raise ValueError("gng needs at least two points")
     max_nodes, max_age = GNG_MAX_NODES, GNG_MAX_EDGE_AGE
     rng = np.random.default_rng(seed)
     units = np.empty((max_nodes, data.shape[1]))
@@ -269,16 +274,17 @@ def grow_gas(
     return units[:m], errors[:m], age
 
 
-def seed_gng(window: WindowBatch, seed: int) -> ClusteringSolution:
-    """Grow a unit graph over the window; edge components become clusters.
+def seed_gng(
+    window: WindowBatch, gas: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> ClusteringSolution:
+    """Label the window by a gas ``grow_gas`` grew over its rows; edge
+    components become clusters.
 
     Window points go to their nearest unit and units to their edge
     component; components no point reaches are dropped.
     """
     data = window.data
-    if len(data) < 2:
-        raise ValueError("gng needs at least two points")
-    units, _, age = grow_gas(data, seed)
+    units, _, age = gas
     comp = connected_components(age >= 0)
     nearest = np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)
     _, labels = np.unique(comp[nearest], return_inverse=True)

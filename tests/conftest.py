@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -25,3 +27,17 @@ def four_blob_window():
                              window_size=100, seed=0))
     assert len(batches) == 1
     return batches[0]
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind, running or unreaped
+    (a forked seeding worker that was never waited for, say)."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (waitpid gave {pid}, status {status})")

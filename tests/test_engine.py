@@ -1,12 +1,13 @@
 """Stream driver: initialization, window commits, idle cycles, finalization."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mostream import engine, metrics
+from mostream import core, engine, metrics, objectives
 from mostream.anttree import COLUMNS
 from mostream.core import (
     MAX_ABS_VALUE,
@@ -19,6 +20,7 @@ from mostream.core import (
 from mostream.engine import (
     EngineState,
     FinalSelection,
+    _Worker,
     initialize,
     finalize,
     on_idle,
@@ -28,6 +30,7 @@ from mostream.engine import (
 from mostream.evolution import IdleBudget
 from mostream.metrics import select_best
 from mostream.objectives import ARCHIVE_CAPACITY
+from mostream.seeders import grow_gas
 from mostream.core import serialize_chromosome
 from mostream.stream_io import gen_blobs
 
@@ -95,6 +98,111 @@ class TestInitialize:
         chrom_a = sorted(tuple(serialize_chromosome(s)) for s in a.archive)
         chrom_b = sorted(tuple(serialize_chromosome(s)) for s in b.archive)
         assert chrom_a == chrom_b
+
+
+def _fail(message):
+    raise ValueError(message)
+
+
+def _cpus(monkeypatch, count):
+    """Make ``count`` CPUs look usable, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the parent's ``os.fork`` calls."""
+    made = []
+    real = os.fork
+
+    def counting():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return made
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestGasWorker:
+    """``initialize`` grows the gas in one forked child while the tree, the
+    k-means sweep and the density scan run, and labels it in process."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_forked_gas_equals_in_process_gas(self, monkeypatch, forks, dim):
+        data = np.random.default_rng(dim).normal(size=(150, dim)) * 3.0
+        _cpus(monkeypatch, 2)
+        forked = _Worker(grow_gas, data, 11).result()
+        assert forks == [1]
+        _cpus(monkeypatch, 1)
+        local = _Worker(grow_gas, data, 11).result()
+        assert forks == [1]
+        for a, b in zip(forked, local):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_child_exception_reaches_parent(self, monkeypatch, forks):
+        _cpus(monkeypatch, 2)
+        worker = _Worker(_fail, "gas went wrong")
+        try:
+            with pytest.raises(ValueError, match="^gas went wrong$"):
+                worker.result()
+        finally:
+            worker.close()
+        assert forks == [1]
+
+    def test_child_that_sends_nothing_raises(self, monkeypatch, forks):
+        _cpus(monkeypatch, 2)
+        worker = _Worker(os._exit, 3)
+        try:
+            with pytest.raises(RuntimeError, match="code 3 without sending"):
+                worker.result()
+        finally:
+            worker.close()
+        assert forks == [1]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_set_up_reaps_the_child(self, monkeypatch, forks, four_blob_window, error):
+        def failing(window, seed):
+            raise error("sweep failed")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(engine, "kmeans_sweep", failing)
+        with pytest.raises(error, match="sweep failed"):
+            initialize(four_blob_window, StreamConfig())
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_single_cpu_never_forks(self, monkeypatch, four_blob_window):
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert len(initialize(four_blob_window, StreamConfig()).archive) >= 1
+
+    def test_missing_fork_runs_in_process(self, monkeypatch, four_blob_window):
+        _cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        assert len(initialize(four_blob_window, StreamConfig()).archive) >= 1
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_initialize_identical_on_both_paths(self, monkeypatch, forks, dim):
+        window = gen_blobs(k=4, per_blob=75, sep=3.0, stddev=1.0,
+                           window_size=300, seed=dim, dim=dim)[0]
+        cfg = StreamConfig(rng_seed=dim)
+        states = []
+        for cpus in (2, 1):
+            _cpus(monkeypatch, cpus)
+            states.append(initialize(window, cfg))
+        assert forks == [1]
+        forked, local = states
+        assert [r.to_dict() for r in forked.reports] == [r.to_dict() for r in local.reports]
+        assert [s.solution_id for s in forked.archive] == [s.solution_id for s in local.archive]
+        for a, b in zip(forked.archive, local.archive):
+            assert serialize_chromosome(a).tobytes() == serialize_chromosome(b).tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
 
 
 class TestProcessWindow:
@@ -326,13 +434,14 @@ class TestCommitAssignments:
         windows 4 and 5), and after every commit the reused pairs score as
         fresh ones do."""
         dropped_middle = []
-        score = engine.evaluate_solution
+        stack = engine.stack_labels
 
-        def watching(solutions, pairs, gamma):
-            if len(solutions) == 1:  # the commit's macro offer
-                fed = np.bincount(pairs[0][0], minlength=solutions[0].k) > 0
+        def watching(solutions, pairs):
+            # step (4) stacks the macro offer last, before it takes its id
+            if solutions[-1].solution_id < 0:
+                fed = np.bincount(pairs[-1][0], minlength=solutions[-1].k) > 0
                 dropped_middle.append(bool((~fed[: np.flatnonzero(fed)[-1]]).any()))
-            score(solutions, pairs, gamma)
+            return stack(solutions, pairs)
 
         checked = []
         pick = engine.select_best
@@ -358,7 +467,7 @@ class TestCommitAssignments:
                             drift=(0.5, 0.2), window_size=100, seed=8)[:6]
         cfg = StreamConfig(rng_seed=8)
         state = initialize(batches[0], cfg)
-        monkeypatch.setattr(engine, "evaluate_solution", watching)
+        monkeypatch.setattr(engine, "stack_labels", watching)
         monkeypatch.setattr(engine, "select_best", checking)
         accepted = 0
         for window in batches[1:]:
@@ -370,6 +479,31 @@ class TestCommitAssignments:
             accepted += joined and dropped_middle == [True]
         assert checked == [1, 2, 3, 4, 5]
         assert accepted >= 1
+
+    def test_one_scoring_pass_for_members_and_offer(self, monkeypatch):
+        """Step (4) scores the members and the macro offer together: a
+        commit stacks labels three times (absorb, step 4, report) and calls
+        separateness once."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        batches = _blob_stream(windows=4, seed=3)
+        state = initialize(batches[0], StreamConfig(rng_seed=3))
+        stack = counting("stack_labels", core.stack_labels)
+        score = counting("separateness", objectives.separateness)
+        for module in (engine, objectives, metrics):
+            monkeypatch.setattr(module, "stack_labels", stack)
+        for module in (engine, objectives):
+            monkeypatch.setattr(module, "separateness", score)
+        for window in batches[1:]:
+            calls.clear()
+            process_window(state, window)
+            assert sorted(calls) == ["separateness"] + ["stack_labels"] * 3
 
 
 class TestOnIdle:

@@ -50,6 +50,11 @@ def _assert_same_solution(sol, ref):
     assert sol.objectives == ref.objectives
 
 
+def _gng(window, seed):
+    """The gas seed as ``initialize`` makes it: grown, then labelled."""
+    return seed_gng(window, grow_gas(window.data, seed))
+
+
 def _scored(sol, window):
     """An unscored seed scored alone on its window, as ``initialize`` scores
     every seed: each cluster's mass is the rows scoring gives it."""
@@ -328,7 +333,7 @@ class TestGNG:
         # pinned by running the seeder on this fixture: the edge graph splits
         # into exactly two components whose means sit on the blob centers
         for seed in (0, 1, 7):
-            sol = seed_gng(two_blobs, seed)
+            sol = _gng(two_blobs, seed)
             assert sol.k == 2
             protos = sol.prototypes
             protos = protos[np.argsort(protos[:, 0])]
@@ -336,16 +341,16 @@ class TestGNG:
             assert np.allclose(protos[1], [12.0, 12.0], atol=0.2)
 
     def test_two_point_window(self):
-        sol = seed_gng(_window([[0.0, 0.0], [5.0, 5.0]]), seed=0)
+        sol = _gng(_window([[0.0, 0.0], [5.0, 5.0]]), seed=0)
         assert 1 <= sol.k <= 2
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
-            seed_gng(_window([[1.0, 1.0]]), seed=0)
+            grow_gas(np.array([[1.0, 1.0]]), seed=0)
 
     def test_deterministic_per_seed(self, two_blobs):
-        a = seed_gng(two_blobs, seed=3)
-        b = seed_gng(two_blobs, seed=3)
+        a = _gng(two_blobs, seed=3)
+        b = _gng(two_blobs, seed=3)
         assert np.array_equal(a.prototypes, b.prototypes)
 
     @pytest.fixture
@@ -354,7 +359,7 @@ class TestGNG:
         monkeypatch.setattr(seeders, "GNG_INSERT_EVERY", 10)
 
     def test_node_budget_respected(self, two_blobs, small_budget):
-        sol = seed_gng(two_blobs, seed=0)
+        sol = _gng(two_blobs, seed=0)
         assert sol.k <= 4
 
     @staticmethod
@@ -420,8 +425,9 @@ class TestGNG:
     @given(data=_gas_window(), seed=st.integers(0, 2**16), budget=_GAS_BUDGET)
     def test_edge_invariants_on_tied_windows(self, data, seed, budget):
         with mock.patch.multiple(seeders, **budget):
-            units, _, age = grow_gas(data, seed)
-            sol = seed_gng(WindowBatch(data, 0), seed)
+            gas = grow_gas(data, seed)
+            sol = seed_gng(WindowBatch(data, 0), gas)
+            units, _, age = gas
             max_age = seeders.GNG_MAX_EDGE_AGE
         assert np.array_equal(age, age.T)
         assert (np.diag(age) == -1).all()
@@ -441,20 +447,20 @@ class TestGNG:
         assert gas["splits"] == seeders.GNG_MAX_NODES - 2
         assert gas["expiries"] > 0
         self._assert_same_gas(window, seed, gas)
-        _assert_same_solution(_scored(seed_gng(window, seed), window), ref)
+        _assert_same_solution(_scored(_gng(window, seed), window), ref)
 
     def test_matches_reference_on_two_components(self, two_blobs):
         ref, gas = self._reference(two_blobs, 1)
         assert ref.k == 2
         self._assert_same_gas(two_blobs, 1, gas)
-        _assert_same_solution(_scored(seed_gng(two_blobs, 1), two_blobs), ref)
+        _assert_same_solution(_scored(_gng(two_blobs, 1), two_blobs), ref)
 
     def test_matches_reference_at_node_cap(self, two_blobs, small_budget):
         for seed in (0, 5):
             ref, gas = self._reference(two_blobs, seed)
             assert gas["splits"] == 2
             self._assert_same_gas(two_blobs, seed, gas)
-            _assert_same_solution(_scored(seed_gng(two_blobs, seed), two_blobs), ref)
+            _assert_same_solution(_scored(_gng(two_blobs, seed), two_blobs), ref)
 
 
 class TestSeedScoring:
