@@ -104,16 +104,11 @@ class ClusteringSolution:
     Cluster i is row i of ``prototypes`` (K, d) with fading mass
     ``weights[i]`` (default 1): the merge's history mass and the pruning
     weight alike.
-    ``prev_compactness`` is the compactness the solution carried into its
-    latest evaluation, before that window's decay-and-fold. Offspring seed
-    their compactness from it so a lineage bred within one idle phase pays
-    the decay once per window, not once per generation.
     """
 
     objectives: ObjectiveVector
     prototypes: np.ndarray
     solution_id: int = -1
-    prev_compactness: float = 0.0
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -144,7 +139,6 @@ class ClusteringSolution:
             self.objectives.copy(),
             self.prototypes.copy(),
             self.solution_id,
-            self.prev_compactness,
             self.weights.copy(),
         )
 

@@ -94,7 +94,6 @@ class EngineState:
     archive: ParetoArchive
     last_window: WindowBatch
     hv_reference: ObjectiveVector
-    macro_compactness: float = 0.0
     next_solution_id: int = 0
     idle_counter: int = 0
     reports: list[WindowReport] = field(default_factory=list)
@@ -144,8 +143,8 @@ def _absorb(
     pairwise, so a mean can differ in the last bit). One merge_prototype
     call folds every fed row's batch in, with its window-start weight as the
     history mass, and one fade_weight call fades every weight, fed or not.
-    Each clone then takes its own rows, folds its compactness and prunes
-    what starved.
+    Each clone then takes its own rows, scores its compactness on the
+    window-start distances and prunes what starved.
     """
     pairs = assign_batch(members, data)
     labels, starts, sizes = stack_labels(members, pairs)
@@ -166,10 +165,9 @@ def _absorb(
     for member, (_, dists), start in zip(members, pairs, starts.tolist()):
         rows = slice(start, start + member.k)
         clone = ClusteringSolution(
-            member.objectives.copy(), protos[rows], member.solution_id,
-            member.prev_compactness, weights[rows],
+            ObjectiveVector(), protos[rows], member.solution_id, weights[rows]
         )
-        update_compactness(clone, dists, cfg.gamma)
+        update_compactness(clone, dists)
         prune_outdated(clone, cfg.prune_threshold)
         clones.append(clone)
     return clones
@@ -295,9 +293,8 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     try:
         tree = build_initial_tree(first_window)
         # macro view, k-means sweep, density scan and gas, scored in one
-        # pass; fresh compactness is 0, so gamma cannot reach the seeds'
-        # objectives. Each cluster's mass is the rows scoring gives it,
-        # taken before evaluation drops the unfed ones.
+        # pass. Each cluster's mass is the rows scoring gives it, taken
+        # before evaluation drops the unfed ones.
         population = [tree.macro_clusters(), *kmeans_sweep(first_window, cfg.rng_seed)]
         population.append(seed_dbscan(first_window))
         if gas is not None:
@@ -308,7 +305,7 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     pairs = assign_batch(population, first_window.data)
     for sol, (labels, _) in zip(population, pairs):
         sol.weights = np.bincount(labels, minlength=sol.k).astype(float)
-    evaluate_solution(population, pairs, cfg.gamma)
+    evaluate_solution(population, pairs)
 
     state = EngineState(
         cfg=cfg,
@@ -316,7 +313,6 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
         archive=ParetoArchive(),
         last_window=first_window,
         hv_reference=ObjectiveVector(),
-        macro_compactness=population[0].objectives.compactness,
     )
     for sol in population:
         sol.solution_id = state.allot_id()
@@ -324,6 +320,9 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     # one breeding pass over the seed population before anything is published
     population.extend(_generation(state, population))
 
+    # the box keeps a decayed sum's 1/(1-gamma) head-room although
+    # compactness is one window's sum; it only scales the reported
+    # hypervolume, which nothing bred or kept reads (README says why)
     worst_c = max(s.objectives.compactness for s in population)
     horizon = 1.0 / (1.0 - cfg.gamma) if cfg.gamma < 1.0 else GAMMA_ONE_REF_WINDOWS
     state.hv_reference = ObjectiveVector(2.0 * (worst_c + 1.0) * horizon, 0.0)
@@ -370,11 +369,10 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # their stacked labels finds every fed cluster: a member's separateness
     # counts only the clusters the window still feeds. The offer keeps only
     # its fed clusters, so its labels are renumbered onto the rows it keeps,
-    # and folds its compactness; then one separateness call scores every
+    # and scores its compactness; then one separateness call scores every
     # member and the offer. The pairs serve the report too. The macro offer
     # takes the commit's last id.
     macro = state.tree.macro_clusters()
-    macro.objectives.compactness = state.macro_compactness
     scored = clones + [macro]
     pairs = assign_batch(scored, window.data)
     _, starts, sizes = stack_labels(scored, pairs)
@@ -383,12 +381,11 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     if not fed[-1].all():
         macro.keep(fed[-1])
         pairs[-1] = ((np.cumsum(fed[-1]) - 1)[macro_labels], macro_dists)
-    update_compactness(macro, macro_dists, cfg.gamma)
+    update_compactness(macro, macro_dists)
     blocks = [clone.prototypes[rows] for clone, rows in zip(clones, fed)]
     for sol, value in zip(scored, separateness(blocks + [macro.prototypes])):
         sol.objectives.separateness = value
     macro.solution_id = state.allot_id()
-    state.macro_compactness = macro.objectives.compactness
 
     # (5) re-screen: rebuild the archive from updated members (already in id
     # order, as the archive iterates), then the offer

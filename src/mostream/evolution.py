@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, StreamConfig, WindowBatch, assign_batch, sq_dist
+from .core import ClusteringSolution, ObjectiveVector, StreamConfig, WindowBatch, assign_batch
 from .objectives import evaluate_solution
 
 
@@ -73,7 +73,7 @@ def _splice(
 ) -> ClusteringSolution:
     """Crossover child: clusters ``a_rows`` of a, then ``b_rows`` of b."""
     return ClusteringSolution(
-        a.objectives.copy(),
+        ObjectiveVector(),
         np.concatenate([a.prototypes[a_rows], b.prototypes[b_rows]]),
         weights=np.concatenate([a.weights[a_rows], b.weights[b_rows]]),
     )
@@ -123,48 +123,10 @@ def mutate(
     out, at = [], 0
     for p in parents:
         out.append(
-            ClusteringSolution(
-                p.objectives.copy(),
-                protos[at : at + p.k],
-                prev_compactness=p.prev_compactness,
-                weights=p.weights.copy(),
-            )
+            ClusteringSolution(ObjectiveVector(), protos[at : at + p.k], weights=p.weights.copy())
         )
         at += p.k
     return out
-
-
-def _parent_distances(
-    children: tuple[ClusteringSolution, ClusteringSolution],
-    parents: tuple[ClusteringSolution, ClusteringSolution],
-) -> list[list[float]]:
-    """Symmetric mean nearest-prototype distance of each crossover child
-    (row) to each parent (column).
-
-    All four come from one (K_c1 + K_c2, K_1 + K_2) block of ``sq_dist``
-    roots: each child/parent pair reads its row and column minima from its
-    own segment. Every entry, minimum and sum is the one the pair's own
-    (K, K') matrix gives, so each distance is bit for bit the same.
-    """
-    kc, kp = children[0].k, parents[0].k
-    block = np.sqrt(
-        sq_dist(
-            np.concatenate([c.prototypes for c in children])[:, None, :],
-            np.concatenate([p.prototypes for p in parents])[None, :, :],
-        )
-    )
-    row_min = np.minimum.reduceat(block, [0, kp], axis=1)  # (child rows, parent)
-    col_min = np.minimum.reduceat(block, [0, kc], axis=0)  # (child, parent columns)
-    child_rows = (slice(None, kc), slice(kc, None))
-    parent_cols = (slice(None, kp), slice(kp, None))
-    dists = [[0.0, 0.0], [0.0, 0.0]]
-    for i, rs in enumerate(child_rows):
-        for j, cs in enumerate(parent_cols):
-            rows, cols = row_min[rs, j], col_min[i, cs]
-            # add.reduce / size is exactly .mean(), without its per-call overhead
-            mean_rows = np.add.reduce(rows) / rows.size
-            dists[i][j] = float(0.5 * (mean_rows + np.add.reduce(cols) / cols.size))
-    return dists
 
 
 def breed(
@@ -177,14 +139,10 @@ def breed(
     ids: crossover children in pair order, then one mutant per parent.
 
     Consecutive parents pair for crossover (skipped when either has K < 3);
-    every parent also contributes one mutant. The inherited compactness
-    history comes from the nearer parent (crossover) or the source parent
-    (mutation), taken at its pre-window value: evaluation then applies the
-    same single decay-and-fold the parent received, so a lineage bred over
-    many generations inside one idle phase does not compound the decay.
-    ``rng`` gives the crossover cuts, then one ``mutate`` draw for every
-    mutant. All offspring are assigned to the window in one ``assign_batch``
-    call and scored in one ``evaluate_solution`` call.
+    every parent also contributes one mutant. ``rng`` gives the crossover
+    cuts, then one ``mutate`` draw for every mutant. All offspring are
+    assigned to the window in one ``assign_batch`` call and scored in one
+    ``evaluate_solution`` call.
     """
     offspring: list[ClusteringSolution] = []
     for j in range(0, len(parents) - 1, 2):
@@ -192,14 +150,7 @@ def breed(
         k_min = min(p1.k, p2.k)
         if k_min < 3:
             continue
-        cut = int(rng.integers(2, k_min))
-        children = crossover(p1, p2, cut)
-        for child, (d1, d2) in zip(children, _parent_distances(children, (p1, p2))):
-            nearer = p1 if (d1, p1.solution_id) <= (d2, p2.solution_id) else p2
-            child.objectives.compactness = nearer.prev_compactness
-            offspring.append(child)
-    for mutant, parent in zip(mutate(parents, cfg.mu, rng), parents):
-        mutant.objectives.compactness = parent.prev_compactness
-        offspring.append(mutant)
-    evaluate_solution(offspring, assign_batch(offspring, snapshot.data), cfg.gamma)
+        offspring.extend(crossover(p1, p2, int(rng.integers(2, k_min))))
+    offspring.extend(mutate(parents, cfg.mu, rng))
+    evaluate_solution(offspring, assign_batch(offspring, snapshot.data))
     return offspring

@@ -1,6 +1,6 @@
 """Window objectives and the bounded Pareto archive.
 
-Compactness is the decayed sum of point-to-prototype distances (lower is
+Compactness is the window's sum of point-to-prototype distances (lower is
 better). Separateness is the mean, over clusters, of the distance to the
 nearest other cluster's prototype (higher is better). Dominance works on the
 both-minimized pair (compactness, -separateness).
@@ -19,20 +19,13 @@ from .core import ClusteringSolution, ObjectiveVector, block_gaps, stack_labels
 ARCHIVE_CAPACITY = 50
 
 
-def update_compactness(
-    solution: ClusteringSolution, dists: np.ndarray, gamma: float
-) -> float:
-    """Fold one window into the compactness objective, in place.
-
-    compactness <- gamma * previous + sum(dists), where ``dists`` holds each
-    window point's distance to its assigned prototype as the prototypes
-    stand at window start.
+def update_compactness(solution: ClusteringSolution, dists: np.ndarray) -> float:
+    """Score one window's compactness, in place: compactness <- sum(dists),
+    where ``dists`` holds each window point's distance to its assigned
+    prototype as the prototypes stand at window start. Nothing the solution
+    carried in enters it.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
-    # offspring inherit the entry value, so the decay is paid once per window
-    solution.prev_compactness = float(solution.objectives.compactness)
-    value = gamma * solution.objectives.compactness + float(dists.sum())
+    value = float(dists.sum())
     solution.objectives.compactness = value
     return value
 
@@ -71,7 +64,6 @@ def separateness(blocks: Sequence[np.ndarray]) -> list[float]:
 def evaluate_solution(
     solutions: Sequence[ClusteringSolution],
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    gamma: float,
 ) -> None:
     """Refresh both objectives of every solution against a window, in place.
 
@@ -81,11 +73,9 @@ def evaluate_solution(
     cluster is no part of the clustering the data sees, and letting it ride
     would poison the validity index while costing nothing in compactness.
     Dropping cannot reassign anyone; a point's nearest prototype is fed by
-    that very point. Treats each current compactness value as the decayed
-    history prefix, so a fresh solution should carry 0 there and an
-    offspring its inherited value. All pairs come from one window, so one
-    bincount over the stacked labels finds every solution's fed clusters,
-    and one ``separateness`` call scores every solution.
+    that very point. All pairs come from one window, so one bincount over
+    the stacked labels finds every solution's fed clusters, and one
+    ``separateness`` call scores every solution.
     """
     if not solutions:
         return
@@ -95,7 +85,7 @@ def evaluate_solution(
     for solution, (_, dists), start, all_fed in zip(solutions, pairs, starts, whole):
         if not all_fed:
             solution.keep(fed[start : start + solution.k])
-        update_compactness(solution, dists, gamma)
+        update_compactness(solution, dists)
     values = separateness([solution.prototypes for solution in solutions])
     for solution, value in zip(solutions, values):
         solution.objectives.separateness = value

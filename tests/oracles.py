@@ -95,14 +95,6 @@ def assign_batch_reference(prototype_sets, data):
     return pairs
 
 
-def prototype_set_distance(a, b):
-    """Symmetric mean nearest-prototype distance between two solutions, from
-    their own (K, K') matrix of last-axis sums: the mean of the row minima
-    and the mean of the column minima, averaged."""
-    d = np.sqrt(sq_dist_reference(a.prototypes[:, None, :], b.prototypes[None, :, :]))
-    return float(0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean()))
-
-
 def nearest_cluster(prototypes, point):
     """Row of ``prototypes`` nearest to ``point`` (ties -> lowest index), by
     ``np.linalg.norm`` rather than the package's kernel."""
@@ -134,19 +126,20 @@ def absorb_window_reference(prototypes, weights, data, gamma):
 def commit_absorb_reference(members, data, gamma, threshold):
     """A commit's absorb, fade and prune one member at a time, as the
     engine's per-member loop first stood. ``members`` are (prototypes,
-    weights, compactness) triples. Every row joins its nearest prototype
+    weights) pairs. Every row joins its nearest prototype
     (``assign_batch_reference``); each member's batch sums come from one
     weighted bincount over its (cluster, coordinate) bins, rows added in
     window order; each fed prototype takes the decayed merge (p*n*gamma +
     mean*m) / (n*gamma + m), every mass becomes gamma*n + m, compactness
-    becomes gamma*c + the sum of the row distances, and clusters whose mass
-    fell below ``threshold`` go (the first heaviest stays when all would).
-    Returns one (prototypes, weights, compactness) triple per member."""
+    is the sum of the row distances to the window-start prototypes, and
+    clusters whose mass fell below ``threshold`` go (the first heaviest
+    stays when all would). Returns one (prototypes, weights, compactness)
+    triple per member."""
     d = data.shape[1]
     coord = np.arange(d)
-    pairs = assign_batch_reference([protos for protos, _, _ in members], data)
+    pairs = assign_batch_reference([protos for protos, _ in members], data)
     out = []
-    for (protos, weights, compactness), (labels, dists) in zip(members, pairs):
+    for (protos, weights), (labels, dists) in zip(members, pairs):
         k = len(protos)
         assigned = np.bincount(labels, minlength=k).astype(float)
         fed = np.flatnonzero(assigned)
@@ -162,7 +155,7 @@ def commit_absorb_reference(members, data, gamma, threshold):
         kept = masses >= threshold
         if not kept.any():
             kept[np.argmax(masses)] = True
-        out.append((merged[kept], masses[kept], gamma * compactness + float(dists.sum())))
+        out.append((merged[kept], masses[kept], float(dists.sum())))
     return out
 
 

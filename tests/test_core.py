@@ -542,7 +542,6 @@ class TestChromosome:
 class TestSolutionCopy:
     def test_copy_is_deep_for_clusters(self):
         sol = _solution([(0, 0), (1, 1)])
-        sol.prev_compactness = 9.0
         dup = sol.copy()
         dup.prototypes[0, 0] = 99.0
         dup.weights[0] = 5.0
@@ -550,7 +549,6 @@ class TestSolutionCopy:
         assert sol.k == 2 and dup.k == 1
         assert sol.prototypes[0, 0] == 0.0
         assert sol.weights[0] == 1.0
-        assert dup.prev_compactness == 9.0
 
     def test_rejects_mismatched_weights(self):
         with pytest.raises(ValueError):

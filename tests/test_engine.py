@@ -27,9 +27,9 @@ from mostream.engine import (
     process_window,
     run_stream,
 )
-from mostream.evolution import IdleBudget
+from mostream.evolution import IdleBudget, breed
 from mostream.metrics import select_best
-from mostream.objectives import ARCHIVE_CAPACITY
+from mostream.objectives import ARCHIVE_CAPACITY, evaluate_solution
 from mostream.seeders import grow_gas
 from mostream.core import serialize_chromosome
 from mostream.stream_io import gen_blobs
@@ -373,8 +373,9 @@ class TestStackedCommit:
     @given(case=_commit_case())
     def test_matches_per_member_reference(self, case):
         """The stacked absorb/fade/prune gives every member the prototypes,
-        weights, compactness and surviving rows of the per-member loop,
-        byte for byte, and leaves the members as they were."""
+        weights, window compactness and surviving rows of the per-member
+        loop, byte for byte, whatever compactness the members carry, and
+        leaves the members as they were."""
         data, members, gamma, threshold = case
         sols = [
             ClusteringSolution(ObjectiveVector(c, 0.0), p.copy(), i, weights=w.copy())
@@ -382,7 +383,7 @@ class TestStackedCommit:
         ]
         cfg = StreamConfig(gamma=gamma, prune_threshold=threshold)
         clones = engine._absorb(sols, data, cfg)
-        want = commit_absorb_reference(members, data, gamma, threshold)
+        want = commit_absorb_reference([(p, w) for p, w, _ in members], data, gamma, threshold)
         assert len(clones) == len(want)
         for sol, clone, (protos, weights, compactness), (p, w, c) in zip(
             sols, clones, want, members
@@ -394,10 +395,45 @@ class TestStackedCommit:
             assert np.float64(clone.objectives.compactness).tobytes() == (
                 np.float64(compactness).tobytes()
             )
-            assert clone.prev_compactness == c
             assert sol.prototypes.tobytes() == p.tobytes()
             assert sol.weights.tobytes() == w.tobytes()
             assert sol.objectives.compactness == c
+
+
+class TestNoHistory:
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 8, 16]))
+    def test_objectives_carry_no_history(self, seed, d):
+        """Scoring reads the window and the prototypes only: the compactness
+        a solution carries in never reaches its objectives, bred or
+        committed."""
+        rng = np.random.default_rng(seed)
+        window = WindowBatch(rng.normal(size=(int(rng.integers(5, 60)), d)) * 3.0, 0)
+        sols = []
+        for i in range(int(rng.integers(2, 7))):
+            k = int(rng.integers(1, 8))
+            carried = ObjectiveVector(float(rng.uniform(0, 1e3)), float(rng.uniform(0, 9)))
+            sols.append(ClusteringSolution(carried, rng.normal(size=(k, d)) * 3.0, i,
+                                           weights=rng.uniform(0, 5, size=k)))
+
+        carried, fresh = [s.copy() for s in sols], [s.copy() for s in sols]
+        for sol in fresh:
+            sol.objectives = ObjectiveVector()
+        for batch in (carried, fresh):
+            evaluate_solution(batch, assign_batch(batch, window.data))
+        assert [s.objectives for s in carried] == [s.objectives for s in fresh]
+
+        offspring = breed(sols, window, StreamConfig(), rng)
+        again = [child.copy() for child in offspring]
+        for sol in again:
+            sol.objectives.compactness = float(rng.uniform(0, 1e3))
+        evaluate_solution(again, assign_batch(again, window.data))
+        for child, sol in zip(offspring, again):
+            assert np.array_equal(child.prototypes, sol.prototypes)
+            assert child.objectives == sol.objectives
+
+        clones = engine._absorb(sols, window.data, StreamConfig())
+        for clone, (_, dists) in zip(clones, assign_batch(sols, window.data)):
+            assert clone.objectives.compactness == float(dists.sum())
 
 
 class TestCommitAssignments:

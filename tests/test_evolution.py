@@ -28,8 +28,6 @@ from mostream.evolution import (
 from mostream.objectives import ParetoArchive, evaluate_solution, hypervolume_in_box
 from mostream.seeders import kmeans_sweep
 
-from oracles import prototype_set_distance
-
 
 def _sol(protos, c=0.0, s=0.0, sid=0):
     return ClusteringSolution(
@@ -283,69 +281,6 @@ class TestMutate:
             mutate([_sol([(1.0, 1.0)])], mu, np.random.default_rng(0))
 
 
-class TestPrototypeSetDistance:
-    def test_identical_sets_are_zero(self):
-        a = _sol([(0, 0), (3, 4)])
-        assert prototype_set_distance(a, a) == 0.0
-
-    def test_hand_value(self):
-        a = _sol([(0.0, 0.0)])
-        b = _sol([(3.0, 4.0)])
-        assert prototype_set_distance(a, b) == pytest.approx(5.0)
-
-    def test_symmetric(self, rng):
-        a = _sol(rng.normal(size=(3, 2)))
-        b = _sol(rng.normal(size=(5, 2)))
-        assert prototype_set_distance(a, b) == pytest.approx(
-            prototype_set_distance(b, a)
-        )
-
-
-class TestParentDistances:
-    """``breed``'s one-block child/parent distances against the reference's
-    own (K, K') matrix per pair, bit for bit."""
-
-    @staticmethod
-    def _pair(rng, d, ka, kb):
-        def draw(k):
-            # mixed magnitudes, so a different summation order shows up
-            return rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4, size=(k, d))
-
-        p1, p2 = _sol(draw(ka), sid=1), _sol(draw(kb), sid=2)
-        return crossover(p1, p2, int(rng.integers(2, min(ka, kb)))), (p1, p2)
-
-    @staticmethod
-    def _check(children, parents):
-        got = evolution._parent_distances(children, parents)
-        for i, child in enumerate(children):
-            for j, parent in enumerate(parents):
-                assert got[i][j] == prototype_set_distance(child, parent)
-
-    @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    def test_random_pairs_match_the_reference(self, d):
-        rng = np.random.default_rng(d)
-        for _ in range(150):
-            ka, kb = rng.integers(3, 21, size=2)
-            self._check(*self._pair(rng, d, ka, kb))
-
-    @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    def test_equal_distance_parents_go_to_the_lower_id(self, d):
-        rng = np.random.default_rng(100 + d)
-        protos = rng.normal(size=(int(rng.integers(3, 12)), d))
-        snapshot = WindowBatch(rng.normal(size=(20, d)), 0)
-        for first, second in [(1, 2), (2, 1)]:
-            parents = [_sol(protos, sid=first), _sol(protos, sid=second)]
-            parents[0].prev_compactness, parents[1].prev_compactness = 10.0 * first, 10.0 * second
-            children = crossover(*parents, 2)
-            dists = evolution._parent_distances(children, tuple(parents))
-            self._check(children, tuple(parents))
-            assert all(row[0] == row[1] for row in dists)
-            out = breed(parents, snapshot, StreamConfig(),
-                        np.random.default_rng(0))
-            # the children inherit the id-1 parent's history, mutants their own
-            assert [o.prev_compactness for o in out] == [10.0, 10.0, 10.0 * first, 10.0 * second]
-
-
 class TestBreed:
     def _snapshot(self):
         return WindowBatch(
@@ -376,24 +311,6 @@ class TestBreed:
         # fresh solutions: the engine numbers them in this order
         assert [o.solution_id for o in out] == [-1] * 4
         assert all(np.isfinite(o.objectives.compactness) for o in out)
-
-    def test_mutant_inherits_pre_window_compactness(self):
-        cfg = StreamConfig()
-        parent = _sol([(0.0, 0.0), (10.0, 0.0)], sid=1)
-        parent.prev_compactness = 5.0
-        parent.objectives.compactness = 123.0  # post-window value must be ignored
-        snap = self._snapshot()
-        out = breed([parent], snap, cfg, np.random.default_rng(2))
-        mutant = out[0]
-        dists = np.linalg.norm(
-            snap.data[:, None, :] - mutant.prototypes[None, :, :], axis=2
-        ).min(axis=1)
-        assert mutant.objectives.compactness == pytest.approx(
-            cfg.gamma * 5.0 + dists.sum()
-        )
-        # the inherited prefix is recorded as the mutant's own entry value,
-        # so a grandchild bred in the same idle phase reuses it unchanged
-        assert mutant.prev_compactness == 5.0
 
     def test_equally_seeded_generators_give_identical_offspring(self):
         cfg = StreamConfig()
@@ -432,9 +349,9 @@ class TestBreed:
         calls = []
         evaluate, sep = evolution.evaluate_solution, objectives.separateness
 
-        def counting_evaluate(solutions, pairs, gamma):
+        def counting_evaluate(solutions, pairs):
             calls.append(("evaluate", len(solutions)))
-            return evaluate(solutions, pairs, gamma)
+            return evaluate(solutions, pairs)
 
         def counting_separateness(blocks):
             calls.append(("separateness", len(blocks)))
@@ -451,19 +368,6 @@ class TestBreed:
         assert calls == [("evaluate", 4), ("separateness", 4)]
         assert len(out) == 4
 
-    def test_lineage_does_not_compound_decay(self):
-        cfg = StreamConfig()
-        parent = _sol([(0.0, 0.0), (10.0, 0.0)], sid=1)
-        parent.prev_compactness = 5.0
-        snap = self._snapshot()
-        generation = [parent]
-        prefixes = []
-        for g in range(4):
-            generation = breed(generation, snap, cfg, np.random.default_rng(g))
-            prefixes.append({o.prev_compactness for o in generation})
-        assert all(p == {5.0} for p in prefixes)
-
-
 class TestIdleGeneration:
     """One select/crossover/mutate/evaluate/insert cycle, as ``on_idle``
     runs it on an archive of scored k-means seeds."""
@@ -472,7 +376,7 @@ class TestIdleGeneration:
     def _state(window, solutions, seed=0):
         """An engine state around an archive of the given seeds, scored on
         the window. The idle cycle reads no tree."""
-        evaluate_solution(solutions, assign_batch(solutions, window.data), 0.7)
+        evaluate_solution(solutions, assign_batch(solutions, window.data))
         arch = ParetoArchive()
         for sid, sol in enumerate(solutions):
             sol.solution_id = sid

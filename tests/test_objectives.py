@@ -63,12 +63,11 @@ def _window(points):
 
 
 class TestCompactness:
-    def test_decayed_accumulation(self):
+    def test_window_sum_ignores_carried_value(self):
         sol = _protos([(1.0, 0.0)], compactness=10.0)
         win = _window([(0, 0), (2, 0)])
-        value = update_compactness(sol, _dists(sol, win, [0, 0]), gamma=0.7)
-        assert value == pytest.approx(0.7 * 10 + 2)
-        assert sol.objectives.compactness == pytest.approx(9.0)
+        value = update_compactness(sol, _dists(sol, win, [0, 0]))
+        assert value == sol.objectives.compactness == 2.0
 
     def test_empty_windows_cannot_be_built(self):
         # the batch type itself forbids the empty-sum boundary case
@@ -79,14 +78,7 @@ class TestCompactness:
     def test_points_on_prototypes_contribute_zero(self):
         sol = _protos([(1.0, 0.0), (5.0, 5.0)], compactness=4.0)
         win = _window([(1, 0), (5, 5)])
-        assert update_compactness(sol, _dists(sol, win, [0, 1]),
-                                  gamma=0.7) == pytest.approx(2.8)
-
-    def test_rejects_gamma_out_of_range(self):
-        sol = _protos([(0.0, 0.0)])
-        win = _window([(1, 1)])
-        with pytest.raises(ValueError):
-            update_compactness(sol, _dists(sol, win, [0]), gamma=0.0)
+        assert update_compactness(sol, _dists(sol, win, [0, 1])) == 0.0
 
 
 def _fed(k, labels):
@@ -151,23 +143,21 @@ class TestSeparateness:
 
 
 class TestEvaluate:
-    @given(_rows(1, 8), _rows(1, 30), st.sampled_from([0.3, 0.7, 1.0]),
-           st.floats(0.0, 50.0))
-    def test_matches_assign_fold_and_oracle(self, protos, points, gamma, prefix):
+    @given(_rows(1, 8), _rows(1, 30), st.floats(0.0, 50.0))
+    def test_matches_assign_fold_and_oracle(self, protos, points, carried):
         # a far prototype no window point can reach stays memberless
-        sol = _protos(protos + [(1e3, -1e3)], compactness=prefix)
+        sol = _protos(protos + [(1e3, -1e3)], compactness=carried)
         sol.weights = np.arange(1.0, sol.k + 1)
         ref = sol.copy()
         win = _window(points)
-        evaluate_solution([sol], assign_batch([sol], win.data), gamma)
+        evaluate_solution([sol], assign_batch([sol], win.data))
         fed, labels = np.unique(assign_batch([ref], win.data)[0][0], return_inverse=True)
         ref.keep(fed)
-        update_compactness(ref, _dists(ref, win, labels), gamma)
+        update_compactness(ref, _dists(ref, win, labels))
         assert np.array_equal(sol.prototypes, ref.prototypes)
         assert np.array_equal(sol.weights, ref.weights)
         assert sol.k < len(protos) + 1
         assert sol.objectives.compactness == ref.objectives.compactness
-        assert sol.prev_compactness == ref.prev_compactness == prefix
         assert sol.objectives.separateness == separateness_oracle(ref.prototypes)
 
     @pytest.mark.parametrize("dim", [2, 8])
@@ -181,22 +171,21 @@ class TestEvaluate:
             sols.append(_protos(protos, sol_id=i, compactness=float(rg.uniform(0, 9))))
         alone = [s.copy() for s in sols]
         ks = [s.k for s in sols]
-        evaluate_solution(sols, assign_batch(sols, win.data), 0.7)
+        evaluate_solution(sols, assign_batch(sols, win.data))
         for ref in alone:
-            evaluate_solution([ref], assign_batch([ref], win.data), 0.7)
+            evaluate_solution([ref], assign_batch([ref], win.data))
         assert any(s.k < k for s, k in zip(sols, ks))
         for sol, ref in zip(sols, alone):
             assert np.array_equal(sol.prototypes, ref.prototypes)
             assert np.array_equal(sol.weights, ref.weights)
             assert sol.objectives == ref.objectives
-            assert sol.prev_compactness == ref.prev_compactness
-        evaluate_solution([], [], 0.7)
+        evaluate_solution([], [])
 
     def test_dimension_mismatch_raises(self):
         win = WindowBatch(np.zeros((3, 3)), 1)
         with pytest.raises(ValueError):
             sol = _protos([(0, 0), (1, 1)])
-            evaluate_solution([sol], assign_batch([sol], win.data), 0.7)
+            evaluate_solution([sol], assign_batch([sol], win.data))
 
 
 class TestDominates:

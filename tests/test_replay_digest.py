@@ -33,20 +33,20 @@ SHAPES = {
         dict(k=4, per_blob=150, sep=10.0, stddev=0.5, drift=(0.05, 0.02), dim=2),
         100,
         6,
-        "746b6173c44987136c9484561637aa2cdc7dc2b6609c6c3b24a8005ee19f3f59",
+        "15a0886995bf95827218f04c4ae8505858cd765d461af47a8207e5e5524a53ea",
     ),
     # 3 <= d < 8: every column-order kernel path below the screen
     "d5-overlap": (
         dict(k=4, per_blob=150, sep=3.0, stddev=1.0, dim=5),
         100,
         6,
-        "339247da125f8d2367e5c2c03c8ea86c509085a5ecd14146c41eb931c52da715",
+        "b9652b955a39249b802bc8667632fbcbf3fb446d66b86cdb24d00925a0015647",
     ),
     "d16-overlap": (
         dict(k=4, per_blob=150, sep=3.0, stddev=1.0, dim=16),
         100,
         6,
-        "b75ca580f4b49543e9bf3082d2bd18529959a01b977b74513888f141b4d1923c",
+        "2231f49b214cf8638f8bb0c9dfad609ecfe08b269f207a46087041d93aef474d",
     ),
     # the first window holds a 13-row blob with no core point: density-scan
     # noise, which the scan's seed is charged for like every other row
@@ -54,13 +54,13 @@ SHAPES = {
         dict(k=4, per_blob=150, sep=30.0, stddev=3.0, dim=2),
         100,
         6,
-        "c335b5a5579be5ccd3ffa5bd9d179de798e95bba5933049efada911b9305cd3f",
+        "96261d3ca433f1063913fb4f407f09634b82b7676ace3ea7a70be12e471b3dfd",
     ),
     "d2-overlap-window1000": (
         dict(k=4, per_blob=750, sep=3.0, stddev=1.0, dim=2),
         1000,
         3,
-        "0293d7b1ce5aaa4212207a3129a1ef29ceb46f0f2187a02adffc41ec4c2d0d53",
+        "a9c30d4bf6cf45dd3534e2096b74a3a8279fdd4d6751a434b426885bf0b8fc0b",
     ),
 }
 

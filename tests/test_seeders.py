@@ -60,7 +60,7 @@ def _scored(sol, window):
     every seed: each cluster's mass is the rows scoring gives it."""
     pairs = assign_batch([sol], window.data)
     sol.weights = np.bincount(pairs[0][0], minlength=sol.k).astype(float)
-    evaluate_solution([sol], pairs, 0.7)
+    evaluate_solution([sol], pairs)
     return sol
 
 
@@ -478,10 +478,10 @@ class TestSeedScoring:
             calls.append(("assign", len(solutions)))
             return assign(solutions, data)
 
-        def counting_evaluate(solutions, pairs, gamma):
+        def counting_evaluate(solutions, pairs):
             calls.append(("evaluate", len(solutions)))
             seeds.extend((sol, sol.copy()) for sol in solutions)
-            return evaluate(solutions, pairs, gamma)
+            return evaluate(solutions, pairs)
 
         # the engine's own bindings: breeding scores through evolution's
         monkeypatch.setattr(engine, "assign_batch", counting_assign)
