@@ -136,18 +136,19 @@ def _absorb(
     member order; the members themselves are not written.
 
     One assign_batch call, against the window-start prototypes, gives each
-    member's labels and compactness terms. The rest runs on the stacked
-    cluster rows of all members: one bincount gives every batch size and
-    one per coordinate every batch sum, adding rows in window order as a
+    member's labels and compactness terms as one row of two stacked arrays,
+    and one sum over the rows gives every compactness. The rest runs on the
+    stacked cluster rows of all members: one bincount gives every batch size
+    and one per coordinate every batch sum, adding rows in window order as a
     masked mean does for d >= 2 (at d = 1 numpy sums the lone column
     pairwise, so a mean can differ in the last bit). One merge_prototype
     call folds every fed row's batch in, with its window-start weight as the
     history mass, and one fade_weight call fades every weight, fed or not.
-    Each clone then takes its own rows, scores its compactness on the
-    window-start distances and prunes what starved.
+    Each clone then takes its own rows and its compactness on the
+    window-start distances, and prunes what starved.
     """
-    pairs = assign_batch(members, data)
-    labels, starts, sizes = stack_labels(members, pairs)
+    labels, dists = assign_batch(members, data)
+    labels, starts, sizes = stack_labels(members, labels)
     flat = labels.ravel()
     assigned = sizes.astype(float)
     sums = np.column_stack([
@@ -162,12 +163,12 @@ def _absorb(
     )
     weights = fade_weight(weights, cfg.gamma, assigned)
     clones = []
-    for member, (_, dists), start in zip(members, pairs, starts.tolist()):
+    compactness = dists.sum(axis=1).tolist()
+    for member, start, value in zip(members, starts.tolist(), compactness):
         rows = slice(start, start + member.k)
         clone = ClusteringSolution(
-            ObjectiveVector(), protos[rows], member.solution_id, weights[rows]
+            ObjectiveVector(value), protos[rows], member.solution_id, weights[rows]
         )
-        update_compactness(clone, dists)
         prune_outdated(clone, cfg.prune_threshold)
         clones.append(clone)
     return clones
@@ -177,10 +178,10 @@ def _window_report(
     state: EngineState,
     window: WindowBatch,
     elapsed_ms: Optional[float],
-    nearest: Optional[dict[int, tuple[np.ndarray, np.ndarray]]] = None,
+    nearest: Optional[tuple[list[int], np.ndarray, np.ndarray]] = None,
 ) -> WindowReport:
-    """Score and record the window. ``nearest`` maps solution ids to
-    ``assign_batch`` pairs already computed on this window, so those members
+    """Score and record the window. ``nearest`` holds solution ids and their
+    ``assign_batch`` rows already computed on this window, so those members
     skip a second assignment."""
     _, best_dbi, labels = select_best(state.archive, window, nearest)
     best_fit = min(fitness_score(s) for s in state.archive)
@@ -302,10 +303,10 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     finally:
         if gas is not None:
             gas.close()
-    pairs = assign_batch(population, first_window.data)
-    for sol, (labels, _) in zip(population, pairs):
-        sol.weights = np.bincount(labels, minlength=sol.k).astype(float)
-    evaluate_solution(population, pairs)
+    labels, dists = assign_batch(population, first_window.data)
+    for sol, row in zip(population, labels):
+        sol.weights = np.bincount(row, minlength=sol.k).astype(float)
+    evaluate_solution(population, labels, dists)
 
     state = EngineState(
         cfg=cfg,
@@ -370,18 +371,17 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # counts only the clusters the window still feeds. The offer keeps only
     # its fed clusters, so its labels are renumbered onto the rows it keeps,
     # and scores its compactness; then one separateness call scores every
-    # member and the offer. The pairs serve the report too. The macro offer
-    # takes the commit's last id.
+    # member and the offer. The stacked rows serve the report too. The
+    # macro offer takes the commit's last id.
     macro = state.tree.macro_clusters()
     scored = clones + [macro]
-    pairs = assign_batch(scored, window.data)
-    _, starts, sizes = stack_labels(scored, pairs)
+    labels, dists = assign_batch(scored, window.data)
+    _, starts, sizes = stack_labels(scored, labels)
     fed = [sizes[start : start + sol.k] > 0 for sol, start in zip(scored, starts.tolist())]
-    macro_labels, macro_dists = pairs[-1]
     if not fed[-1].all():
         macro.keep(fed[-1])
-        pairs[-1] = ((np.cumsum(fed[-1]) - 1)[macro_labels], macro_dists)
-    update_compactness(macro, macro_dists)
+        labels[-1] = (np.cumsum(fed[-1]) - 1)[labels[-1]]
+    update_compactness(macro, dists[-1])
     blocks = [clone.prototypes[rows] for clone, rows in zip(clones, fed)]
     for sol, value in zip(scored, separateness(blocks + [macro.prototypes])):
         sol.objectives.separateness = value
@@ -398,7 +398,7 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # (6) commit and report
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
-    nearest = {s.solution_id: pair for s, pair in zip(scored, pairs)}
+    nearest = ([s.solution_id for s in scored], labels, dists)
     return _window_report(state, window, elapsed, nearest)
 
 

@@ -87,12 +87,12 @@ def arand(truth: Sequence[int], predicted: Sequence[int]) -> float:
 
 
 def davies_bouldin(
-    solutions: Sequence[ClusteringSolution],
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    solutions: Sequence[ClusteringSolution], labels: np.ndarray, dists: np.ndarray
 ) -> list[float]:
     """Windowed Davies-Bouldin index of each solution: lower is better.
 
-    ``pairs`` holds each solution's ``assign_batch`` pair on one window.
+    ``labels`` and ``dists`` are the solutions' (len(solutions), n)
+    ``assign_batch`` arrays on one window, one row per solution.
     Scatter S_i is the mean distance of the window points labelled i to
     prototype i. The index is undefined for K=1, for coincident prototypes,
     and for clusters that received no window points; all three report the
@@ -112,7 +112,7 @@ def davies_bouldin(
     out = [INFINITE_DBI] * len(solutions)
     if not solutions:
         return out
-    labels, starts, sizes = stack_labels(solutions, pairs)
+    labels, starts, sizes = stack_labels(solutions, labels)
     ks = np.array([solution.k for solution in solutions])
     live = np.logical_and.reduceat(sizes > 0, starts) & (ks > 1)
     if not live.any():
@@ -127,7 +127,7 @@ def davies_bouldin(
     gap[np.repeat(coincide, live_ks)] = np.inf
     # scatters: every live cluster's distances, each one contiguous slice
     order = np.argsort(labels[live].ravel(), kind="stable")
-    dists = np.concatenate([pairs[i][1] for i in picked])[order]
+    dists = dists[live].ravel()[order]
     counts = sizes[np.repeat(live, ks)]
     sums = np.empty(len(counts))
     at = 0
@@ -150,26 +150,35 @@ def davies_bouldin(
 def select_best(
     archive,
     window: WindowBatch,
-    nearest: Optional[dict[int, tuple[np.ndarray, np.ndarray]]] = None,
+    nearest: Optional[tuple[Sequence[int], np.ndarray, np.ndarray]] = None,
 ) -> tuple[ClusteringSolution, float, np.ndarray]:
     """Archive member with the lowest windowed DBI.
 
-    ``nearest`` maps solution ids to ``assign_batch`` pairs already computed
-    for this window; members without an entry are assigned here, all in one
-    call, and one ``davies_bouldin`` call scores every member. Ties prefer
-    fewer clusters, then the lower solution id. Returns the member, its
-    score and its labels on the window.
+    ``nearest`` is (solution ids, labels, dists): the ids of solutions
+    already assigned to this window and their ``assign_batch`` arrays, one
+    row per id. Each member reads its row there; members without one are
+    assigned here, all in one call, and one ``davies_bouldin`` call scores
+    every member. Ties prefer fewer clusters, then the lower solution id.
+    Returns the member, its score and its labels on the window.
     """
     members = list(archive)
     if not members:
         raise ValueError("archive is empty")
-    known = nearest or {}
-    missing = [s for s in members if s.solution_id not in known]
-    fresh = iter(assign_batch(missing, window.data) if missing else ())
-    pairs = [known[s.solution_id] if s.solution_id in known else next(fresh) for s in members]
-    scores = davies_bouldin(members, pairs)
+    if nearest is None:
+        nearest = ((), np.empty((0, len(window)), dtype=np.intp), np.empty((0, len(window))))
+    ids, labels, dists = nearest
+    row = {sid: i for i, sid in enumerate(ids)}
+    missing = [s for s in members if s.solution_id not in row]
+    if missing:
+        fresh_labels, fresh_dists = assign_batch(missing, window.data)
+        labels = np.concatenate([labels, fresh_labels])
+        dists = np.concatenate([dists, fresh_dists])
+        row.update((s.solution_id, len(ids) + j) for j, s in enumerate(missing))
+    rows = [row[s.solution_id] for s in members]
+    labels, dists = labels[rows], dists[rows]
+    scores = davies_bouldin(members, labels, dists)
     at = min(
         range(len(members)),
         key=lambda i: (scores[i], members[i].k, members[i].solution_id),
     )
-    return members[at], scores[at], pairs[at][0]
+    return members[at], scores[at], labels[at]

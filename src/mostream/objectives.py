@@ -62,30 +62,33 @@ def separateness(blocks: Sequence[np.ndarray]) -> list[float]:
 
 
 def evaluate_solution(
-    solutions: Sequence[ClusteringSolution],
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    solutions: Sequence[ClusteringSolution], labels: np.ndarray, dists: np.ndarray
 ) -> None:
     """Refresh both objectives of every solution against a window, in place.
 
-    ``pairs`` holds each solution's ``assign_batch`` pair on the window: the
-    labels pick the fed clusters and the distances are the compactness
-    terms. Clusters the window does not feed are dropped first: a memberless
+    ``labels`` and ``dists`` are the solutions' (len(solutions), n)
+    ``assign_batch`` arrays on the window: the labels pick the fed clusters
+    and each row of distances holds that solution's compactness terms.
+    Clusters the window does not feed are dropped first: a memberless
     cluster is no part of the clustering the data sees, and letting it ride
     would poison the validity index while costing nothing in compactness.
     Dropping cannot reassign anyone; a point's nearest prototype is fed by
-    that very point. All pairs come from one window, so one bincount over
-    the stacked labels finds every solution's fed clusters, and one
-    ``separateness`` call scores every solution.
+    that very point. One bincount over the stacked labels finds every
+    solution's fed clusters, one ``dists.sum(axis=1)`` gives every
+    compactness (each row summed over the contiguous last axis, bit for bit
+    ``update_compactness`` on that row), and one ``separateness`` call
+    scores every solution.
     """
     if not solutions:
         return
-    _, starts, sizes = stack_labels(solutions, pairs)
+    _, starts, sizes = stack_labels(solutions, labels)
     fed = sizes > 0
     whole = np.logical_and.reduceat(fed, starts).tolist()
-    for solution, (_, dists), start, all_fed in zip(solutions, pairs, starts, whole):
+    compactness = dists.sum(axis=1).tolist()
+    for solution, start, all_fed, value in zip(solutions, starts, whole, compactness):
         if not all_fed:
             solution.keep(fed[start : start + solution.k])
-        update_compactness(solution, dists)
+        solution.objectives.compactness = value
     values = separateness([solution.prototypes for solution in solutions])
     for solution, value in zip(solutions, values):
         solution.objectives.separateness = value

@@ -134,7 +134,7 @@ def test_criterion_4_blob_quality_ten_seeds():
         last = batches[-1]
         from mostream.core import assign_batch
 
-        [(pred, _)] = assign_batch([final.solution], last.data)
+        [pred], _ = assign_batch([final.solution], last.data)
         score_nmi = nmi(last.labels, pred)
         score_arand = arand(last.labels, pred)
         ok = score_nmi >= 0.9 and score_arand >= 0.9

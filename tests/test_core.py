@@ -201,7 +201,7 @@ class TestNearestCluster:
         rng = np.random.default_rng(0)
         sol = _solution(rng.normal(size=(5, 3)))
         data = rng.normal(size=(40, 3))
-        [(batch, _)] = assign_batch([sol], data)
+        [batch], _ = assign_batch([sol], data)
         single = [nearest_cluster(sol.prototypes, row) for row in data]
         assert list(batch) == single
 
@@ -210,7 +210,7 @@ class TestNearestCluster:
         rng = np.random.default_rng(dim)
         sol = _solution(rng.normal(size=(6, dim)))
         data = rng.normal(size=(50, dim))
-        [(labels, dists)] = assign_batch([sol], data)
+        [labels], [dists] = assign_batch([sol], data)
         assert list(labels) == [nearest_cluster(sol.prototypes, row) for row in data]
         rows = np.sqrt(((data - sol.prototypes[labels]) ** 2).sum(axis=-1))
         assert np.array_equal(dists, rows)
@@ -221,9 +221,12 @@ class TestNearestCluster:
 
 
 def _same_bits(got, want):
-    """Pairs equal bit for bit: same labels, same distance bytes."""
-    assert len(got) == len(want)
-    for (g_labels, g_dists), (w_labels, w_dists) in zip(got, want):
+    """The stacked (labels, dists) rows equal the reference pairs bit for
+    bit: same labels, same distance bytes, one C-ordered row per pair."""
+    labels, dists = got
+    assert labels.shape == dists.shape == (len(want), len(want[0][0]))
+    assert labels.flags.c_contiguous and dists.flags.c_contiguous
+    for g_labels, g_dists, (w_labels, w_dists) in zip(labels, dists, want):
         assert np.array_equal(g_labels, w_labels)
         assert g_dists.dtype == w_dists.dtype
         assert g_dists.tobytes() == w_dists.tobytes()
@@ -250,9 +253,14 @@ def _stack_check(stack, data):
     _same_bits(assign_batch(sols, data), want)
 
 
+# ``STACK_MAX_ENTRIES`` settings that force each kernel below ``SCREEN_MIN_DIM``
+_KERNELS = {"stacked": 10**18, "each": 0}
+
+
 class TestAssignBatch:
-    """Every pair against each solution's own (n, K) matrix, bit for bit,
-    on both sides of the screen's dimension split."""
+    """Every row against each solution's own (n, K) matrix, bit for bit,
+    on both sides of the screen's dimension split and of the stacked
+    kernel's switch."""
 
     @pytest.mark.parametrize("d", [8, 9, 16])
     def test_equidistant_points_take_the_lowest_index(self, d, exact_rows):
@@ -261,9 +269,9 @@ class TestAssignBatch:
         protos = np.stack([step, -step, 40.0 * step])
         data = np.stack([np.zeros(d), np.zeros(d), 39.0 * step, step])
         got = assign_batch([_solution(protos), _solution(protos[[1, 0, 2]])], data)
-        for labels, _ in got:
+        for labels in got[0]:
             assert labels.tolist() == [0, 0, 2, labels[3]]
-        assert got[0][0][3] == 0 and got[1][0][3] == 1
+        assert got[0][0, 3] == 0 and got[0][1, 3] == 1
         _stack_check([protos, protos[[1, 0, 2]]], data)
         # the tied rows, and only they, went to the exact matrix
         assert exact_rows and all(rows <= 2 for _, rows in exact_rows)
@@ -326,7 +334,78 @@ class TestAssignBatch:
         _stack_check(stack, rng.normal(size=(n, d)))
 
     def test_empty_stack(self):
-        assert assign_batch([], np.zeros((3, 8))) == []
+        for d in (2, 8):
+            labels, dists = assign_batch([], np.zeros((3, d)))
+            assert labels.shape == dists.shape == (0, 3)
+
+    @pytest.mark.parametrize("kernel", ["stacked", "each"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_both_kernels_match_the_reference(self, kernel, d, n, monkeypatch, exact_rows):
+        # ragged blocks with K = 1 ones, and a block repeating its rows
+        rng = np.random.default_rng(100 * d + n)
+        stack = [rng.normal(size=(k, d)) for k in (1, 4, 1, 9, 2)]
+        stack.append(stack[3][[2, 0, 2, 5, 0]])
+        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS[kernel])
+        _stack_check(stack, rng.normal(size=(n, d)))
+        assert exact_rows == ([] if kernel == "stacked" else [(len(p), n) for p in stack])
+
+    @pytest.mark.parametrize("kernel", ["stacked", "each"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_both_kernels_take_the_lowest_index_on_ties(self, kernel, d, monkeypatch):
+        # rows 0 and 1 sit halfway between two prototypes; duplicated
+        # prototypes tie at every row
+        step = np.ones(d)
+        protos = np.stack([step, -step, 40.0 * step, step, -step])
+        data = np.stack([np.zeros(d), np.zeros(d), 39.0 * step, step, -2.0 * step])
+        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS[kernel])
+        stack = [protos, protos[[1, 0, 2]], protos[[2, 2, 2]]]
+        labels, _ = assign_batch([_solution(p) for p in stack], data)
+        assert labels.tolist() == [[0, 0, 2, 0, 1], [0, 0, 2, 1, 0], [0, 0, 0, 0, 0]]
+        _stack_check(stack, data)
+
+    @pytest.mark.parametrize("kernel", ["stacked", "each"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_both_kernels_at_the_input_bound(self, kernel, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        signs = lambda *shape: rng.choice([-1.0, 1.0], size=shape)  # noqa: E731
+        data = MAX_ABS_VALUE * signs(30, d)
+        stack = [MAX_ABS_VALUE * signs(4, d), MAX_ABS_VALUE * rng.uniform(-1, 1, (6, d)),
+                 MAX_ABS_VALUE * signs(1, d)]
+        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS[kernel])
+        _stack_check(stack, data)
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_stacked_kernel_leaves_non_finite_prototypes_to_argmin(self, d, monkeypatch,
+                                                                   exact_rows):
+        # an infinite prototype is an infinite entry, which both kernels
+        # order alike: a block of infinite rows alone still takes its first
+        # row, ahead of the +inf padding. A NaN entry makes the stacked
+        # kernel hand the stack to the per-solution one, whose argmin takes
+        # the first NaN
+        rng = np.random.default_rng(d)
+        data = rng.normal(size=(12, d))
+        tame = rng.normal(size=(3, d))
+        far = np.vstack([np.full(d, np.inf), tame[:1]])
+        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS["stacked"])
+        _stack_check([tame, far, np.full((1, d), np.inf)], data)
+        assert exact_rows == []
+        broken = tame.copy()
+        broken[1, 0] = np.nan
+        _stack_check([tame, broken], data)
+        assert exact_rows == [(3, 12), (3, 12)]
+
+    def test_switch_reads_the_padded_block_size(self, monkeypatch, exact_rows):
+        rng = np.random.default_rng(0)
+        stack = [rng.normal(size=(k, 2)) for k in (3, 7, 5)]
+        data = rng.normal(size=(10, 2))
+        sols = [_solution(p) for p in stack]
+        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", 10 * 3 * 7)  # n * S * kmax
+        assign_batch(sols, data)
+        assert exact_rows == []
+        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", 10 * 3 * 7 - 1)
+        assign_batch(sols, data)
+        assert exact_rows == [(3, 10), (7, 10), (5, 10)]
 
     @given(st.data())
     def test_random_stacks_match_the_reference(self, data):

@@ -419,20 +419,20 @@ class TestNoHistory:
         for sol in fresh:
             sol.objectives = ObjectiveVector()
         for batch in (carried, fresh):
-            evaluate_solution(batch, assign_batch(batch, window.data))
+            evaluate_solution(batch, *assign_batch(batch, window.data))
         assert [s.objectives for s in carried] == [s.objectives for s in fresh]
 
         offspring = breed(sols, window, StreamConfig(), rng)
         again = [child.copy() for child in offspring]
         for sol in again:
             sol.objectives.compactness = float(rng.uniform(0, 1e3))
-        evaluate_solution(again, assign_batch(again, window.data))
+        evaluate_solution(again, *assign_batch(again, window.data))
         for child, sol in zip(offspring, again):
             assert np.array_equal(child.prototypes, sol.prototypes)
             assert child.objectives == sol.objectives
 
         clones = engine._absorb(sols, window.data, StreamConfig())
-        for clone, (_, dists) in zip(clones, assign_batch(sols, window.data)):
+        for clone, dists in zip(clones, assign_batch(sols, window.data)[1]):
             assert clone.objectives.compactness == float(dists.sum())
 
 
@@ -472,24 +472,26 @@ class TestCommitAssignments:
         dropped_middle = []
         stack = engine.stack_labels
 
-        def watching(solutions, pairs):
+        def watching(solutions, labels):
             # step (4) stacks the macro offer last, before it takes its id
             if solutions[-1].solution_id < 0:
-                fed = np.bincount(pairs[-1][0], minlength=solutions[-1].k) > 0
+                fed = np.bincount(labels[-1], minlength=solutions[-1].k) > 0
                 dropped_middle.append(bool((~fed[: np.flatnonzero(fed)[-1]]).any()))
-            return stack(solutions, pairs)
+            return stack(solutions, labels)
 
         checked = []
         pick = engine.select_best
 
         def checking(archive, window, nearest=None):
             members = list(archive)
-            known = [nearest[s.solution_id] for s in members]
+            ids, labels, dists = nearest
+            rows = [ids.index(s.solution_id) for s in members]
+            known = labels[rows], dists[rows]
             fresh = assign_batch(members, window.data)
-            for (a, da), (b, db) in zip(known, fresh):
-                assert a.tobytes() == b.tobytes() and da.tobytes() == db.tobytes()
-            assert metrics.davies_bouldin(members, known) == (
-                metrics.davies_bouldin(members, fresh)
+            for a, b in zip(known, fresh):
+                assert a.tobytes() == b.tobytes()
+            assert metrics.davies_bouldin(members, *known) == (
+                metrics.davies_bouldin(members, *fresh)
             )
             best, dbi, labels = pick(archive, window, nearest)
             ref_best, ref_dbi, ref_labels = pick(archive, window)

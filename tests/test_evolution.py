@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mostream import evolution, objectives
+from mostream import core, evolution, objectives
 from mostream.core import (
     ClusteringSolution,
     ObjectiveVector,
@@ -349,9 +349,9 @@ class TestBreed:
         calls = []
         evaluate, sep = evolution.evaluate_solution, objectives.separateness
 
-        def counting_evaluate(solutions, pairs):
+        def counting_evaluate(solutions, labels, dists):
             calls.append(("evaluate", len(solutions)))
-            return evaluate(solutions, pairs)
+            return evaluate(solutions, labels, dists)
 
         def counting_separateness(blocks):
             calls.append(("separateness", len(blocks)))
@@ -368,6 +368,27 @@ class TestBreed:
         assert calls == [("evaluate", 4), ("separateness", 4)]
         assert len(out) == 4
 
+    def test_small_window_generation_takes_the_stacked_kernel(self, monkeypatch):
+        """A 100-row, d = 2 generation of 20 offspring with K up to the
+        k-means sweep's 15 builds no per-solution matrix: a mis-set
+        ``STACK_MAX_ENTRIES`` would silently drop the stacked kernel."""
+        exact_calls = []
+        exact = core._nearest_exact
+
+        def counting(protos, data):
+            exact_calls.append(len(protos))
+            return exact(protos, data)
+
+        monkeypatch.setattr(core, "_nearest_exact", counting)
+        rng = np.random.default_rng(3)
+        window = WindowBatch(rng.normal(size=(100, 2)) * 5.0, 0)
+        parents = [_sol(rng.normal(size=(k, 2)) * 5.0, sid=i)
+                   for i, k in enumerate(range(6, 16))]
+        out = breed(parents, window, StreamConfig(), rng)
+        assert len(out) == 20 and max(s.k for s in out) == 15
+        assert exact_calls == []
+
+
 class TestIdleGeneration:
     """One select/crossover/mutate/evaluate/insert cycle, as ``on_idle``
     runs it on an archive of scored k-means seeds."""
@@ -376,7 +397,7 @@ class TestIdleGeneration:
     def _state(window, solutions, seed=0):
         """An engine state around an archive of the given seeds, scored on
         the window. The idle cycle reads no tree."""
-        evaluate_solution(solutions, assign_batch(solutions, window.data))
+        evaluate_solution(solutions, *assign_batch(solutions, window.data))
         arch = ParetoArchive()
         for sid, sol in enumerate(solutions):
             sol.solution_id = sid

@@ -92,7 +92,7 @@ class TestArand:
 
 
 def _dbi(sol, win):
-    [score] = davies_bouldin([sol], assign_batch([sol], win.data))
+    [score] = davies_bouldin([sol], *assign_batch([sol], win.data))
     return score
 
 
@@ -162,19 +162,19 @@ class TestDaviesBouldin:
     @given(grid_rows.filter(lambda r: len(r) <= 8), grid_rows)
     def test_matches_loop_form(self, protos, points):
         sol, win = _solution(protos), _window(points)
-        [nearest] = assign_batch([sol], win.data)
-        expected = davies_bouldin_loop(points, protos, nearest[0])
-        assert davies_bouldin([sol], [nearest]) == [expected]
+        labels, dists = assign_batch([sol], win.data)
+        expected = davies_bouldin_loop(points, protos, labels[0])
+        assert davies_bouldin([sol], labels, dists) == [expected]
 
     @given(_scored_members())
     def test_stacked_matches_loop_form_per_member(self, case):
         """One stacked call scores every member as the loop form scores it
         alone, bit for bit."""
         points, members = case
-        pairs = assign_batch(members, points)
-        expected = [davies_bouldin_loop(points, s.prototypes, labels)
-                    for s, (labels, _) in zip(members, pairs)]
-        assert np.array(davies_bouldin(members, pairs)).tobytes() == (
+        labels, dists = assign_batch(members, points)
+        expected = [davies_bouldin_loop(points, s.prototypes, row)
+                    for s, row in zip(members, labels)]
+        assert np.array(davies_bouldin(members, labels, dists)).tobytes() == (
             np.array(expected).tobytes()
         )
 
@@ -190,16 +190,16 @@ class TestDaviesBouldin:
                    for i, k in enumerate(rng.integers(2, 13, size=13))]
         members.append(_solution(points[:1], 13))
         members.append(_solution(np.vstack([points[:3], np.full((1, dim), 1e6)]), 14))
-        pairs = assign_batch(members, points)
-        got = davies_bouldin(members, pairs)
-        expected = [davies_bouldin_loop(points, s.prototypes, labels)
-                    for s, (labels, _) in zip(members, pairs)]
+        labels, dists = assign_batch(members, points)
+        got = davies_bouldin(members, labels, dists)
+        expected = [davies_bouldin_loop(points, s.prototypes, row)
+                    for s, row in zip(members, labels)]
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert got[13] == got[14] == INFINITE_DBI
         assert sum(math.isfinite(v) for v in got) >= 10
 
     def test_no_solutions(self):
-        assert davies_bouldin([], []) == []
+        assert davies_bouldin([], *assign_batch([], np.zeros((3, 2)))) == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_form_at_16_coordinates(self, seed):
@@ -209,10 +209,10 @@ class TestDaviesBouldin:
         points = rng.normal(size=(60, 16)) * 10.0 ** rng.uniform(-3, 3, size=16)
         protos = points[rng.choice(60, size=4, replace=False)] * 1.01
         sol, win = _solution(protos), _window(points)
-        [nearest] = assign_batch([sol], win.data)
-        expected = davies_bouldin_loop(points, protos, nearest[0])
+        labels, dists = assign_batch([sol], win.data)
+        expected = davies_bouldin_loop(points, protos, labels[0])
         assert expected != INFINITE_DBI
-        assert davies_bouldin([sol], [nearest]) == [expected]
+        assert davies_bouldin([sol], labels, dists) == [expected]
 
 
 class TestSelectBest:
@@ -220,17 +220,17 @@ class TestSelectBest:
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
         members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
                    _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
-        known = {1: assign_batch([members[1]], win.data)[0]}
+        known = ([1], *assign_batch([members[1]], win.data))
         best, dbi, _ = select_best(members, win, known)
         ref_best, ref_dbi, _ = select_best(members, win)
         assert (best.solution_id, dbi) == (ref_best.solution_id, ref_dbi)
 
-    @pytest.mark.parametrize("known_ids", [(), (0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("known_ids", [(), (0,), (1,), (0, 1), (1, 0)])
     def test_returns_the_best_members_labels(self, known_ids):
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
         members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
                    _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
-        known = {i: assign_batch([members[i]], win.data)[0] for i in known_ids}
+        known = (list(known_ids), *assign_batch([members[i] for i in known_ids], win.data))
         best, _, labels = select_best(members, win, known)
         assert np.array_equal(labels, assign_batch([best], win.data)[0][0])
 

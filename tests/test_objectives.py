@@ -150,7 +150,7 @@ class TestEvaluate:
         sol.weights = np.arange(1.0, sol.k + 1)
         ref = sol.copy()
         win = _window(points)
-        evaluate_solution([sol], assign_batch([sol], win.data))
+        evaluate_solution([sol], *assign_batch([sol], win.data))
         fed, labels = np.unique(assign_batch([ref], win.data)[0][0], return_inverse=True)
         ref.keep(fed)
         update_compactness(ref, _dists(ref, win, labels))
@@ -171,21 +171,36 @@ class TestEvaluate:
             sols.append(_protos(protos, sol_id=i, compactness=float(rg.uniform(0, 9))))
         alone = [s.copy() for s in sols]
         ks = [s.k for s in sols]
-        evaluate_solution(sols, assign_batch(sols, win.data))
+        evaluate_solution(sols, *assign_batch(sols, win.data))
         for ref in alone:
-            evaluate_solution([ref], assign_batch([ref], win.data))
+            evaluate_solution([ref], *assign_batch([ref], win.data))
         assert any(s.k < k for s, k in zip(sols, ks))
         for sol, ref in zip(sols, alone):
             assert np.array_equal(sol.prototypes, ref.prototypes)
             assert np.array_equal(sol.weights, ref.weights)
             assert sol.objectives == ref.objectives
-        evaluate_solution([], [])
+        evaluate_solution([], *assign_batch([], win.data))
+
+    def test_compactness_is_each_rows_own_sum(self):
+        """One ``dists.sum(axis=1)`` gives every compactness, bit for bit
+        what each row's own sum (``update_compactness``) gives, over random
+        stacks of S <= 30 rows of n <= 1200 distances."""
+        rg = np.random.default_rng(5)
+        for _ in range(200):
+            s, n = int(rg.integers(1, 31)), int(rg.integers(1, 1201))
+            dists = np.sqrt(rg.uniform(0, 10.0 ** rg.uniform(-3, 6), size=(s, n)))
+            sols = [_protos([(float(i), 0.0)]) for i in range(s)]
+            evaluate_solution(sols, np.zeros((s, n), dtype=np.intp), dists)
+            alone = [_protos([(float(i), 0.0)]) for i in range(s)]
+            for sol, ref, row in zip(sols, alone, dists):
+                assert sol.objectives.compactness == update_compactness(ref, row.copy())
+                assert type(sol.objectives.compactness) is float
 
     def test_dimension_mismatch_raises(self):
         win = WindowBatch(np.zeros((3, 3)), 1)
         with pytest.raises(ValueError):
             sol = _protos([(0, 0), (1, 1)])
-            evaluate_solution([sol], assign_batch([sol], win.data))
+            evaluate_solution([sol], *assign_batch([sol], win.data))
 
 
 class TestDominates:

@@ -58,9 +58,9 @@ def _gng(window, seed):
 def _scored(sol, window):
     """An unscored seed scored alone on its window, as ``initialize`` scores
     every seed: each cluster's mass is the rows scoring gives it."""
-    pairs = assign_batch([sol], window.data)
-    sol.weights = np.bincount(pairs[0][0], minlength=sol.k).astype(float)
-    evaluate_solution([sol], pairs)
+    labels, dists = assign_batch([sol], window.data)
+    sol.weights = np.bincount(labels[0], minlength=sol.k).astype(float)
+    evaluate_solution([sol], labels, dists)
     return sol
 
 
@@ -210,7 +210,7 @@ class TestDBScan:
         def partition(window):
             sol = dbscan(window, 8, 2.0)
             protos = sol.prototypes
-            [(labels, _)] = assign_batch([sol], window.data)
+            [labels], _ = assign_batch([sol], window.data)
             groups = {}
             for row, lab in zip(map(tuple, window.data), labels):
                 groups.setdefault(lab, set()).add(row)
@@ -478,10 +478,10 @@ class TestSeedScoring:
             calls.append(("assign", len(solutions)))
             return assign(solutions, data)
 
-        def counting_evaluate(solutions, pairs):
+        def counting_evaluate(solutions, labels, dists):
             calls.append(("evaluate", len(solutions)))
             seeds.extend((sol, sol.copy()) for sol in solutions)
-            return evaluate(solutions, pairs)
+            return evaluate(solutions, labels, dists)
 
         # the engine's own bindings: breeding scores through evolution's
         monkeypatch.setattr(engine, "assign_batch", counting_assign)
@@ -508,7 +508,7 @@ class TestSeedScoring:
         seeds = [sol for sol in state.archive if sol.solution_id <= 16]
         assert any(sol.solution_id in (12, 13, 14) for sol in seeds)  # k = 13..15
         for sol in seeds:
-            [(labels, _)] = assign_batch([sol], window.data)
+            [labels], _ = assign_batch([sol], window.data)
             assert np.array_equal(sol.weights, np.bincount(labels, minlength=sol.k))
 
     def test_density_noise_rows_count_in_compactness(self, monkeypatch):
