@@ -178,12 +178,13 @@ def _window_report(
     state: EngineState,
     window: WindowBatch,
     elapsed_ms: Optional[float],
-    nearest: Optional[tuple[list[int], np.ndarray, np.ndarray]] = None,
+    labels: np.ndarray,
+    dists: np.ndarray,
 ) -> WindowReport:
-    """Score and record the window. ``nearest`` holds solution ids and their
-    ``assign_batch`` rows already computed on this window, so those members
-    skip a second assignment."""
-    _, best_dbi, labels = select_best(state.archive, window, nearest)
+    """Score and record the window. ``labels`` and ``dists`` are the
+    archive members' ``assign_batch`` rows on the window, in archive order:
+    the caller has assigned every member the report reads."""
+    _, best_dbi, labels = select_best(state.archive, labels, dists)
     best_fit = min(fitness_score(s) for s in state.archive)
     score_nmi = score_arand = None
     if window.labels is not None and len(window) >= 2:
@@ -331,7 +332,8 @@ def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     for sol in population:  # in id order: ids were allotted in list order
         state.archive.insert(sol)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    _window_report(state, first_window, elapsed)
+    members = list(state.archive)
+    _window_report(state, first_window, elapsed, *assign_batch(members, first_window.data))
     return state
 
 
@@ -371,8 +373,8 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # counts only the clusters the window still feeds. The offer keeps only
     # its fed clusters, so its labels are renumbered onto the rows it keeps,
     # and scores its compactness; then one separateness call scores every
-    # member and the offer. The stacked rows serve the report too. The
-    # macro offer takes the commit's last id.
+    # member and the offer. The report reads the same rows, the offer's
+    # renumbered one included. The macro offer takes the commit's last id.
     macro = state.tree.macro_clusters()
     scored = clones + [macro]
     labels, dists = assign_batch(scored, window.data)
@@ -395,11 +397,13 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     rebuilt.insert(macro)
     state.archive = rebuilt
 
-    # (6) commit and report
+    # (6) commit and report on the survivors' rows of step (4)'s arrays:
+    # the archive and ``scored`` are both in id order, so the rows line up
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
-    nearest = ([s.solution_id for s in scored], labels, dists)
-    return _window_report(state, window, elapsed, nearest)
+    kept = set(map(id, state.archive))
+    rows = [i for i, sol in enumerate(scored) if id(sol) in kept]
+    return _window_report(state, window, elapsed, labels[rows], dists[rows])
 
 
 def on_idle(state: EngineState, budget: IdleBudget) -> int:
@@ -417,7 +421,8 @@ def on_idle(state: EngineState, budget: IdleBudget) -> int:
 def finalize(state: EngineState) -> FinalSelection:
     """Pick the lowest-DBI member on the last window and package it."""
     window = state.last_window
-    best, dbi, labels = select_best(state.archive, window)
+    members = list(state.archive)
+    best, dbi, labels = select_best(members, *assign_batch(members, window.data))
     return FinalSelection(
         solution=best.copy(),
         dbi=dbi,

@@ -105,27 +105,28 @@ def mutate(
         return []
     d = parents[0].dim
     n_mut = max(1, round(mu * d))
-    ks = np.array([p.k for p in parents])
-    starts = np.cumsum(ks) - ks
-    draws = rng.random(int(ks.sum()) * (d + 2 * n_mut))
-    # stacked row r of a parent whose rows are [first, end): the parent's
-    # key block starts at draw first * (d + 2 n_mut) and its step block k * d
-    # later, so row r's keys start at r * d + first * 2 n_mut and its steps
-    # at end * d + r * 2 n_mut
-    first = np.repeat(starts, ks)
-    end = first + np.repeat(ks, ks)
-    rows = np.arange(len(first))
-    keys = draws[(rows * d + first * 2 * n_mut)[:, None] + np.arange(d)]
-    pos = np.argsort(keys, axis=1)[:, :n_mut]
-    steps = draws[(end * d + rows * 2 * n_mut)[:, None] + np.arange(2 * n_mut)]
-    rho, flip = steps[:, 0::2], steps[:, 1::2]
+    ks = [p.k for p in parents]
+    draws = rng.random(sum(ks) * (d + 2 * n_mut))
+    keys, steps, at = [], [], 0
+    for k in ks:
+        keys.append(draws[at : at + k * d])
+        at += k * d
+        steps.append(draws[at : at + k * 2 * n_mut])
+        at += k * 2 * n_mut
+    pos = np.argsort(np.concatenate(keys).reshape(-1, d), axis=1)[:, :n_mut]
+    steps = np.concatenate(steps).reshape(-1, n_mut, 2)
+    rho, flip = steps[..., 0], steps[..., 1]
     protos = np.concatenate([p.prototypes for p in parents])
-    old = protos[rows[:, None], pos]
-    protos[rows[:, None], pos] = old + np.where(flip < 0.5, 1.0, -1.0) * rho * old
-    return [
-        ClusteringSolution(ObjectiveVector(), protos[at : at + p.k], weights=p.weights.copy())
-        for p, at in zip(parents, starts.tolist())
-    ]
+    rows = np.arange(len(protos))[:, None]
+    old = protos[rows, pos]
+    protos[rows, pos] = old + np.where(flip < 0.5, 1.0, -1.0) * rho * old
+    out, at = [], 0
+    for p in parents:
+        out.append(
+            ClusteringSolution(ObjectiveVector(), protos[at : at + p.k], weights=p.weights.copy())
+        )
+        at += p.k
+    return out
 
 
 def breed(

@@ -3,19 +3,19 @@
 nmi and arand compare a predicted partition against ground truth through a
 contingency table. davies_bouldin scores a list of solutions against the
 points of a single window from the labels and point distances of
-``assign_batch``, all on their stacked cluster rows; select_best calls it
-once to pick the archive member to report and hands back that member's
-labels, so nothing is assigned twice for one report.
+``assign_batch``, all on their stacked cluster rows. select_best calls it
+once on rows its caller has assigned, picks the archive member to report
+and hands back that member's row of labels: it assigns nothing itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, WindowBatch, assign_batch, block_gaps, stack_labels
+from .core import ClusteringSolution, block_gaps, stack_labels
 
 INFINITE_DBI = math.inf
 
@@ -148,34 +148,22 @@ def davies_bouldin(
 
 
 def select_best(
-    archive,
-    window: WindowBatch,
-    nearest: Optional[tuple[Sequence[int], np.ndarray, np.ndarray]] = None,
+    members: Sequence[ClusteringSolution], labels: np.ndarray, dists: np.ndarray
 ) -> tuple[ClusteringSolution, float, np.ndarray]:
-    """Archive member with the lowest windowed DBI.
+    """Member with the lowest windowed DBI.
 
-    ``nearest`` is (solution ids, labels, dists): the ids of solutions
-    already assigned to this window and their ``assign_batch`` arrays, one
-    row per id. Each member reads its row there; members without one are
-    assigned here, all in one call, and one ``davies_bouldin`` call scores
-    every member. Ties prefer fewer clusters, then the lower solution id.
-    Returns the member, its score and its labels on the window.
+    ``labels`` and ``dists`` are the members' (len(members), n)
+    ``assign_batch`` arrays on one window, one row per member in member
+    order; one ``davies_bouldin`` call scores every member. Ties prefer
+    fewer clusters, then the lower solution id. Returns the member, its
+    score and its labels on the window. A row count other than the member
+    count is rejected: one row would broadcast against every member.
     """
-    members = list(archive)
+    members = list(members)
     if not members:
         raise ValueError("archive is empty")
-    if nearest is None:
-        nearest = ((), np.empty((0, len(window)), dtype=np.intp), np.empty((0, len(window))))
-    ids, labels, dists = nearest
-    row = {sid: i for i, sid in enumerate(ids)}
-    missing = [s for s in members if s.solution_id not in row]
-    if missing:
-        fresh_labels, fresh_dists = assign_batch(missing, window.data)
-        labels = np.concatenate([labels, fresh_labels])
-        dists = np.concatenate([dists, fresh_dists])
-        row.update((s.solution_id, len(ids) + j) for j, s in enumerate(missing))
-    rows = [row[s.solution_id] for s in members]
-    labels, dists = labels[rows], dists[rows]
+    if len(labels) != len(members) or len(dists) != len(members):
+        raise ValueError(f"{len(members)} members need as many label and distance rows")
     scores = davies_bouldin(members, labels, dists)
     at = min(
         range(len(members)),

@@ -448,7 +448,6 @@ class TestCommitAssignments:
             return assign_batch(solutions, data)
 
         monkeypatch.setattr(engine, "assign_batch", counting)
-        monkeypatch.setattr(metrics, "assign_batch", counting)
         batches = gen_blobs(k=4, per_blob=150, sep=10.0, stddev=0.5, drift=(0.05, 0.02),
                             window_size=100, seed=5)
         state = initialize(batches[0], StreamConfig(idle_generations_cap=2, rng_seed=5))
@@ -482,19 +481,17 @@ class TestCommitAssignments:
         checked = []
         pick = engine.select_best
 
-        def checking(archive, window, nearest=None):
-            members = list(archive)
-            ids, labels, dists = nearest
-            rows = [ids.index(s.solution_id) for s in members]
-            known = labels[rows], dists[rows]
+        def checking(members, labels, dists):
+            members = list(members)
+            window = state.last_window
             fresh = assign_batch(members, window.data)
-            for a, b in zip(known, fresh):
+            for a, b in zip((labels, dists), fresh):
                 assert a.tobytes() == b.tobytes()
-            assert metrics.davies_bouldin(members, *known) == (
+            assert metrics.davies_bouldin(members, labels, dists) == (
                 metrics.davies_bouldin(members, *fresh)
             )
-            best, dbi, labels = pick(archive, window, nearest)
-            ref_best, ref_dbi, ref_labels = pick(archive, window)
+            best, dbi, labels = pick(members, labels, dists)
+            ref_best, ref_dbi, ref_labels = pick(members, *fresh)
             assert best is ref_best
             assert np.float64(dbi).tobytes() == np.float64(ref_dbi).tobytes()
             assert np.array_equal(labels, ref_labels)
@@ -517,6 +514,40 @@ class TestCommitAssignments:
             accepted += joined and dropped_middle == [True]
         assert checked == [1, 2, 3, 4, 5]
         assert accepted >= 1
+
+    def test_report_rows_are_a_fresh_assignment_of_the_archive(self, monkeypatch):
+        """``initialize``, every commit and ``finalize`` hand ``select_best``
+        the archive's members in archive order, with rows bit-identical to
+        a fresh ``assign_batch`` of the archive on the window reported."""
+        handed = []
+        pick = engine.select_best
+
+        def recording(members, labels, dists):
+            handed.append((list(members), labels.copy(), dists.copy()))
+            return pick(members, labels, dists)
+
+        def check(state, window):
+            [(members, labels, dists)] = handed
+            handed.clear()
+            archive = list(state.archive)
+            assert len(members) == len(archive)
+            assert all(a is b for a, b in zip(members, archive))
+            fresh = assign_batch(archive, window.data)
+            assert labels.tobytes() == fresh[0].tobytes()
+            assert dists.tobytes() == fresh[1].tobytes()
+
+        monkeypatch.setattr(engine, "select_best", recording)
+        batches = gen_blobs(k=4, per_blob=300, sep=10.0, stddev=0.5,
+                            drift=(0.5, 0.2), window_size=100, seed=8)[:6]
+        state = initialize(batches[0], StreamConfig(idle_generations_cap=2, rng_seed=8))
+        check(state, batches[0])
+        for window in batches[1:]:
+            on_idle(state, IdleBudget(2))
+            process_window(state, window)
+            check(state, window)
+        on_idle(state, IdleBudget(2))
+        finalize(state)
+        check(state, batches[-1])
 
     def test_one_scoring_pass_for_members_and_offer(self, monkeypatch):
         """Step (4) scores the members and the macro offer together: a
@@ -610,7 +641,8 @@ class TestFinalize:
     def test_selection_is_archive_best(self, four_blob_window):
         state = initialize(four_blob_window, StreamConfig())
         sel = finalize(state)
-        best, dbi, _ = select_best(state.archive, four_blob_window)
+        members = list(state.archive)
+        best, dbi, _ = select_best(members, *assign_batch(members, four_blob_window.data))
         assert sel.dbi == dbi
         assert np.array_equal(
             sel.solution.prototypes, best.prototypes
@@ -658,7 +690,8 @@ class TestRunStream:
     def test_no_idle_budget_preserves_initial_archive(self, four_blob_window):
         cfg = StreamConfig(idle_generations_cap=0)
         state, sel = run_stream([four_blob_window], cfg)
-        best, dbi, _ = select_best(state.archive, four_blob_window)
+        members = list(state.archive)
+        best, dbi, _ = select_best(members, *assign_batch(members, four_blob_window.data))
         assert sel.dbi == dbi
 
     def test_deterministic_reports_have_no_wall_times(self):

@@ -215,29 +215,49 @@ class TestDaviesBouldin:
         assert davies_bouldin([sol], labels, dists) == [expected]
 
 
+def _pick(members, win):
+    return select_best(members, *assign_batch(members, win.data))
+
+
 class TestSelectBest:
     def test_known_assignments_give_the_same_pick(self):
+        """Rows cut from a larger assignment, as a commit hands over its
+        survivors' rows, pick as a fresh assignment of the members does."""
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
         members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
                    _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
-        known = ([1], *assign_batch([members[1]], win.data))
-        best, dbi, _ = select_best(members, win, known)
-        ref_best, ref_dbi, _ = select_best(members, win)
+        dropped = _solution([(0.0, 0.0), (9.0, 9.0)], 2)
+        labels, dists = assign_batch([members[0], dropped, members[1]], win.data)
+        best, dbi, _ = select_best(members, labels[[0, 2]], dists[[0, 2]])
+        ref_best, ref_dbi, _ = _pick(members, win)
         assert (best.solution_id, dbi) == (ref_best.solution_id, ref_dbi)
 
     @pytest.mark.parametrize("known_ids", [(), (0,), (1,), (0, 1), (1, 0)])
     def test_returns_the_best_members_labels(self, known_ids):
+        """The members whose ids are in ``known_ids`` are handed over first,
+        in that order, the others after them: the labels returned are the
+        best member's own row whatever its place."""
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2), (5, 1)])
         members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
                    _solution([(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)], 1)]
-        known = (list(known_ids), *assign_batch([members[i] for i in known_ids], win.data))
-        best, _, labels = select_best(members, win, known)
+        order = list(known_ids) + [i for i in range(2) if i not in known_ids]
+        best, _, labels = _pick([members[i] for i in order], win)
         assert np.array_equal(labels, assign_batch([best], win.data)[0][0])
+
+    def test_rows_must_match_members(self):
+        win = _window([(0, 0), (0, 2), (10, 0), (10, 2)])
+        members = [_solution([(0.0, 1.0), (10.0, 1.0)], 0),
+                   _solution([(0.0, 2.0), (6.0, 2.0)], 1)]
+        labels, dists = assign_batch(members[:1], win.data)
+        with pytest.raises(ValueError, match="2 members"):
+            select_best(members, labels, dists)
+        with pytest.raises(ValueError, match="archive is empty"):
+            select_best([], labels[:0], dists[:0])
 
     def test_single_member(self):
         sol = _solution([(0.0, 0.0), (5.0, 5.0)], sol_id=7)
         win = _window([(0, 0), (5, 5)])
-        best, dbi, _ = select_best([sol], win)
+        best, dbi, _ = _pick([sol], win)
         assert best.solution_id == 7
         assert dbi == 0.0
 
@@ -245,7 +265,7 @@ class TestSelectBest:
         tight = _solution([(0.0, 1.0), (10.0, 1.0)], sol_id=0)
         loose = _solution([(0.0, 2.0), (6.0, 2.0)], sol_id=1)
         win = _window([(0, 0), (0, 2), (10, 0), (10, 2)])
-        best, dbi, _ = select_best([tight, loose], win)
+        best, dbi, _ = _pick([tight, loose], win)
         assert best.solution_id == 0
         assert dbi == pytest.approx(0.2)
 
@@ -257,7 +277,7 @@ class TestSelectBest:
                           (60.0, 60.0), (70.0, 70.0)], sol_id=1)
         three = _solution([(0.0, 0.0), (0.0, 0.0), (9.0, 9.0)], sol_id=4)
         win = _window([(0, 0), (9, 9)])
-        b, dbi, _ = select_best([five, three], win)
+        b, dbi, _ = _pick([five, three], win)
         assert dbi == INFINITE_DBI
         assert b.solution_id == 4
         assert b.k == 3
@@ -266,6 +286,6 @@ class TestSelectBest:
         first = _solution([(0.0, 0.0), (9.0, 9.0)], sol_id=2)
         second = _solution([(0.0, 0.0), (9.0, 9.0)], sol_id=5)
         win = _window([(0, 0), (9, 9)])
-        b, dbi, _ = select_best([second, first], win)
+        b, dbi, _ = _pick([second, first], win)
         assert dbi == 0.0
         assert b.solution_id == 2

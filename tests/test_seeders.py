@@ -486,9 +486,10 @@ class TestSeedScoring:
         # the engine's own bindings: breeding scores through evolution's
         monkeypatch.setattr(engine, "assign_batch", counting_assign)
         monkeypatch.setattr(engine, "evaluate_solution", counting_evaluate)
-        engine.initialize(window, cfg)
-        # macro view, k = 2..15, density scan, gas
-        assert calls == [("assign", 17), ("evaluate", 17)]
+        state = engine.initialize(window, cfg)
+        # macro view, k = 2..15, density scan, gas; then the report's one
+        # call over the archive
+        assert calls == [("assign", 17), ("evaluate", 17), ("assign", len(state.archive))]
         for sol, unscored in seeds:
             _assert_same_solution(sol, _scored(unscored, window))
         # the sweep's seeds against their own Lloyd runs
