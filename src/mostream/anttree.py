@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, nearest_sq, sq_dist
+from .core import (
+    ClusteringSolution,
+    ObjectiveVector,
+    WindowBatch,
+    nearest_sq,
+    scan_rows,
+    sq_dist,
+)
 
 SUPPORT_ID = 0
 
@@ -57,9 +64,6 @@ DISSIM_RELAX = 0.01
 # and node count keeps sliding downward. 4.0 sits at the crossover where
 # long-stream node count and first-level width hold steady.
 RADIUS_SCALE = 4.0
-
-# Rows per distance block of ``window_scales``, so memory is O(n * block).
-SCALES_BLOCK = 512
 
 # Window rows per run of ``map_window``. A run pays a fixed cost in numpy
 # calls whatever its length, and a longer run more often stops early at a
@@ -321,7 +325,9 @@ def step(children: np.ndarray, ant: np.ndarray, dissim: float, diameter: float) 
 def window_scales(data: np.ndarray) -> tuple[float, float]:
     """(diameter, mean distance from each point to its nearest distinct
     point) of ``data``, from one pass over the pairwise distances in row
-    blocks, so memory stays flat on big first windows.
+    blocks of ``scan_rows``, so no temporary holds more than
+    ``core.SCAN_ENTRIES`` differences, however many rows and coordinates
+    the first window has.
 
     A point's own row and its duplicates (squared distance 0) are no
     neighbours: a first window with repeated rows keeps the spacing of its
@@ -331,8 +337,9 @@ def window_scales(data: np.ndarray) -> tuple[float, float]:
     """
     widest = 0.0
     nearest = np.empty(len(data))
-    for i in range(0, len(data), SCALES_BLOCK):
-        d2 = sq_dist(data[i : i + SCALES_BLOCK, None, :], data[None, :, :])
+    rows = scan_rows(*data.shape)
+    for i in range(0, len(data), rows):
+        d2 = sq_dist(data[i : i + rows, None, :], data[None, :, :])
         widest = max(widest, float(d2.max()))
         d2[d2 == 0.0] = np.inf
         nearest[i : i + len(d2)] = np.sqrt(d2.min(axis=1))

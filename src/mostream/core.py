@@ -17,7 +17,10 @@ settle take the exact matrix. ``nearest_sq`` is the one-block form the tree
 synopsis maps its windows with, in runs of rows. ``stack_labels`` offsets
 the stacked labels onto the solutions' stacked cluster rows, and
 ``block_gaps`` sets every prototype against its own solution's, for the
-callers that count, fold or score every solution at once. The update rules
+callers that count, fold or score every solution at once. ``scan_rows``
+sizes the row blocks of the first-window scans that set every row against
+a whole window, so each block holds one fixed budget of differences
+(``SCAN_ENTRIES``) whatever the window's size. The update rules
 implement the decayed running-mean merge of per-cluster batches, the
 exponential weight fade with assignment refresh, and staleness pruning.
 """
@@ -206,6 +209,11 @@ SCREEN_MIN_COORDS = 512
 # and n=300 S=20 2.37 against 2.20 ms. One or two solutions lose a little
 # (n=100 S=1: 0.07 against 0.03 ms); generations and commits stack more.
 STACK_MAX_ENTRIES = 32768
+# Difference entries (rows x n x d, 1 MiB of float64) one block of a
+# full-window distance scan may hold; see ``scan_rows``. Taken in 512-row
+# blocks, the first-window scans held 8.2 MB per block at n=1000, d=2 and
+# 131 MB at n=2000, d=16.
+SCAN_ENTRIES = 2**17
 # unit roundoff and the smallest subnormal: the screen's relative and
 # absolute (underflow) error units
 _UNIT = 2.0**-53
@@ -249,6 +257,13 @@ def sum_coords(sq: np.ndarray) -> np.ndarray:
     for j in range(1, sq.shape[-1]):
         out = out + sq[..., j]
     return out[()]
+
+
+def scan_rows(n: int, d: int) -> int:
+    """Rows per block of a scan that sets window rows against ``n`` points of
+    ``d`` coordinates, so that one block's (rows, n, d) difference array
+    holds at most ``SCAN_ENTRIES`` entries (at least one row)."""
+    return max(1, SCAN_ENTRIES // (n * d))
 
 
 def block_gaps(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,17 +369,19 @@ def _nearest_stacked(
     A gather lays the matrix out as a padded (kmax, S, n) block, each
     block's prototypes in order with the +inf prototype as padding. The
     minimum over the first axis is the chosen entry, and the lowest index
-    holding it is the first minimum; padding can only tie an all-+inf
-    column, after the block's own rows. Both reductions run elementwise
-    across the (S, n) planes rather than once per (row, solution) as
-    ``argmin`` would. A NaN entry (a non-finite prototype) sends the stack
-    to ``_nearest_each``, whose ``argmin`` takes the first NaN.
+    holding it is the first minimum: of the slots equal to the minimum, the
+    one whose descending rank kmax - slot is highest. Padding can only tie
+    an all-+inf column, after the block's own rows. Both reductions run
+    elementwise across the (S, n) planes rather than once per (row,
+    solution) as ``argmin`` would. A NaN entry (a non-finite prototype)
+    sends the stack to ``_nearest_each``, whose ``argmin`` takes the first
+    NaN.
     """
     ks = np.array([len(p) for p in stack])
     starts = np.cumsum(ks) - ks
     pad = int(ks.sum())  # the +inf row
     kmax = int(ks.max())
-    # the narrowest index type keeps the (kmax, S, n) index block small
+    # the narrowest type that holds kmax keeps the (kmax, S, n) blocks small
     slot = np.arange(kmax, dtype=np.min_scalar_type(kmax))[:, None]
     gather = np.where(slot < ks, starts + slot, pad)
     # the (n, sum K + 1) matrix comes out in Fortran order: .T is C order
@@ -375,8 +392,8 @@ def _nearest_stacked(
     low = np.minimum.reduce(block)
     if np.isnan(low).any():
         return _nearest_each(stack, data)
-    first = np.minimum.reduce(np.where(block == low, slot[:, :, None], kmax))
-    return first.astype(np.intp), low
+    rank = (block == low) * (kmax - slot[:, :, None])
+    return kmax - np.maximum.reduce(rank).astype(np.intp), low
 
 
 def _nearest_each(

@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClusteringSolution, ObjectiveVector, WindowBatch, sq_dist, sum_coords
+from .core import (
+    ClusteringSolution,
+    ObjectiveVector,
+    WindowBatch,
+    scan_rows,
+    sq_dist,
+    sum_coords,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -25,10 +32,9 @@ logger = logging.getLogger(__name__)
 KMEANS_K_MIN = 2
 KMEANS_K_MAX = 15
 # density scan: a core point has DBSCAN_MIN_PTS neighbours (itself included)
-# within DBSCAN_RADIUS; rows per distance block, so memory is O(n * block)
+# within DBSCAN_RADIUS
 DBSCAN_MIN_PTS = 20
 DBSCAN_RADIUS = 10.0
-DBSCAN_BLOCK = 512
 # growing neural gas (standard scheme)
 GNG_EPOCHS = 30
 GNG_MAX_NODES = 32
@@ -160,16 +166,19 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     self included) form clusters by connectivity; border points join their
     nearest core point's cluster; noise joins no cluster, though scoring
     charges it too. When nothing is dense enough the fallback is a single
-    all-points cluster. Distances are taken in row blocks; only the (n, n)
-    bool neighbor mask is held whole.
+    all-points cluster. Distances are taken in row blocks of ``scan_rows``
+    (against all n rows, then against the cores), so no temporary holds
+    more than ``core.SCAN_ENTRIES`` differences; only the (n, n) bool
+    neighbor mask is held whole.
     """
     data = window.data
     n = len(data)
     within = np.empty((n, n), dtype=bool)
-    for i in range(0, n, DBSCAN_BLOCK):
-        chunk = data[i : i + DBSCAN_BLOCK]
-        d = np.sqrt(sq_dist(chunk[:, None, :], data[None, :, :]))
-        within[i : i + len(chunk)] = d <= DBSCAN_RADIUS
+    step = scan_rows(n, data.shape[1])
+    for i in range(0, n, step):
+        chunk = data[i : i + step]
+        d = sq_dist(chunk[:, None, :], data[None, :, :])
+        within[i : i + len(chunk)] = np.sqrt(d, out=d) <= DBSCAN_RADIUS
     core = within.sum(axis=1) >= DBSCAN_MIN_PTS
     core_idx = np.flatnonzero(core)
     if len(core_idx) == 0:
@@ -180,10 +189,11 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     labels = connected_components(within, core)
     loose = np.flatnonzero(~core)
     border = loose[within[loose][:, core].any(axis=1)]
-    for i in range(0, len(border), DBSCAN_BLOCK):
-        rows = border[i : i + DBSCAN_BLOCK]
-        gaps = np.sqrt(sq_dist(data[rows, None, :], data[None, core_idx, :]))
-        labels[rows] = labels[core_idx[gaps.argmin(axis=1)]]
+    step = scan_rows(len(core_idx), data.shape[1])
+    for i in range(0, len(border), step):
+        rows = border[i : i + step]
+        gaps = sq_dist(data[rows, None, :], data[None, core_idx, :])
+        labels[rows] = labels[core_idx[np.sqrt(gaps, out=gaps).argmin(axis=1)]]
     return _solution(data, labels)
 
 

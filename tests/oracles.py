@@ -5,6 +5,7 @@ transcription, grid rasterization. No imports from the package under test.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -459,3 +460,19 @@ def archive_insert_reference(members, candidate, capacity):
         victim = min(range(len(kept)), key=lambda i: (dist[i], -kept[i].solution_id))
         del kept[victim]
     return True, kept
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(call, *args):
+    """Peak bytes traced by tracemalloc (numpy arrays included) while
+    ``call(*args)`` runs, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -23,7 +23,7 @@ from mostream.anttree import (
     step,
     window_scales,
 )
-from oracles import macro_walk_reference, subtree_rows, tree_children
+from oracles import macro_walk_reference, subtree_rows, traced_peak, tree_children
 
 
 def _pt(*coords):
@@ -324,16 +324,24 @@ class TestBuild:
         plain, doubled = counts
         assert doubled <= 2 * plain
 
-    @pytest.mark.parametrize("block", [7, 50, 512])
-    def test_nearest_neighbor_blocks_match_dense(self, block, monkeypatch):
-        """One blocked pass gives the dense diameter and spacing exactly."""
-        monkeypatch.setattr(anttree, "SCALES_BLOCK", block)
+    @pytest.mark.parametrize("rows", [1, 7, 50, 512])
+    def test_nearest_neighbor_blocks_match_dense(self, rows, monkeypatch):
+        """One blocked pass gives the dense diameter and spacing exactly,
+        with the scan budget set to ``rows``-row blocks of the 50 x 3 window
+        (from 50 rows, one block)."""
+        monkeypatch.setattr(core, "SCAN_ENTRIES", rows * 50 * 3)
         data = np.random.default_rng(1).normal(size=(50, 3))
         d2 = ((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=-1)
         diameter = float(np.sqrt(d2.max()))
         np.fill_diagonal(d2, np.inf)
         spacing = float(np.sqrt(d2.min(axis=1)).mean())
         assert window_scales(data) == (diameter, spacing)
+
+    @pytest.mark.parametrize("shape", [(4000, 2), (2000, 16)])
+    def test_scales_memory_stays_within_the_scan_budget(self, shape):
+        # 512-row blocks peaked at 62.5 and 140.6 MiB on these windows
+        data = np.random.default_rng(2).normal(size=shape)
+        assert traced_peak(window_scales, data) < 4 * 2**20
 
 
 class TestAggregate:

@@ -395,6 +395,19 @@ class TestAssignBatch:
         _stack_check([tame, broken], data)
         assert exact_rows == [(3, 12), (3, 12)]
 
+    def test_stacked_kernel_ranks_past_255_prototypes(self, exact_rows):
+        # K = 300 on 100 rows (30,000 entries) takes the stacked kernel, whose
+        # descending ranks 1..300 need more than a byte; the grid half makes
+        # duplicate prototypes and tied rows
+        rng = np.random.default_rng(300)
+        grid = rng.integers(-6, 7, size=(150, 2)) * 0.5
+        protos = np.vstack([rng.normal(scale=3.0, size=(150, 2)), grid])
+        data = np.vstack([rng.integers(-12, 13, size=(50, 2)) * 0.25,
+                          rng.normal(scale=3.0, size=(50, 2))])
+        _stack_check([protos], data)
+        assert exact_rows == []
+        assert assign_batch([_solution(protos)], data)[0].max() > 255
+
     def test_switch_reads_the_padded_block_size(self, monkeypatch, exact_rows):
         rng = np.random.default_rng(0)
         stack = [rng.normal(size=(k, 2)) for k in (3, 7, 5)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mostream import engine, seeders
+from mostream import core, engine, seeders
 from mostream.core import (
     MAX_ABS_VALUE,
     ClusteringSolution,
@@ -28,7 +28,13 @@ from mostream.seeders import (
 )
 from mostream.stream_io import gen_blobs
 
-from oracles import dbscan_dense_labels, gng_reference, lloyd_reference, pairwise_distances
+from oracles import (
+    dbscan_dense_labels,
+    gng_reference,
+    lloyd_reference,
+    pairwise_distances,
+    traced_peak,
+)
 
 
 def _window(rows):
@@ -238,10 +244,15 @@ class TestDBScan:
         data = np.vstack([line, noise])
         return data[np.random.default_rng(3).permutation(len(data))]
 
+    # scan budgets giving 1-row blocks, 500-row blocks (three against all
+    # 1100 rows, the last one partial) and the default blocks
+    @pytest.mark.parametrize("budget", [1, 500 * 1100 * 2, core.SCAN_ENTRIES])
     @pytest.mark.parametrize("shape, min_pts, radius",
                              [("_blobs", 10, 0.5), ("_lines", 200, 0.5)])
-    def test_blocked_scan_matches_dense_reference(self, dbscan, shape, min_pts, radius):
-        # 1100 rows span three distance blocks, the last one partial
+    def test_blocked_scan_matches_dense_reference(
+        self, dbscan, shape, min_pts, radius, budget, monkeypatch
+    ):
+        monkeypatch.setattr(core, "SCAN_ENTRIES", budget)
         data = getattr(self, shape)()
         window = WindowBatch(data, 0)
         sol = _scored(dbscan(window, min_pts, radius), window)
@@ -253,6 +264,14 @@ class TestDBScan:
         # noise rows join no center, but scoring charges every row
         ref = _reference_solution(window, centers)
         _assert_same_solution(sol, ref)
+
+    @pytest.mark.parametrize("shape", [(4000, 2), (2000, 16)])
+    def test_memory_stays_within_the_mask_and_the_scan_budget(self, shape):
+        # the n x n neighbour mask and one frontier copy of it in
+        # connected_components; 512-row blocks peaked at 77.8 and 144.4 MiB
+        n = shape[0]
+        window = WindowBatch(np.random.default_rng(2).normal(size=shape), 0)
+        assert traced_peak(seed_dbscan, window) < 2 * n * n + 4 * 2**20
 
 
 class TestConnectedComponents:
