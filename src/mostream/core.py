@@ -7,22 +7,22 @@ distance in the package goes through ``sq_dist``, or through its summation
 ``assign_batch`` is the one nearest-prototype routine: for S solutions it
 returns two (S, n) arrays, each window row's label and distance, one row
 per solution, bit-identical to each solution's own (window x solution)
-``sq_dist`` matrix. Below 8 coordinates a small generation (a padded block
-of at most ``STACK_MAX_ENTRIES``) takes one matrix over the stacked
-prototypes and two reductions across the (S, n) planes; a larger one builds
-each solution's matrix into its row. From 8 coordinates one GEMM over the
-stacked prototypes screens the labels under a derived rounding margin, the
-chosen distances still come from ``sq_dist``, and rows the margin cannot
-settle take the exact matrix. ``nearest_sq`` is the one-block form the tree
-synopsis maps its windows with, in runs of rows. ``stack_labels`` offsets
-the stacked labels onto the solutions' stacked cluster rows, and
-``block_gaps`` sets every prototype against its own solution's, for the
-callers that count, fold or score every solution at once. ``scan_rows``
-sizes the row blocks of the first-window scans that set every row against
-a whole window, so each block holds one fixed budget of differences
-(``SCAN_ENTRIES``) whatever the window's size. The update rules
-implement the decayed running-mean merge of per-cluster batches, the
-exponential weight fade with assignment refresh, and staleness pruning.
+``sq_dist`` matrix. Below 8 coordinates every call takes even row blocks
+of the window, each one matrix over the stacked prototypes and two
+reductions across the (S, n) planes of a padded block. From 8 coordinates
+one GEMM over the stacked prototypes screens the labels under a derived
+rounding margin, the chosen distances still come from ``sq_dist``, and
+rows the margin cannot settle take the exact matrix. ``nearest_sq`` is the
+one-block form the tree synopsis maps its windows with, in runs of rows.
+``stack_labels`` offsets the stacked labels onto the solutions' stacked
+cluster rows, and ``block_gaps`` sets every prototype against its own
+solution's, for the callers that count, fold or score every solution at
+once. ``scan_rows`` sizes the row blocks of the first-window scans that set
+every row against a whole window, and those of ``assign_batch``, so each
+block holds one fixed budget of differences (``SCAN_ENTRIES``) whatever the
+window's size. The update rules implement the decayed running-mean merge of
+per-cluster batches, the exponential weight fade with assignment refresh,
+and staleness pruning.
 """
 
 from __future__ import annotations
@@ -199,20 +199,18 @@ SCREEN_MIN_DIM = 8
 # 16-row blocks (x86_64 VM, numpy 2.4.6), the exact matrix is cheaper below
 # about 300 coordinates at d=8, 750 at d=5 and 1,200 at d=2.
 SCREEN_MIN_COORDS = 512
-# Largest padded block, n rows x S solutions x kmax (the largest K), for
-# which ``assign_batch`` below ``SCREEN_MIN_DIM`` takes one stacked matrix
-# rather than one per solution. Timed on an x86_64 2-vCPU VM (numpy 2.4.6),
-# median of 15 interleaved rounds, K drawn from 2-15, stacked against
-# per-solution: at d=2, n=100 S=20 (30,000 entries) 0.35 against 0.56 ms,
-# n=200 S=20 0.62 against 0.82 ms, n=1000 S=2 (26,000) 0.33 against 0.31 ms,
-# n=1000 S=14 2.25 against 2.14 ms; at d=7, n=100 S=20 0.79 against 1.00 ms
-# and n=300 S=20 2.37 against 2.20 ms. One or two solutions lose a little
-# (n=100 S=1: 0.07 against 0.03 ms); generations and commits stack more.
-STACK_MAX_ENTRIES = 32768
-# Difference entries (rows x n x d, 1 MiB of float64) one block of a
-# full-window distance scan may hold; see ``scan_rows``. Taken in 512-row
-# blocks, the first-window scans held 8.2 MB per block at n=1000, d=2 and
-# 131 MB at n=2000, d=16.
+# Difference entries (rows x n x d, 1 MiB of float64) one row block of a
+# distance scan may hold; see ``scan_rows``. Taken in 512-row blocks, the
+# first-window scans held 8.2 MB per block at n=1000, d=2 and 131 MB at
+# n=2000, d=16. Below ``SCREEN_MIN_DIM`` it also sizes ``assign_batch``'s row
+# blocks: rows x S solutions x kmax (the largest K) padded entries of d
+# differences each. Timed on an x86_64 2-vCPU VM (numpy 2.4.6), medians of
+# 15 interleaved rounds over captured wide-overlap calls (n=1000, d=2), with
+# budgets of 2^15/2^16/2^17/2^18 against one matrix per solution: idle
+# generations (S=20, kmax=15) 1990/1596/1430/1351 against 1905 us per call,
+# commits (S 10-19, kmax up to 54) 2030/1460/1276/1496 against 1350 us; on
+# 12 synthetic calls (n=1000, S=20, K 2-15) 2^17 took 773/1653/4096 against
+# 1224/1969/4863 us at d=1/2/7. Report bytes did not move.
 SCAN_ENTRIES = 2**17
 # unit roundoff and the smallest subnormal: the screen's relative and
 # absolute (underflow) error units
@@ -260,9 +258,10 @@ def sum_coords(sq: np.ndarray) -> np.ndarray:
 
 
 def scan_rows(n: int, d: int) -> int:
-    """Rows per block of a scan that sets window rows against ``n`` points of
-    ``d`` coordinates, so that one block's (rows, n, d) difference array
-    holds at most ``SCAN_ENTRIES`` entries (at least one row)."""
+    """Rows per block of a scan that sets window rows against ``n`` points
+    (or padded prototype slots) of ``d`` coordinates, so that one block's
+    (rows, n, d) difference array holds at most ``SCAN_ENTRIES`` entries (at
+    least one row)."""
     return max(1, SCAN_ENTRIES // (n * d))
 
 
@@ -296,11 +295,10 @@ def assign_batch(
     Row s equals solution s's own (n, K) ``sq_dist`` matrix read row by row
     (its first minimum and the square root of that entry), bit for bit.
     Below ``SCREEN_MIN_DIM`` coordinates the entries are those matrices'
-    own. While the padded block of n rows x S solutions x kmax (the largest
-    K) holds at most ``STACK_MAX_ENTRIES`` entries, one (n, sum K) matrix
-    over the stacked prototypes serves every solution
-    (``_nearest_stacked``); past it each solution's matrix is built on its
-    own, into its row (``_nearest_each``). From
+    own: the window is split evenly into the fewest row blocks whose padded
+    (kmax, S, rows) block, kmax the largest K, holds at most
+    ``SCAN_ENTRIES`` differences (``scan_rows``), and each block takes one
+    matrix over the stacked prototypes (``_nearest_stacked``). From
     ``SCREEN_MIN_DIM`` one GEMM screens the whole stack (see ``_screened``),
     so only the chosen and the doubtful entries pay the d-wide difference
     sums.
@@ -315,11 +313,8 @@ def assign_batch(
     stack = [sol.prototypes for sol in solutions]
     if data.shape[1] >= SCREEN_MIN_DIM:
         labels, d2 = _screened(stack, data)
-        return labels.T.copy(), np.sqrt(d2.T, order="C")
-    if n * len(stack) * max(map(len, stack)) <= STACK_MAX_ENTRIES:
-        labels, d2 = _nearest_stacked(stack, data)
     else:
-        labels, d2 = _nearest_each(stack, data)
+        labels, d2 = _nearest_stacked(stack, data)
     return labels, np.sqrt(d2, out=d2)
 
 
@@ -344,7 +339,7 @@ def nearest_sq(protos: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.nda
     if protos.size < SCREEN_MIN_COORDS:
         return _nearest_exact(protos, data)
     labels, d2 = _screened([protos], data)
-    return labels[:, 0], d2[:, 0]
+    return labels[0], d2[0]
 
 
 def _nearest_exact(
@@ -361,39 +356,69 @@ def _nearest_stacked(
     stack: list[np.ndarray], data: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_nearest_exact`` of every block of ``stack`` at once, as two
-    (len(stack), n) arrays, from one ``sq_dist`` matrix over the stacked
-    blocks and one extra prototype whose entries are set to +inf.
-
-    Each entry is the one the block's own matrix holds: ``sq_dist`` treats
-    every (row, prototype) entry alike, whatever else is stacked beside it.
-    A gather lays the matrix out as a padded (kmax, S, n) block, each
-    block's prototypes in order with the +inf prototype as padding. The
-    minimum over the first axis is the chosen entry, and the lowest index
-    holding it is the first minimum: of the slots equal to the minimum, the
-    one whose descending rank kmax - slot is highest. Padding can only tie
-    an all-+inf column, after the block's own rows. Both reductions run
-    elementwise across the (S, n) planes rather than once per (row,
-    solution) as ``argmin`` would. A NaN entry (a non-finite prototype)
-    sends the stack to ``_nearest_each``, whose ``argmin`` takes the first
-    NaN.
+    (len(stack), n) arrays. The rows of ``data`` are split evenly into the
+    fewest row blocks whose padded (kmax, S, rows) block holds at most
+    ``SCAN_ENTRIES`` differences (``scan_rows``), and ``_stacked_block``
+    takes each; the stacked prototypes and their gather are laid out once.
     """
     ks = np.array([len(p) for p in stack])
     starts = np.cumsum(ks) - ks
-    pad = int(ks.sum())  # the +inf row
-    kmax = int(ks.max())
-    # the narrowest type that holds kmax keeps the (kmax, S, n) blocks small
-    slot = np.arange(kmax, dtype=np.min_scalar_type(kmax))[:, None]
-    gather = np.where(slot < ks, starts + slot, pad)
-    # the (n, sum K + 1) matrix comes out in Fortran order: .T is C order
-    d2 = sq_dist(data[:, None, :], np.concatenate([*stack, data[:1]])[None, :, :]).T
-    d2[pad] = np.inf
+    slot = np.arange(ks.max())[:, None]
+    # padding reads the extra last row, which every block sets to +inf
+    gather = np.where(slot < ks, starts + slot, int(ks.sum()))
+    protos = np.concatenate([*stack, data[:1]])
+    n = len(data)
+    blocks = -(-n // scan_rows(gather.size, data.shape[1]))
+    if blocks == 1:
+        return _stacked_block(stack, protos, gather, data)
+    labels = np.empty((len(stack), n), dtype=np.intp)
+    d2 = np.empty((len(stack), n))
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        labels[:, rows], d2[:, rows] = _stacked_block(stack, protos, gather, data[rows])
+    return labels, d2
+
+
+def _stacked_block(
+    stack: list[np.ndarray], protos: np.ndarray, gather: np.ndarray, data: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_nearest_exact`` of every block of ``stack`` on the rows of
+    ``data``, from one ``sq_dist`` matrix over ``protos``, the stacked
+    blocks plus one extra prototype whose entries are set to +inf.
+
+    Each entry is the one the block's own matrix holds: ``sq_dist`` treats
+    every (row, prototype) entry alike, whatever else is stacked beside it.
+    ``gather`` lays the matrix out as a padded (kmax, S, rows) block, each
+    block's prototypes in order with the +inf prototype as padding, and
+    ``_first_min`` reads it. Padding can only tie an all-+inf column, after
+    the block's own rows. A NaN entry (a non-finite prototype) sends the
+    rows to ``_nearest_each``, whose ``argmin`` takes the first NaN.
+    """
+    # the (rows, sum K + 1) matrix comes out in Fortran order: .T is C order
+    d2 = sq_dist(data[:, None, :], protos[None, :, :]).T
+    d2[-1] = np.inf
     block = d2[gather]
     del d2  # the block holds every entry still needed
+    labels, low = _first_min(block)
+    if labels is None:
+        return _nearest_each(stack, data)
+    return labels, low
+
+
+def _first_min(block: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """The first minimum over the first axis of a (kmax, S, n) block, and
+    the minimum, both (S, n). The lowest slot holding the minimum is the one
+    whose descending rank kmax - slot is highest, so both reductions run
+    elementwise across the (S, n) planes rather than once per (solution,
+    row) as ``argmin`` would. The labels are None when a minimum is NaN,
+    which no slot equals."""
+    kmax = len(block)
     low = np.minimum.reduce(block)
     if np.isnan(low).any():
-        return _nearest_each(stack, data)
-    rank = (block == low) * (kmax - slot[:, :, None])
-    return kmax - np.maximum.reduce(rank).astype(np.intp), low
+        return None, low
+    # the narrowest type that holds kmax keeps the rank planes small
+    rank = np.arange(kmax, 0, -1, dtype=np.min_scalar_type(kmax))[:, None, None]
+    return kmax - np.maximum.reduce((block == low) * rank).astype(np.intp), low
 
 
 def _nearest_each(
@@ -413,18 +438,22 @@ def _screened(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First minimum of each row of every (n, K_s) ``sq_dist`` matrix of
     ``data`` against a prototype block of ``stack``, and that squared
-    distance, as two (n, len(stack)) arrays, from one GEMM over the stacked
+    distance, as two (len(stack), n) arrays, from one GEMM over the stacked
     blocks. Bit for bit each block's own matrix at any d; ``assign_batch``
     uses it from ``SCREEN_MIN_DIM`` coordinates.
 
     One GEMM gives h_k = |p_k|^2 - 2 x.p_k for every row x and every stacked
-    prototype; each block's candidate label m is the argmin over its own
-    columns (several blocks are padded to a common K with columns at +inf).
-    The candidate's squared distance c_m = sq_dist(x, p_m) is the very entry
-    the block's (n, K) matrix holds, since both sum the same last axis. A
-    row keeps m only if every other column of its block clears the margin,
-    h_k > c_m - |x|^2 + M; otherwise, or if M is not finite, that row's
-    labels come from the exact matrix.
+    prototype; each block's candidate label m is the first minimum over its
+    own prototypes. Several blocks are padded to a common kmax with entries
+    at +inf and laid out as (kmax, S, n) planes for ``_first_min``, or for
+    ``argmin`` over the first axis if an h is NaN (such a row's margin is
+    not finite). One block keeps the (n, K) row layout and a row-wise
+    ``argmin``, which wins on the few rows of a tree run. The candidate's
+    squared distance c_m = sq_dist(x, p_m) is the very entry the block's
+    (n, K) matrix holds, since both sum the same last axis. A row keeps m
+    only if every other prototype of its block clears the margin, h_k > c_m
+    - |x|^2 + M; otherwise, or if M is not finite, that row's labels come
+    from the exact matrix.
 
     The bound, with u = 2^-53, g = (d+2)u / (1-(d+2)u), s = |x|^2 +
     max_k |p_k|^2 over the block, and E = 2 g s + (d+2) eta, eta the
@@ -438,40 +467,48 @@ def _screened(
     infinite whenever an intermediate (all below 4s) could overflow.
     """
     n, d = data.shape
-    ks = [len(p) for p in stack]
-    count, kmax = len(ks), max(ks)
+    ks = np.array([len(p) for p in stack])
+    count, kmax = len(ks), int(ks.max())
     if count == 1:
-        protos = stack[0][None]
+        flat = stack[0]
     else:
-        protos = np.zeros((count, kmax, d))
+        # slot-major rows: slot k of every block, block after block
+        protos = np.zeros((kmax, count, d))
         for s, p in enumerate(stack):
-            protos[s, : len(p)] = p
-    flat = protos.reshape(count * kmax, d)
+            protos[: len(p), s] = p
+        flat = protos.reshape(kmax * count, d)
     g = (d + 2) * _UNIT / (1.0 - (d + 2) * _UNIT)
     with np.errstate(over="ignore", invalid="ignore"):
-        pp = np.einsum("ij,ij->i", flat, flat).reshape(count, kmax)
-        top = pp.max(axis=1)  # zero padding cannot raise it
-        if count > 1:
-            pp[np.arange(kmax) >= np.array(ks)[:, None]] = np.inf
-        h = data @ (flat * -2.0).T
-        h += pp.ravel()
-        h = h.reshape(n, count, kmax)
-        labels = h.argmin(axis=2)
-        c2 = sq_dist(data[:, None, :], flat[labels + np.arange(0, count * kmax, kmax)])
+        pp = np.einsum("ij,ij->i", flat, flat)
+        top = pp.reshape(kmax, count).max(axis=0)  # zero padding cannot raise it
+        if count == 1:
+            h = data @ (flat * -2.0).T
+            h += pp
+            labels = h.argmin(axis=1)[None]
+            h = h.T[:, None, :]  # a (K, 1, n) view
+        else:
+            pp.reshape(kmax, count)[np.arange(kmax)[:, None] >= ks] = np.inf
+            h = (flat * -2.0) @ data.T
+            h += pp[:, None]
+            h = h.reshape(kmax, count, n)
+            labels, _ = _first_min(h)
+            if labels is None:
+                labels = h.argmin(axis=0)
+        c2 = sq_dist(data, flat[labels * count + np.arange(count)[:, None]])
         xx = np.einsum("ij,ij->i", data, data)
-        margin = xx[:, None] + top
+        margin = top[:, None] + xx
         margin *= 4.0
         margin *= 5.0 * g
         margin += 10.0 * (d + 2) * _ETA
-        cut = c2 - xx[:, None]
+        cut = c2 - xx
         cut += margin
-        close = h <= cut[:, :, None]
+        close = h <= cut
         # each finite-margin row and block holds at least its candidate
         if np.count_nonzero(close) != n * count or not np.isfinite(margin).all():
-            doubtful = (close.sum(axis=2) != 1) | ~np.isfinite(margin)
-            for s in np.flatnonzero(doubtful.any(axis=0)):
-                rows = np.flatnonzero(doubtful[:, s])
-                labels[rows, s], c2[rows, s] = _nearest_exact(stack[s], data[rows])
+            doubtful = (close.sum(axis=0) != 1) | ~np.isfinite(margin)
+            for s in np.flatnonzero(doubtful.any(axis=1)):
+                rows = np.flatnonzero(doubtful[s])
+                labels[s, rows], c2[s, rows] = _nearest_exact(stack[s], data[rows])
     return labels, c2
 
 

@@ -1,5 +1,7 @@
 """Domain types and the per-cluster streaming update rules."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +21,13 @@ from mostream.core import (
     sq_dist,
 )
 
-from oracles import assign_batch_reference, exact_mean, nearest_cluster, sq_dist_reference
+from oracles import (
+    assign_batch_reference,
+    exact_mean,
+    nearest_cluster,
+    sq_dist_reference,
+    traced_peak,
+)
 
 
 def _solution(protos, weights=None):
@@ -253,14 +261,15 @@ def _stack_check(stack, data):
     _same_bits(assign_batch(sols, data), want)
 
 
-# ``STACK_MAX_ENTRIES`` settings that force each kernel below ``SCREEN_MIN_DIM``
+# ``SCAN_ENTRIES`` settings below ``SCREEN_MIN_DIM``: the whole window in
+# one stacked block, or each row in a block of its own
 _KERNELS = {"stacked": 10**18, "each": 0}
 
 
 class TestAssignBatch:
     """Every row against each solution's own (n, K) matrix, bit for bit,
-    on both sides of the screen's dimension split and of the stacked
-    kernel's switch."""
+    on both sides of the screen's dimension split, in one row block or
+    several."""
 
     @pytest.mark.parametrize("d", [8, 9, 16])
     def test_equidistant_points_take_the_lowest_index(self, d, exact_rows):
@@ -326,6 +335,32 @@ class TestAssignBatch:
         assert (3, 20) in exact_rows
         assert all(k == 3 for k, _ in exact_rows)
 
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_infinite_prototype_in_one_of_several_blocks(self, d, exact_rows):
+        # its h entries are NaN or infinite: a NaN sends the candidate
+        # search over the planes to argmin, and the infinite margin sends
+        # every row of that block, and only that block, to the exact matrix
+        rng = np.random.default_rng(d)
+        data = rng.normal(size=(30, d))
+        far = rng.normal(size=(4, d))
+        far[1, 3] = np.inf
+        _stack_check([rng.normal(size=(3, d)), far, rng.normal(size=(6, d))], data)
+        assert exact_rows == [(4, 30)]
+
+    def test_planes_rank_past_255_prototypes(self, exact_rows):
+        # K = 300 beside a small block at d = 16: the descending ranks
+        # 1..300 need more than a byte; the grid half makes duplicate
+        # prototypes and tied rows
+        rng = np.random.default_rng(16)
+        grid = rng.integers(-2, 3, size=(150, 16)) * 0.5
+        protos = np.vstack([rng.normal(scale=2.0, size=(150, 16)), grid])
+        data = np.vstack([rng.integers(-2, 3, size=(50, 16)) * 0.5,
+                          rng.normal(scale=2.0, size=(50, 16))])
+        stack = [protos, rng.normal(size=(4, 16))]
+        _stack_check(stack, data)
+        labels, _ = assign_batch([_solution(p) for p in stack], data)
+        assert labels[0].max() > 255
+
     @pytest.mark.parametrize("d", [7, 8, 9])
     @pytest.mark.parametrize("n", [1, 25])
     def test_dimension_split_and_one_row_windows(self, d, n):
@@ -338,7 +373,8 @@ class TestAssignBatch:
             labels, dists = assign_batch([], np.zeros((3, d)))
             assert labels.shape == dists.shape == (0, 3)
 
-    @pytest.mark.parametrize("kernel", ["stacked", "each"])
+    # row blocks of any size are drawn in test_row_blocks_match_the_reference
+    @pytest.mark.parametrize("kernel", ["stacked"])
     @pytest.mark.parametrize("d", range(1, 8))
     @pytest.mark.parametrize("n", [1, 37])
     def test_both_kernels_match_the_reference(self, kernel, d, n, monkeypatch, exact_rows):
@@ -346,9 +382,9 @@ class TestAssignBatch:
         rng = np.random.default_rng(100 * d + n)
         stack = [rng.normal(size=(k, d)) for k in (1, 4, 1, 9, 2)]
         stack.append(stack[3][[2, 0, 2, 5, 0]])
-        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS[kernel])
+        monkeypatch.setattr(core, "SCAN_ENTRIES", _KERNELS[kernel])
         _stack_check(stack, rng.normal(size=(n, d)))
-        assert exact_rows == ([] if kernel == "stacked" else [(len(p), n) for p in stack])
+        assert exact_rows == []
 
     @pytest.mark.parametrize("kernel", ["stacked", "each"])
     @pytest.mark.parametrize("d", range(1, 8))
@@ -358,7 +394,7 @@ class TestAssignBatch:
         step = np.ones(d)
         protos = np.stack([step, -step, 40.0 * step, step, -step])
         data = np.stack([np.zeros(d), np.zeros(d), 39.0 * step, step, -2.0 * step])
-        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS[kernel])
+        monkeypatch.setattr(core, "SCAN_ENTRIES", _KERNELS[kernel])
         stack = [protos, protos[[1, 0, 2]], protos[[2, 2, 2]]]
         labels, _ = assign_batch([_solution(p) for p in stack], data)
         assert labels.tolist() == [[0, 0, 2, 0, 1], [0, 0, 2, 1, 0], [0, 0, 0, 0, 0]]
@@ -372,7 +408,7 @@ class TestAssignBatch:
         data = MAX_ABS_VALUE * signs(30, d)
         stack = [MAX_ABS_VALUE * signs(4, d), MAX_ABS_VALUE * rng.uniform(-1, 1, (6, d)),
                  MAX_ABS_VALUE * signs(1, d)]
-        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS[kernel])
+        monkeypatch.setattr(core, "SCAN_ENTRIES", _KERNELS[kernel])
         _stack_check(stack, data)
 
     @pytest.mark.parametrize("d", [1, 2, 7])
@@ -381,13 +417,13 @@ class TestAssignBatch:
         # an infinite prototype is an infinite entry, which both kernels
         # order alike: a block of infinite rows alone still takes its first
         # row, ahead of the +inf padding. A NaN entry makes the stacked
-        # kernel hand the stack to the per-solution one, whose argmin takes
-        # the first NaN
+        # kernel hand the stack to one matrix per solution, whose argmin
+        # takes the first NaN
         rng = np.random.default_rng(d)
         data = rng.normal(size=(12, d))
         tame = rng.normal(size=(3, d))
         far = np.vstack([np.full(d, np.inf), tame[:1]])
-        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", _KERNELS["stacked"])
+        monkeypatch.setattr(core, "SCAN_ENTRIES", _KERNELS["stacked"])
         _stack_check([tame, far, np.full((1, d), np.inf)], data)
         assert exact_rows == []
         broken = tame.copy()
@@ -396,9 +432,9 @@ class TestAssignBatch:
         assert exact_rows == [(3, 12), (3, 12)]
 
     def test_stacked_kernel_ranks_past_255_prototypes(self, exact_rows):
-        # K = 300 on 100 rows (30,000 entries) takes the stacked kernel, whose
-        # descending ranks 1..300 need more than a byte; the grid half makes
-        # duplicate prototypes and tied rows
+        # K = 300 on 100 rows is one stacked block, whose descending ranks
+        # 1..300 need more than a byte; the grid half makes duplicate
+        # prototypes and tied rows
         rng = np.random.default_rng(300)
         grid = rng.integers(-6, 7, size=(150, 2)) * 0.5
         protos = np.vstack([rng.normal(scale=3.0, size=(150, 2)), grid])
@@ -408,17 +444,59 @@ class TestAssignBatch:
         assert exact_rows == []
         assert assign_batch([_solution(protos)], data)[0].max() > 255
 
-    def test_switch_reads_the_padded_block_size(self, monkeypatch, exact_rows):
+    def test_row_blocks_split_evenly_within_the_budget(self, monkeypatch, exact_rows):
         rng = np.random.default_rng(0)
         stack = [rng.normal(size=(k, 2)) for k in (3, 7, 5)]
         data = rng.normal(size=(10, 2))
-        sols = [_solution(p) for p in stack]
-        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", 10 * 3 * 7)  # n * S * kmax
-        assign_batch(sols, data)
+        blocks = []
+        stacked = core._stacked_block
+
+        def recording(stack, protos, gather, data):
+            blocks.append(len(data))
+            return stacked(stack, protos, gather, data)
+
+        monkeypatch.setattr(core, "_stacked_block", recording)
+        # n x S x kmax padded entries of d differences each
+        for budget, rows in [(10 * 3 * 7 * 2, [10]), (10 * 3 * 7 * 2 - 1, [5, 5]),
+                             (1, [1] * 10)]:
+            blocks.clear()
+            monkeypatch.setattr(core, "SCAN_ENTRIES", budget)
+            _stack_check(stack, data)
+            assert blocks == rows
         assert exact_rows == []
-        monkeypatch.setattr(core, "STACK_MAX_ENTRIES", 10 * 3 * 7 - 1)
-        assign_batch(sols, data)
-        assert exact_rows == [(3, 10), (7, 10), (5, 10)]
+
+    @given(st.data())
+    def test_row_blocks_match_the_reference(self, data):
+        d = data.draw(st.sampled_from([1, 2, 7]))
+        n = data.draw(st.integers(1, 40))
+        # whole-number coordinates make ties; the bound's corners make
+        # entries near 4 d MAX_ABS_VALUE^2
+        coord = st.one_of(st.integers(-3, 3).map(float),
+                          st.sampled_from([-MAX_ABS_VALUE, MAX_ABS_VALUE]))
+        rows = lambda k: st.lists(st.lists(coord, min_size=d, max_size=d),  # noqa: E731
+                                  min_size=k, max_size=k)
+        points = np.array(data.draw(rows(n)))
+        points = points[data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+        ks = data.draw(st.lists(st.sampled_from([1, 1, 2, 5, 9]), min_size=1, max_size=6))
+        stack = [np.array(data.draw(rows(k))) for k in ks]
+        budget = data.draw(st.integers(1, 2 * n * len(ks) * max(ks) * d))
+        exact = []
+        nearest_exact = core._nearest_exact
+        with patch.object(core, "SCAN_ENTRIES", budget), \
+                patch.object(core, "_nearest_exact",
+                             lambda p, x: exact.append(len(x)) or nearest_exact(p, x)):
+            _stack_check(stack, points)
+        assert exact == []
+
+    def test_memory_stays_within_the_block_budget(self):
+        # one 4000-row matrix over all 20 solutions would hold 4000 x 20 x 15
+        # padded entries, 9.6 MB; a block's difference buffer holds one budget
+        rng = np.random.default_rng(4)
+        sols = [_solution(rng.normal(size=(k, 2))) for k in rng.integers(2, 16, size=20)]
+        sols[0] = _solution(rng.normal(size=(15, 2)))
+        data = rng.normal(size=(4000, 2))
+        out = 20 * 4000 * (8 + 8)  # the (S, n) labels and distances
+        assert traced_peak(assign_batch, sols, data) < out + 2 * 8 * core.SCAN_ENTRIES
 
     @given(st.data())
     def test_random_stacks_match_the_reference(self, data):

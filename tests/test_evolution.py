@@ -370,23 +370,29 @@ class TestBreed:
 
     def test_small_window_generation_takes_the_stacked_kernel(self, monkeypatch):
         """A 100-row, d = 2 generation of 20 offspring with K up to the
-        k-means sweep's 15 builds no per-solution matrix: a mis-set
-        ``STACK_MAX_ENTRIES`` would silently drop the stacked kernel."""
-        exact_calls = []
-        exact = core._nearest_exact
+        k-means sweep's 15 builds no per-solution matrix and takes the
+        window in one row block: a mis-set ``SCAN_ENTRIES`` would silently
+        split it."""
+        exact_calls, blocks = [], []
+        exact, stacked = core._nearest_exact, core._stacked_block
 
         def counting(protos, data):
             exact_calls.append(len(protos))
             return exact(protos, data)
 
+        def recording(stack, protos, gather, data):
+            blocks.append(len(data))
+            return stacked(stack, protos, gather, data)
+
         monkeypatch.setattr(core, "_nearest_exact", counting)
+        monkeypatch.setattr(core, "_stacked_block", recording)
         rng = np.random.default_rng(3)
         window = WindowBatch(rng.normal(size=(100, 2)) * 5.0, 0)
         parents = [_sol(rng.normal(size=(k, 2)) * 5.0, sid=i)
                    for i, k in enumerate(range(6, 16))]
         out = breed(parents, window, StreamConfig(), rng)
         assert len(out) == 20 and max(s.k for s in out) == 15
-        assert exact_calls == []
+        assert exact_calls == [] and blocks == [100]
 
 
 class TestIdleGeneration:
