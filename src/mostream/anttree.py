@@ -300,25 +300,26 @@ def similarity(a: np.ndarray, b: np.ndarray, diameter: float) -> np.ndarray:
     return 1.0 - dist / diameter
 
 
-def step(children: np.ndarray, ant: np.ndarray, dissim: float, diameter: float) -> int:
+def step(
+    children: np.ndarray, ant: np.ndarray, dissim: float, diameter: float, widest: float
+) -> int:
     """One move of ``ant`` at a node whose children's prototypes are the
     rows of ``children``, in id order: ``CONNECT``, or the index of the child
     to descend into (the most similar one, ties -> lowest id).
 
     A node with fewer than two children takes the ant. A node with room
     under ``L_MAX`` also takes it when the best similarity is below
-    the least pairwise child similarity or the tolerance ``dissim``; the
-    walk relaxes ``dissim`` after every move, so a wandering ant lands.
+    the least pairwise child similarity ``widest`` or the tolerance
+    ``dissim``; the walk relaxes ``dissim`` after every move, so a wandering
+    ant lands.
     """
     k = len(children)
     if k < 2:
         return CONNECT
     sims = similarity(children, ant, diameter)
     best = int(sims.argmax())
-    if k < L_MAX:
-        widest = similarity(children[:, None, :], children[None, :, :], diameter).min()
-        if sims[best] < max(widest, dissim):
-            return CONNECT
+    if k < L_MAX and sims[best] < max(widest, dissim):
+        return CONNECT
     return best
 
 
@@ -351,7 +352,9 @@ def window_scales(data: np.ndarray) -> tuple[float, float]:
 def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     """Place every first-window point as an ant; the tree is ready to stream.
 
-    The walk keeps child rows in plain lists; the columns are made once, in
+    The walk keeps child rows in plain lists, and each node's least pairwise
+    child similarity, which an appended child can only lower, so ``step``
+    never rebuilds a node's child-pair matrix. The columns are made once, in
     preorder, every node holding its one point (mass 1).
     """
     n = len(window)
@@ -361,6 +364,8 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     ants = window.data[order]
     parent = np.full(n, -1)  # parent row of each node, -1 for the support
     kids: list[list[int]] = [[] for _ in range(n + 1)]  # kids[-1]: the support's
+    # least child-pair similarity per node; 1.0, a child's own, until a pair
+    widest = np.ones(n + 1)
     guard = 0
     guard_limit = 200 * (n + 10) * (L_MAX + 10)
     for row, ant in enumerate(ants):
@@ -369,12 +374,14 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
             guard += 1
             if guard > guard_limit:  # pragma: no cover - internal fault trap
                 raise RuntimeError("tree construction failed to make progress")
-            child = step(ants[kids[pos]], ant, dissim, diameter)
+            child = step(ants[kids[pos]], ant, dissim, diameter, widest[pos])
             if child == CONNECT:
                 break
             pos = kids[pos][child]
             dissim = min(1.0, dissim + DISSIM_RELAX)
         parent[row] = pos
+        if kids[pos]:
+            widest[pos] = min(widest[pos], similarity(ants[kids[pos]], ant, diameter).min())
         kids[pos].append(row)
 
     preorder, stack = [], kids[-1][::-1]

@@ -1,10 +1,12 @@
 """Windowed streaming driver.
 
 The first window builds the tree synopsis and seeds the archive through
-multiple clustering routes plus one breeding pass. The growing gas, the
-largest of those routes and independent of the others until scoring, grows
-in one forked worker process while this process builds the tree and runs
-the k-means sweep and the density scan; its units are then labelled here.
+multiple clustering routes plus one breeding pass. The growing gas,
+independent of the others until scoring, grows in one forked worker
+process while this process builds the tree and runs the k-means sweep and
+the density scan; its units are then labelled here. On a small window the
+gas is the largest of those routes; its signal count is fixed, so on a
+1000-row window the tree build and the sweep take longer.
 Where ``os.fork`` is missing or only one CPU is usable the gas grows in
 process, with the same result. Every later window flows
 through a fixed pipeline: points map into the tree (in runs of rows, each

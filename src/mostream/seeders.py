@@ -35,8 +35,12 @@ KMEANS_K_MAX = 15
 # within DBSCAN_RADIUS
 DBSCAN_MIN_PTS = 20
 DBSCAN_RADIUS = 10.0
-# growing neural gas (standard scheme)
-GNG_EPOCHS = 30
+# growing neural gas (standard scheme). It runs GNG_SIGNALS signals, not a
+# number of passes: its last split (GNG_MAX_NODES - 2 of them) falls on
+# signal (GNG_MAX_NODES - 2) * GNG_INSERT_EVERY = 3000, and later signals
+# only nudge a full gas. A 100-row window takes 30 whole passes, a 1000-row
+# window 3.
+GNG_SIGNALS = 3000
 GNG_MAX_NODES = 32
 GNG_EPS_BEST = 0.05
 GNG_EPS_NEIGHBOR = 0.006
@@ -81,6 +85,10 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     """Lloyd's algorithm with kmeans++ start, at most 100 iterations; returns
     the final (labels, centers), each fed center its label's row mean.
 
+    For d >= 2 one bincount per coordinate gives every fed center's row sum,
+    adding rows in window order as a masked mean does; at d = 1 numpy sums
+    the lone column pairwise, so the means are taken per center there.
+
     An emptied cluster is re-seeded from the point farthest from its own
     center; a re-seed that empties a later cluster is caught in the same
     pass, while a later re-seed can empty an earlier one again.
@@ -114,9 +122,15 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for ci in range(k):
-            if sizes[ci]:
+        if data.shape[1] == 1:
+            for ci in np.flatnonzero(sizes):
                 centers[ci] = data[labels == ci].mean(axis=0)
+        else:
+            fed = sizes > 0
+            sums = np.column_stack(
+                [np.bincount(labels, weights=column, minlength=k) for column in data.T]
+            )
+            centers[fed] = sums[fed] / sizes[fed, None]
     return labels, centers
 
 
@@ -138,10 +152,13 @@ def connected_components(
 
     Components are numbered 0, 1, ... in the order of their smallest member
     index. Only the nodes the bool mask ``nodes`` selects (all by default)
-    join components or carry links; the others are labelled -1.
+    join components or carry links; the others are labelled -1. A frontier's
+    rows are read in blocks of ``scan_rows``, so no copy of them holds more
+    than ``core.SCAN_ENTRIES`` entries.
     """
     open_ = np.ones(len(adjacent), dtype=bool) if nodes is None else nodes.copy()
     labels = np.full(len(adjacent), -1)
+    step = scan_rows(len(adjacent), 1)
     count = 0
     for start in np.flatnonzero(open_):
         if labels[start] >= 0:
@@ -150,7 +167,10 @@ def connected_components(
         while frontier.size:
             labels[frontier] = count
             open_[frontier] = False
-            frontier = np.flatnonzero(adjacent[frontier].any(axis=0) & open_)
+            reached = np.zeros(len(adjacent), dtype=bool)
+            for i in range(0, len(frontier), step):
+                reached |= adjacent[frontier[i : i + step]].any(axis=0)
+            frontier = np.flatnonzero(reached & open_)
         count += 1
     return labels
 
@@ -211,7 +231,9 @@ def grow_gas(
     runner-up is refreshed, the winner and its neighbors drift toward the
     signal, and every ``GNG_INSERT_EVERY`` signals a new unit splits the
     highest-error unit's edge to its highest-error neighbor (ties -> lowest
-    index).
+    index). The signals are the rows in shuffled passes, one
+    ``rng.permutation`` each, ``GNG_SIGNALS`` in all: the last pass is cut
+    at the budget.
 
     Units live in one preallocated (GNG_MAX_NODES, d) array. Edges live in
     one dict per unit, neighbor -> age, so aging and expiry touch only the
@@ -239,8 +261,8 @@ def grow_gas(
     # views of the m live units, their errors and their rate columns
     live, live_errors, live_rate = units[:m], errors[:m], rate[:, :m, None]
     signals = 0
-    for _ in range(GNG_EPOCHS):
-        for x in data[rng.permutation(n)]:
+    while signals < GNG_SIGNALS:
+        for x in data[rng.permutation(n)[: GNG_SIGNALS - signals]]:
             signals += 1
             diff = x - live
             d2 = sum_coords(diff * diff)

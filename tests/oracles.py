@@ -201,6 +201,49 @@ def macro_walk_reference(ids, parents, prototypes, weights):
     return np.vstack(protos), np.array(masses)
 
 
+def ant_walk_reference(data, l_max=10, relax=0.01):
+    """The first-window ant walk with every node's child-pair similarity
+    matrix rebuilt at each step, as the tree build first stood. Row 1 goes
+    last when there are 3+ rows. Returns the tree's (ids, parents,
+    prototypes) columns: nodes in preorder, children in the order they were
+    added, ids 1..n, parent 0 for the support."""
+    data = np.asarray(data, dtype=float)
+    n = len(data)
+    diameter = float(np.sqrt(sq_dist_reference(data[:, None, :], data[None, :, :]).max()))
+
+    def similarity(a, b):
+        dist = np.sqrt(sq_dist_reference(a, b))
+        if diameter <= 0.0:
+            return (dist == 0.0).astype(float)
+        return 1.0 - dist / diameter
+
+    ants = data[[0, *range(2, n), 1]] if n >= 3 else data
+    kids = {-1: []}  # row -> child rows, -1 for the support
+    for row, ant in enumerate(ants):
+        pos, dissim = -1, 0.0
+        while len(kids[pos]) >= 2:
+            children = ants[kids[pos]]
+            sims = similarity(children, ant)
+            best = int(sims.argmax())
+            if len(children) < l_max:
+                widest = similarity(children[:, None, :], children[None, :, :]).min()
+                if sims[best] < max(widest, dissim):
+                    break
+            pos = kids[pos][best]
+            dissim = min(1.0, dissim + relax)
+        kids[pos].append(row)
+        kids[row] = []
+    preorder, parents, stack = [], [], [(row, -1) for row in reversed(kids[-1])]
+    while stack:
+        row, parent = stack.pop()
+        preorder.append(row)
+        parents.append(parent)
+        stack.extend((kid, row) for kid in reversed(kids[row]))
+    node_id = {-1: 0, **{row: i + 1 for i, row in enumerate(preorder)}}
+    return (np.arange(1, n + 1), np.array([node_id[p] for p in parents], dtype=np.int64),
+            ants[preorder])
+
+
 # ---------------------------------------------------------------------------
 # loop forms of the vectorized objective and validity kernels. Distances are
 # the squared differences summed over the last axis, then the square root,
@@ -353,14 +396,15 @@ def lloyd_reference(data, centers, iterations=100):
     return labels, centers
 
 
-def gng_reference(data, seed, epochs=30, max_nodes=32, eps_best=0.05,
+def gng_reference(data, seed, budget=3000, max_nodes=32, eps_best=0.05,
                   eps_neighbor=0.006, max_edge_age=50, insert_every=100,
                   split_decay=0.5, error_decay=0.995):
     """Growing-neural-gas clustering with units in a list and edges in a
-    dict, as the seeder first stood. Returns (labels, centers, gas): each
-    point's cluster, the per-cluster means, and the final units, errors and
-    edge ages ((lo, hi) -> age) with the number of unit splits and edge
-    expiries the run went through."""
+    dict, as the seeder first stood, over ``budget`` signals: shuffled
+    passes over the rows, the last one cut at the budget. Returns (labels,
+    centers, gas): each point's cluster, the per-cluster means, and the
+    final units, errors and edge ages ((lo, hi) -> age) with the number of
+    signals, unit splits and edge expiries the run went through."""
     data = np.asarray(data, dtype=float)
     n = len(data)
     rng = np.random.default_rng(seed)
@@ -370,8 +414,10 @@ def gng_reference(data, seed, epochs=30, max_nodes=32, eps_best=0.05,
     edges = {}  # (lo, hi) -> age
     gas = {"splits": 0, "expiries": 0}
     signals = 0
-    for _ in range(epochs):
+    while signals < budget:
         for idx in rng.permutation(n):
+            if signals == budget:
+                break
             x = data[idx]
             signals += 1
             u = np.vstack(units)
@@ -423,7 +469,7 @@ def gng_reference(data, seed, epochs=30, max_nodes=32, eps_best=0.05,
     roots = sorted({find(i) for i in range(m)})
     comp_of_unit = np.array([roots.index(find(i)) for i in range(m)])
     u = np.vstack(units)
-    gas.update(units=u, errors=np.array(errors), edges=edges)
+    gas.update(units=u, errors=np.array(errors), edges=edges, signals=signals)
     nearest = np.argmin(((data[:, None, :] - u[None, :, :]) ** 2).sum(axis=-1), axis=1)
     labels = comp_of_unit[nearest]
     centers = []

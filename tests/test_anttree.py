@@ -23,7 +23,13 @@ from mostream.anttree import (
     step,
     window_scales,
 )
-from oracles import macro_walk_reference, subtree_rows, traced_peak, tree_children
+from oracles import (
+    ant_walk_reference,
+    macro_walk_reference,
+    subtree_rows,
+    traced_peak,
+    tree_children,
+)
 
 
 def _pt(*coords):
@@ -102,11 +108,18 @@ class TestSimilarity:
         assert np.allclose(sims, [[1.0, 0.4], [0.4, 1.0]])
 
 
+def _step(children, ant, dissim, diameter):
+    """``step`` given the least child-pair similarity of the whole child
+    matrix (the diagonal's 1.0 without a pair)."""
+    pairs = similarity(children[:, None, :], children[None, :, :], diameter)
+    return step(children, ant, dissim, diameter, pairs.min(initial=1.0))
+
+
 class TestConnectAnt:
     """``step``: an ant at one node either connects there or descends."""
 
     def test_empty_support_connects(self):
-        assert step(_kids(), _pt(0, 0), 0.0, 0.0) == CONNECT
+        assert _step(_kids(), _pt(0, 0), 0.0, 0.0) == CONNECT
         tree = build_initial_tree(_window([[0.0, 0.0]]))
         assert tree.parents.tolist() == [SUPPORT_ID]
         assert np.array_equal(tree.prototypes[0], [0, 0])
@@ -115,34 +128,34 @@ class TestConnectAnt:
     def test_second_child_connects(self):
         # one child is never compared: even a coincident ant connects
         for ant in [(6, 0), (0, 0)]:
-            assert step(_kids((0, 0)), _pt(*ant), 0.0, 10.0) == CONNECT
+            assert _step(_kids((0, 0)), _pt(*ant), 0.0, 10.0) == CONNECT
         tree = build_initial_tree(_window([[0.0, 0.0], [6.0, 0.0]]))
         assert _first_level(tree) == [1, 2]
 
     def test_dissimilar_ant_connects_at_full_support(self):
         # children at distance 6 with diameter 10: pairwise sim 0.4;
         # an ant 7 away from its closest child scores 0.3 < 0.4 -> connect
-        assert step(_kids((0, 0), (6, 0)), _pt(13, 0), 0.0, 10.0) == CONNECT
+        assert _step(_kids((0, 0), (6, 0)), _pt(13, 0), 0.0, 10.0) == CONNECT
 
     def test_similar_ant_moves_toward_closest_child(self):
         children = _kids((0, 0), (6, 0))
         before = children.copy()
-        assert step(children, _pt(7, 0), 0.0, 10.0) == 1
+        assert _step(children, _pt(7, 0), 0.0, 10.0) == 1
         assert np.array_equal(children, before)
 
     def test_relaxed_tolerance_connects(self):
         # the same ant connects once its tolerance exceeds its similarity 0.9
         children = _kids((0, 0), (6, 0))
-        assert step(children, _pt(7, 0), 0.89, 10.0) == 1
-        assert step(children, _pt(7, 0), 0.95, 10.0) == CONNECT
+        assert _step(children, _pt(7, 0), 0.89, 10.0) == 1
+        assert _step(children, _pt(7, 0), 0.95, 10.0) == CONNECT
 
     def test_full_node_moves_even_when_dissimilar(self):
         # L_MAX children 6 apart; the ant is 13 past the last one, so with
         # room it would connect at any tolerance
         children = _kids(*[(6.0 * i, 0.0) for i in range(L_MAX)])
         ant = _pt(6.0 * (L_MAX - 1) + 13.0, 0.0)
-        assert step(children[:-1], ant, 1.0, 10.0) == CONNECT
-        assert step(children, ant, 1.0, 10.0) == L_MAX - 1
+        assert _step(children[:-1], ant, 1.0, 10.0) == CONNECT
+        assert _step(children, ant, 1.0, 10.0) == L_MAX - 1
 
 
 def _reference_step(children, ant, dissim, diameter):
@@ -168,7 +181,7 @@ class TestChildScans:
         children = _kids((0, 1), (1, 0), (0, -1), (0, 1))
         for query, want in [((0.0, 0.0), 0), ((0.0, 1.0), 0), ((1.0, 0.0), 1)]:
             assert _reference_step(children, _pt(*query), 0.0, diameter) == (want, False)
-            assert step(children, _pt(*query), 0.0, diameter) == want
+            assert _step(children, _pt(*query), 0.0, diameter) == want
 
     def test_single_child_has_no_pairs(self):
         # no pair to compare: the least pairwise similarity stays infinite,
@@ -176,7 +189,7 @@ class TestChildScans:
         for ant in [(3, 4), (0, 0), (300, 400)]:
             for dissim in (0.0, 1.0):
                 assert _reference_step(_kids((3, 4)), _pt(*ant), dissim, 10.0) == (0, True)
-                assert step(_kids((3, 4)), _pt(*ant), dissim, 10.0) == CONNECT
+                assert _step(_kids((3, 4)), _pt(*ant), dissim, 10.0) == CONNECT
 
     @pytest.mark.parametrize("dim", [2, 16])
     def test_match_loops_on_every_built_node(self, dim):
@@ -195,7 +208,7 @@ class TestChildScans:
                 for dissim in (0.0, 50 * DISSIM_RELAX):
                     best, connects = _reference_step(children, q, dissim, diameter)
                     want = CONNECT if connects else best
-                    assert step(children, q, dissim, diameter) == want
+                    assert _step(children, q, dissim, diameter) == want
         assert checked >= 5
 
 
@@ -239,8 +252,8 @@ class TestBuild:
             data[:] = data[0]
         placed = []
 
-        def spy(children, ant, dissim, diameter):
-            out = step(children, ant, dissim, diameter)
+        def spy(children, ant, dissim, diameter, widest):
+            out = step(children, ant, dissim, diameter, widest)
             if out == CONNECT:
                 placed.append(ant)
             return out
@@ -263,8 +276,8 @@ class TestBuild:
         # to 1.0
         seen = []
 
-        def spy(children, ant, dissim, diameter):
-            out = step(children, ant, dissim, diameter)
+        def spy(children, ant, dissim, diameter, widest):
+            out = step(children, ant, dissim, diameter, widest)
             seen.append((dissim, out))
             return out
 
@@ -285,6 +298,28 @@ class TestBuild:
         for walk in walks:
             assert walk == want[: len(walk)]
         assert max(map(max, walks)) == 1.0
+
+    @given(
+        n=st.integers(1, 120),
+        d=st.integers(1, 8),
+        shape=st.sampled_from(["random", "duplicates", "lattice"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walk_matches_the_recomputing_reference(self, n, d, shape, seed):
+        # the build's kept least child-pair similarities against a walk that
+        # rebuilds every visited node's child-pair matrix; duplicates draw
+        # every row from 1-4 points, lattices tie similarities everywhere
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        if shape == "duplicates":
+            data = data[rng.integers(0, rng.integers(1, min(n, 4) + 1), n)]
+        elif shape == "lattice":
+            data = rng.integers(-2, 3, size=(n, d)).astype(float)
+        ids, parents, prototypes = ant_walk_reference(data, L_MAX, DISSIM_RELAX)
+        tree = build_initial_tree(_window(data))
+        assert tree.ids.tolist() == ids.tolist()
+        assert tree.parents.tolist() == parents.tolist()
+        assert tree.prototypes.tobytes() == prototypes.tobytes()
 
     def test_mean_nearest_neighbor_distance(self):
         data = np.array([[0.0], [1.0], [5.0]])

@@ -103,6 +103,24 @@ class TestKMeans:
         assert labels.tobytes() == want_labels.tobytes()
         assert centers.tobytes() == want_centers.tobytes()
 
+    @given(
+        n=st.integers(2, 300),
+        d=st.sampled_from([1, 2, 3, 7, 8, 16]),
+        k=st.integers(1, 15),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_scan_reference_on_real_windows(self, n, d, k, seed):
+        # real-valued rows, so the order of each center's row sum shows in
+        # the last bits: window order for d >= 2, numpy's pairwise sum at d = 1
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        k = min(k, n)
+        start = seeders._kmeans_pp_init(data, k, np.random.default_rng(seed))
+        labels, centers = _lloyd(WindowBatch(data, 0), k, seed)
+        want_labels, want_centers = lloyd_reference(data, start)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert centers.tobytes() == want_centers.tobytes()
+
     def test_recovers_far_triples_exactly(self, triples):
         sol = _kmeans(triples, 3, seed=0)
         got = np.array(sorted(map(tuple, sol.prototypes)))
@@ -267,11 +285,23 @@ class TestDBScan:
 
     @pytest.mark.parametrize("shape", [(4000, 2), (2000, 16)])
     def test_memory_stays_within_the_mask_and_the_scan_budget(self, shape):
-        # the n x n neighbour mask and one frontier copy of it in
-        # connected_components; 512-row blocks peaked at 77.8 and 144.4 MiB
+        # the n x n neighbour mask with room for a second one; 512-row
+        # blocks peaked at 77.8 and 144.4 MiB
         n = shape[0]
         window = WindowBatch(np.random.default_rng(2).normal(size=shape), 0)
         assert traced_peak(seed_dbscan, window) < 2 * n * n + 4 * 2**20
+
+    def test_one_component_holds_no_second_mask(self):
+        # every row is a core within reach of every other, so the first
+        # frontier is the whole window. Its rows are reduced in blocks: the
+        # peak is the n x n mask plus one distance block's working set (its
+        # 8 * SCAN_ENTRIES bytes of differences, their (rows, n) sum and
+        # numpy's buffers, 1.9 MiB). A whole-frontier copy of the mask read
+        # 17.7 MiB against the 8.6 MiB mask.
+        n = 3000
+        window = WindowBatch(np.random.default_rng(2).normal(size=(n, 2)), 0)
+        assert traced_peak(seed_dbscan, window) < n * n + 3 * 8 * core.SCAN_ENTRIES
+        assert seed_dbscan(window).k == 1
 
 
 class TestConnectedComponents:
@@ -382,11 +412,13 @@ class TestGNG:
         assert sol.k <= 4
 
     @staticmethod
-    def _oracle(data, seed):
-        """``gng_reference`` run with the module's current constants."""
+    def _oracle(data, seed, budget=None):
+        """``gng_reference`` run with the module's current constants (and
+        ``GNG_SIGNALS`` unless a ``budget`` is given)."""
         return gng_reference(
             data, seed,
-            epochs=seeders.GNG_EPOCHS, max_nodes=seeders.GNG_MAX_NODES,
+            budget=seeders.GNG_SIGNALS if budget is None else budget,
+            max_nodes=seeders.GNG_MAX_NODES,
             eps_best=seeders.GNG_EPS_BEST, eps_neighbor=seeders.GNG_EPS_NEIGHBOR,
             max_edge_age=seeders.GNG_MAX_EDGE_AGE,
             insert_every=seeders.GNG_INSERT_EVERY,
@@ -408,6 +440,34 @@ class TestGNG:
         for (a, b), edge_age in gas["edges"].items():
             want[a, b] = want[b, a] = edge_age
         assert age.tobytes() == want.tobytes()
+
+    def test_hundred_rows_take_thirty_whole_passes(self):
+        # the budget is 30 whole passes over a 100-row window: the same gas,
+        # byte for byte, as a reference run for 30 passes
+        data = np.random.default_rng(5).normal(size=(100, 2))
+        _, _, gas = self._oracle(data, 3, budget=30 * len(data))
+        assert gas["signals"] == seeders.GNG_SIGNALS
+        units, _, _ = grow_gas(data, seed=3)
+        assert units.tobytes() == gas["units"].tobytes()
+        self._assert_same_gas(WindowBatch(data, 0), 3, gas)
+
+    @pytest.mark.parametrize("n", [7, 1000, 3001])
+    def test_runs_exactly_the_signal_budget(self, n, monkeypatch):
+        # every signal sums one difference: 429 passes of 7 rows (the last
+        # cut to 4), three of 1000, or one of 3001 cut one row short
+        data = np.random.default_rng(n).normal(size=(n, 2))
+        summed, sums = [], seeders.sum_coords
+
+        def counting(sq):
+            summed.append(len(sq))
+            return sums(sq)
+
+        monkeypatch.setattr(seeders, "sum_coords", counting)
+        grow_gas(data, seed=1)
+        assert len(summed) == seeders.GNG_SIGNALS
+        _, _, gas = self._oracle(data, 1)
+        assert gas["signals"] == seeders.GNG_SIGNALS
+        self._assert_same_gas(WindowBatch(data, 0), 1, gas)
 
     def test_split_tie_takes_lowest_index(self):
         # identical rows: every error stays 0, unit 0 always wins and unit 1
