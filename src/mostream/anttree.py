@@ -300,12 +300,10 @@ def similarity(a: np.ndarray, b: np.ndarray, diameter: float) -> np.ndarray:
     return 1.0 - dist / diameter
 
 
-def step(
-    children: np.ndarray, ant: np.ndarray, dissim: float, diameter: float, widest: float
-) -> int:
-    """One move of ``ant`` at a node whose children's prototypes are the
-    rows of ``children``, in id order: ``CONNECT``, or the index of the child
-    to descend into (the most similar one, ties -> lowest id).
+def step(sims: np.ndarray, dissim: float, widest: float) -> int:
+    """One move of an ant at a node, given its similarities ``sims`` to the
+    node's children in id order: ``CONNECT``, or the index of the child to
+    descend into (the most similar one, ties -> lowest id).
 
     A node with fewer than two children takes the ant. A node with room
     under ``L_MAX`` also takes it when the best similarity is below
@@ -313,10 +311,9 @@ def step(
     ``dissim``; the walk relaxes ``dissim`` after every move, so a wandering
     ant lands.
     """
-    k = len(children)
+    k = len(sims)
     if k < 2:
         return CONNECT
-    sims = similarity(children, ant, diameter)
     best = int(sims.argmax())
     if k < L_MAX and sims[best] < max(widest, dissim):
         return CONNECT
@@ -354,8 +351,11 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
 
     The walk keeps child rows in plain lists, and each node's least pairwise
     child similarity, which an appended child can only lower, so ``step``
-    never rebuilds a node's child-pair matrix. The columns are made once, in
-    preorder, every node holding its one point (mass 1).
+    never rebuilds a node's child-pair matrix. Each ant's similarities to
+    every ant placed before it are taken once, as one row, and every move
+    and every lowered least similarity reads its entries: each entry is the
+    one a call on those children alone gives, bit for bit. The columns are
+    made once, in preorder, every node holding its one point (mass 1).
     """
     n = len(window)
     tree = TreeSynopsis(window.dim)
@@ -369,19 +369,20 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     guard = 0
     guard_limit = 200 * (n + 10) * (L_MAX + 10)
     for row, ant in enumerate(ants):
+        sims = similarity(ants[:row], ant, diameter)  # to every placed ant
         pos, dissim = -1, 0.0
         while True:
             guard += 1
             if guard > guard_limit:  # pragma: no cover - internal fault trap
                 raise RuntimeError("tree construction failed to make progress")
-            child = step(ants[kids[pos]], ant, dissim, diameter, widest[pos])
+            child = step(sims[kids[pos]], dissim, widest[pos])
             if child == CONNECT:
                 break
             pos = kids[pos][child]
             dissim = min(1.0, dissim + DISSIM_RELAX)
         parent[row] = pos
         if kids[pos]:
-            widest[pos] = min(widest[pos], similarity(ants[kids[pos]], ant, diameter).min())
+            widest[pos] = min(widest[pos], sims[kids[pos]].min())
         kids[pos].append(row)
 
     preorder, stack = [], kids[-1][::-1]

@@ -1,14 +1,23 @@
 """Windowed streaming driver.
 
 The first window builds the tree synopsis and seeds the archive through
-multiple clustering routes plus one breeding pass. The growing gas,
-independent of the others until scoring, grows in one forked worker
-process while this process builds the tree and runs the k-means sweep and
-the density scan; its units are then labelled here. On a small window the
-gas is the largest of those routes; its signal count is fixed, so on a
-1000-row window the tree build and the sweep take longer.
-Where ``os.fork`` is missing or only one CPU is usable the gas grows in
-process, with the same result. Every later window flows
+multiple clustering routes plus one breeding pass. Set-up runs on two
+processes. One forked worker grows the gas, which needs nothing from the
+other routes until scoring, while this process builds the tree and runs the
+density scan. Then both take the k-means sweep's k values from one token
+pipe, one byte per k written largest k first before the fork, each process
+claiming the next k when it is free; the pipe's write end is closed, so a
+drained pipe ends both sweeps. The worker sends its gas and its share of the
+sweep back, the sweeps are merged by k and the gas is labelled here, so the
+population and every report byte do not depend on who ran which k. The tree
+build, the density scan, the sweep and the gas labelling are always called
+in this process as well, with an empty share of the sweep if the worker
+took every k: a tracer that wraps them from outside records only this
+process's calls. Where ``os.fork`` is missing or only one CPU is usable the
+worker's call runs in process after this one's sweep has claimed every k,
+with the same result.
+
+Every later window flows
 through a fixed pipeline: points map into the tree (in runs of rows, each
 row placed as the point-by-point rule would), every archive member absorbs
 the window and fades, the members are rescored in one pass together with
@@ -29,7 +38,7 @@ import pickle
 import signal
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -54,7 +63,7 @@ from .objectives import (
     separateness,
     update_compactness,
 )
-from .seeders import grow_gas, kmeans_sweep, seed_dbscan, seed_gng
+from .seeders import grow_gas, kmeans_sweep, seed_dbscan, seed_gng, sweep_ks
 
 GAMMA_ONE_REF_WINDOWS = 100  # reference head-room when gamma=1 disables decay
 
@@ -220,10 +229,10 @@ class _Worker:
     missing or only one CPU is usable, ``result()`` makes the call in
     process instead.
 
-    The engine starts no thread of its own, and the gas calls no BLAS
-    routine, so the child touches no lock or pool a parent thread could
-    hold at the fork. The child catches everything, interrupts included, so
-    that the parent re-raises it.
+    The engine starts no thread of its own, and neither the gas nor the
+    k-means sweep calls a BLAS routine, so the child touches no lock or
+    pool a parent thread could hold at the fork. The child catches
+    everything, interrupts included, so that the parent re-raises it.
     """
 
     def __init__(self, fn: Callable, *args) -> None:
@@ -288,24 +297,62 @@ class _Worker:
             self._pid = None
 
 
+def _token_pipe(ks: Iterable[int]) -> int:
+    """Read end of a pipe holding one byte per k of ``ks``, largest first.
+    Its write end is closed, so a read from the drained pipe returns
+    ``b""`` in every process that holds the read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, bytes(sorted(ks, reverse=True)))
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return read_fd
+
+
+def _claims(tokens: int) -> Iterator[int]:
+    """The k values this process claims from the token pipe, one byte per
+    read, until it runs dry; a byte one process reads no other can."""
+    while token := os.read(tokens, 1):
+        yield token[0]
+
+
+def _gas_and_sweep(window: WindowBatch, seed: int, tokens: int):
+    """The worker's share of set-up: the gas, then every k it claims."""
+    return grow_gas(window.data, seed), kmeans_sweep(window, seed, _claims(tokens))
+
+
 def initialize(first_window: WindowBatch, cfg: StreamConfig) -> EngineState:
     """Build the tree, seed and score the population, breed once, fill the archive."""
     t0 = time.perf_counter()
-    # the gas needs nothing from the other seeders, so it grows in a worker
-    # while they run; its n >= 2 check is made here, before any fork
-    gas = _Worker(grow_gas, first_window.data, cfg.rng_seed) if len(first_window) >= 2 else None
+    seed = cfg.rng_seed
+    # largest k first: the longest jobs go out while both processes are
+    # busy and the short ones even out the finish (list scheduling)
+    tokens = _token_pipe(sweep_ks(len(first_window)))
+    worker = None
     try:
+        # the gas's n >= 2 check is made here, before any fork
+        if len(first_window) >= 2:
+            worker = _Worker(_gas_and_sweep, first_window, seed, tokens)
         tree = build_initial_tree(first_window)
-        # macro view, k-means sweep, density scan and gas, scored in one
-        # pass. Each cluster's mass is the rows scoring gives it, taken
-        # before evaluation drops the unfed ones.
-        population = [tree.macro_clusters(), *kmeans_sweep(first_window, cfg.rng_seed)]
-        population.append(seed_dbscan(first_window))
-        if gas is not None:
-            population.append(seed_gng(first_window, gas.result()))
+        density = seed_dbscan(first_window)
+        sweep = kmeans_sweep(first_window, seed, _claims(tokens))
+        gas = []
+        if worker is not None:
+            grown, claimed = worker.result()
+            sweep += claimed
+            gas.append(seed_gng(first_window, grown))
     finally:
-        if gas is not None:
-            gas.close()
+        if worker is not None:
+            worker.close()
+        os.close(tokens)
+    # macro view, k-means sweep (k ascending), density scan and gas, scored
+    # in one pass. Each cluster's mass is the rows scoring gives it, taken
+    # before evaluation drops the unfed ones.
+    sweep.sort(key=lambda sol: sol.k)
+    population = [tree.macro_clusters(), *sweep, density, *gas]
     labels, dists = assign_batch(population, first_window.data)
     for sol, row in zip(population, labels):
         sol.weights = np.bincount(row, minlength=sol.k).astype(float)

@@ -7,13 +7,14 @@ three are deterministic given (window, seed); their settings are the module
 constants below. The gas comes in two steps: ``grow_gas`` grows the units
 and edges from the rows and a seed, and ``seed_gng`` labels the window by
 them. The engine runs ``grow_gas`` in a forked worker while the other
-routes run, and ``seed_gng`` in its own process.
+routes run, and ``seed_gng`` in its own process; the worker then shares the
+k-means sweep, k by k, with the engine's process.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -134,10 +135,21 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return labels, centers
 
 
-def kmeans_sweep(window: WindowBatch, seed: int) -> list[ClusteringSolution]:
-    """One solution per feasible k in [KMEANS_K_MIN, min(KMEANS_K_MAX, n)],
-    with Lloyd's k final centers as they are (see ``_lloyd``)."""
-    ks = range(KMEANS_K_MIN, min(KMEANS_K_MAX, len(window)) + 1)
+def sweep_ks(n: int) -> range:
+    """The sweep's feasible k on an n-row window: [KMEANS_K_MIN,
+    min(KMEANS_K_MAX, n)]."""
+    return range(KMEANS_K_MIN, min(KMEANS_K_MAX, n) + 1)
+
+
+def kmeans_sweep(
+    window: WindowBatch, seed: int, ks: Optional[Iterable[int]] = None
+) -> list[ClusteringSolution]:
+    """One solution per k of ``ks`` (all of ``sweep_ks(n)`` by default), in
+    the order ``ks`` yields them, with Lloyd's k final centers as they are
+    (see ``_lloyd``). Each k runs on seed ``seed + k``, so a solution is the
+    same whichever sweep, or process, takes its k; ``ks`` is read one k at a
+    time, so it may be claimed as the sweep goes."""
+    ks = sweep_ks(len(window)) if ks is None else ks
     return [_solution(window.data, *_lloyd(window, k, seed + k)) for k in ks]
 
 

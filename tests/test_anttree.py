@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from mostream import anttree, core
 from mostream.core import MAX_ABS_VALUE, WindowBatch, fade_weight, merge_prototype
+from mostream.stream_io import gen_blobs
 from mostream.anttree import (
     COLUMNS,
     CONNECT,
@@ -112,7 +113,7 @@ def _step(children, ant, dissim, diameter):
     """``step`` given the least child-pair similarity of the whole child
     matrix (the diagonal's 1.0 without a pair)."""
     pairs = similarity(children[:, None, :], children[None, :, :], diameter)
-    return step(children, ant, dissim, diameter, pairs.min(initial=1.0))
+    return step(similarity(children, ant, diameter), dissim, pairs.min(initial=1.0))
 
 
 class TestConnectAnt:
@@ -250,15 +251,21 @@ class TestBuild:
         data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
         if duplicates:
             data[:] = data[0]
-        placed = []
+        placed, walking = [], []
 
-        def spy(children, ant, dissim, diameter, widest):
-            out = step(children, ant, dissim, diameter, widest)
+        def row_spy(placed_ants, ant, diameter):
+            # the build takes one similarity row per ant, before its walk
+            walking.append(ant)
+            return similarity(placed_ants, ant, diameter)
+
+        def spy(sims, dissim, widest):
+            out = step(sims, dissim, widest)
             if out == CONNECT:
-                placed.append(ant)
+                placed.append(walking[-1])
             return out
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anttree, "similarity", row_spy)
             mp.setattr(anttree, "step", spy)
             tree = build_initial_tree(_window(data))
         rows = [0, *range(2, n), 1] if n >= 3 else list(range(n))
@@ -276,8 +283,8 @@ class TestBuild:
         # to 1.0
         seen = []
 
-        def spy(children, ant, dissim, diameter, widest):
-            out = step(children, ant, dissim, diameter, widest)
+        def spy(sims, dissim, widest):
+            out = step(sims, dissim, widest)
             seen.append((dissim, out))
             return out
 
@@ -315,6 +322,22 @@ class TestBuild:
             data = data[rng.integers(0, rng.integers(1, min(n, 4) + 1), n)]
         elif shape == "lattice":
             data = rng.integers(-2, 3, size=(n, d)).astype(float)
+        ids, parents, prototypes = ant_walk_reference(data, L_MAX, DISSIM_RELAX)
+        tree = build_initial_tree(_window(data))
+        assert tree.ids.tolist() == ids.tolist()
+        assert tree.parents.tolist() == parents.tolist()
+        assert tree.prototypes.tobytes() == prototypes.tobytes()
+
+    @pytest.mark.parametrize("shape", ["blobs", "identical"])
+    def test_walk_matches_the_reference_on_large_windows(self, shape):
+        # a benchmark-sized window of overlapping blobs, whose support holds
+        # hundreds of children, and the walk's longest one: identical ants
+        # each descend a first-child chain
+        if shape == "blobs":
+            data = gen_blobs(k=4, per_blob=250, sep=3.0, stddev=1.0,
+                             window_size=1000, seed=5)[0].data
+        else:
+            data = np.full((300, 2), 1.5)
         ids, parents, prototypes = ant_walk_reference(data, L_MAX, DISSIM_RELAX)
         tree = build_initial_tree(_window(data))
         assert tree.ids.tolist() == ids.tolist()

@@ -30,7 +30,7 @@ from mostream.engine import (
 from mostream.evolution import IdleBudget, breed
 from mostream.metrics import select_best
 from mostream.objectives import ARCHIVE_CAPACITY, evaluate_solution
-from mostream.seeders import grow_gas
+from mostream.seeders import grow_gas, sweep_ks
 from mostream.core import serialize_chromosome
 from mostream.stream_io import gen_blobs
 
@@ -163,12 +163,30 @@ class TestGasWorker:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failed_set_up_reaps_the_child(self, monkeypatch, forks, four_blob_window, error):
-        def failing(window, seed):
+        def failing(window, seed, ks):
             raise error("sweep failed")
 
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(engine, "kmeans_sweep", failing)
         with pytest.raises(error, match="sweep failed"):
+            initialize(four_blob_window, StreamConfig())
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_the_worker_sweep_reaches_the_parent(
+        self, monkeypatch, forks, four_blob_window
+    ):
+        parent, sweep = os.getpid(), engine.kmeans_sweep
+
+        def failing_in_the_child(window, seed, ks):
+            if os.getpid() != parent:
+                raise ValueError("worker's sweep failed")
+            return sweep(window, seed, ks)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(engine, "kmeans_sweep", failing_in_the_child)
+        with pytest.raises(ValueError, match="^worker's sweep failed$"):
             initialize(four_blob_window, StreamConfig())
         assert forks == [1]
         with pytest.raises(ChildProcessError):
@@ -203,6 +221,97 @@ class TestGasWorker:
         for a, b in zip(forked.archive, local.archive):
             assert serialize_chromosome(a).tobytes() == serialize_chromosome(b).tobytes()
             assert a.weights.tobytes() == b.weights.tobytes()
+
+
+def _sweep_spies(monkeypatch):
+    """Record the k values of each of this process's ``kmeans_sweep`` calls,
+    and the population's k values as ``initialize`` first scores it."""
+    shares, scored = [], []
+    sweep, assign = engine.kmeans_sweep, engine.assign_batch
+
+    def sweep_spy(window, seed, ks):
+        out = sweep(window, seed, ks)
+        shares.append([sol.k for sol in out])
+        return out
+
+    def assign_spy(solutions, data):
+        if not scored:
+            scored.append([sol.k for sol in solutions])
+        return assign(solutions, data)
+
+    monkeypatch.setattr(engine, "kmeans_sweep", sweep_spy)
+    monkeypatch.setattr(engine, "assign_batch", assign_spy)
+    return shares, scored
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSplitSweep:
+    """Both processes take the sweep's k values from one token pipe; the
+    result does not depend on which process ran which k."""
+
+    @pytest.mark.parametrize("n, dim", [(1000, 2), (1000, 16), (9, 2)])
+    def test_reports_equal_whoever_runs_each_k(self, monkeypatch, forks, n, dim):
+        window = gen_blobs(k=4, per_blob=-(-n // 4), sep=3.0, stddev=1.0,
+                           window_size=n, seed=dim, dim=dim)[0]
+        cfg = StreamConfig(rng_seed=dim)
+        build = engine.build_initial_tree
+
+        def slow_build(first_window):
+            time.sleep(0.5)
+            return build(first_window)
+
+        ks = list(sweep_ks(n))
+        states = []
+        for way in ("one cpu", "two cpus", "worker takes every k"):
+            _cpus(monkeypatch, 1 if way == "one cpu" else 2)
+            if way == "worker takes every k":
+                monkeypatch.setattr(engine, "build_initial_tree", slow_build)
+            with monkeypatch.context() as spies:
+                shares, scored = _sweep_spies(spies)
+                states.append(initialize(window, cfg))
+            # macro view, the sweep in k order, density scan, gas
+            assert scored[0][1:-2] == ks
+            if way == "one cpu":  # claimed largest first
+                assert shares == [ks[::-1], []]
+            elif way == "worker takes every k":
+                assert shares == [[]]
+        assert forks == [1, 1]
+        reference = states[0]
+        for state in states[1:]:
+            assert [r.to_dict() for r in state.reports] == [r.to_dict() for r in reference.reports]
+            assert len(state.archive) == len(reference.archive)
+            for a, b in zip(state.archive, reference.archive):
+                assert a.solution_id == b.solution_id
+                assert serialize_chromosome(a).tobytes() == serialize_chromosome(b).tobytes()
+                assert a.weights.tobytes() == b.weights.tobytes()
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("path", ["forked", "failed", "worker failed", "one cpu", "no fork"])
+def test_initialize_leaves_no_descriptor_open(monkeypatch, four_blob_window, path):
+    _cpus(monkeypatch, 1 if path == "one cpu" else 2)
+    if path == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    if path in ("failed", "worker failed"):
+        parent = os.getpid()
+
+        def failing(window, seed, ks):
+            if path == "failed" or os.getpid() != parent:
+                raise RuntimeError("sweep failed")
+            return []
+
+        monkeypatch.setattr(engine, "kmeans_sweep", failing)
+    before = _open_descriptors()
+    if path in ("failed", "worker failed"):
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            initialize(four_blob_window, StreamConfig())
+    else:
+        initialize(four_blob_window, StreamConfig())
+    assert _open_descriptors() == before
 
 
 class TestProcessWindow:
