@@ -17,7 +17,10 @@ its mass 1, and the tree is ready to stream as soon as it is built. Later
 windows stream through map_window, point by point in effect: a point is
 absorbed by the nearest node when it falls inside that node's acceptance
 radius, otherwise it becomes a fresh node of mass 1 under the support
-(map_point, which opens every new node). A node's one fading mass,
+(map_point, which opens every new node). map_window takes each run of rows
+from one nearest-node search and sends through map_point only the rows that
+search cannot place: a row that opens a node, or one an earlier row of its
+run reaches. A node's one fading mass,
 ``weights``, ages once per window before mapping, so after a window it
 reads gamma*previous + absorbed points; it weights the running means and
 decides pruning. First-level subtrees double as macro clusters.
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     ClusteringSolution,
     ObjectiveVector,
@@ -65,12 +69,15 @@ DISSIM_RELAX = 0.01
 # long-stream node count and first-level width hold steady.
 RADIUS_SCALE = 4.0
 
-# Window rows per run of ``map_window``. A run pays a fixed cost in numpy
-# calls whatever its length, and a longer run more often stops early at a
-# node clash, wasting the rest of its search.
+# Fewest window rows per run of ``map_window``; a tree of more than 32 x RUN
+# nodes takes one row per 32 nodes. A run pays one search and a fixed cost
+# in numpy calls whatever its length, and each failing row a map_point call
+# and a patch of the run's clash matrix, which a longer run holds more of.
+# On captured wide-overlap windows (~1,030 nodes at d = 2) one row per 16,
+# 24 or 32 nodes mapped in 0.69-0.75 of the time of 16-row runs that end at
+# their first failing row, one per 8 nodes in 0.85 and 16-row runs that
+# outlive their failing rows in 0.93.
 RUN = 16
-# _EARLIER[j, i]: row i comes before row j in a run
-_EARLIER = np.tri(RUN, k=-1, dtype=bool)
 
 # Per-node arrays, one row per non-support node.
 COLUMNS = ("ids", "parents", "prototypes", "weights", "radius_sum", "radius_n")
@@ -78,11 +85,14 @@ COLUMNS = ("ids", "parents", "prototypes", "weights", "radius_sum", "radius_n")
 
 @dataclass
 class MapOutcome:
-    """map_point result: which node took the point and whether it is new."""
+    """map_point result: which node took the point, whether it is new, and
+    the array row of the nearest node, whose radius statistics took the
+    point's distance (the absorbing node's row when not ``created``)."""
 
     node_id: int
     created: bool
     distance: float
+    nearest: int
 
 
 class TreeSynopsis:
@@ -185,55 +195,84 @@ class TreeSynopsis:
             mass = self.weights[row]
             self.prototypes[row] = (self.prototypes[row] * mass + coords) / (mass + 1.0)
             self.weights[row] = mass + 1.0
-            return MapOutcome(int(self.ids[row]), False, dist)
-        return MapOutcome(self._add(SUPPORT_ID, coords), True, dist)
+            return MapOutcome(int(self.ids[row]), False, dist, row)
+        return MapOutcome(self._add(SUPPORT_ID, coords), True, dist, row)
 
     def map_window(self, block: np.ndarray) -> np.ndarray:
         """Map the rows of ``block`` in order, exactly as a map_point loop
         over them would, and return the id of the node each row went to.
 
-        The rows go in runs of ``RUN``. One ``core.nearest_sq`` call finds
-        each run row's nearest node in the tree as the run found it. The
-        run then takes the longest prefix of rows that map_point would
-        place the same way: each row is absorbed by its node, no earlier
-        row of the prefix claimed that node, and no earlier row's moved
-        prototype is nearer to the row than its node (or as near, at a
-        lower row). Those rows are applied at once. The first row that
-        fails goes through map_point, so every new node is opened there,
-        and the next run starts after it.
+        The rows go in runs of ``RUN``, or of one row per 32 nodes on a
+        larger tree, the length fixed for the window (``_map_run``).
         """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[1] != self.dim:
             raise ValueError("point dimension mismatch")
         nodes = np.empty(len(block), dtype=np.int64)
-        floor = RADIUS_SCALE * self.base_radius
+        length = max(RUN, self.node_count() // 32)
+        earlier = np.tri(length, k=-1, dtype=bool)  # [j, i]: row i before row j
         start = 0
         while start < len(block):
-            run = block[start : start + RUN]
-            m = len(run)
-            rows, d2 = nearest_sq(self.prototypes, run)
-            dist = np.sqrt(d2)
-            mass = self.weights[rows]
-            moved = (self.prototypes[rows] * mass[:, None] + run) / (mass[:, None] + 1.0)
-            # cross[j, i]: run row j's squared distance to row i's moved node
-            cross = sq_dist(run[:, None, :], moved[None, :, :])
-            near = d2[:, None]
-            lower = rows < rows[:, None]
-            clash = (cross < near) | ((cross == near) & lower) | (rows == rows[:, None])
-            ok = dist <= np.maximum(floor, self.radius_sum[rows] / self.radius_n[rows])
-            ok &= ~(clash & _EARLIER[:m, :m]).any(axis=1)
-            take = m if ok.all() else int(ok.argmin())
-            hit = rows[:take]
-            self.prototypes[hit] = moved[:take]
-            self.weights[hit] = mass[:take] + 1.0
-            self.radius_sum[hit] += dist[:take]
-            self.radius_n[hit] += 1
-            nodes[start : start + take] = self.ids[hit]
-            start += take
-            if take < m:
-                nodes[start] = self.map_point(block[start]).node_id
-                start += 1
+            stop = start + length
+            start += self._map_run(block[start:stop], nodes[start:stop], earlier)
         return nodes
+
+    def _map_run(self, run: np.ndarray, nodes: np.ndarray, earlier: np.ndarray) -> int:
+        """Map the rows of ``run`` from one ``core.nearest_sq`` search, write
+        their node ids into ``nodes`` and return how many rows it mapped.
+
+        The search finds each row's nearest node in the tree as the run
+        found it, and so what each row would do if it were absorbed there:
+        move that node. Column i of the run's clash matrix holds that
+        change. A row fails when it is not absorbed, when an earlier row
+        changed its node, or when an earlier row left a node at least as
+        near to it as its node (an exact tie fails too, whichever node's
+        row is lower, so map_point settles it). The rows up to the first
+        failure are applied at once; the failing row goes through
+        map_point, so every new node is opened there. Its column then
+        holds what it actually did: the node it moved, or the new node and
+        the nearest node whose radius statistics it changed. The rest of
+        the run is checked again and goes on from the row after. Below
+        ``core.SCREEN_MIN_COORDS`` prototype coordinates the search is the
+        exact matrix, and a fresh search is cheaper than the patch and the
+        map_point calls of the rows its stale columns fail, so the run ends
+        at the failing row instead.
+        """
+        m = len(run)
+        screened = self.prototypes.size >= core.SCREEN_MIN_COORDS
+        rows, d2 = nearest_sq(self.prototypes, run)
+        dist = np.sqrt(d2)
+        mass = self.weights[rows]
+        moved = (self.prototypes[rows] * mass[:, None] + run) / (mass[:, None] + 1.0)
+        absorbed = dist <= np.maximum(
+            RADIUS_SCALE * self.base_radius, self.radius_sum[rows] / self.radius_n[rows]
+        )
+        # clash[j, i]: row i, earlier in the run, reaches row j's node
+        clash = _clashes(run[:, None, :], d2[:, None], rows[:, None], moved, rows)
+        clash &= earlier[:m, :m]
+        ok = absorbed & ~clash.any(axis=1)
+        done = 0
+        while True:
+            rest = ok[done:]
+            stop = m if rest.all() else done + int(rest.argmin())
+            hit = rows[done:stop]
+            self.prototypes[hit] = moved[done:stop]
+            self.weights[hit] = mass[done:stop] + 1.0
+            self.radius_sum[hit] += dist[done:stop]
+            self.radius_n[hit] += 1
+            nodes[done:stop] = self.ids[hit]
+            if stop == m:
+                return m
+            out = self.map_point(run[stop])
+            nodes[stop] = out.node_id
+            done = stop + 1
+            if done == m or not screened:
+                return done
+            later = slice(done, m)
+            clash[later, stop] = _clashes(run[later], d2[later], rows[later],
+                                          self.prototypes[-1 if out.created else out.nearest],
+                                          out.nearest)
+            ok[later] = absorbed[later] & ~clash[later].any(axis=1)
 
     def fade(self, gamma: float) -> None:
         """Age every node mass by one window.
@@ -281,6 +320,15 @@ class TreeSynopsis:
                 protos.append(block.mean(axis=0))
             weights.append(float(total))
         return ClusteringSolution(ObjectiveVector(), np.vstack(protos), weights=weights)
+
+
+def _clashes(points, near, rows, pos, claimed) -> np.ndarray:
+    """Whether a change may alter what each of ``points`` maps to, given its
+    nearest node's array row ``rows`` and squared distance ``near``: the
+    change left a node at ``pos`` no farther than ``near`` (ties included,
+    whatever the node's row), or it changed node row ``claimed``.
+    Broadcasts like ``sq_dist``."""
+    return (sq_dist(points, pos) <= near) | (claimed == rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ reductions across the (S, n) planes of a padded block. From 8 coordinates
 one GEMM over the stacked prototypes screens the labels under a derived
 rounding margin, the chosen distances still come from ``sq_dist``, and
 rows the margin cannot settle take the exact matrix. ``nearest_sq`` is the
-one-block form the tree synopsis maps its windows with, in runs of rows.
+one-block form the tree synopsis searches each run of a window with: the
+exact matrix on a small tree, else the same screen in the (n, K) row
+layout, which settles a row from its candidate's entry and the smallest
+other entry rather than counting every entry under the cut.
 ``stack_labels`` offsets the stacked labels onto the solutions' stacked
 cluster rows, and ``block_gaps`` sets every prototype against its own
 solution's, for the callers that count, fold or score every solution at
@@ -196,8 +199,11 @@ class StreamConfig:
 SCREEN_MIN_DIM = 8
 # Fewest prototype coordinates (K x d) for which ``nearest_sq`` screens one
 # block. The screen's fixed cost is about 30 us whatever K is; timed on
-# 16-row blocks (x86_64 VM, numpy 2.4.6), the exact matrix is cheaper below
-# about 300 coordinates at d=8, 750 at d=5 and 1,200 at d=2.
+# 16-row blocks (x86_64 VM, numpy 2.4.6, best of 7), the exact matrix is
+# cheaper below about 300 coordinates at d=8, 400 at d=16, 750 at d=5 and
+# 1,000 at d=2 (at 512: 45 against 31 us at d=8, 29 against 27 at d=16,
+# 27 against 33 at d=5, 25 against 35 at d=2). A tree near the threshold
+# holds fewer than 544 nodes, so its runs are 16 rows (``anttree.RUN``).
 SCREEN_MIN_COORDS = 512
 # Difference entries (rows x n x d, 1 MiB of float64) one row block of a
 # distance scan may hold; see ``scan_rows``. Taken in 512-row blocks, the
@@ -335,11 +341,10 @@ def nearest_sq(protos: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.nda
     """First minimum of each row of the (n, K) ``sq_dist`` matrix of ``data``
     against one prototype block, and that squared distance: from the matrix
     itself below ``SCREEN_MIN_COORDS`` prototype coordinates, else from the
-    GEMM screen."""
+    one-block GEMM screen (``_screen_one``)."""
     if protos.size < SCREEN_MIN_COORDS:
         return _nearest_exact(protos, data)
-    labels, d2 = _screened([protos], data)
-    return labels[0], d2[0]
+    return _screen_one(protos, data)
 
 
 def _nearest_exact(
@@ -440,20 +445,19 @@ def _screened(
     ``data`` against a prototype block of ``stack``, and that squared
     distance, as two (len(stack), n) arrays, from one GEMM over the stacked
     blocks. Bit for bit each block's own matrix at any d; ``assign_batch``
-    uses it from ``SCREEN_MIN_DIM`` coordinates.
+    uses it from ``SCREEN_MIN_DIM`` coordinates. One block goes through
+    ``_screen_one``.
 
     One GEMM gives h_k = |p_k|^2 - 2 x.p_k for every row x and every stacked
     prototype; each block's candidate label m is the first minimum over its
-    own prototypes. Several blocks are padded to a common kmax with entries
-    at +inf and laid out as (kmax, S, n) planes for ``_first_min``, or for
+    own prototypes. The blocks are padded to a common kmax with entries at
+    +inf and laid out as (kmax, S, n) planes for ``_first_min``, or for
     ``argmin`` over the first axis if an h is NaN (such a row's margin is
-    not finite). One block keeps the (n, K) row layout and a row-wise
-    ``argmin``, which wins on the few rows of a tree run. The candidate's
-    squared distance c_m = sq_dist(x, p_m) is the very entry the block's
-    (n, K) matrix holds, since both sum the same last axis. A row keeps m
-    only if every other prototype of its block clears the margin, h_k > c_m
-    - |x|^2 + M; otherwise, or if M is not finite, that row's labels come
-    from the exact matrix.
+    not finite). The candidate's squared distance c_m = sq_dist(x, p_m) is
+    the very entry the block's (n, K) matrix holds, since both sum the same
+    last axis. A row keeps m only if every other prototype of its block
+    clears the margin, h_k > c_m - |x|^2 + M; otherwise, or if M is not
+    finite, that row's labels come from the exact matrix.
 
     The bound, with u = 2^-53, g = (d+2)u / (1-(d+2)u), s = |x|^2 +
     max_k |p_k|^2 over the block, and E = 2 g s + (d+2) eta, eta the
@@ -466,40 +470,30 @@ def _screened(
     the matrix's unique minimum. M is computed as (4s) * 5g, so it turns
     infinite whenever an intermediate (all below 4s) could overflow.
     """
+    if len(stack) == 1:
+        labels, c2 = _screen_one(stack[0], data)
+        return labels[None], c2[None]
     n, d = data.shape
     ks = np.array([len(p) for p in stack])
     count, kmax = len(ks), int(ks.max())
-    if count == 1:
-        flat = stack[0]
-    else:
-        # slot-major rows: slot k of every block, block after block
-        protos = np.zeros((kmax, count, d))
-        for s, p in enumerate(stack):
-            protos[: len(p), s] = p
-        flat = protos.reshape(kmax * count, d)
-    g = (d + 2) * _UNIT / (1.0 - (d + 2) * _UNIT)
+    # slot-major rows: slot k of every block, block after block
+    protos = np.zeros((kmax, count, d))
+    for s, p in enumerate(stack):
+        protos[: len(p), s] = p
+    flat = protos.reshape(kmax * count, d)
     with np.errstate(over="ignore", invalid="ignore"):
         pp = np.einsum("ij,ij->i", flat, flat)
         top = pp.reshape(kmax, count).max(axis=0)  # zero padding cannot raise it
-        if count == 1:
-            h = data @ (flat * -2.0).T
-            h += pp
-            labels = h.argmin(axis=1)[None]
-            h = h.T[:, None, :]  # a (K, 1, n) view
-        else:
-            pp.reshape(kmax, count)[np.arange(kmax)[:, None] >= ks] = np.inf
-            h = (flat * -2.0) @ data.T
-            h += pp[:, None]
-            h = h.reshape(kmax, count, n)
-            labels, _ = _first_min(h)
-            if labels is None:
-                labels = h.argmin(axis=0)
+        pp.reshape(kmax, count)[np.arange(kmax)[:, None] >= ks] = np.inf
+        h = (flat * -2.0) @ data.T
+        h += pp[:, None]
+        h = h.reshape(kmax, count, n)
+        labels, _ = _first_min(h)
+        if labels is None:
+            labels = h.argmin(axis=0)
         c2 = sq_dist(data, flat[labels * count + np.arange(count)[:, None]])
         xx = np.einsum("ij,ij->i", data, data)
-        margin = top[:, None] + xx
-        margin *= 4.0
-        margin *= 5.0 * g
-        margin += 10.0 * (d + 2) * _ETA
+        margin = _margin(top[:, None], xx, d)
         cut = c2 - xx
         cut += margin
         close = h <= cut
@@ -510,6 +504,45 @@ def _screened(
                 rows = np.flatnonzero(doubtful[s])
                 labels[s, rows], c2[s, rows] = _nearest_exact(stack[s], data[rows])
     return labels, c2
+
+
+def _screen_one(protos: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_screened`` for one (K, d) block, in the (n, K) row layout, which
+    wins on the few rows of a tree run: a row-wise ``argmin`` picks each
+    row's candidate m, and the row keeps it when h_m passes the cut c_m -
+    |x|^2 + M and the smallest other h, read after h_m is set to +inf,
+    clears it. That is ``_screened``'s test (every other prototype clears
+    the margin) without counting each entry; a NaN h or cut fails it, so
+    those rows, and rows the margin cannot settle, take the exact matrix."""
+    d = data.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = np.einsum("ij,ij->i", protos, protos)
+        h = (data * -2.0) @ protos.T  # scaling by -2 is exact, on the fewer rows
+        h += pp
+        labels = h.argmin(axis=1)
+        c2 = sq_dist(data, protos[labels])
+        xx = np.einsum("ij,ij->i", data, data)
+        cut = c2 - xx
+        cut += _margin(pp.max(), xx, d)
+    rows = np.arange(len(data))
+    own = h[rows, labels]
+    h[rows, labels] = np.inf
+    doubt = np.flatnonzero(~((own <= cut) & (h.min(axis=1) > cut)))
+    if len(doubt):
+        labels[doubt], c2[doubt] = _nearest_exact(protos, data[doubt])
+    return labels, c2
+
+
+def _margin(top, xx: np.ndarray, d: int) -> np.ndarray:
+    """The screen's rounding margin M = (4s) * 5g + 10 (d+2) eta, s = ``top``
+    (the largest |p|^2 of a block) + ``xx`` (|x|^2); see ``_screened``.
+    Infinite where 4s overflows: call it under ``np.errstate(over=...)``."""
+    g = (d + 2) * _UNIT / (1.0 - (d + 2) * _UNIT)
+    margin = top + xx
+    margin *= 4.0
+    margin *= 5.0 * g
+    margin += 10.0 * (d + 2) * _ETA
+    return margin
 
 
 # ---------------------------------------------------------------------------

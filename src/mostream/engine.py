@@ -406,8 +406,10 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     # window up front; absorption is then an exact running mean, so a window
     # of absorptions composes to the batch update mass -> gamma*mass +
     # absorbed rather than decaying per point. map_window places the rows in
-    # runs, each on the node a map_point loop would pick; only the row that
-    # ends a run (a node clash or a new node) goes through map_point.
+    # runs, each on the node a map_point loop would pick, from one search
+    # per run; only the rows that search cannot place (a new node, or a
+    # node an earlier row of the run changed or left as near) go through
+    # map_point, and on a large tree the run goes on after them.
     state.tree.fade(cfg.gamma)
     state.tree.map_window(window.data)
 

@@ -1,5 +1,6 @@
 """Tree synopsis: ant-style construction, array layout and streaming updates."""
 
+import copy
 import time
 from unittest import mock
 
@@ -498,6 +499,17 @@ class TestMapPoint:
             assert np.array_equal(tree.prototypes[row], want[0])
             assert tree.weights[row] == fade_weight(masses[row], 1.0, 1.0)
 
+    def test_outcome_names_the_nearest_row(self):
+        """``nearest`` is the row whose radius statistics took the point:
+        the absorbing row, or the nearest row when a node is opened."""
+        tree = self._two_node_tree()
+        far = _row(tree, _first_level(tree)[1])
+        absorbed = tree.map_point(_pt(9.0, 0.0))
+        assert not absorbed.created and absorbed.nearest == far
+        opened = tree.map_point(_pt(100.0, 0.0))
+        assert opened.created and opened.nearest == far
+        assert tree.radius_n[far] == 3
+
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()
         with pytest.raises(ValueError):
@@ -585,10 +597,157 @@ class TestMapWindow:
         for name in COLUMNS:
             assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
 
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_long_runs_match_map_point_loop(self, d):
+        """On a tree above the run-length floor (runs of one row per 32
+        nodes, through the screen) windows of repeated rows, lattice ties,
+        nodes opened mid-run and rows whose node an earlier row moved leave
+        every column and node id as a map_point loop does."""
+        first, windows = _long_run_case(d)
+        tree, loop = build_initial_tree(_window(first)), build_initial_tree(_window(first))
+        seen = {"repeat": 0, "tie": 0, "opened mid-run": 0, "moved node": 0}
+        for block in windows:
+            tree.fade(0.5)
+            loop.fade(0.5)
+            length = tree.node_count() // 32
+            assert length > RUN and tree.prototypes.size >= core.SCREEN_MIN_COORDS
+            nodes = tree.map_window(block)
+            want = []
+            for i, row in enumerate(block):
+                d2 = ((loop.prototypes - row) ** 2).sum(axis=1)
+                seen["tie"] += int(np.count_nonzero(d2 == d2.min()) > 1)
+                out = loop.map_point(row)
+                seen["opened mid-run"] += out.created and i % length < length - 1
+                want.append(out.node_id)
+            start = np.arange(len(block)) // length * length
+            same = [np.flatnonzero((block == row).all(axis=1)) for row in block]
+            seen["repeat"] += sum(len(rows) > 1 for rows in same)
+            seen["moved node"] += sum(
+                np.any((np.asarray(want[s:i]) == want[i])) for i, s in enumerate(start))
+            assert nodes.tolist() == want
+            for name in COLUMNS:
+                assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
+            tree.fade_and_prune(0.1)
+            loop.fade_and_prune(0.1)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("rows", [1100, 100])
+    def test_one_search_per_run_and_one_map_point_per_failing_row(self, rows):
+        """On a screened tree (1,100 nodes) every run of ``node_count // 32``
+        rows makes exactly one search, and map_point maps exactly the rows
+        whose run speculation fails: a row that opens a node, or one an
+        earlier row of its run reaches by changing its node or leaving a
+        node at least as near. Below the screen (100 nodes at d = 2) a
+        failing row ends its run, and the next run starts after it."""
+        first, windows = _long_run_case(2, rows)
+        tree = build_initial_tree(_window(first))
+        screened = tree.prototypes.size >= core.SCREEN_MIN_COORDS
+        assert screened == (rows == 1100)
+        searches, mapped = [], []
+        search, map_point = anttree.nearest_sq, TreeSynopsis.map_point
+
+        def counting_search(protos, data):
+            searches.append(len(data))
+            return search(protos, data)
+
+        def recording(self, point):
+            mapped.append(point.copy())
+            return map_point(self, point)
+
+        for block in windows:
+            tree.fade(0.5)
+            length = max(RUN, tree.node_count() // 32)
+            want, runs = _failing_rows(tree, block, length, restart=not screened)
+            searches.clear()
+            mapped.clear()
+            with mock.patch.object(anttree, "nearest_sq", counting_search), \
+                    mock.patch.object(TreeSynopsis, "map_point", recording):
+                tree.map_window(block)
+            assert len(searches) == runs
+            if screened:
+                assert runs == -(-len(block) // length)
+            assert np.array_equal(np.array(mapped).reshape(-1, 2), block[want])
+            assert 0 < len(want) < len(block)
+            tree.fade_and_prune(0.1)
+
     def test_dimension_mismatch(self):
         tree = build_initial_tree(_window([[0.0, 0.0], [10.0, 0.0]]))
         with pytest.raises(ValueError):
             tree.map_window(np.array([[1.0, 2.0, 3.0]]))
+
+
+def _long_run_case(d, rows=None):
+    """(first window, later windows) for the long-run tests. At d = 2 the
+    first window is ``rows`` points of the unit lattice (by default 1,100,
+    above the run-length floor), at d = 16 600 distinct lattice points with
+    coordinates -2..2; its last two rows are an outpost, nodes a and b one unit apart,
+    far from the rest. Each later window draws, with repeats, from
+    first-window rows, rows halfway between two of them (exact ties) and
+    rows a quarter of the way. It holds a far row followed by rows beside
+    it, so a node opens mid-run and later rows of its run go to it; a far
+    row in another direction, which no earlier row reaches; and a row just
+    beyond a's acceptance radius, then a row that b absorbs as the run
+    starts but that goes to that row's new node, nearer to it than b (on
+    one side of the outpost in windows 0 and 2, the other in window 1)."""
+    rng = np.random.default_rng(d)
+    if d == 2:
+        rows = rows or 1100
+        side = int(np.ceil(np.sqrt(rows)))
+        cloud = np.indices((side, side)).reshape(2, -1).T[: rows - 2].astype(float)
+    else:
+        cloud = np.unique(rng.integers(-2, 3, size=(700, d)), axis=0)[:598].astype(float)
+    step = np.eye(d)
+    first = np.vstack([cloud, np.full(d, -300.0), np.full(d, -300.0) + step[1]])
+    base = window_scales(first)[1]
+    reach = RADIUS_SCALE * base
+    u, v = first[rng.integers(0, len(cloud), 40)], first[rng.integers(0, len(cloud), 40)]
+    pool = np.vstack([first[rng.integers(0, len(cloud), 40)], (u + v) / 2, (3 * u + v) / 4])
+    windows = []
+    for w in range(3):
+        block = pool[rng.integers(0, len(pool), 100)]
+        far = np.full(d, 1000.0 * (w + 1))
+        block[5] = far
+        block[9:12] = far + 0.5
+        block[12] = block[6]
+        block[15] = far * (-1) ** np.arange(d)
+        side = step[0] if w == 1 else -step[0]
+        block[20] = first[-2] + (reach + base / 2) * side
+        block[25] = first[-1] + 0.9 * reach * side
+        windows.append(block)
+    return first, windows
+
+
+def _failing_rows(tree, block, length, restart=False):
+    """(rows of ``block`` whose run speculation fails, number of runs),
+    replayed on a copy of ``tree`` by a map_point loop: each run's nearest
+    rows and squared distances are taken when the run starts; a row fails
+    when it lies beyond its node's acceptance radius there, or when an
+    earlier row of its run changed its node's row or left a node (moved or
+    new) no farther from it than its node. With ``restart`` a failing row
+    ends its run."""
+    tree = copy.deepcopy(tree)
+    floor = RADIUS_SCALE * tree.base_radius
+    failing, runs, start = [], 0, 0
+    while start < len(block):
+        run = block[start : start + length]
+        runs += 1
+        d2 = ((run[:, None, :] - tree.prototypes[None, :, :]) ** 2).sum(axis=-1)
+        rows, near = d2.argmin(axis=1), d2.min(axis=1)
+        radius = np.maximum(floor, tree.radius_sum[rows] / tree.radius_n[rows])
+        changes = []  # (node row, its prototype) after each earlier row
+        for j, row in enumerate(run):
+            reached = any(claimed == rows[j] or ((row - pos) ** 2).sum() <= near[j]
+                          for claimed, pos in changes)
+            fails = reached or np.sqrt(near[j]) > radius[j]
+            if fails:
+                failing.append(start + j)
+            claimed = int(((tree.prototypes - row) ** 2).sum(axis=1).argmin())
+            out = tree.map_point(row)
+            changes.append((claimed, tree.prototypes[-1 if out.created else claimed].copy()))
+            if fails and restart:
+                break
+        start += j + 1
+    return failing, runs
 
 
 class TestWindowTick:

@@ -515,6 +515,61 @@ class TestAssignBatch:
         _stack_check(stack, points)
 
 
+class TestOneBlockScreen:
+    """``nearest_sq`` through the one-block screen (``SCREEN_MIN_COORDS`` at
+    0) against the exact (n, K) matrix, bit for bit."""
+
+    @staticmethod
+    def _check(protos, data, monkeypatch, exact_rows):
+        want = core._nearest_exact(protos, data)
+        exact_rows.clear()
+        monkeypatch.setattr(core, "SCREEN_MIN_COORDS", 0)
+        labels, d2 = core.nearest_sq(protos, data)
+        assert np.array_equal(labels, want[0])
+        assert d2.tobytes() == want[1].tobytes()
+        return sorted(rows for _, rows in exact_rows)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_exact_ties_between_two_nodes(self, d, monkeypatch, exact_rows):
+        # rows halfway between nodes 1 and 2 tie them; the rest are settled
+        protos = np.zeros((4, d))
+        protos[:, 0] = [-6.0, -1.0, 1.0, 6.0]
+        data = np.zeros((5, d))
+        data[:, 0] = [0.0, -3.0, 0.0, 5.0, 0.0]
+        data[:, 1] = [0.0, 0.0, 2.0, 0.0, -1.0]
+        assert self._check(protos, data, monkeypatch, exact_rows) == [3]
+        assert core.nearest_sq(protos, data)[0][[0, 2, 4]].tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_duplicate_prototypes(self, d, monkeypatch, exact_rows):
+        # rows nearest the repeated prototype take its first copy, exactly
+        rng = np.random.default_rng(d)
+        protos = rng.normal(size=(6, d))
+        protos[4] = protos[1]
+        data = np.vstack([protos[1] + 0.01, rng.normal(size=(9, d)), protos[4]])
+        self._check(protos, data, monkeypatch, exact_rows)
+        assert core.nearest_sq(protos, data)[0][[0, -1]].tolist() == [1, 1]
+        assert exact_rows
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_rows_at_half_the_input_bound(self, d, monkeypatch, exact_rows):
+        rng = np.random.default_rng(d)
+        half = MAX_ABS_VALUE / 2
+        protos = rng.integers(-2, 3, size=(7, d)) * half / 2
+        data = np.vstack([rng.choice([-half, half], size=(8, d)), protos[:3] * 1.5])
+        self._check(protos, data, monkeypatch, exact_rows)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_non_finite_margin_takes_the_exact_path(self, d, monkeypatch, exact_rows):
+        # |p|^2 near 1e308 is finite, and so is every matrix entry, but 4s
+        # overflows: the margin is infinite and no row may keep its candidate
+        rng = np.random.default_rng(d)
+        protos = rng.normal(size=(5, d))
+        protos[2, 0] = 1e154
+        data = rng.normal(size=(6, d))
+        assert self._check(protos, data, monkeypatch, exact_rows) == [6]
+
+
 def _counts(*values):
     """A (K,) count vector from scalars."""
     return np.array(values, dtype=float)
