@@ -15,15 +15,16 @@ sends only that point to the back of the queue.
 Every build node holds exactly one point, so its prototype is that point,
 its mass 1, and the tree is ready to stream as soon as it is built. Later
 windows stream through map_window, point by point in effect: a point is
-absorbed by the nearest node when it falls inside that node's acceptance
-radius, otherwise it becomes a fresh node of mass 1 under the support
-(map_point, which opens every new node). map_window takes each run of rows
-from one nearest-node search and sends through map_point only the rows that
-search cannot place: a row that opens a node, or one an earlier row of its
-run reaches. A node's one fading mass,
-``weights``, ages once per window before mapping, so after a window it
-reads gamma*previous + absorbed points; it weights the running means and
-decides pruning. First-level subtrees double as macro clusters.
+absorbed by the nearest node when it lies within the acceptance radius,
+``RADIUS_SCALE`` times the first window's mean nearest-neighbor distance,
+otherwise it becomes a fresh node of mass 1 under the support (map_point,
+which opens every new node). map_window takes each run of rows from one
+nearest-node search and sends through map_point only the rows that search
+cannot place: a row that opens a node, or one an earlier row of its run
+reaches. A node's one fading mass, ``weights``, ages once per window before
+mapping, so after a window it reads gamma*previous + absorbed points; it
+weights the running means and decides pruning. First-level subtrees double
+as macro clusters.
 
 Node ``ids[i]`` lives in row ``i`` of every array in ``COLUMNS``. Rows are in
 preorder: the build lays its nodes out that way, children in the order they
@@ -62,11 +63,11 @@ CONNECT = -1
 # connect makes the ant easier to place on the next try.
 DISSIM_RELAX = 0.01
 
-# Acceptance-radius floor, in units of the first window's mean
-# nearest-neighbor distance. At 1.0 the synopsis densifies to point spacing
-# and novelty nodes swamp the first level; at 5+ the tree over-consolidates
-# and node count keeps sliding downward. 4.0 sits at the crossover where
-# long-stream node count and first-level width hold steady.
+# The acceptance radius, one for every node, in units of the first window's
+# mean nearest-neighbor distance. At 1.0 the synopsis densifies to point
+# spacing and novelty nodes swamp the first level; at 5+ the tree
+# over-consolidates and node count keeps sliding downward. 4.0 sits at the
+# crossover where long-stream node count and first-level width hold steady.
 RADIUS_SCALE = 4.0
 
 # Fewest window rows per run of ``map_window``; a tree of more than 32 x RUN
@@ -80,28 +81,27 @@ RADIUS_SCALE = 4.0
 RUN = 16
 
 # Per-node arrays, one row per non-support node.
-COLUMNS = ("ids", "parents", "prototypes", "weights", "radius_sum", "radius_n")
+COLUMNS = ("ids", "parents", "prototypes", "weights")
 
 
 @dataclass
 class MapOutcome:
-    """map_point result: which node took the point, whether it is new, and
-    the array row of the nearest node, whose radius statistics took the
-    point's distance (the absorbing node's row when not ``created``)."""
+    """map_point result: which node took the point, whether it is new, its
+    distance to the nearest node, and ``row``, the array row of the node
+    that took it (the absorbing node's, or the new node's last row)."""
 
     node_id: int
     created: bool
     distance: float
-    nearest: int
+    row: int
 
 
 class TreeSynopsis:
     """Support-rooted tree of cluster summaries with bounded node fan-out.
 
     ``parents`` holds each node's parent id (``SUPPORT_ID`` for the first
-    level) and ``weights`` each node's fading mass. ``radius_sum``/
-    ``radius_n`` are the acceptance-radius running mean, seeded with the
-    first window's mean nearest-neighbor distance.
+    level) and ``weights`` each node's fading mass. Every node accepts
+    points within ``RADIUS_SCALE * base_radius``.
     """
 
     def __init__(self, dim: int):
@@ -112,8 +112,6 @@ class TreeSynopsis:
         self.parents = np.empty(0, dtype=np.int64)
         self.prototypes = np.empty((0, dim))
         self.weights = np.empty(0)
-        self.radius_sum = np.empty(0)
-        self.radius_n = np.empty(0, dtype=np.int64)
         self._next_id = 1
         self.base_radius = 0.0  # first-window mean nearest-neighbor distance
 
@@ -127,7 +125,7 @@ class TreeSynopsis:
         """Append a one-point node of mass 1 under ``parent``; returns its id."""
         nid = self._next_id
         self._next_id += 1
-        row = (nid, parent, prototype, 1.0, self.base_radius, 1)
+        row = (nid, parent, prototype, 1.0)
         for name, value in zip(COLUMNS, row):
             setattr(self, name, np.concatenate((getattr(self, name), [value])))
         return nid
@@ -174,13 +172,9 @@ class TreeSynopsis:
 
         Absorption is a running mean (the merge at gamma=1) weighted by the
         node's mass, which gains 1; masses age once per window in ``fade``
-        instead. Every point updates the claimed node's radius statistics
-        whether or not it is absorbed, so radii track the local spread:
-        sparse regions widen their catchment instead of shedding endless
-        novelty nodes. The acceptance radius is that running mean of
-        claimed-point distances, floored at ``RADIUS_SCALE`` base radii so
-        long streams cannot shrink it to zero. The nearest node is the first
-        minimum of the squared distances, as in ``core.assign_batch``.
+        instead. The point is absorbed when it lies within ``RADIUS_SCALE``
+        base radii of the nearest node, the first minimum of the squared
+        distances, as in ``core.assign_batch``.
         """
         coords = np.asarray(point, dtype=float)
         if coords.shape != (self.dim,):
@@ -188,15 +182,12 @@ class TreeSynopsis:
         d2 = sq_dist(self.prototypes, coords)
         row = int(np.argmin(d2))
         dist = float(np.sqrt(d2[row]))
-        radius = max(RADIUS_SCALE * self.base_radius, self.radius_sum[row] / self.radius_n[row])
-        self.radius_sum[row] += dist
-        self.radius_n[row] += 1
-        if dist <= radius:
+        if dist <= RADIUS_SCALE * self.base_radius:
             mass = self.weights[row]
             self.prototypes[row] = (self.prototypes[row] * mass + coords) / (mass + 1.0)
             self.weights[row] = mass + 1.0
             return MapOutcome(int(self.ids[row]), False, dist, row)
-        return MapOutcome(self._add(SUPPORT_ID, coords), True, dist, row)
+        return MapOutcome(self._add(SUPPORT_ID, coords), True, dist, len(self.ids) - 1)
 
     def map_window(self, block: np.ndarray) -> np.ndarray:
         """Map the rows of ``block`` in order, exactly as a map_point loop
@@ -222,21 +213,21 @@ class TreeSynopsis:
         their node ids into ``nodes`` and return how many rows it mapped.
 
         The search finds each row's nearest node in the tree as the run
-        found it, and so what each row would do if it were absorbed there:
-        move that node. Column i of the run's clash matrix holds that
-        change. A row fails when it is not absorbed, when an earlier row
-        changed its node, or when an earlier row left a node at least as
-        near to it as its node (an exact tie fails too, whichever node's
-        row is lower, so map_point settles it). The rows up to the first
-        failure are applied at once; the failing row goes through
-        map_point, so every new node is opened there. Its column then
-        holds what it actually did: the node it moved, or the new node and
-        the nearest node whose radius statistics it changed. The rest of
-        the run is checked again and goes on from the row after. Below
-        ``core.SCREEN_MIN_COORDS`` prototype coordinates the search is the
-        exact matrix, and a fresh search is cheaper than the patch and the
-        map_point calls of the rows its stale columns fail, so the run ends
-        at the failing row instead.
+        found it, and so what each row would do if it were absorbed there
+        (within ``RADIUS_SCALE`` base radii, as in map_point): move that
+        node. Column i of the run's clash matrix holds that change. A row
+        fails when it is not absorbed, when an earlier row changed its node,
+        or when an earlier row left a node at least as near to it as its
+        node (an exact tie fails too, whichever node's row is lower, so
+        map_point settles it). The rows up to the first failure are applied
+        at once; the failing row goes through map_point, so every new node
+        is opened there. Its column then holds what it actually did: the
+        node it moved, or the new node, which no row of the run claims. The
+        rest of the run is checked again and goes on from the row after.
+        Below ``core.SCREEN_MIN_COORDS`` prototype coordinates the search is
+        the exact matrix, and a fresh search is cheaper than the patch and
+        the map_point calls of the rows its stale columns fail, so the run
+        ends at the failing row instead.
         """
         m = len(run)
         screened = self.prototypes.size >= core.SCREEN_MIN_COORDS
@@ -244,9 +235,7 @@ class TreeSynopsis:
         dist = np.sqrt(d2)
         mass = self.weights[rows]
         moved = (self.prototypes[rows] * mass[:, None] + run) / (mass[:, None] + 1.0)
-        absorbed = dist <= np.maximum(
-            RADIUS_SCALE * self.base_radius, self.radius_sum[rows] / self.radius_n[rows]
-        )
+        absorbed = dist <= RADIUS_SCALE * self.base_radius
         # clash[j, i]: row i, earlier in the run, reaches row j's node
         clash = _clashes(run[:, None, :], d2[:, None], rows[:, None], moved, rows)
         clash &= earlier[:m, :m]
@@ -258,8 +247,6 @@ class TreeSynopsis:
             hit = rows[done:stop]
             self.prototypes[hit] = moved[done:stop]
             self.weights[hit] = mass[done:stop] + 1.0
-            self.radius_sum[hit] += dist[done:stop]
-            self.radius_n[hit] += 1
             nodes[done:stop] = self.ids[hit]
             if stop == m:
                 return m
@@ -270,8 +257,7 @@ class TreeSynopsis:
                 return done
             later = slice(done, m)
             clash[later, stop] = _clashes(run[later], d2[later], rows[later],
-                                          self.prototypes[-1 if out.created else out.nearest],
-                                          out.nearest)
+                                          self.prototypes[out.row], out.row)
             ok[later] = absorbed[later] & ~clash[later].any(axis=1)
 
     def fade(self, gamma: float) -> None:
@@ -445,7 +431,5 @@ def build_initial_tree(window: WindowBatch) -> TreeSynopsis:
     tree.parents = node_id[parent[preorder]]
     tree.prototypes = ants[preorder]
     tree.weights = np.ones(n)
-    tree.radius_sum = np.full(n, tree.base_radius)
-    tree.radius_n = np.ones(n, dtype=np.int64)
     tree._next_id = n + 1
     return tree

@@ -22,6 +22,7 @@ from .core import (
     ClusteringSolution,
     ObjectiveVector,
     WindowBatch,
+    nearest_sq,
     scan_rows,
     sq_dist,
     sum_coords,
@@ -84,7 +85,8 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 
 def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with kmeans++ start, at most 100 iterations; returns
-    the final (labels, centers), each fed center its label's row mean.
+    the final (labels, centers), each fed center its label's row mean. Each
+    row goes to its nearest center by ``core.nearest_sq``.
 
     For d >= 2 one bincount per coordinate gives every fed center's row sum,
     adding rows in window order as a masked mean does; at d = 1 numpy sums
@@ -104,13 +106,11 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     centers = _kmeans_pp_init(data, k, rng)
     labels = np.full(n, -1)
     for _ in range(100):
-        d2 = sq_dist(data[:, None, :], centers[None, :, :])
-        new_labels = np.argmin(d2, axis=1)
+        new_labels, gaps = nearest_sq(centers, data)
         sizes = np.bincount(new_labels, minlength=k)
         if not sizes.all():
             # farthest point from its assigned center takes over an empty
             # slot; a row that moved once is not taken again
-            gaps = d2[np.arange(n), new_labels]
             for ci in range(k):
                 if sizes[ci]:
                     continue
@@ -221,11 +221,11 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     labels = connected_components(within, core)
     loose = np.flatnonzero(~core)
     border = loose[within[loose][:, core].any(axis=1)]
+    cores = data[core_idx]
     step = scan_rows(len(core_idx), data.shape[1])
     for i in range(0, len(border), step):
         rows = border[i : i + step]
-        gaps = sq_dist(data[rows, None, :], data[None, core_idx, :])
-        labels[rows] = labels[core_idx[np.sqrt(gaps, out=gaps).argmin(axis=1)]]
+        labels[rows] = labels[core_idx[nearest_sq(cores, data[rows])[0]]]
     return _solution(data, labels)
 
 
@@ -330,6 +330,6 @@ def seed_gng(
     data = window.data
     units, _, age = gas
     comp = connected_components(age >= 0)
-    nearest = np.argmin(sq_dist(data[:, None, :], units[None, :, :]), axis=1)
+    nearest, _ = nearest_sq(units, data)
     _, labels = np.unique(comp[nearest], return_inverse=True)
     return _solution(data, labels)

@@ -239,7 +239,6 @@ class TestBuild:
         tree = build_initial_tree(_window(data))
         assert window_scales(data) == pytest.approx((10.0, 10.0))
         assert tree.base_radius == pytest.approx(10.0)
-        assert np.all(tree.radius_sum == tree.base_radius)
 
     @given(
         n=st.integers(1, 60),
@@ -412,8 +411,6 @@ class TestAggregate:
         tree = build_initial_tree(_window(data))
         assert _same_rows(tree.prototypes, data)  # the mean of one point
         assert np.all(tree.weights == 1.0)
-        assert np.all(tree.radius_sum == tree.base_radius)
-        assert np.all(tree.radius_n == 1)
         assert tree.ids.tolist() == list(range(1, 41))
         # the first ant is the support's first child, the first row in preorder
         assert tree.parents[0] == SUPPORT_ID
@@ -428,7 +425,7 @@ class TestAggregate:
 
 class TestMapPoint:
     def _two_node_tree(self):
-        # base_radius 10 -> acceptance floor 40; streams straight from the build
+        # base_radius 10 -> acceptance radius 40; streams straight from the build
         return build_initial_tree(_window([[0.0, 0.0], [10.0, 0.0]]))
 
     def test_exact_prototype_is_fixed_point(self):
@@ -443,10 +440,10 @@ class TestMapPoint:
 
     def test_boundary_distance_is_accepted(self):
         tree = self._two_node_tree()
-        floor = RADIUS_SCALE * tree.base_radius
-        out = tree.map_point(_pt(-floor, 0.0))
+        radius = RADIUS_SCALE * tree.base_radius
+        out = tree.map_point(_pt(-radius, 0.0))
         assert not out.created
-        assert out.distance == pytest.approx(floor)
+        assert out.distance == pytest.approx(radius)
 
     def test_far_point_opens_support_child(self):
         tree = self._two_node_tree()
@@ -460,20 +457,20 @@ class TestMapPoint:
         assert tree.weights[row] == 1.0
         assert np.array_equal(tree.prototypes[row], [500.0, 500.0])
 
-    def test_rejected_claim_still_widens_radius(self):
+    def test_rejected_claims_leave_the_radius_fixed(self):
+        """Far points that open nodes leave the radius of the node nearest
+        them as it was: after three such claims on node 1, 100 away from it
+        in three directions, a point just beyond 40 from it still opens a
+        node. A running mean of claimed distances would read 77.5 there and
+        absorb the point."""
         tree = self._two_node_tree()
-        row = _row(tree, _first_level(tree)[0])
-        n_before, sum_before = tree.radius_n[row], tree.radius_sum[row]
-        out = tree.map_point(_pt(-100.0, 0.0))
+        radius = RADIUS_SCALE * tree.base_radius
+        for far in ((0.0, -100.0), (0.0, 100.0), (-100.0, 0.0)):
+            out = tree.map_point(_pt(*far))
+            assert out.created and out.distance == 100.0
+        out = tree.map_point(_pt(-radius - 1.0, 0.0))
         assert out.created
-        assert tree.radius_n[row] == n_before + 1
-        assert tree.radius_sum[row] == pytest.approx(sum_before + 100.0)
-
-    def test_radius_grows_past_floor(self):
-        tree = self._two_node_tree()
-        row = _row(tree, _first_level(tree)[0])
-        tree.radius_sum[row], tree.radius_n[row] = 150.0, 3  # mean 50 > floor 40
-        assert not tree.map_point(_pt(-45.0, 0.0)).created
+        assert out.distance == pytest.approx(radius + 1.0)
 
     def test_absorption_is_running_merge(self):
         tree = self._two_node_tree()
@@ -498,17 +495,6 @@ class TestMapPoint:
             )
             assert np.array_equal(tree.prototypes[row], want[0])
             assert tree.weights[row] == fade_weight(masses[row], 1.0, 1.0)
-
-    def test_outcome_names_the_nearest_row(self):
-        """``nearest`` is the row whose radius statistics took the point:
-        the absorbing row, or the nearest row when a node is opened."""
-        tree = self._two_node_tree()
-        far = _row(tree, _first_level(tree)[1])
-        absorbed = tree.map_point(_pt(9.0, 0.0))
-        assert not absorbed.created and absorbed.nearest == far
-        opened = tree.map_point(_pt(100.0, 0.0))
-        assert opened.created and opened.nearest == far
-        assert tree.radius_n[far] == 3
 
     def test_dimension_mismatch(self):
         tree = self._two_node_tree()
@@ -594,6 +580,22 @@ class TestMapWindow:
         nodes = tree.map_window(block)
         assert nodes.tolist() == [loop.map_point(row).node_id for row in block]
         assert nodes[1] == 1
+        for name in COLUMNS:
+            assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
+
+    def test_failing_row_claims_the_node_it_moved(self):
+        """Nodes X at 0 and Y at 5, mapped through the screen (threshold 0),
+        so a run outlives its failing rows. The row at 3 moves Y to 4,
+        which ties the next row's nearest node X, so the row at 2 fails and
+        map_point gives it to X, the lower row, moving X to 1. The row at
+        -1 found X at 0 as the run started and the moved X is farther from
+        it, so only X's claim by the row at 2 sends it to map_point, which
+        sees X where it is."""
+        tree, loop = (build_initial_tree(_window([[0.0], [5.0]])) for _ in range(2))
+        block = np.array([[3.0], [2.0], [-1.0]])
+        with mock.patch.object(core, "SCREEN_MIN_COORDS", 0):
+            nodes = tree.map_window(block)
+        assert nodes.tolist() == [loop.map_point(row).node_id for row in block] == [2, 1, 1]
         for name in COLUMNS:
             assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
 
@@ -686,9 +688,11 @@ def _long_run_case(d, rows=None):
     rows a quarter of the way. It holds a far row followed by rows beside
     it, so a node opens mid-run and later rows of its run go to it; a far
     row in another direction, which no earlier row reaches; and a row just
-    beyond a's acceptance radius, then a row that b absorbs as the run
-    starts but that goes to that row's new node, nearer to it than b (on
-    one side of the outpost in windows 0 and 2, the other in window 1)."""
+    beyond a's acceptance radius, then a's own point, which a absorbs
+    although a was that row's nearest node (opening a node claims none),
+    then a row that b absorbs as the run starts but that goes to the new
+    node, nearer to it than b (on one side of the outpost in windows 0 and
+    2, the other in window 1)."""
     rng = np.random.default_rng(d)
     if d == 2:
         rows = rows or 1100
@@ -712,6 +716,7 @@ def _long_run_case(d, rows=None):
         block[15] = far * (-1) ** np.arange(d)
         side = step[0] if w == 1 else -step[0]
         block[20] = first[-2] + (reach + base / 2) * side
+        block[22] = first[-2]
         block[25] = first[-1] + 0.9 * reach * side
         windows.append(block)
     return first, windows
@@ -721,29 +726,31 @@ def _failing_rows(tree, block, length, restart=False):
     """(rows of ``block`` whose run speculation fails, number of runs),
     replayed on a copy of ``tree`` by a map_point loop: each run's nearest
     rows and squared distances are taken when the run starts; a row fails
-    when it lies beyond its node's acceptance radius there, or when an
-    earlier row of its run changed its node's row or left a node (moved or
-    new) no farther from it than its node. With ``restart`` a failing row
-    ends its run."""
+    when it lies beyond the acceptance radius of its node there, or when an
+    earlier row of its run moved its node or left a node (moved or new) no
+    farther from it than its node. With ``restart`` a failing row ends its
+    run."""
     tree = copy.deepcopy(tree)
-    floor = RADIUS_SCALE * tree.base_radius
+    radius = RADIUS_SCALE * tree.base_radius
     failing, runs, start = [], 0, 0
     while start < len(block):
         run = block[start : start + length]
         runs += 1
         d2 = ((run[:, None, :] - tree.prototypes[None, :, :]) ** 2).sum(axis=-1)
         rows, near = d2.argmin(axis=1), d2.min(axis=1)
-        radius = np.maximum(floor, tree.radius_sum[rows] / tree.radius_n[rows])
-        changes = []  # (node row, its prototype) after each earlier row
+        changes = []  # (moved node's row or None, the node's prototype) per earlier row
         for j, row in enumerate(run):
             reached = any(claimed == rows[j] or ((row - pos) ** 2).sum() <= near[j]
                           for claimed, pos in changes)
-            fails = reached or np.sqrt(near[j]) > radius[j]
+            fails = reached or np.sqrt(near[j]) > radius
             if fails:
                 failing.append(start + j)
             claimed = int(((tree.prototypes - row) ** 2).sum(axis=1).argmin())
             out = tree.map_point(row)
-            changes.append((claimed, tree.prototypes[-1 if out.created else claimed].copy()))
+            if out.created:
+                changes.append((None, tree.prototypes[-1].copy()))
+            else:
+                changes.append((claimed, tree.prototypes[claimed].copy()))
             if fails and restart:
                 break
         start += j + 1

@@ -60,7 +60,7 @@ SHAPES = {
         dict(k=4, per_blob=750, sep=3.0, stddev=1.0, dim=2),
         1000,
         3,
-        "a9c30d4bf6cf45dd3534e2096b74a3a8279fdd4d6751a434b426885bf0b8fc0b",
+        "f1e9b2149c36ec0c1c14190410b40aeaf09061cfa913e5302a361ab008566353",
     ),
 }
 
