@@ -13,15 +13,16 @@ reductions across the (S, n) planes of a padded block. From 8 coordinates
 one GEMM over the stacked prototypes screens the labels under a derived
 rounding margin, the chosen distances still come from ``sq_dist``, and
 rows the margin cannot settle take the exact matrix. ``nearest_sq`` is the
-one-block form the tree synopsis searches each run of a window with: the
-exact matrix on a small tree, else the same screen in the (n, K) row
-layout, which settles a row from its candidate's entry and the smallest
-other entry rather than counting every entry under the cut.
-``stack_labels`` offsets the stacked labels onto the solutions' stacked
-cluster rows, and ``block_gaps`` sets every prototype against its own
-solution's, for the callers that count, fold or score every solution at
-once. ``scan_rows`` sizes the row blocks of the first-window scans that set
-every row against a whole window, and those of ``assign_batch``, so each
+one-block form, which a single solution, the tree synopsis's runs and the
+seeders search with: even row blocks too, each the exact matrix on a small
+block, else the same screen in the (n, K) row layout, which settles a row
+from its candidate's entry and the smallest other entry rather than
+counting every entry under the cut. ``stack_labels`` offsets the stacked
+labels onto the solutions' stacked cluster rows, and ``block_gaps`` sets
+every prototype against its own solution's, for the callers that count,
+fold or score every solution at once. ``scan_rows`` sizes every row block,
+those of the first-window scans that set every row against a whole window
+and those of both nearest searches (one loop, ``_in_row_blocks``), so each
 block holds one fixed budget of differences (``SCAN_ENTRIES``) whatever the
 window's size. The update rules implement the decayed running-mean merge of
 per-cluster batches, the exponential weight fade with assignment refresh,
@@ -30,7 +31,9 @@ and staleness pruning.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -173,6 +176,10 @@ class StreamConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        cap = () if self.idle_generations_cap is None else (self.idle_generations_cap,)
+        for value in (self.window_size, self.sigma, self.rng_seed, *cap):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("window_size, sigma, the cap and rng_seed must be integers")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
@@ -183,8 +190,9 @@ class StreamConfig:
             raise ValueError("sigma must be >= 1")
         if not 0.0 <= self.prune_threshold < np.inf:
             raise ValueError("prune_threshold must be finite and >= 0")
-        if self.interval_ms < 0:
-            raise ValueError("interval_ms must be >= 0")
+        # a NaN deadline never expires, so a paced run would never return
+        if not 0 <= self.interval_ms < np.inf:
+            raise ValueError("interval_ms must be finite and >= 0")
         if self.idle_generations_cap is not None and self.idle_generations_cap < 0:
             raise ValueError("idle_generations_cap must be >= 0")
         if self.rng_seed < 0:
@@ -339,12 +347,28 @@ def stack_labels(
 
 def nearest_sq(protos: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First minimum of each row of the (n, K) ``sq_dist`` matrix of ``data``
-    against one prototype block, and that squared distance: from the matrix
-    itself below ``SCREEN_MIN_COORDS`` prototype coordinates, else from the
-    one-block GEMM screen (``_screen_one``)."""
-    if protos.size < SCREEN_MIN_COORDS:
-        return _nearest_exact(protos, data)
-    return _screen_one(protos, data)
+    against one prototype block, and that squared distance, on row blocks of
+    ``scan_rows(K, d)`` rows: from the matrix itself below
+    ``SCREEN_MIN_COORDS`` prototype coordinates, else from the one-block
+    GEMM screen (``_screen_one``)."""
+    search = _nearest_exact if protos.size < SCREEN_MIN_COORDS else _screen_one
+    return _in_row_blocks(partial(search, protos), data, scan_rows(*protos.shape))
+
+
+def _in_row_blocks(search, data: np.ndarray, rows: int, lead: tuple = ()):
+    """``search``'s (labels, squared distances) over the rows of ``data``,
+    taken on the fewest even row blocks of at most ``rows`` rows and written
+    side by side into two (*lead, n) arrays."""
+    n = len(data)
+    blocks = -(-n // rows)
+    if blocks == 1:
+        return search(data)
+    labels = np.empty((*lead, n), dtype=np.intp)
+    d2 = np.empty((*lead, n))
+    for i in range(blocks):
+        part = slice(i * n // blocks, (i + 1) * n // blocks)
+        labels[..., part], d2[..., part] = search(data[part])
+    return labels, d2
 
 
 def _nearest_exact(
@@ -361,10 +385,9 @@ def _nearest_stacked(
     stack: list[np.ndarray], data: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_nearest_exact`` of every block of ``stack`` at once, as two
-    (len(stack), n) arrays. The rows of ``data`` are split evenly into the
-    fewest row blocks whose padded (kmax, S, rows) block holds at most
-    ``SCAN_ENTRIES`` differences (``scan_rows``), and ``_stacked_block``
-    takes each; the stacked prototypes and their gather are laid out once.
+    (len(stack), n) arrays: ``_stacked_block`` on the row blocks whose
+    padded (kmax, S, rows) block holds at most ``SCAN_ENTRIES`` differences
+    (``scan_rows``), the stacked prototypes and their gather laid out once.
     """
     ks = np.array([len(p) for p in stack])
     starts = np.cumsum(ks) - ks
@@ -372,70 +395,47 @@ def _nearest_stacked(
     # padding reads the extra last row, which every block sets to +inf
     gather = np.where(slot < ks, starts + slot, int(ks.sum()))
     protos = np.concatenate([*stack, data[:1]])
-    n = len(data)
-    blocks = -(-n // scan_rows(gather.size, data.shape[1]))
-    if blocks == 1:
-        return _stacked_block(stack, protos, gather, data)
-    labels = np.empty((len(stack), n), dtype=np.intp)
-    d2 = np.empty((len(stack), n))
-    for i in range(blocks):
-        rows = slice(i * n // blocks, (i + 1) * n // blocks)
-        labels[:, rows], d2[:, rows] = _stacked_block(stack, protos, gather, data[rows])
-    return labels, d2
+    rows = scan_rows(gather.size, data.shape[1])
+    return _in_row_blocks(partial(_stacked_block, protos, gather), data, rows, (len(stack),))
 
 
 def _stacked_block(
-    stack: list[np.ndarray], protos: np.ndarray, gather: np.ndarray, data: np.ndarray
+    protos: np.ndarray, gather: np.ndarray, data: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_nearest_exact`` of every block of ``stack`` on the rows of
-    ``data``, from one ``sq_dist`` matrix over ``protos``, the stacked
-    blocks plus one extra prototype whose entries are set to +inf.
+    """``_nearest_exact`` of every stacked block on the rows of ``data``,
+    from one ``sq_dist`` matrix over ``protos``, the stacked blocks plus one
+    extra prototype whose entries are set to +inf.
 
     Each entry is the one the block's own matrix holds: ``sq_dist`` treats
     every (row, prototype) entry alike, whatever else is stacked beside it.
     ``gather`` lays the matrix out as a padded (kmax, S, rows) block, each
     block's prototypes in order with the +inf prototype as padding, and
-    ``_first_min`` reads it. Padding can only tie an all-+inf column, after
-    the block's own rows. A NaN entry (a non-finite prototype) sends the
-    rows to ``_nearest_each``, whose ``argmin`` takes the first NaN.
+    ``_first_min`` reads it. Padding sits after the block's own slots, so it
+    can only tie an all-+inf column, and a NaN entry (a non-finite
+    prototype) still goes first, as in the block's own ``argmin``.
     """
     # the (rows, sum K + 1) matrix comes out in Fortran order: .T is C order
     d2 = sq_dist(data[:, None, :], protos[None, :, :]).T
     d2[-1] = np.inf
     block = d2[gather]
     del d2  # the block holds every entry still needed
-    labels, low = _first_min(block)
-    if labels is None:
-        return _nearest_each(stack, data)
-    return labels, low
+    return _first_min(block)
 
 
-def _first_min(block: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
+def _first_min(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first minimum over the first axis of a (kmax, S, n) block, and
     the minimum, both (S, n). The lowest slot holding the minimum is the one
     whose descending rank kmax - slot is highest, so both reductions run
     elementwise across the (S, n) planes rather than once per (solution,
-    row) as ``argmin`` would. The labels are None when a minimum is NaN,
-    which no slot equals."""
+    row) as ``argmin`` would. A NaN minimum equals no slot, so then the
+    labels come from ``argmin``, which takes the first NaN."""
     kmax = len(block)
     low = np.minimum.reduce(block)
     if np.isnan(low).any():
-        return None, low
+        return block.argmin(axis=0), low
     # the narrowest type that holds kmax keeps the rank planes small
     rank = np.arange(kmax, 0, -1, dtype=np.min_scalar_type(kmax))[:, None, None]
     return kmax - np.maximum.reduce((block == low) * rank).astype(np.intp), low
-
-
-def _nearest_each(
-    stack: list[np.ndarray], data: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_nearest_exact`` of every block of ``stack``, one block at a time,
-    written into the rows of two (len(stack), n) arrays."""
-    labels = np.empty((len(stack), len(data)), dtype=np.intp)
-    d2 = np.empty((len(stack), len(data)))
-    for s, protos in enumerate(stack):
-        labels[s], d2[s] = _nearest_exact(protos, data)
-    return labels, d2
 
 
 def _screened(
@@ -446,13 +446,13 @@ def _screened(
     distance, as two (len(stack), n) arrays, from one GEMM over the stacked
     blocks. Bit for bit each block's own matrix at any d; ``assign_batch``
     uses it from ``SCREEN_MIN_DIM`` coordinates. One block goes through
-    ``_screen_one``.
+    ``nearest_sq``.
 
     One GEMM gives h_k = |p_k|^2 - 2 x.p_k for every row x and every stacked
     prototype; each block's candidate label m is the first minimum over its
     own prototypes. The blocks are padded to a common kmax with entries at
-    +inf and laid out as (kmax, S, n) planes for ``_first_min``, or for
-    ``argmin`` over the first axis if an h is NaN (such a row's margin is
+    +inf and laid out as (kmax, S, n) planes for ``_first_min``, whose
+    ``argmin`` takes the first NaN if an h is NaN (such a row's margin is
     not finite). The candidate's squared distance c_m = sq_dist(x, p_m) is
     the very entry the block's (n, K) matrix holds, since both sum the same
     last axis. A row keeps m only if every other prototype of its block
@@ -471,7 +471,7 @@ def _screened(
     infinite whenever an intermediate (all below 4s) could overflow.
     """
     if len(stack) == 1:
-        labels, c2 = _screen_one(stack[0], data)
+        labels, c2 = nearest_sq(stack[0], data)
         return labels[None], c2[None]
     n, d = data.shape
     ks = np.array([len(p) for p in stack])
@@ -489,8 +489,6 @@ def _screened(
         h += pp[:, None]
         h = h.reshape(kmax, count, n)
         labels, _ = _first_min(h)
-        if labels is None:
-            labels = h.argmin(axis=0)
         c2 = sq_dist(data, flat[labels * count + np.arange(count)[:, None]])
         xx = np.einsum("ij,ij->i", data, data)
         margin = _margin(top[:, None], xx, d)

@@ -198,10 +198,11 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     self included) form clusters by connectivity; border points join their
     nearest core point's cluster; noise joins no cluster, though scoring
     charges it too. When nothing is dense enough the fallback is a single
-    all-points cluster. Distances are taken in row blocks of ``scan_rows``
-    (against all n rows, then against the cores), so no temporary holds
-    more than ``core.SCAN_ENTRIES`` differences; only the (n, n) bool
-    neighbor mask is held whole.
+    all-points cluster. Distances against all n rows are taken in row
+    blocks of ``scan_rows``, and ``core.nearest_sq`` blocks the border rows
+    against the cores alike, so no temporary holds more than
+    ``core.SCAN_ENTRIES`` differences; only the (n, n) bool neighbor mask is
+    held whole.
     """
     data = window.data
     n = len(data)
@@ -221,11 +222,7 @@ def seed_dbscan(window: WindowBatch) -> ClusteringSolution:
     labels = connected_components(within, core)
     loose = np.flatnonzero(~core)
     border = loose[within[loose][:, core].any(axis=1)]
-    cores = data[core_idx]
-    step = scan_rows(len(core_idx), data.shape[1])
-    for i in range(0, len(border), step):
-        rows = border[i : i + step]
-        labels[rows] = labels[core_idx[nearest_sq(cores, data[rows])[0]]]
+    labels[border] = labels[core_idx[nearest_sq(data[core_idx], data[border])[0]]]
     return _solution(data, labels)
 
 

@@ -417,8 +417,7 @@ class TestAssignBatch:
         # an infinite prototype is an infinite entry, which both kernels
         # order alike: a block of infinite rows alone still takes its first
         # row, ahead of the +inf padding. A NaN entry makes the stacked
-        # kernel hand the stack to one matrix per solution, whose argmin
-        # takes the first NaN
+        # block's argmin take the first NaN, as each solution's own does
         rng = np.random.default_rng(d)
         data = rng.normal(size=(12, d))
         tame = rng.normal(size=(3, d))
@@ -429,7 +428,7 @@ class TestAssignBatch:
         broken = tame.copy()
         broken[1, 0] = np.nan
         _stack_check([tame, broken], data)
-        assert exact_rows == [(3, 12), (3, 12)]
+        assert exact_rows == []
 
     def test_stacked_kernel_ranks_past_255_prototypes(self, exact_rows):
         # K = 300 on 100 rows is one stacked block, whose descending ranks
@@ -451,9 +450,9 @@ class TestAssignBatch:
         blocks = []
         stacked = core._stacked_block
 
-        def recording(stack, protos, gather, data):
+        def recording(protos, gather, data):
             blocks.append(len(data))
-            return stacked(stack, protos, gather, data)
+            return stacked(protos, gather, data)
 
         monkeypatch.setattr(core, "_stacked_block", recording)
         # n x S x kmax padded entries of d differences each
@@ -568,6 +567,42 @@ class TestOneBlockScreen:
         protos[2, 0] = 1e154
         data = rng.normal(size=(6, d))
         assert self._check(protos, data, monkeypatch, exact_rows) == [6]
+
+
+class TestNearestRowBlocks:
+    """``nearest_sq`` takes its rows in even blocks of ``scan_rows(K, d)``
+    rows on either search, so its temporaries stay within the budget."""
+
+    @pytest.mark.parametrize("search, min_coords", [("_nearest_exact", 10**9),
+                                                    ("_screen_one", 0)])
+    def test_row_blocks_split_evenly_within_the_budget(self, search, min_coords,
+                                                       monkeypatch):
+        rng = np.random.default_rng(0)
+        protos = rng.normal(size=(7, 2))
+        data = rng.normal(size=(10, 2))
+        want = core._nearest_exact(protos, data)
+        blocks = []
+        searched = getattr(core, search)
+        monkeypatch.setattr(core, search, lambda p, x: blocks.append(len(x)) or searched(p, x))
+        monkeypatch.setattr(core, "SCREEN_MIN_COORDS", min_coords)
+        # n x K entries of d differences each
+        for budget, rows in [(10 * 7 * 2, [10]), (10 * 7 * 2 - 1, [5, 5]),
+                             (3 * 7 * 2, [2, 3, 2, 3]), (1, [1] * 10)]:
+            blocks.clear()
+            monkeypatch.setattr(core, "SCAN_ENTRIES", budget)
+            labels, d2 = core.nearest_sq(protos, data)
+            assert blocks == rows
+            assert np.array_equal(labels, want[0]) and d2.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("k", [15, 40])
+    def test_memory_stays_within_the_block_budget(self, k):
+        # 15 x 16 prototype coordinates take the exact matrix, 40 x 16 the
+        # screen; one (8000, 15, 16) difference array alone holds 15 MB
+        rng = np.random.default_rng(k)
+        protos = rng.normal(size=(k, 16))
+        data = rng.normal(size=(8000, 16))
+        out = 8000 * (8 + 8)  # the labels and squared distances
+        assert traced_peak(core.nearest_sq, protos, data) < out + 2 * 8 * core.SCAN_ENTRIES
 
 
 def _counts(*values):
@@ -791,6 +826,8 @@ class TestStreamConfig:
         assert cfg.idle_generations_cap == 10
         # None selects the wall-clock mode
         assert StreamConfig(idle_generations_cap=None).idle_generations_cap is None
+        # numpy integers are integers
+        assert StreamConfig(window_size=np.int64(50), rng_seed=np.uint32(3)).window_size == 50
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -808,6 +845,17 @@ class TestStreamConfig:
             # weights >= nan never holds, so a NaN threshold would never prune
             {"prune_threshold": float("nan")},
             {"prune_threshold": float("inf")},
+            # a NaN deadline never expires, so a paced run would never return
+            {"interval_ms": float("nan"), "idle_generations_cap": None},
+            {"interval_ms": float("inf")},
+            {"window_size": 2.5},
+            {"window_size": True},
+            {"sigma": 2.5},
+            {"sigma": True},
+            {"idle_generations_cap": 2.5},
+            {"idle_generations_cap": False},
+            {"rng_seed": 1.5},
+            {"rng_seed": np.float64(3.0)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -380,9 +380,9 @@ class TestBreed:
             exact_calls.append(len(protos))
             return exact(protos, data)
 
-        def recording(stack, protos, gather, data):
+        def recording(protos, gather, data):
             blocks.append(len(data))
-            return stacked(stack, protos, gather, data)
+            return stacked(protos, gather, data)
 
         monkeypatch.setattr(core, "_nearest_exact", counting)
         monkeypatch.setattr(core, "_stacked_block", recording)
