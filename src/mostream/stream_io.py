@@ -1,9 +1,13 @@
 """Stream ingestion and artifact emission.
 
 The CSV loader is a generator holding at most one window of rows at a time.
-Blob generation builds a labeled synthetic stream with optional per-window
-center drift. Emitters write line-oriented files that replay byte-for-byte
-under a fixed manifest and seed.
+It parses each window in blocks of lines, one block when the window has at
+most ``BLOCK_LINES`` rows: every field of a block goes through Python's
+``float`` in one pass, and the checks run with numpy over the block, raising
+at the first bad line in file order. Blob generation builds a labeled
+synthetic stream with optional per-window center drift. Emitters write
+line-oriented files that replay byte-for-byte under a fixed manifest and
+seed.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import json
 import logging
 import math
 import os
+from functools import partial
+from itertools import islice, repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -20,6 +26,17 @@ from .core import MAX_ABS_VALUE, WindowBatch, serialize_chromosome
 from .engine import EngineState, FinalSelection, WindowReport
 
 logger = logging.getLogger(__name__)
+
+
+# lines parsed in one block: a window of up to this many rows is one block.
+# On the 1000-row wide-overlap windows, one block per window kept peak RSS
+# about 0.17 MB above the row-by-row loader (median of 5 runs), and blocks
+# of 256 lines about 0.07 MB, at the same speed within noise.
+BLOCK_LINES = 256
+
+# class ids must stay below this magnitude: every smaller integer is a float,
+# and from here on two ids can round to one (2**53 + 1 reads as 2**53)
+MAX_LABEL = 2**53
 
 
 def load_csv(
@@ -31,83 +48,173 @@ def load_csv(
 
     Rows with non-finite values, or features beyond +/-``MAX_ABS_VALUE``, are
     skipped (counted, one warning at end of stream). A row with the wrong
-    field count, or a finite label that is not a whole number, aborts with
-    its line number, as does a first row whose only field is the label.
+    field count, or a finite label that is not a whole number below
+    ``MAX_LABEL`` in magnitude, aborts with its line number, as does a first
+    row whose only field is the label. A window is parsed in blocks of at
+    most ``BLOCK_LINES`` lines: the lines still needed to fill it are read
+    (none past the one that fills it), converted by ``float`` in one pass,
+    and checked with numpy; when several lines are bad, the first in file
+    order raises.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    rows: list[list[float]] = []
-    labels: list[int] = []
     width: Optional[int] = None
     skipped = 0
+    lineno = 0
     window_id = 0
     start_index = 0
-    emitted_any = False
 
-    def flush() -> WindowBatch:
-        nonlocal rows, labels, window_id, start_index, emitted_any
+    def next_window(fh) -> Optional[WindowBatch]:
+        nonlocal width, skipped, lineno, window_id, start_index
+        rows: list[np.ndarray] = []
+        labels: list[np.ndarray] = []
+        filled = 0
+        while filled < window_size:
+            lines, numbers, lineno = _read_lines(
+                fh, min(window_size - filled, BLOCK_LINES), lineno
+            )
+            if not lines:
+                break
+            if width is None:
+                width = _first_width(lines[0], numbers[0], label_col)
+            values = _parse_block(lines, numbers, width, label_col)
+            # the bound test is False for NaN and +/-inf as well; a finite
+            # label passed the block checks within 2**53, so the one test also
+            # skips the rows whose label is not finite
+            values = values[(np.abs(values) <= MAX_ABS_VALUE).all(axis=1)]
+            skipped += len(lines) - len(values)
+            filled += len(values)
+            if label_col is None:
+                rows.append(values)
+            else:
+                rows.append(np.delete(values, label_col % width, axis=1))
+                labels.append(values[:, label_col].astype(int))
+        if not filled:
+            return None
         batch = WindowBatch(
-            np.asarray(rows, dtype=float),
+            np.concatenate(rows),
             window_id,
-            labels=np.asarray(labels) if label_col is not None else None,
+            labels=np.concatenate(labels) if label_col is not None else None,
             start_index=start_index,
         )
-        start_index += len(rows)
+        start_index += filled
         window_id += 1
-        rows, labels = [], []
-        emitted_any = True
         return batch
 
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-                if label_col is not None and not -width <= label_col < width:
-                    raise ValueError(f"label column {label_col} out of range")
-                if label_col is not None and width == 1:
-                    raise ValueError(
-                        f"line {lineno}: window has no feature columns "
-                        "(the only field is the label column)"
-                    )
-            elif len(fields) != width:
-                raise ValueError(
-                    f"line {lineno}: expected {width} fields, got {len(fields)}"
-                )
-            try:
-                values = [float(v) for v in fields]
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if label_col is not None:
-                label_val = values[label_col]
-                if math.isfinite(label_val) and not label_val.is_integer():
-                    raise ValueError(
-                        f"line {lineno}: label {fields[label_col]} is not a class id"
-                    )
-                feat = [v for i, v in enumerate(values) if i != label_col % width]
-            else:
-                label_val = None
-                feat = values
-            # the bound test is False for NaN and +/-inf as well
-            if not all(abs(v) <= MAX_ABS_VALUE for v in feat) or (
-                label_val is not None and not math.isfinite(label_val)
-            ):
-                skipped += 1
-                continue
-            rows.append(feat)
-            if label_col is not None:
-                labels.append(int(label_val))
-            if len(rows) == window_size:
-                yield flush()
-    if rows:
-        yield flush()
+        yield from iter(partial(next_window, fh), None)
     if skipped:
         logger.warning("skipped %d rows with non-finite or out-of-range values", skipped)
-    if not emitted_any:
+    if not window_id:
         raise ValueError(f"{path}: no usable rows")
+
+
+def _read_lines(fh, count: int, lineno: int) -> tuple[list[str], list[int], int]:
+    """The next ``count`` non-blank lines of ``fh``, stripped, with their line
+    numbers, and the number of the last line read. No line past the one that
+    completes the count is read; fewer lines come back only at end of file."""
+    lines: list[str] = []
+    numbers: list[int] = []
+    while len(lines) < count:
+        want = count - len(lines)
+        chunk = list(map(str.strip, islice(fh, want)))
+        if all(chunk):
+            lines += chunk
+            numbers += range(lineno + 1, lineno + 1 + len(chunk))
+        else:
+            for number, line in enumerate(chunk, lineno + 1):
+                if line:
+                    lines.append(line)
+                    numbers.append(number)
+        lineno += len(chunk)
+        if len(chunk) < want:
+            break
+    return lines, numbers, lineno
+
+
+def _first_width(line: str, lineno: int, label_col: Optional[int]) -> int:
+    """The field count of the file's first non-blank line, checked against
+    the label column."""
+    width = line.count(",") + 1
+    if label_col is not None and not -width <= label_col < width:
+        raise ValueError(f"label column {label_col} out of range")
+    if label_col is not None and width == 1:
+        raise ValueError(
+            f"line {lineno}: window has no feature columns "
+            "(the only field is the label column)"
+        )
+    return width
+
+
+def _parse_block(
+    lines: list[str], numbers: list[int], width: int, label_col: Optional[int]
+) -> np.ndarray:
+    """The (len(lines), width) values of a block of lines, converted by
+    ``float``. The first bad line in file order raises with its line number:
+    a wrong field count, else a field ``float`` rejects, else a label that
+    is not a class id."""
+    counts = np.fromiter(
+        map(str.count, lines, repeat(",")), dtype=np.intp, count=len(lines)
+    )
+    ragged = np.flatnonzero(counts != width - 1)
+    end = int(ragged[0]) if len(ragged) else len(lines)
+    error = None
+    if end < len(lines):
+        error = f"line {numbers[end]}: expected {width} fields, got {counts[end] + 1}"
+    try:
+        values = _floats(lines[:end], width)
+    except ValueError:
+        end, exc = _first_unparsed(lines[:end])
+        error = f"line {numbers[end]}: {exc}"
+        values = _floats(lines[:end], width)
+    if label_col is not None:
+        _check_labels(values[:, label_col], lines, numbers, label_col)
+    if error is not None:
+        raise ValueError(error)
+    return values
+
+
+def _floats(lines: list[str], width: int) -> np.ndarray:
+    """Every field of ``lines`` (each with ``width`` fields) through ``float``,
+    as an (n, width) array."""
+    if not lines:
+        return np.empty((0, width))
+    fields = ",".join(lines).split(",")
+    return np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(
+        -1, width
+    )
+
+
+def _first_unparsed(lines: list[str]) -> tuple[int, ValueError]:
+    """The index of the first line with a field ``float`` rejects (``lines``
+    holds one), and the error it raised."""
+    for index, line in enumerate(lines):
+        try:
+            for field in line.split(","):
+                float(field)
+        except ValueError as exc:
+            return index, exc
+
+
+def _check_labels(
+    labels: np.ndarray, lines: list[str], numbers: list[int], label_col: int
+) -> None:
+    """Raise at the first finite label that is fractional or not within
+    +/-``MAX_LABEL``."""
+    bad = np.flatnonzero(
+        np.isfinite(labels)
+        & ((labels != np.floor(labels)) | (np.abs(labels) >= MAX_LABEL))
+    )
+    if not len(bad):
+        return
+    row = int(bad[0])
+    field = lines[row].split(",")[label_col]
+    if not float(labels[row]).is_integer():
+        raise ValueError(f"line {numbers[row]}: label {field} is not a class id")
+    raise ValueError(
+        f"line {numbers[row]}: label {field} is not within +/-2**53, "
+        "where class ids stop being exact"
+    )
 
 
 def blob_centers(k: int, sep: float, dim: int = 2) -> np.ndarray:

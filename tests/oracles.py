@@ -4,9 +4,11 @@ Everything here is deliberately naive: dict counting, direct formula
 transcription, grid rasterization. No imports from the package under test.
 """
 
+import logging
 import math
 import tracemalloc
 from collections import Counter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -522,3 +524,104 @@ def traced_peak(call, *args):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# CSV ingestion
+
+reference_logger = logging.getLogger("oracles.load_csv_reference")
+
+
+class ReferenceWindow(NamedTuple):
+    data: np.ndarray
+    window_id: int
+    labels: Optional[np.ndarray]
+    start_index: int
+
+
+def load_csv_reference(path, window_size, label_col=None, max_abs_value=1e100):
+    """The row-by-row CSV loader: each line is split, converted by ``float``
+    and checked on its own. A finite label whose float reaches +/-2**53
+    raises with its line number, as a fractional one does.
+    ``max_abs_value`` is the package's ``MAX_ABS_VALUE``."""
+    if window_size < 1:
+        raise ValueError("window_size must be >= 1")
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    width: Optional[int] = None
+    skipped = 0
+    window_id = 0
+    start_index = 0
+    emitted_any = False
+
+    def flush() -> ReferenceWindow:
+        nonlocal rows, labels, window_id, start_index, emitted_any
+        batch = ReferenceWindow(
+            np.asarray(rows, dtype=float),
+            window_id,
+            np.asarray(labels) if label_col is not None else None,
+            start_index,
+        )
+        start_index += len(rows)
+        window_id += 1
+        rows, labels = [], []
+        emitted_any = True
+        return batch
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+                if label_col is not None and not -width <= label_col < width:
+                    raise ValueError(f"label column {label_col} out of range")
+                if label_col is not None and width == 1:
+                    raise ValueError(
+                        f"line {lineno}: window has no feature columns "
+                        "(the only field is the label column)"
+                    )
+            elif len(fields) != width:
+                raise ValueError(
+                    f"line {lineno}: expected {width} fields, got {len(fields)}"
+                )
+            try:
+                values = [float(v) for v in fields]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if label_col is not None:
+                label_val = values[label_col]
+                if math.isfinite(label_val) and not label_val.is_integer():
+                    raise ValueError(
+                        f"line {lineno}: label {fields[label_col]} is not a class id"
+                    )
+                if math.isfinite(label_val) and abs(label_val) >= 2**53:
+                    raise ValueError(
+                        f"line {lineno}: label {fields[label_col]} is not within "
+                        "+/-2**53, where class ids stop being exact"
+                    )
+                feat = [v for i, v in enumerate(values) if i != label_col % width]
+            else:
+                label_val = None
+                feat = values
+            # the bound test is False for NaN and +/-inf as well
+            if not all(abs(v) <= max_abs_value for v in feat) or (
+                label_val is not None and not math.isfinite(label_val)
+            ):
+                skipped += 1
+                continue
+            rows.append(feat)
+            if label_col is not None:
+                labels.append(int(label_val))
+            if len(rows) == window_size:
+                yield flush()
+    if rows:
+        yield flush()
+    if skipped:
+        reference_logger.warning(
+            "skipped %d rows with non-finite or out-of-range values", skipped
+        )
+    if not emitted_any:
+        raise ValueError(f"{path}: no usable rows")

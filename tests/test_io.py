@@ -8,13 +8,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mostream.cli import build_parser, config_from_args, main, parse_blob_spec, run
 from mostream.core import MAX_ABS_VALUE, StreamConfig
 from mostream.engine import WindowReport, initialize, run_stream
+from mostream import stream_io
 from mostream.stream_io import (
     blob_centers,
     emit_assignments,
@@ -24,6 +28,7 @@ from mostream.stream_io import (
     minmax_wrap,
     report_line,
 )
+from oracles import load_csv_reference, reference_logger
 
 
 def _parse_reports(path):
@@ -136,6 +141,183 @@ class TestLoadCsv:
         path = self._write(tmp_path, "1,2\n")
         with pytest.raises(ValueError):
             list(load_csv(path, window_size=0))
+
+
+class TestLoadCsvBlocks:
+    """Window-at-a-time parsing: laziness, which bad line raises, and the
+    class-id bound."""
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        return str(path)
+
+    def test_bad_line_after_a_full_window_raises_on_the_next_window(self, tmp_path):
+        path = self._write(tmp_path, "1,2\n\n3,4\n5,oops\n7,8\n")
+        it = load_csv(path, window_size=2)
+        first = next(it)
+        assert np.array_equal(first.data, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="line 4: could not convert"):
+            next(it)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,0\n3,4\n5,6,2.5\n", "line 2: expected 3 fields, got 2"),
+            ("1,2,0\n3,4,2.5\n5,6\n", "line 2: label 2.5 is not a class id"),
+            ("1,2,0\n3,x,1\n5,6,2.5\n", "line 2: could not convert string to float: 'x'"),
+            ("1,2,0.5\n3,x,1\n5,6\n", "line 1: label 0.5 is not a class id"),
+            ("1,2,0\n3,4,nan\n5,6,1,9\n7,x,1\n", "line 3: expected 3 fields, got 4"),
+        ],
+    )
+    def test_first_bad_line_in_a_block_raises(self, tmp_path, text, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            list(load_csv(path, window_size=10, label_col=2))
+        assert str(info.value) == message
+
+    def test_labels_past_two_to_the_53_rejected(self, tmp_path):
+        path = self._write(tmp_path, "0,0,9007199254740991\n1,1,9007199254740993\n")
+        with pytest.raises(ValueError, match="line 2: label 9007199254740993 is not within"):
+            list(load_csv(path, window_size=10, label_col=2))
+
+    def test_labels_past_the_int64_range_rejected(self, tmp_path):
+        path = self._write(tmp_path, "0,0,1\n\n1,1,1e20\n")
+        with pytest.raises(ValueError, match="line 3: label 1e20 is not within"):
+            list(load_csv(path, window_size=10, label_col=2))
+
+    @pytest.mark.parametrize("label", ["9007199254740992", "-9.007199254740992e15"])
+    def test_labels_at_two_to_the_53_rejected(self, tmp_path, label):
+        # 2**53 + 1 reads as 2**53, so 2**53 itself cannot be told apart
+        path = self._write(tmp_path, f"0,0,1\n1,1,{label}\n")
+        with pytest.raises(ValueError, match=f"line 2: label {label} is not within"):
+            list(load_csv(path, window_size=10, label_col=2))
+
+    def test_labels_just_below_two_to_the_53_kept(self, tmp_path):
+        path = self._write(tmp_path, "0,0,9007199254740991\n1,1,-9007199254740991\n")
+        (batch,) = load_csv(path, window_size=10, label_col=2)
+        assert batch.labels.dtype == np.int64
+        assert batch.labels.tolist() == [2**53 - 1, -(2**53 - 1)]
+
+
+_GOOD_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from([
+        "1_0", "١٢", "２.５", " 3 ", "\t-4 ", "nan", "NaN", "inf",
+        "-inf", "1e400", "-0.0", "2.5", "1e20", "9007199254740991",
+        "9007199254740992", "-9007199254740993", "9.007199254740993e15",
+        repr(MAX_ABS_VALUE), repr(-MAX_ABS_VALUE),
+        repr(float(np.nextafter(MAX_ABS_VALUE, np.inf))),
+        repr(float(np.nextafter(-MAX_ABS_VALUE, -np.inf))),
+    ]),
+)
+_BAD_FIELDS = st.sampled_from(["oops", "", "1__0", "0x10"])
+
+
+@st.composite
+def _csv_cases(draw):
+    """(text, window size, label column) of a small CSV with every kind of
+    line the loader treats apart."""
+    width = draw(st.integers(1, 4))
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        label_col = None
+    elif kind == 1:
+        label_col = draw(st.sampled_from([width, -width - 1]))
+    else:
+        label_col = draw(st.integers(-width, width - 1))
+    field = st.integers(0, 49).flatmap(lambda k: _BAD_FIELDS if k == 0 else _GOOD_FIELDS)
+    # a label is mostly a small class id, so a bad one often precedes other faults
+    label = st.integers(0, 5).flatmap(lambda k: field if k == 0 else st.integers(-3, 3).map(str))
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        count = max(1, width + draw(st.sampled_from([-1, 1]))) if kind == 1 else width
+        row = draw(st.lists(field, min_size=count, max_size=count))
+        if label_col is not None and -count <= label_col < count:
+            row[label_col] = draw(label)
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    window_size = draw(st.integers(1, len(lines) + 1))
+    return text, window_size, label_col
+
+
+# one faulty line of each kind, for a 3-field file labeled in column 2
+_FAULTS = ["1,2", "1,2,3,4", "1,x,0", "1,2,0.5", "1,2,1e20", "nan,2,0", "1,2,inf", ""]
+
+
+def _drain(loader, logger, path, window_size, label_col):
+    """Every window a loader yields, the error that ended it if any, and its
+    log messages."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger.addHandler(handler)
+    windows, error = [], None
+    try:
+        for w in loader(path, window_size, label_col=label_col):
+            labels = None if w.labels is None else (w.labels.tolist(), w.labels.dtype.str)
+            windows.append(
+                (w.data.tobytes(), w.data.shape, w.data.dtype.str, labels,
+                 w.window_id, w.start_index)
+            )
+    except ValueError as exc:
+        error = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return windows, error, messages
+
+
+class TestLoadCsvOracle:
+    @given(_csv_cases(), st.sampled_from([1, 2, 3, stream_io.BLOCK_LINES]))
+    def test_matches_the_row_by_row_reference(self, case, block_lines):
+        # small blocks put block edges, and bad lines, inside every window
+        text, window_size, label_col = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            with mock.patch.object(stream_io, "BLOCK_LINES", block_lines):
+                got = _drain(load_csv, logging.getLogger("mostream.stream_io"),
+                             path, window_size, label_col)
+            want = _drain(load_csv_reference, reference_logger, path, window_size, label_col)
+        assert got == want
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(_FAULTS)),
+                         min_size=1, max_size=4),
+                st.integers(1, n + 1),
+            )
+        ),
+        st.sampled_from([2, 3, stream_io.BLOCK_LINES]),
+    )
+    @settings(max_examples=200)
+    def test_faults_raise_as_row_by_row(self, case, block_lines):
+        # valid rows with a few faulty lines dropped in: which one raises, and
+        # after how many windows, must match the reference
+        n, faults, window_size = case
+        lines = [f"{i},{i + 0.5},{i % 3}" for i in range(n)]
+        for index, fault in faults:
+            lines[index] = fault
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with mock.patch.object(stream_io, "BLOCK_LINES", block_lines):
+                got = _drain(load_csv, logging.getLogger("mostream.stream_io"),
+                             path, window_size, 2)
+            want = _drain(load_csv_reference, reference_logger, path, window_size, 2)
+        assert got == want
 
 
 class TestBlobCenters:
@@ -417,6 +599,24 @@ class TestCliMain:
         )
         assert rc == 0
         assert "nmi=" in capsys.readouterr().out
+
+    def test_csv_input_runs_like_the_stream_in_memory(self, tmp_path, capsys):
+        spec = {"k": 3, "per_blob": 70, "sep": 4.0, "stddev": 1.0}
+        batches = gen_blobs(window_size=50, seed=4, **spec)
+        csv_path = tmp_path / "stream.csv"
+        with open(csv_path, "w") as fh:
+            for b in batches:
+                for row, lab in zip(b.data, b.labels):
+                    fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
+        common = ["--window", "50", "--seed", "4", "--idle-gens", "2"]
+        assert main(["--input", str(csv_path), "--label-col", "2", *common,
+                     "--out", str(tmp_path / "csv")]) == 0
+        assert main(["--blobs", "k=3,per=70,sep=4,std=1", *common,
+                     "--out", str(tmp_path / "memory")]) == 0
+        capsys.readouterr()
+        for name in ("reports.jsonl", "assignments.csv"):
+            got = (tmp_path / "csv" / name).read_bytes()
+            assert got and got == (tmp_path / "memory" / name).read_bytes()
 
     def test_snapshots_flag(self, tmp_path):
         rc = main(
