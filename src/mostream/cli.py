@@ -118,7 +118,7 @@ def run(args: argparse.Namespace) -> dict:
     emit_assignments(final, os.path.join(args.out, "assignments.csv"))
     last = state.reports[-1]
     return {
-        "windows": len(state.reports),
+        "windows": state.windows,
         "archive_size": len(state.archive),
         "selected_k": final.solution.k,
         "selected_dbi": final.dbi,

@@ -20,10 +20,10 @@ with the same result.
 Every later window flows
 through a fixed pipeline: points map into the tree (in runs of rows, each
 row placed as the point-by-point rule would), every archive member absorbs
-the window and fades, the members are rescored in one pass together with
-the tree's re-offered macro view, and the archive is re-screened for
-dominance before the window report goes out. Idle time between windows runs
-archive generations.
+the window and fades, the members are rescored in one assign pass and the
+tree's re-offered macro view in another at its own width, both scored in one
+pass, and the archive is re-screened for dominance before the window report
+goes out. Idle time between windows runs archive generations.
 
 The members' absorb, fade and rescore, and the report's validity index, run
 on the stacked cluster rows of the whole archive (``core.stack_labels``):
@@ -37,6 +37,7 @@ import os
 import pickle
 import signal
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -107,7 +108,11 @@ class EngineState:
     hv_reference: ObjectiveVector
     next_solution_id: int = 0
     idle_counter: int = 0
-    reports: list[WindowReport] = field(default_factory=list)
+    # windows reported so far, and the last one's report (``reports[-1]``):
+    # older reports go to the caller's ``on_window_end`` or nowhere, so the
+    # state does not grow with the stream
+    windows: int = 0
+    reports: deque[WindowReport] = field(default_factory=lambda: deque(maxlen=1))
 
     def allot_id(self) -> int:
         out = self.next_solution_id
@@ -213,6 +218,7 @@ def _window_report(
         elapsed_ms=elapsed_ms if state.cfg.idle_generations_cap is None else None,
     )
     state.reports.append(report)
+    state.windows += 1
     return report
 
 
@@ -418,23 +424,26 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     clones = _absorb(list(state.archive), window.data, cfg)
     state.tree.fade_and_prune(cfg.prune_threshold)
 
-    # (4) rescore: one assign_batch call over the moved/pruned members and
-    # the tree's macro view, re-offered as a candidate. One bincount over
-    # their stacked labels finds every fed cluster: a member's separateness
-    # counts only the clusters the window still feeds. The offer keeps only
-    # its fed clusters, so its labels are renumbered onto the rows it keeps,
-    # and scores its compactness; then one separateness call scores every
-    # member and the offer. The report reads the same rows, the offer's
-    # renumbered one included. The macro offer takes the commit's last id.
+    # (4) rescore: the moved/pruned members in one assign_batch call and the
+    # tree's macro view, re-offered as a candidate, alone in a second, so
+    # that no member is padded to the offer's K (often more than twice the
+    # largest member's). One bincount over the stacked labels of both finds
+    # every fed cluster: a member's separateness counts only the clusters
+    # the window still feeds. The offer keeps only its fed clusters, so its
+    # labels are renumbered onto the rows it keeps, and scores its
+    # compactness; then one separateness call scores every member and the
+    # offer. The report reads the same rows, the offer's renumbered one
+    # included. The macro offer takes the commit's last id.
     macro = state.tree.macro_clusters()
     scored = clones + [macro]
-    labels, dists = assign_batch(scored, window.data)
-    _, starts, sizes = stack_labels(scored, labels)
+    labels, dists = assign_batch(clones, window.data)
+    offer_labels, offer_dists = assign_batch([macro], window.data)
+    _, starts, sizes = stack_labels(scored, np.concatenate((labels, offer_labels)))
     fed = [sizes[start : start + sol.k] > 0 for sol, start in zip(scored, starts.tolist())]
     if not fed[-1].all():
         macro.keep(fed[-1])
-        labels[-1] = (np.cumsum(fed[-1]) - 1)[labels[-1]]
-    update_compactness(macro, dists[-1])
+        offer_labels[0] = (np.cumsum(fed[-1]) - 1)[offer_labels[0]]
+    update_compactness(macro, offer_dists[0])
     blocks = [clone.prototypes[rows] for clone, rows in zip(clones, fed)]
     for sol, value in zip(scored, separateness(blocks + [macro.prototypes])):
         sol.objectives.separateness = value
@@ -449,12 +458,29 @@ def process_window(state: EngineState, window: WindowBatch) -> WindowReport:
     state.archive = rebuilt
 
     # (6) commit and report on the survivors' rows of step (4)'s arrays:
-    # the archive and ``scored`` are both in id order, so the rows line up
+    # the archive and the members are both in id order and the offer, when
+    # kept, holds the last id, so the rows line up
     state.last_window = window
     elapsed = (time.perf_counter() - t0) * 1000.0
     kept = set(map(id, state.archive))
-    rows = [i for i, sol in enumerate(scored) if id(sol) in kept]
-    return _window_report(state, window, elapsed, labels[rows], dists[rows])
+    rows = [i for i, clone in enumerate(clones) if id(clone) in kept]
+    offered = slice(0, int(id(macro) in kept))
+    return _window_report(
+        state,
+        window,
+        elapsed,
+        _stack_rows(labels, rows, offer_labels[offered]),
+        _stack_rows(dists, rows, offer_dists[offered]),
+    )
+
+
+def _stack_rows(members: np.ndarray, rows: list[int], offer: np.ndarray) -> np.ndarray:
+    """``members[rows]`` followed by the rows of ``offer`` (none or one),
+    gathered into one new array with no intermediate copy."""
+    out = np.empty((len(rows) + len(offer), members.shape[1]), members.dtype)
+    np.take(members, np.asarray(rows, dtype=np.intp), axis=0, out=out[: len(rows)])
+    out[len(rows) :] = offer
+    return out
 
 
 def on_idle(state: EngineState, budget: IdleBudget) -> int:
@@ -493,7 +519,9 @@ def run_stream(
     run between windows. With None, generations run until
     ``cfg.interval_ms`` has elapsed, then the next window is read at once.
     ``on_window_end`` sees the state after each commit, before idle time;
-    the window's report is ``state.reports[-1]``.
+    the window's report is ``state.reports[-1]``, which the state keeps only
+    until the next window's, so a caller that wants every report collects
+    them there.
     """
     state: Optional[EngineState] = None
     for window in batches:

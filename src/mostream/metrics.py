@@ -103,7 +103,8 @@ def davies_bouldin(
     Every solution is scored on the stacked cluster rows of all of them:
     one bincount over the offset labels gives each cluster's size, and one
     ``block_gaps`` call every prototype gap, as ``separateness`` takes
-    them. A stable argsort of the stacked labels puts each cluster's
+    them. A stable argsort of the stacked labels, on keys of the narrowest
+    unsigned type (a radix sort below 2**16 rows), puts each cluster's
     distances in one slice, in window order, so ``np.add.reduce`` over the
     slice divided by the size is bit for bit the masked ``.mean()`` (a
     bincount or ``reduceat`` sum adds in another order and moves bits).
@@ -125,8 +126,11 @@ def davies_bouldin(
     live_ks = ks[live]
     coincide = np.logical_or.reduceat((gap == 0.0).any(axis=1), np.cumsum(live_ks) - live_ks)
     gap[np.repeat(coincide, live_ks)] = np.inf
-    # scatters: every live cluster's distances, each one contiguous slice
-    order = np.argsort(labels[live].ravel(), kind="stable")
+    # scatters: every live cluster's distances, each one contiguous slice.
+    # The keys are cast to the narrowest type that holds every row, where
+    # numpy's stable sort is a radix sort; a stable order is unique
+    keys = labels[live].ravel().astype(np.min_scalar_type(len(sizes)))
+    order = np.argsort(keys, kind="stable")
     dists = dists[live].ravel()[order]
     counts = sizes[np.repeat(live, ks)]
     sums = np.empty(len(counts))

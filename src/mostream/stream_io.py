@@ -49,8 +49,10 @@ def load_csv(
     Rows with non-finite values, or features beyond +/-``MAX_ABS_VALUE``, are
     skipped (counted, one warning at end of stream). A row with the wrong
     field count, or a finite label that is not a whole number below
-    ``MAX_LABEL`` in magnitude, aborts with its line number, as does a first
-    row whose only field is the label. A window is parsed in blocks of at
+    ``MAX_LABEL`` in magnitude, as a float and as written
+    (``2.0000000000000001`` is rejected, though its float is 2.0), aborts
+    with its line number, as does a first row whose only field is the
+    label. A window is parsed in blocks of at
     most ``BLOCK_LINES`` lines: the lines still needed to fill it are read
     (none past the one that fills it), converted by ``float`` in one pass,
     and checked with numpy; when several lines are bad, the first in file
@@ -162,27 +164,26 @@ def _parse_block(
     if end < len(lines):
         error = f"line {numbers[end]}: expected {width} fields, got {counts[end] + 1}"
     try:
-        values = _floats(lines[:end], width)
+        values, fields = _floats(lines[:end], width)
     except ValueError:
         end, exc = _first_unparsed(lines[:end])
         error = f"line {numbers[end]}: {exc}"
-        values = _floats(lines[:end], width)
+        values, fields = _floats(lines[:end], width)
     if label_col is not None:
-        _check_labels(values[:, label_col], lines, numbers, label_col)
+        _check_labels(values[:, label_col], fields[label_col % width :: width], numbers)
     if error is not None:
         raise ValueError(error)
     return values
 
 
-def _floats(lines: list[str], width: int) -> np.ndarray:
+def _floats(lines: list[str], width: int) -> tuple[np.ndarray, list[str]]:
     """Every field of ``lines`` (each with ``width`` fields) through ``float``,
-    as an (n, width) array."""
+    as an (n, width) array, and the fields' text, row after row."""
     if not lines:
-        return np.empty((0, width))
+        return np.empty((0, width)), []
     fields = ",".join(lines).split(",")
-    return np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(
-        -1, width
-    )
+    values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+    return values.reshape(-1, width), fields
 
 
 def _first_unparsed(lines: list[str]) -> tuple[int, ValueError]:
@@ -196,25 +197,52 @@ def _first_unparsed(lines: list[str]) -> tuple[int, ValueError]:
             return index, exc
 
 
-def _check_labels(
-    labels: np.ndarray, lines: list[str], numbers: list[int], label_col: int
-) -> None:
-    """Raise at the first finite label that is fractional or not within
-    +/-``MAX_LABEL``."""
-    bad = np.flatnonzero(
-        np.isfinite(labels)
-        & ((labels != np.floor(labels)) | (np.abs(labels) >= MAX_LABEL))
-    )
+def _check_labels(labels: np.ndarray, texts: list[str], numbers: list[int]) -> None:
+    """Raise at the first finite label that is fractional, in its float or
+    in its text, or not within +/-``MAX_LABEL``. A fraction below float
+    resolution rounds to a whole float (``2.0000000000000001`` reads as
+    2.0), so the texts of the whole labels are read too; that loop runs
+    only when some label of the block is written with a point or an
+    exponent."""
+    finite = np.isfinite(labels)
+    whole = finite & (labels == np.floor(labels))
+    fractional = finite & ~whole
+    if _point_or_exponent(",".join(texts)):
+        for row in np.flatnonzero(whole).tolist():
+            fractional[row] = _fraction_in_text(texts[row])
+    bad = np.flatnonzero(fractional | (finite & (np.abs(labels) >= MAX_LABEL)))
     if not len(bad):
         return
     row = int(bad[0])
-    field = lines[row].split(",")[label_col]
-    if not float(labels[row]).is_integer():
+    field = texts[row]
+    if fractional[row]:
         raise ValueError(f"line {numbers[row]}: label {field} is not a class id")
     raise ValueError(
         f"line {numbers[row]}: label {field} is not within +/-2**53, "
         "where class ids stop being exact"
     )
+
+
+def _point_or_exponent(text: str) -> bool:
+    return "." in text or "e" in text or "E" in text
+
+
+def _fraction_in_text(text: str) -> bool:
+    """Whether the finite number ``float`` reads from ``text`` has a
+    non-zero fractional part as written. It is judged from the digits and
+    the exponent alone, so no power of ten is ever formed: the value is
+    (the digits as an integer) x 10**shift, which is whole unless the
+    digits end in fewer zeros than -shift and are not all zero."""
+    if not _point_or_exponent(text):
+        return False
+    mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
+    whole, _, fraction = mantissa.lstrip("+-").partition(".")
+    digits = whole + fraction
+    if not digits.isascii():  # float reads any Unicode decimal digit
+        digits = "".join(str(int(digit)) for digit in digits)
+    significant = digits.rstrip("0")
+    shift = int(exponent or 0) - len(fraction)
+    return bool(significant) and shift + len(digits) - len(significant) < 0
 
 
 def blob_centers(k: int, sep: float, dim: int = 2) -> np.ndarray:

@@ -8,6 +8,7 @@ import logging
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -539,10 +540,18 @@ class ReferenceWindow(NamedTuple):
     start_index: int
 
 
+def _whole_text(text):
+    """Whether a number's text is whole as written, read as an exact
+    decimal (a fraction below float resolution still counts)."""
+    value = Decimal(text)
+    return value == value.to_integral_value()
+
+
 def load_csv_reference(path, window_size, label_col=None, max_abs_value=1e100):
     """The row-by-row CSV loader: each line is split, converted by ``float``
     and checked on its own. A finite label whose float reaches +/-2**53
-    raises with its line number, as a fractional one does.
+    raises with its line number, as a fractional one does, in its float or
+    in its text.
     ``max_abs_value`` is the package's ``MAX_ABS_VALUE``."""
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -593,7 +602,9 @@ def load_csv_reference(path, window_size, label_col=None, max_abs_value=1e100):
                 raise ValueError(f"line {lineno}: {exc}") from None
             if label_col is not None:
                 label_val = values[label_col]
-                if math.isfinite(label_val) and not label_val.is_integer():
+                if math.isfinite(label_val) and not (
+                    label_val.is_integer() and _whole_text(fields[label_col])
+                ):
                     raise ValueError(
                         f"line {lineno}: label {fields[label_col]} is not a class id"
                     )

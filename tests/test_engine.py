@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ def _blob_stream(windows=4, seed=0, k=4, window_size=100):
         k=k, per_blob=per_blob, sep=10.0, stddev=0.5,
         window_size=window_size, seed=seed,
     )
+
+
+def _run_collecting(batches, cfg):
+    """``run_stream``'s state and selection, and every window's report as
+    ``on_window_end`` saw it: the state keeps only the last one."""
+    reports = []
+    state, sel = run_stream(batches, cfg, on_window_end=lambda s: reports.append(s.reports[-1]))
+    return state, sel, reports
 
 
 class TestInitialize:
@@ -330,9 +339,11 @@ class TestProcessWindow:
     def test_reports_accumulate_in_window_order(self):
         batches = _blob_stream(windows=4)
         state = initialize(batches[0], StreamConfig())
+        reports = [state.reports[-1]]
         for w in batches[1:]:
-            process_window(state, w)
-        assert [r.window_id for r in state.reports] == [0, 1, 2, 3]
+            reports.append(process_window(state, w))
+        assert [r.window_id for r in reports] == [0, 1, 2, 3]
+        assert state.windows == 4 and list(state.reports) == reports[-1:]
 
     def test_archive_nondominated_after_commit(self):
         batches = _blob_stream(windows=3)
@@ -547,9 +558,10 @@ class TestNoHistory:
 
 class TestCommitAssignments:
     def test_accepted_offer_is_not_assigned_again(self, monkeypatch):
-        """A commit assigns the window twice: once for the members before the
-        merge, once for the moved members and the tree's macro offer. The
-        report reuses those pairs, the accepted offer's included."""
+        """A commit assigns the window three times: once for the members
+        before the merge, once for the moved members and once for the tree's
+        macro offer alone. The report reuses those pairs, the accepted
+        offer's included."""
         calls = []
 
         def counting(solutions, data):
@@ -567,9 +579,55 @@ class TestCommitAssignments:
             process_window(state, window)
             offer = state.next_solution_id - 1
             accepted += offer in [s.solution_id for s in state.archive]
-            assert len(calls) == 2, calls
+            assert len(calls) == 3, calls
             on_idle(state, IdleBudget(2))
         assert accepted == 2
+
+    def test_wide_offer_rows_match_one_stacked_assignment(self, monkeypatch):
+        """Step (4) assigns the members and the macro offer in two calls,
+        each at its own width. On this drifting stream the offer's K
+        exceeds every member's from the third commit on, and the offer
+        joins the archive; after each commit the report's rows and picked
+        DBI equal, byte for byte, those of one stacked ``assign_batch`` over
+        the archive's members, the offer included."""
+        widths = []
+        assign = engine.assign_batch
+
+        def recording(solutions, data):
+            widths.append([sol.k for sol in solutions])
+            return assign(solutions, data)
+
+        checked = []
+        pick = engine.select_best
+
+        def checking(members, labels, dists):
+            members = list(members)
+            fresh = assign(members, state.last_window.data)
+            for a, b in zip((labels, dists), fresh):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            best, dbi, row = pick(members, labels, dists)
+            ref_best, ref_dbi, ref_row = pick(members, *fresh)
+            assert best is ref_best and np.array_equal(row, ref_row)
+            assert np.float64(dbi).tobytes() == np.float64(ref_dbi).tobytes()
+            checked.append(state.last_window.window_id)
+            return best, dbi, row
+
+        batches = gen_blobs(k=4, per_blob=200, sep=3.0, stddev=1.0, drift=(1.5, 0.5),
+                            window_size=100, seed=0)
+        cfg = StreamConfig(window_size=100, idle_generations_cap=2, rng_seed=0)
+        state = initialize(batches[0], cfg)
+        monkeypatch.setattr(engine, "assign_batch", recording)
+        monkeypatch.setattr(engine, "select_best", checking)
+        wide_and_joined = 0
+        for window in batches[1:]:
+            on_idle(state, IdleBudget(cfg.idle_generations_cap))
+            widths.clear()
+            process_window(state, window)
+            _, members, [offer] = widths
+            joined = state.next_solution_id - 1 in [s.solution_id for s in state.archive]
+            wide_and_joined += joined and offer > max(members)
+        assert checked == [1, 2, 3, 4, 5, 6, 7]
+        assert wide_and_joined >= 5
 
     def test_offer_pair_follows_dropped_clusters(self, monkeypatch):
         """Scoring drops the macro offer's unfed clusters; the pair the
@@ -785,7 +843,7 @@ class TestRunStream:
             batches, cfg, on_window_end=lambda s: seen.append(s.reports[-1])
         )
         assert [r.window_id for r in seen] == [0, 1, 2, 3]
-        assert state.reports == seen
+        assert state.windows == 4 and list(state.reports) == seen[-1:]
         assert sel.solution.k >= 1
 
     def test_window_end_hook_sees_valid_archive(self):
@@ -805,25 +863,26 @@ class TestRunStream:
 
     def test_deterministic_reports_have_no_wall_times(self):
         batches = _blob_stream(windows=2)
-        state, _ = run_stream(batches, StreamConfig(idle_generations_cap=1))
-        assert all(r.elapsed_ms is None for r in state.reports)
+        _, _, reports = _run_collecting(batches, StreamConfig(idle_generations_cap=1))
+        assert all(r.elapsed_ms is None for r in reports)
 
     def test_wall_clock_matches_deterministic_given_same_generations(self):
         batches = _blob_stream(windows=3)
 
         def drive(cap):
             state = initialize(batches[0], StreamConfig(idle_generations_cap=cap))
+            reports = [state.reports[-1]]
             on_idle(state, IdleBudget(3))
             for w in batches[1:]:
-                process_window(state, w)
+                reports.append(process_window(state, w))
                 on_idle(state, IdleBudget(3))
-            return state
+            return state, reports
 
-        det, wall = drive(3), drive(None)
+        (det, det_reports), (wall, wall_reports) = drive(3), drive(None)
         det_chrom = [tuple(serialize_chromosome(s)) for s in det.archive]
         wall_chrom = [tuple(serialize_chromosome(s)) for s in wall.archive]
         assert det_chrom == wall_chrom
-        for a, b in zip(det.reports, wall.reports):
+        for a, b in zip(det_reports, wall_reports):
             assert a.window_id == b.window_id
             assert a.best_dbi == b.best_dbi
             assert a.hypervolume == b.hypervolume
@@ -832,19 +891,40 @@ class TestRunStream:
 
     def test_zero_interval_matches_zero_idle_generations(self):
         batches = _blob_stream(windows=3)
-        det, det_sel = run_stream(batches, StreamConfig(idle_generations_cap=0))
-        wall, wall_sel = run_stream(
+        det, det_sel, det_reports = _run_collecting(batches, StreamConfig(idle_generations_cap=0))
+        wall, wall_sel, wall_reports = _run_collecting(
             batches, StreamConfig(interval_ms=0, idle_generations_cap=None)
         )
         assert [tuple(serialize_chromosome(s)) for s in wall.archive] == [
             tuple(serialize_chromosome(s)) for s in det.archive
         ]
         assert wall.idle_counter == det.idle_counter
-        for a, b in zip(det.reports, wall.reports, strict=True):
+        for a, b in zip(det_reports, wall_reports, strict=True):
             assert a.elapsed_ms is None and b.elapsed_ms is not None
             assert {**a.to_dict(), "elapsed_ms": 0} == {**b.to_dict(), "elapsed_ms": 0}
         assert wall_sel.dbi == det_sel.dbi
         assert np.array_equal(wall_sel.assignments, det_sel.assignments)
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        """The state keeps the last report and a count, not every report:
+        the tracemalloc peak over 2,000 windows of 20 rows stays within
+        64 KiB of the peak over the first 200. Keeping every report put
+        about 350 KiB on it."""
+
+        def peak(batches, cfg):
+            tracemalloc.start()
+            try:
+                state, _ = run_stream(batches, cfg)
+                return state, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batches = gen_blobs(k=4, per_blob=10_000, sep=10.0, stddev=0.5, window_size=20, seed=0)
+        cfg = StreamConfig(window_size=20, idle_generations_cap=0, rng_seed=0)
+        _, short = peak(batches[:200], cfg)
+        state, long = peak(batches, cfg)
+        assert state.windows == len(batches) == 2000
+        assert long - short <= 64 * 1024, (short, long)
 
     def test_values_at_the_input_bound_stay_finite(self):
         batches = [
@@ -855,8 +935,8 @@ class TestRunStream:
             for b in _blob_stream(windows=3)
         ]
         assert max(np.abs(b.data).max() for b in batches) == MAX_ABS_VALUE
-        state, sel = run_stream(batches, StreamConfig(idle_generations_cap=2))
-        for rep in state.reports:
+        state, sel, reports = _run_collecting(batches, StreamConfig(idle_generations_cap=2))
+        for rep in reports:
             assert np.isfinite([rep.hypervolume, rep.best_dbi, rep.best_fitness]).all()
         for member in state.archive:
             assert np.isfinite(member.objectives.as_min_pair()).all()

@@ -103,6 +103,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2: label 2.5"):
             list(load_csv(path, window_size=10, label_col=2))
 
+    def test_fraction_below_float_resolution_fatal(self, tmp_path):
+        # both labels read as whole floats (2.0 and 8.0); their text does not
+        path = self._write(tmp_path, "1,2,2.0000000000000001\n3,4,7.9999999999999999\n")
+        with pytest.raises(ValueError, match="line 1: label 2.0000000000000001 is not a class id"):
+            list(load_csv(path, window_size=10, label_col=2))
+        with pytest.raises(ValueError, match="line 1: label 2.0000000000000001 is not a class id"):
+            list(load_csv_reference(path, window_size=10, label_col=2))
+
     def test_whole_float_labels_accepted(self, tmp_path, caplog):
         path = self._write(tmp_path, "1,2,2.0\n3,4,-1e0\n5,6,nan\n7,8,inf\n")
         with caplog.at_level(logging.WARNING):
@@ -276,6 +284,21 @@ def _drain(loader, logger, path, window_size, label_col):
 
 
 class TestLoadCsvOracle:
+    @pytest.mark.parametrize("label", [
+        "2.0000000000000001", "7.9999999999999999", "1e-400", "-1.05e1", "100e-3",
+        "1.00000000000000001e16", "2.0", "-0.0", "1.5e1", "100e-2", "0e-5", "1_0.0_0",
+        "١٢.٠", "٣", "5.", ".5e1", "9007199254740991.0", "9007199254740992.5",
+    ])
+    @pytest.mark.parametrize("block_lines", [1, stream_io.BLOCK_LINES])
+    def test_label_texts_read_as_the_reference_reads_them(self, tmp_path, label, block_lines):
+        # the label sits in the second of three rows, after a whole one
+        path = tmp_path / "data.csv"
+        path.write_text(f"1,2,3\n3,4,{label}\n5,6,1\n", encoding="utf-8")
+        with mock.patch.object(stream_io, "BLOCK_LINES", block_lines):
+            got = _drain(load_csv, logging.getLogger("mostream.stream_io"), str(path), 2, 2)
+        want = _drain(load_csv_reference, reference_logger, str(path), 2, 2)
+        assert got == want
+
     @given(_csv_cases(), st.sampled_from([1, 2, 3, stream_io.BLOCK_LINES]))
     def test_matches_the_row_by_row_reference(self, case, block_lines):
         # small blocks put block edges, and bad lines, inside every window

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mostream.core import MAX_ABS_VALUE, ClusteringSolution, ObjectiveVector, assign_batch
@@ -197,6 +197,33 @@ class TestDaviesBouldin:
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert got[13] == got[14] == INFINITE_DBI
         assert sum(math.isfinite(v) for v in got) >= 10
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(230, 290), st.sampled_from([1, 2, 16]))
+    def test_matches_loop_form_across_the_key_width_switch(self, seed, total, dim):
+        """The stable order is taken on keys of the narrowest unsigned type
+        that holds every stacked row: uint8 up to 255 rows, uint16 from 256.
+        Stacks of 230-290 rows, most clusters fed by several window rows,
+        score bit for bit as the loop form scores each member alone."""
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(1200, dim)) * 3.0
+        ks = []
+        while total - sum(ks) > 40:
+            ks.append(int(rng.integers(2, 41)))
+        rest = total - sum(ks)
+        if rest >= 2:
+            ks.append(rest)
+        else:  # one cluster left over joins the last member
+            ks[-1] += rest
+        members = [_solution(points[rng.choice(len(points), size=k, replace=False)], i)
+                   for i, k in enumerate(ks)]
+        labels, dists = assign_batch(members, points)
+        got = davies_bouldin(members, labels, dists)
+        expected = [davies_bouldin_loop(points, s.prototypes, row)
+                    for s, row in zip(members, labels)]
+        assert sum(ks) == total
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert all(math.isfinite(v) for v in got)
 
     def test_no_solutions(self):
         assert davies_bouldin([], *assign_batch([], np.zeros((3, 2)))) == []

@@ -70,9 +70,10 @@ def test_reports_match_pinned_digest(shape):
     blobs, window, windows, digest = SHAPES[shape]
     batches = gen_blobs(window_size=window, seed=7, **blobs)
     cfg = StreamConfig(window_size=window, idle_generations_cap=5, rng_seed=7)
-    state, _ = run_stream(batches, cfg)
-    assert len(state.reports) == windows
-    text = "".join(report_line(r) + "\n" for r in state.reports)
+    reports = []
+    state, _ = run_stream(batches, cfg, lambda s: reports.append(s.reports[-1]))
+    assert state.windows == len(reports) == windows
+    text = "".join(report_line(r) + "\n" for r in reports)
     _assert_digest(shape, hashlib.sha256(text.encode()).hexdigest(), digest)
 
 
@@ -84,9 +85,11 @@ from mostream.engine import run_stream
 from mostream.stream_io import gen_blobs, report_line
 
 blobs, window = {blobs!r}, {window!r}
-state, _ = run_stream(gen_blobs(window_size=window, seed=7, **blobs),
-                      StreamConfig(window_size=window, idle_generations_cap=5, rng_seed=7))
-text = "".join(report_line(r) + "\\n" for r in state.reports)
+reports = []
+run_stream(gen_blobs(window_size=window, seed=7, **blobs),
+           StreamConfig(window_size=window, idle_generations_cap=5, rng_seed=7),
+           lambda s: reports.append(s.reports[-1]))
+text = "".join(report_line(r) + "\\n" for r in reports)
 print(hashlib.sha256(text.encode()).hexdigest())
 """
 

@@ -82,7 +82,7 @@ def test_invariants_hold_on_random_streams(stream):
         _check_archive(state)
 
     wrong = np.zeros((2, windows[0].dim + 1))
-    reports = len(state.reports)
+    count, last = state.windows, state.reports[-1]
     with pytest.raises(ValueError, match="dimension"):
         process_window(state, WindowBatch(wrong, state.last_window.window_id + 1))
-    assert len(state.reports) == reports
+    assert state.windows == count and state.reports[-1] is last

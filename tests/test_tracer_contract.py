@@ -84,11 +84,11 @@ def test_traced_pass_calls_every_traced_function(monkeypatch):
 def test_commit_matrices_and_tree_absorption_are_traced(monkeypatch):
     """Every (window x member) matrix of a commit is built in the traced
     ``core.assign_batch``, so the commit's main distance pass shows in the
-    per-layer metrics. Before its report a commit makes exactly two calls:
-    the first holds every pre-commit archive member, the second those
-    members plus the macro offer. The tree absorbs points with its own
-    running mean, so no ``core.merge_prototype`` span hangs under
-    ``anttree.map_point``."""
+    per-layer metrics. Before its report a commit makes exactly three
+    calls: the first holds every pre-commit archive member, the second those
+    members again and the third the macro offer alone. The tree absorbs
+    points with its own running mean, so no ``core.merge_prototype`` span
+    hangs under ``anttree.map_point``."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     harness = importlib.import_module("harness")
     tracer_mod = importlib.import_module("tracer")
@@ -130,7 +130,7 @@ def test_commit_matrices_and_tree_absorption_are_traced(monkeypatch):
         calls = [sizes[i] for i, s in enumerate(spans[:report])
                  if s[0] == "core.assign_batch" and root[i] == commit]
         assert members >= 1
-        assert calls == [members, members + 1], (commit, calls, members)
+        assert calls == [members, members, 1], (commit, calls, members)
         members_seen += members
     assert members_seen == res.rescreen_before
     under_map = [s for s in spans if s[0] == "core.merge_prototype" and s[3] >= 0
