@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import (
     ClusteringSolution,
     ObjectiveVector,
@@ -202,15 +201,14 @@ class TreeSynopsis:
         nodes = np.empty(len(block), dtype=np.int64)
         length = max(RUN, self.node_count() // 32)
         earlier = np.tri(length, k=-1, dtype=bool)  # [j, i]: row i before row j
-        start = 0
-        while start < len(block):
-            stop = start + length
-            start += self._map_run(block[start:stop], nodes[start:stop], earlier)
+        for start in range(0, len(block), length):
+            run = slice(start, start + length)
+            self._map_run(block[run], nodes[run], earlier)
         return nodes
 
-    def _map_run(self, run: np.ndarray, nodes: np.ndarray, earlier: np.ndarray) -> int:
-        """Map the rows of ``run`` from one ``core.nearest_sq`` search, write
-        their node ids into ``nodes`` and return how many rows it mapped.
+    def _map_run(self, run: np.ndarray, nodes: np.ndarray, earlier: np.ndarray) -> None:
+        """Map the rows of ``run`` from one ``core.nearest_sq`` search and
+        write their node ids into ``nodes``.
 
         The search finds each row's nearest node in the tree as the run
         found it, and so what each row would do if it were absorbed there
@@ -223,14 +221,10 @@ class TreeSynopsis:
         at once; the failing row goes through map_point, so every new node
         is opened there. Its column then holds what it actually did: the
         node it moved, or the new node, which no row of the run claims. The
-        rest of the run is checked again and goes on from the row after.
-        Below ``core.SCREEN_MIN_COORDS`` prototype coordinates the search is
-        the exact matrix, and a fresh search is cheaper than the patch and
-        the map_point calls of the rows its stale columns fail, so the run
-        ends at the failing row instead.
+        rest of the run is checked again and goes on from the row after:
+        every run outlives its failing rows, whatever the tree's size.
         """
         m = len(run)
-        screened = self.prototypes.size >= core.SCREEN_MIN_COORDS
         rows, d2 = nearest_sq(self.prototypes, run)
         dist = np.sqrt(d2)
         mass = self.weights[rows]
@@ -249,12 +243,12 @@ class TreeSynopsis:
             self.weights[hit] = mass[done:stop] + 1.0
             nodes[done:stop] = self.ids[hit]
             if stop == m:
-                return m
+                return
             out = self.map_point(run[stop])
             nodes[stop] = out.node_id
             done = stop + 1
-            if done == m or not screened:
-                return done
+            if done == m:
+                return
             later = slice(done, m)
             clash[later, stop] = _clashes(run[later], d2[later], rows[later],
                                           self.prototypes[out.row], out.row)

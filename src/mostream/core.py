@@ -210,8 +210,7 @@ SCREEN_MIN_DIM = 8
 # 16-row blocks (x86_64 VM, numpy 2.4.6, best of 7), the exact matrix is
 # cheaper below about 300 coordinates at d=8, 400 at d=16, 750 at d=5 and
 # 1,000 at d=2 (at 512: 45 against 31 us at d=8, 29 against 27 at d=16,
-# 27 against 33 at d=5, 25 against 35 at d=2). A tree near the threshold
-# holds fewer than 544 nodes, so its runs are 16 rows (``anttree.RUN``).
+# 27 against 33 at d=5, 25 against 35 at d=2).
 SCREEN_MIN_COORDS = 512
 # Difference entries (rows x n x d, 1 MiB of float64) one row block of a
 # distance scan may hold; see ``scan_rows``. Taken in 512-row blocks, the

@@ -1,7 +1,8 @@
 """Stream ingestion and artifact emission.
 
 The CSV loader is a generator holding at most one window of rows at a time.
-It parses each window in blocks of lines, one block when the window has at
+It reads the file as one lazy stream of numbered non-blank lines and takes
+each window from it in blocks of lines, one block when the window has at
 most ``BLOCK_LINES`` rows: every field of a block goes through Python's
 ``float`` in one pass, and the checks run with numpy over the block, raising
 at the first bad line in file order. Blob generation builds a labeled
@@ -16,13 +17,14 @@ import json
 import logging
 import math
 import os
-from functools import partial
 from itertools import islice, repeat
+from numbers import Integral
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import MAX_ABS_VALUE, WindowBatch, serialize_chromosome
+from .core import MAX_ABS_VALUE, StreamConfig, WindowBatch, serialize_chromosome
 from .engine import EngineState, FinalSelection, WindowReport
 
 logger = logging.getLogger(__name__)
@@ -52,86 +54,61 @@ def load_csv(
     ``MAX_LABEL`` in magnitude, as a float and as written
     (``2.0000000000000001`` is rejected, though its float is 2.0), aborts
     with its line number, as does a first row whose only field is the
-    label. A window is parsed in blocks of at
-    most ``BLOCK_LINES`` lines: the lines still needed to fill it are read
-    (none past the one that fills it), converted by ``float`` in one pass,
-    and checked with numpy; when several lines are bad, the first in file
-    order raises.
+    label. ``window_size`` is checked as ``StreamConfig`` checks it. Across
+    a ``yield`` the generator holds the window, the file and one lazy
+    stream of numbered non-blank lines; ``_read_window`` takes each window
+    from that stream.
     """
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
+    StreamConfig(window_size=window_size)
     width: Optional[int] = None
-    skipped = 0
-    lineno = 0
-    window_id = 0
-    start_index = 0
-
-    def next_window(fh) -> Optional[WindowBatch]:
-        nonlocal width, skipped, lineno, window_id, start_index
-        rows: list[np.ndarray] = []
-        labels: list[np.ndarray] = []
-        filled = 0
-        while filled < window_size:
-            lines, numbers, lineno = _read_lines(
-                fh, min(window_size - filled, BLOCK_LINES), lineno
-            )
-            if not lines:
-                break
-            if width is None:
-                width = _first_width(lines[0], numbers[0], label_col)
-            values = _parse_block(lines, numbers, width, label_col)
-            # the bound test is False for NaN and +/-inf as well; a finite
-            # label passed the block checks within 2**53, so the one test also
-            # skips the rows whose label is not finite
-            values = values[(np.abs(values) <= MAX_ABS_VALUE).all(axis=1)]
-            skipped += len(lines) - len(values)
-            filled += len(values)
-            if label_col is None:
-                rows.append(values)
-            else:
-                rows.append(np.delete(values, label_col % width, axis=1))
-                labels.append(values[:, label_col].astype(int))
-        if not filled:
-            return None
-        batch = WindowBatch(
-            np.concatenate(rows),
-            window_id,
-            labels=np.concatenate(labels) if label_col is not None else None,
-            start_index=start_index,
-        )
-        start_index += filled
-        window_id += 1
-        return batch
-
+    skipped = window_id = start_index = 0
     with open(path, "r", encoding="utf-8") as fh:
-        yield from iter(partial(next_window, fh), None)
+        lines = filter(itemgetter(1), enumerate(map(str.strip, fh), 1))
+        while True:
+            width, dropped, data, labels = _read_window(lines, window_size, width, label_col)
+            skipped += dropped
+            if data is None:
+                break
+            yield WindowBatch(data, window_id, labels=labels, start_index=start_index)
+            window_id += 1
+            start_index += len(data)
     if skipped:
         logger.warning("skipped %d rows with non-finite or out-of-range values", skipped)
     if not window_id:
         raise ValueError(f"{path}: no usable rows")
 
 
-def _read_lines(fh, count: int, lineno: int) -> tuple[list[str], list[int], int]:
-    """The next ``count`` non-blank lines of ``fh``, stripped, with their line
-    numbers, and the number of the last line read. No line past the one that
-    completes the count is read; fewer lines come back only at end of file."""
-    lines: list[str] = []
-    numbers: list[int] = []
-    while len(lines) < count:
-        want = count - len(lines)
-        chunk = list(map(str.strip, islice(fh, want)))
-        if all(chunk):
-            lines += chunk
-            numbers += range(lineno + 1, lineno + 1 + len(chunk))
-        else:
-            for number, line in enumerate(chunk, lineno + 1):
-                if line:
-                    lines.append(line)
-                    numbers.append(number)
-        lineno += len(chunk)
-        if len(chunk) < want:
-            break
-    return lines, numbers, lineno
+def _read_window(
+    lines: Iterator[tuple[int, str]], size: int, width: Optional[int], label_col: Optional[int]
+) -> tuple[Optional[int], int, Optional[np.ndarray], Optional[np.ndarray]]:
+    """The next window of up to ``size`` usable rows from ``lines``, a stream
+    of (line number, stripped text) pairs: (the file's field count, the rows
+    skipped, the window's features and labels, or None for both when the
+    stream held no usable row). The lines still needed to fill the window
+    are parsed in blocks of at most ``BLOCK_LINES`` (none past the one that
+    fills it), each converted by ``float`` in one pass and checked with
+    numpy; when several lines are bad, the first in file order raises.
+    """
+    blocks: list[np.ndarray] = []
+    filled = read = 0
+    while filled < size and (block := list(islice(lines, min(size - filled, BLOCK_LINES)))):
+        numbers, texts = zip(*block)
+        if width is None:
+            width = _first_width(texts[0], numbers[0], label_col)
+        values = _parse_block(texts, numbers, width, label_col)
+        # the bound test is False for NaN and +/-inf as well; a finite label
+        # passed the block checks within 2**53, so the one test also skips
+        # the rows whose label is not finite
+        blocks.append(values[(np.abs(values) <= MAX_ABS_VALUE).all(axis=1)])
+        read += len(block)
+        filled += len(blocks[-1])
+    if not filled:
+        return width, read, None, None
+    values = np.concatenate(blocks)
+    if label_col is None:
+        return width, read - filled, values, None
+    features = np.delete(values, label_col % width, axis=1)
+    return width, read - filled, features, values[:, label_col].astype(int)
 
 
 def _first_width(line: str, lineno: int, label_col: Optional[int]) -> int:
@@ -248,10 +225,10 @@ def _fraction_in_text(text: str) -> bool:
 def blob_centers(k: int, sep: float, dim: int = 2) -> np.ndarray:
     """k centers pairwise at least sep apart (adjacent pairs exactly sep):
     a regular polygon in the first two coordinates, or a line at dim=1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if sep <= 0:
-        raise ValueError("sep must be > 0")
+    _check_positive_int("k", k)
+    _check_positive_int("dim", dim)
+    if not 0.0 < sep < math.inf:
+        raise ValueError("sep must be finite and > 0")
     if k == 1:
         return np.zeros((1, dim))
     if dim == 1:
@@ -277,21 +254,24 @@ def gen_blobs(
     """Labeled Gaussian blob stream, blobs interleaved by a seeded shuffle.
 
     ``drift`` shifts every center by that vector once per window, so window w
-    is displaced by w*drift.
+    is displaced by w*drift. Every argument is checked before anything is
+    drawn.
     """
-    if per_blob < 1:
-        raise ValueError("per_blob must be >= 1")
-    if stddev < 0:
-        raise ValueError("stddev must be >= 0")
-    rng = np.random.default_rng(seed)
     centers = blob_centers(k, sep, dim)
+    _check_positive_int("per_blob", per_blob)
+    StreamConfig(window_size=window_size)
+    if not 0.0 <= stddev < math.inf:
+        raise ValueError("stddev must be finite and >= 0")
+    drift_vec = np.zeros(dim) if drift is None else np.asarray(drift, dtype=float)
+    if drift_vec.shape != (dim,):
+        raise ValueError(f"drift must have dimension {dim}")
+    if not np.isfinite(drift_vec).all():
+        raise ValueError("drift must be finite")
+    rng = np.random.default_rng(seed)
     total = k * per_blob
     labels = rng.permutation(np.repeat(np.arange(k), per_blob))
     noise = rng.normal(0.0, stddev, size=(total, dim))
     data = centers[labels] + noise
-    drift_vec = np.zeros(dim) if drift is None else np.asarray(drift, dtype=float)
-    if drift_vec.shape != (dim,):
-        raise ValueError(f"drift must have dimension {dim}")
     batches = []
     for wid, start in enumerate(range(0, total, window_size)):
         stop = min(start + window_size, total)
@@ -304,6 +284,11 @@ def gen_blobs(
             )
         )
     return batches
+
+
+def _check_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
 
 
 def minmax_wrap(batches: Iterator[WindowBatch]) -> Iterator[WindowBatch]:

@@ -532,7 +532,8 @@ class TestMapWindow:
     def test_matches_map_point_loop(self, case, screen_min):
         """map_window leaves every column and returns every node id exactly
         as a map_point loop over the same rows, with each run's nearest
-        nodes from the GEMM screen (threshold 0) or the exact matrix."""
+        nodes from the GEMM screen (threshold 0) or the exact matrix:
+        patching ``SCREEN_MIN_COORDS`` picks only the search kernel."""
         first, windows, gamma = case
         tree, loop = build_initial_tree(_window(first)), build_initial_tree(_window(first))
         with mock.patch.object(core, "SCREEN_MIN_COORDS", screen_min):
@@ -584,8 +585,9 @@ class TestMapWindow:
             assert np.array_equal(getattr(tree, name), getattr(loop, name)), name
 
     def test_failing_row_claims_the_node_it_moved(self):
-        """Nodes X at 0 and Y at 5, mapped through the screen (threshold 0),
-        so a run outlives its failing rows. The row at 3 moves Y to 4,
+        """Nodes X at 0 and Y at 5, mapped through the screen (threshold 0;
+        patching ``SCREEN_MIN_COORDS`` picks only the search kernel, and
+        every run outlives its failing rows). The row at 3 moves Y to 4,
         which ties the next row's nearest node X, so the row at 2 fails and
         map_point gives it to X, the lower row, moving X to 1. The row at
         -1 found X at 0 as the run started and the moved X is farther from
@@ -635,12 +637,12 @@ class TestMapWindow:
 
     @pytest.mark.parametrize("rows", [1100, 100])
     def test_one_search_per_run_and_one_map_point_per_failing_row(self, rows):
-        """On a screened tree (1,100 nodes) every run of ``node_count // 32``
-        rows makes exactly one search, and map_point maps exactly the rows
-        whose run speculation fails: a row that opens a node, or one an
-        earlier row of its run reaches by changing its node or leaving a
-        node at least as near. Below the screen (100 nodes at d = 2) a
-        failing row ends its run, and the next run starts after it."""
+        """Every run of ``max(RUN, node_count // 32)`` rows makes exactly one
+        search, on a screened tree (1,100 nodes) and below the screen (100
+        nodes at d = 2) alike, and map_point maps exactly the rows whose run
+        speculation fails: a row that opens a node, or one an earlier row of
+        its run reaches by changing its node or leaving a node at least as
+        near."""
         first, windows = _long_run_case(2, rows)
         tree = build_initial_tree(_window(first))
         screened = tree.prototypes.size >= core.SCREEN_MIN_COORDS
@@ -659,15 +661,13 @@ class TestMapWindow:
         for block in windows:
             tree.fade(0.5)
             length = max(RUN, tree.node_count() // 32)
-            want, runs = _failing_rows(tree, block, length, restart=not screened)
+            want, runs = _failing_rows(tree, block, length)
             searches.clear()
             mapped.clear()
             with mock.patch.object(anttree, "nearest_sq", counting_search), \
                     mock.patch.object(TreeSynopsis, "map_point", recording):
                 tree.map_window(block)
-            assert len(searches) == runs
-            if screened:
-                assert runs == -(-len(block) // length)
+            assert len(searches) == runs == -(-len(block) // length)
             assert np.array_equal(np.array(mapped).reshape(-1, 2), block[want])
             assert 0 < len(want) < len(block)
             tree.fade_and_prune(0.1)
@@ -722,18 +722,17 @@ def _long_run_case(d, rows=None):
     return first, windows
 
 
-def _failing_rows(tree, block, length, restart=False):
+def _failing_rows(tree, block, length):
     """(rows of ``block`` whose run speculation fails, number of runs),
     replayed on a copy of ``tree`` by a map_point loop: each run's nearest
     rows and squared distances are taken when the run starts; a row fails
     when it lies beyond the acceptance radius of its node there, or when an
     earlier row of its run moved its node or left a node (moved or new) no
-    farther from it than its node. With ``restart`` a failing row ends its
-    run."""
+    farther from it than its node."""
     tree = copy.deepcopy(tree)
     radius = RADIUS_SCALE * tree.base_radius
-    failing, runs, start = [], 0, 0
-    while start < len(block):
+    failing, runs = [], 0
+    for start in range(0, len(block), length):
         run = block[start : start + length]
         runs += 1
         d2 = ((run[:, None, :] - tree.prototypes[None, :, :]) ** 2).sum(axis=-1)
@@ -751,9 +750,6 @@ def _failing_rows(tree, block, length, restart=False):
                 changes.append((None, tree.prototypes[-1].copy()))
             else:
                 changes.append((claimed, tree.prototypes[claimed].copy()))
-            if fails and restart:
-                break
-        start += j + 1
     return failing, runs
 
 

@@ -184,6 +184,28 @@ class TestLoadCsvBlocks:
             list(load_csv(path, window_size=10, label_col=2))
         assert str(info.value) == message
 
+    def test_suspended_generator_holds_no_lines_or_block(self, tmp_path):
+        """Between windows the generator's frame holds the window's own
+        arrays, not a list of lines or a parsed block."""
+        path = self._write(tmp_path, "".join(f"{i},{i}.5,{i % 3}\n\n" for i in range(12)))
+        with mock.patch.object(stream_io, "BLOCK_LINES", 2):
+            it = load_csv(path, window_size=5, label_col=2)
+            batch = next(it)
+        held = list(it.gi_frame.f_locals.values())
+        assert not [v for v in held if isinstance(v, (list, tuple))]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert arrays and all(a is batch.data or a is batch.labels for a in arrays)
+        it.close()
+
+    @pytest.mark.parametrize("size", [2.5, True, np.float64(3.0)])
+    def test_non_integer_window_size_rejected(self, tmp_path, size):
+        path = self._write(tmp_path, "1,2\n3,4\n")
+        with pytest.raises(ValueError) as want:
+            StreamConfig(window_size=size)
+        with pytest.raises(ValueError) as got:
+            next(load_csv(path, size))
+        assert str(got.value) == str(want.value)
+
     def test_labels_past_two_to_the_53_rejected(self, tmp_path):
         path = self._write(tmp_path, "0,0,9007199254740991\n1,1,9007199254740993\n")
         with pytest.raises(ValueError, match="line 2: label 9007199254740993 is not within"):
@@ -422,6 +444,18 @@ class TestGenBlobs:
         with pytest.raises(ValueError, match="drift"):
             gen_blobs(k=2, per_blob=5, sep=8.0, stddev=0.5, window_size=10,
                       drift=(1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("name, value", [
+        ("sep", math.nan), ("sep", math.inf), ("stddev", math.nan), ("stddev", math.inf),
+        ("drift", (math.nan, 0.0)), ("drift", (0.0, -math.inf)),
+        ("k", 2.5), ("k", True), ("per_blob", 2.5), ("dim", 2.5), ("window_size", 2.5),
+    ])
+    def test_rejects_non_finite_and_non_integer_args_before_drawing(self, name, value):
+        args = dict(k=2, per_blob=5, sep=8.0, stddev=0.5, window_size=10)
+        args[name] = value
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match=name):
+                gen_blobs(**args)
 
 
 class TestMinMaxWrap:
@@ -692,6 +726,12 @@ class TestCliMain:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_blob_spec_is_error_exit(self, tmp_path, capsys):
+        rc = main(["--blobs", "k=4,per=10,sep=nan", "--idle-gens", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: sep must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "reports.jsonl").exists()
 
     def test_nan_prune_threshold_is_error_exit(self, tmp_path, capsys):
         rc = main(

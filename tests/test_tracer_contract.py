@@ -61,9 +61,11 @@ def test_tree_facts_are_python_scalars():
     assert type(tree.fade_and_prune(threshold=0.0)) is int
 
 
-def test_traced_pass_calls_every_traced_function(monkeypatch):
-    """One 3-window idle-drift pass under the tracer, in process: no window
-    fails and the benchmark's coverage guard finds no silent layer."""
+@pytest.mark.parametrize("workload", ["idle-drift", "wide-overlap", "highdim-overlap"])
+def test_traced_pass_calls_every_traced_function(monkeypatch, tmp_path, workload):
+    """One 3-window pass of each workload under the tracer, in process, its
+    windows read back through ``load_csv`` where the benchmark does: no
+    window fails and the benchmark's coverage guard finds no silent layer."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     with mock.patch.dict(os.environ):  # run.py pins BLAS threads on import
         run = importlib.import_module("run")
@@ -71,11 +73,16 @@ def test_traced_pass_calls_every_traced_function(monkeypatch):
     tracer_mod = importlib.import_module("tracer")
     workloads = importlib.import_module("workloads")
 
-    wl = workloads.WORKLOADS["idle-drift"]
+    wl = workloads.WORKLOADS[workload]
+    windows = workloads.make_windows(wl, 7, windows=3)
+    if wl.via_csv:
+        path = str(tmp_path / "stream.csv")
+        workloads.write_csv(windows, path)
+        windows = workloads.csv_windows(wl, path)
     cfg = StreamConfig(window_size=wl.window, idle_generations_cap=wl.idle_gens, rng_seed=7)
     tracer = tracer_mod.Tracer()
     with tracer:
-        res = harness.run_pass(workloads.make_windows(wl, 7, windows=3), cfg, tracer)
+        res = harness.run_pass(windows, cfg, tracer)
     assert res.attempted == 3
     assert res.failed == 0, res.errors
     assert run.coverage_guard(tracer_mod.summarize(tracer.spans)) == []
