@@ -54,8 +54,9 @@ class WindowBatch:
     value overflows squared distances. ``labels`` is None for unlabeled
     streams, or one class id per row: a 1-D array whose numeric ids are
     finite.
-    ``start_index`` is the arrival index of the first row; indices are
-    contiguous within a window.
+    ``window_id`` and ``start_index``, the arrival index of the first row
+    (indices are contiguous within a window), are integers >= 0, stored as
+    Python ints: reports write them to JSON and the engine seeds by them.
     """
 
     data: np.ndarray
@@ -64,6 +65,11 @@ class WindowBatch:
     start_index: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("window_id", "start_index"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0")
+            setattr(self, name, int(value))
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] == 0:
             raise ValueError("window must be a non-empty (n, d) array")
@@ -342,6 +348,16 @@ def stack_labels(
     starts = np.cumsum(ks) - ks
     labels = labels + starts[:, None]
     return labels, starts, np.bincount(labels.ravel(), minlength=int(ks.sum()))
+
+
+def label_sums(labels: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """The (count, d) sums of the (n, d) ``rows`` by their n ``labels``, from
+    one weighted bincount over (label * d + coordinate) bins: each bin adds
+    its rows left to right in row order, as a masked mean over axis 0 does
+    from two coordinates (numpy sums a lone column pairwise)."""
+    d = rows.shape[1]
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=count * d).reshape(count, d)
 
 
 def nearest_sq(protos: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,7 @@ from .core import (
     WindowBatch,
     assign_batch,
     fade_weight,
+    label_sums,
     merge_prototype,
     prune_outdated,
     stack_labels,
@@ -155,22 +156,16 @@ def _absorb(
     member's labels and compactness terms as one row of two stacked arrays,
     and one sum over the rows gives every compactness. The rest runs on the
     stacked cluster rows of all members: one bincount gives every batch size
-    and one per coordinate every batch sum, adding rows in window order as a
-    masked mean does for d >= 2 (at d = 1 numpy sums the lone column
-    pairwise, so a mean can differ in the last bit). One merge_prototype
-    call folds every fed row's batch in, with its window-start weight as the
-    history mass, and one fade_weight call fades every weight, fed or not.
-    Each clone then takes its own rows and its compactness on the
-    window-start distances, and prunes what starved.
+    and one ``label_sums`` call every batch sum, adding rows in window
+    order. One merge_prototype call folds every fed row's batch in, with its
+    window-start weight as the history mass, and one fade_weight call fades
+    every weight, fed or not. Each clone then takes its own rows and its
+    compactness on the window-start distances, and prunes what starved.
     """
     labels, dists = assign_batch(members, data)
     labels, starts, sizes = stack_labels(members, labels)
-    flat = labels.ravel()
     assigned = sizes.astype(float)
-    sums = np.column_stack([
-        np.bincount(flat, weights=np.tile(column, len(members)), minlength=len(sizes))
-        for column in data.T
-    ])
+    sums = label_sums(labels.ravel(), np.tile(data, (len(members), 1)), len(sizes))
     fed = np.flatnonzero(sizes)
     protos = np.concatenate([member.prototypes for member in members])
     weights = np.concatenate([member.weights for member in members])

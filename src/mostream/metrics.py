@@ -103,52 +103,37 @@ def davies_bouldin(
     Every solution is scored on the stacked cluster rows of all of them:
     one bincount over the offset labels gives each cluster's size, and one
     ``block_gaps`` call every prototype gap, as ``separateness`` takes
-    them. A stable argsort of the stacked labels, on keys of the narrowest
-    unsigned type (a radix sort below 2**16 rows), puts each cluster's
-    distances in one slice, in window order, so ``np.add.reduce`` over the
-    slice divided by the size is bit for bit the masked ``.mean()`` (a
-    bincount or ``reduceat`` sum adds in another order and moves bits).
-    Each index is the exact-length mean of its rows' worst ratios.
+    them. One weighted bincount over the live members' labels sums each
+    cluster's distances in window order, and one over the clusters' owners
+    sums each solution's worst ratios in cluster order; each divided by its
+    count is a mean. A bin sums only its own entries, left to right, so a
+    solution scores the same bits alone as stacked with others.
     """
-    out = [INFINITE_DBI] * len(solutions)
+    out = np.full(len(solutions), INFINITE_DBI)
     if not solutions:
-        return out
+        return out.tolist()
     labels, starts, sizes = stack_labels(solutions, labels)
     ks = np.array([solution.k for solution in solutions])
     live = np.logical_and.reduceat(sizes > 0, starts) & (ks > 1)
     if not live.any():
-        return out
-    picked = np.flatnonzero(live).tolist()
-    gap2, owner, own = block_gaps([solutions[i].prototypes for i in picked])
+        return out.tolist()
+    gap2, owner, own = block_gaps([solutions[i].prototypes for i in np.flatnonzero(live)])
     gap = np.sqrt(gap2)
     # coincident prototypes take the sentinel; +inf gaps keep their ratios
     # finite
     live_ks = ks[live]
     coincide = np.logical_or.reduceat((gap == 0.0).any(axis=1), np.cumsum(live_ks) - live_ks)
     gap[np.repeat(coincide, live_ks)] = np.inf
-    # scatters: every live cluster's distances, each one contiguous slice.
-    # The keys are cast to the narrowest type that holds every row, where
-    # numpy's stable sort is a radix sort; a stable order is unique
-    keys = labels[live].ravel().astype(np.min_scalar_type(len(sizes)))
-    order = np.argsort(keys, kind="stable")
-    dists = dists[live].ravel()[order]
-    counts = sizes[np.repeat(live, ks)]
-    sums = np.empty(len(counts))
-    at = 0
-    for row, end in enumerate(np.cumsum(counts).tolist()):
-        sums[row] = np.add.reduce(dists[at:end])
-        at = end
-    scatter = sums / counts
+    rows = np.repeat(live, ks)
+    sums = np.bincount(labels[live].ravel(), weights=dists[live].ravel(), minlength=len(sizes))
+    scatter = sums[rows] / sizes[rows]
     # a +inf gap makes the ratio 0, the floor of every row max
-    block = np.zeros((len(picked), gap.shape[1]))
+    block = np.zeros((len(live_ks), gap.shape[1]))
     block[owner, own] = scatter
     worst = ((scatter[:, None] + block[owner]) / gap).max(axis=1)
-    at = 0
-    for i, k, bad in zip(picked, live_ks.tolist(), coincide.tolist()):
-        if not bad:
-            out[i] = float(np.add.reduce(worst[at : at + k]) / k)
-        at += k
-    return out
+    index = np.bincount(owner, weights=worst) / live_ks
+    out[live] = np.where(coincide, INFINITE_DBI, index)
+    return out.tolist()
 
 
 def select_best(

@@ -41,23 +41,18 @@ def separateness(blocks: Sequence[np.ndarray]) -> list[float]:
 
     The blocks with K >= 2 go through one ``block_gaps`` call. Each entry
     and each row minimum is the one the block's own (K, K) matrix gives,
-    and each mean sums exactly the block's K row minima (numpy's pairwise
-    sum depends on the length, so nothing else enters it): every value is
-    bit for bit the single-block one.
+    and one weighted bincount over the rows' blocks sums each block's K row
+    minima left to right, nothing else entering its bin: every value is bit
+    for bit the single-block one.
     """
     out = [0.0] * len(blocks)
     multi = [i for i, block in enumerate(blocks) if len(block) > 1]
     if not multi:
         return out
-    d2, _, _ = block_gaps([blocks[i] for i in multi])
-    nearest = np.sqrt(d2.min(axis=1))
-    at = 0
-    for i in multi:
-        k = len(blocks[i])
-        # add.reduce / k is exactly .mean() of the block's own K minima,
-        # without the method wrappers' per-call overhead
-        out[i] = float(np.add.reduce(nearest[at : at + k]) / k)
-        at += k
+    d2, owner, _ = block_gaps([blocks[i] for i in multi])
+    means = np.bincount(owner, weights=np.sqrt(d2.min(axis=1))) / np.bincount(owner)
+    for i, value in zip(multi, means.tolist()):
+        out[i] = value
     return out
 
 

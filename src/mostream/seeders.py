@@ -22,6 +22,7 @@ from .core import (
     ClusteringSolution,
     ObjectiveVector,
     WindowBatch,
+    label_sums,
     nearest_sq,
     scan_rows,
     sq_dist,
@@ -88,9 +89,8 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     the final (labels, centers), each fed center its label's row mean. Each
     row goes to its nearest center by ``core.nearest_sq``.
 
-    For d >= 2 one bincount per coordinate gives every fed center's row sum,
-    adding rows in window order as a masked mean does; at d = 1 numpy sums
-    the lone column pairwise, so the means are taken per center there.
+    One ``label_sums`` call gives every fed center's row sum, adding rows in
+    window order.
 
     An emptied cluster is re-seeded from the point farthest from its own
     center; a re-seed that empties a later cluster is caught in the same
@@ -123,15 +123,8 @@ def _lloyd(window: WindowBatch, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        if data.shape[1] == 1:
-            for ci in np.flatnonzero(sizes):
-                centers[ci] = data[labels == ci].mean(axis=0)
-        else:
-            fed = sizes > 0
-            sums = np.column_stack(
-                [np.bincount(labels, weights=column, minlength=k) for column in data.T]
-            )
-            centers[fed] = sums[fed] / sizes[fed, None]
+        fed = sizes > 0
+        centers[fed] = label_sums(labels, data, k)[fed] / sizes[fed, None]
     return labels, centers
 
 

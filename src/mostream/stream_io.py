@@ -224,16 +224,20 @@ def _fraction_in_text(text: str) -> bool:
 
 def blob_centers(k: int, sep: float, dim: int = 2) -> np.ndarray:
     """k centers pairwise at least sep apart (adjacent pairs exactly sep):
-    a regular polygon in the first two coordinates, or a line at dim=1."""
+    a regular polygon in the first two coordinates, or a line at dim=1. A
+    ``sep`` whose polygon radius, or line length, exceeds ``MAX_ABS_VALUE``
+    is rejected: its centers would leave the window value range."""
     _check_positive_int("k", k)
     _check_positive_int("dim", dim)
     if not 0.0 < sep < math.inf:
         raise ValueError("sep must be finite and > 0")
     if k == 1:
         return np.zeros((1, dim))
+    radius = sep * (k - 1) if dim == 1 else sep / (2.0 * math.sin(math.pi / k))
+    if radius > MAX_ABS_VALUE:
+        raise ValueError(f"sep {sep:g} puts the {k} centers beyond +/-{MAX_ABS_VALUE:g}")
     if dim == 1:
         return sep * np.arange(k, dtype=float)[:, None]
-    radius = sep / (2.0 * math.sin(math.pi / k))
     angles = 2.0 * math.pi * np.arange(k) / k
     centers = np.zeros((k, dim))
     centers[:, 0] = radius * np.cos(angles)

@@ -107,12 +107,13 @@ def nearest_cluster(prototypes, point):
 
 
 def absorb_window_reference(prototypes, weights, data, gamma):
-    """One member's absorb step with masked batch means and one fading mass:
-    every row of ``data`` joins its nearest prototype (ties -> lowest index),
-    each fed prototype takes the decayed merge (p*n*gamma + mean*m) /
-    (n*gamma + m) with its batch, n its mass before the window, and every
-    mass, fed or not, becomes n*gamma + m. Returns the new (prototypes,
-    weights) and each cluster's row count m."""
+    """One member's absorb step with batch means (each coordinate a
+    ``loop_mean`` in window order) and one fading mass: every row of
+    ``data`` joins its nearest prototype (ties -> lowest index), each fed
+    prototype takes the decayed merge (p*n*gamma + mean*m) / (n*gamma + m)
+    with its batch, n its mass before the window, and every mass, fed or
+    not, becomes n*gamma + m. Returns the new (prototypes, weights) and each
+    cluster's row count m."""
     d2 = sq_dist_reference(data[:, None, :], prototypes[None, :, :])
     labels = np.argmin(d2, axis=1)
     protos, masses = prototypes.copy(), weights * gamma
@@ -121,7 +122,8 @@ def absorb_window_reference(prototypes, weights, data, gamma):
         batch = data[labels == ci]
         m = float(len(batch))
         faded = weights[ci] * gamma
-        protos[ci] = (protos[ci] * faded + batch.mean(axis=0) * m) / (faded + m)
+        mean = np.array([loop_mean(column) for column in batch.T])
+        protos[ci] = (protos[ci] * faded + mean * m) / (faded + m)
         masses[ci] = faded + m
         assigned[ci] = m
     return protos, masses, assigned
@@ -253,6 +255,16 @@ def ant_walk_reference(data, l_max=10, relax=0.01):
 # so results can be compared with ``==``.
 
 
+def loop_mean(values):
+    """Mean of ``values`` by an explicit left-to-right float sum in the given
+    order (builtin ``sum`` is compensated from Python 3.12, numpy's sum is
+    pairwise)."""
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total / len(values)
+
+
 def pairwise_distances(points):
     """(K, K) Euclidean distance matrix."""
     p = np.asarray(points, dtype=float)
@@ -273,8 +285,9 @@ def knn_neighborhood(points, size=3):
 
 
 def separateness_oracle(points, active=None):
-    """Mean over active rows of the smallest distance to one of their three
-    nearest active neighbours; 0 with at most one active row."""
+    """Mean over active rows, in row order (``loop_mean``), of the smallest
+    distance to one of their three nearest active neighbours; 0 with at most
+    one active row."""
     points = np.asarray(points, dtype=float)
     act = sorted(set(range(len(points)) if active is None else map(int, active)))
     if len(act) <= 1:
@@ -282,12 +295,13 @@ def separateness_oracle(points, active=None):
     d = pairwise_distances(points)
     hood = knn_neighborhood(points[act])
     vals = [min(d[act[i], act[j]] for j in nbrs) for i, nbrs in hood.items()]
-    return float(np.mean(vals))
+    return loop_mean(vals)
 
 
 def davies_bouldin_loop(points, prototypes, assignment):
-    """Windowed Davies-Bouldin index by the pairwise double loop; inf for
-    K = 1, an empty cluster or coincident prototypes."""
+    """Windowed Davies-Bouldin index by the pairwise double loop, each mean
+    a ``loop_mean`` (scatters in window order, the index in cluster order);
+    inf for K = 1, an empty cluster or coincident prototypes."""
     points = np.asarray(points, dtype=float)
     protos = np.asarray(prototypes, dtype=float)
     assignment = np.asarray(assignment)
@@ -300,7 +314,7 @@ def davies_bouldin_loop(points, prototypes, assignment):
         mask = assignment == i
         if not mask.any():
             return math.inf
-        scatter[i] = float(dists[mask].mean())
+        scatter[i] = loop_mean(dists[mask])
     centre_d = pairwise_distances(protos)
     worst = np.zeros(k)
     for i in range(k):
@@ -310,7 +324,7 @@ def davies_bouldin_loop(points, prototypes, assignment):
             if centre_d[i, j] == 0.0:
                 return math.inf
             worst[i] = max(worst[i], (scatter[i] + scatter[j]) / centre_d[i, j])
-    return float(worst.mean())
+    return loop_mean(worst)
 
 
 def crowding_loop(pairs):
@@ -371,7 +385,9 @@ def lloyd_reference(data, centers, iterations=100):
     """Lloyd's iterations from the given start centers, finding each emptied
     cluster by a scan of the current labels, as the k-means seeder first
     stood: the row farthest from its own center, never one already moved
-    this pass, takes the empty slot. Returns (labels, centers)."""
+    this pass, takes the empty slot. Each fed center is its rows' mean,
+    coordinate by coordinate a ``loop_mean`` in window order. Returns
+    (labels, centers)."""
     data = np.asarray(data, dtype=float)
     centers = np.array(centers, dtype=float)
     n, k = len(data), len(centers)
@@ -395,7 +411,7 @@ def lloyd_reference(data, centers, iterations=100):
         for ci in range(k):
             mask = labels == ci
             if mask.any():
-                centers[ci] = data[mask].mean(axis=0)
+                centers[ci] = [loop_mean(column) for column in data[mask].T]
     return labels, centers
 
 

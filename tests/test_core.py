@@ -77,6 +77,19 @@ class TestWindowBatch:
         w = WindowBatch(np.zeros((4, 2)), 3, start_index=100)
         assert list(w.indices) == [100, 101, 102, 103]
 
+    @pytest.mark.parametrize("name", ["window_id", "start_index"])
+    @pytest.mark.parametrize("value", [1.5, -1, True, False, np.float64(2.0), "3", None])
+    def test_rejects_a_non_integer_or_negative_id_by_name(self, name, value):
+        args = {"window_id": 0, "start_index": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            WindowBatch(np.zeros((2, 2)), **args)
+
+    def test_stores_integer_ids_as_python_ints(self):
+        w = WindowBatch(np.zeros((2, 2)), np.int64(3), start_index=np.uint32(7))
+        assert (type(w.window_id), type(w.start_index)) == (int, int)
+        assert (w.window_id, w.start_index) == (3, 7)
+        assert list(w.indices) == [7, 8]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_row(self, bad):
         data = np.zeros((3, 2))

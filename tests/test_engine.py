@@ -408,12 +408,7 @@ class TestCommitMeans:
             protos, weights, _ = absorb_window_reference(
                 old.prototypes, old.weights, second.data, cfg.gamma
             )
-            if dim == 1:
-                # numpy's mean sums a lone column pairwise, while the commit
-                # adds rows in window order, so the last bit may differ
-                np.testing.assert_allclose(sol.prototypes, protos, rtol=1e-12, atol=0)
-            else:
-                assert np.array_equal(sol.prototypes, protos)
+            assert np.array_equal(sol.prototypes, protos)
             assert np.array_equal(sol.weights, weights)
             checked += 1
         assert checked >= 2

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -400,6 +401,18 @@ class TestBlobCenters:
         with pytest.raises(ValueError):
             blob_centers(3, 0.0)
 
+    @pytest.mark.parametrize("k, sep, dim", [
+        (20, 1e308, 2), (4, 1e101, 2), (2, math.nextafter(2e100, math.inf), 2), (3, 6e99, 1),
+    ])
+    def test_rejects_a_sep_whose_centers_leave_the_value_range(self, k, sep, dim):
+        with pytest.raises(ValueError, match=r"^sep .* beyond \+/-1e\+100"):
+            blob_centers(k, sep, dim)
+
+    @pytest.mark.parametrize("k, sep, dim", [(2, 2e100, 2), (3, 5e99, 1)])
+    def test_centers_at_the_value_bound_accepted(self, k, sep, dim):
+        centers = blob_centers(k, sep, dim)
+        assert np.abs(centers).max() == MAX_ABS_VALUE
+
 
 class TestGenBlobs:
     def test_window_layout(self):
@@ -444,6 +457,15 @@ class TestGenBlobs:
         with pytest.raises(ValueError, match="drift"):
             gen_blobs(k=2, per_blob=5, sep=8.0, stddev=0.5, window_size=10,
                       drift=(1.0, 2.0, 3.0))
+
+    def test_rejects_an_overflowing_sep_by_name_before_drawing(self):
+        # the polygon radius sep / (2 sin(pi/20)) overflows to inf
+        args = dict(k=20, per_blob=5, sep=1e308, stddev=1.0, window_size=10)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^sep "):
+                    gen_blobs(**args)
 
     @pytest.mark.parametrize("name, value", [
         ("sep", math.nan), ("sep", math.inf), ("stddev", math.nan), ("stddev", math.inf),
@@ -502,6 +524,11 @@ class TestReportEmission:
     def test_round_trip(self):
         for r in self._reports():
             assert json.loads(report_line(r)) == r.to_dict()
+
+    def test_numpy_integer_window_id_reports_as_an_int(self, four_blob_window):
+        window = dataclasses.replace(four_blob_window, window_id=np.int64(3))
+        state = initialize(window, StreamConfig(idle_generations_cap=0))
+        assert json.loads(report_line(state.reports[-1]))["window_id"] == 3
 
 
 class TestSnapshots:
@@ -731,6 +758,12 @@ class TestCliMain:
         rc = main(["--blobs", "k=4,per=10,sep=nan", "--idle-gens", "1", "--out", str(tmp_path)])
         assert rc == 2
         assert "error: sep must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "reports.jsonl").exists()
+
+    def test_blob_spec_past_the_value_range_is_error_exit(self, tmp_path, capsys):
+        rc = main(["--blobs", "k=4,per=10,sep=1e101", "--idle-gens", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: sep 1e+101 puts the 4 centers beyond +/-1e+100" in capsys.readouterr().err
         assert not (tmp_path / "reports.jsonl").exists()
 
     def test_nan_prune_threshold_is_error_exit(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from mostream.core import MAX_ABS_VALUE, ClusteringSolution, ObjectiveVector, as
 from mostream.metrics import INFINITE_DBI, arand, davies_bouldin, nmi, select_best
 from mostream.stream_io import WindowBatch
 
-from oracles import arand_oracle, davies_bouldin_loop, nmi_oracle
+from oracles import arand_oracle, davies_bouldin_loop, loop_mean, nmi_oracle
 
 
 def _solution(protos, sol_id=0):
@@ -126,6 +126,32 @@ def _scored_members(draw):
     return points, members
 
 
+@st.composite
+def _stacked_members(draw):
+    """A window of 1-150 rows and 1-12 members of K 1-20 with prototypes
+    drawn near the window rows, at d = 1, 2 or 16: most clusters hold more
+    than eight rows, and parked (unfed) and repeated (coincident)
+    prototypes occur."""
+    d = draw(st.sampled_from([1, 2, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(draw(st.integers(1, 150)), d)) * 10.0 ** rng.uniform(-3, 3)
+    members = []
+    for sol_id, k in enumerate(draw(st.lists(st.integers(1, 20), min_size=1, max_size=12))):
+        protos = points[rng.integers(0, len(points), size=k)] * rng.uniform(0.9, 1.1)
+        if k > 2 and draw(st.booleans()):
+            protos[-1] = np.full(d, 1e6) if draw(st.booleans()) else protos[0]
+        members.append(_solution(protos, sol_id))
+    return points, members
+
+
+def test_loop_mean_adds_left_to_right():
+    """The oracles' mean is a plain running sum: not compensated (builtin
+    ``sum`` from Python 3.12 gives 1.0 here) and not reordered."""
+    assert loop_mean([1e16, 1.0, -1e16]) == 0.0
+    assert loop_mean(np.array([1.0, 1e16, -1e16])) == 0.0
+    assert loop_mean([1e16, -1e16, 1.0]) == 1.0 / 3.0
+
+
 class TestDaviesBouldin:
     def test_two_pair_clusters(self):
         sol = _solution([(0.0, 1.0), (10.0, 1.0)])
@@ -200,11 +226,11 @@ class TestDaviesBouldin:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**16), st.integers(230, 290), st.sampled_from([1, 2, 16]))
-    def test_matches_loop_form_across_the_key_width_switch(self, seed, total, dim):
-        """The stable order is taken on keys of the narrowest unsigned type
-        that holds every stacked row: uint8 up to 255 rows, uint16 from 256.
-        Stacks of 230-290 rows, most clusters fed by several window rows,
-        score bit for bit as the loop form scores each member alone."""
+    def test_matches_loop_form_on_wide_stacks(self, seed, total, dim):
+        """Stacks of 230-290 cluster rows over a 1200-row window, most
+        clusters fed by several window rows and many of them by more than
+        eight, score bit for bit as the loop form scores each member
+        alone."""
         rng = np.random.default_rng(seed)
         points = rng.normal(size=(1200, dim)) * 3.0
         ks = []
@@ -227,6 +253,17 @@ class TestDaviesBouldin:
 
     def test_no_solutions(self):
         assert davies_bouldin([], *assign_batch([], np.zeros((3, 2)))) == []
+
+    @settings(deadline=None)
+    @given(_stacked_members())
+    def test_stacked_call_matches_each_member_alone(self, case):
+        """A member scores the same bytes alone as stacked with others."""
+        points, members = case
+        labels, dists = assign_batch(members, points)
+        got = davies_bouldin(members, labels, dists)
+        alone = [davies_bouldin([m], labels[i : i + 1], dists[i : i + 1])[0]
+                 for i, m in enumerate(members)]
+        assert np.array(got).tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_form_at_16_coordinates(self, seed):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mostream import objectives
@@ -140,6 +140,19 @@ class TestSeparateness:
             assert got == [separateness_oracle(rows) for rows in blocks]
             assert got == [separateness([rows])[0] for rows in blocks]
             assert all(type(v) is float for v in got)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 16]),
+           st.lists(st.integers(0, 20), min_size=1, max_size=12), st.booleans())
+    def test_stacked_call_matches_each_block_alone(self, seed, dim, ks, repeat):
+        """A block scores the same bytes alone as stacked with others."""
+        rg = np.random.default_rng(seed)
+        blocks = [rg.normal(size=(k, dim)) * 10.0 ** rg.uniform(-3, 3, size=(k, 1)) for k in ks]
+        if repeat:  # coincident rows give zero gaps
+            blocks = [np.vstack([rows, rows[:1]]) for rows in blocks]
+        got = separateness(blocks)
+        alone = [separateness([rows])[0] for rows in blocks]
+        assert np.array(got).tobytes() == np.array(alone).tobytes()
 
 
 class TestEvaluate:

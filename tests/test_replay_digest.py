@@ -33,20 +33,20 @@ SHAPES = {
         dict(k=4, per_blob=150, sep=10.0, stddev=0.5, drift=(0.05, 0.02), dim=2),
         100,
         6,
-        "15a0886995bf95827218f04c4ae8505858cd765d461af47a8207e5e5524a53ea",
+        "a5dbecd557d50fb5c30980a2fb51bae47fedc6b156046bd7c246d36788d2adee",
     ),
     # 3 <= d < 8: every column-order kernel path below the screen
     "d5-overlap": (
         dict(k=4, per_blob=150, sep=3.0, stddev=1.0, dim=5),
         100,
         6,
-        "b9652b955a39249b802bc8667632fbcbf3fb446d66b86cdb24d00925a0015647",
+        "1d23603abf48a21d31408588b00e3945858d89a2d1c64cf304928b745b745014",
     ),
     "d16-overlap": (
         dict(k=4, per_blob=150, sep=3.0, stddev=1.0, dim=16),
         100,
         6,
-        "2231f49b214cf8638f8bb0c9dfad609ecfe08b269f207a46087041d93aef474d",
+        "23da8bf36c882520c4425a28b4d4481e4ba82d2b552902c487dfb96f7a809241",
     ),
     # the first window holds a 13-row blob with no core point: density-scan
     # noise, which the scan's seed is charged for like every other row
@@ -60,7 +60,7 @@ SHAPES = {
         dict(k=4, per_blob=750, sep=3.0, stddev=1.0, dim=2),
         1000,
         3,
-        "f1e9b2149c36ec0c1c14190410b40aeaf09061cfa913e5302a361ab008566353",
+        "4815788aebc909abdaf3312cdb94d2e183a187d3e4af55bc11064ff6eae6f34a",
     ),
 }
 
